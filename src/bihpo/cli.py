@@ -570,13 +570,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _workers(args) -> int:
+    """--workers, else $BIHPO_WORKERS, else 1; anything but a count >= 1 is refused."""
     if getattr(args, "workers", None) is not None:
-        return max(1, args.workers)
-    env = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+        value, field = args.workers, "--workers"
+    else:
+        env = os.environ.get(WORKERS_ENV, "")
+        if not env:
+            return 1
+        field = WORKERS_ENV
+        try:
+            value = int(env)
+        except ValueError:
+            raise ConfigError(f"worker count must be an integer, got {env!r}",
+                              field_path=field) from None
+    if value < 1:
+        raise ConfigError(f"worker count must be >= 1, got {value}", field_path=field)
+    return value
 
 
 def _load_with_overrides(args) -> tuple[ExperimentConfig, Path]:
@@ -592,15 +601,11 @@ def _load_with_overrides(args) -> tuple[ExperimentConfig, Path]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "tune":
+        config_commands = {"tune": cmd_tune, "biasvar": cmd_biasvar, "clean": cmd_clean}
+        if args.command in config_commands:
+            workers = _workers(args)
             cfg, out = _load_with_overrides(args)
-            return cmd_tune(cfg, out, _workers(args))
-        if args.command == "biasvar":
-            cfg, out = _load_with_overrides(args)
-            return cmd_biasvar(cfg, out, _workers(args))
-        if args.command == "clean":
-            cfg, out = _load_with_overrides(args)
-            return cmd_clean(cfg, out, _workers(args))
+            return config_commands[args.command](cfg, out, workers)
         if args.command == "fpc":
             U_values = [int(x) for x in args.U.split(",") if x.strip()]
             if not U_values:

@@ -140,6 +140,44 @@ class DataView:
         return A, b
 
 
+@dataclass(eq=False)
+class StackedView:
+    """B equally sized regression views stacked along a leading member axis.
+
+    Carries what the quadratic losses read, member by member: the row count
+    m, the targets y (B, m) and the Gram pair (B, d, d) / (B, d), each
+    stacked from the member views' own cached values.
+    """
+
+    views: tuple[DataView, ...]
+
+    def __post_init__(self):
+        self.views = tuple(self.views)
+        if not self.views:
+            raise ContractViolationError("a stacked view needs at least one member view")
+        shapes = {(v.m, v.dataset.d) for v in self.views}
+        if len(shapes) != 1:
+            raise ContractViolationError(
+                f"stacked member views must share (rows, features), got {sorted(shapes)}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.views)
+
+    @property
+    def m(self) -> int:
+        return self.views[0].m
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return np.stack([v.y for v in self.views])
+
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        grams = [v.gram for v in self.views]
+        return np.stack([A for A, _ in grams]), np.stack([b for _, b in grams])
+
+
 def full_view(dataset: Dataset) -> DataView:
     return DataView(dataset, np.arange(dataset.n))
 

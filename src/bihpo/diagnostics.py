@@ -14,8 +14,17 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .data import DataView, Dataset, SplitPlan, derive_seed, gen_linear, make_splits, enumerate_all_splits
-from .errors import ContractViolationError
+from .data import (
+    DataView,
+    Dataset,
+    SplitPlan,
+    StackedView,
+    derive_seed,
+    enumerate_all_splits,
+    gen_linear,
+    make_splits,
+)
+from .errors import ContractViolationError, NumericalError
 from .hypergrad import HypergradMethod, estimate_hypergrad, inner_solve, itd_hypergrad
 from .linalg import Vec, dense_solve
 from .problems import BilevelProblem, ModelSpec, build_problem
@@ -227,6 +236,8 @@ def bias_variance_sweep(
         raise ContractViolationError("R must be >= 2")
     if U < 1:
         raise ContractViolationError("U must be >= 1")
+    if workers < 1:
+        raise ContractViolationError(f"workers must be >= 1, got {workers}")
     lam_grid = [float(x) for x in lam_grid]
     if any(x <= 0 for x in lam_grid):
         raise ContractViolationError("lam_grid values must be positive (effective scale)")
@@ -272,18 +283,35 @@ class VarianceCurve:
     slope: float
 
 
-def _member_task(args):
-    (spec, design, method, lam_raw, data_seed, split_seed) = args
-    ds, _ = gen_linear(design.n, design.d, design.noise_sigma, seed=data_seed,
-                       beta_seed=design.beta_seed)
-    problem = build_problem(spec, ds.d)
-    plan = SplitPlan(U=1, gamma=design.gamma, mode=design.mode, master_seed=split_seed)
-    split = make_splits(ds.n, plan)[0]
-    theta0 = np.zeros(problem.param_dim)
-    lam = np.array([lam_raw])
-    return estimate_hypergrad(
-        problem, lam, theta0, split.train_view(ds), split.val_view(ds), method
-    ).grad
+def _members_task(args):
+    """ITD/TRHG/AID hypergradients of a contiguous run of ensemble members.
+
+    Each member draws its own dataset and split from its seed pair; the run
+    is then estimated as one stacked pass. Module-level so process pools can
+    pickle it. Returns a (members, p) array, or the NumericalError of a
+    failing member, named by its index in the whole ensemble.
+    """
+    (spec, design, method, lam_raw, first, seeds) = args
+    trains, vals = [], []
+    for data_seed, split_seed in seeds:
+        ds, _ = gen_linear(design.n, design.d, design.noise_sigma, seed=data_seed,
+                           beta_seed=design.beta_seed)
+        plan = SplitPlan(U=1, gamma=design.gamma, mode=design.mode, master_seed=split_seed)
+        split = make_splits(ds.n, plan)[0]
+        trains.append(split.train_view(ds))
+        vals.append(split.val_view(ds))
+    problem = build_problem(spec, design.d)
+    try:
+        return estimate_hypergrad(
+            problem, np.full(problem.hyper_dim, lam_raw), np.zeros(problem.param_dim),
+            StackedView(trains), StackedView(vals), method,
+        ).grad
+    except NumericalError as exc:
+        if exc.member is None:
+            raise
+        # returned, not raised, so that the caller reports the failure of the
+        # first failing run whichever pool process finishes first
+        return NumericalError(exc.args[0], exc.step_index, first + exc.member)
 
 
 def ensemble_variance_curve(
@@ -300,33 +328,44 @@ def ensemble_variance_curve(
     independent (dataset, split) resample; slope of log-variance vs log-U.
 
     With independent members Var(mean) = sigma^2 / U exactly, so the fitted
-    slope should sit near -1.
+    slope should sit near -1. spec must be a batched (regression) model: all
+    sum(U_list) * R members run as one stacked estimate, whose trajectory
+    holds (K + 1) * members * d floats. workers > 1 splits the members into
+    that many contiguous runs, one stacked estimate per pool process; the
+    result is bitwise the same for every worker count.
     """
     if R < 2:
         raise ContractViolationError("R must be >= 2")
+    if workers < 1:
+        raise ContractViolationError(f"workers must be >= 1, got {workers}")
     U_list = [int(u) for u in U_list]
     if any(u < 1 for u in U_list) or len(U_list) < 2:
         raise ContractViolationError("need at least two U values, all >= 1")
+    if not build_problem(spec, design.d).batched:
+        raise ContractViolationError(
+            f"ensemble_variance_curve needs a regression model, got {spec.kind!r}"
+        )
     lam_raw = math.log(lam_eff)
-    counter = 0
-    tasks = []
-    layout = []  # (U, replicate j) -> member slice
+    seeds = []
+    layout = []  # (U, replicate j) -> member indices
     for U in U_list:
         for j in range(R):
-            members = []
+            layout.append((U, j, range(len(seeds), len(seeds) + U)))
             for _ in range(U):
-                tasks.append(
-                    (spec, design, method, lam_raw,
-                     derive_seed(seed, 2 * counter), derive_seed(seed, 2 * counter + 1))
-                )
-                members.append(len(tasks) - 1)
-                counter += 1
-            layout.append((U, j, members))
-    if workers > 1:
-        with get_context("fork").Pool(processes=workers) as pool:
-            grads = pool.map(_member_task, tasks)
+                c = len(seeds)
+                seeds.append((derive_seed(seed, 2 * c), derive_seed(seed, 2 * c + 1)))
+    bounds = np.linspace(0, len(seeds), min(workers, len(seeds)) + 1).astype(int)
+    tasks = [(spec, design, method, lam_raw, int(a), seeds[a:b])
+             for a, b in zip(bounds[:-1], bounds[1:])]
+    if len(tasks) > 1:
+        with get_context("fork").Pool(processes=len(tasks)) as pool:
+            runs = pool.map(_members_task, tasks)
     else:
-        grads = [_member_task(t) for t in tasks]
+        runs = [_members_task(tasks[0])]
+    for run in runs:
+        if isinstance(run, NumericalError):
+            raise run
+    grads = np.concatenate(runs)
 
     points = []
     for U in U_list:

@@ -20,12 +20,23 @@ class ContractViolationError(BilevelError):
 class NumericalError(BilevelError):
     """A numerical procedure failed: non-finite values, divergence, breakdown.
 
-    step_index, when known, names the iteration at which the failure occurred.
+    step_index, when known, names the iteration at which the failure occurred;
+    member, in a batched computation, names the first failing member.
     """
 
-    def __init__(self, message: str, step_index: int | None = None):
+    def __init__(self, message: str, step_index: int | None = None,
+                 member: int | None = None):
         super().__init__(message)
         self.step_index = step_index
+        self.member = member
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.member is None else f"{text} (member {self.member})"
+
+    def __reduce__(self):
+        # keep step_index and member when a worker process sends the error back
+        return type(self), (self.args[0], self.step_index, self.member)
 
 
 class SingularMatrixError(NumericalError):

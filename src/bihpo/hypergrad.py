@@ -7,6 +7,12 @@ materialized); trhg_hypergrad truncates the accumulation window;
 aid_hypergrad solves the inner-Hessian linear system approximately and
 applies the implicit-function-theorem formula. All hypergradients are in raw
 hyper coordinates because the problem callbacks already are.
+
+For a batched problem (the regression family), every entry point also takes
+StackedView train/val views of B members with lam (p,) or (B, p) and theta
+(r,) or (B, r): the same code then runs all B estimates at once, one numpy
+op per inner step, and returns one row per member. Shapes are validated once
+per entry point, not in the callbacks.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataView
+from .data import DataView, StackedView
 from .errors import ContractViolationError, NumericalError
-from .linalg import LinearOperator, Vec, cg_solve, fixed_point_solve
+from .linalg import LinearOperator, Vec, cg_solve, fixed_point_solve, row_norm
 from .problems import BilevelProblem
 
 METHOD_KINDS = ("ITD", "TRHG", "AID_FP", "AID_CG")
@@ -27,7 +33,7 @@ METHOD_KINDS = ("ITD", "TRHG", "AID_FP", "AID_CG")
 class InnerTrajectory:
     """theta_0 ... theta_K from K gradient steps at step size alpha_in."""
 
-    thetas: tuple[np.ndarray, ...]
+    thetas: tuple[np.ndarray, ...]  # each (r,), or (B, r) for a batched solve
     alpha_in: float
 
     @property
@@ -77,11 +83,54 @@ class HypergradResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _check_args(problem: BilevelProblem, lam: Vec, theta: Vec, *views) -> tuple[Vec, Vec]:
+    """Validate lam/theta against the problem and views once, at an entry point.
+
+    With DataViews lam must be (p,) and theta (r,). With StackedViews of B
+    members (batched problems only) each may also be (B, p) / (B, r); both
+    come back broadcast to (B, p) / (B, r).
+    """
+    p, r = problem.hyper_dim, problem.param_dim
+    lam = np.asarray(lam, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    n_stacked = sum(isinstance(v, StackedView) for v in views)
+    if n_stacked == 0:
+        if lam.shape != (p,):
+            raise ContractViolationError(f"lam must have shape ({p},), got {lam.shape}")
+        if theta.shape != (r,):
+            raise ContractViolationError(f"theta must have shape ({r},), got {theta.shape}")
+        return lam, theta
+    if not problem.batched:
+        raise ContractViolationError(
+            f"model kind {problem.kind!r} takes no stacked views (not batched)"
+        )
+    if n_stacked != len(views) or len({len(v) for v in views}) != 1:
+        raise ContractViolationError(
+            "train and val must both be stacked views with the same member count"
+        )
+    B = len(views[0])
+    if lam.shape not in ((p,), (B, p)):
+        raise ContractViolationError(
+            f"lam must have shape ({p},) or ({B}, {p}), got {lam.shape}"
+        )
+    if theta.shape not in ((r,), (B, r)):
+        raise ContractViolationError(
+            f"theta must have shape ({r},) or ({B}, {r}), got {theta.shape}"
+        )
+    return np.broadcast_to(lam, (B, p)), np.broadcast_to(theta, (B, r))
+
+
+def _nonfinite(what: str, x: np.ndarray, step: int | None = None) -> NumericalError:
+    """NumericalError for a non-finite x, naming the first failing member of a batch."""
+    member = None if x.ndim < 2 else int(np.argmin(np.isfinite(x).all(axis=-1)))
+    return NumericalError(what, step_index=step, member=member)
+
+
 def inner_solve(
     problem: BilevelProblem,
     lam: Vec,
     theta0: Vec,
-    train: DataView,
+    train: DataView | StackedView,
     K: int,
     alpha_in: float,
 ) -> InnerTrajectory:
@@ -90,34 +139,30 @@ def inner_solve(
         raise ContractViolationError("alpha_in must be > 0")
     if K < 0:
         raise ContractViolationError("K must be >= 0")
-    theta = np.asarray(theta0, dtype=np.float64).copy()
+    lam, theta = _check_args(problem, lam, theta0, train)
+    theta = theta.copy()
     thetas = [theta]
     # overflow surfaces as the explicit non-finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
             g = problem.inner_grad_theta(lam, theta, train)
             if not np.all(np.isfinite(g)):
-                raise NumericalError(
-                    f"inner gradient became non-finite at step {k}", step_index=k
-                )
+                raise _nonfinite(f"inner gradient became non-finite at step {k}", g, step=k)
             theta = theta - alpha_in * g
             thetas.append(theta)
     return InnerTrajectory(thetas=tuple(thetas), alpha_in=alpha_in)
 
 
 def _traj_diagnostics(traj: InnerTrajectory) -> dict:
-    return {
-        "theta_final_norm": float(np.linalg.norm(traj.final)),
-        "trajectory_max_norm": float(max(np.linalg.norm(t) for t in traj.thetas)),
-    }
+    return {"theta_final_norm": row_norm(traj.final)}
 
 
 def itd_hypergrad(
     problem: BilevelProblem,
     lam: Vec,
     traj: InnerTrajectory,
-    train: DataView,
-    val: DataView,
+    train: DataView | StackedView,
+    val: DataView | StackedView,
 ) -> HypergradResult:
     """Exact derivative of lam -> outer(lam, theta_K(lam)) by reverse accumulation.
 
@@ -131,8 +176,8 @@ def trhg_hypergrad(
     problem: BilevelProblem,
     lam: Vec,
     traj: InnerTrajectory,
-    train: DataView,
-    val: DataView,
+    train: DataView | StackedView,
+    val: DataView | StackedView,
     h: int,
 ) -> HypergradResult:
     """Truncated reverse accumulation: mixed-product terms only for the h
@@ -147,17 +192,11 @@ def _reverse_accumulate(
     problem: BilevelProblem,
     lam: Vec,
     traj: InnerTrajectory,
-    train: DataView,
-    val: DataView,
+    train: DataView | StackedView,
+    val: DataView | StackedView,
     window: int,
 ) -> HypergradResult:
-    lam = np.asarray(lam, dtype=np.float64)
-    theta_K = traj.final
-    if theta_K.shape != (problem.param_dim,):
-        raise ContractViolationError(
-            f"trajectory parameter dim {theta_K.shape} does not match problem "
-            f"param_dim {problem.param_dim}"
-        )
+    lam, theta_K = _check_args(problem, lam, traj.final, train, val)
     alpha = traj.alpha_in
     g = problem.outer_grad_lambda(lam, theta_K, val).astype(np.float64, copy=True)
     a = problem.outer_grad_theta(lam, theta_K, val)
@@ -168,7 +207,7 @@ def _reverse_accumulate(
         g = g - alpha * problem.inner_mixed_vp(lam, theta_k, train, a)
         a = a - alpha * problem.inner_hvp(lam, theta_k, train, a)
     if not np.all(np.isfinite(g)):
-        raise NumericalError("reverse accumulation produced a non-finite hypergradient")
+        raise _nonfinite("reverse accumulation produced a non-finite hypergradient", g)
     return HypergradResult(grad=g, inner_final=theta_K, diagnostics=_traj_diagnostics(traj))
 
 
@@ -176,8 +215,8 @@ def aid_hypergrad(
     problem: BilevelProblem,
     lam: Vec,
     theta_K: Vec,
-    train: DataView,
-    val: DataView,
+    train: DataView | StackedView,
+    val: DataView | StackedView,
     solver: str = "cg",
     Z: int = 10,
     fp_step: float | None = None,
@@ -187,7 +226,8 @@ def aid_hypergrad(
 
     Solves hvp(v) = grad_theta outer(theta_K) with Z iterations of CG or the
     fixed-point scheme, then grad = grad_lam outer - mixed_vp(theta_K, v).
-    Diagnostics carry the achieved linear-system residual norm.
+    Diagnostics carry the achieved linear-system residual norm (per member
+    when batched; each member's solve stops on its own).
     """
     if not problem.supports_aid:
         raise ContractViolationError(
@@ -198,8 +238,7 @@ def aid_hypergrad(
         raise ContractViolationError(f"unknown solver {solver!r}, want 'cg' or 'fp'")
     if Z < 1:
         raise ContractViolationError("Z must be >= 1")
-    lam = np.asarray(lam, dtype=np.float64)
-    theta_K = np.asarray(theta_K, dtype=np.float64)
+    lam, theta_K = _check_args(problem, lam, theta_K, train, val)
     b = problem.outer_grad_theta(lam, theta_K, val)
     op = LinearOperator(
         dim=problem.param_dim,
@@ -212,19 +251,19 @@ def aid_hypergrad(
         if step is None:
             raise ContractViolationError("fp solver requires fp_step > 0")
         v, iters = fixed_point_solve(op, b, step=step, max_iters=Z, tol=tol)
-    residual = float(np.linalg.norm(op(v) - b))
+    residual = row_norm(op(v) - b)
     g = problem.outer_grad_lambda(lam, theta_K, val) - problem.inner_mixed_vp(
         lam, theta_K, train, v
     )
     if not np.all(np.isfinite(g)):
-        raise NumericalError("AID produced a non-finite hypergradient")
+        raise _nonfinite("AID produced a non-finite hypergradient", g)
     return HypergradResult(
         grad=g,
         inner_final=theta_K,
         diagnostics={
             "aid_residual": residual,
             "solver_iters": iters,
-            "theta_final_norm": float(np.linalg.norm(theta_K)),
+            "theta_final_norm": row_norm(theta_K),
         },
     )
 
@@ -286,11 +325,15 @@ def estimate_hypergrad(
     problem: BilevelProblem,
     lam: Vec,
     theta0: Vec,
-    train: DataView,
-    val: DataView,
+    train: DataView | StackedView,
+    val: DataView | StackedView,
     method: HypergradMethod,
 ) -> HypergradResult:
-    """Run the configured estimator end to end (inner solve + hypergradient)."""
+    """Run the configured estimator end to end (inner solve + hypergradient).
+
+    With StackedView train/val views of B members, runs all B estimates as
+    one stacked pass and returns grad (B, p) and inner_final (B, r).
+    """
     traj = inner_solve(problem, lam, theta0, train, method.K, method.alpha_in)
     if method.kind == "ITD":
         return itd_hypergrad(problem, lam, traj, train, val)

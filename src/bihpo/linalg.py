@@ -2,7 +2,9 @@
 
 Vectors and matrices are plain float64 numpy arrays (Vec: 1-D, Mat: 2-D,
 row-major). Iterative solvers operate on a LinearOperator so callers can pass
-Hessian-vector products without ever materializing the matrix.
+Hessian-vector products without ever materializing the matrix. The operators
+and iterative solvers also take a batch of B independent systems as (B, dim)
+arrays, one row per member, and stop each member on its own.
 """
 
 from __future__ import annotations
@@ -38,28 +40,51 @@ def _as_mat(A, name: str) -> Mat:
     return A
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis, batched over any leading axes.
+
+    Written as a matmul so that 1-D operands get exactly the bits of a @ b.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, batched over any leading axes."""
+    return np.sqrt(row_dot(x, x))
+
+
+def _as_batch(x, dim: int, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != dim:
+        raise ContractViolationError(
+            f"{name} must have shape ({dim},) or (B, {dim}), got {x.shape}"
+        )
+    return x
+
+
+def _first_member(mask: np.ndarray) -> int | None:
+    """Index of the first member flagged in a batch mask; None when unbatched."""
+    return int(np.argmax(mask)) if mask.ndim else None
+
+
 @dataclass(frozen=True)
 class LinearOperator:
-    """Matrix-free linear map on R^dim.
+    """Matrix-free linear map on R^dim, applied to (dim,) or (B, dim) arrays.
 
     apply must be linear; the iterative solvers additionally assume symmetry
     (and, for convergence guarantees, positive definiteness), which is not
-    checked here.
+    checked here. Batched solves pass (B, dim) rows, one system per member.
     """
 
     dim: int
     apply: Callable[[Vec], Vec]
 
     def __call__(self, x: Vec) -> Vec:
-        x = _as_vec(x, "x")
-        if x.shape[0] != self.dim:
-            raise ContractViolationError(
-                f"operator expects dim={self.dim}, got {x.shape[0]}"
-            )
+        x = _as_batch(x, self.dim, "x")
         y = np.asarray(self.apply(x), dtype=np.float64)
-        if y.shape != (self.dim,):
+        if y.shape != x.shape:
             raise ContractViolationError(
-                f"operator returned shape {y.shape}, expected ({self.dim},)"
+                f"operator returned shape {y.shape}, expected {x.shape}"
             )
         return y
 
@@ -86,9 +111,9 @@ def gemv(A: Mat, x: Vec) -> Vec:
     return y
 
 
-def _target_residual(b: Vec, tol: float) -> float:
-    # Relative stopping rule, floored so b = 0 still terminates.
-    return tol * max(1.0, float(np.linalg.norm(b)))
+def _target_residual(b: Vec, tol: float) -> np.ndarray:
+    # Relative stopping rule per member, floored so b = 0 still terminates.
+    return tol * np.maximum(1.0, row_norm(b))
 
 
 def cg_solve(
@@ -99,40 +124,50 @@ def cg_solve(
     Starts from x0 = 0 and stops when ||r|| <= tol * max(1, ||b||) or after
     max_iters iterations, returning (x, iters_used). Raises NumericalError on
     non-finite iterates or CG breakdown (p^T A p <= 0), naming the iteration.
+    A (B, dim) right-hand side solves B systems at once: each member stops on
+    its own rule and keeps its iterate from then on, iters_used is a (B,)
+    array, and an error also names the first failing member.
     """
-    b = _as_vec(b, "b")
-    if b.shape[0] != op.dim:
-        raise ContractViolationError(f"b has length {b.shape[0]}, operator dim {op.dim}")
+    b = _as_batch(b, op.dim, "b")
     if max_iters < 0:
         raise ContractViolationError("max_iters must be >= 0")
 
     target = _target_residual(b, tol)
     x = np.zeros_like(b)
     r = b.copy()
-    rs = float(r @ r)
-    if np.sqrt(rs) <= target:
-        return x, 0
+    rs = row_dot(r, r)
+    live = np.sqrt(rs) > target  # members still iterating
+    iters = np.zeros(live.shape, dtype=np.int64)
     p = r.copy()
     for it in range(1, max_iters + 1):
+        if not live.any():
+            break
         Ap = op(p)
-        pAp = float(p @ Ap)
-        if not np.isfinite(pAp) or pAp <= 0.0:
+        pAp = row_dot(p, Ap)
+        broken = live & ~(np.isfinite(pAp) & (pAp > 0.0))
+        if broken.any():
+            i = _first_member(broken)
             raise NumericalError(
-                f"cg breakdown at iteration {it}: p^T A p = {pAp}", step_index=it
+                f"cg breakdown at iteration {it}: p^T A p = {pAp if i is None else pAp[i]}",
+                step_index=it, member=i,
             )
-        alpha = rs / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
+        # finished members take a zero step, so x and r stay where they stopped
+        alpha = np.where(live, rs, 0.0) / np.where(live, pAp, 1.0)
+        x = x + alpha[..., None] * p
+        r = r - alpha[..., None] * Ap
+        rs_new = row_dot(r, r)
+        bad = ~np.isfinite(rs_new)
+        if bad.any():
             raise NumericalError(
-                f"cg produced non-finite residual at iteration {it}", step_index=it
+                f"cg produced non-finite residual at iteration {it}",
+                step_index=it, member=_first_member(bad),
             )
-        if np.sqrt(rs_new) <= target:
-            return x, it
-        p = r + (rs_new / rs) * p
+        iters = np.where(live, it, iters)
+        live = live & (np.sqrt(rs_new) > target)
+        beta = np.where(live, rs_new, 0.0) / np.where(live, rs, 1.0)
+        p = r + beta[..., None] * p
         rs = rs_new
-    return x, max_iters
+    return x, (iters if iters.ndim else int(iters))
 
 
 def fixed_point_solve(
@@ -143,11 +178,10 @@ def fixed_point_solve(
     Converges iff the spectrum of (I - step * op) lies inside the unit circle.
     Stops on ||op v - b|| <= tol * max(1, ||b||); raises NumericalError if the
     residual grows for 10 consecutive iterations (divergence) or goes
-    non-finite, naming the iteration.
+    non-finite, naming the iteration. A (B, dim) right-hand side solves B
+    systems at once, as in cg_solve.
     """
-    b = _as_vec(b, "b")
-    if b.shape[0] != op.dim:
-        raise ContractViolationError(f"b has length {b.shape[0]}, operator dim {op.dim}")
+    b = _as_batch(b, op.dim, "b")
     if max_iters < 0:
         raise ContractViolationError("max_iters must be >= 0")
     if step <= 0.0:
@@ -155,30 +189,36 @@ def fixed_point_solve(
 
     target = _target_residual(b, tol)
     v = np.zeros_like(b)
-    prev = np.inf
-    growth = 0
-    iters = 0
+    prev = np.full(target.shape, np.inf)
+    growth = np.zeros(target.shape, dtype=np.int64)
+    iters = np.zeros(target.shape, dtype=np.int64)
+    live = np.ones(target.shape, dtype=bool)  # members still iterating
     for it in range(1, max_iters + 1):
         res = op(v) - b
-        rnorm = float(np.linalg.norm(res))
-        if not np.isfinite(rnorm):
+        rnorm = row_norm(res)
+        bad = live & ~np.isfinite(rnorm)
+        if bad.any():
             raise NumericalError(
                 f"fixed-point iteration produced non-finite residual at iteration {it}",
-                step_index=it,
+                step_index=it, member=_first_member(bad),
             )
-        if rnorm <= target:
-            return v, iters
-        growth = growth + 1 if rnorm > prev else 0
-        if growth >= _DIVERGENCE_PATIENCE:
+        live = live & (rnorm > target)
+        if not live.any():
+            break
+        growth = np.where(rnorm > prev, growth + 1, 0)
+        diverging = live & (growth >= _DIVERGENCE_PATIENCE)
+        if diverging.any():
+            i = _first_member(diverging)
             raise NumericalError(
                 f"fixed-point iteration diverging at iteration {it}: residual grew "
-                f"{_DIVERGENCE_PATIENCE} consecutive times (last {rnorm:.3e})",
-                step_index=it,
+                f"{_DIVERGENCE_PATIENCE} consecutive times "
+                f"(last {rnorm if i is None else rnorm[i]:.3e})",
+                step_index=it, member=i,
             )
         prev = rnorm
-        v = v - step * res
-        iters = it
-    return v, iters
+        v = v - step * np.where(live[..., None], res, 0.0)
+        iters = np.where(live, it, iters)
+    return v, (iters if iters.ndim else int(iters))
 
 
 def dense_solve(A: Mat, b: Vec) -> Vec:

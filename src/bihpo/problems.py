@@ -20,9 +20,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .data import DataView
+from .data import DataView, StackedView
 from .errors import ConfigError, ContractViolationError
-from .linalg import Vec
+from .linalg import Vec, row_dot
 
 MODEL_KINDS = (
     "ridge",
@@ -79,7 +79,9 @@ class BilevelProblem:
     theta (length param_dim), and a DataView; the *_vp variants additionally
     take the direction v (length param_dim). inner_mixed_vp returns the
     cross second derivative d/d_lam (d inner / d theta) contracted with v,
-    a vector of length hyper_dim.
+    a vector of length hyper_dim. When batched, the callbacks also take a
+    leading member axis, lam (B, hyper_dim), theta and v (B, param_dim), with
+    a StackedView of B members, and return one value per member.
     """
 
     hyper_dim: int
@@ -95,6 +97,7 @@ class BilevelProblem:
     effective: Callable[[Vec], Vec]
     kind: str = ""
     supports_aid: bool = True
+    batched: bool = False
 
 
 def _check_dims(lam: Vec, theta: Vec, p: int, r: int) -> tuple[Vec, Vec]:
@@ -114,26 +117,31 @@ def _free_domain(p: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # shared loss pieces
 
-def _quad_loss(theta: Vec, view: DataView) -> float:
+def _matvec(A: np.ndarray, x: Vec) -> Vec:
+    """A x over the last axes, batched over any leading member axis (A @ x for 1-D x)."""
+    return (A @ x[..., None])[..., 0]
+
+
+def _quad_loss(theta: Vec, view: DataView | StackedView) -> float:
     A, b = view.gram
-    c = float(view.y @ view.y) / view.m
-    return float(theta @ (A @ theta)) - 2.0 * float(b @ theta) + c
+    c = row_dot(view.y, view.y) / view.m
+    return row_dot(theta, _matvec(A, theta)) - 2.0 * row_dot(b, theta) + c
 
 
-def _quad_grad(theta: Vec, view: DataView) -> Vec:
+def _quad_grad(theta: Vec, view: DataView | StackedView) -> Vec:
     A, b = view.gram
-    return 2.0 * (A @ theta - b)
+    return 2.0 * (_matvec(A, theta) - b)
 
 
-def _quad_hvp(view: DataView, v: Vec) -> Vec:
+def _quad_hvp(view: DataView | StackedView, v: Vec) -> Vec:
     A, _ = view.gram
-    return 2.0 * (A @ v)
+    return 2.0 * _matvec(A, v)
 
 
 def _phuber(theta: Vec, delta: float) -> tuple[float, Vec, Vec]:
     """Pseudo-Huber sum_j (sqrt(theta_j^2 + delta^2) - delta): value, grad, diag Hessian."""
     s = np.sqrt(theta * theta + delta * delta)
-    return float(np.sum(s - delta)), theta / s, (delta * delta) / (s * s * s)
+    return np.sum(s - delta, axis=-1), theta / s, (delta * delta) / (s * s * s)
 
 
 def _logistic_parts(theta: Vec, view: DataView):
@@ -156,6 +164,16 @@ def _ce_per_sample(view: DataView, W: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # builders: regression with exp-reparameterized penalties
+#
+# The regression callbacks are batch-transparent: lam (..., p), theta and v
+# (..., r) and a DataView or StackedView broadcast over the leading member
+# axis, so one call serves a whole stack of members. They do not re-check
+# shapes; the estimator entry points do that once per call.
+
+def _coef(lam: Vec, j: int) -> Vec:
+    """e^{u_j} per member, with a trailing axis so it broadcasts against theta."""
+    return np.exp(lam[..., j:j + 1])
+
 
 def _build_regression_penalized(kind: str, d: int, delta: float) -> BilevelProblem:
     """ridge / lasso_smooth / elastic_net: mean squared error + penalties.
@@ -167,73 +185,64 @@ def _build_regression_penalized(kind: str, d: int, delta: float) -> BilevelProbl
 
     def reg_value(lam: Vec, theta: Vec) -> float:
         if kind == "ridge":
-            return math.exp(lam[0]) * float(theta @ theta)
-        if kind == "lasso_smooth":
-            val, _, _ = _phuber(theta, delta)
-            return math.exp(lam[0]) * val
+            return _coef(lam, 0)[..., 0] * row_dot(theta, theta)
         val, _, _ = _phuber(theta, delta)
-        return math.exp(lam[0]) * val + math.exp(lam[1]) * float(theta @ theta)
+        if kind == "lasso_smooth":
+            return _coef(lam, 0)[..., 0] * val
+        return _coef(lam, 0)[..., 0] * val + _coef(lam, 1)[..., 0] * row_dot(theta, theta)
 
     def reg_grad(lam: Vec, theta: Vec) -> Vec:
         if kind == "ridge":
-            return (2.0 * math.exp(lam[0])) * theta
-        if kind == "lasso_smooth":
-            _, g, _ = _phuber(theta, delta)
-            return math.exp(lam[0]) * g
+            return (2.0 * _coef(lam, 0)) * theta
         _, g, _ = _phuber(theta, delta)
-        return math.exp(lam[0]) * g + (2.0 * math.exp(lam[1])) * theta
+        if kind == "lasso_smooth":
+            return _coef(lam, 0) * g
+        return _coef(lam, 0) * g + (2.0 * _coef(lam, 1)) * theta
 
     def reg_hvp(lam: Vec, theta: Vec, v: Vec) -> Vec:
         if kind == "ridge":
-            return (2.0 * math.exp(lam[0])) * v
-        if kind == "lasso_smooth":
-            _, _, h = _phuber(theta, delta)
-            return math.exp(lam[0]) * (h * v)
+            return (2.0 * _coef(lam, 0)) * v
         _, _, h = _phuber(theta, delta)
-        return math.exp(lam[0]) * (h * v) + (2.0 * math.exp(lam[1])) * v
+        if kind == "lasso_smooth":
+            return _coef(lam, 0) * (h * v)
+        return _coef(lam, 0) * (h * v) + (2.0 * _coef(lam, 1)) * v
 
     def reg_mixed(lam: Vec, theta: Vec, v: Vec) -> Vec:
         # d/d_u of reg_grad, contracted with v; exp reparameterization makes
         # each coordinate e^{u_j} * (its penalty gradient) . v
         if kind == "ridge":
-            return np.array([2.0 * math.exp(lam[0]) * float(theta @ v)])
-        if kind == "lasso_smooth":
-            _, g, _ = _phuber(theta, delta)
-            return np.array([math.exp(lam[0]) * float(g @ v)])
+            return 2.0 * _coef(lam, 0) * row_dot(theta, v)[..., None]
         _, g, _ = _phuber(theta, delta)
-        return np.array(
+        if kind == "lasso_smooth":
+            return _coef(lam, 0) * row_dot(g, v)[..., None]
+        return np.concatenate(
             [
-                math.exp(lam[0]) * float(g @ v),
-                2.0 * math.exp(lam[1]) * float(theta @ v),
-            ]
+                _coef(lam, 0) * row_dot(g, v)[..., None],
+                2.0 * _coef(lam, 1) * row_dot(theta, v)[..., None],
+            ],
+            axis=-1,
         )
 
     def inner_loss(lam, theta, view):
-        lam, theta = _check_dims(lam, theta, p, d)
         return _quad_loss(theta, view) + reg_value(lam, theta)
 
     def inner_grad(lam, theta, view):
-        lam, theta = _check_dims(lam, theta, p, d)
         return _quad_grad(theta, view) + reg_grad(lam, theta)
 
     def inner_hvp(lam, theta, view, v):
-        lam, theta = _check_dims(lam, theta, p, d)
         return _quad_hvp(view, v) + reg_hvp(lam, theta, v)
 
     def inner_mixed(lam, theta, view, v):
-        lam, theta = _check_dims(lam, theta, p, d)
         return reg_mixed(lam, theta, v)
 
     def outer_loss(lam, theta, view):
-        _, theta = _check_dims(lam, theta, p, d)
         return _quad_loss(theta, view)
 
     def outer_grad_theta(lam, theta, view):
-        _, theta = _check_dims(lam, theta, p, d)
         return _quad_grad(theta, view)
 
     def outer_grad_lambda(lam, theta, view):
-        return np.zeros(p)
+        return np.zeros(theta.shape[:-1] + (p,))
 
     return BilevelProblem(
         hyper_dim=p,
@@ -248,6 +257,7 @@ def _build_regression_penalized(kind: str, d: int, delta: float) -> BilevelProbl
         hyper_domain=_free_domain(p),
         effective=np.exp,
         kind=kind,
+        batched=True,
     )
 
 
@@ -256,28 +266,22 @@ def _build_ridge_per_param(d: int) -> BilevelProblem:
     p = d
 
     def inner_loss(lam, theta, view):
-        lam, theta = _check_dims(lam, theta, p, d)
         w = np.exp(2.0 * lam)
-        return _quad_loss(theta, view) + float(w @ (theta * theta))
+        return _quad_loss(theta, view) + row_dot(w, theta * theta)
 
     def inner_grad(lam, theta, view):
-        lam, theta = _check_dims(lam, theta, p, d)
         return _quad_grad(theta, view) + 2.0 * np.exp(2.0 * lam) * theta
 
     def inner_hvp(lam, theta, view, v):
-        lam, theta = _check_dims(lam, theta, p, d)
         return _quad_hvp(view, v) + 2.0 * np.exp(2.0 * lam) * v
 
     def inner_mixed(lam, theta, view, v):
-        lam, theta = _check_dims(lam, theta, p, d)
         return 4.0 * np.exp(2.0 * lam) * theta * v
 
     def outer_loss(lam, theta, view):
-        _, theta = _check_dims(lam, theta, p, d)
         return _quad_loss(theta, view)
 
     def outer_grad_theta(lam, theta, view):
-        _, theta = _check_dims(lam, theta, p, d)
         return _quad_grad(theta, view)
 
     return BilevelProblem(
@@ -289,10 +293,11 @@ def _build_ridge_per_param(d: int) -> BilevelProblem:
         inner_mixed_vp=inner_mixed,
         outer_loss=outer_loss,
         outer_grad_theta=outer_grad_theta,
-        outer_grad_lambda=lambda lam, theta, view: np.zeros(p),
+        outer_grad_lambda=lambda lam, theta, view: np.zeros(theta.shape[:-1] + (p,)),
         hyper_domain=_free_domain(p),
         effective=np.exp,
         kind="ridge_per_param",
+        batched=True,
     )
 
 

@@ -190,6 +190,35 @@ def test_workers_resolution(monkeypatch):
     assert _workers(argparse.Namespace(workers=2)) == 2
 
 
+@pytest.mark.parametrize("flag, env, field", [
+    (0, None, "--workers"),
+    (-3, "2", "--workers"),
+    (None, "abc", "BIHPO_WORKERS"),
+    (None, "0", "BIHPO_WORKERS"),
+    (None, "-1", "BIHPO_WORKERS"),
+])
+def test_workers_refuses_bad_counts(monkeypatch, flag, env, field):
+    if env is None:
+        monkeypatch.delenv("BIHPO_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("BIHPO_WORKERS", env)
+    with pytest.raises(ConfigError) as err:
+        _workers(argparse.Namespace(workers=flag))
+    assert err.value.field_path == field
+
+
+def test_bad_worker_count_exits_2_before_writing(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, biasvar_dict())
+    out = tmp_path / "out"
+    monkeypatch.delenv("BIHPO_WORKERS", raising=False)
+    assert main(["biasvar", "--config", str(cfg), "--out", str(out), "--workers", "0"]) == 2
+    assert "[--workers]" in capsys.readouterr().err
+    monkeypatch.setenv("BIHPO_WORKERS", "abc")
+    assert main(["biasvar", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "[BIHPO_WORKERS]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # tune command
 

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bihpo.data import Dataset, SplitPlan, full_view, gen_linear, make_splits
+from bihpo.data import Dataset, SplitPlan, derive_seed, full_view, gen_linear, make_splits
 from bihpo.diagnostics import (
     RidgeOracle,
     SweepDesign,
+    _members_task,
     _ridge_itd_grid,
     _ridge_oracle_grid,
     bias_variance_sweep,
@@ -23,7 +24,7 @@ from bihpo.diagnostics import (
     ridge_curvature,
     ridge_exact_hypergrad,
 )
-from bihpo.errors import ContractViolationError
+from bihpo.errors import ContractViolationError, NumericalError
 from bihpo.hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
 from bihpo.problems import ModelSpec, build_problem
 
@@ -189,6 +190,8 @@ def test_bias_variance_sweep_validation():
         bias_variance_sweep(DESIGN, ITD25, [1.0], R=2, U=0, seed=0)
     with pytest.raises(ContractViolationError):
         bias_variance_sweep(DESIGN, ITD25, [-1.0], R=2, U=1, seed=0)
+    with pytest.raises(ContractViolationError):
+        bias_variance_sweep(DESIGN, ITD25, [1.0], R=2, U=1, seed=0, workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +210,77 @@ def test_variance_curve_validation():
         ensemble_variance_curve(DESIGN, ITD25, 1.0, R=1, U_list=[1, 2], seed=0)
     with pytest.raises(ContractViolationError):
         ensemble_variance_curve(DESIGN, ITD25, 1.0, R=5, U_list=[2], seed=0)
+    with pytest.raises(ContractViolationError):
+        ensemble_variance_curve(DESIGN, ITD25, 1.0, R=5, U_list=[1, 2], seed=0, workers=0)
+    with pytest.raises(ContractViolationError):
+        ensemble_variance_curve(DESIGN, ITD25, 1.0, R=5, U_list=[1, 2], seed=0,
+                                spec=ModelSpec(kind="logistic_l2"))
+
+
+def per_member_curve(design, method, lam_eff, R, U_list, seed, spec):
+    """The member-at-a-time loop the stacked pass replaced: one estimate per member."""
+    problem = build_problem(spec, design.d)
+    lam = np.full(problem.hyper_dim, math.log(lam_eff))
+    counter, points = 0, []
+    for U in U_list:
+        means = []
+        for _ in range(R):
+            acc = None
+            for _ in range(U):
+                ds, _ = gen_linear(design.n, design.d, design.noise_sigma,
+                                   seed=derive_seed(seed, 2 * counter), beta_seed=design.beta_seed)
+                plan = SplitPlan(U=1, gamma=design.gamma, master_seed=derive_seed(seed, 2 * counter + 1))
+                split = make_splits(ds.n, plan)[0]
+                g = estimate_hypergrad(problem, lam, np.zeros(problem.param_dim),
+                                       split.train_view(ds), split.val_view(ds), method).grad
+                acc = g.copy() if acc is None else acc + g
+                counter += 1
+            means.append(acc / U)
+        M = np.stack(means)
+        points.append((U, float(np.mean(np.sum((M - M.mean(axis=0)) ** 2, axis=1)))))
+    return points
+
+
+@pytest.mark.parametrize("spec, method", [
+    (ModelSpec(kind="ridge"), ITD25),
+    (ModelSpec(kind="elastic_net", smoothing_delta=0.5),
+     HypergradMethod(kind="AID_CG", K=25, alpha_in=0.1, Z=5)),
+])
+def test_variance_curve_matches_per_member_loop_for_any_worker_count(spec, method):
+    kwargs = dict(R=4, U_list=[1, 2, 3], seed=12, spec=spec)
+    curves = [ensemble_variance_curve(DESIGN, method, 0.7, workers=w, **kwargs)
+              for w in (1, 2, 3)]
+    assert curves[1] == curves[0] and curves[2] == curves[0]  # bitwise
+    ref = per_member_curve(DESIGN, method, 0.7, **kwargs)
+    for (u, v), (ru, rv) in zip(curves[0].points, ref):
+        assert u == ru
+        assert abs(v - rv) <= 1e-12 * rv
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_variance_curve_divergence_names_member_and_step(workers):
+    diverging = HypergradMethod(kind="ITD", K=400, alpha_in=5.0)
+    with pytest.raises(NumericalError) as err:
+        ensemble_variance_curve(DESIGN, diverging, 1.0, R=3, U_list=[1, 2], seed=0,
+                                workers=workers)
+    m, step = err.value.member, err.value.step_index
+    assert f"at step {step}" in str(err.value) and f"(member {m})" in str(err.value)
+    # the named member, run alone, diverges at the named step
+    ds, _ = gen_linear(DESIGN.n, DESIGN.d, DESIGN.noise_sigma, seed=derive_seed(0, 2 * m))
+    split = make_splits(ds.n, SplitPlan(U=1, gamma=DESIGN.gamma,
+                                        master_seed=derive_seed(0, 2 * m + 1)))[0]
+    with pytest.raises(NumericalError) as alone:
+        inner_solve(build_problem(ModelSpec(kind="ridge"), DESIGN.d), np.zeros(1),
+                    np.zeros(DESIGN.d), split.train_view(ds), 400, 5.0)
+    assert alone.value.step_index == step
+
+
+def test_member_run_names_members_by_ensemble_index():
+    diverging = HypergradMethod(kind="ITD", K=400, alpha_in=5.0)
+    seeds = [(derive_seed(0, 2 * c), derive_seed(0, 2 * c + 1)) for c in range(7, 10)]
+    failure = _members_task((ModelSpec(kind="ridge"), DESIGN, diverging, 0.0, 7, seeds))
+    assert isinstance(failure, NumericalError)
+    assert 7 <= failure.member < 10
 
 
 # ---------------------------------------------------------------------------

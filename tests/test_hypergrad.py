@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bihpo.data import Dataset, SplitPlan, full_view, gen_linear, make_splits
+from bihpo.data import Dataset, SplitPlan, StackedView, full_view, gen_linear, make_splits
 from bihpo.diagnostics import RidgeOracle, ridge_closed_form, ridge_curvature
 from bihpo.errors import ContractViolationError, NumericalError
 from bihpo.hypergrad import (
@@ -292,3 +292,119 @@ def test_estimate_hypergrad_propagates_divergence():
     with pytest.raises(NumericalError) as err:
         estimate_hypergrad(prob, lam, np.ones(3), tr, va, method)
     assert "non-finite" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# stacked (batched) estimates
+
+BATCHED_KINDS = ("ridge", "lasso_smooth", "elastic_net", "ridge_per_param")
+BATCH_METHODS = (
+    HypergradMethod(kind="ITD", K=30, alpha_in=0.05),
+    HypergradMethod(kind="TRHG", K=30, alpha_in=0.05, h=10),
+    HypergradMethod(kind="AID_CG", K=60, alpha_in=0.05, Z=20),
+    HypergradMethod(kind="AID_FP", K=60, alpha_in=0.05, Z=400),
+)
+
+
+def member_views(n_members=5, d=3):
+    """Per-member (train, val) views, each member with its own dataset and split."""
+    trains, vals = [], []
+    for c in range(n_members):
+        ds, _ = gen_linear(24, d, 0.3, seed=40 + c, beta_seed=1)
+        split = make_splits(ds.n, SplitPlan(U=1, gamma=0.25, master_seed=c))[0]
+        trains.append(split.train_view(ds))
+        vals.append(split.val_view(ds))
+    return trains, vals
+
+
+def rel_diff(a, b):
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
+@pytest.mark.parametrize("method", BATCH_METHODS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("kind", BATCHED_KINDS)
+def test_stacked_estimate_matches_per_member_calls(kind, method):
+    trains, vals = member_views()
+    prob = build_problem(ModelSpec(kind=kind, smoothing_delta=0.5), 3)
+    assert prob.batched
+    rng = np.random.Generator(np.random.PCG64(5))
+    lam = 0.4 * rng.standard_normal((len(trains), prob.hyper_dim))
+    theta0 = 0.1 * rng.standard_normal(prob.param_dim)
+    res = estimate_hypergrad(prob, lam, theta0, StackedView(trains), StackedView(vals), method)
+    assert res.grad.shape == (len(trains), prob.hyper_dim)
+    for i, (tr, va) in enumerate(zip(trains, vals)):
+        one = estimate_hypergrad(prob, lam[i], theta0, tr, va, method)
+        assert rel_diff(res.grad[i], one.grad) <= 1e-12
+        assert rel_diff(res.inner_final[i], one.inner_final) <= 1e-12
+        for key, value in one.diagnostics.items():
+            if key == "solver_iters":
+                assert res.diagnostics[key][i] == value
+            else:
+                assert abs(res.diagnostics[key][i] - value) <= 1e-12 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize("kind", BATCHED_KINDS)
+def test_stacked_losses_match_per_member(kind):
+    trains, vals = member_views()
+    prob = build_problem(ModelSpec(kind=kind, smoothing_delta=0.5), 3)
+    rng = np.random.Generator(np.random.PCG64(8))
+    lam = 0.4 * rng.standard_normal((len(trains), prob.hyper_dim))
+    theta = rng.standard_normal((len(trains), prob.param_dim))
+    inner = prob.inner_loss(lam, theta, StackedView(trains))
+    outer = prob.outer_loss(lam, theta, StackedView(vals))
+    assert inner.shape == outer.shape == (len(trains),)
+    for i, (tr, va) in enumerate(zip(trains, vals)):
+        assert abs(inner[i] - prob.inner_loss(lam[i], theta[i], tr)) <= 1e-12 * abs(inner[i])
+        assert abs(outer[i] - prob.outer_loss(lam[i], theta[i], va)) <= 1e-12 * abs(outer[i])
+
+
+def test_stacked_estimate_broadcasts_shared_lambda_and_start():
+    trains, vals = member_views()
+    prob = build_problem(ModelSpec(kind="ridge"), 3)
+    method = BATCH_METHODS[0]
+    lam = np.array([0.2])
+    shared = estimate_hypergrad(prob, lam, np.zeros(3), StackedView(trains),
+                                StackedView(vals), method)
+    stacked = estimate_hypergrad(prob, np.tile(lam, (5, 1)), np.zeros((5, 3)),
+                                 StackedView(trains), StackedView(vals), method)
+    assert_array_equal(shared.grad, stacked.grad)
+
+
+def test_stacked_estimate_names_diverging_member():
+    trains, vals = member_views()
+    # member 2 sees features scaled by 30, so alpha_in is far beyond its 2/L
+    ds, _ = gen_linear(24, 3, 0.3, seed=99, beta_seed=1)
+    big = Dataset(X=30.0 * ds.X, y=ds.y, task="regression")
+    split = make_splits(big.n, SplitPlan(U=1, gamma=0.25, master_seed=2))[0]
+    trains[2], vals[2] = split.train_view(big), split.val_view(big)
+    prob = build_problem(ModelSpec(kind="ridge"), 3)
+    method = HypergradMethod(kind="ITD", K=400, alpha_in=0.1)
+    with pytest.raises(NumericalError) as err:
+        estimate_hypergrad(prob, np.zeros(1), np.zeros(3), StackedView(trains),
+                           StackedView(vals), method)
+    assert err.value.member == 2
+    assert f"step {err.value.step_index}" in str(err.value)
+    assert "(member 2)" in str(err.value)
+    with pytest.raises(NumericalError) as alone:
+        inner_solve(prob, np.zeros(1), np.zeros(3), trains[2], 400, 0.1)
+    assert alone.value.step_index == err.value.step_index
+    assert alone.value.member is None
+
+
+def test_stacked_views_refused_for_unbatched_models_and_bad_shapes():
+    prob, tr, va = zoo_instance("logistic_l2")
+    assert not prob.batched
+    with pytest.raises(ContractViolationError):
+        estimate_hypergrad(prob, zoo_lambda(prob), np.zeros(prob.param_dim),
+                           StackedView([tr, tr]), StackedView([va, va]), BATCH_METHODS[0])
+    trains, vals = member_views()
+    ridge = build_problem(ModelSpec(kind="ridge"), 3)
+    bad_calls = [
+        (np.zeros((4, 1)), np.zeros(3), StackedView(trains), StackedView(vals)),
+        (np.zeros(1), np.zeros((5, 2)), StackedView(trains), StackedView(vals)),
+        (np.zeros(1), np.zeros(3), StackedView(trains), StackedView(vals[:4])),
+        (np.zeros(1), np.zeros(3), StackedView(trains), vals[0]),
+    ]
+    for lam, theta0, train, val in bad_calls:
+        with pytest.raises(ContractViolationError):
+            estimate_hypergrad(ridge, lam, theta0, train, val, BATCH_METHODS[2])

@@ -155,3 +155,42 @@ def test_operator_shape_check():
     op = as_operator(np.eye(3))
     with pytest.raises(ContractViolationError):
         op(np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# batched solves: one (B, dim) right-hand side, each member stopping on its own
+
+DIAG = np.array([1.0, 2.0, 3.0, 4.0])
+DIAG_OP = LinearOperator(dim=4, apply=lambda x: x * DIAG)
+# rows needing 0, 1, 2 and 4 CG iterations (b = 0, one, two, four eigen-directions)
+BATCH_B = np.array([[0.0, 0.0, 0.0, 0.0],
+                    [1.0, 0.0, 0.0, 0.0],
+                    [1.0, 1.0, 0.0, 0.0],
+                    [1.0, -2.0, 0.5, 3.0]])
+
+
+def test_batched_cg_matches_row_by_row():
+    X, iters = cg_solve(DIAG_OP, BATCH_B, max_iters=10, tol=1e-12)
+    assert list(iters) == [0, 1, 2, 4]
+    for b, x, it in zip(BATCH_B, X, iters):
+        x1, it1 = cg_solve(DIAG_OP, b, max_iters=10, tol=1e-12)
+        assert_allclose(x, x1, rtol=1e-12, atol=0.0)
+        assert it == it1
+
+
+def test_batched_fixed_point_matches_row_by_row():
+    V, iters = fixed_point_solve(DIAG_OP, BATCH_B, step=0.2, max_iters=500, tol=1e-10)
+    assert iters[0] == 0 and len(set(iters.tolist())) > 2
+    for b, v, it in zip(BATCH_B, V, iters):
+        v1, it1 = fixed_point_solve(DIAG_OP, b, step=0.2, max_iters=500, tol=1e-10)
+        assert_allclose(v, v1, rtol=1e-12, atol=0.0)
+        assert it == it1
+
+
+def test_batched_cg_breakdown_names_member():
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])  # member 1 is indefinite
+    op = LinearOperator(dim=2, apply=lambda x: x * signs)
+    with pytest.raises(NumericalError) as err:
+        cg_solve(op, np.array([[1.0, 2.0], [0.0, 1.0], [3.0, 1.0]]), 5)
+    assert err.value.member == 1
+    assert err.value.step_index == 1
