@@ -27,7 +27,7 @@ from bihpo.data import DataView, SplitPlan, carve_holdout, derive_seed, \
     full_view, gen_linear, make_splits, subset
 from bihpo.hypergrad import HypergradMethod, inner_solve
 from bihpo.problems import ModelSpec, build_problem
-from bihpo.strategies import OuterOptimizer, run_ehg, run_single
+from bihpo.strategies import OuterOptimizer, run_ehg
 
 
 def refit_test_loss(prob, pool, lam, test_view, K, alpha_in):
@@ -69,9 +69,9 @@ def main(argv=None):
                                                master_seed=derive_seed(4000, s)))
         lam0, th0 = np.zeros(1), np.zeros(args.d)
 
-        single = run_single(prob, pool, splits[0], method,
-                            OuterOptimizer(kind="gd", alpha_out=args.alpha_out),
-                            args.T, lam0, th0)
+        single = run_ehg(prob, pool, splits[:1], method,
+                         OuterOptimizer(kind="gd", alpha_out=args.alpha_out),
+                         args.T, lam0, th0)
         ehg = run_ehg(prob, pool, splits, method,
                       OuterOptimizer(kind="gd", alpha_out=args.alpha_out),
                       args.T, lam0, th0)

@@ -40,9 +40,6 @@ from .diagnostics import (
     fpc_verify,
     fpc_with_replacement,
     fpc_without_replacement,
-    ridge_closed_form,
-    ridge_curvature,
-    ridge_exact_hypergrad,
 )
 from .errors import (
     BilevelError,
@@ -65,7 +62,7 @@ from .hypergrad import (
     itd_hypergrad,
     trhg_hypergrad,
 )
-from .linalg import LinearOperator, as_operator, cg_solve, dense_solve, fixed_point_solve, gemv
+from .linalg import LinearOperator, as_operator, cg_solve, dense_solve, fixed_point_solve
 from .problems import (
     MODEL_KINDS,
     BilevelProblem,
@@ -76,15 +73,12 @@ from .problems import (
 )
 from .strategies import (
     HPOTrace,
-    OEHGState,
     OuterOptimizer,
     SplitEval,
     StepRecord,
-    oehg_split_hypergrad,
     optimizer_step,
     run_ehg,
     run_oehg,
-    run_single,
 )
 
 __all__ = [
@@ -107,7 +101,6 @@ __all__ = [
     "MODEL_KINDS",
     "ModelSpec",
     "NumericalError",
-    "OEHGState",
     "OuterOptimizer",
     "ParseError",
     "RidgeOracle",
@@ -137,21 +130,15 @@ __all__ = [
     "fpc_with_replacement",
     "fpc_without_replacement",
     "full_view",
-    "gemv",
     "gen_linear",
     "gen_multiclass",
     "inner_solve",
     "itd_hypergrad",
     "make_splits",
-    "oehg_split_hypergrad",
     "optimizer_step",
     "read_libsvm",
-    "ridge_closed_form",
-    "ridge_curvature",
-    "ridge_exact_hypergrad",
     "run_ehg",
     "run_oehg",
-    "run_single",
     "splitmix64",
     "subset",
     "trhg_hypergrad",

@@ -33,6 +33,7 @@ from .config import (
 from .data import (
     DataView,
     Dataset,
+    Split,
     SplitPlan,
     carve_holdout,
     corrupt_labels,
@@ -44,32 +45,18 @@ from .data import (
     read_libsvm,
     subset,
 )
-from .diagnostics import (
-    RidgeOracle,
-    SweepDesign,
-    bias_variance_sweep,
-    fpc_verify,
-    ridge_closed_form,
-)
+from .diagnostics import RidgeOracle, SweepDesign, bias_variance_sweep, fpc_verify
 from .errors import ConfigError, ContractViolationError, NumericalError, ParseError
 from .hypergrad import (
     HypergradMethod,
     aid_hypergrad,
-    estimate_hypergrad,
     finite_diff_hypergrad,
     inner_solve,
     itd_hypergrad,
 )
 from .output import ensure_dir, fmt_float, write_csv, write_json
 from .problems import BilevelProblem, ModelSpec, build_problem, verify_derivatives
-from .strategies import (
-    HPOTrace,
-    OuterOptimizer,
-    oehg_split_hypergrad,
-    run_ehg,
-    run_oehg,
-    run_single,
-)
+from .strategies import HPOTrace, OuterOptimizer, run_ehg, run_oehg
 
 WORKERS_ENV = "BIHPO_WORKERS"
 
@@ -143,7 +130,12 @@ def _model_spec(cfg: ExperimentConfig, n_weights: int = 0) -> ModelSpec:
 
 
 class _Manifest:
-    """Written at start (status running) and finalized after the run."""
+    """Written at start (status running) and finalized after the run.
+
+    Used as a context manager: a command that raises inside it leaves the
+    manifest "failed", with the error message and, for a numerical abort,
+    the outer step index.
+    """
 
     def __init__(self, out_dir: Path, command: str, cfg0: dict, seeds: dict):
         self.path = out_dir / "manifest.json"
@@ -162,6 +154,18 @@ class _Manifest:
     def finalize(self, outputs: list[str]) -> None:
         self.body["status"] = "complete"
         self.body["outputs"] = sorted(outputs)
+        self.body["wall_clock_seconds"] = time.monotonic() - self._t0
+        write_json(self.path, self.body)
+
+    def __enter__(self) -> "_Manifest":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc is None:
+            return
+        self.body["status"] = "failed"
+        self.body["error"] = str(exc)
+        self.body["failed_step"] = getattr(exc, "step_index", None)
         self.body["wall_clock_seconds"] = time.monotonic() - self._t0
         write_json(self.path, self.body)
 
@@ -184,7 +188,7 @@ def _trace_rows(trace: HPOTrace, with_test: bool) -> tuple[list[str], list[list]
     return header, rows
 
 
-def cmd_tune(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
+def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
     validate_config(cfg, "tune")
     if cfg.problem.kind == "hyperclean_softmax" and cfg.split.U != 1:
         raise ConfigError(
@@ -212,47 +216,42 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     theta0 = _resolve_vec(cfg.strategy.theta0, problem.param_dim, 0.0, "strategy.theta0")
     opt = OuterOptimizer(kind=cfg.strategy.outer.kind, alpha_out=cfg.strategy.outer.alpha_out)
 
-    manifest = _Manifest(
+    with _Manifest(
         out_dir, "tune", config_to_dict(cfg),
         {"data_seed": cfg.data.synthetic.seed, "beta_seed": cfg.data.synthetic.beta_seed,
          "master_seed": cfg.split.master_seed, "test_seed": cfg.data.test_seed},
-    )
+    ) as manifest:
+        if cfg.strategy.kind == "oehg":
+            deploy_view = (splits[0].train_view(pool)
+                           if cfg.problem.kind == "hyperclean_softmax" else full_view(pool))
+            trace = run_oehg(problem, pool, splits, cfg.strategy.T, method.alpha_in, opt,
+                             cfg.strategy.alpha_deploy, lam0, theta0,
+                             deploy_view=deploy_view, test_view=test_view)
+        else:  # single is the ehg loop on the first split alone
+            run_splits = splits[:1] if cfg.strategy.kind == "single" else splits
+            trace = run_ehg(problem, pool, run_splits, method, opt, cfg.strategy.T,
+                            lam0, theta0, test_view=test_view,
+                            warm_start=cfg.strategy.warm_start)
 
-    kind = cfg.strategy.kind
-    if kind == "single":
-        trace = run_single(problem, pool, splits[0], method, opt, cfg.strategy.T,
-                           lam0, theta0, test_view=test_view,
-                           warm_start=cfg.strategy.warm_start)
-    elif kind == "ehg":
-        trace = run_ehg(problem, pool, splits, method, opt, cfg.strategy.T,
-                        lam0, theta0, test_view=test_view,
-                        warm_start=cfg.strategy.warm_start)
-    else:
-        deploy_view = (splits[0].train_view(pool)
-                       if cfg.problem.kind == "hyperclean_softmax" else full_view(pool))
-        trace = run_oehg(problem, pool, splits, cfg.strategy.T, method.alpha_in, opt,
-                         cfg.strategy.alpha_deploy, lam0, theta0,
-                         deploy_view=deploy_view, test_view=test_view)
-
-    outputs = []
-    if "csv" in cfg.output.formats:
-        header, rows = _trace_rows(trace, with_test=test_view is not None)
-        write_csv(out_dir / "trace.csv", header, rows)
-        outputs.append("trace.csv")
-    if "json" in cfg.output.formats:
-        lam_final = trace.final_lambda
-        final = {
-            "lambda_raw": [float(x) for x in lam_final],
-            "lambda_effective": [float(x) for x in problem.effective(lam_final)],
-            "per_split_theta": [[float(x) for x in th] for th in trace.final_thetas],
-            "deployed_theta": ([float(x) for x in trace.deployed_theta]
-                               if trace.deployed_theta is not None else None),
-            "final_val_losses": [ev.val_loss for ev in trace.records[-1].per_split],
-            "config": config_to_dict(cfg),
-        }
-        write_json(out_dir / "final.json", final)
-        outputs.append("final.json")
-    manifest.finalize(outputs)
+        outputs = []
+        if "csv" in cfg.output.formats:
+            header, rows = _trace_rows(trace, with_test=test_view is not None)
+            write_csv(out_dir / "trace.csv", header, rows)
+            outputs.append("trace.csv")
+        if "json" in cfg.output.formats:
+            lam_final = trace.final_lambda
+            final = {
+                "lambda_raw": [float(x) for x in lam_final],
+                "lambda_effective": [float(x) for x in problem.effective(lam_final)],
+                "per_split_theta": [[float(x) for x in th] for th in trace.final_thetas],
+                "deployed_theta": ([float(x) for x in trace.deployed_theta]
+                                   if trace.deployed_theta is not None else None),
+                "final_val_losses": [ev.val_loss for ev in trace.records[-1].per_split],
+                "config": config_to_dict(cfg),
+            }
+            write_json(out_dir / "final.json", final)
+            outputs.append("final.json")
+        manifest.finalize(outputs)
     return 0
 
 
@@ -264,23 +263,23 @@ def cmd_biasvar(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     bv = cfg.biasvar
     method = "oracle" if bv.estimator == "oracle" else _method_from_config(cfg)
     grid = parse_grid(bv.grid)
-    manifest = _Manifest(
+    with _Manifest(
         out_dir, "biasvar", config_to_dict(cfg),
         {"sweep_seed": cfg.split.master_seed, "beta_seed": s.beta_seed},
-    )
-    report = bias_variance_sweep(
-        design, method, grid, R=bv.R, U=bv.U, seed=cfg.split.master_seed,
-        spec=_model_spec(cfg), ref_K=bv.ref_K, workers=workers,
-    )
-    rows = [
-        [r.lambda_eff, r.error, r.variance, r.bias_sq, r.identity_residual,
-         report.R, report.U]
-        for r in report.rows
-    ]
-    write_csv(out_dir / "biasvar.csv",
-              ["lambda", "error", "variance", "bias_sq", "identity_residual", "R", "U"],
-              rows)
-    manifest.finalize(["biasvar.csv"])
+    ) as manifest:
+        report = bias_variance_sweep(
+            design, method, grid, R=bv.R, U=bv.U, seed=cfg.split.master_seed,
+            spec=_model_spec(cfg), ref_K=bv.ref_K, workers=workers,
+        )
+        rows = [
+            [r.lambda_eff, r.error, r.variance, r.bias_sq, r.identity_residual,
+             report.R, report.U]
+            for r in report.rows
+        ]
+        write_csv(out_dir / "biasvar.csv",
+                  ["lambda", "error", "variance", "bias_sq", "identity_residual", "R", "U"],
+                  rows)
+        manifest.finalize(["biasvar.csv"])
     return 0
 
 
@@ -299,7 +298,7 @@ def _accuracy(W: np.ndarray, view: DataView) -> float:
     return float(np.mean(pred == view.labels))
 
 
-def cmd_clean(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
+def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
     validate_config(cfg, "clean")
     ds_full = build_dataset(cfg)
     num_classes = ds_full.num_classes
@@ -335,74 +334,72 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     theta0 = _resolve_vec(cfg.strategy.theta0, problem.param_dim, 0.0, "strategy.theta0")
     opt = OuterOptimizer(kind=cfg.strategy.outer.kind, alpha_out=cfg.strategy.outer.alpha_out)
 
-    manifest = _Manifest(
+    with _Manifest(
         out_dir, "clean", config_to_dict(cfg),
         {"data_seed": cfg.data.synthetic.seed, "corrupt_seed": corrupt_seed,
          "master_seed": cfg.split.master_seed, "test_seed": cfg.data.test_seed},
-    )
+    ) as manifest:
+        if cfg.strategy.kind == "oehg":
+            trace = run_oehg(problem, dirty, [split], cfg.strategy.T, method.alpha_in, opt,
+                             cfg.strategy.alpha_deploy, lam0, theta0,
+                             deploy_view=split.train_view(dirty), test_view=None)
+        else:  # single and ehg coincide on the one split
+            trace = run_ehg(problem, dirty, [split], method, opt, cfg.strategy.T, lam0, theta0)
 
-    if cfg.strategy.kind == "oehg":
-        trace = run_oehg(problem, dirty, [split], cfg.strategy.T, method.alpha_in, opt,
-                         cfg.strategy.alpha_deploy, lam0, theta0,
-                         deploy_view=split.train_view(dirty), test_view=None)
-    elif cfg.strategy.kind == "ehg":
-        trace = run_ehg(problem, dirty, [split], method, opt, cfg.strategy.T, lam0, theta0)
-    else:
-        trace = run_single(problem, dirty, split, method, opt, cfg.strategy.T, lam0, theta0)
+        u = trace.final_lambda
+        sig = expit(u)
+        threshold = cfg.clean.threshold
+        flagged = sig < threshold  # low weight = predicted corrupt
 
-    u = trace.final_lambda
-    sig = expit(u)
-    threshold = cfg.clean.threshold
-    flagged = sig < threshold  # low weight = predicted corrupt
+        n_true = int(mask_train.sum())
+        f1 = None
+        f1_reason = None
+        if n_true == 0:
+            f1_reason = "not applicable: no corrupted samples in the training split"
+        else:
+            tp = int(np.sum(flagged & mask_train))
+            fp = int(np.sum(flagged & ~mask_train))
+            fn = int(np.sum(~flagged & mask_train))
+            f1 = (2.0 * tp / (2.0 * tp + fp + fn)) if (2 * tp + fp + fn) > 0 else 0.0
 
-    n_true = int(mask_train.sum())
-    f1 = None
-    f1_reason = None
-    if n_true == 0:
-        f1_reason = "not applicable: no corrupted samples in the training split"
-    else:
-        tp = int(np.sum(flagged & mask_train))
-        fp = int(np.sum(flagged & ~mask_train))
-        fn = int(np.sum(~flagged & mask_train))
-        f1 = (2.0 * tp / (2.0 * tp + fp + fn)) if (2 * tp + fp + fn) > 0 else 0.0
+        train_view = split.train_view(dirty)
+        keep = ~flagged
+        if not np.any(keep):
+            keep = np.ones_like(keep)
+        cl = cfg.clean
+        W_clean = _train_softmax(train_view.X[keep], train_view.y[keep], num_classes,
+                                 cl.retrain_K, cl.retrain_alpha, cl.baseline_raw_lambda)
+        W_dirty = _train_softmax(train_view.X, train_view.y, num_classes,
+                                 cl.retrain_K, cl.retrain_alpha, cl.baseline_raw_lambda)
 
-    train_view = split.train_view(dirty)
-    keep = ~flagged
-    if not np.any(keep):
-        keep = np.ones_like(keep)
-    cl = cfg.clean
-    W_clean = _train_softmax(train_view.X[keep], train_view.y[keep], num_classes,
-                             cl.retrain_K, cl.retrain_alpha, cl.baseline_raw_lambda)
-    W_dirty = _train_softmax(train_view.X, train_view.y, num_classes,
-                             cl.retrain_K, cl.retrain_alpha, cl.baseline_raw_lambda)
+        report = {
+            "f1": f1,
+            "f1_reason": f1_reason,
+            "threshold": threshold,
+            "n_train": int(len(split.train_idx)),
+            "n_corrupted_true": n_true,
+            "n_flagged": int(flagged.sum()),
+            "mean_weight_clean": (float(np.mean(sig[~mask_train]))
+                                  if np.any(~mask_train) else None),
+            "mean_weight_corrupted": (float(np.mean(sig[mask_train])) if n_true > 0 else None),
+            "config": config_to_dict(cfg),
+        }
+        if test_view is not None:
+            report["accuracy_cleaned"] = _accuracy(W_clean, test_view)
+            report["accuracy_baseline"] = _accuracy(W_dirty, test_view)
+            if trace.deployed_theta is not None:
+                W_dep = trace.deployed_theta.reshape(pool.d, num_classes)
+                report["accuracy_deployed"] = _accuracy(W_dep, test_view)
 
-    report = {
-        "f1": f1,
-        "f1_reason": f1_reason,
-        "threshold": threshold,
-        "n_train": int(len(split.train_idx)),
-        "n_corrupted_true": n_true,
-        "n_flagged": int(flagged.sum()),
-        "mean_weight_clean": (float(np.mean(sig[~mask_train])) if np.any(~mask_train) else None),
-        "mean_weight_corrupted": (float(np.mean(sig[mask_train])) if n_true > 0 else None),
-        "config": config_to_dict(cfg),
-    }
-    if test_view is not None:
-        report["accuracy_cleaned"] = _accuracy(W_clean, test_view)
-        report["accuracy_baseline"] = _accuracy(W_dirty, test_view)
-        if trace.deployed_theta is not None:
-            W_dep = trace.deployed_theta.reshape(pool.d, num_classes)
-            report["accuracy_deployed"] = _accuracy(W_dep, test_view)
-
-    sample_ids = pool_idx[split.train_idx]
-    rows = [
-        [int(sample_ids[i]), float(u[i]), float(sig[i]), int(not mask_train[i])]
-        for i in range(len(split.train_idx))
-    ]
-    write_csv(out_dir / "weights.csv",
-              ["sample_id", "raw_weight", "sigmoid_weight", "is_clean_truth"], rows)
-    write_json(out_dir / "clean_report.json", report)
-    manifest.finalize(["weights.csv", "clean_report.json"])
+        sample_ids = pool_idx[split.train_idx]
+        rows = [
+            [int(sample_ids[i]), float(u[i]), float(sig[i]), int(not mask_train[i])]
+            for i in range(len(split.train_idx))
+        ]
+        write_csv(out_dir / "weights.csv",
+                  ["sample_id", "raw_weight", "sigmoid_weight", "is_clean_truth"], rows)
+        write_json(out_dir / "clean_report.json", report)
+        manifest.finalize(["weights.csv", "clean_report.json"])
     if f1_reason:
         print(f"warning: {f1_reason}", file=sys.stderr)
     return 0
@@ -477,10 +474,14 @@ def check_model(kind: str, problem: BilevelProblem, train: DataView, val: DataVi
     rows.append({"name": f"{kind}/itd_vs_fd", "max_err": err, "tol": 1e-4,
                  "passed": err < 1e-4})
 
-    g_oe, theta_prime = oehg_split_hypergrad(problem, lam, theta0, train, val, alpha)
+    # run_oehg's first update (one split, gd at unit step) against one-step ITD
+    split = Split(train_idx=train.idx, val_idx=val.idx, seed=0)
+    lam_oe = run_oehg(problem, train.dataset, [split], 1, alpha,
+                      OuterOptimizer(kind="gd", alpha_out=1.0), alpha, lam, theta0,
+                      deploy_view=train).lambdas[1]
     traj1 = inner_solve(problem, lam, theta0, train, 1, alpha)
     g_one = itd_hypergrad(problem, lam, traj1, train, val).grad
-    err = float(np.linalg.norm(g_oe - g_one) / max(1.0, np.linalg.norm(g_one)))
+    err = float(np.linalg.norm(lam_oe - (lam - g_one)) / max(1.0, np.linalg.norm(g_one)))
     rows.append({"name": f"{kind}/oehg_one_step", "max_err": err, "tol": 1e-10,
                  "passed": err < 1e-10})
 
@@ -499,7 +500,7 @@ def check_model(kind: str, problem: BilevelProblem, train: DataView, val: DataVi
     if kind == "ridge":
         oracle = RidgeOracle(train, val)
         lam_eff = float(np.exp(lam[0]))
-        theta_hat = ridge_closed_form(train, lam_eff)
+        theta_hat = oracle.theta_hat(lam_eff)
         g_aid = aid_hypergrad(problem, lam, theta_hat, train, val, solver="cg",
                               Z=problem.param_dim + 2).grad
         exact = oracle.hypergrad_raw(float(lam[0]))
@@ -536,13 +537,12 @@ def cmd_check(out_dir: Path | None) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-def _add_common(sub: argparse.ArgumentParser, config_required: bool = True) -> None:
-    sub.add_argument("--config", required=config_required, help="YAML config path")
+def _add_common(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    sub.add_argument("--config", required=True, help="YAML config path")
     sub.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-    sub.add_argument("--workers", type=int, default=None,
-                     help=f"worker processes (default ${WORKERS_ENV} or 1)")
     sub.add_argument("--seed", type=int, default=None,
                      help="override split.master_seed")
+    return sub
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -552,7 +552,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser("tune", help="run the configured HPO strategy"))
-    _add_common(sub.add_parser("biasvar", help="bias-variance decomposition sweep"))
+    biasvar = _add_common(sub.add_parser("biasvar", help="bias-variance decomposition sweep"))
+    biasvar.add_argument("--workers", type=int, default=None,
+                         help=f"replicate worker processes (default ${WORKERS_ENV} or 1)")
     _add_common(sub.add_parser("clean", help="data hyper-cleaning run"))
     fpc = sub.add_parser("fpc", help="finite-population correction verification")
     fpc.add_argument("--n", type=int, required=True)
@@ -601,11 +603,13 @@ def _load_with_overrides(args) -> tuple[ExperimentConfig, Path]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config_commands = {"tune": cmd_tune, "biasvar": cmd_biasvar, "clean": cmd_clean}
-        if args.command in config_commands:
+        if args.command == "biasvar":
             workers = _workers(args)
             cfg, out = _load_with_overrides(args)
-            return config_commands[args.command](cfg, out, workers)
+            return cmd_biasvar(cfg, out, workers)
+        config_commands = {"tune": cmd_tune, "clean": cmd_clean}
+        if args.command in config_commands:
+            return config_commands[args.command](*_load_with_overrides(args))
         if args.command == "fpc":
             U_values = [int(x) for x in args.U.split(",") if x.strip()]
             if not U_values:

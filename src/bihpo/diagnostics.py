@@ -75,21 +75,6 @@ class RidgeOracle:
         return 2.0 * (float(eigs[-1]) + lambda_eff), 2.0 * (float(eigs[0]) + lambda_eff)
 
 
-def ridge_closed_form(train: DataView, lambda_eff: float) -> np.ndarray:
-    """theta_hat = (X^T X / m + lambda_eff I)^{-1} X^T y / m."""
-    return RidgeOracle(train, train).theta_hat(lambda_eff)
-
-
-def ridge_exact_hypergrad(train: DataView, val: DataView, lambda_eff: float) -> float:
-    """Exact d (validation MSE) / d lambda_eff at the closed-form optimum."""
-    return RidgeOracle(train, val).hypergrad_eff(lambda_eff)
-
-
-def ridge_curvature(train: DataView, lambda_eff: float) -> tuple[float, float]:
-    """(L, mu) smoothness/strong-convexity constants of the ridge inner loss."""
-    return RidgeOracle(train, train).curvature(lambda_eff)
-
-
 # ---------------------------------------------------------------------------
 # bias-variance decomposition over replicated (dataset, split-set) draws
 

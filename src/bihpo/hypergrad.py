@@ -24,7 +24,7 @@ import numpy as np
 from .data import DataView, StackedView
 from .errors import ContractViolationError, NumericalError
 from .linalg import LinearOperator, Vec, cg_solve, fixed_point_solve, row_norm
-from .problems import BilevelProblem
+from .problems import BilevelProblem, check_args
 
 METHOD_KINDS = ("ITD", "TRHG", "AID_FP", "AID_CG")
 
@@ -83,43 +83,6 @@ class HypergradResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_args(problem: BilevelProblem, lam: Vec, theta: Vec, *views) -> tuple[Vec, Vec]:
-    """Validate lam/theta against the problem and views once, at an entry point.
-
-    With DataViews lam must be (p,) and theta (r,). With StackedViews of B
-    members (batched problems only) each may also be (B, p) / (B, r); both
-    come back broadcast to (B, p) / (B, r).
-    """
-    p, r = problem.hyper_dim, problem.param_dim
-    lam = np.asarray(lam, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    n_stacked = sum(isinstance(v, StackedView) for v in views)
-    if n_stacked == 0:
-        if lam.shape != (p,):
-            raise ContractViolationError(f"lam must have shape ({p},), got {lam.shape}")
-        if theta.shape != (r,):
-            raise ContractViolationError(f"theta must have shape ({r},), got {theta.shape}")
-        return lam, theta
-    if not problem.batched:
-        raise ContractViolationError(
-            f"model kind {problem.kind!r} takes no stacked views (not batched)"
-        )
-    if n_stacked != len(views) or len({len(v) for v in views}) != 1:
-        raise ContractViolationError(
-            "train and val must both be stacked views with the same member count"
-        )
-    B = len(views[0])
-    if lam.shape not in ((p,), (B, p)):
-        raise ContractViolationError(
-            f"lam must have shape ({p},) or ({B}, {p}), got {lam.shape}"
-        )
-    if theta.shape not in ((r,), (B, r)):
-        raise ContractViolationError(
-            f"theta must have shape ({r},) or ({B}, {r}), got {theta.shape}"
-        )
-    return np.broadcast_to(lam, (B, p)), np.broadcast_to(theta, (B, r))
-
-
 def _nonfinite(what: str, x: np.ndarray, step: int | None = None) -> NumericalError:
     """NumericalError for a non-finite x, naming the first failing member of a batch."""
     member = None if x.ndim < 2 else int(np.argmin(np.isfinite(x).all(axis=-1)))
@@ -139,7 +102,7 @@ def inner_solve(
         raise ContractViolationError("alpha_in must be > 0")
     if K < 0:
         raise ContractViolationError("K must be >= 0")
-    lam, theta = _check_args(problem, lam, theta0, train)
+    lam, theta = check_args(problem, lam, theta0, train)
     theta = theta.copy()
     thetas = [theta]
     # overflow surfaces as the explicit non-finite check, not a warning
@@ -196,16 +159,19 @@ def _reverse_accumulate(
     val: DataView | StackedView,
     window: int,
 ) -> HypergradResult:
-    lam, theta_K = _check_args(problem, lam, traj.final, train, val)
+    lam, theta_K = check_args(problem, lam, traj.final, train, val)
     alpha = traj.alpha_in
     g = problem.outer_grad_lambda(lam, theta_K, val).astype(np.float64, copy=True)
     a = problem.outer_grad_theta(lam, theta_K, val)
     # Adjoint propagation below K - window contributes nothing once the mixed
-    # accumulation stops, so the loop covers only the active window.
-    for k in range(traj.K - 1, traj.K - 1 - window, -1):
+    # accumulation stops, so the loop covers only the active window, and the
+    # adjoint of its oldest step, which nothing reads, is not computed.
+    steps = range(traj.K - 1, traj.K - 1 - window, -1)
+    for k in steps:
         theta_k = traj.thetas[k]
         g = g - alpha * problem.inner_mixed_vp(lam, theta_k, train, a)
-        a = a - alpha * problem.inner_hvp(lam, theta_k, train, a)
+        if k != steps[-1]:
+            a = a - alpha * problem.inner_hvp(lam, theta_k, train, a)
     if not np.all(np.isfinite(g)):
         raise _nonfinite("reverse accumulation produced a non-finite hypergradient", g)
     return HypergradResult(grad=g, inner_final=theta_K, diagnostics=_traj_diagnostics(traj))
@@ -238,7 +204,7 @@ def aid_hypergrad(
         raise ContractViolationError(f"unknown solver {solver!r}, want 'cg' or 'fp'")
     if Z < 1:
         raise ContractViolationError("Z must be >= 1")
-    lam, theta_K = _check_args(problem, lam, theta_K, train, val)
+    lam, theta_K = check_args(problem, lam, theta_K, train, val)
     b = problem.outer_grad_theta(lam, theta_K, val)
     op = LinearOperator(
         dim=problem.param_dim,

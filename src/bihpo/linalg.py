@@ -97,20 +97,6 @@ def as_operator(A: Mat) -> LinearOperator:
     return LinearOperator(dim=A.shape[0], apply=lambda x: A @ x)
 
 
-def gemv(A: Mat, x: Vec) -> Vec:
-    """y = A x with shape and finiteness checks."""
-    A = _as_mat(A, "A")
-    x = _as_vec(x, "x")
-    if A.shape[1] != x.shape[0]:
-        raise ContractViolationError(
-            f"shape mismatch: A is {A.shape}, x has length {x.shape[0]}"
-        )
-    y = A @ x
-    if not np.all(np.isfinite(y)):
-        raise NumericalError("gemv produced non-finite values")
-    return y
-
-
 def _target_residual(b: Vec, tol: float) -> np.ndarray:
     # Relative stopping rule per member, floored so b = 0 still terminates.
     return tol * np.maximum(1.0, row_norm(b))

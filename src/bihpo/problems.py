@@ -1,9 +1,11 @@
 """Bilevel problem contract and the regularized model zoo.
 
 A BilevelProblem packages the first- and second-order directional derivatives
-of the inner (training) and outer (validation) objectives. All losses are
-means (1/m normalization), so gradients are comparable across split sizes.
-Outer objectives are the pure data loss on the validation view.
+of the inner (training) and outer (validation) objectives. Every zoo model
+is a data loss plus a penalty on theta; one composition derives all of its
+callbacks from that pair. All losses are means (1/m normalization), so
+gradients are comparable across split sizes. Outer objectives are the pure
+(unweighted) data loss on the validation view.
 
 Hyperparameters are optimized in raw unconstrained coordinates: positive
 regularization coefficients are exponentiated (lambda_eff = exp(u)) and
@@ -13,12 +15,11 @@ reported by the library is with respect to the raw coordinates.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .data import DataView, StackedView
 from .errors import ConfigError, ContractViolationError
@@ -100,428 +101,330 @@ class BilevelProblem:
     batched: bool = False
 
 
-def _check_dims(lam: Vec, theta: Vec, p: int, r: int) -> tuple[Vec, Vec]:
+def check_args(
+    problem: BilevelProblem, lam: Vec, theta: Vec, *views, names=("lam", "theta")
+) -> tuple[Vec, Vec]:
+    """Validate lam/theta against the problem and views once, at an entry point.
+
+    The callbacks themselves do not re-check shapes. With DataViews (or no
+    views) lam must be (p,) and theta (r,). With StackedViews of B members
+    (batched problems only) each may also be (B, p) / (B, r); both come back
+    broadcast to (B, p) / (B, r). names label lam and theta in the messages.
+    """
+    p, r = problem.hyper_dim, problem.param_dim
+    lam_name, theta_name = names
     lam = np.asarray(lam, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
-    if lam.shape != (p,):
-        raise ContractViolationError(f"lam must have shape ({p},), got {lam.shape}")
-    if theta.shape != (r,):
-        raise ContractViolationError(f"theta must have shape ({r},), got {theta.shape}")
-    return lam, theta
-
-
-def _free_domain(p: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.full(p, -np.inf), np.full(p, np.inf)
+    n_stacked = sum(isinstance(v, StackedView) for v in views)
+    if n_stacked == 0:
+        if lam.shape != (p,):
+            raise ContractViolationError(f"{lam_name} must have shape ({p},), got {lam.shape}")
+        if theta.shape != (r,):
+            raise ContractViolationError(
+                f"{theta_name} must have shape ({r},), got {theta.shape}"
+            )
+        return lam, theta
+    if not problem.batched:
+        raise ContractViolationError(
+            f"model kind {problem.kind!r} takes no stacked views (not batched)"
+        )
+    if n_stacked != len(views) or len({len(v) for v in views}) != 1:
+        raise ContractViolationError(
+            "train and val must both be stacked views with the same member count"
+        )
+    B = len(views[0])
+    if lam.shape not in ((p,), (B, p)):
+        raise ContractViolationError(
+            f"{lam_name} must have shape ({p},) or ({B}, {p}), got {lam.shape}"
+        )
+    if theta.shape not in ((r,), (B, r)):
+        raise ContractViolationError(
+            f"{theta_name} must have shape ({r},) or ({B}, {r}), got {theta.shape}"
+        )
+    return np.broadcast_to(lam, (B, p)), np.broadcast_to(theta, (B, r))
 
 
 # ---------------------------------------------------------------------------
-# shared loss pieces
+# terms of the inner objective: data losses and penalties
+#
+# Every term callable takes (lam, theta, view); hvp and mixed also take the
+# direction v. A data loss given lam=None is its unweighted form, which is
+# the outer objective. Batched terms broadcast over a leading member axis:
+# lam (..., p), theta and v (..., r) and a DataView or StackedView.
+
+@dataclass(frozen=True)
+class _Term:
+    """One summand of the inner objective and its theta derivatives.
+
+    mixed is d/d_lam of grad contracted with v, for the term that reads lam;
+    hyper_dim is how many raw lam coordinates it reads and effective maps
+    them to their effective scale. smooth=False marks a discontinuous
+    Hessian, which rules out AID.
+    """
+
+    value: Callable
+    grad: Callable
+    hvp: Callable
+    mixed: Callable | None = None
+    hyper_dim: int = 0
+    effective: Callable[[Vec], Vec] = np.exp
+    batched: bool = False
+    smooth: bool = True
+
 
 def _matvec(A: np.ndarray, x: Vec) -> Vec:
     """A x over the last axes, batched over any leading member axis (A @ x for 1-D x)."""
     return (A @ x[..., None])[..., 0]
 
 
-def _quad_loss(theta: Vec, view: DataView | StackedView) -> float:
+def _quad_value(lam, theta, view):
     A, b = view.gram
     c = row_dot(view.y, view.y) / view.m
     return row_dot(theta, _matvec(A, theta)) - 2.0 * row_dot(b, theta) + c
 
 
-def _quad_grad(theta: Vec, view: DataView | StackedView) -> Vec:
+def _quad_grad(lam, theta, view):
     A, b = view.gram
     return 2.0 * (_matvec(A, theta) - b)
 
 
-def _quad_hvp(view: DataView | StackedView, v: Vec) -> Vec:
+def _quad_hvp(lam, theta, view, v):
     A, _ = view.gram
     return 2.0 * _matvec(A, v)
 
 
-def _phuber(theta: Vec, delta: float) -> tuple[float, Vec, Vec]:
-    """Pseudo-Huber sum_j (sqrt(theta_j^2 + delta^2) - delta): value, grad, diag Hessian."""
-    s = np.sqrt(theta * theta + delta * delta)
-    return np.sum(s - delta, axis=-1), theta / s, (delta * delta) / (s * s * s)
+# mean squared error, from the view's Gram pair (X^T X / m, X^T y / m)
+_SQUARED = _Term(value=_quad_value, grad=_quad_grad, hvp=_quad_hvp, batched=True)
 
 
-def _logistic_parts(theta: Vec, view: DataView):
-    z = view.X @ theta
-    yz = view.y * z
-    return z, yz
+def _margin_loss(phi, dphi, d2phi, smooth: bool = True) -> _Term:
+    """Mean of phi(y x^T theta) over the rows of a binary view (labels +-1)."""
+
+    def margins(theta, view):
+        return view.y * (view.X @ theta)
+
+    return _Term(
+        value=lambda lam, theta, view: float(np.mean(phi(margins(theta, view)))),
+        grad=lambda lam, theta, view: (
+            view.X.T @ (view.y * dphi(margins(theta, view)))) / view.m,
+        hvp=lambda lam, theta, view, v: (
+            view.X.T @ (d2phi(margins(theta, view)) * (view.X @ v))) / view.m,
+        smooth=smooth,
+    )
 
 
-def _softmax_probs(Z: np.ndarray) -> np.ndarray:
+_LOGISTIC = _margin_loss(
+    lambda t: np.logaddexp(0.0, -t),
+    lambda t: -expit(-t),
+    lambda t: expit(t) * expit(-t),
+)
+# the squared hinge has a piecewise-linear gradient: its Hessian jumps at the margin
+_SQ_HINGE = _margin_loss(
+    lambda t: np.maximum(0.0, 1.0 - t) ** 2,
+    lambda t: -2.0 * np.maximum(0.0, 1.0 - t),
+    lambda t: 2.0 * ((1.0 - t) > 0.0),
+    smooth=False,
+)
+
+
+def _log_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise shifted logits Z - max, their sum of exponentials S, and the
+    probabilities E / S; the log-probabilities are Z - max - log S."""
     Zs = Z - Z.max(axis=1, keepdims=True)
     E = np.exp(Zs)
-    return E / E.sum(axis=1, keepdims=True)
+    S = E.sum(axis=1, keepdims=True)
+    return Zs, S, E / S
 
 
-def _ce_per_sample(view: DataView, W: np.ndarray) -> np.ndarray:
-    Z = view.X @ W
-    lse = logsumexp(Z, axis=1)
-    return lse - Z[np.arange(view.m), view.labels]
+def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
+    """Mean multiclass cross-entropy; theta = W (d x k) flattened row-major.
 
+    With n_weights, the inner loss weighs row i by sigmoid(u_i): the i-th raw
+    weight belongs to the i-th row of the (ascending-index) train view, so
+    weighted calls require views with exactly n_weights rows.
+    """
+    r = d * k
 
-# ---------------------------------------------------------------------------
-# builders: regression with exp-reparameterized penalties
-#
-# The regression callbacks are batch-transparent: lam (..., p), theta and v
-# (..., r) and a DataView or StackedView broadcast over the leading member
-# axis, so one call serves a whole stack of members. They do not re-check
-# shapes; the estimator entry points do that once per call.
+    def weights(lam, view):
+        if lam is None or not n_weights:
+            return None
+        if view.m != n_weights:
+            raise ContractViolationError(
+                f"hyperclean train view must have exactly {n_weights} rows, got {view.m}"
+            )
+        return expit(lam)
+
+    def probs(theta, view):
+        return _log_softmax(view.X @ theta.reshape(d, k))[2]
+
+    def value(lam, theta, view):
+        Zs, S, _ = _log_softmax(view.X @ theta.reshape(d, k))
+        ce = np.log(S[:, 0]) - Zs[np.arange(view.m), view.labels]
+        w = weights(lam, view)
+        return float(np.mean(ce)) if w is None else float(w @ ce) / view.m
+
+    def grad(lam, theta, view):
+        G = probs(theta, view) - view.one_hot
+        w = weights(lam, view)
+        if w is not None:
+            G = G * w[:, None]
+        return ((view.X.T @ G) / view.m).reshape(r)
+
+    def hvp(lam, theta, view, v):
+        P = probs(theta, view)
+        dZ = view.X @ v.reshape(d, k)
+        term = P * dZ - P * (P * dZ).sum(axis=1, keepdims=True)
+        w = weights(lam, view)
+        if w is not None:
+            term = term * w[:, None]
+        return ((view.X.T @ term) / view.m).reshape(r)
+
+    def mixed(lam, theta, view, v):
+        weights(lam, view)  # row-alignment check
+        dZ = view.X @ v.reshape(d, k)
+        sig_prime = expit(lam) * expit(-lam)
+        return sig_prime * ((probs(theta, view) - view.one_hot) * dZ).sum(axis=1) / view.m
+
+    return _Term(value=value, grad=grad, hvp=hvp, mixed=mixed,
+                 hyper_dim=n_weights, effective=expit)
+
 
 def _coef(lam: Vec, j: int) -> Vec:
     """e^{u_j} per member, with a trailing axis so it broadcasts against theta."""
     return np.exp(lam[..., j:j + 1])
 
 
-def _build_regression_penalized(kind: str, d: int, delta: float) -> BilevelProblem:
-    """ridge / lasso_smooth / elastic_net: mean squared error + penalties.
+def _exp_l2(j: int = 0) -> _Term:
+    """e^{u_j} ||theta||^2."""
+    return _Term(
+        value=lambda lam, theta, view: _coef(lam, j)[..., 0] * row_dot(theta, theta),
+        grad=lambda lam, theta, view: (2.0 * _coef(lam, j)) * theta,
+        hvp=lambda lam, theta, view, v: (2.0 * _coef(lam, j)) * v,
+        mixed=lambda lam, theta, view, v: 2.0 * _coef(lam, j) * row_dot(theta, v)[..., None],
+        hyper_dim=1,
+        batched=True,
+    )
 
-    elastic_net raw coordinates: u[0] weights the smoothed L1 term, u[1] the
-    squared L2 term.
+
+def _phuber(theta: Vec, delta: float) -> tuple[Vec, Vec, Vec]:
+    """Pseudo-Huber sum_j (sqrt(theta_j^2 + delta^2) - delta): value, grad, diag Hessian."""
+    s = np.sqrt(theta * theta + delta * delta)
+    return np.sum(s - delta, axis=-1), theta / s, (delta * delta) / (s * s * s)
+
+
+def _exp_phuber(delta: float, j: int = 0) -> _Term:
+    """e^{u_j} times the pseudo-Huber smoothing of ||theta||_1."""
+    return _Term(
+        value=lambda lam, theta, view: _coef(lam, j)[..., 0] * _phuber(theta, delta)[0],
+        grad=lambda lam, theta, view: _coef(lam, j) * _phuber(theta, delta)[1],
+        hvp=lambda lam, theta, view, v: _coef(lam, j) * (_phuber(theta, delta)[2] * v),
+        mixed=lambda lam, theta, view, v: (
+            _coef(lam, j) * row_dot(_phuber(theta, delta)[1], v)[..., None]),
+        hyper_dim=1,
+        batched=True,
+    )
+
+
+def _sum(a: _Term, b: _Term) -> _Term:
+    """a + b over disjoint lam coordinates, a's before b's (as in their mixed products)."""
+    return _Term(
+        value=lambda lam, theta, view: a.value(lam, theta, view) + b.value(lam, theta, view),
+        grad=lambda lam, theta, view: a.grad(lam, theta, view) + b.grad(lam, theta, view),
+        hvp=lambda lam, theta, view, v: a.hvp(lam, theta, view, v) + b.hvp(lam, theta, view, v),
+        mixed=lambda lam, theta, view, v: np.concatenate(
+            [a.mixed(lam, theta, view, v), b.mixed(lam, theta, view, v)], axis=-1),
+        hyper_dim=a.hyper_dim + b.hyper_dim,
+        batched=a.batched and b.batched,
+    )
+
+
+def _exp_l2_per_coord(d: int) -> _Term:
+    """sum_j (lambda_j theta_j)^2 with lambda_j = e^{u_j}, one u_j per coordinate."""
+    return _Term(
+        value=lambda lam, theta, view: row_dot(np.exp(2.0 * lam), theta * theta),
+        grad=lambda lam, theta, view: 2.0 * np.exp(2.0 * lam) * theta,
+        hvp=lambda lam, theta, view, v: 2.0 * np.exp(2.0 * lam) * v,
+        mixed=lambda lam, theta, view, v: 4.0 * np.exp(2.0 * lam) * theta * v,
+        hyper_dim=d,
+        batched=True,
+    )
+
+
+_NO_PENALTY = _Term(
+    value=lambda lam, theta, view: 0.0,
+    grad=lambda lam, theta, view: 0.0,
+    hvp=lambda lam, theta, view, v: 0.0,
+    batched=True,
+)
+
+
+# ---------------------------------------------------------------------------
+# composition
+
+def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term) -> BilevelProblem:
+    """The seven callbacks of inner = loss + penalty and outer = unweighted loss.
+
+    Exactly one of the two terms reads lam (the penalty, or a weighted loss);
+    its raw coordinates are the hyperparameters. The outer objective does
+    not read lam, so its lam gradient is zero.
     """
-    p = 2 if kind == "elastic_net" else 1
-
-    def reg_value(lam: Vec, theta: Vec) -> float:
-        if kind == "ridge":
-            return _coef(lam, 0)[..., 0] * row_dot(theta, theta)
-        val, _, _ = _phuber(theta, delta)
-        if kind == "lasso_smooth":
-            return _coef(lam, 0)[..., 0] * val
-        return _coef(lam, 0)[..., 0] * val + _coef(lam, 1)[..., 0] * row_dot(theta, theta)
-
-    def reg_grad(lam: Vec, theta: Vec) -> Vec:
-        if kind == "ridge":
-            return (2.0 * _coef(lam, 0)) * theta
-        _, g, _ = _phuber(theta, delta)
-        if kind == "lasso_smooth":
-            return _coef(lam, 0) * g
-        return _coef(lam, 0) * g + (2.0 * _coef(lam, 1)) * theta
-
-    def reg_hvp(lam: Vec, theta: Vec, v: Vec) -> Vec:
-        if kind == "ridge":
-            return (2.0 * _coef(lam, 0)) * v
-        _, _, h = _phuber(theta, delta)
-        if kind == "lasso_smooth":
-            return _coef(lam, 0) * (h * v)
-        return _coef(lam, 0) * (h * v) + (2.0 * _coef(lam, 1)) * v
-
-    def reg_mixed(lam: Vec, theta: Vec, v: Vec) -> Vec:
-        # d/d_u of reg_grad, contracted with v; exp reparameterization makes
-        # each coordinate e^{u_j} * (its penalty gradient) . v
-        if kind == "ridge":
-            return 2.0 * _coef(lam, 0) * row_dot(theta, v)[..., None]
-        _, g, _ = _phuber(theta, delta)
-        if kind == "lasso_smooth":
-            return _coef(lam, 0) * row_dot(g, v)[..., None]
-        return np.concatenate(
-            [
-                _coef(lam, 0) * row_dot(g, v)[..., None],
-                2.0 * _coef(lam, 1) * row_dot(theta, v)[..., None],
-            ],
-            axis=-1,
-        )
+    reader = loss if loss.hyper_dim else penalty
+    p = reader.hyper_dim
 
     def inner_loss(lam, theta, view):
-        return _quad_loss(theta, view) + reg_value(lam, theta)
+        return loss.value(lam, theta, view) + penalty.value(lam, theta, view)
 
-    def inner_grad(lam, theta, view):
-        return _quad_grad(theta, view) + reg_grad(lam, theta)
+    def inner_grad_theta(lam, theta, view):
+        return loss.grad(lam, theta, view) + penalty.grad(lam, theta, view)
 
     def inner_hvp(lam, theta, view, v):
-        return _quad_hvp(view, v) + reg_hvp(lam, theta, v)
-
-    def inner_mixed(lam, theta, view, v):
-        return reg_mixed(lam, theta, v)
-
-    def outer_loss(lam, theta, view):
-        return _quad_loss(theta, view)
-
-    def outer_grad_theta(lam, theta, view):
-        return _quad_grad(theta, view)
+        return loss.hvp(lam, theta, view, v) + penalty.hvp(lam, theta, view, v)
 
     def outer_grad_lambda(lam, theta, view):
         return np.zeros(theta.shape[:-1] + (p,))
 
     return BilevelProblem(
         hyper_dim=p,
-        param_dim=d,
+        param_dim=param_dim,
         inner_loss=inner_loss,
-        inner_grad_theta=inner_grad,
+        inner_grad_theta=inner_grad_theta,
         inner_hvp=inner_hvp,
-        inner_mixed_vp=inner_mixed,
-        outer_loss=outer_loss,
-        outer_grad_theta=outer_grad_theta,
+        inner_mixed_vp=reader.mixed,
+        outer_loss=lambda lam, theta, view: loss.value(None, theta, view),
+        outer_grad_theta=lambda lam, theta, view: loss.grad(None, theta, view),
         outer_grad_lambda=outer_grad_lambda,
-        hyper_domain=_free_domain(p),
-        effective=np.exp,
+        hyper_domain=(np.full(p, -np.inf), np.full(p, np.inf)),
+        effective=reader.effective,
         kind=kind,
-        batched=True,
-    )
-
-
-def _build_ridge_per_param(d: int) -> BilevelProblem:
-    """Mean squared error + sum_j (lambda_j theta_j)^2 with lambda_j = e^{u_j} (p = r)."""
-    p = d
-
-    def inner_loss(lam, theta, view):
-        w = np.exp(2.0 * lam)
-        return _quad_loss(theta, view) + row_dot(w, theta * theta)
-
-    def inner_grad(lam, theta, view):
-        return _quad_grad(theta, view) + 2.0 * np.exp(2.0 * lam) * theta
-
-    def inner_hvp(lam, theta, view, v):
-        return _quad_hvp(view, v) + 2.0 * np.exp(2.0 * lam) * v
-
-    def inner_mixed(lam, theta, view, v):
-        return 4.0 * np.exp(2.0 * lam) * theta * v
-
-    def outer_loss(lam, theta, view):
-        return _quad_loss(theta, view)
-
-    def outer_grad_theta(lam, theta, view):
-        return _quad_grad(theta, view)
-
-    return BilevelProblem(
-        hyper_dim=p,
-        param_dim=d,
-        inner_loss=inner_loss,
-        inner_grad_theta=inner_grad,
-        inner_hvp=inner_hvp,
-        inner_mixed_vp=inner_mixed,
-        outer_loss=outer_loss,
-        outer_grad_theta=outer_grad_theta,
-        outer_grad_lambda=lambda lam, theta, view: np.zeros(theta.shape[:-1] + (p,)),
-        hyper_domain=_free_domain(p),
-        effective=np.exp,
-        kind="ridge_per_param",
-        batched=True,
-    )
-
-
-def _build_binary_l2(kind: str, d: int) -> BilevelProblem:
-    """logistic_l2 / svm_sqhinge: mean binary data loss + e^u ||theta||^2.
-
-    Labels must be in {-1, +1}. The squared hinge has a piecewise-linear
-    gradient, so its Hessian is discontinuous at the margin; AID is not
-    offered for it.
-    """
-    p = 1
-    logistic = kind == "logistic_l2"
-
-    def data_loss(theta, view):
-        _, yz = _logistic_parts(theta, view)
-        if logistic:
-            return float(np.mean(np.logaddexp(0.0, -yz)))
-        h = np.maximum(0.0, 1.0 - yz)
-        return float(np.mean(h * h))
-
-    def data_grad(theta, view):
-        _, yz = _logistic_parts(theta, view)
-        if logistic:
-            s = expit(-yz)
-            return -(view.X.T @ (view.y * s)) / view.m
-        h = np.maximum(0.0, 1.0 - yz)
-        return -(2.0 / view.m) * (view.X.T @ (view.y * h))
-
-    def data_hvp(theta, view, v):
-        _, yz = _logistic_parts(theta, view)
-        Xv = view.X @ v
-        if logistic:
-            w = expit(yz) * expit(-yz)
-            return (view.X.T @ (w * Xv)) / view.m
-        active = (1.0 - yz) > 0.0
-        return (2.0 / view.m) * (view.X.T @ (active * Xv))
-
-    def inner_loss(lam, theta, view):
-        lam, theta = _check_dims(lam, theta, p, d)
-        return data_loss(theta, view) + math.exp(lam[0]) * float(theta @ theta)
-
-    def inner_grad(lam, theta, view):
-        lam, theta = _check_dims(lam, theta, p, d)
-        return data_grad(theta, view) + (2.0 * math.exp(lam[0])) * theta
-
-    def inner_hvp(lam, theta, view, v):
-        lam, theta = _check_dims(lam, theta, p, d)
-        return data_hvp(theta, view, v) + (2.0 * math.exp(lam[0])) * v
-
-    def inner_mixed(lam, theta, view, v):
-        lam, theta = _check_dims(lam, theta, p, d)
-        return np.array([2.0 * math.exp(lam[0]) * float(theta @ v)])
-
-    def outer_loss(lam, theta, view):
-        _, theta = _check_dims(lam, theta, p, d)
-        return data_loss(theta, view)
-
-    def outer_grad_theta(lam, theta, view):
-        _, theta = _check_dims(lam, theta, p, d)
-        return data_grad(theta, view)
-
-    return BilevelProblem(
-        hyper_dim=p,
-        param_dim=d,
-        inner_loss=inner_loss,
-        inner_grad_theta=inner_grad,
-        inner_hvp=inner_hvp,
-        inner_mixed_vp=inner_mixed,
-        outer_loss=outer_loss,
-        outer_grad_theta=outer_grad_theta,
-        outer_grad_lambda=lambda lam, theta, view: np.zeros(p),
-        hyper_domain=_free_domain(p),
-        effective=np.exp,
-        kind=kind,
-        supports_aid=logistic,
-    )
-
-
-def _build_softmax_l2(d: int, k: int) -> BilevelProblem:
-    """Mean multiclass cross-entropy + e^u ||W||_F^2; theta = W (d x k) flattened row-major."""
-    p, r = 1, d * k
-
-    def ce_loss(theta, view):
-        return float(np.mean(_ce_per_sample(view, theta.reshape(d, k))))
-
-    def ce_grad(theta, view):
-        W = theta.reshape(d, k)
-        P = _softmax_probs(view.X @ W)
-        return ((view.X.T @ (P - view.one_hot)) / view.m).reshape(r)
-
-    def ce_hvp(theta, view, v):
-        W = theta.reshape(d, k)
-        P = _softmax_probs(view.X @ W)
-        dZ = view.X @ v.reshape(d, k)
-        term = P * dZ - P * (P * dZ).sum(axis=1, keepdims=True)
-        return ((view.X.T @ term) / view.m).reshape(r)
-
-    def inner_loss(lam, theta, view):
-        lam, theta = _check_dims(lam, theta, p, r)
-        return ce_loss(theta, view) + math.exp(lam[0]) * float(theta @ theta)
-
-    def inner_grad(lam, theta, view):
-        lam, theta = _check_dims(lam, theta, p, r)
-        return ce_grad(theta, view) + (2.0 * math.exp(lam[0])) * theta
-
-    def inner_hvp(lam, theta, view, v):
-        lam, theta = _check_dims(lam, theta, p, r)
-        return ce_hvp(theta, view, v) + (2.0 * math.exp(lam[0])) * v
-
-    def inner_mixed(lam, theta, view, v):
-        lam, theta = _check_dims(lam, theta, p, r)
-        return np.array([2.0 * math.exp(lam[0]) * float(theta @ v)])
-
-    def outer_loss(lam, theta, view):
-        _, theta = _check_dims(lam, theta, p, r)
-        return ce_loss(theta, view)
-
-    def outer_grad_theta(lam, theta, view):
-        _, theta = _check_dims(lam, theta, p, r)
-        return ce_grad(theta, view)
-
-    return BilevelProblem(
-        hyper_dim=p,
-        param_dim=r,
-        inner_loss=inner_loss,
-        inner_grad_theta=inner_grad,
-        inner_hvp=inner_hvp,
-        inner_mixed_vp=inner_mixed,
-        outer_loss=outer_loss,
-        outer_grad_theta=outer_grad_theta,
-        outer_grad_lambda=lambda lam, theta, view: np.zeros(p),
-        hyper_domain=_free_domain(p),
-        effective=np.exp,
-        kind="softmax_l2",
-    )
-
-
-def _build_hyperclean_softmax(d: int, k: int, n_weights: int) -> BilevelProblem:
-    """Per-sample sigmoid-weighted training CE; unweighted validation CE.
-
-    Inner: (1/m) sum_i sigmoid(u_i) CE_i, no regularizer. The i-th raw weight
-    is positionally aligned with the i-th row of the (ascending-index) train
-    view, so inner callbacks require views with exactly n_weights rows.
-    """
-    p, r = n_weights, d * k
-
-    def _require_aligned(view: DataView):
-        if view.m != n_weights:
-            raise ContractViolationError(
-                f"hyperclean train view must have exactly {n_weights} rows, got {view.m}"
-            )
-
-    def inner_loss(lam, theta, view):
-        lam, theta = _check_dims(lam, theta, p, r)
-        _require_aligned(view)
-        return float(expit(lam) @ _ce_per_sample(view, theta.reshape(d, k))) / view.m
-
-    def inner_grad(lam, theta, view):
-        lam, theta = _check_dims(lam, theta, p, r)
-        _require_aligned(view)
-        W = theta.reshape(d, k)
-        P = _softmax_probs(view.X @ W)
-        G = (P - view.one_hot) * expit(lam)[:, None]
-        return ((view.X.T @ G) / view.m).reshape(r)
-
-    def inner_hvp(lam, theta, view, v):
-        lam, theta = _check_dims(lam, theta, p, r)
-        _require_aligned(view)
-        W = theta.reshape(d, k)
-        P = _softmax_probs(view.X @ W)
-        dZ = view.X @ v.reshape(d, k)
-        term = (P * dZ - P * (P * dZ).sum(axis=1, keepdims=True)) * expit(lam)[:, None]
-        return ((view.X.T @ term) / view.m).reshape(r)
-
-    def inner_mixed(lam, theta, view, v):
-        lam, theta = _check_dims(lam, theta, p, r)
-        _require_aligned(view)
-        W = theta.reshape(d, k)
-        P = _softmax_probs(view.X @ W)
-        dZ = view.X @ v.reshape(d, k)
-        sig_prime = expit(lam) * expit(-lam)
-        return sig_prime * ((P - view.one_hot) * dZ).sum(axis=1) / view.m
-
-    def outer_loss(lam, theta, view):
-        _, theta = _check_dims(lam, theta, p, r)
-        return float(np.mean(_ce_per_sample(view, theta.reshape(d, k))))
-
-    def outer_grad_theta(lam, theta, view):
-        _, theta = _check_dims(lam, theta, p, r)
-        W = theta.reshape(d, k)
-        P = _softmax_probs(view.X @ W)
-        return ((view.X.T @ (P - view.one_hot)) / view.m).reshape(r)
-
-    return BilevelProblem(
-        hyper_dim=p,
-        param_dim=r,
-        inner_loss=inner_loss,
-        inner_grad_theta=inner_grad,
-        inner_hvp=inner_hvp,
-        inner_mixed_vp=inner_mixed,
-        outer_loss=outer_loss,
-        outer_grad_theta=outer_grad_theta,
-        outer_grad_lambda=lambda lam, theta, view: np.zeros(p),
-        hyper_domain=_free_domain(p),
-        effective=expit,
-        kind="hyperclean_softmax",
+        supports_aid=loss.smooth,
+        batched=loss.batched and penalty.batched,
     )
 
 
 def build_problem(spec: ModelSpec, feature_dim: int) -> BilevelProblem:
-    """Instantiate a zoo model for a given feature dimension."""
+    """Instantiate a zoo model for a given feature dimension.
+
+    Each kind is a data loss plus a penalty on theta (see the module
+    docstring for the raw coordinates).
+    """
     if feature_dim < 1:
         raise ConfigError("feature_dim must be >= 1", field_path="problem")
-    if spec.kind in ("ridge", "lasso_smooth", "elastic_net"):
-        return _build_regression_penalized(spec.kind, feature_dim, spec.smoothing_delta)
-    if spec.kind == "ridge_per_param":
-        return _build_ridge_per_param(feature_dim)
-    if spec.kind in ("logistic_l2", "svm_sqhinge"):
-        return _build_binary_l2(spec.kind, feature_dim)
-    if spec.kind == "softmax_l2":
-        return _build_softmax_l2(feature_dim, spec.num_classes)
-    if spec.kind == "hyperclean_softmax":
-        return _build_hyperclean_softmax(feature_dim, spec.num_classes, spec.n_weights)
-    raise ConfigError(f"unknown model kind {spec.kind!r}", field_path="problem.kind")
+    d, k, delta = feature_dim, spec.num_classes, spec.smoothing_delta
+    zoo = {
+        "ridge": lambda: (_SQUARED, _exp_l2(), d),
+        "lasso_smooth": lambda: (_SQUARED, _exp_phuber(delta), d),
+        # u[0] weights the smoothed L1 term, u[1] the squared L2 term
+        "elastic_net": lambda: (_SQUARED, _sum(_exp_phuber(delta, 0), _exp_l2(1)), d),
+        "ridge_per_param": lambda: (_SQUARED, _exp_l2_per_coord(d), d),
+        "logistic_l2": lambda: (_LOGISTIC, _exp_l2(), d),
+        "svm_sqhinge": lambda: (_SQ_HINGE, _exp_l2(), d),
+        "softmax_l2": lambda: (_softmax_ce(d, k), _exp_l2(), d * k),
+        "hyperclean_softmax": lambda: (_softmax_ce(d, k, spec.n_weights), _NO_PENALTY, d * k),
+    }
+    if spec.kind not in zoo:
+        raise ConfigError(f"unknown model kind {spec.kind!r}", field_path="problem.kind")
+    loss, penalty, r = zoo[spec.kind]()
+    return _compose(spec.kind, r, loss, penalty)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +469,12 @@ def _fd_grad(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     return g
 
 
-def _rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
+def _rel_err(approx: np.ndarray, exact, name: str) -> float:
+    exact = np.asarray(exact)
+    if exact.shape != approx.shape:
+        raise ContractViolationError(
+            f"{name} returned shape {exact.shape}, expected {approx.shape}"
+        )
     return float(np.linalg.norm(approx - exact) / max(1.0, np.linalg.norm(exact)))
 
 
@@ -581,49 +489,43 @@ def verify_derivatives(
     """Compare every analytic derivative against central finite differences.
 
     For `trials` random (lam, theta, v) probes, reports the max relative
-    error per derivative; the report passes iff all stay below tol.
+    error per derivative; the report passes iff all stay below tol. A
+    derivative of the wrong shape raises ContractViolationError.
     """
     if trials < 1:
         raise ContractViolationError("trials must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     p, r = problem.hyper_dim, problem.param_dim
-    worst = {
-        "inner_grad_theta": 0.0,
-        "outer_grad_theta": 0.0,
-        "outer_grad_lambda": 0.0,
-        "inner_hvp": 0.0,
-        "inner_mixed_vp": 0.0,
-    }
+    worst = dict.fromkeys(
+        ("inner_grad_theta", "outer_grad_theta", "outer_grad_lambda", "inner_hvp",
+         "inner_mixed_vp"), 0.0)
+
+    def track(name, fd, exact):
+        worst[name] = max(worst[name], _rel_err(fd, exact, name))
+
     for _ in range(trials):
         lam = 0.5 * rng.standard_normal(p)
         theta = rng.standard_normal(r)
         v = rng.standard_normal(r)
 
-        g = problem.inner_grad_theta(lam, theta, train)
-        fd = _fd_grad(lambda t: problem.inner_loss(lam, t, train), theta)
-        worst["inner_grad_theta"] = max(worst["inner_grad_theta"], _rel_err(fd, g))
-
-        og = problem.outer_grad_theta(lam, theta, val)
-        fd = _fd_grad(lambda t: problem.outer_loss(lam, t, val), theta)
-        worst["outer_grad_theta"] = max(worst["outer_grad_theta"], _rel_err(fd, og))
-
-        ol = problem.outer_grad_lambda(lam, theta, val)
-        fd = _fd_grad(lambda u: problem.outer_loss(u, theta, val), lam)
-        worst["outer_grad_lambda"] = max(worst["outer_grad_lambda"], _rel_err(fd, ol))
-
-        hv = problem.inner_hvp(lam, theta, train, v)
+        track("inner_grad_theta",
+              _fd_grad(lambda t: problem.inner_loss(lam, t, train), theta),
+              problem.inner_grad_theta(lam, theta, train))
+        track("outer_grad_theta",
+              _fd_grad(lambda t: problem.outer_loss(lam, t, val), theta),
+              problem.outer_grad_theta(lam, theta, val))
+        track("outer_grad_lambda",
+              _fd_grad(lambda u: problem.outer_loss(u, theta, val), lam),
+              problem.outer_grad_lambda(lam, theta, val))
         h = _fd_step(theta) / max(1.0, float(np.linalg.norm(v)))
         fd_hv = (
             problem.inner_grad_theta(lam, theta + h * v, train)
             - problem.inner_grad_theta(lam, theta - h * v, train)
         ) / (2.0 * h)
-        worst["inner_hvp"] = max(worst["inner_hvp"], _rel_err(fd_hv, hv))
-
-        mv = problem.inner_mixed_vp(lam, theta, train, v)
-        fd_mv = _fd_grad(
-            lambda u: float(problem.inner_grad_theta(u, theta, train) @ v), lam
-        )
-        worst["inner_mixed_vp"] = max(worst["inner_mixed_vp"], _rel_err(fd_mv, mv))
+        track("inner_hvp", fd_hv, problem.inner_hvp(lam, theta, train, v))
+        track("inner_mixed_vp",
+              _fd_grad(lambda u: float(problem.inner_grad_theta(u, theta, train) @ v), lam),
+              problem.inner_mixed_vp(lam, theta, train, v))
 
     checks = tuple(DerivativeCheck(name, err, tol) for name, err in worst.items())
     return DerivativeReport(checks=checks)

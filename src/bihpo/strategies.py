@@ -1,12 +1,13 @@
 """Outer-loop optimizers and the HPO strategies.
 
-run_single: one train/val split, inner problem re-solved from theta0 every
-outer step. run_ehg: the same but the lambda step uses the arithmetic mean of
-U per-split hypergradients (ordered, index-ascending reduction so results are
-reproducible under any execution order). run_oehg: online variant where U
-shadow models advance one inner step per outer step and lambda is updated by
-differentiating through that single step; a separately deployed model tracks
-the current lambda.
+run_ehg: each outer step re-solves the inner problem from theta0 on U
+train/val splits and steps lambda on the arithmetic mean of the U per-split
+hypergradients (ordered, index-ascending reduction so results are
+reproducible under any execution order); with one split it is the
+single-split strategy. run_oehg: online variant where U shadow models
+advance one inner step per outer step and lambda is updated by one-step ITD
+through that step; a separately deployed model tracks the current lambda.
+Both get every hypergradient from estimate_hypergrad.
 """
 
 from __future__ import annotations
@@ -17,28 +18,21 @@ import numpy as np
 
 from .data import DataView, Dataset, Split, full_view
 from .errors import ContractViolationError, NumericalError
-from .hypergrad import (
-    HypergradMethod,
-    HypergradResult,
-    InnerTrajectory,
-    aid_hypergrad,
-    inner_solve,
-    itd_hypergrad,
-    trhg_hypergrad,
-)
+from .hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
 from .linalg import Vec
-from .problems import BilevelProblem
+from .problems import BilevelProblem, check_args
 
 OPTIMIZER_KINDS = ("gd", "adam")
 STRATEGY_KINDS = ("single", "ehg", "oehg")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OuterOptimizer:
-    """Constant-step GD or Adam on the raw hyperparameters.
+    """Settings of constant-step GD or Adam on the raw hyperparameters.
 
-    Adam keeps persistent first/second-moment state sized on first use; call
-    reset() to reuse the optimizer for an independent run.
+    The optimizer holds no state: Adam's moments live in the run that steps
+    with it (see optimizer_step), so runs that share one optimizer stay
+    independent.
     """
 
     kind: str
@@ -46,9 +40,6 @@ class OuterOptimizer:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    t: int = 0
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
@@ -56,14 +47,15 @@ class OuterOptimizer:
         if self.alpha_out <= 0:
             raise ContractViolationError("alpha_out must be > 0")
 
-    def reset(self) -> None:
-        self.m = None
-        self.v = None
-        self.t = 0
 
+def optimizer_step(
+    opt: OuterOptimizer, lam: Vec, g: Vec, state: tuple | None = None
+) -> tuple[np.ndarray, tuple | None]:
+    """One update of the raw hyperparameters: returns (new lam, new state).
 
-def optimizer_step(opt: OuterOptimizer, lam: Vec, g: Vec) -> np.ndarray:
-    """One update of the raw hyperparameters; mutates adam state."""
+    state is None before the first step; Adam returns its (m, v, t) moments
+    for the next step, GD returns None.
+    """
     lam = np.asarray(lam, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if lam.shape != g.shape:
@@ -71,17 +63,14 @@ def optimizer_step(opt: OuterOptimizer, lam: Vec, g: Vec) -> np.ndarray:
             f"lam shape {lam.shape} does not match gradient shape {g.shape}"
         )
     if opt.kind == "gd":
-        return lam - opt.alpha_out * g
-    if opt.m is None:
-        opt.m = np.zeros_like(lam)
-        opt.v = np.zeros_like(lam)
-        opt.t = 0
-    opt.t += 1
-    opt.m = opt.beta1 * opt.m + (1.0 - opt.beta1) * g
-    opt.v = opt.beta2 * opt.v + (1.0 - opt.beta2) * (g * g)
-    m_hat = opt.m / (1.0 - opt.beta1**opt.t)
-    v_hat = opt.v / (1.0 - opt.beta2**opt.t)
-    return lam - opt.alpha_out * m_hat / (np.sqrt(v_hat) + opt.eps)
+        return lam - opt.alpha_out * g, None
+    m, v, t = state if state is not None else (np.zeros_like(lam), np.zeros_like(lam), 0)
+    t += 1
+    m = opt.beta1 * m + (1.0 - opt.beta1) * g
+    v = opt.beta2 * v + (1.0 - opt.beta2) * (g * g)
+    m_hat = m / (1.0 - opt.beta1**t)
+    v_hat = v / (1.0 - opt.beta2**t)
+    return lam - opt.alpha_out * m_hat / (np.sqrt(v_hat) + opt.eps), (m, v, t)
 
 
 @dataclass(frozen=True)
@@ -107,7 +96,7 @@ class HPOTrace:
     """lambdas[t] is the raw lambda BEFORE step t; length T+1 after a run.
 
     final_thetas holds the per-split inner solutions at the final lambda
-    (single/ehg) or the shadow iterates (oehg); deployed_theta is oehg-only.
+    (ehg) or the shadow iterates (oehg); deployed_theta is oehg-only.
     """
 
     lambdas: list[np.ndarray] = field(default_factory=list)
@@ -118,35 +107,6 @@ class HPOTrace:
     @property
     def final_lambda(self) -> np.ndarray:
         return self.lambdas[-1]
-
-
-@dataclass
-class OEHGState:
-    """Mutable online-strategy state: raw lambda, U shadow models, deployed model."""
-
-    lam: np.ndarray
-    shadow_thetas: list[np.ndarray]
-    deployed_theta: np.ndarray
-    t: int = 0
-
-
-def _hypergrad_from_traj(
-    problem: BilevelProblem,
-    lam: Vec,
-    traj: InnerTrajectory,
-    train: DataView,
-    val: DataView,
-    method: HypergradMethod,
-) -> HypergradResult:
-    if method.kind == "ITD":
-        return itd_hypergrad(problem, lam, traj, train, val)
-    if method.kind == "TRHG":
-        return trhg_hypergrad(problem, lam, traj, train, val, method.h)
-    solver = "cg" if method.kind == "AID_CG" else "fp"
-    fp_step = method.fp_step if method.fp_step > 0 else method.alpha_in
-    return aid_hypergrad(
-        problem, lam, traj.final, train, val, solver=solver, Z=method.Z, fp_step=fp_step
-    )
 
 
 def _finite_or_abort(value: float, what: str, step: int) -> float:
@@ -185,31 +145,53 @@ def _split_eval(
     )
 
 
-def run_single(
+def _prepare(problem: BilevelProblem, ds: Dataset, splits: list[Split], T: int,
+             lam0: Vec, theta0: Vec):
+    """Validated copies of lam0 and theta0, and each split's (train, val) views."""
+    if T < 1:
+        raise ContractViolationError("T must be >= 1")
+    if not splits:
+        raise ContractViolationError("need at least one split")
+    lam, theta = check_args(problem, lam0, theta0, names=("lam0", "theta0"))
+    views = [(s.train_view(ds), s.val_view(ds)) for s in splits]
+    return lam.copy(), theta.copy(), views
+
+
+def _ensemble_grad(
     problem: BilevelProblem,
-    ds: Dataset,
-    split: Split,
+    lam: np.ndarray,
+    starts: list[np.ndarray],
+    views: list[tuple[DataView, DataView]],
     method: HypergradMethod,
-    opt: OuterOptimizer,
-    T: int,
-    lam0: Vec,
-    theta0: Vec,
-    test_view: DataView | None = None,
-    warm_start: bool = False,
-) -> HPOTrace:
-    """T outer steps on one split; equivalent to run_ehg with that split alone."""
-    return run_ehg(
-        problem,
-        ds,
-        [split],
-        method,
-        opt,
-        T,
-        lam0,
-        theta0,
-        test_view=test_view,
-        warm_start=warm_start,
-    )
+    step: int,
+    test_view: DataView | None,
+) -> tuple[np.ndarray, list[np.ndarray], list[SplitEval]]:
+    """One estimate per split from its start point.
+
+    Returns the mean of the split hypergradients (an index-ascending sum, so
+    it does not depend on execution order), each split's final inner iterate
+    and its trace scalars.
+    """
+    grads, finals, evals = [], [], []
+    for i, ((train, val), start) in enumerate(zip(views, starts)):
+        try:
+            res = estimate_hypergrad(problem, lam, start, train, val, method)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"split {i} failed at outer step {step}: {exc}", step_index=step
+            ) from exc
+        grads.append(res.grad)
+        finals.append(res.inner_final)
+        evals.append(
+            _split_eval(
+                problem, lam, res.inner_final, i,
+                float(np.linalg.norm(res.grad)), train, val, test_view, step,
+            )
+        )
+    gsum = grads[0].copy()
+    for g in grads[1:]:
+        gsum += g
+    return gsum / len(grads), finals, evals
 
 
 def run_ehg(
@@ -229,84 +211,26 @@ def run_ehg(
     Every outer step re-solves each split's inner problem from theta0 (or from
     the previous iterate when warm_start). After the last lambda update each
     split is solved once more at the final lambda so final_thetas matches it.
+    With one split this is the single-split strategy.
     """
-    if T < 1:
-        raise ContractViolationError("T must be >= 1")
-    if not splits:
-        raise ContractViolationError("need at least one split")
-    U = len(splits)
-    lam = np.asarray(lam0, dtype=np.float64).copy()
-    if lam.shape != (problem.hyper_dim,):
-        raise ContractViolationError(
-            f"lam0 must have shape ({problem.hyper_dim},), got {lam.shape}"
-        )
-    theta_start = np.asarray(theta0, dtype=np.float64).copy()
-    views = [(s.train_view(ds), s.val_view(ds)) for s in splits]
-    warm = [theta_start.copy() for _ in splits]
-
+    lam, theta_start, views = _prepare(problem, ds, splits, T, lam0, theta0)
+    starts = [theta_start] * len(views)
+    state = None
     trace = HPOTrace(lambdas=[lam.copy()])
     for t in range(T):
-        grads: list[np.ndarray] = []
-        evals: list[SplitEval] = []
-        for i, (train, val) in enumerate(views):
-            start = warm[i] if warm_start else theta_start
-            try:
-                traj = inner_solve(problem, lam, start, train, method.K, method.alpha_in)
-                res = _hypergrad_from_traj(problem, lam, traj, train, val, method)
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"split {i} failed at outer step {t}: {exc}", step_index=t
-                ) from exc
-            grads.append(res.grad)
-            if warm_start:
-                warm[i] = traj.final
-            evals.append(
-                _split_eval(
-                    problem, lam, traj.final, i,
-                    float(np.linalg.norm(res.grad)), train, val, test_view, t,
-                )
-            )
-        gsum = grads[0].copy()
-        for g in grads[1:]:
-            gsum += g
-        gmean = gsum / U
+        gmean, finals, evals = _ensemble_grad(problem, lam, starts, views, method, t, test_view)
+        if warm_start:
+            starts = finals
         trace.records.append(StepRecord(step=t, lam=lam.copy(), per_split=tuple(evals)))
-        lam = _project(problem, optimizer_step(opt, lam, gmean))
+        new_lam, state = optimizer_step(opt, lam, gmean, state)
+        lam = _project(problem, new_lam)
         trace.lambdas.append(lam.copy())
 
-    finals = []
-    for i, (train, _) in enumerate(views):
-        start = warm[i] if warm_start else theta_start
-        traj = inner_solve(problem, lam, start, train, method.K, method.alpha_in)
-        finals.append(traj.final)
-    trace.final_thetas = tuple(finals)
-    return trace
-
-
-def oehg_split_hypergrad(
-    problem: BilevelProblem,
-    lam: Vec,
-    shadow_theta: Vec,
-    train: DataView,
-    val: DataView,
-    alpha_in: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-step online hypergradient for a single split.
-
-    Advances the shadow by one inner GD step (theta'), then differentiates the
-    validation loss through that step:
-    g = grad_lam outer(lam, theta') - alpha_in * mixed_vp(lam, shadow, train, grad_theta outer(lam, theta')).
-    Returns (g, theta'). Identical to itd_hypergrad with K = 1 started at the shadow.
-    """
-    lam = np.asarray(lam, dtype=np.float64)
-    shadow_theta = np.asarray(shadow_theta, dtype=np.float64)
-    g_tr = problem.inner_grad_theta(lam, shadow_theta, train)
-    theta_prime = shadow_theta - alpha_in * g_tr
-    a = problem.outer_grad_theta(lam, theta_prime, val)
-    g = problem.outer_grad_lambda(lam, theta_prime, val) - alpha_in * problem.inner_mixed_vp(
-        lam, shadow_theta, train, a
+    trace.final_thetas = tuple(
+        inner_solve(problem, lam, start, train, method.K, method.alpha_in).final
+        for (train, _), start in zip(views, starts)
     )
-    return g, theta_prime
+    return trace
 
 
 def run_oehg(
@@ -324,79 +248,45 @@ def run_oehg(
 ) -> HPOTrace:
     """Online ensemble strategy.
 
-    Per outer step: each shadow takes one inner GD step; lambda steps on the
-    ordered mean of the one-step hypergradients; the deployed model then takes
-    one GD step on deploy_view (default: the full dataset) at the new lambda
-    with step alpha_deploy. Trace test losses are evaluated on the deployed model.
+    Per outer step: each shadow takes one inner GD step, and its hypergradient
+    is one-step ITD started from the shadow; lambda steps on the ordered mean
+    of those; the deployed model then takes one GD step on deploy_view
+    (default: the full dataset) at the new lambda with step alpha_deploy.
+    Trace test losses are evaluated on the deployed model.
     """
-    if T < 1:
-        raise ContractViolationError("T must be >= 1")
-    if not splits:
-        raise ContractViolationError("need at least one split")
     if alpha_in <= 0 or alpha_deploy <= 0:
         raise ContractViolationError("alpha_in and alpha_deploy must be > 0")
-    U = len(splits)
-    lam = np.asarray(lam0, dtype=np.float64).copy()
-    if lam.shape != (problem.hyper_dim,):
-        raise ContractViolationError(
-            f"lam0 must have shape ({problem.hyper_dim},), got {lam.shape}"
-        )
-    theta_start = np.asarray(theta0, dtype=np.float64).copy()
-    views = [(s.train_view(ds), s.val_view(ds)) for s in splits]
+    lam, theta_start, views = _prepare(problem, ds, splits, T, lam0, theta0)
     if deploy_view is None:
         deploy_view = full_view(ds)
-    state = OEHGState(
-        lam=lam,
-        shadow_thetas=[theta_start.copy() for _ in splits],
-        deployed_theta=theta_start.copy(),
-    )
-
-    trace = HPOTrace(lambdas=[state.lam.copy()])
+    one_step = HypergradMethod(kind="ITD", K=1, alpha_in=alpha_in)
+    shadows = [theta_start] * len(views)
+    deployed = theta_start
+    state = None
+    trace = HPOTrace(lambdas=[lam.copy()])
     for t in range(T):
-        grads: list[np.ndarray] = []
-        evals: list[SplitEval] = []
-        for i, (train, val) in enumerate(views):
-            g, theta_prime = oehg_split_hypergrad(
-                problem, state.lam, state.shadow_thetas[i], train, val, alpha_in
-            )
-            if not np.all(np.isfinite(g)) or not np.all(np.isfinite(theta_prime)):
-                raise NumericalError(
-                    f"online update for split {i} became non-finite at outer step {t}",
-                    step_index=t,
-                )
-            state.shadow_thetas[i] = theta_prime
-            grads.append(g)
-            evals.append(
-                _split_eval(
-                    problem, state.lam, theta_prime, i,
-                    float(np.linalg.norm(g)), train, val, None, t,
-                )
-            )
-        gsum = grads[0].copy()
-        for g in grads[1:]:
-            gsum += g
-        gmean = gsum / U
-        new_lam = _project(problem, optimizer_step(opt, state.lam, gmean))
-        state.deployed_theta = state.deployed_theta - alpha_deploy * problem.inner_grad_theta(
-            new_lam, state.deployed_theta, deploy_view
+        gmean, shadows, evals = _ensemble_grad(problem, lam, shadows, views, one_step, t, None)
+        new_lam, state = optimizer_step(opt, lam, gmean, state)
+        new_lam = _project(problem, new_lam)
+        deployed = deployed - alpha_deploy * problem.inner_grad_theta(
+            new_lam, deployed, deploy_view
         )
-        if not np.all(np.isfinite(state.deployed_theta)):
+        if not np.all(np.isfinite(deployed)):
             raise NumericalError(
                 f"deployed model became non-finite at outer step {t}", step_index=t
             )
         if test_view is not None:
             test_loss = _finite_or_abort(
-                problem.outer_loss(new_lam, state.deployed_theta, test_view), "test loss", t
+                problem.outer_loss(new_lam, deployed, test_view), "test loss", t
             )
             evals = [
                 SplitEval(e.split_id, e.hypergrad_norm, e.train_loss, e.val_loss, test_loss)
                 for e in evals
             ]
-        trace.records.append(StepRecord(step=t, lam=state.lam.copy(), per_split=tuple(evals)))
-        state.lam = new_lam
-        state.t = t + 1
-        trace.lambdas.append(state.lam.copy())
+        trace.records.append(StepRecord(step=t, lam=lam.copy(), per_split=tuple(evals)))
+        lam = new_lam
+        trace.lambdas.append(lam.copy())
 
-    trace.final_thetas = tuple(th.copy() for th in state.shadow_thetas)
-    trace.deployed_theta = state.deployed_theta.copy()
+    trace.final_thetas = tuple(th.copy() for th in shadows)
+    trace.deployed_theta = deployed.copy()
     return trace

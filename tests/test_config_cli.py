@@ -219,6 +219,17 @@ def test_bad_worker_count_exits_2_before_writing(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_workers_flag_is_biasvar_only(tmp_path, monkeypatch, capsys):
+    # tune and clean run in one process: they refuse --workers and ignore the variable
+    cfg = write_cfg(tmp_path, tune_dict(strategy={"T": 2}))
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    monkeypatch.setenv("BIHPO_WORKERS", "abc")
+    assert main(["tune", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # tune command
 
@@ -303,6 +314,19 @@ def test_tune_exit_codes(tmp_path, capsys):
         strategy={"T": 1}), "diverge.yaml")
     assert main(["tune", "--config", str(div), "--out", str(tmp_path / "o")]) == 3
     assert "numerical error (step 0)" in capsys.readouterr().err
+
+
+def test_failed_run_leaves_a_failed_manifest(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, tune_dict(method={"kind": "ITD", "K": 400, "alpha_in": 5.0}))
+    out = tmp_path / "o"
+    assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["failed_step"] == 0
+    assert manifest["error"] and manifest["error"] in err
+    assert manifest["outputs"] == []
+    assert manifest["wall_clock_seconds"] > 0
 
 
 # ---------------------------------------------------------------------------

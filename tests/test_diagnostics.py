@@ -20,9 +20,6 @@ from bihpo.diagnostics import (
     fpc_verify,
     fpc_with_replacement,
     fpc_without_replacement,
-    ridge_closed_form,
-    ridge_curvature,
-    ridge_exact_hypergrad,
 )
 from bihpo.errors import ContractViolationError, NumericalError
 from bihpo.hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
@@ -52,20 +49,20 @@ def ridge_views(n=40, d=3, seed=17):
 
 def test_closed_form_identity_design_no_regularization():
     view = full_view(Dataset(X=np.eye(2), y=np.array([1.0, 2.0]), task="regression"))
-    assert_allclose(ridge_closed_form(view, 0.0), [1.0, 2.0])
+    assert_allclose(RidgeOracle(view, view).theta_hat(0.0), [1.0, 2.0])
 
 
 def test_closed_form_two_point_hand_value():
     # A = 1, b = 1 after the 1/m normalization, so (1 + 1) theta = 1
-    tr, _ = tiny_pair()
-    assert_allclose(ridge_closed_form(tr, 1.0), [0.5])
+    tr, va = tiny_pair()
+    assert_allclose(RidgeOracle(tr, va).theta_hat(1.0), [0.5])
 
 
 def test_closed_form_is_stationary_point_of_inner_loss():
-    tr, _ = ridge_views()
+    tr, va = ridge_views()
     prob = build_problem(ModelSpec(kind="ridge"), 3)
     for le in (0.1, 1.0, 5.0):
-        theta = ridge_closed_form(tr, le)
+        theta = RidgeOracle(tr, va).theta_hat(le)
         g = prob.inner_grad_theta(np.array([math.log(le)]), theta, tr)
         assert np.linalg.norm(g) < 1e-10
 
@@ -80,7 +77,6 @@ def test_oracle_hand_hypergrad_and_unit_conventions():
     assert_allclose(oracle.hypergrad_eff(1.0), -0.25, atol=1e-14)
     assert_allclose(oracle.hypergrad_eff(1.0) / tr.m, -0.125, atol=1e-14)
     assert_allclose(oracle.hypergrad_raw(0.0), -0.25, atol=1e-14)
-    assert_allclose(ridge_exact_hypergrad(tr, va, 1.0), -0.25, atol=1e-14)
 
 
 def test_oracle_raw_coordinate_chain_rule():
@@ -92,8 +88,8 @@ def test_oracle_raw_coordinate_chain_rule():
 
 
 def test_oracle_zero_validation_residual_gives_zero_gradient():
-    tr, _ = tiny_pair()
-    theta = ridge_closed_form(tr, 1.0)
+    tr, va0 = tiny_pair()
+    theta = RidgeOracle(tr, va0).theta_hat(1.0)
     va = full_view(Dataset(X=np.array([[1.0]]), y=np.array([theta[0]]),
                            task="regression"))
     assert RidgeOracle(tr, va).hypergrad_eff(1.0) == 0.0
@@ -115,20 +111,20 @@ def test_oracle_rejects_negative_regularization():
 
 
 def test_curvature_matches_hessian_eigenvalues():
-    tr, _ = ridge_views()
+    tr, va = ridge_views()
     A, _ = tr.gram
     eigs = np.linalg.eigvalsh(A)
-    L, mu = ridge_curvature(tr, 0.7)
+    L, mu = RidgeOracle(tr, va).curvature(0.7)
     assert_allclose(L, 2.0 * (eigs[-1] + 0.7))
     assert_allclose(mu, 2.0 * (eigs[0] + 0.7))
     assert L >= mu > 0
 
 
 def test_long_inner_solve_reaches_closed_form():
-    tr, _ = ridge_views()
+    tr, va = ridge_views()
     prob = build_problem(ModelSpec(kind="ridge"), 3)
     traj = inner_solve(prob, np.array([0.0]), np.zeros(3), tr, K=2000, alpha_in=0.1)
-    assert np.linalg.norm(traj.final - ridge_closed_form(tr, 1.0)) < 1e-8
+    assert np.linalg.norm(traj.final - RidgeOracle(tr, va).theta_hat(1.0)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bihpo.data import Dataset, SplitPlan, StackedView, full_view, gen_linear, make_splits
-from bihpo.diagnostics import RidgeOracle, ridge_closed_form, ridge_curvature
+from bihpo.diagnostics import RidgeOracle
 from bihpo.errors import ContractViolationError, NumericalError
 from bihpo.hypergrad import (
     HypergradMethod,
@@ -56,9 +56,9 @@ def test_inner_solve_first_step_hand_value():
 
 
 def test_inner_solve_converges_to_closed_form():
-    prob, tr, _, lam = ridge_setup()
+    prob, tr, va, lam = ridge_setup()
     traj = inner_solve(prob, lam, np.zeros(3), tr, K=500, alpha_in=0.1)
-    theta_star = ridge_closed_form(tr, math.exp(lam[0]))
+    theta_star = RidgeOracle(tr, va).theta_hat(math.exp(lam[0]))
     assert np.linalg.norm(traj.final - theta_star) < 1e-6
 
 
@@ -184,7 +184,7 @@ def test_aid_zero_outer_gradient_gives_zero_hypergrad():
 
 def test_aid_cg_matches_dense_implicit_solve():
     prob, tr, va, lam = ridge_setup()
-    theta = ridge_closed_form(tr, math.exp(lam[0]))
+    theta = RidgeOracle(tr, va).theta_hat(math.exp(lam[0]))
     A, _ = tr.gram
     H = 2.0 * (A + math.exp(lam[0]) * np.eye(3))
     v = dense_solve(H, prob.outer_grad_theta(lam, theta, va))
@@ -197,11 +197,12 @@ def test_aid_cg_matches_dense_implicit_solve():
 def test_aid_at_closed_form_matches_oracle(solver):
     prob, tr, va, lam = ridge_setup()
     le = math.exp(lam[0])
-    theta = ridge_closed_form(tr, le)
-    L, _ = ridge_curvature(tr, le)
+    oracle = RidgeOracle(tr, va)
+    theta = oracle.theta_hat(le)
+    L, _ = oracle.curvature(le)
     res = aid_hypergrad(prob, lam, theta, tr, va, solver=solver,
                         Z=4000, fp_step=1.0 / L)
-    want = RidgeOracle(tr, va).hypergrad_raw(float(lam[0]))
+    want = oracle.hypergrad_raw(float(lam[0]))
     assert_allclose(res.grad, [want], atol=1e-6)
     assert res.diagnostics["aid_residual"] < 1e-8
 

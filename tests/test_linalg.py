@@ -1,4 +1,4 @@
-"""Dense kernels: gemv, CG, fixed-point iteration, LU solve."""
+"""Dense kernels: CG, fixed-point iteration, LU solve."""
 
 import numpy as np
 import pytest
@@ -7,40 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bihpo.errors import ContractViolationError, NumericalError, SingularMatrixError
-from bihpo.linalg import LinearOperator, as_operator, cg_solve, dense_solve, fixed_point_solve, gemv
+from bihpo.linalg import LinearOperator, as_operator, cg_solve, dense_solve, fixed_point_solve
 
 
 def random_spd(n, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     M = rng.standard_normal((n, n))
     return M @ M.T + n * np.eye(n)
-
-
-# ---------------------------------------------------------------------------
-# gemv
-
-def test_gemv_identity():
-    x = np.array([3.0, -1.0])
-    assert_allclose(gemv(np.eye(2), x), x)
-
-
-def test_gemv_hand_values():
-    assert_allclose(gemv(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0])),
-                    [3.0, 7.0])
-    assert_allclose(gemv(np.array([[1.0, 1.0, 1.0]]), np.array([1.0, 2.0, 3.0])),
-                    [6.0])
-
-
-def test_gemv_dimension_mismatch():
-    with pytest.raises(ContractViolationError):
-        gemv(np.eye(2), np.ones(3))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
-def test_gemv_identity_is_identity(xs):
-    x = np.array(xs)
-    assert_allclose(gemv(np.eye(len(xs)), x), x)
 
 
 # ---------------------------------------------------------------------------

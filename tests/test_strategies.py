@@ -1,21 +1,16 @@
 """Outer-loop strategies: optimizers, ensemble averaging, online updates."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bihpo.data import SplitPlan, full_view, gen_linear, make_splits
+from bihpo.data import Split, SplitPlan, full_view, gen_linear, make_splits
 from bihpo.errors import ContractViolationError
 from bihpo.hypergrad import HypergradMethod, estimate_hypergrad
 from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem
-from bihpo.strategies import (
-    OuterOptimizer,
-    oehg_split_hypergrad,
-    optimizer_step,
-    run_ehg,
-    run_oehg,
-    run_single,
-)
+from bihpo.strategies import OuterOptimizer, optimizer_step, run_ehg, run_oehg
 from helpers import zoo_instance, zoo_lambda
 
 ITD25 = HypergradMethod(kind="ITD", K=25, alpha_in=0.08)
@@ -32,13 +27,15 @@ def ridge_setup(n=40, d=3, U=1, seed=17):
 
 def test_gd_step_hand_value():
     opt = OuterOptimizer(kind="gd", alpha_out=0.1)
-    assert_allclose(optimizer_step(opt, np.array([1.0]), np.array([2.0])), [0.8])
+    new, state = optimizer_step(opt, np.array([1.0]), np.array([2.0]))
+    assert_allclose(new, [0.8])
+    assert state is None
 
 
 def test_adam_first_step_is_sign_scaled():
     opt = OuterOptimizer(kind="adam", alpha_out=0.01)
     lam = np.array([0.5, -1.0])
-    new = optimizer_step(opt, lam, np.array([3.0, -0.5]))
+    new, _ = optimizer_step(opt, lam, np.array([3.0, -0.5]))
     assert_allclose(new, lam - 0.01 * np.array([1.0, -1.0]), atol=1e-6)
 
 
@@ -46,27 +43,42 @@ def test_adam_first_step_is_sign_scaled():
 def test_zero_gradient_leaves_lambda_unchanged(kind):
     opt = OuterOptimizer(kind=kind, alpha_out=0.3)
     lam = np.array([0.4, -0.7])
-    assert_array_equal(optimizer_step(opt, lam, np.zeros(2)), lam)
+    assert_array_equal(optimizer_step(opt, lam, np.zeros(2))[0], lam)
 
 
 def test_gd_is_linear_in_the_gradient():
     opt = OuterOptimizer(kind="gd", alpha_out=0.25)
     lam = np.zeros(3)
     g = np.array([1.0, -2.0, 0.5])
-    d1 = lam - optimizer_step(opt, lam, g)
-    d2 = lam - optimizer_step(opt, lam, 2.0 * g)
+    d1 = lam - optimizer_step(opt, lam, g)[0]
+    d2 = lam - optimizer_step(opt, lam, 2.0 * g)[0]
     assert_allclose(d2, 2.0 * d1)
 
 
-def test_adam_reset_restores_determinism():
+def test_adam_state_is_returned_not_kept():
+    # the optimizer holds settings only: a sequence replayed from no state
+    # repeats exactly, and the returned moments carry the step count
     opt = OuterOptimizer(kind="adam", alpha_out=0.05)
-    lam = np.array([1.0])
     seq = [np.array([g]) for g in (0.5, -0.2, 0.9)]
-    first = [lam := optimizer_step(opt, lam, g) for g in seq][-1].copy()
-    opt.reset()
-    lam = np.array([1.0])
-    second = [lam := optimizer_step(opt, lam, g) for g in seq][-1]
+
+    def replay():
+        lam, state = np.array([1.0]), None
+        for g in seq:
+            lam, state = optimizer_step(opt, lam, g, state)
+        return lam, state
+
+    (first, state), (second, _) = replay(), replay()
     assert_array_equal(first, second)
+    assert state[2] == 3
+
+
+def test_runs_sharing_an_adam_optimizer_are_independent():
+    prob, ds, splits = ridge_setup(U=3)
+    opt = OuterOptimizer(kind="adam", alpha_out=0.1)
+    runs = [run_ehg(prob, ds, splits, ITD25, opt, 8, np.array([0.3]), np.zeros(3))
+            for _ in range(2)]
+    for x, y in zip(runs[0].lambdas, runs[1].lambdas):
+        assert_array_equal(x, y)
 
 
 def test_optimizer_validation():
@@ -80,16 +92,16 @@ def test_optimizer_validation():
 
 
 # ---------------------------------------------------------------------------
-# single-split runs
+# single-split runs: run_ehg on one split
 
 def test_run_single_trivial_composition():
     # K = 0 hypergradients are zero, so lambda never moves
     prob, ds, splits = ridge_setup()
     method = HypergradMethod(kind="ITD", K=0, alpha_in=0.1)
     th0 = np.array([0.2, 0.2, 0.2])
-    trace = run_single(prob, ds, splits[0], method,
-                       OuterOptimizer(kind="gd", alpha_out=0.5), 3,
-                       np.array([0.7]), th0)
+    trace = run_ehg(prob, ds, splits[:1], method,
+                    OuterOptimizer(kind="gd", alpha_out=0.5), 3,
+                    np.array([0.7]), th0)
     assert len(trace.lambdas) == 4
     for lam in trace.lambdas:
         assert_array_equal(lam, [0.7])
@@ -102,8 +114,8 @@ def test_run_single_two_steps_match_hand_replication():
     tr, va = split.train_view(ds), split.val_view(ds)
     method = HypergradMethod(kind="ITD", K=1, alpha_in=0.05)
     lam0, th0 = np.array([0.3]), np.zeros(3)
-    trace = run_single(prob, ds, split, method,
-                       OuterOptimizer(kind="gd", alpha_out=0.4), 2, lam0, th0)
+    trace = run_ehg(prob, ds, [split], method,
+                    OuterOptimizer(kind="gd", alpha_out=0.4), 2, lam0, th0)
 
     lam = lam0.copy()
     for _ in range(2):
@@ -125,19 +137,47 @@ def test_run_rejects_bad_plan():
         run_ehg(prob, ds, splits, ITD25, opt, 1, np.array([0.3, 0.1]), np.zeros(3))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (1,)])
+def test_runs_refuse_a_misshapen_theta0(shape):
+    prob, ds, splits = ridge_setup()
+    opt = OuterOptimizer(kind="gd", alpha_out=0.3)
+    bad = np.zeros(shape)
+    with pytest.raises(ContractViolationError, match="theta0"):
+        run_ehg(prob, ds, splits, ITD25, opt, 1, np.array([0.3]), bad)
+    with pytest.raises(ContractViolationError, match="theta0"):
+        run_oehg(prob, ds, splits, T=1, alpha_in=0.1, opt=opt,
+                 alpha_deploy=0.1, lam0=np.array([0.3]), theta0=bad)
+
+
 # ---------------------------------------------------------------------------
 # ensemble averaging
 
-def test_ehg_single_split_equals_run_single():
-    prob, ds, splits = ridge_setup()
-    args = (ITD25, OuterOptimizer(kind="gd", alpha_out=0.4), 5,
-            np.array([0.3]), np.zeros(3))
-    a = run_single(prob, ds, splits[0], *args)
-    b = run_ehg(prob, ds, splits[:1], ITD25,
-                OuterOptimizer(kind="gd", alpha_out=0.4), 5,
-                np.array([0.3]), np.zeros(3))
-    for x, y in zip(a.lambdas, b.lambdas):
-        assert_array_equal(x, y)
+def test_ehg_single_split_equals_run_single(tmp_path):
+    # the CLI's single strategy is the ehg loop on the first split alone
+    import yaml
+    from bihpo.cli import main
+
+    cfg = {
+        "data": {"synthetic": {"n": 60, "d": 3, "noise_sigma": 0.3, "seed": 11,
+                               "beta_seed": 2}},
+        "split": {"U": 3, "gamma": 0.25, "master_seed": 5},
+        "method": {"kind": "ITD", "K": 25, "alpha_in": 0.1},
+        "strategy": {"kind": "single", "T": 5,
+                     "outer": {"kind": "gd", "alpha_out": 0.5}, "lambda0": 1.0},
+        "output": {"formats": ["json"]},
+    }
+    path = tmp_path / "single.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["tune", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    final = json.loads((tmp_path / "out" / "final.json").read_text())
+
+    ds, _ = gen_linear(60, 3, 0.3, seed=11, beta_seed=2)
+    splits = make_splits(60, SplitPlan(U=3, gamma=0.25, master_seed=5))
+    trace = run_ehg(build_problem(ModelSpec(kind="ridge"), 3), ds, splits[:1],
+                    HypergradMethod(kind="ITD", K=25, alpha_in=0.1),
+                    OuterOptimizer(kind="gd", alpha_out=0.5), 5, np.array([1.0]), np.zeros(3))
+    assert final["lambda_raw"] == [float(x) for x in trace.final_lambda]
+    assert len(final["per_split_theta"]) == 1
 
 
 @pytest.mark.parametrize("copies", [2, 4])
@@ -146,7 +186,7 @@ def test_ehg_duplicated_split_is_bitwise_single(copies):
     # these U (the running sum stays exactly representable)
     prob, ds, splits = ridge_setup()
     opt = lambda: OuterOptimizer(kind="gd", alpha_out=0.4)
-    one = run_single(prob, ds, splits[0], ITD25, opt(), 6, np.array([0.3]), np.zeros(3))
+    one = run_ehg(prob, ds, splits[:1], ITD25, opt(), 6, np.array([0.3]), np.zeros(3))
     rep = run_ehg(prob, ds, [splits[0]] * copies, ITD25, opt(), 6,
                   np.array([0.3]), np.zeros(3))
     for x, y in zip(one.lambdas, rep.lambdas):
@@ -206,12 +246,12 @@ def test_ehg_test_view_populates_trace():
 def test_warm_start_changes_later_iterates_but_stays_finite():
     prob, ds, splits = ridge_setup()
     method = HypergradMethod(kind="ITD", K=5, alpha_in=0.08)
-    cold = run_single(prob, ds, splits[0], method,
-                      OuterOptimizer(kind="gd", alpha_out=0.4), 6,
-                      np.array([0.3]), np.zeros(3), warm_start=False)
-    warm = run_single(prob, ds, splits[0], method,
-                      OuterOptimizer(kind="gd", alpha_out=0.4), 6,
-                      np.array([0.3]), np.zeros(3), warm_start=True)
+    cold = run_ehg(prob, ds, splits[:1], method,
+                   OuterOptimizer(kind="gd", alpha_out=0.4), 6,
+                   np.array([0.3]), np.zeros(3), warm_start=False)
+    warm = run_ehg(prob, ds, splits[:1], method,
+                   OuterOptimizer(kind="gd", alpha_out=0.4), 6,
+                   np.array([0.3]), np.zeros(3), warm_start=True)
     assert not np.array_equal(cold.final_lambda, warm.final_lambda)
     assert np.all(np.isfinite(warm.final_lambda))
     assert np.all(np.isfinite(warm.final_thetas[0]))
@@ -222,14 +262,19 @@ def test_warm_start_changes_later_iterates_but_stays_finite():
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_oehg_split_hypergrad_is_one_step_itd(kind):
+    # run_oehg's first update on one split is a gd step on one-step ITD, and
+    # its shadow is that estimate's inner iterate
     prob, tr, va = zoo_instance(kind)
     lam = zoo_lambda(prob)
     th0 = np.zeros(prob.param_dim)
-    g, theta_prime = oehg_split_hypergrad(prob, lam, th0, tr, va, 0.05)
+    split = Split(train_idx=tr.idx, val_idx=va.idx, seed=0)
+    trace = run_oehg(prob, tr.dataset, [split], T=1, alpha_in=0.05,
+                     opt=OuterOptimizer(kind="gd", alpha_out=0.3),
+                     alpha_deploy=0.05, lam0=lam, theta0=th0, deploy_view=tr)
     ref = estimate_hypergrad(prob, lam, th0, tr, va,
                              HypergradMethod(kind="ITD", K=1, alpha_in=0.05))
-    assert_array_equal(g, ref.grad)
-    assert_array_equal(theta_prime, ref.inner_final)
+    assert_array_equal(trace.lambdas[1], lam - 0.3 * ref.grad)
+    assert_array_equal(trace.final_thetas[0], ref.inner_final)
 
 
 def test_oehg_trace_shape_and_deployed_update():
@@ -251,8 +296,9 @@ def test_oehg_lambda_update_uses_mean_of_one_step_grads():
     trace = run_oehg(prob, ds, splits, T=1, alpha_in=0.08,
                      opt=OuterOptimizer(kind="gd", alpha_out=0.3),
                      alpha_deploy=0.08, lam0=lam0, theta0=th0)
-    grads = [oehg_split_hypergrad(prob, lam0, th0, s.train_view(ds),
-                                  s.val_view(ds), 0.08)[0] for s in splits]
+    one_step = HypergradMethod(kind="ITD", K=1, alpha_in=0.08)
+    grads = [estimate_hypergrad(prob, lam0, th0, s.train_view(ds), s.val_view(ds),
+                                one_step).grad for s in splits]
     gsum = grads[0] + grads[1]
     assert_array_equal(trace.lambdas[1], lam0 - 0.3 * (gsum / 2))
 
