@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -57,8 +56,6 @@ from .hypergrad import (
 from .output import ensure_dir, fmt_float, write_csv, write_json
 from .problems import BilevelProblem, ModelSpec, build_problem, verify_derivatives
 from .strategies import HPOTrace, OuterOptimizer, run_ehg, run_oehg
-
-WORKERS_ENV = "BIHPO_WORKERS"
 
 _TASK_FOR_KIND = {
     "ridge": "regression",
@@ -255,7 +252,7 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_biasvar(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
+def cmd_biasvar(cfg: ExperimentConfig, out_dir: Path) -> int:
     validate_config(cfg, "biasvar")
     s = cfg.data.synthetic
     design = SweepDesign(n=s.n, d=s.d, noise_sigma=s.noise_sigma, gamma=cfg.split.gamma,
@@ -269,7 +266,7 @@ def cmd_biasvar(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     ) as manifest:
         report = bias_variance_sweep(
             design, method, grid, R=bv.R, U=bv.U, seed=cfg.split.master_seed,
-            spec=_model_spec(cfg), ref_K=bv.ref_K, workers=workers,
+            spec=_model_spec(cfg), ref_K=bv.ref_K,
         )
         rows = [
             [r.lambda_eff, r.error, r.variance, r.bias_sq, r.identity_residual,
@@ -552,9 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser("tune", help="run the configured HPO strategy"))
-    biasvar = _add_common(sub.add_parser("biasvar", help="bias-variance decomposition sweep"))
-    biasvar.add_argument("--workers", type=int, default=None,
-                         help=f"replicate worker processes (default ${WORKERS_ENV} or 1)")
+    _add_common(sub.add_parser("biasvar", help="bias-variance decomposition sweep"))
     _add_common(sub.add_parser("clean", help="data hyper-cleaning run"))
     fpc = sub.add_parser("fpc", help="finite-population correction verification")
     fpc.add_argument("--n", type=int, required=True)
@@ -571,25 +566,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _workers(args) -> int:
-    """--workers, else $BIHPO_WORKERS, else 1; anything but a count >= 1 is refused."""
-    if getattr(args, "workers", None) is not None:
-        value, field = args.workers, "--workers"
-    else:
-        env = os.environ.get(WORKERS_ENV, "")
-        if not env:
-            return 1
-        field = WORKERS_ENV
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"worker count must be an integer, got {env!r}",
-                              field_path=field) from None
-    if value < 1:
-        raise ConfigError(f"worker count must be >= 1, got {value}", field_path=field)
-    return value
-
-
 def _load_with_overrides(args) -> tuple[ExperimentConfig, Path]:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -603,11 +579,7 @@ def _load_with_overrides(args) -> tuple[ExperimentConfig, Path]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "biasvar":
-            workers = _workers(args)
-            cfg, out = _load_with_overrides(args)
-            return cmd_biasvar(cfg, out, workers)
-        config_commands = {"tune": cmd_tune, "clean": cmd_clean}
+        config_commands = {"tune": cmd_tune, "biasvar": cmd_biasvar, "clean": cmd_clean}
         if args.command in config_commands:
             return config_commands[args.command](*_load_with_overrides(args))
         if args.command == "fpc":

@@ -9,8 +9,9 @@ d theta / d lambda_eff = -(X^T X / m + lambda_eff I)^{-1} theta.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from multiprocessing import get_context
+from itertools import islice
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .data import (
     make_splits,
 )
 from .errors import ContractViolationError, NumericalError
-from .hypergrad import HypergradMethod, estimate_hypergrad, inner_solve, itd_hypergrad
-from .linalg import Vec, dense_solve
+from .hypergrad import HypergradMethod, estimate_hypergrad
+from .linalg import dense_solve
 from .problems import BilevelProblem, ModelSpec, build_problem
 
 
@@ -76,6 +77,70 @@ class RidgeOracle:
 
 
 # ---------------------------------------------------------------------------
+# members of the diagnostics, estimated in stacked runs
+
+# Bytes of inner trajectory, (K + 1) * B * r * 8, that one stacked estimate of
+# B members may hold. Longer member lists run as several contiguous runs.
+RUN_BYTES = 1 << 20
+
+
+def _replicate_views(design: SweepDesign, U: int, seed: int, j: int
+                     ) -> list[tuple[DataView, DataView]]:
+    """Train/val views of the U splits of replicate j, which draws its own dataset."""
+    ds, _ = gen_linear(design.n, design.d, design.noise_sigma, seed=derive_seed(seed, 2 * j),
+                       beta_seed=design.beta_seed)
+    plan = SplitPlan(U=U, gamma=design.gamma, mode=design.mode,
+                     master_seed=derive_seed(seed, 2 * j + 1))
+    return [(s.train_view(ds), s.val_view(ds)) for s in make_splits(ds.n, plan)]
+
+
+def _stacked_estimates(problem: BilevelProblem, method: HypergradMethod,
+                       members: Iterable[tuple[DataView, DataView, np.ndarray]]) -> np.ndarray:
+    """Hypergradients of the members from theta = 0, one row each, in their order.
+
+    members yields (train view, val view, raw lam) triples. They are consumed
+    one run at a time: a run is as many contiguous members as keep the
+    trajectory within RUN_BYTES, estimated by one estimate_hypergrad call on
+    StackedViews, and only one run's member data is alive at a time. Each
+    member's row is bitwise the same wherever the runs are cut. A
+    NumericalError names the failing member by its index in the whole list.
+    """
+    size = max(1, RUN_BYTES // ((method.K + 1) * problem.param_dim * 8))
+    members = iter(members)
+    rows, first = [], 0
+    while run := list(islice(members, size)):
+        trains, vals, lams = zip(*run)
+        try:
+            grad = estimate_hypergrad(problem, np.stack(lams), np.zeros(problem.param_dim),
+                                      StackedView(trains), StackedView(vals), method).grad
+        except NumericalError as exc:
+            if exc.member is None:
+                raise
+            raise NumericalError(exc.args[0], exc.step_index, first + exc.member) from None
+        rows.append(grad)
+        first += len(run)
+        del run, trains, vals  # before the next run is assembled
+    return np.concatenate(rows)
+
+
+def _u_means(rows: np.ndarray, U: int) -> np.ndarray:
+    """Means of consecutive groups of U rows, each an index-ascending sum."""
+    groups = rows.reshape(-1, U, rows.shape[-1])
+    acc = groups[:, 0].copy()
+    for i in range(1, U):
+        acc += groups[:, i]
+    return acc / U
+
+
+def _regression_problem(spec: ModelSpec, d: int, caller: str) -> BilevelProblem:
+    """The problem of spec, which must be batched (a regression model) to stack."""
+    problem = build_problem(spec, d)
+    if not problem.batched:
+        raise ContractViolationError(f"{caller} needs a regression model, got {spec.kind!r}")
+    return problem
+
+
+# ---------------------------------------------------------------------------
 # bias-variance decomposition over replicated (dataset, split-set) draws
 
 @dataclass(frozen=True)
@@ -106,32 +171,6 @@ class BiasVarianceReport:
     U: int
 
 
-def _ridge_itd_grid(train: DataView, val: DataView, lam_grid_eff, K: int,
-                    alpha: float) -> np.ndarray:
-    """Raw-coordinate ITD hypergradients for ridge on a whole lambda grid.
-
-    Batched form of inner_solve + itd_hypergrad (same recurrence, one matrix
-    op per step instead of one python call per grid point); cross-checked
-    against the generic engine in the test suite. theta0 = 0.
-    """
-    A, b = train.gram
-    lam = np.asarray(lam_grid_eff, dtype=np.float64)
-    L = lam[:, None]
-    d = A.shape[0]
-    thetas = np.zeros((K + 1, lam.size, d))
-    th = np.zeros((lam.size, d))
-    for k in range(K):
-        th = th - alpha * (2.0 * (th @ A - b) + 2.0 * L * th)
-        thetas[k + 1] = th
-    resid = th @ val.X.T - val.y
-    a = (2.0 / val.m) * (resid @ val.X)
-    g = np.zeros(lam.size)
-    for k in range(K - 1, -1, -1):
-        g -= alpha * (2.0 * lam * np.einsum("ij,ij->i", thetas[k], a))
-        a = a - alpha * (2.0 * (a @ A) + 2.0 * L * a)
-    return g
-
-
 def _ridge_oracle_grid(train: DataView, val: DataView, lam_grid_eff) -> np.ndarray:
     """Exact raw-coordinate ridge hypergradients on a whole lambda grid."""
     A, b = train.gram
@@ -146,55 +185,10 @@ def _ridge_oracle_grid(train: DataView, val: DataView, lam_grid_eff) -> np.ndarr
     return lam * grad_eff
 
 
-def _replicate_task(args):
-    """One replicate: hypergradient estimates and references on every grid point.
-
-    Module-level so process pools can pickle it. Returns two (n_lam, p) arrays.
-    """
-    (spec, design, method, lam_grid, data_seed, split_seed, U, ref_K) = args
-    ds, _ = gen_linear(design.n, design.d, design.noise_sigma, seed=data_seed,
-                       beta_seed=design.beta_seed)
-    problem = build_problem(spec, ds.d)
-    plan = SplitPlan(U=U, gamma=design.gamma, mode=design.mode, master_seed=split_seed)
-    splits = make_splits(ds.n, plan)
-    views = [(s.train_view(ds), s.val_view(ds)) for s in splits]
-    theta0 = np.zeros(problem.param_dim)
-    n_lam = len(lam_grid)
-    p = problem.hyper_dim
-
-    if method == "oracle" and spec.kind != "ridge":
-        raise ContractViolationError("method='oracle' requires the ridge model")
-
-    if spec.kind == "ridge" and (
-        method == "oracle" or (isinstance(method, HypergradMethod) and method.kind == "ITD")
-    ):
-        est_sum = np.zeros(n_lam)
-        ref_sum = np.zeros(n_lam)
-        for train, val in views:
-            ref_grid = _ridge_oracle_grid(train, val, lam_grid)
-            est_grid = (ref_grid if method == "oracle"
-                        else _ridge_itd_grid(train, val, lam_grid, method.K, method.alpha_in))
-            est_sum += est_grid
-            ref_sum += ref_grid
-        return (est_sum / len(views))[:, None], (ref_sum / len(views))[:, None]
-
-    oracles = [RidgeOracle(tr, va) for tr, va in views] if spec.kind == "ridge" else None
-    ghat = np.zeros((n_lam, p))
-    gref = np.zeros((n_lam, p))
-    for li, lam_eff in enumerate(lam_grid):
-        lam = np.array([math.log(lam_eff)])
-        est = np.zeros(p)
-        ref = np.zeros(p)
-        for i, (train, val) in enumerate(views):
-            est += estimate_hypergrad(problem, lam, theta0, train, val, method).grad
-            if oracles is not None:
-                ref += np.array([oracles[i].hypergrad_raw(lam[0])])
-            else:
-                traj = inner_solve(problem, lam, theta0, train, ref_K, method.alpha_in)
-                ref += itd_hypergrad(problem, lam, traj, train, val).grad
-        ghat[li] = est / len(views)
-        gref[li] = ref / len(views)
-    return ghat, gref
+def _oracle_mean(views: list[tuple[DataView, DataView]], lam_grid) -> np.ndarray:
+    """U-split mean of the exact ridge hypergradients on the grid, (n_lam, 1)."""
+    grids = np.stack([_ridge_oracle_grid(train, val, lam_grid) for train, val in views], axis=1)
+    return _u_means(grids.reshape(-1, 1), len(views))
 
 
 def bias_variance_sweep(
@@ -206,40 +200,57 @@ def bias_variance_sweep(
     seed: int,
     spec: ModelSpec = ModelSpec(kind="ridge"),
     ref_K: int = 2000,
-    workers: int = 1,
 ) -> BiasVarianceReport:
     """Empirical error = variance + bias^2 decomposition per grid point.
 
     Draws R replicate (dataset, split-set) pairs; the estimate ghat_j is the
-    U-split ensemble mean of `method` hypergradients (raw coordinates); the
-    reference gbar is the replicate mean of exact oracle hypergradients
-    (ridge) or of a high-K reverse-mode reference (other models). gtilde is
-    the sample mean of the ghat_j, which makes the decomposition an algebraic
-    identity. lam_grid is in effective (positive) coordinates.
+    U-split ensemble mean of `method` hypergradients (raw coordinates, every
+    coordinate of lam at log lambda_eff); the reference gbar is the replicate
+    mean of exact oracle hypergradients (ridge) or of ITD at ref_K inner steps
+    (the other regression models). gtilde is the sample mean of the ghat_j,
+    which makes the decomposition an algebraic identity. lam_grid is in
+    effective (positive) coordinates. The R * len(lam_grid) * U estimates run
+    in stacked runs (see _stacked_estimates), ordered replicate -> grid point
+    -> split.
     """
     if R < 2:
         raise ContractViolationError("R must be >= 2")
     if U < 1:
         raise ContractViolationError("U must be >= 1")
-    if workers < 1:
-        raise ContractViolationError(f"workers must be >= 1, got {workers}")
     lam_grid = [float(x) for x in lam_grid]
     if any(x <= 0 for x in lam_grid):
         raise ContractViolationError("lam_grid values must be positive (effective scale)")
-    tasks = [
-        (spec, design, method, lam_grid,
-         derive_seed(seed, 2 * j), derive_seed(seed, 2 * j + 1), U, ref_K)
-        for j in range(R)
-    ]
-    if workers > 1:
-        with get_context("fork").Pool(processes=workers) as pool:
-            results = pool.map(_replicate_task, tasks)
-    else:
-        results = [_replicate_task(t) for t in tasks]
+    problem = _regression_problem(spec, design.d, "bias_variance_sweep")
+    exact = spec.kind == "ridge"
+    if method == "oracle" and not exact:
+        raise ContractViolationError("method='oracle' requires the ridge model")
+    n_lam, p = len(lam_grid), problem.hyper_dim
+    lams = [np.full(p, math.log(x)) for x in lam_grid]
+    gref = np.zeros((R, n_lam, p))
 
-    ghat = np.stack([r[0] for r in results])  # (R, n_lam, p)
-    gref = np.stack([r[1] for r in results])
-    gtilde = ghat.mean(axis=0)                # (n_lam, p)
+    def members():
+        # a ridge replicate's exact reference is recorded as its views are
+        # built, so that every dataset is drawn once
+        for j in range(R):
+            views = _replicate_views(design, U, seed, j)
+            if exact:
+                gref[j] = _oracle_mean(views, lam_grid)
+            for lam in lams:
+                for train, val in views:
+                    yield train, val, lam
+
+    def ensemble_means(est: HypergradMethod) -> np.ndarray:
+        return _u_means(_stacked_estimates(problem, est, members()), U).reshape(R, n_lam, p)
+
+    if method == "oracle":
+        for j in range(R):
+            gref[j] = _oracle_mean(_replicate_views(design, U, seed, j), lam_grid)
+        ghat = gref
+    else:
+        ghat = ensemble_means(method)
+        if not exact:
+            gref = ensemble_means(HypergradMethod(kind="ITD", K=ref_K, alpha_in=method.alpha_in))
+    gtilde = ghat.mean(axis=0)  # (n_lam, p)
     gbar = gref.mean(axis=0)
 
     rows = []
@@ -268,37 +279,6 @@ class VarianceCurve:
     slope: float
 
 
-def _members_task(args):
-    """ITD/TRHG/AID hypergradients of a contiguous run of ensemble members.
-
-    Each member draws its own dataset and split from its seed pair; the run
-    is then estimated as one stacked pass. Module-level so process pools can
-    pickle it. Returns a (members, p) array, or the NumericalError of a
-    failing member, named by its index in the whole ensemble.
-    """
-    (spec, design, method, lam_raw, first, seeds) = args
-    trains, vals = [], []
-    for data_seed, split_seed in seeds:
-        ds, _ = gen_linear(design.n, design.d, design.noise_sigma, seed=data_seed,
-                           beta_seed=design.beta_seed)
-        plan = SplitPlan(U=1, gamma=design.gamma, mode=design.mode, master_seed=split_seed)
-        split = make_splits(ds.n, plan)[0]
-        trains.append(split.train_view(ds))
-        vals.append(split.val_view(ds))
-    problem = build_problem(spec, design.d)
-    try:
-        return estimate_hypergrad(
-            problem, np.full(problem.hyper_dim, lam_raw), np.zeros(problem.param_dim),
-            StackedView(trains), StackedView(vals), method,
-        ).grad
-    except NumericalError as exc:
-        if exc.member is None:
-            raise
-        # returned, not raised, so that the caller reports the failure of the
-        # first failing run whichever pool process finishes first
-        return NumericalError(exc.args[0], exc.step_index, first + exc.member)
-
-
 def ensemble_variance_curve(
     design: SweepDesign,
     method: HypergradMethod,
@@ -313,56 +293,29 @@ def ensemble_variance_curve(
     independent (dataset, split) resample; slope of log-variance vs log-U.
 
     With independent members Var(mean) = sigma^2 / U exactly, so the fitted
-    slope should sit near -1. spec must be a batched (regression) model: all
-    sum(U_list) * R members run as one stacked estimate, whose trajectory
-    holds (K + 1) * members * d floats. workers > 1 splits the members into
-    that many contiguous runs, one stacked estimate per pool process; the
-    result is bitwise the same for every worker count.
+    slope should sit near -1. spec must be a regression model: the
+    sum(U_list) * R members run in stacked runs (see _stacked_estimates).
+    workers is accepted for callers of the former process pool and must be 1.
     """
     if R < 2:
         raise ContractViolationError("R must be >= 2")
-    if workers < 1:
-        raise ContractViolationError(f"workers must be >= 1, got {workers}")
+    if workers != 1:
+        raise ContractViolationError(f"the members run in one process: workers must be 1, "
+                                     f"got {workers}")
     U_list = [int(u) for u in U_list]
     if any(u < 1 for u in U_list) or len(U_list) < 2:
         raise ContractViolationError("need at least two U values, all >= 1")
-    if not build_problem(spec, design.d).batched:
-        raise ContractViolationError(
-            f"ensemble_variance_curve needs a regression model, got {spec.kind!r}"
-        )
-    lam_raw = math.log(lam_eff)
-    seeds = []
-    layout = []  # (U, replicate j) -> member indices
-    for U in U_list:
-        for j in range(R):
-            layout.append((U, j, range(len(seeds), len(seeds) + U)))
-            for _ in range(U):
-                c = len(seeds)
-                seeds.append((derive_seed(seed, 2 * c), derive_seed(seed, 2 * c + 1)))
-    bounds = np.linspace(0, len(seeds), min(workers, len(seeds)) + 1).astype(int)
-    tasks = [(spec, design, method, lam_raw, int(a), seeds[a:b])
-             for a, b in zip(bounds[:-1], bounds[1:])]
-    if len(tasks) > 1:
-        with get_context("fork").Pool(processes=len(tasks)) as pool:
-            runs = pool.map(_members_task, tasks)
-    else:
-        runs = [_members_task(tasks[0])]
-    for run in runs:
-        if isinstance(run, NumericalError):
-            raise run
-    grads = np.concatenate(runs)
+    problem = _regression_problem(spec, design.d, "ensemble_variance_curve")
+    lam = np.full(problem.hyper_dim, math.log(lam_eff))
+    # member c draws its dataset and split from the seed pair of replicate c;
+    # the members of (U, replicate j) are contiguous, U by U, over U_list
+    members = ((*_replicate_views(design, 1, seed, c)[0], lam) for c in range(sum(U_list) * R))
+    grads = _stacked_estimates(problem, method, members)
 
-    points = []
+    points, first = [], 0
     for U in U_list:
-        means = []
-        for (u_val, _, members) in layout:
-            if u_val != U:
-                continue
-            acc = grads[members[0]].copy()
-            for idx in members[1:]:
-                acc += grads[idx]
-            means.append(acc / U)
-        M = np.stack(means)
+        M = _u_means(grads[first:first + R * U], U)
+        first += R * U
         center = M.mean(axis=0)
         var = float(np.mean(np.sum((M - center) ** 2, axis=1)))
         points.append((U, var))
@@ -429,7 +382,7 @@ def fpc_verify(
 
     stats = []
     theta0 = np.zeros(problem.param_dim)
-    lam = np.array([lam_raw]) if problem.hyper_dim == 1 else np.full(problem.hyper_dim, lam_raw)
+    lam = np.full(problem.hyper_dim, lam_raw)
     for s in splits:
         train, val = s.train_view(ds), s.val_view(ds)
         if problem.kind == "ridge":

@@ -34,10 +34,6 @@ class NumericalError(BilevelError):
         text = super().__str__()
         return text if self.member is None else f"{text} (member {self.member})"
 
-    def __reduce__(self):
-        # keep step_index and member when a worker process sends the error back
-        return type(self), (self.args[0], self.step_index, self.member)
-
 
 class SingularMatrixError(NumericalError):
     """A direct solve hit a (numerically) singular matrix."""

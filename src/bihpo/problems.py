@@ -94,7 +94,6 @@ class BilevelProblem:
     outer_loss: Callable[[Vec, Vec, DataView], float]
     outer_grad_theta: Callable[[Vec, Vec, DataView], Vec]
     outer_grad_lambda: Callable[[Vec, Vec, DataView], Vec]
-    hyper_domain: tuple[np.ndarray, np.ndarray]
     effective: Callable[[Vec], Vec]
     kind: str = ""
     supports_aid: bool = True
@@ -393,7 +392,6 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term) -> BilevelP
         outer_loss=lambda lam, theta, view: loss.value(None, theta, view),
         outer_grad_theta=lambda lam, theta, view: loss.grad(None, theta, view),
         outer_grad_lambda=outer_grad_lambda,
-        hyper_domain=(np.full(p, -np.inf), np.full(p, np.inf)),
         effective=reader.effective,
         kind=kind,
         supports_aid=loss.smooth,

@@ -115,11 +115,6 @@ def _finite_or_abort(value: float, what: str, step: int) -> float:
     return float(value)
 
 
-def _project(problem: BilevelProblem, lam: np.ndarray) -> np.ndarray:
-    lo, hi = problem.hyper_domain
-    return np.clip(lam, lo, hi)
-
-
 def _split_eval(
     problem: BilevelProblem,
     lam: np.ndarray,
@@ -222,8 +217,7 @@ def run_ehg(
         if warm_start:
             starts = finals
         trace.records.append(StepRecord(step=t, lam=lam.copy(), per_split=tuple(evals)))
-        new_lam, state = optimizer_step(opt, lam, gmean, state)
-        lam = _project(problem, new_lam)
+        lam, state = optimizer_step(opt, lam, gmean, state)
         trace.lambdas.append(lam.copy())
 
     trace.final_thetas = tuple(
@@ -267,7 +261,6 @@ def run_oehg(
     for t in range(T):
         gmean, shadows, evals = _ensemble_grad(problem, lam, shadows, views, one_step, t, None)
         new_lam, state = optimizer_step(opt, lam, gmean, state)
-        new_lam = _project(problem, new_lam)
         deployed = deployed - alpha_deploy * problem.inner_grad_theta(
             new_lam, deployed, deploy_view
         )

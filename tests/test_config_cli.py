@@ -1,6 +1,5 @@
 """YAML config layer and the experiment command line, end to end."""
 
-import argparse
 import csv
 import json
 import math
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bihpo.cli import _workers, check_model, main
+from bihpo.cli import check_model, main
 from bihpo.config import (
     config_from_dict,
     config_to_dict,
@@ -181,53 +180,32 @@ def test_validate_clean_rules(over, path):
     assert err.value.field_path == path
 
 
-def test_workers_resolution(monkeypatch):
-    ns = argparse.Namespace(workers=None)
-    monkeypatch.delenv("BIHPO_WORKERS", raising=False)
-    assert _workers(ns) == 1
-    monkeypatch.setenv("BIHPO_WORKERS", "3")
-    assert _workers(ns) == 3
-    assert _workers(argparse.Namespace(workers=2)) == 2
-
-
-@pytest.mark.parametrize("flag, env, field", [
-    (0, None, "--workers"),
-    (-3, "2", "--workers"),
-    (None, "abc", "BIHPO_WORKERS"),
-    (None, "0", "BIHPO_WORKERS"),
-    (None, "-1", "BIHPO_WORKERS"),
-])
-def test_workers_refuses_bad_counts(monkeypatch, flag, env, field):
-    if env is None:
-        monkeypatch.delenv("BIHPO_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("BIHPO_WORKERS", env)
-    with pytest.raises(ConfigError) as err:
-        _workers(argparse.Namespace(workers=flag))
-    assert err.value.field_path == field
-
-
 def test_bad_worker_count_exits_2_before_writing(tmp_path, monkeypatch, capsys):
+    # biasvar runs in one process: any --workers is refused before the output
+    # directory is made, and BIHPO_WORKERS is no longer read
     cfg = write_cfg(tmp_path, biasvar_dict())
     out = tmp_path / "out"
-    monkeypatch.delenv("BIHPO_WORKERS", raising=False)
-    assert main(["biasvar", "--config", str(cfg), "--out", str(out), "--workers", "0"]) == 2
-    assert "[--workers]" in capsys.readouterr().err
-    monkeypatch.setenv("BIHPO_WORKERS", "abc")
-    assert main(["biasvar", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "[BIHPO_WORKERS]" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_workers_flag_is_biasvar_only(tmp_path, monkeypatch, capsys):
-    # tune and clean run in one process: they refuse --workers and ignore the variable
-    cfg = write_cfg(tmp_path, tune_dict(strategy={"T": 2}))
     with pytest.raises(SystemExit) as exc:
-        main(["tune", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", "2"])
+        main(["biasvar", "--config", str(cfg), "--out", str(out), "--workers", "0"])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
     monkeypatch.setenv("BIHPO_WORKERS", "abc")
-    assert main(["tune", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert main(["biasvar", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["tune", "--config", "c.yaml"],
+    ["biasvar", "--config", "c.yaml"],
+    ["clean", "--config", "c.yaml"],
+    ["fpc", "--n", "6", "--gamma", "0.5", "--U", "1"],
+    ["check"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_refuses_workers(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +323,33 @@ def test_biasvar_writes_identity_clean_rows(tmp_path):
         total = float(r["variance"]) + float(r["bias_sq"])
         assert float(r["error"]) == pytest.approx(total, abs=1e-10)
         assert (int(r["R"]), int(r["U"])) == (4, 2)
+
+
+def test_biasvar_runs_a_two_hyperparameter_model(tmp_path):
+    # elastic_net reads two raw coordinates; the reference is ITD at ref_K
+    cfg = write_cfg(tmp_path, biasvar_dict(problem={"kind": "elastic_net",
+                                                    "smoothing_delta": 0.5},
+                                           biasvar={"ref_K": 200}))
+    out = tmp_path / "bv"
+    assert main(["biasvar", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_rows(out / "biasvar.csv")
+    assert len(rows) == 3
+    for r in rows:
+        assert float(r["identity_residual"]) < 1e-10
+        assert float(r["error"]) > 0.0 and math.isfinite(float(r["error"]))
+
+
+def test_diverging_biasvar_exits_3_with_a_failed_manifest(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, biasvar_dict(method={"kind": "ITD", "K": 400, "alpha_in": 5.0}))
+    out = tmp_path / "bv"
+    assert main(["biasvar", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "(member " in err and "at step" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] and manifest["error"] in err
+    assert isinstance(manifest["failed_step"], int)
+    assert not (out / "biasvar.csv").exists()
 
 
 def test_biasvar_rejects_tiny_replication(tmp_path, capsys):

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bihpo import diagnostics
 from bihpo.data import Dataset, SplitPlan, derive_seed, full_view, gen_linear, make_splits
 from bihpo.diagnostics import (
     RidgeOracle,
     SweepDesign,
-    _members_task,
-    _ridge_itd_grid,
+    _replicate_views,
     _ridge_oracle_grid,
+    _stacked_estimates,
     bias_variance_sweep,
     ensemble_variance_curve,
     fpc_verify,
@@ -128,19 +129,7 @@ def test_long_inner_solve_reaches_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# batched ridge grid fast paths agree with the generic engines
-
-def test_itd_grid_fast_path_matches_generic_estimator():
-    tr, va = ridge_views()
-    prob = build_problem(ModelSpec(kind="ridge"), 3)
-    grid = [0.3, 0.9, 1.7, 4.2]
-    fast = _ridge_itd_grid(tr, va, grid, K=50, alpha=0.1)
-    for le, g in zip(grid, fast):
-        method = HypergradMethod(kind="ITD", K=50, alpha_in=0.1)
-        ref = estimate_hypergrad(prob, np.array([math.log(le)]), np.zeros(3),
-                                 tr, va, method).grad
-        assert_allclose(g, ref[0], rtol=1e-12, atol=1e-15)
-
+# the batched ridge oracle grid agrees with the oracle
 
 def test_oracle_grid_fast_path_matches_oracle():
     tr, va = ridge_views()
@@ -187,7 +176,11 @@ def test_bias_variance_sweep_validation():
     with pytest.raises(ContractViolationError):
         bias_variance_sweep(DESIGN, ITD25, [-1.0], R=2, U=1, seed=0)
     with pytest.raises(ContractViolationError):
-        bias_variance_sweep(DESIGN, ITD25, [1.0], R=2, U=1, seed=0, workers=0)
+        bias_variance_sweep(DESIGN, ITD25, [1.0], R=2, U=1, seed=0,
+                            spec=ModelSpec(kind="logistic_l2"))
+    with pytest.raises(ContractViolationError):
+        bias_variance_sweep(DESIGN, "oracle", [1.0], R=2, U=1, seed=0,
+                            spec=ModelSpec(kind="elastic_net", smoothing_delta=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -237,28 +230,36 @@ def per_member_curve(design, method, lam_eff, R, U_list, seed, spec):
     return points
 
 
+def cut_runs(monkeypatch, members, K, r):
+    """Make every stacked run hold `members` members of a K-step, r-parameter estimate."""
+    monkeypatch.setattr(diagnostics, "RUN_BYTES", members * (K + 1) * r * 8)
+
+
 @pytest.mark.parametrize("spec, method", [
     (ModelSpec(kind="ridge"), ITD25),
     (ModelSpec(kind="elastic_net", smoothing_delta=0.5),
      HypergradMethod(kind="AID_CG", K=25, alpha_in=0.1, Z=5)),
-])
-def test_variance_curve_matches_per_member_loop_for_any_worker_count(spec, method):
+], ids=["ridge", "elastic_net"])
+def test_variance_curve_matches_per_member_loop_for_any_run_cut(monkeypatch, spec, method):
     kwargs = dict(R=4, U_list=[1, 2, 3], seed=12, spec=spec)
-    curves = [ensemble_variance_curve(DESIGN, method, 0.7, workers=w, **kwargs)
-              for w in (1, 2, 3)]
-    assert curves[1] == curves[0] and curves[2] == curves[0]  # bitwise
+    whole = ensemble_variance_curve(DESIGN, method, 0.7, **kwargs)
+    for size in (1, 5, 7):  # 5 and 7 cut inside an ensemble of U = 2 or 3 members
+        cut_runs(monkeypatch, size, method.K, DESIGN.d)
+        assert ensemble_variance_curve(DESIGN, method, 0.7, **kwargs) == whole  # bitwise
     ref = per_member_curve(DESIGN, method, 0.7, **kwargs)
-    for (u, v), (ru, rv) in zip(curves[0].points, ref):
+    for (u, v), (ru, rv) in zip(whole.points, ref):
         assert u == ru
         assert abs(v - rv) <= 1e-12 * rv
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_variance_curve_divergence_names_member_and_step(workers):
+@pytest.mark.parametrize("runs", [1, 2])
+def test_variance_curve_divergence_names_member_and_step(monkeypatch, runs):
+    # the 9 members run whole or cut into runs of 5 and 4
     diverging = HypergradMethod(kind="ITD", K=400, alpha_in=5.0)
+    if runs == 2:
+        cut_runs(monkeypatch, 5, diverging.K, DESIGN.d)
     with pytest.raises(NumericalError) as err:
-        ensemble_variance_curve(DESIGN, diverging, 1.0, R=3, U_list=[1, 2], seed=0,
-                                workers=workers)
+        ensemble_variance_curve(DESIGN, diverging, 1.0, R=3, U_list=[1, 2], seed=0)
     m, step = err.value.member, err.value.step_index
     assert f"at step {step}" in str(err.value) and f"(member {m})" in str(err.value)
     # the named member, run alone, diverges at the named step
@@ -271,12 +272,84 @@ def test_variance_curve_divergence_names_member_and_step(workers):
     assert alone.value.step_index == step
 
 
-def test_member_run_names_members_by_ensemble_index():
+def test_member_run_names_members_by_ensemble_index(monkeypatch):
+    # runs of 4 members; only member 7, in the second run, has a step size
+    # beyond 2/L (at lambda_eff = e^6), so that its inner loop overflows
+    method = HypergradMethod(kind="ITD", K=200, alpha_in=0.1)
+    cut_runs(monkeypatch, 4, method.K, DESIGN.d)
+    members = [(*_replicate_views(DESIGN, 1, 0, c)[0], np.array([6.0 if c == 7 else 0.0]))
+               for c in range(10)]
+    with pytest.raises(NumericalError) as err:
+        _stacked_estimates(build_problem(ModelSpec(kind="ridge"), DESIGN.d), method, members)
+    assert err.value.member == 7
+    assert "(member 7)" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the sweep against a per-member loop
+
+def per_member_sweep(design, method, grid, R, U, seed, spec, ref_K):
+    """The sweep one estimate at a time: (error, variance, bias^2) per grid point."""
+    problem = build_problem(spec, design.d)
+    p, theta0 = problem.hyper_dim, np.zeros(problem.param_dim)
+    alpha_in = 0.1 if method == "oracle" else method.alpha_in
+    ref_method = HypergradMethod(kind="ITD", K=ref_K, alpha_in=alpha_in)
+    ghat = np.zeros((R, len(grid), p))
+    gref = np.zeros((R, len(grid), p))
+    for j in range(R):
+        ds, _ = gen_linear(design.n, design.d, design.noise_sigma,
+                           seed=derive_seed(seed, 2 * j), beta_seed=design.beta_seed)
+        plan = SplitPlan(U=U, gamma=design.gamma, master_seed=derive_seed(seed, 2 * j + 1))
+        for l, le in enumerate(grid):
+            lam = np.full(p, math.log(le))
+            for s in make_splits(ds.n, plan):
+                tr, va = s.train_view(ds), s.val_view(ds)
+                if spec.kind == "ridge":
+                    ref = np.array([RidgeOracle(tr, va).hypergrad_raw(lam[0])])
+                else:
+                    ref = estimate_hypergrad(problem, lam, theta0, tr, va, ref_method).grad
+                est = (ref if method == "oracle"
+                       else estimate_hypergrad(problem, lam, theta0, tr, va, method).grad)
+                ghat[j, l] += est
+                gref[j, l] += ref
+    ghat, gref = ghat / U, gref / U
+    gtilde, gbar = ghat.mean(axis=0), gref.mean(axis=0)
+    return [(float(np.mean(np.sum((ghat[:, l] - gbar[l]) ** 2, axis=1))),
+             float(np.mean(np.sum((ghat[:, l] - gtilde[l]) ** 2, axis=1))),
+             float(np.sum((gtilde[l] - gbar[l]) ** 2)))
+            for l in range(len(grid))]
+
+
+@pytest.mark.parametrize("spec, method", [
+    (ModelSpec(kind="ridge"), ITD25),
+    (ModelSpec(kind="ridge"), HypergradMethod(kind="AID_CG", K=25, alpha_in=0.1, Z=3)),
+    (ModelSpec(kind="elastic_net", smoothing_delta=0.5), ITD25),
+    (ModelSpec(kind="ridge_per_param"), ITD25),
+    (ModelSpec(kind="ridge"), "oracle"),
+], ids=["ridge-ITD", "ridge-AID_CG", "elastic_net-ITD", "ridge_per_param-ITD", "oracle"])
+def test_sweep_matches_per_member_loop_for_any_run_cut(monkeypatch, spec, method):
+    # DESIGN has d = 2, so ridge_per_param reads two raw coordinates
+    grid = [0.5, 1.0, 2.0]
+    kwargs = dict(R=3, U=2, seed=7, spec=spec, ref_K=60)
+    whole = bias_variance_sweep(DESIGN, method, grid, **kwargs)
+    if method != "oracle":
+        for size in (1, 4):  # a replicate is 3 grid points x 2 splits = 6 members
+            cut_runs(monkeypatch, size, method.K, DESIGN.d)
+            assert bias_variance_sweep(DESIGN, method, grid, **kwargs) == whole  # bitwise
+    ref = per_member_sweep(DESIGN, method, grid, **kwargs)
+    for row, (err, var, bias_sq) in zip(whole.rows, ref):
+        assert abs(row.error - err) <= 1e-12 * err
+        assert abs(row.variance - var) <= 1e-12 * var
+        assert abs(row.bias_sq - bias_sq) <= 1e-12 * err
+
+
+def test_diverging_sweep_names_member_and_step():
     diverging = HypergradMethod(kind="ITD", K=400, alpha_in=5.0)
-    seeds = [(derive_seed(0, 2 * c), derive_seed(0, 2 * c + 1)) for c in range(7, 10)]
-    failure = _members_task((ModelSpec(kind="ridge"), DESIGN, diverging, 0.0, 7, seeds))
-    assert isinstance(failure, NumericalError)
-    assert 7 <= failure.member < 10
+    with pytest.raises(NumericalError) as err:
+        bias_variance_sweep(DESIGN, diverging, [0.5, 1.0], R=2, U=2, seed=0)
+    m, step = err.value.member, err.value.step_index
+    assert m is not None and step is not None
+    assert f"at step {step}" in str(err.value) and f"(member {m})" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The experiment scripts in scripts/ import and parse their arguments."""
+"""The experiment scripts in scripts/ import and parse their arguments; the
+bias-variance sweep also runs end to end at a tiny size."""
 
 import os
 import subprocess
@@ -15,12 +16,23 @@ def test_scripts_are_found():
     assert len(SCRIPTS) >= 3
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_script_help_exits_0(script):
+def run_script(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(script), "--help"], env=env,
+    return subprocess.run([sys.executable, str(script), *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help_exits_0(script):
+    proc = run_script(script, "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_bias_variance_sweep_script_runs():
+    proc = run_script(ROOT / "scripts" / "bias_variance_sweep.py",
+                      "--R", "3", "--grid", "0.5:1:3", "--K", "2", "20")
+    assert proc.returncode == 0, proc.stderr
+    assert "largest bias^2 share" in proc.stdout
