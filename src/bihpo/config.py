@@ -17,7 +17,7 @@ import yaml
 
 from .data import SPLIT_MODES, TASKS
 from .errors import ConfigError, ParseError
-from .problems import MODEL_KINDS
+from .problems import MODEL_KINDS, REGRESSION_KINDS
 from .hypergrad import METHOD_KINDS
 from .strategies import OPTIMIZER_KINDS, STRATEGY_KINDS
 
@@ -310,7 +310,7 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
             "data.source",
         )
         _require(
-            pr.kind in ("ridge", "lasso_smooth", "elastic_net", "ridge_per_param"),
+            pr.kind in REGRESSION_KINDS,
             "biasvar supports the regression models (ridge has the exact oracle)",
             "problem.kind",
         )

@@ -104,11 +104,12 @@ class DataView:
         idx = np.asarray(self.idx, dtype=np.int64)
         if idx.ndim != 1 or idx.shape[0] == 0:
             raise ContractViolationError("view index set must be 1-D and non-empty")
-        if idx.min() < 0 or idx.max() >= self.dataset.n:
+        idx = np.sort(idx)
+        if idx[0] < 0 or idx[-1] >= self.dataset.n:
             raise ContractViolationError("view indices out of range")
-        if np.unique(idx).shape[0] != idx.shape[0]:
+        if np.any(idx[1:] == idx[:-1]):
             raise ContractViolationError("view indices must be distinct")
-        self.idx = np.sort(idx)
+        self.idx = idx
 
     @property
     def m(self) -> int:
@@ -142,11 +143,13 @@ class DataView:
 
 @dataclass(eq=False)
 class StackedView:
-    """B equally sized regression views stacked along a leading member axis.
+    """B equally sized views stacked along a leading member axis.
 
-    Carries what the quadratic losses read, member by member: the row count
-    m, the targets y (B, m) and the Gram pair (B, d, d) / (B, d), each
-    stacked from the member views' own cached values.
+    Carries what the data losses read, member by member: the row count m,
+    the rows X (B, m, d), the targets y (B, m), the one-hot labels (B, m, k)
+    and the Gram pair (B, d, d) / (B, d). Each is stacked from the member
+    views' own values on first use, so a squared loss never stacks the rows
+    and a classification loss never the Gram pairs.
     """
 
     views: tuple[DataView, ...]
@@ -169,8 +172,16 @@ class StackedView:
         return self.views[0].m
 
     @cached_property
+    def X(self) -> np.ndarray:
+        return np.stack([v.X for v in self.views])
+
+    @cached_property
     def y(self) -> np.ndarray:
         return np.stack([v.y for v in self.views])
+
+    @cached_property
+    def one_hot(self) -> np.ndarray:
+        return np.stack([v.one_hot for v in self.views])
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray]:

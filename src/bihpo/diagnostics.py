@@ -28,7 +28,7 @@ from .data import (
 from .errors import ContractViolationError, NumericalError
 from .hypergrad import HypergradMethod, estimate_hypergrad
 from .linalg import dense_solve
-from .problems import BilevelProblem, ModelSpec, build_problem
+from .problems import REGRESSION_KINDS, BilevelProblem, ModelSpec, build_problem
 
 
 @dataclass(eq=False)
@@ -133,11 +133,10 @@ def _u_means(rows: np.ndarray, U: int) -> np.ndarray:
 
 
 def _regression_problem(spec: ModelSpec, d: int, caller: str) -> BilevelProblem:
-    """The problem of spec, which must be batched (a regression model) to stack."""
-    problem = build_problem(spec, d)
-    if not problem.batched:
+    """The problem of spec, which must be a regression model to fit the synthetic data."""
+    if spec.kind not in REGRESSION_KINDS:
         raise ContractViolationError(f"{caller} needs a regression model, got {spec.kind!r}")
-    return problem
+    return build_problem(spec, d)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ aid_hypergrad solves the inner-Hessian linear system approximately and
 applies the implicit-function-theorem formula. All hypergradients are in raw
 hyper coordinates because the problem callbacks already are.
 
-For a batched problem (the regression family), every entry point also takes
-StackedView train/val views of B members with lam (p,) or (B, p) and theta
-(r,) or (B, r): the same code then runs all B estimates at once, one numpy
-op per inner step, and returns one row per member. Shapes are validated once
-per entry point, not in the callbacks.
+Every entry point also takes StackedView train/val views of B members, for
+every model kind, with lam (p,) or (B, p) and theta (r,) or (B, r): the same
+code then runs all B estimates at once, one numpy op per inner step, and
+returns one row per member. The ensemble strategies and both diagnostics
+estimate only this way. Shapes are validated once per entry point, not in
+the callbacks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ METHOD_KINDS = ("ITD", "TRHG", "AID_FP", "AID_CG")
 class InnerTrajectory:
     """theta_0 ... theta_K from K gradient steps at step size alpha_in."""
 
-    thetas: tuple[np.ndarray, ...]  # each (r,), or (B, r) for a batched solve
+    thetas: tuple[np.ndarray, ...]  # each (r,), or (B, r) for a stacked solve
     alpha_in: float
 
     @property
@@ -97,7 +98,14 @@ def inner_solve(
     K: int,
     alpha_in: float,
 ) -> InnerTrajectory:
-    """K steps of theta <- theta - alpha_in * grad inner, trajectory recorded."""
+    """K steps of theta <- theta - alpha_in * grad inner, trajectory recorded.
+
+    A non-finite inner gradient raises NumericalError naming its step (and
+    the first failing member of a stack). Finiteness is checked once, on
+    theta_K: a non-finite iterate stays non-finite, since NaN propagates and
+    inf minus anything is inf or NaN. Only a failed solve is scanned for the
+    step to name.
+    """
     if alpha_in <= 0:
         raise ContractViolationError("alpha_in must be > 0")
     if K < 0:
@@ -107,13 +115,30 @@ def inner_solve(
     thetas = [theta]
     # overflow surfaces as the explicit non-finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            g = problem.inner_grad_theta(lam, theta, train)
-            if not np.all(np.isfinite(g)):
-                raise _nonfinite(f"inner gradient became non-finite at step {k}", g, step=k)
-            theta = theta - alpha_in * g
+        for _ in range(K):
+            theta = theta - alpha_in * problem.inner_grad_theta(lam, theta, train)
             thetas.append(theta)
+        if not np.all(np.isfinite(theta)):
+            _raise_first_nonfinite_gradient(problem, lam, thetas, train)
     return InnerTrajectory(thetas=tuple(thetas), alpha_in=alpha_in)
+
+
+def _raise_first_nonfinite_gradient(problem: BilevelProblem, lam: np.ndarray,
+                          thetas: list[np.ndarray], train: DataView | StackedView) -> None:
+    """Raise for the first step whose inner gradient is non-finite, if any.
+
+    theta_j, the first non-finite iterate, came from theta_{j-1} either by a
+    non-finite gradient (step j-1) or by an overflow of the update itself,
+    which the gradient at theta_j then shows (step j). So the gradients are
+    recomputed from theta_{j-1} on, which names the same step and member as
+    checking every gradient during the solve. An update that overflows on
+    the last step leaves no gradient to check, and returns.
+    """
+    j = next(j for j, theta in enumerate(thetas) if not np.all(np.isfinite(theta)))
+    for k in range(max(j - 1, 0), len(thetas) - 1):
+        g = problem.inner_grad_theta(lam, thetas[k], train)
+        if not np.all(np.isfinite(g)):
+            raise _nonfinite(f"inner gradient became non-finite at step {k}", g, step=k)
 
 
 def _traj_diagnostics(traj: InnerTrajectory) -> dict:
@@ -192,8 +217,9 @@ def aid_hypergrad(
 
     Solves hvp(v) = grad_theta outer(theta_K) with Z iterations of CG or the
     fixed-point scheme, then grad = grad_lam outer - mixed_vp(theta_K, v).
-    Diagnostics carry the achieved linear-system residual norm (per member
-    when batched; each member's solve stops on its own).
+    Diagnostics carry the achieved linear-system residual norm and the
+    solver iterations used (per member when stacked; each member's solve
+    stops on its own).
     """
     if not problem.supports_aid:
         raise ContractViolationError(
@@ -210,13 +236,14 @@ def aid_hypergrad(
         dim=problem.param_dim,
         apply=lambda x: problem.inner_hvp(lam, theta_K, train, x),
     )
+    counts = np.zeros(b.shape[:-1], dtype=np.int64)  # iterations of each member
     if solver == "cg":
-        v, iters = cg_solve(op, b, max_iters=Z, tol=tol)
+        v, _ = cg_solve(op, b, max_iters=Z, tol=tol, counts=counts)
     else:
         step = fp_step if fp_step is not None and fp_step > 0 else None
         if step is None:
             raise ContractViolationError("fp solver requires fp_step > 0")
-        v, iters = fixed_point_solve(op, b, step=step, max_iters=Z, tol=tol)
+        v, _ = fixed_point_solve(op, b, step=step, max_iters=Z, tol=tol, counts=counts)
     residual = row_norm(op(v) - b)
     g = problem.outer_grad_lambda(lam, theta_K, val) - problem.inner_mixed_vp(
         lam, theta_K, train, v
@@ -228,7 +255,7 @@ def aid_hypergrad(
         inner_final=theta_K,
         diagnostics={
             "aid_residual": residual,
-            "solver_iters": iters,
+            "solver_iters": counts if counts.ndim else int(counts),
             "theta_final_norm": row_norm(theta_K),
         },
     )

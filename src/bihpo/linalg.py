@@ -97,13 +97,22 @@ def as_operator(A: Mat) -> LinearOperator:
     return LinearOperator(dim=A.shape[0], apply=lambda x: A @ x)
 
 
+def _iterations_run(iters: np.ndarray, counts: np.ndarray | None) -> int:
+    """Iterations a solve ran: the most any member needed. counts, if given,
+    receives each member's own count."""
+    if counts is not None:
+        counts[...] = iters
+    return int(iters.max())
+
+
 def _target_residual(b: Vec, tol: float) -> np.ndarray:
     # Relative stopping rule per member, floored so b = 0 still terminates.
     return tol * np.maximum(1.0, row_norm(b))
 
 
 def cg_solve(
-    op: LinearOperator, b: Vec, max_iters: int, tol: float = 1e-10
+    op: LinearOperator, b: Vec, max_iters: int, tol: float = 1e-10,
+    counts: np.ndarray | None = None,
 ) -> tuple[Vec, int]:
     """Conjugate gradients for op x = b with op symmetric positive definite.
 
@@ -111,8 +120,10 @@ def cg_solve(
     max_iters iterations, returning (x, iters_used). Raises NumericalError on
     non-finite iterates or CG breakdown (p^T A p <= 0), naming the iteration.
     A (B, dim) right-hand side solves B systems at once: each member stops on
-    its own rule and keeps its iterate from then on, iters_used is a (B,)
-    array, and an error also names the first failing member.
+    its own rule and keeps its iterate from then on, and an error also names
+    the first failing member. iters_used then counts the iterations until the
+    last member stopped (one op call each); counts, a (B,) int array, if
+    given receives each member's own count.
     """
     b = _as_batch(b, op.dim, "b")
     if max_iters < 0:
@@ -153,11 +164,12 @@ def cg_solve(
         beta = np.where(live, rs_new, 0.0) / np.where(live, rs, 1.0)
         p = r + beta[..., None] * p
         rs = rs_new
-    return x, (iters if iters.ndim else int(iters))
+    return x, _iterations_run(iters, counts)
 
 
 def fixed_point_solve(
-    op: LinearOperator, b: Vec, step: float, max_iters: int, tol: float = 1e-10
+    op: LinearOperator, b: Vec, step: float, max_iters: int, tol: float = 1e-10,
+    counts: np.ndarray | None = None,
 ) -> tuple[Vec, int]:
     """Richardson iteration v <- v - step * (op v - b) from v0 = 0.
 
@@ -165,7 +177,7 @@ def fixed_point_solve(
     Stops on ||op v - b|| <= tol * max(1, ||b||); raises NumericalError if the
     residual grows for 10 consecutive iterations (divergence) or goes
     non-finite, naming the iteration. A (B, dim) right-hand side solves B
-    systems at once, as in cg_solve.
+    systems at once, and iters_used and counts report as in cg_solve.
     """
     b = _as_batch(b, op.dim, "b")
     if max_iters < 0:
@@ -204,7 +216,7 @@ def fixed_point_solve(
         prev = rnorm
         v = v - step * np.where(live[..., None], res, 0.0)
         iters = np.where(live, it, iters)
-    return v, (iters if iters.ndim else int(iters))
+    return v, _iterations_run(iters, counts)
 
 
 def dense_solve(A: Mat, b: Vec) -> Vec:

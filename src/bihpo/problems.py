@@ -36,6 +36,9 @@ MODEL_KINDS = (
     "hyperclean_softmax",
 )
 
+# the squared-loss models, the only ones that fit the synthetic regression
+# data of the diagnostics and of `bihpo biasvar`
+REGRESSION_KINDS = ("ridge", "lasso_smooth", "elastic_net", "ridge_per_param")
 _SOFTMAX_KINDS = ("softmax_l2", "hyperclean_softmax")
 
 
@@ -80,9 +83,9 @@ class BilevelProblem:
     theta (length param_dim), and a DataView; the *_vp variants additionally
     take the direction v (length param_dim). inner_mixed_vp returns the
     cross second derivative d/d_lam (d inner / d theta) contracted with v,
-    a vector of length hyper_dim. When batched, the callbacks also take a
-    leading member axis, lam (B, hyper_dim), theta and v (B, param_dim), with
-    a StackedView of B members, and return one value per member.
+    a vector of length hyper_dim. Every callback also takes a leading member
+    axis, lam (B, hyper_dim), theta and v (B, param_dim), with a StackedView
+    of B members, and then returns one value per member.
     """
 
     hyper_dim: int
@@ -97,7 +100,6 @@ class BilevelProblem:
     effective: Callable[[Vec], Vec]
     kind: str = ""
     supports_aid: bool = True
-    batched: bool = False
 
 
 def check_args(
@@ -107,8 +109,8 @@ def check_args(
 
     The callbacks themselves do not re-check shapes. With DataViews (or no
     views) lam must be (p,) and theta (r,). With StackedViews of B members
-    (batched problems only) each may also be (B, p) / (B, r); both come back
-    broadcast to (B, p) / (B, r). names label lam and theta in the messages.
+    each may also be (B, p) / (B, r); both come back as (B, p) / (B, r).
+    names label lam and theta in the messages.
     """
     p, r = problem.hyper_dim, problem.param_dim
     lam_name, theta_name = names
@@ -123,10 +125,6 @@ def check_args(
                 f"{theta_name} must have shape ({r},), got {theta.shape}"
             )
         return lam, theta
-    if not problem.batched:
-        raise ContractViolationError(
-            f"model kind {problem.kind!r} takes no stacked views (not batched)"
-        )
     if n_stacked != len(views) or len({len(v) for v in views}) != 1:
         raise ContractViolationError(
             "train and val must both be stacked views with the same member count"
@@ -140,7 +138,12 @@ def check_args(
         raise ContractViolationError(
             f"{theta_name} must have shape ({r},) or ({B}, {r}), got {theta.shape}"
         )
-    return np.broadcast_to(lam, (B, p)), np.broadcast_to(theta, (B, r))
+    return _per_member(lam, B), _per_member(theta, B)
+
+
+def _per_member(x: np.ndarray, B: int) -> np.ndarray:
+    """x as (B, dim): rows already per member stay as they are, a shared (dim,) is repeated."""
+    return x if x.ndim == 2 else x[None].repeat(B, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +151,10 @@ def check_args(
 #
 # Every term callable takes (lam, theta, view); hvp and mixed also take the
 # direction v. A data loss given lam=None is its unweighted form, which is
-# the outer objective. Batched terms broadcast over a leading member axis:
-# lam (..., p), theta and v (..., r) and a DataView or StackedView.
+# the outer objective. Every term broadcasts over a leading member axis:
+# lam (..., p), theta and v (..., r) with a StackedView, whose rows are
+# (B, m, d). Each member then goes through the same numpy kernel call as a
+# DataView would, so its bits do not depend on the stacking.
 
 @dataclass(frozen=True)
 class _Term:
@@ -167,7 +172,6 @@ class _Term:
     mixed: Callable | None = None
     hyper_dim: int = 0
     effective: Callable[[Vec], Vec] = np.exp
-    batched: bool = False
     smooth: bool = True
 
 
@@ -193,21 +197,24 @@ def _quad_hvp(lam, theta, view, v):
 
 
 # mean squared error, from the view's Gram pair (X^T X / m, X^T y / m)
-_SQUARED = _Term(value=_quad_value, grad=_quad_grad, hvp=_quad_hvp, batched=True)
+_SQUARED = _Term(value=_quad_value, grad=_quad_grad, hvp=_quad_hvp)
 
 
 def _margin_loss(phi, dphi, d2phi, smooth: bool = True) -> _Term:
     """Mean of phi(y x^T theta) over the rows of a binary view (labels +-1)."""
 
     def margins(theta, view):
-        return view.y * (view.X @ theta)
+        return view.y * _matvec(view.X, theta)
+
+    def back(view, s):
+        """X^T s / m: per-row weights s (..., m) mapped back to theta."""
+        return _matvec(view.X.swapaxes(-1, -2), s) / view.m
 
     return _Term(
-        value=lambda lam, theta, view: float(np.mean(phi(margins(theta, view)))),
-        grad=lambda lam, theta, view: (
-            view.X.T @ (view.y * dphi(margins(theta, view)))) / view.m,
-        hvp=lambda lam, theta, view, v: (
-            view.X.T @ (d2phi(margins(theta, view)) * (view.X @ v))) / view.m,
+        value=lambda lam, theta, view: np.mean(phi(margins(theta, view)), axis=-1),
+        grad=lambda lam, theta, view: back(view, view.y * dphi(margins(theta, view))),
+        hvp=lambda lam, theta, view, v: back(
+            view, d2phi(margins(theta, view)) * _matvec(view.X, v)),
         smooth=smooth,
     )
 
@@ -229,9 +236,9 @@ _SQ_HINGE = _margin_loss(
 def _log_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise shifted logits Z - max, their sum of exponentials S, and the
     probabilities E / S; the log-probabilities are Z - max - log S."""
-    Zs = Z - Z.max(axis=1, keepdims=True)
+    Zs = Z - Z.max(axis=-1, keepdims=True)
     E = np.exp(Zs)
-    S = E.sum(axis=1, keepdims=True)
+    S = E.sum(axis=-1, keepdims=True)
     return Zs, S, E / S
 
 
@@ -253,36 +260,46 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
             )
         return expit(lam)
 
+    def logits(x, view):
+        """X W with W the (..., d, k) reshape of x: (..., m, k)."""
+        return view.X @ x.reshape(x.shape[:-1] + (d, k))
+
+    def back(view, G):
+        """X^T G / m, flattened to theta's layout (..., r)."""
+        out = (view.X.swapaxes(-1, -2) @ G) / view.m
+        return out.reshape(out.shape[:-2] + (r,))
+
     def probs(theta, view):
-        return _log_softmax(view.X @ theta.reshape(d, k))[2]
+        return _log_softmax(logits(theta, view))[2]
 
     def value(lam, theta, view):
-        Zs, S, _ = _log_softmax(view.X @ theta.reshape(d, k))
-        ce = np.log(S[:, 0]) - Zs[np.arange(view.m), view.labels]
+        Zs, S, _ = _log_softmax(logits(theta, view))
+        # the one-hot row picks the label's shifted logit exactly: the others add zeros
+        ce = np.log(S[..., 0]) - np.einsum("...k,...k->...", Zs, view.one_hot)
         w = weights(lam, view)
-        return float(np.mean(ce)) if w is None else float(w @ ce) / view.m
+        return np.mean(ce, axis=-1) if w is None else row_dot(w, ce) / view.m
 
     def grad(lam, theta, view):
         G = probs(theta, view) - view.one_hot
         w = weights(lam, view)
         if w is not None:
-            G = G * w[:, None]
-        return ((view.X.T @ G) / view.m).reshape(r)
+            G = G * w[..., None]
+        return back(view, G)
 
     def hvp(lam, theta, view, v):
         P = probs(theta, view)
-        dZ = view.X @ v.reshape(d, k)
-        term = P * dZ - P * (P * dZ).sum(axis=1, keepdims=True)
+        dZ = logits(v, view)
+        term = P * dZ - P * (P * dZ).sum(axis=-1, keepdims=True)
         w = weights(lam, view)
         if w is not None:
-            term = term * w[:, None]
-        return ((view.X.T @ term) / view.m).reshape(r)
+            term = term * w[..., None]
+        return back(view, term)
 
     def mixed(lam, theta, view, v):
         weights(lam, view)  # row-alignment check
-        dZ = view.X @ v.reshape(d, k)
+        dZ = logits(v, view)
         sig_prime = expit(lam) * expit(-lam)
-        return sig_prime * ((probs(theta, view) - view.one_hot) * dZ).sum(axis=1) / view.m
+        return sig_prime * ((probs(theta, view) - view.one_hot) * dZ).sum(axis=-1) / view.m
 
     return _Term(value=value, grad=grad, hvp=hvp, mixed=mixed,
                  hyper_dim=n_weights, effective=expit)
@@ -301,7 +318,6 @@ def _exp_l2(j: int = 0) -> _Term:
         hvp=lambda lam, theta, view, v: (2.0 * _coef(lam, j)) * v,
         mixed=lambda lam, theta, view, v: 2.0 * _coef(lam, j) * row_dot(theta, v)[..., None],
         hyper_dim=1,
-        batched=True,
     )
 
 
@@ -320,7 +336,6 @@ def _exp_phuber(delta: float, j: int = 0) -> _Term:
         mixed=lambda lam, theta, view, v: (
             _coef(lam, j) * row_dot(_phuber(theta, delta)[1], v)[..., None]),
         hyper_dim=1,
-        batched=True,
     )
 
 
@@ -333,7 +348,6 @@ def _sum(a: _Term, b: _Term) -> _Term:
         mixed=lambda lam, theta, view, v: np.concatenate(
             [a.mixed(lam, theta, view, v), b.mixed(lam, theta, view, v)], axis=-1),
         hyper_dim=a.hyper_dim + b.hyper_dim,
-        batched=a.batched and b.batched,
     )
 
 
@@ -345,7 +359,6 @@ def _exp_l2_per_coord(d: int) -> _Term:
         hvp=lambda lam, theta, view, v: 2.0 * np.exp(2.0 * lam) * v,
         mixed=lambda lam, theta, view, v: 4.0 * np.exp(2.0 * lam) * theta * v,
         hyper_dim=d,
-        batched=True,
     )
 
 
@@ -353,7 +366,6 @@ _NO_PENALTY = _Term(
     value=lambda lam, theta, view: 0.0,
     grad=lambda lam, theta, view: 0.0,
     hvp=lambda lam, theta, view, v: 0.0,
-    batched=True,
 )
 
 
@@ -395,7 +407,6 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term) -> BilevelP
         effective=reader.effective,
         kind=kind,
         supports_aid=loss.smooth,
-        batched=loss.batched and penalty.batched,
     )
 
 

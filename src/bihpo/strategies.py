@@ -7,7 +7,11 @@ reproducible under any execution order); with one split it is the
 single-split strategy. run_oehg: online variant where U shadow models
 advance one inner step per outer step and lambda is updated by one-step ITD
 through that step; a separately deployed model tracks the current lambda.
-Both get every hypergradient from estimate_hypergrad.
+
+Every split of a plan has the same train and validation sizes, so the U
+splits stack: each outer step of either strategy is one estimate_hypergrad
+call on StackedViews of the U splits, whose inner iterates are one (U, r)
+array. Each split's estimate is bitwise the one it would get alone.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataView, Dataset, Split, full_view
+from .data import DataView, Dataset, Split, StackedView, full_view
 from .errors import ContractViolationError, NumericalError
 from .hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
-from .linalg import Vec
+from .linalg import Vec, row_norm
 from .problems import BilevelProblem, check_args
 
 OPTIMIZER_KINDS = ("gd", "adam")
@@ -109,84 +113,82 @@ class HPOTrace:
         return self.lambdas[-1]
 
 
-def _finite_or_abort(value: float, what: str, step: int) -> float:
-    if not np.isfinite(value):
+def _finite_or_abort(values: np.ndarray, what: str, step: int) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
         raise NumericalError(f"{what} became non-finite at outer step {step}", step_index=step)
-    return float(value)
+    return values
 
 
-def _split_eval(
+def _split_evals(
     problem: BilevelProblem,
-    lam: np.ndarray,
-    theta: np.ndarray,
-    split_id: int,
-    grad_norm: float,
-    train: DataView,
-    val: DataView,
-    test_view: DataView | None,
+    lams: np.ndarray,
+    thetas: np.ndarray,
+    grads: np.ndarray,
+    train: StackedView,
+    val: StackedView,
+    test_view: StackedView | None,
     step: int,
-) -> SplitEval:
-    train_loss = _finite_or_abort(problem.inner_loss(lam, theta, train), "train loss", step)
-    val_loss = _finite_or_abort(problem.outer_loss(lam, theta, val), "val loss", step)
-    test_loss = None
+) -> list[SplitEval]:
+    """Each split's trace scalars at its final inner iterate: row i of lams, thetas, grads."""
+    train_loss = _finite_or_abort(problem.inner_loss(lams, thetas, train), "train loss", step)
+    val_loss = _finite_or_abort(problem.outer_loss(lams, thetas, val), "val loss", step)
+    test_loss = [None] * len(thetas)
     if test_view is not None:
-        test_loss = _finite_or_abort(problem.outer_loss(lam, theta, test_view), "test loss", step)
-    return SplitEval(
-        split_id=split_id,
-        hypergrad_norm=_finite_or_abort(grad_norm, "hypergradient norm", step),
-        train_loss=train_loss,
-        val_loss=val_loss,
-        test_loss=test_loss,
-    )
+        test_loss = _finite_or_abort(
+            problem.outer_loss(lams, thetas, test_view), "test loss", step).tolist()
+    norms = _finite_or_abort(row_norm(grads), "hypergradient norm", step)
+    return [
+        SplitEval(split_id=i, hypergrad_norm=float(norms[i]), train_loss=float(train_loss[i]),
+                  val_loss=float(val_loss[i]), test_loss=test_loss[i])
+        for i in range(len(thetas))
+    ]
 
 
 def _prepare(problem: BilevelProblem, ds: Dataset, splits: list[Split], T: int,
              lam0: Vec, theta0: Vec):
-    """Validated copies of lam0 and theta0, and each split's (train, val) views."""
+    """Validated copies of lam0 and theta0, and the splits' stacked train and val views.
+
+    The splits must share their train and validation sizes, as every plan's do.
+    """
     if T < 1:
         raise ContractViolationError("T must be >= 1")
     if not splits:
         raise ContractViolationError("need at least one split")
     lam, theta = check_args(problem, lam0, theta0, names=("lam0", "theta0"))
-    views = [(s.train_view(ds), s.val_view(ds)) for s in splits]
-    return lam.copy(), theta.copy(), views
+    train = StackedView([s.train_view(ds) for s in splits])
+    val = StackedView([s.val_view(ds) for s in splits])
+    return lam.copy(), theta.copy(), train, val
 
 
 def _ensemble_grad(
     problem: BilevelProblem,
     lam: np.ndarray,
-    starts: list[np.ndarray],
-    views: list[tuple[DataView, DataView]],
+    starts: np.ndarray,
+    train: StackedView,
+    val: StackedView,
     method: HypergradMethod,
     step: int,
-    test_view: DataView | None,
-) -> tuple[np.ndarray, list[np.ndarray], list[SplitEval]]:
-    """One estimate per split from its start point.
+    test_view: StackedView | None,
+) -> tuple[np.ndarray, np.ndarray, list[SplitEval]]:
+    """One stacked estimate of every split from its start point, (r,) or (U, r).
 
     Returns the mean of the split hypergradients (an index-ascending sum, so
-    it does not depend on execution order), each split's final inner iterate
-    and its trace scalars.
+    it does not depend on execution order), the splits' final inner iterates
+    (U, r) and their trace scalars.
     """
-    grads, finals, evals = [], [], []
-    for i, ((train, val), start) in enumerate(zip(views, starts)):
-        try:
-            res = estimate_hypergrad(problem, lam, start, train, val, method)
-        except NumericalError as exc:
-            raise NumericalError(
-                f"split {i} failed at outer step {step}: {exc}", step_index=step
-            ) from exc
-        grads.append(res.grad)
-        finals.append(res.inner_final)
-        evals.append(
-            _split_eval(
-                problem, lam, res.inner_final, i,
-                float(np.linalg.norm(res.grad)), train, val, test_view, step,
-            )
-        )
+    lams = lam[None].repeat(len(train), axis=0)  # one row per split
+    try:
+        res = estimate_hypergrad(problem, lams, starts, train, val, method)
+    except NumericalError as exc:
+        raise NumericalError(
+            f"split {exc.member} failed at outer step {step}: {exc.args[0]}", step_index=step
+        ) from exc
+    grads = res.grad
+    evals = _split_evals(problem, lams, res.inner_final, grads, train, val, test_view, step)
     gsum = grads[0].copy()
     for g in grads[1:]:
         gsum += g
-    return gsum / len(grads), finals, evals
+    return gsum / len(grads), res.inner_final, evals
 
 
 def run_ehg(
@@ -208,22 +210,21 @@ def run_ehg(
     split is solved once more at the final lambda so final_thetas matches it.
     With one split this is the single-split strategy.
     """
-    lam, theta_start, views = _prepare(problem, ds, splits, T, lam0, theta0)
-    starts = [theta_start] * len(views)
+    lam, starts, train, val = _prepare(problem, ds, splits, T, lam0, theta0)
+    test_views = None if test_view is None else StackedView([test_view] * len(splits))
     state = None
     trace = HPOTrace(lambdas=[lam.copy()])
     for t in range(T):
-        gmean, finals, evals = _ensemble_grad(problem, lam, starts, views, method, t, test_view)
+        gmean, finals, evals = _ensemble_grad(problem, lam, starts, train, val, method, t,
+                                              test_views)
         if warm_start:
             starts = finals
         trace.records.append(StepRecord(step=t, lam=lam.copy(), per_split=tuple(evals)))
         lam, state = optimizer_step(opt, lam, gmean, state)
         trace.lambdas.append(lam.copy())
 
-    trace.final_thetas = tuple(
-        inner_solve(problem, lam, start, train, method.K, method.alpha_in).final
-        for (train, _), start in zip(views, starts)
-    )
+    final = inner_solve(problem, lam, starts, train, method.K, method.alpha_in).final
+    trace.final_thetas = tuple(final)
     return trace
 
 
@@ -250,16 +251,17 @@ def run_oehg(
     """
     if alpha_in <= 0 or alpha_deploy <= 0:
         raise ContractViolationError("alpha_in and alpha_deploy must be > 0")
-    lam, theta_start, views = _prepare(problem, ds, splits, T, lam0, theta0)
+    lam, theta_start, train, val = _prepare(problem, ds, splits, T, lam0, theta0)
     if deploy_view is None:
         deploy_view = full_view(ds)
     one_step = HypergradMethod(kind="ITD", K=1, alpha_in=alpha_in)
-    shadows = [theta_start] * len(views)
+    shadows = theta_start
     deployed = theta_start
     state = None
     trace = HPOTrace(lambdas=[lam.copy()])
     for t in range(T):
-        gmean, shadows, evals = _ensemble_grad(problem, lam, shadows, views, one_step, t, None)
+        gmean, shadows, evals = _ensemble_grad(problem, lam, shadows, train, val, one_step, t,
+                                               None)
         new_lam, state = optimizer_step(opt, lam, gmean, state)
         deployed = deployed - alpha_deploy * problem.inner_grad_theta(
             new_lam, deployed, deploy_view
@@ -269,9 +271,9 @@ def run_oehg(
                 f"deployed model became non-finite at outer step {t}", step_index=t
             )
         if test_view is not None:
-            test_loss = _finite_or_abort(
+            test_loss = float(_finite_or_abort(
                 problem.outer_loss(new_lam, deployed, test_view), "test loss", t
-            )
+            ))
             evals = [
                 SplitEval(e.split_id, e.hypergrad_norm, e.train_loss, e.val_loss, test_loss)
                 for e in evals
@@ -280,6 +282,6 @@ def run_oehg(
         lam = new_lam
         trace.lambdas.append(lam.copy())
 
-    trace.final_thetas = tuple(th.copy() for th in shadows)
+    trace.final_thetas = tuple(shadows.copy())
     trace.deployed_theta = deployed.copy()
     return trace

@@ -74,6 +74,20 @@ def test_view_sorts_indices_and_caches_gram():
     assert_allclose(b, v.X.T @ v.y / v.m)
 
 
+@pytest.mark.parametrize("idx, message", [
+    ([3, 0, 3], "distinct"),
+    ([1, 1], "distinct"),
+    ([0, 2, 0, 2], "distinct"),
+    ([0, 4], "out of range"),
+    ([-1, 2], "out of range"),
+    ([], "non-empty"),
+])
+def test_view_refuses_bad_indices(idx, message):
+    ds = Dataset(X=np.arange(8.0).reshape(4, 2), y=np.arange(4.0), task="regression")
+    with pytest.raises(ContractViolationError, match=message):
+        DataView(ds, np.array(idx, dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # val_size / splits
 

@@ -1,5 +1,6 @@
 """Hypergradient estimators: unrolling, truncation, implicit solves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from bihpo.hypergrad import (
 )
 from bihpo.linalg import dense_solve
 from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem
-from helpers import zoo_instance, zoo_lambda
+from helpers import zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
 
 RIDGE1 = build_problem(ModelSpec(kind="ridge"), 1)
 
@@ -296,38 +297,46 @@ def test_estimate_hypergrad_propagates_divergence():
 
 
 # ---------------------------------------------------------------------------
-# stacked (batched) estimates
+# stacked estimates
 
-BATCHED_KINDS = ("ridge", "lasso_smooth", "elastic_net", "ridge_per_param")
 BATCH_METHODS = (
     HypergradMethod(kind="ITD", K=30, alpha_in=0.05),
     HypergradMethod(kind="TRHG", K=30, alpha_in=0.05, h=10),
     HypergradMethod(kind="AID_CG", K=60, alpha_in=0.05, Z=20),
     HypergradMethod(kind="AID_FP", K=60, alpha_in=0.05, Z=400),
 )
+# every kind with every estimator it offers (the squared hinge has no AID)
+KIND_METHODS = [
+    (kind, method) for kind in MODEL_KINDS for method in BATCH_METHODS
+    if kind != "svm_sqhinge" or not method.kind.startswith("AID")
+]
 
 
-def member_views(n_members=5, d=3):
+def member_views(n_members=5, d=3, kind="ridge"):
     """Per-member (train, val) views, each member with its own dataset and split."""
     trains, vals = [], []
     for c in range(n_members):
-        ds, _ = gen_linear(24, d, 0.3, seed=40 + c, beta_seed=1)
+        ds = zoo_dataset(kind, 24, d, seed=40 + c)
         split = make_splits(ds.n, SplitPlan(U=1, gamma=0.25, master_seed=c))[0]
         trains.append(split.train_view(ds))
         vals.append(split.val_view(ds))
     return trains, vals
 
 
+def member_problem(kind, trains):
+    n_weights = trains[0].m if kind == "hyperclean_softmax" else 0
+    return zoo_problem(kind, trains[0].dataset, n_weights, smoothing_delta=0.5)
+
+
 def rel_diff(a, b):
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
 
 
-@pytest.mark.parametrize("method", BATCH_METHODS, ids=lambda m: m.kind)
-@pytest.mark.parametrize("kind", BATCHED_KINDS)
+@pytest.mark.parametrize("kind, method", KIND_METHODS,
+                         ids=[f"{k}-{m.kind}" for k, m in KIND_METHODS])
 def test_stacked_estimate_matches_per_member_calls(kind, method):
-    trains, vals = member_views()
-    prob = build_problem(ModelSpec(kind=kind, smoothing_delta=0.5), 3)
-    assert prob.batched
+    trains, vals = member_views(kind=kind)
+    prob = member_problem(kind, trains)
     rng = np.random.Generator(np.random.PCG64(5))
     lam = 0.4 * rng.standard_normal((len(trains), prob.hyper_dim))
     theta0 = 0.1 * rng.standard_normal(prob.param_dim)
@@ -344,10 +353,10 @@ def test_stacked_estimate_matches_per_member_calls(kind, method):
                 assert abs(res.diagnostics[key][i] - value) <= 1e-12 * max(1.0, abs(value))
 
 
-@pytest.mark.parametrize("kind", BATCHED_KINDS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_stacked_losses_match_per_member(kind):
-    trains, vals = member_views()
-    prob = build_problem(ModelSpec(kind=kind, smoothing_delta=0.5), 3)
+    trains, vals = member_views(kind=kind)
+    prob = member_problem(kind, trains)
     rng = np.random.Generator(np.random.PCG64(8))
     lam = 0.4 * rng.standard_normal((len(trains), prob.hyper_dim))
     theta = rng.standard_normal((len(trains), prob.param_dim))
@@ -371,13 +380,18 @@ def test_stacked_estimate_broadcasts_shared_lambda_and_start():
     assert_array_equal(shared.grad, stacked.grad)
 
 
+def scaled_member(c, scale):
+    """Member c of member_views with its features scaled, which scales L by scale^2."""
+    ds, _ = gen_linear(24, 3, 0.3, seed=40 + c, beta_seed=1)
+    big = Dataset(X=scale * ds.X, y=ds.y, task="regression")
+    split = make_splits(big.n, SplitPlan(U=1, gamma=0.25, master_seed=c))[0]
+    return split.train_view(big), split.val_view(big)
+
+
 def test_stacked_estimate_names_diverging_member():
     trains, vals = member_views()
     # member 2 sees features scaled by 30, so alpha_in is far beyond its 2/L
-    ds, _ = gen_linear(24, 3, 0.3, seed=99, beta_seed=1)
-    big = Dataset(X=30.0 * ds.X, y=ds.y, task="regression")
-    split = make_splits(big.n, SplitPlan(U=1, gamma=0.25, master_seed=2))[0]
-    trains[2], vals[2] = split.train_view(big), split.val_view(big)
+    trains[2], vals[2] = scaled_member(2, 30.0)
     prob = build_problem(ModelSpec(kind="ridge"), 3)
     method = HypergradMethod(kind="ITD", K=400, alpha_in=0.1)
     with pytest.raises(NumericalError) as err:
@@ -392,12 +406,59 @@ def test_stacked_estimate_names_diverging_member():
     assert alone.value.member is None
 
 
-def test_stacked_views_refused_for_unbatched_models_and_bad_shapes():
-    prob, tr, va = zoo_instance("logistic_l2")
-    assert not prob.batched
-    with pytest.raises(ContractViolationError):
-        estimate_hypergrad(prob, zoo_lambda(prob), np.zeros(prob.param_dim),
-                           StackedView([tr, tr]), StackedView([va, va]), BATCH_METHODS[0])
+def stepwise_failure(prob, lam, theta0, train, K, alpha_in):
+    """(step, member) of the first non-finite inner gradient, checking every step."""
+    lam = np.broadcast_to(lam, np.shape(theta0)[:-1] + lam.shape[-1:])
+    theta = np.array(theta0, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            g = prob.inner_grad_theta(lam, theta, train)
+            bad = ~np.isfinite(g).all(axis=-1)
+            if bad.any():
+                return k, (int(np.argmax(bad)) if bad.ndim else None)
+            theta = theta - alpha_in * g
+    return None
+
+
+def test_members_diverging_at_different_steps_name_the_first():
+    trains, vals = member_views()
+    # member 3 (L x 100) diverges, and member 1 (L x 900) diverges sooner
+    trains[1], vals[1] = scaled_member(1, 30.0)
+    trains[3], vals[3] = scaled_member(3, 10.0)
+    prob = build_problem(ModelSpec(kind="ridge"), 3)
+    lam, K, alpha = np.zeros(1), 400, 0.1
+    step_1 = stepwise_failure(prob, lam, np.zeros(3), trains[1], K, alpha)[0]
+    step_3 = stepwise_failure(prob, lam, np.zeros(3), trains[3], K, alpha)[0]
+    assert step_1 < step_3
+    with pytest.raises(NumericalError) as err:
+        inner_solve(prob, lam, np.zeros(3), StackedView(trains), K, alpha)
+    expected = stepwise_failure(prob, lam, np.zeros((5, 3)), StackedView(trains), K, alpha)
+    assert (err.value.step_index, err.value.member) == expected == (step_1, 1)
+    # without member 1, the stack fails where member 3 does, and names it
+    rest = [trains[i] for i in (0, 2, 3, 4)]
+    with pytest.raises(NumericalError) as err:
+        inner_solve(prob, lam, np.zeros(3), StackedView(rest), K, alpha)
+    assert (err.value.step_index, err.value.member) == (step_3, 2)
+    assert f"step {step_3}" in str(err.value)
+
+
+def test_overflowing_update_is_named_at_the_next_step():
+    # grad = -theta doubles theta each step: from 1e300 the gradient stays
+    # finite, and the update theta - (-theta) overflows at step 27
+    prob, tr, _, lam = ridge_setup()
+    prob = dataclasses.replace(prob, inner_grad_theta=lambda lam, theta, view: -theta)
+    theta0 = np.full(3, 1e300)
+    with pytest.raises(NumericalError) as err:
+        inner_solve(prob, lam, theta0, tr, K=40, alpha_in=1.0)
+    assert err.value.step_index == 28
+    assert stepwise_failure(prob, lam, theta0, tr, 40, 1.0) == (28, None)
+    # overflowing on the last step leaves no gradient to check, as before
+    traj = inner_solve(prob, lam, theta0, tr, K=28, alpha_in=1.0)
+    assert np.all(np.isfinite(traj.thetas[27])) and not np.any(np.isfinite(traj.final))
+    assert stepwise_failure(prob, lam, theta0, tr, 28, 1.0) is None
+
+
+def test_stacked_views_refused_for_bad_shapes():
     trains, vals = member_views()
     ridge = build_problem(ModelSpec(kind="ridge"), 3)
     bad_calls = [

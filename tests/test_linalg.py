@@ -143,8 +143,10 @@ BATCH_B = np.array([[0.0, 0.0, 0.0, 0.0],
 
 
 def test_batched_cg_matches_row_by_row():
-    X, iters = cg_solve(DIAG_OP, BATCH_B, max_iters=10, tol=1e-12)
+    iters = np.full(4, -1)
+    X, ran = cg_solve(DIAG_OP, BATCH_B, max_iters=10, tol=1e-12, counts=iters)
     assert list(iters) == [0, 1, 2, 4]
+    assert ran == 4  # until the last member stopped
     for b, x, it in zip(BATCH_B, X, iters):
         x1, it1 = cg_solve(DIAG_OP, b, max_iters=10, tol=1e-12)
         assert_allclose(x, x1, rtol=1e-12, atol=0.0)
@@ -152,8 +154,11 @@ def test_batched_cg_matches_row_by_row():
 
 
 def test_batched_fixed_point_matches_row_by_row():
-    V, iters = fixed_point_solve(DIAG_OP, BATCH_B, step=0.2, max_iters=500, tol=1e-10)
+    iters = np.full(4, -1)
+    V, ran = fixed_point_solve(DIAG_OP, BATCH_B, step=0.2, max_iters=500, tol=1e-10,
+                               counts=iters)
     assert iters[0] == 0 and len(set(iters.tolist())) > 2
+    assert ran == iters.max() < 500
     for b, v, it in zip(BATCH_B, V, iters):
         v1, it1 = fixed_point_solve(DIAG_OP, b, step=0.2, max_iters=500, tol=1e-10)
         assert_allclose(v, v1, rtol=1e-12, atol=0.0)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bihpo.data import Split, SplitPlan, full_view, gen_linear, make_splits
-from bihpo.errors import ContractViolationError
-from bihpo.hypergrad import HypergradMethod, estimate_hypergrad
+from bihpo.data import Dataset, Split, SplitPlan, full_view, gen_linear, make_splits
+from bihpo.errors import ContractViolationError, NumericalError
+from bihpo.hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
 from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem
 from bihpo.strategies import OuterOptimizer, optimizer_step, run_ehg, run_oehg
-from helpers import zoo_instance, zoo_lambda
+from helpers import zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
 
 ITD25 = HypergradMethod(kind="ITD", K=25, alpha_in=0.08)
 
@@ -133,6 +133,10 @@ def test_run_rejects_bad_plan():
         run_ehg(prob, ds, splits, ITD25, opt, 0, np.array([0.3]), np.zeros(3))
     with pytest.raises(ContractViolationError):
         run_ehg(prob, ds, [], ITD25, opt, 1, np.array([0.3]), np.zeros(3))
+    # the splits stack, so they must share their sizes (every plan's splits do)
+    uneven = [splits[0], Split(train_idx=np.arange(1, 40), val_idx=np.array([0]), seed=0)]
+    with pytest.raises(ContractViolationError, match="must share"):
+        run_ehg(prob, ds, uneven, ITD25, opt, 1, np.array([0.3]), np.zeros(3))
     with pytest.raises(ContractViolationError):
         run_ehg(prob, ds, splits, ITD25, opt, 1, np.array([0.3, 0.1]), np.zeros(3))
 
@@ -327,3 +331,134 @@ def test_oehg_validation():
     with pytest.raises(ContractViolationError):
         run_oehg(prob, ds, splits, T=1, alpha_in=-0.1, opt=opt,
                  alpha_deploy=0.1, lam0=np.array([0.0]), theta0=np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# the stacked ensemble step against a per-split loop
+
+STACK_METHODS = (
+    HypergradMethod(kind="ITD", K=20, alpha_in=0.05),
+    HypergradMethod(kind="TRHG", K=20, alpha_in=0.05, h=5),
+    HypergradMethod(kind="AID_CG", K=30, alpha_in=0.05, Z=10),
+    HypergradMethod(kind="AID_FP", K=30, alpha_in=0.05, Z=100),
+)
+# every kind with every estimator it offers (the squared hinge has no AID)
+KIND_METHODS = [
+    (kind, method) for kind in MODEL_KINDS for method in STACK_METHODS
+    if kind != "svm_sqhinge" or not method.kind.startswith("AID")
+]
+
+
+def kind_setup(kind, U=3):
+    """A zoo problem with U splits, and the view the deployed model trains on."""
+    ds = zoo_dataset(kind, 40, 3, seed=31)
+    splits = make_splits(ds.n, SplitPlan(U=U, gamma=0.25, master_seed=5))
+    n_weights = len(splits[0].train_idx) if kind == "hyperclean_softmax" else 0
+    prob = zoo_problem(kind, ds, n_weights, smoothing_delta=0.5)
+    return prob, ds, splits, splits[0].train_view(ds)
+
+
+def assert_close(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.all(np.abs(actual - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
+def trace_scalars(trace):
+    return [(r.step, e.split_id, e.hypergrad_norm, e.train_loss, e.val_loss, e.test_loss)
+            for r in trace.records for e in r.per_split]
+
+
+def assert_trace_matches(trace, lambdas, rows, final_thetas):
+    assert len(trace.lambdas) == len(lambdas)
+    for got, want in zip(trace.lambdas, lambdas):
+        assert_close(got, want)
+    got_rows = trace_scalars(trace)
+    assert [r[:2] for r in got_rows] == [r[:2] for r in rows]
+    assert_close([r[2:] for r in got_rows], [r[2:] for r in rows])
+    assert_close(np.stack(trace.final_thetas), np.stack(final_thetas))
+
+
+def per_split_ehg(prob, ds, splits, method, opt, T, lam, theta0, test_view, warm_start):
+    """run_ehg written as one estimate_hypergrad call per split and step."""
+    views = [(s.train_view(ds), s.val_view(ds)) for s in splits]
+    starts, state, lambdas, rows = [theta0] * len(views), None, [lam], []
+    for t in range(T):
+        grads, finals = [], []
+        for i, ((tr, va), start) in enumerate(zip(views, starts)):
+            res = estimate_hypergrad(prob, lam, start, tr, va, method)
+            theta = res.inner_final
+            grads.append(res.grad)
+            finals.append(theta)
+            rows.append((t, i, np.linalg.norm(res.grad), prob.inner_loss(lam, theta, tr),
+                         prob.outer_loss(lam, theta, va), prob.outer_loss(lam, theta, test_view)))
+        if warm_start:
+            starts = finals
+        lam, state = optimizer_step(opt, lam, sum(grads) / len(grads), state)
+        lambdas.append(lam)
+    final = [inner_solve(prob, lam, start, tr, method.K, method.alpha_in).final
+             for (tr, _), start in zip(views, starts)]
+    return lambdas, rows, final
+
+
+@pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("kind, method", KIND_METHODS,
+                         ids=[f"{k}-{m.kind}" for k, m in KIND_METHODS])
+def test_stacked_ehg_matches_per_split_loop(kind, method, warm_start):
+    prob, ds, splits, _ = kind_setup(kind)
+    opt = OuterOptimizer(kind="adam", alpha_out=0.05)
+    lam0, th0 = zoo_lambda(prob), np.zeros(prob.param_dim)
+    test_view = full_view(ds)
+    trace = run_ehg(prob, ds, splits, method, opt, 3, lam0, th0, test_view=test_view,
+                    warm_start=warm_start)
+    assert_trace_matches(trace, *per_split_ehg(prob, ds, splits, method, opt, 3, lam0, th0,
+                                               test_view, warm_start))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_stacked_oehg_matches_per_split_loop(kind):
+    prob, ds, splits, deploy_view = kind_setup(kind)
+    opt = OuterOptimizer(kind="adam", alpha_out=0.05)
+    lam, th0 = zoo_lambda(prob), np.zeros(prob.param_dim)
+    test_view = full_view(ds)
+    trace = run_oehg(prob, ds, splits, 4, 0.05, opt, 0.05, lam, th0,
+                     deploy_view=deploy_view, test_view=test_view)
+
+    one_step = HypergradMethod(kind="ITD", K=1, alpha_in=0.05)
+    views = [(s.train_view(ds), s.val_view(ds)) for s in splits]
+    shadows, deployed, state, lambdas, rows = [th0] * len(views), th0, None, [lam], []
+    for t in range(4):
+        results = [estimate_hypergrad(prob, lam, shadow, tr, va, one_step)
+                   for (tr, va), shadow in zip(views, shadows)]
+        shadows = [res.inner_final for res in results]
+        new_lam, state = optimizer_step(opt, lam, sum(r.grad for r in results) / len(views),
+                                        state)
+        deployed = deployed - 0.05 * prob.inner_grad_theta(new_lam, deployed, deploy_view)
+        test_loss = prob.outer_loss(new_lam, deployed, test_view)
+        rows += [(t, i, np.linalg.norm(res.grad), prob.inner_loss(lam, res.inner_final, tr),
+                  prob.outer_loss(lam, res.inner_final, va), test_loss)
+                 for i, (res, (tr, va)) in enumerate(zip(results, views))]
+        lam = new_lam
+        lambdas.append(lam)
+    assert_trace_matches(trace, lambdas, rows, shadows)
+    assert_close(trace.deployed_theta, deployed)
+
+
+def test_ehg_names_the_diverging_split():
+    # row 0 has features 100x the others; only split 2 trains on it, and
+    # alpha_in is far beyond that split's 2/L
+    ds, _ = gen_linear(40, 3, 0.3, seed=17, beta_seed=2)
+    X = ds.X.copy()
+    X[0] *= 100.0
+    ds = Dataset(X=X, y=ds.y, task="regression")
+    vals = [[0, *range(1, 8)], [0, *range(8, 15)], list(range(15, 23)), [0, *range(23, 30)]]
+    splits = [Split(train_idx=np.setdiff1d(np.arange(40), v), val_idx=np.array(v), seed=0)
+              for v in vals]
+    prob = build_problem(ModelSpec(kind="ridge"), 3)
+    method = HypergradMethod(kind="ITD", K=200, alpha_in=0.1)
+    with pytest.raises(NumericalError, match="split 2 failed at outer step 0: inner gradient"
+                                             " became non-finite at step") as err:
+        run_ehg(prob, ds, splits, method, OuterOptimizer(kind="gd", alpha_out=0.1), 3,
+                np.zeros(1), np.zeros(3))
+    assert err.value.step_index == 0
+    assert err.value.__cause__.member == 2
