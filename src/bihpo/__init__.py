@@ -62,7 +62,7 @@ from .hypergrad import (
     itd_hypergrad,
     trhg_hypergrad,
 )
-from .linalg import LinearOperator, as_operator, cg_solve, dense_solve, fixed_point_solve
+from .linalg import LinearOperator, cg_solve, fixed_point_solve
 from .problems import (
     MODEL_KINDS,
     BilevelProblem,
@@ -112,14 +112,12 @@ __all__ = [
     "SweepDesign",
     "VarianceCurve",
     "aid_hypergrad",
-    "as_operator",
     "bias_variance_sweep",
     "build_problem",
     "carve_holdout",
     "cg_solve",
     "contraction_params",
     "corrupt_labels",
-    "dense_solve",
     "derive_seed",
     "ensemble_variance_curve",
     "enumerate_all_splits",

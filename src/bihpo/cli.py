@@ -18,7 +18,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import __version__
 from .config import (
@@ -54,7 +53,7 @@ from .hypergrad import (
     itd_hypergrad,
 )
 from .output import ensure_dir, fmt_float, write_csv, write_json
-from .problems import BilevelProblem, ModelSpec, build_problem, verify_derivatives
+from .problems import BilevelProblem, ModelSpec, build_problem, sigmoid, verify_derivatives
 from .strategies import HPOTrace, OuterOptimizer, run_ehg, run_oehg
 
 _TASK_FOR_KIND = {
@@ -344,7 +343,7 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
             trace = run_ehg(problem, dirty, [split], method, opt, cfg.strategy.T, lam0, theta0)
 
         u = trace.final_lambda
-        sig = expit(u)
+        sig = sigmoid(u)
         threshold = cfg.clean.threshold
         flagged = sig < threshold  # low weight = predicted corrupt
 

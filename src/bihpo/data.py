@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from .errors import ContractViolationError, InfeasiblePlanError, ParseError
 
@@ -37,8 +38,8 @@ def derive_seed(master_seed: int, counter: int) -> int:
     return splitmix64((master_seed ^ splitmix64(counter)) & _MASK64)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+def _rng(seed: int) -> Generator:
+    return Generator(PCG64(seed))
 
 
 @dataclass(frozen=True)
@@ -324,6 +325,14 @@ def subset(dataset: Dataset, idx: np.ndarray) -> Dataset:
     )
 
 
+@lru_cache(maxsize=64)
+def _shared_beta(beta_seed: int, d: int) -> np.ndarray:
+    """The ground-truth coefficients of gen_linear, drawn once per (beta_seed, d)."""
+    beta = _rng(beta_seed).standard_normal(d)
+    beta.flags.writeable = False
+    return beta
+
+
 def gen_linear(
     n: int, d: int, noise_sigma: float, seed: int, beta_seed: int = 0
 ) -> tuple[Dataset, np.ndarray]:
@@ -336,7 +345,7 @@ def gen_linear(
         raise ContractViolationError("gen_linear needs n >= 1 and d >= 1")
     if noise_sigma < 0:
         raise ContractViolationError("noise_sigma must be >= 0")
-    beta = _rng(beta_seed).standard_normal(d)
+    beta = _shared_beta(beta_seed, d).copy()
     rng = _rng(seed)
     X = rng.standard_normal((n, d))
     eps = rng.standard_normal(n) * noise_sigma

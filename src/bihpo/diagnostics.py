@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -25,55 +25,108 @@ from .data import (
     gen_linear,
     make_splits,
 )
-from .errors import ContractViolationError, NumericalError
+from .errors import ContractViolationError, NumericalError, SingularMatrixError
 from .hypergrad import HypergradMethod, estimate_hypergrad
-from .linalg import dense_solve
+from .linalg import row_dot
 from .problems import REGRESSION_KINDS, BilevelProblem, ModelSpec, build_problem
 
 
 @dataclass(eq=False)
 class RidgeOracle:
-    """Closed-form inner solution and exact hypergradient for ridge."""
+    """Closed-form inner solution and exact hypergradient for ridge.
 
-    train: DataView
-    val: DataView
+    train and val are DataViews, or StackedViews of B members each. Every
+    method takes lambda_eff (u for hypergrad_raw) as a float or as a 1-D grid
+    of G values, and solves the systems A_b + lambda_eff_g I of all members
+    and grid points in one stacked np.linalg.solve. Results have a leading
+    member axis for StackedViews, then a grid axis for a grid: theta_hat is
+    (B, G, d) with both and (d,) with neither, where hypergrad_eff is a float.
+    """
+
+    train: DataView | StackedView
+    val: DataView | StackedView
 
     def __post_init__(self):
+        # one leading member axis throughout, of length 1 for DataViews
         A, b = self.train.gram
-        self._A = A
-        self._b = b
+        X = self.val.X
+        self._stacked = A.ndim == 3
+        self._A = A.reshape(-1, *A.shape[-2:])
+        self._b = b.reshape(-1, b.shape[-1])
+        self._X = X.reshape(-1, *X.shape[-2:])
+        self._y = self.val.y.reshape(-1, 1, X.shape[-2])
+        self._eigs = np.linalg.eigvalsh(self._A)  # (B, d), ascending
 
-    def _system(self, lambda_eff: float) -> np.ndarray:
-        return self._A + lambda_eff * np.eye(self._A.shape[0])
+    def _grid(self, lambda_eff) -> np.ndarray:
+        lam = np.asarray(lambda_eff, dtype=np.float64)
+        if lam.ndim > 1 or not np.all(np.isfinite(lam)) or np.any(lam < 0):
+            raise ContractViolationError("lambda_eff must be finite and >= 0")
+        return lam.reshape(-1)
 
-    def theta_hat(self, lambda_eff: float) -> np.ndarray:
-        if lambda_eff < 0:
-            raise ContractViolationError("lambda_eff must be >= 0")
-        return dense_solve(self._system(lambda_eff), self._b)
+    def _out(self, values: np.ndarray, lambda_eff):
+        """values (B, G, ...) without the axes that the views and lambda_eff lack."""
+        if np.ndim(lambda_eff) == 0:
+            values = values[:, 0]
+        if not self._stacked:
+            values = values[0]
+        return float(values) if values.ndim == 0 else values
 
-    def dtheta_dlambda(self, lambda_eff: float) -> np.ndarray:
-        return dense_solve(self._system(lambda_eff), -self.theta_hat(lambda_eff))
+    def _closed_form(self, lambda_eff, derivative: bool = True):
+        """theta_hat and, if derivative, d theta_hat / d lambda_eff: (B, G, d) each.
 
-    def val_loss(self, lambda_eff: float) -> float:
-        r = self.val.X @ self.theta_hat(lambda_eff) - self.val.y
-        return float(r @ r) / self.val.m
+        Raises SingularMatrixError when lambda_eff + eigmin(A) <= 1e-12 *
+        (lambda_eff + eigmax(A)) for any member and grid point.
+        """
+        lam = self._grid(lambda_eff)
+        lo = self._eigs[:, :1] + lam  # (B, G)
+        hi = self._eigs[:, -1:] + lam
+        singular = lo <= 1e-12 * hi
+        if singular.any():
+            i, g = np.argwhere(singular)[0]
+            raise SingularMatrixError(
+                f"A + lambda_eff I is singular to working precision at lambda_eff = "
+                f"{lam[g]:.3e}: eigenvalues {lo[i, g]:.3e} to {hi[i, g]:.3e}",
+                member=int(i) if self._stacked else None,
+            )
+        B, d = self._b.shape
+        systems = self._A[:, None] + lam[:, None, None] * np.eye(d)  # (B, G, d, d)
+        theta = np.linalg.solve(systems, np.broadcast_to(self._b[:, None, :, None],
+                                                         (B, lam.size, d, 1)))
+        dtheta = np.linalg.solve(systems, -theta)[..., 0] if derivative else None
+        return theta[..., 0], dtheta
 
-    def hypergrad_eff(self, lambda_eff: float) -> float:
+    def _val_residual(self, theta: np.ndarray) -> np.ndarray:
+        """X_val theta - y_val per member and grid point, (B, G, m)."""
+        return theta @ self._X.swapaxes(-1, -2) - self._y
+
+    def theta_hat(self, lambda_eff):
+        return self._out(self._closed_form(lambda_eff, derivative=False)[0], lambda_eff)
+
+    def dtheta_dlambda(self, lambda_eff):
+        return self._out(self._closed_form(lambda_eff)[1], lambda_eff)
+
+    def val_loss(self, lambda_eff):
+        r = self._val_residual(self._closed_form(lambda_eff, derivative=False)[0])
+        return self._out(row_dot(r, r) / r.shape[-1], lambda_eff)
+
+    def hypergrad_eff(self, lambda_eff):
         """d (validation MSE) / d lambda_eff through the closed form."""
-        theta = self.theta_hat(lambda_eff)
-        dtheta = dense_solve(self._system(lambda_eff), -theta)
-        resid = self.val.X @ theta - self.val.y
-        return float((2.0 / self.val.m) * (resid @ (self.val.X @ dtheta)))
+        theta, dtheta = self._closed_form(lambda_eff)
+        resid = self._val_residual(theta)
+        grad = (2.0 / resid.shape[-1]) * np.einsum("bgi,bgi->bg", resid @ self._X, dtheta)
+        return self._out(grad, lambda_eff)
 
-    def hypergrad_raw(self, u: float) -> float:
+    def hypergrad_raw(self, u):
         """Same derivative in the raw (log) coordinate: chain factor e^u."""
-        le = math.exp(u)
+        le = np.exp(u)
         return le * self.hypergrad_eff(le)
 
-    def curvature(self, lambda_eff: float) -> tuple[float, float]:
+    def curvature(self, lambda_eff):
         """(L, mu) of the inner Hessian 2(X^T X / m) + 2 lambda_eff I."""
-        eigs = np.linalg.eigvalsh(self._A)
-        return 2.0 * (float(eigs[-1]) + lambda_eff), 2.0 * (float(eigs[0]) + lambda_eff)
+        lam = self._grid(lambda_eff)
+        L = 2.0 * (self._eigs[:, -1:] + lam)
+        mu = 2.0 * (self._eigs[:, :1] + lam)
+        return self._out(L, lambda_eff), self._out(mu, lambda_eff)
 
 
 # ---------------------------------------------------------------------------
@@ -170,24 +223,14 @@ class BiasVarianceReport:
     U: int
 
 
-def _ridge_oracle_grid(train: DataView, val: DataView, lam_grid_eff) -> np.ndarray:
-    """Exact raw-coordinate ridge hypergradients on a whole lambda grid."""
-    A, b = train.gram
-    lam = np.asarray(lam_grid_eff, dtype=np.float64)
-    d = A.shape[0]
-    systems = A[None, :, :] + lam[:, None, None] * np.eye(d)
-    rhs = np.broadcast_to(b[:, None], (lam.size, d, 1))
-    theta = np.linalg.solve(systems, rhs)[..., 0]
-    dtheta = np.linalg.solve(systems, -theta[..., None])[..., 0]
-    resid = theta @ val.X.T - val.y
-    grad_eff = (2.0 / val.m) * np.einsum("ij,ij->i", resid @ val.X, dtheta)
-    return lam * grad_eff
-
-
 def _oracle_mean(views: list[tuple[DataView, DataView]], lam_grid) -> np.ndarray:
-    """U-split mean of the exact ridge hypergradients on the grid, (n_lam, 1)."""
-    grids = np.stack([_ridge_oracle_grid(train, val, lam_grid) for train, val in views], axis=1)
-    return _u_means(grids.reshape(-1, 1), len(views))
+    """U-split mean of the exact raw-coordinate ridge hypergradients on the
+    effective grid, (n_lam, 1)."""
+    trains, vals = zip(*views)
+    lam = np.asarray(lam_grid, dtype=np.float64)
+    oracle = RidgeOracle(StackedView(trains), StackedView(vals))
+    grads = lam * oracle.hypergrad_eff(lam)  # (U, n_lam)
+    return _u_means(grads.T.reshape(-1, 1), len(views))
 
 
 def bias_variance_sweep(
@@ -367,32 +410,30 @@ def fpc_verify(
 ) -> FpcReport:
     """Exhaustively enumerate the split population and check the correction.
 
-    The per-split statistic is the raw-coordinate hypergradient: exact oracle
-    for ridge, otherwise the supplied estimator method. sigma^2 is the
-    population variance (1/V normalizer); the Monte-Carlo term estimates
-    E ||xbar - Xbar||^2 over `samples` draws of U-subsets without replacement.
+    The per-split statistic is the raw-coordinate hypergradient, for all V
+    splits at once: one stacked closed form (RidgeOracle) for ridge, otherwise
+    the supplied estimator method from theta = 0 in stacked runs (see
+    _stacked_estimates). sigma^2 is the population variance (1/V normalizer);
+    the Monte-Carlo term estimates E ||xbar - Xbar||^2 over `samples` draws of
+    U-subsets without replacement.
     """
     if samples < 1:
         raise ContractViolationError("samples must be >= 1")
+    if problem.kind != "ridge" and method is None:
+        raise ContractViolationError("non-ridge problems need an explicit estimator method")
     splits = enumerate_all_splits(ds.n, gamma)
     V = len(splits)
     if not (1 <= U <= V):
         raise ContractViolationError(f"need 1 <= U <= V = {V}, got U = {U}")
 
-    stats = []
-    theta0 = np.zeros(problem.param_dim)
-    lam = np.full(problem.hyper_dim, lam_raw)
-    for s in splits:
-        train, val = s.train_view(ds), s.val_view(ds)
-        if problem.kind == "ridge":
-            stats.append(np.array([RidgeOracle(train, val).hypergrad_raw(lam_raw)]))
-        else:
-            if method is None:
-                raise ContractViolationError(
-                    "non-ridge problems need an explicit estimator method"
-                )
-            stats.append(estimate_hypergrad(problem, lam, theta0, train, val, method).grad)
-    S = np.stack(stats)  # (V, p)
+    trains = [s.train_view(ds) for s in splits]
+    vals = [s.val_view(ds) for s in splits]
+    if problem.kind == "ridge":
+        oracle = RidgeOracle(StackedView(trains), StackedView(vals))
+        S = oracle.hypergrad_raw(lam_raw)[:, None]  # (V, 1)
+    else:
+        lam = np.full(problem.hyper_dim, lam_raw)
+        S = _stacked_estimates(problem, method, zip(trains, vals, repeat(lam)))  # (V, p)
     Xbar = S.mean(axis=0)
     sigma_sq = float(np.mean(np.sum((S - Xbar) ** 2, axis=1)))
 

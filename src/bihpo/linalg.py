@@ -1,43 +1,24 @@
-"""Dense kernels and matrix-free iterative solvers.
+"""Batched dot products and matrix-free iterative solvers.
 
-Vectors and matrices are plain float64 numpy arrays (Vec: 1-D, Mat: 2-D,
-row-major). Iterative solvers operate on a LinearOperator so callers can pass
-Hessian-vector products without ever materializing the matrix. The operators
-and iterative solvers also take a batch of B independent systems as (B, dim)
+Vectors are plain float64 numpy arrays (Vec: 1-D). Iterative solvers operate
+on a LinearOperator so callers can pass Hessian-vector products without ever
+materializing the matrix. The operators and iterative solvers also take a batch of B independent systems as (B, dim)
 arrays, one row per member, and stop each member on its own.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
-from .errors import ContractViolationError, NumericalError, SingularMatrixError
+from .errors import ContractViolationError, NumericalError
 
 Vec = np.ndarray
-Mat = np.ndarray
 
 # Residual growth on this many consecutive iterations counts as divergence.
 _DIVERGENCE_PATIENCE = 10
-
-
-def _as_vec(x, name: str) -> Vec:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ContractViolationError(f"{name} must be 1-D, got ndim={x.ndim}")
-    return x
-
-
-def _as_mat(A, name: str) -> Mat:
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise ContractViolationError(f"{name} must be 2-D, got ndim={A.ndim}")
-    return A
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,14 +68,6 @@ class LinearOperator:
                 f"operator returned shape {y.shape}, expected {x.shape}"
             )
         return y
-
-
-def as_operator(A: Mat) -> LinearOperator:
-    """Wrap a dense square matrix as a LinearOperator."""
-    A = _as_mat(A, "A")
-    if A.shape[0] != A.shape[1]:
-        raise ContractViolationError(f"A must be square, got {A.shape}")
-    return LinearOperator(dim=A.shape[0], apply=lambda x: A @ x)
 
 
 def _iterations_run(iters: np.ndarray, counts: np.ndarray | None) -> int:
@@ -217,37 +190,3 @@ def fixed_point_solve(
         v = v - step * np.where(live[..., None], res, 0.0)
         iters = np.where(live, it, iters)
     return v, _iterations_run(iters, counts)
-
-
-def dense_solve(A: Mat, b: Vec) -> Vec:
-    """Solve A x = b by LU factorization with partial pivoting.
-
-    Raises SingularMatrixError when a pivot magnitude falls at or below
-    1e-12 * max|A_ij|, rather than returning garbage.
-    """
-    A = _as_mat(A, "A")
-    b = _as_vec(b, "b")
-    if A.shape[0] != A.shape[1]:
-        raise ContractViolationError(f"A must be square, got {A.shape}")
-    if A.shape[0] != b.shape[0]:
-        raise ContractViolationError(
-            f"shape mismatch: A is {A.shape}, b has length {b.shape[0]}"
-        )
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
-        raise ContractViolationError("dense_solve requires finite inputs")
-
-    with warnings.catch_warnings():
-        # the explicit pivot check below is the singularity handler
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    threshold = 1e-12 * float(np.max(np.abs(A)))
-    if np.min(pivots) <= threshold:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision: min pivot {np.min(pivots):.3e} "
-            f"<= {threshold:.3e}"
-        )
-    x = lu_solve((lu, piv), b, check_finite=False)
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("dense_solve produced non-finite solution")
-    return x

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .data import DataView, StackedView
 from .errors import ConfigError, ContractViolationError
@@ -40,6 +39,16 @@ MODEL_KINDS = (
 # data of the diagnostics and of `bihpo biasvar`
 REGRESSION_KINDS = ("ridge", "lasso_smooth", "elastic_net", "ridge_per_param")
 _SOFTMAX_KINDS = ("softmax_l2", "hyperclean_softmax")
+
+
+def sigmoid(x):
+    """The logistic function 1 / (1 + e^{-x}), elementwise.
+
+    Below x = -709.78, e^{-x} overflows to inf and the result is 0. That
+    overflow is expected, so it raises no RuntimeWarning.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -221,8 +230,8 @@ def _margin_loss(phi, dphi, d2phi, smooth: bool = True) -> _Term:
 
 _LOGISTIC = _margin_loss(
     lambda t: np.logaddexp(0.0, -t),
-    lambda t: -expit(-t),
-    lambda t: expit(t) * expit(-t),
+    lambda t: -sigmoid(-t),
+    lambda t: sigmoid(t) * sigmoid(-t),
 )
 # the squared hinge has a piecewise-linear gradient: its Hessian jumps at the margin
 _SQ_HINGE = _margin_loss(
@@ -258,7 +267,7 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
             raise ContractViolationError(
                 f"hyperclean train view must have exactly {n_weights} rows, got {view.m}"
             )
-        return expit(lam)
+        return sigmoid(lam)
 
     def logits(x, view):
         """X W with W the (..., d, k) reshape of x: (..., m, k)."""
@@ -296,13 +305,12 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
         return back(view, term)
 
     def mixed(lam, theta, view, v):
-        weights(lam, view)  # row-alignment check
+        sig_prime = weights(lam, view) * sigmoid(-lam)  # the weights check the rows too
         dZ = logits(v, view)
-        sig_prime = expit(lam) * expit(-lam)
         return sig_prime * ((probs(theta, view) - view.one_hot) * dZ).sum(axis=-1) / view.m
 
     return _Term(value=value, grad=grad, hvp=hvp, mixed=mixed,
-                 hyper_dim=n_weights, effective=expit)
+                 hyper_dim=n_weights, effective=sigmoid)
 
 
 def _coef(lam: Vec, j: int) -> Vec:

@@ -3,7 +3,14 @@
 import numpy as np
 
 from bihpo.data import Dataset, SplitPlan, gen_linear, gen_multiclass, make_splits
+from bihpo.linalg import LinearOperator
 from bihpo.problems import REGRESSION_KINDS, ModelSpec, build_problem
+
+
+def as_operator(A):
+    """A dense square matrix as a LinearOperator on (dim,) or (B, dim) arrays."""
+    A = np.asarray(A, dtype=np.float64)
+    return LinearOperator(dim=A.shape[0], apply=lambda x: x @ A.T)
 
 
 def zoo_dataset(kind, n, d, seed):

@@ -42,7 +42,7 @@ from bihpo.hypergrad import (
     inner_solve,
     itd_hypergrad,
 )
-from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem
+from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem, sigmoid
 from bihpo.strategies import OuterOptimizer, run_ehg, run_oehg
 from helpers import zoo_instance
 
@@ -210,8 +210,6 @@ def _accuracy(W, view):
 
 
 def test_criterion_08_hyper_cleaning_recovers_corrupted_labels():
-    from scipy.special import expit
-
     t0 = time.monotonic()
     f1s, gains = [], []
     for s in range(5):
@@ -236,7 +234,7 @@ def test_criterion_08_hyper_cleaning_recovers_corrupted_labels():
                          alpha_deploy=0.5, lam0=np.zeros(n_w),
                          theta0=np.zeros(prob.param_dim),
                          deploy_view=split.train_view(dirty))
-        flagged = expit(trace.final_lambda) < 0.5
+        flagged = sigmoid(trace.final_lambda) < 0.5
         tp = int(np.sum(flagged & mask_train))
         fp = int(np.sum(flagged & ~mask_train))
         fn = int(np.sum(~flagged & mask_train))

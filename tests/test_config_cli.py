@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,21 @@ from bihpo.config import (
     validate_config,
 )
 from bihpo.errors import ConfigError, ParseError
+
+
+def test_cli_import_loads_numpy_random_and_no_scipy():
+    # numpy.random must load with the package, not inside the first call that
+    # draws data; scipy must not load at all
+    code = ("import sys, bihpo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('numpy.random' in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "True"]
 
 
 def deep_update(base: dict, over: dict) -> dict:

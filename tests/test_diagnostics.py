@@ -9,12 +9,20 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bihpo import diagnostics
-from bihpo.data import Dataset, SplitPlan, derive_seed, full_view, gen_linear, make_splits
+from bihpo.data import (
+    Dataset,
+    SplitPlan,
+    StackedView,
+    derive_seed,
+    enumerate_all_splits,
+    full_view,
+    gen_linear,
+    make_splits,
+)
 from bihpo.diagnostics import (
     RidgeOracle,
     SweepDesign,
     _replicate_views,
-    _ridge_oracle_grid,
     _stacked_estimates,
     bias_variance_sweep,
     ensemble_variance_curve,
@@ -22,7 +30,7 @@ from bihpo.diagnostics import (
     fpc_with_replacement,
     fpc_without_replacement,
 )
-from bihpo.errors import ContractViolationError, NumericalError
+from bihpo.errors import ContractViolationError, NumericalError, SingularMatrixError
 from bihpo.hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
 from bihpo.problems import ModelSpec, build_problem
 
@@ -111,6 +119,18 @@ def test_oracle_rejects_negative_regularization():
         RidgeOracle(tr, va).theta_hat(-0.5)
 
 
+def test_oracle_refuses_a_singular_system():
+    # a duplicated feature column makes X^T X singular, so lambda_eff = 0 has no unique solution
+    X = np.random.Generator(np.random.PCG64(4)).standard_normal((12, 2))
+    ds = Dataset(X=np.column_stack([X, X[:, 0]]), y=np.arange(12.0), task="regression")
+    oracle = RidgeOracle(full_view(ds), full_view(ds))
+    with pytest.raises(SingularMatrixError):
+        oracle.theta_hat(0.0)
+    with pytest.raises(SingularMatrixError):
+        oracle.hypergrad_eff(np.array([1.0, 0.0]))
+    assert np.all(np.isfinite(oracle.theta_hat(1e-3)))
+
+
 def test_curvature_matches_hessian_eigenvalues():
     tr, va = ridge_views()
     A, _ = tr.gram
@@ -129,15 +149,35 @@ def test_long_inner_solve_reaches_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# the batched ridge oracle grid agrees with the oracle
+# the oracle on a lambda grid and on stacked views agrees with its scalar calls
 
 def test_oracle_grid_fast_path_matches_oracle():
     tr, va = ridge_views()
-    grid = [0.3, 0.9, 1.7, 4.2]
-    fast = _ridge_oracle_grid(tr, va, grid)
+    grid = np.array([0.3, 0.9, 1.7, 4.2])
     oracle = RidgeOracle(tr, va)
-    for le, g in zip(grid, fast):
+    fast = oracle.hypergrad_raw(np.log(grid))
+    thetas = oracle.theta_hat(grid)
+    assert fast.shape == (4,) and thetas.shape == (4, 3)
+    for le, g, theta in zip(grid, fast, thetas):
         assert_allclose(g, oracle.hypergrad_raw(math.log(le)), rtol=1e-12)
+        assert_allclose(theta, oracle.theta_hat(le), rtol=1e-12)
+
+
+def test_stacked_oracle_matches_per_view_oracles():
+    ds, _ = gen_linear(40, 3, 0.3, seed=5, beta_seed=2)
+    splits = make_splits(40, SplitPlan(U=4, gamma=0.25, master_seed=6))
+    views = [(s.train_view(ds), s.val_view(ds)) for s in splits]
+    oracle = RidgeOracle(StackedView([t for t, _ in views]), StackedView([v for _, v in views]))
+    grid = np.array([0.5, 2.0])
+    assert oracle.theta_hat(grid).shape == (4, 2, 3)
+    L, mu = oracle.curvature(0.7)
+    for i, (tr, va) in enumerate(views):
+        one = RidgeOracle(tr, va)
+        assert_allclose(oracle.theta_hat(1.3)[i], one.theta_hat(1.3), rtol=1e-12)
+        assert_allclose(oracle.dtheta_dlambda(grid)[i], one.dtheta_dlambda(grid), rtol=1e-12)
+        assert_allclose(oracle.val_loss(grid)[i], one.val_loss(grid), rtol=1e-12)
+        assert_allclose(oracle.hypergrad_raw(0.2)[i], one.hypergrad_raw(0.2), rtol=1e-12)
+        assert (L[i], mu[i]) == one.curvature(0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +445,32 @@ def test_fpc_verify_monte_carlo_matches_formula():
     rep = fpc_verify(ds, 0.5, U=3, lam_raw=0.0, problem=prob, samples=4000, seed=2)
     assert rep.exact_without > 0
     assert abs(rep.mc_estimate - rep.exact_without) < 0.05 * rep.exact_without
+
+
+@pytest.mark.parametrize("kind", ["ridge", "lasso_smooth"])
+def test_fpc_verify_matches_per_split_loop(kind):
+    ds, _ = fpc_instance()
+    prob = build_problem(ModelSpec(kind=kind, smoothing_delta=1e-3), 1)
+    method = HypergradMethod(kind="ITD", K=30, alpha_in=0.1)
+    rep = fpc_verify(ds, 0.5, U=3, lam_raw=0.4, problem=prob, samples=10, seed=0, method=method)
+    stats = []
+    for s in enumerate_all_splits(ds.n, 0.5):
+        tr, va = s.train_view(ds), s.val_view(ds)
+        if kind == "ridge":
+            stats.append([RidgeOracle(tr, va).hypergrad_raw(0.4)])
+        else:
+            stats.append(estimate_hypergrad(prob, np.array([0.4]), np.zeros(1), tr, va,
+                                            method).grad)
+    S = np.array(stats)
+    Xbar = S.mean(axis=0)
+    sigma_sq = float(np.mean(np.sum((S - Xbar) ** 2, axis=1)))
+    # the same U-subset draws, which pin each statistic to its split
+    rng = np.random.Generator(np.random.PCG64(0))
+    order = np.sort(np.argsort(rng.random((10, 15)), axis=1)[:, :3], axis=1)
+    mc = float(np.mean(np.sum((S[order].mean(axis=1) - Xbar) ** 2, axis=1)))
+    assert rep.V == len(stats) == 15
+    assert abs(rep.sigma_sq - sigma_sq) <= 1e-12 * sigma_sq
+    assert abs(rep.mc_estimate - mc) <= 1e-12 * mc
 
 
 def test_fpc_verify_needs_method_for_non_ridge():

@@ -22,7 +22,6 @@ from bihpo.hypergrad import (
     itd_hypergrad,
     trhg_hypergrad,
 )
-from bihpo.linalg import dense_solve
 from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem
 from helpers import zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
 
@@ -188,7 +187,7 @@ def test_aid_cg_matches_dense_implicit_solve():
     theta = RidgeOracle(tr, va).theta_hat(math.exp(lam[0]))
     A, _ = tr.gram
     H = 2.0 * (A + math.exp(lam[0]) * np.eye(3))
-    v = dense_solve(H, prob.outer_grad_theta(lam, theta, va))
+    v = np.linalg.solve(H, prob.outer_grad_theta(lam, theta, va))
     want = -prob.inner_mixed_vp(lam, theta, tr, v)
     got = aid_hypergrad(prob, lam, theta, tr, va, solver="cg", Z=3).grad
     assert_allclose(got, want, rtol=1e-8)

@@ -1,4 +1,4 @@
-"""Dense kernels: CG, fixed-point iteration, LU solve."""
+"""Matrix-free solvers: CG and fixed-point iteration, single and batched."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bihpo.errors import ContractViolationError, NumericalError, SingularMatrixError
-from bihpo.linalg import LinearOperator, as_operator, cg_solve, dense_solve, fixed_point_solve
+from bihpo.errors import ContractViolationError, NumericalError
+from bihpo.linalg import LinearOperator, cg_solve, fixed_point_solve
+from helpers import as_operator
 
 
 def random_spd(n, seed):
@@ -35,7 +36,7 @@ def test_cg_matches_dense_solve():
     rng = np.random.Generator(np.random.PCG64(1))
     b = rng.standard_normal(5)
     x, _ = cg_solve(as_operator(A), b, max_iters=5)
-    assert_allclose(x, dense_solve(A, b), rtol=1e-8, atol=1e-10)
+    assert_allclose(x, np.linalg.solve(A, b), rtol=1e-8, atol=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -46,7 +47,7 @@ def test_cg_finite_termination(n, seed):
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     b = rng.standard_normal(n)
     x, _ = cg_solve(as_operator(A), b, max_iters=n, tol=0.0)
-    exact = dense_solve(A, b)
+    exact = np.linalg.solve(A, b)
     assert np.linalg.norm(x - exact) <= 1e-8 * max(1.0, np.linalg.norm(exact))
 
 
@@ -100,29 +101,7 @@ def test_fp_agrees_with_cg(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# dense_solve
-
-def test_dense_identity():
-    assert_allclose(dense_solve(np.eye(3), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
-
-
-def test_dense_diagonal():
-    assert_allclose(dense_solve(np.array([[2.0, 0.0], [0.0, 4.0]]),
-                                np.array([2.0, 4.0])), [1.0, 1.0])
-
-
-def test_dense_residual():
-    rng = np.random.Generator(np.random.PCG64(3))
-    A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-    b = rng.standard_normal(4)
-    x = dense_solve(A, b)
-    assert np.linalg.norm(A @ x - b) < 1e-10
-
-
-def test_dense_singular():
-    with pytest.raises(SingularMatrixError):
-        dense_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
-
+# LinearOperator
 
 def test_operator_shape_check():
     op = as_operator(np.eye(3))

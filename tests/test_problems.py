@@ -1,6 +1,7 @@
 """Model zoo: losses, gradients, second-order products, derivative checker."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from bihpo.data import DataView, Dataset, SplitPlan, full_view, gen_linear, gen_multiclass, make_splits
 from bihpo.errors import ConfigError, ContractViolationError
-from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem, verify_derivatives
+from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem, sigmoid, verify_derivatives
 from helpers import zoo_instance
 
 RIDGE = build_problem(ModelSpec(kind="ridge"), 1)
@@ -210,6 +211,29 @@ def test_hyperclean_weights_stay_in_unit_interval():
         lam = np.full(prob.hyper_dim, u)
         loss = prob.inner_loss(lam, np.zeros(prob.param_dim), train)
         assert 0.0 <= loss <= math.log(3.0) + 1e-9  # weights in (0,1) bound the CE
+
+
+def test_sigmoid_is_exact_at_the_extremes_and_silent():
+    x = np.array([-800.0, 800.0, -np.inf, np.inf, np.nan, 0.0])
+    # logistic margins y x theta of +800 and -800
+    view = full_view(Dataset(X=np.array([[1.0], [-1.0]]), y=np.array([1.0, 1.0]), task="binary"))
+    prob = build_problem(ModelSpec(kind="logistic_l2"), 1)
+    theta = np.array([800.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = sigmoid(x)
+        g = prob.inner_grad_theta(np.zeros(1), theta, view)
+        h = prob.inner_hvp(np.zeros(1), theta, view, np.ones(1))
+    assert s[0] == 0.0 and s[1] == 1.0 and s[2] == 0.0 and s[3] == 1.0 and s[5] == 0.5
+    assert np.isnan(s[4])
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(h))
+
+
+def test_sigmoid_matches_the_overflow_free_form():
+    x = np.random.Generator(np.random.PCG64(3)).normal(0.0, 20.0, 10_000)
+    e = np.exp(-np.abs(x))
+    stable = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert_allclose(sigmoid(x), stable, rtol=1e-15, atol=0.0)
 
 
 def test_outer_loss_has_no_direct_lambda_dependence():
