@@ -255,7 +255,7 @@ def make_splits(n: int, plan: SplitPlan) -> list[Split]:
                 f"C({n}, {m_val}) = {total} exist",
                 field_path="split.U",
             )
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()  # each val is a sorted int64 array, so its bytes are exact
     budget = 1000 * plan.U + 1000
     splits = []
     for i in range(plan.U):
@@ -263,7 +263,7 @@ def make_splits(n: int, plan: SplitPlan) -> list[Split]:
         rng = _rng(seed_i)
         while True:
             val = np.sort(rng.choice(n, size=m_val, replace=False))
-            key = tuple(int(v) for v in val)
+            key = val.tobytes()
             if plan.mode == "with_replacement" or key not in seen:
                 break
             budget -= 1

@@ -242,12 +242,42 @@ _SQ_HINGE = _margin_loss(
 )
 
 
+def _row_max(Z: np.ndarray) -> np.ndarray:
+    """Z.max(axis=-1, keepdims=True), folded over the columns with np.maximum.
+
+    numpy restarts its reduce loop for every row, which dominates on the
+    short class axis: at (560, 4) the reduction takes about 39 us and the
+    np.exp of the same array 3.6 us. The fold makes k - 1 elementwise passes
+    instead and is faster up to about 12-15 classes at 560 rows (k = 10:
+    about 30 vs 45 us; k = 20: about 75 vs 50 us). The max does not depend
+    on the order, so the bits are numpy's for every k.
+    """
+    M = Z[..., 0:1]
+    for j in range(1, Z.shape[-1]):
+        M = np.maximum(M, Z[..., j:j + 1])
+    return M
+
+
+def _row_sum(Z: np.ndarray) -> np.ndarray:
+    """Z.sum(axis=-1, keepdims=True), folded over the columns left to right.
+
+    Below 8 items numpy adds in index order, so for k < 8 these are the same
+    additions and the same bits, except that numpy starts from +0.0: a row
+    of negative zeros sums to +0 there and to -0 here. From k = 8 numpy sums
+    pairwise and the two may differ in the last ulp. Speed as for _row_max.
+    """
+    S = Z[..., 0:1]
+    for j in range(1, Z.shape[-1]):
+        S = S + Z[..., j:j + 1]
+    return S
+
+
 def _log_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise shifted logits Z - max, their sum of exponentials S, and the
     probabilities E / S; the log-probabilities are Z - max - log S."""
-    Zs = Z - Z.max(axis=-1, keepdims=True)
+    Zs = Z - _row_max(Z)
     E = np.exp(Zs)
-    S = E.sum(axis=-1, keepdims=True)
+    S = _row_sum(E)
     return Zs, S, E / S
 
 
@@ -297,8 +327,8 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
 
     def hvp(lam, theta, view, v):
         P = probs(theta, view)
-        dZ = logits(v, view)
-        term = P * dZ - P * (P * dZ).sum(axis=-1, keepdims=True)
+        PdZ = P * logits(v, view)
+        term = PdZ - P * _row_sum(PdZ)
         w = weights(lam, view)
         if w is not None:
             term = term * w[..., None]
@@ -307,7 +337,7 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
     def mixed(lam, theta, view, v):
         sig_prime = weights(lam, view) * sigmoid(-lam)  # the weights check the rows too
         dZ = logits(v, view)
-        return sig_prime * ((probs(theta, view) - view.one_hot) * dZ).sum(axis=-1) / view.m
+        return sig_prime * _row_sum((probs(theta, view) - view.one_hot) * dZ)[..., 0] / view.m
 
     return _Term(value=value, grad=grad, hvp=hvp, mixed=mixed,
                  hyper_dim=n_weights, effective=sigmoid)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import yaml
 
-from bihpo.cli import main
+from bihpo.cli import _accuracy, _train_softmax, main
 from bihpo.data import (
     DataView,
     Dataset,
@@ -197,18 +197,6 @@ def test_criterion_07_ensemble_beats_single_split():
             wins >= 14 and elapsed < 120.0, f"wins {wins}/20, {elapsed:.1f}s")
 
 
-def _softmax_fit(X, y, num_classes, K, alpha, raw_lambda):
-    ds = Dataset(X=X, y=y, task="multiclass", num_classes=num_classes)
-    prob = build_problem(ModelSpec(kind="softmax_l2", num_classes=num_classes), ds.d)
-    traj = inner_solve(prob, np.array([raw_lambda]), np.zeros(prob.param_dim),
-                       full_view(ds), K, alpha)
-    return traj.final.reshape(ds.d, num_classes)
-
-
-def _accuracy(W, view):
-    return float(np.mean(np.argmax(view.X @ W, axis=1) == view.labels))
-
-
 def test_criterion_08_hyper_cleaning_recovers_corrupted_labels():
     t0 = time.monotonic()
     f1s, gains = [], []
@@ -242,9 +230,9 @@ def test_criterion_08_hyper_cleaning_recovers_corrupted_labels():
 
         train_view = split.train_view(dirty)
         keep = ~flagged
-        W_clean = _softmax_fit(train_view.X[keep], train_view.y[keep], 4,
-                               500, 0.5, -12.0)
-        W_dirty = _softmax_fit(train_view.X, train_view.y, 4, 500, 0.5, -12.0)
+        W_clean = _train_softmax(train_view.X[keep], train_view.y[keep], 4,
+                                 500, 0.5, -12.0)
+        W_dirty = _train_softmax(train_view.X, train_view.y, 4, 500, 0.5, -12.0)
         gains.append(_accuracy(W_clean, test_view) - _accuracy(W_dirty, test_view))
     elapsed = time.monotonic() - t0
     med_f1 = float(np.median(f1s))

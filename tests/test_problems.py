@@ -7,11 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from bihpo.data import DataView, Dataset, SplitPlan, full_view, gen_linear, gen_multiclass, make_splits
 from bihpo.errors import ConfigError, ContractViolationError
-from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem, sigmoid, verify_derivatives
+from bihpo.problems import (
+    MODEL_KINDS,
+    ModelSpec,
+    _log_softmax,
+    _row_max,
+    _row_sum,
+    build_problem,
+    sigmoid,
+    verify_derivatives,
+)
 from helpers import zoo_instance
 
 RIDGE = build_problem(ModelSpec(kind="ridge"), 1)
@@ -234,6 +243,37 @@ def test_sigmoid_matches_the_overflow_free_form():
     e = np.exp(-np.abs(x))
     stable = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     assert_allclose(sigmoid(x), stable, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+@pytest.mark.parametrize("rows", [(57,), (3, 57)], ids=["single", "stacked"])
+def test_class_axis_folds_match_numpy_reductions(rows, k):
+    rng = np.random.Generator(np.random.PCG64(k))
+    Z = rng.normal(0.0, 5.0, rows + (k,))
+    E = np.exp(Z - Z.max(axis=-1, keepdims=True))
+    # the hvp and mixed sums: products of probabilities and directions of either sign
+    PdZ = E * rng.standard_normal(Z.shape)
+    assert _row_max(Z).tobytes() == Z.max(axis=-1, keepdims=True).tobytes()
+    if k < 8:  # numpy adds in index order: the same bits
+        for A in (E, PdZ):
+            assert _row_sum(A).tobytes() == A.sum(axis=-1, keepdims=True).tobytes()
+    else:  # numpy sums pairwise: the last ulp may differ
+        assert_allclose(_row_sum(E), E.sum(axis=-1, keepdims=True), rtol=1e-15, atol=0.0)
+
+
+def test_log_softmax_is_finite_and_silent_at_huge_logits():
+    Z = np.array([[800.0, -800.0, 0.0, 799.0],
+                  [-800.0, -800.0, -800.0, -800.0],
+                  [800.0, 800.0, -800.0, 800.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Zs, S, P = _log_softmax(Z)
+        P_stacked = _log_softmax(np.stack([Z, -Z]))[2]
+    for probs in (P, P_stacked[0], P_stacked[1]):
+        assert np.all(np.isfinite(probs))
+        assert_allclose(probs.sum(axis=-1), 1.0, rtol=0.0, atol=1e-15)
+    assert_array_equal(P_stacked[0], P)
+    assert np.all(np.isfinite(Zs)) and np.all(S >= 1.0)
 
 
 def test_outer_loss_has_no_direct_lambda_dependence():
