@@ -22,9 +22,9 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from bihpo.config import parse_grid
 from bihpo.diagnostics import SweepDesign, bias_variance_sweep
+from bihpo.errors import ConfigError
 from bihpo.hypergrad import HypergradMethod
 
 
@@ -50,8 +50,10 @@ def main(argv=None):
     ap.add_argument("--out", type=str, default=None, help="directory for sweep CSVs")
     args = ap.parse_args(argv)
 
-    lo, hi, count = args.grid.split(":")
-    grid = [float(x) for x in np.linspace(float(lo), float(hi), int(count))]
+    try:
+        grid = parse_grid(args.grid)
+    except ConfigError as exc:
+        ap.error(f"--grid: {exc}")
     design = SweepDesign(n=args.n, d=args.d, noise_sigma=args.noise_sigma,
                          gamma=args.gamma)
 

@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,25 +51,26 @@ from .hypergrad import (
     inner_solve,
     itd_hypergrad,
 )
-from .output import ensure_dir, fmt_float, write_csv, write_json
-from .problems import BilevelProblem, ModelSpec, build_problem, sigmoid, verify_derivatives
+from .output import ensure_dir, write_csv, write_json
+from .problems import (
+    TASK_OF_KIND,
+    BilevelProblem,
+    ModelSpec,
+    build_problem,
+    sigmoid,
+    verify_derivatives,
+)
 from .strategies import HPOTrace, OuterOptimizer, run_ehg, run_oehg
 
-_TASK_FOR_KIND = {
-    "ridge": "regression",
-    "lasso_smooth": "regression",
-    "elastic_net": "regression",
-    "ridge_per_param": "regression",
-    "logistic_l2": "binary",
-    "svm_sqhinge": "binary",
-    "softmax_l2": "multiclass",
-    "hyperclean_softmax": "multiclass",
-}
+
+def _pm1_labels(raw: Dataset) -> Dataset:
+    """A two-class dataset with its 0/1 labels mapped to -1/+1."""
+    return Dataset(X=raw.X, y=2.0 * raw.y - 1.0, task="binary")
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
     """Materialize the configured data source, matched to the model's task."""
-    task = _TASK_FOR_KIND[cfg.problem.kind]
+    task = TASK_OF_KIND[cfg.problem.kind]
     d = cfg.data
     if d.source != "synthetic":
         ds = read_libsvm(d.source, task=d.task or task)
@@ -88,8 +88,8 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
         classes = classes or 2
         if classes != 2:
             raise ConfigError("binary models need classes = 2", field_path="data.synthetic.classes")
-        raw, _ = gen_multiclass(s.n, s.d, 2, s.noise_sigma, seed=s.seed, beta_seed=s.beta_seed)
-        return Dataset(X=raw.X, y=2.0 * raw.y - 1.0, task="binary")
+        return _pm1_labels(gen_multiclass(s.n, s.d, 2, s.noise_sigma, seed=s.seed,
+                                          beta_seed=s.beta_seed)[0])
     if classes < 2:
         raise ConfigError(
             "multiclass models need synthetic.classes >= 2", field_path="data.synthetic.classes"
@@ -166,21 +166,21 @@ class _Manifest:
         write_json(self.path, self.body)
 
 
-def _trace_rows(trace: HPOTrace, with_test: bool) -> tuple[list[str], list[list]]:
-    header = ["step", "split_id", "lambda_norm", "raw_lambda_json",
-              "hypergrad_norm", "train_loss", "val_loss"]
-    if with_test:
-        header.append("test_loss")
+# the per-split trace columns written to trace.csv, in their order there
+_TRACE_COLUMNS = ("hypergrad_norm", "train_loss", "val_loss", "test_loss")
+
+
+def _trace_rows(trace: HPOTrace) -> tuple[list[str], list[list]]:
+    """trace.csv: one row per outer step and split, with the columns the trace holds."""
+    names = [name for name in _TRACE_COLUMNS if name in trace.columns]
+    header = ["step", "split_id", "lambda_norm", "raw_lambda_json", *names]
     rows: list[list] = []
-    for rec in trace.records:
-        lam_json = json.dumps([float(x) for x in rec.lam])
-        lam_norm = float(np.linalg.norm(rec.lam))
-        for ev in rec.per_split:
-            row = [rec.step, ev.split_id, lam_norm, lam_json,
-                   ev.hypergrad_norm, ev.train_loss, ev.val_loss]
-            if with_test:
-                row.append(ev.test_loss if ev.test_loss is not None else "")
-            rows.append(row)
+    for t in range(len(trace.lambdas) - 1):
+        lam = trace.lambdas[t]
+        lam_json = json.dumps([float(x) for x in lam])
+        lam_norm = float(np.linalg.norm(lam))
+        values = zip(*(trace.columns[name][t].tolist() for name in names))
+        rows.extend([t, i, lam_norm, lam_json, *row] for i, row in enumerate(values))
     return header, rows
 
 
@@ -231,7 +231,7 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
 
         outputs = []
         if "csv" in cfg.output.formats:
-            header, rows = _trace_rows(trace, with_test=test_view is not None)
+            header, rows = _trace_rows(trace)
             write_csv(out_dir / "trace.csv", header, rows)
             outputs.append("trace.csv")
         if "json" in cfg.output.formats:
@@ -242,7 +242,7 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
                 "per_split_theta": [[float(x) for x in th] for th in trace.final_thetas],
                 "deployed_theta": ([float(x) for x in trace.deployed_theta]
                                    if trace.deployed_theta is not None else None),
-                "final_val_losses": [ev.val_loss for ev in trace.records[-1].per_split],
+                "final_val_losses": trace.columns["val_loss"][-1].tolist(),
                 "config": config_to_dict(cfg),
             }
             write_json(out_dir / "final.json", final)
@@ -340,7 +340,8 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
                              cfg.strategy.alpha_deploy, lam0, theta0,
                              deploy_view=split.train_view(dirty), test_view=None)
         else:  # single and ehg coincide on the one split
-            trace = run_ehg(problem, dirty, [split], method, opt, cfg.strategy.T, lam0, theta0)
+            trace = run_ehg(problem, dirty, [split], method, opt, cfg.strategy.T, lam0, theta0,
+                            warm_start=cfg.strategy.warm_start)
 
         u = trace.final_lambda
         sig = sigmoid(u)
@@ -427,26 +428,41 @@ def cmd_fpc(n: int, gamma: float, U_values: list[int], samples: int, seed: int,
 # ---------------------------------------------------------------------------
 # self-verification suite
 
+def _zoo_dataset(kind: str, n: int, d: int, seed: int) -> Dataset:
+    """Seeded data of the task a zoo model fits: regression, +-1 labels or 3 classes."""
+    task = TASK_OF_KIND[kind]
+    if task == "regression":
+        return gen_linear(n, d, 0.3, seed=seed, beta_seed=1)[0]
+    if task == "binary":
+        return _pm1_labels(gen_multiclass(n, d, 2, 0.4, seed=seed, beta_seed=2)[0])
+    return gen_multiclass(n, d, 3, 0.4, seed=seed, beta_seed=3)[0]
+
+
+def _zoo_problem(kind: str, ds: Dataset, n_weights: int = 0,
+                 smoothing_delta: float = 1e-3) -> BilevelProblem:
+    """The zoo model of kind on ds; hyperclean_softmax weighs n_weights train rows."""
+    spec = ModelSpec(kind=kind, smoothing_delta=smoothing_delta,
+                     num_classes=ds.num_classes, n_weights=n_weights)
+    return build_problem(spec, ds.d)
+
+
+def _zoo_instance(kind: str, data_seed: int, split_seed: int):
+    """Small seeded (problem, train view, val view) triple for a zoo model."""
+    if TASK_OF_KIND[kind] == "multiclass":
+        ds = _zoo_dataset(kind, 16 if kind == "hyperclean_softmax" else 30, 3, data_seed)
+    else:
+        ds = _zoo_dataset(kind, 24, 4, data_seed)
+    split = make_splits(ds.n, SplitPlan(U=1, gamma=0.25, master_seed=split_seed))[0]
+    n_weights = len(split.train_idx) if kind == "hyperclean_softmax" else 0
+    return _zoo_problem(kind, ds, n_weights), split.train_view(ds), split.val_view(ds)
+
+
 def _check_instances(seed: int = 20240601):
-    """Small seeded (problem, train, val) instances, one per zoo model."""
-    out = {}
-    for kind in _TASK_FOR_KIND:
-        task = _TASK_FOR_KIND[kind]
-        if task == "regression":
-            ds, _ = gen_linear(24, 4, 0.3, seed=derive_seed(seed, 3), beta_seed=1)
-        elif task == "binary":
-            raw, _ = gen_multiclass(24, 4, 2, 0.4, seed=derive_seed(seed, 4), beta_seed=2)
-            ds = Dataset(X=raw.X, y=2.0 * raw.y - 1.0, task="binary")
-        else:
-            n = 16 if kind == "hyperclean_softmax" else 30
-            ds, _ = gen_multiclass(n, 3, 3, 0.4, seed=derive_seed(seed, 5), beta_seed=3)
-        split = make_splits(ds.n, SplitPlan(U=1, gamma=0.25, master_seed=derive_seed(seed, 6)))[0]
-        n_weights = len(split.train_idx) if kind == "hyperclean_softmax" else 0
-        spec = ModelSpec(kind=kind, smoothing_delta=1e-3, num_classes=ds.num_classes,
-                         n_weights=n_weights)
-        problem = build_problem(spec, ds.d)
-        out[kind] = (problem, split.train_view(ds), split.val_view(ds))
-    return out
+    """One instance per zoo model; each task draws its data from its own stream."""
+    tasks = ("regression", "binary", "multiclass")
+    return {kind: _zoo_instance(kind, derive_seed(seed, 3 + tasks.index(task)),
+                                derive_seed(seed, 6))
+            for kind, task in TASK_OF_KIND.items()}
 
 
 def check_model(kind: str, problem: BilevelProblem, train: DataView, val: DataView,

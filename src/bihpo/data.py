@@ -8,7 +8,7 @@ is reproducible in isolation (no generator state threads between splits).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 

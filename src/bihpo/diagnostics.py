@@ -27,7 +27,7 @@ from .data import (
 )
 from .errors import ContractViolationError, NumericalError, SingularMatrixError
 from .hypergrad import HypergradMethod, estimate_hypergrad
-from .linalg import row_dot
+from .linalg import ordered_mean, row_dot
 from .problems import REGRESSION_KINDS, BilevelProblem, ModelSpec, build_problem
 
 
@@ -178,11 +178,12 @@ def _stacked_estimates(problem: BilevelProblem, method: HypergradMethod,
 
 def _u_means(rows: np.ndarray, U: int) -> np.ndarray:
     """Means of consecutive groups of U rows, each an index-ascending sum."""
-    groups = rows.reshape(-1, U, rows.shape[-1])
-    acc = groups[:, 0].copy()
-    for i in range(1, U):
-        acc += groups[:, i]
-    return acc / U
+    return ordered_mean(rows.reshape(-1, U, rows.shape[-1]).swapaxes(0, 1))
+
+
+def _mean_sq_dist(rows: np.ndarray, center: np.ndarray) -> float:
+    """Mean over the rows of the squared distance of each row to center."""
+    return float(np.mean(np.sum((rows - center) ** 2, axis=1)))
 
 
 def _regression_problem(spec: ModelSpec, d: int, caller: str) -> BilevelProblem:
@@ -297,8 +298,8 @@ def bias_variance_sweep(
 
     rows = []
     for li, lam_eff in enumerate(lam_grid):
-        err = float(np.mean(np.sum((ghat[:, li] - gbar[li]) ** 2, axis=1)))
-        var = float(np.mean(np.sum((ghat[:, li] - gtilde[li]) ** 2, axis=1)))
+        err = _mean_sq_dist(ghat[:, li], gbar[li])
+        var = _mean_sq_dist(ghat[:, li], gtilde[li])
         bias_sq = float(np.sum((gtilde[li] - gbar[li]) ** 2))
         rows.append(
             BiasVarianceRow(
@@ -358,9 +359,7 @@ def ensemble_variance_curve(
     for U in U_list:
         M = _u_means(grads[first:first + R * U], U)
         first += R * U
-        center = M.mean(axis=0)
-        var = float(np.mean(np.sum((M - center) ** 2, axis=1)))
-        points.append((U, var))
+        points.append((U, _mean_sq_dist(M, M.mean(axis=0))))
     logs_u = np.log([p[0] for p in points])
     logs_v = np.log([p[1] for p in points])
     slope = float(np.polyfit(logs_u, logs_v, 1)[0])
@@ -435,14 +434,14 @@ def fpc_verify(
         lam = np.full(problem.hyper_dim, lam_raw)
         S = _stacked_estimates(problem, method, zip(trains, vals, repeat(lam)))  # (V, p)
     Xbar = S.mean(axis=0)
-    sigma_sq = float(np.mean(np.sum((S - Xbar) ** 2, axis=1)))
+    sigma_sq = _mean_sq_dist(S, Xbar)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     # vectorized without-replacement draws: top-U of a random permutation per row
     order = np.argsort(rng.random((samples, V)), axis=1)[:, :U]
     order = np.sort(order, axis=1)  # ascending so U = V reproduces Xbar bitwise
     means = S[order].mean(axis=1)  # (samples, p)
-    mc = float(np.mean(np.sum((means - Xbar) ** 2, axis=1)))
+    mc = _mean_sq_dist(means, Xbar)
 
     return FpcReport(
         n=ds.n,

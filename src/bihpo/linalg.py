@@ -34,6 +34,18 @@ def row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(x, x))
 
 
+def ordered_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the first axis as an index-ascending sum divided by the count.
+
+    The additions run in index order (numpy's mean sums pairwise), so a mean
+    of stacked rows has the bits of the same rows added one by one.
+    """
+    acc = x[0].copy()
+    for row in x[1:]:
+        acc += row
+    return acc / len(x)
+
+
 def _as_batch(x, dim: int, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != dim:

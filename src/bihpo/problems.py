@@ -24,21 +24,21 @@ from .data import DataView, StackedView
 from .errors import ConfigError, ContractViolationError
 from .linalg import Vec, row_dot
 
-MODEL_KINDS = (
-    "ridge",
-    "lasso_smooth",
-    "elastic_net",
-    "logistic_l2",
-    "svm_sqhinge",
-    "softmax_l2",
-    "ridge_per_param",
-    "hyperclean_softmax",
-)
-
+# the data task of each zoo model, in the order config messages list the kinds
+TASK_OF_KIND = {
+    "ridge": "regression",
+    "lasso_smooth": "regression",
+    "elastic_net": "regression",
+    "logistic_l2": "binary",
+    "svm_sqhinge": "binary",
+    "softmax_l2": "multiclass",
+    "ridge_per_param": "regression",
+    "hyperclean_softmax": "multiclass",
+}
+MODEL_KINDS = tuple(TASK_OF_KIND)
 # the squared-loss models, the only ones that fit the synthetic regression
 # data of the diagnostics and of `bihpo biasvar`
-REGRESSION_KINDS = ("ridge", "lasso_smooth", "elastic_net", "ridge_per_param")
-_SOFTMAX_KINDS = ("softmax_l2", "hyperclean_softmax")
+REGRESSION_KINDS = tuple(k for k, task in TASK_OF_KIND.items() if task == "regression")
 
 
 def sigmoid(x):
@@ -73,7 +73,7 @@ class ModelSpec:
                 "smoothing_delta must be > 0 for smoothed-L1 models",
                 field_path="problem.smoothing_delta",
             )
-        if self.kind in _SOFTMAX_KINDS and self.num_classes < 2:
+        if TASK_OF_KIND[self.kind] == "multiclass" and self.num_classes < 2:
             raise ConfigError(
                 f"{self.kind} requires num_classes >= 2", field_path="problem.num_classes"
             )
@@ -468,8 +468,6 @@ def build_problem(spec: ModelSpec, feature_dim: int) -> BilevelProblem:
         "softmax_l2": lambda: (_softmax_ce(d, k), _exp_l2(), d * k),
         "hyperclean_softmax": lambda: (_softmax_ce(d, k, spec.n_weights), _NO_PENALTY, d * k),
     }
-    if spec.kind not in zoo:
-        raise ConfigError(f"unknown model kind {spec.kind!r}", field_path="problem.kind")
     loss, penalty, r = zoo[spec.kind]()
     return _compose(spec.kind, r, loss, penalty)
 

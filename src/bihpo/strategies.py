@@ -23,7 +23,7 @@ import numpy as np
 from .data import DataView, Dataset, Split, StackedView, full_view
 from .errors import ContractViolationError, NumericalError
 from .hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
-from .linalg import Vec, row_norm
+from .linalg import Vec, ordered_mean, row_norm
 from .problems import BilevelProblem, check_args
 
 OPTIMIZER_KINDS = ("gd", "adam")
@@ -77,40 +77,32 @@ def optimizer_step(
     return lam - opt.alpha_out * m_hat / (np.sqrt(v_hat) + opt.eps), (m, v, t)
 
 
-@dataclass(frozen=True)
-class SplitEval:
-    """Per-split per-step scalars recorded in the trace."""
-
-    split_id: int
-    hypergrad_norm: float
-    train_loss: float
-    val_loss: float
-    test_loss: float | None = None
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    step: int
-    lam: np.ndarray
-    per_split: tuple[SplitEval, ...]
-
-
 @dataclass
 class HPOTrace:
     """lambdas[t] is the raw lambda BEFORE step t; length T+1 after a run.
 
+    columns holds the per-split trace values by name, each a list with one
+    (U,) row per outer step, row t taken at lambdas[t]: hypergrad_norm,
+    train_loss, val_loss and, when the run has a test view, test_loss (for
+    oehg the deployed model's loss, the same for every split).
     final_thetas holds the per-split inner solutions at the final lambda
     (ehg) or the shadow iterates (oehg); deployed_theta is oehg-only.
     """
 
     lambdas: list[np.ndarray] = field(default_factory=list)
-    records: list[StepRecord] = field(default_factory=list)
+    columns: dict[str, list[np.ndarray]] = field(default_factory=dict)
     final_thetas: tuple[np.ndarray, ...] = ()
     deployed_theta: np.ndarray | None = None
 
     @property
     def final_lambda(self) -> np.ndarray:
         return self.lambdas[-1]
+
+    def add_step(self, row: dict[str, np.ndarray], lam_after: np.ndarray) -> None:
+        """Record one outer step: its row of each column and the lambda it stepped to."""
+        for name, values in row.items():
+            self.columns.setdefault(name, []).append(values)
+        self.lambdas.append(lam_after.copy())
 
 
 def _finite_or_abort(values: np.ndarray, what: str, step: int) -> np.ndarray:
@@ -128,20 +120,16 @@ def _split_evals(
     val: StackedView,
     test_view: StackedView | None,
     step: int,
-) -> list[SplitEval]:
-    """Each split's trace scalars at its final inner iterate: row i of lams, thetas, grads."""
-    train_loss = _finite_or_abort(problem.inner_loss(lams, thetas, train), "train loss", step)
-    val_loss = _finite_or_abort(problem.outer_loss(lams, thetas, val), "val loss", step)
-    test_loss = [None] * len(thetas)
+) -> dict[str, np.ndarray]:
+    """Each split's trace values at its final inner iterate, one (U,) row per column."""
+    row = {"train_loss": _finite_or_abort(problem.inner_loss(lams, thetas, train),
+                                          "train loss", step),
+           "val_loss": _finite_or_abort(problem.outer_loss(lams, thetas, val), "val loss", step)}
     if test_view is not None:
-        test_loss = _finite_or_abort(
-            problem.outer_loss(lams, thetas, test_view), "test loss", step).tolist()
-    norms = _finite_or_abort(row_norm(grads), "hypergradient norm", step)
-    return [
-        SplitEval(split_id=i, hypergrad_norm=float(norms[i]), train_loss=float(train_loss[i]),
-                  val_loss=float(val_loss[i]), test_loss=test_loss[i])
-        for i in range(len(thetas))
-    ]
+        row["test_loss"] = _finite_or_abort(problem.outer_loss(lams, thetas, test_view),
+                                            "test loss", step)
+    row["hypergrad_norm"] = _finite_or_abort(row_norm(grads), "hypergradient norm", step)
+    return row
 
 
 def _prepare(problem: BilevelProblem, ds: Dataset, splits: list[Split], T: int,
@@ -169,12 +157,12 @@ def _ensemble_grad(
     method: HypergradMethod,
     step: int,
     test_view: StackedView | None,
-) -> tuple[np.ndarray, np.ndarray, list[SplitEval]]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """One stacked estimate of every split from its start point, (r,) or (U, r).
 
     Returns the mean of the split hypergradients (an index-ascending sum, so
     it does not depend on execution order), the splits' final inner iterates
-    (U, r) and their trace scalars.
+    (U, r) and their row of each trace column.
     """
     lams = lam[None].repeat(len(train), axis=0)  # one row per split
     try:
@@ -183,12 +171,8 @@ def _ensemble_grad(
         raise NumericalError(
             f"split {exc.member} failed at outer step {step}: {exc.args[0]}", step_index=step
         ) from exc
-    grads = res.grad
-    evals = _split_evals(problem, lams, res.inner_final, grads, train, val, test_view, step)
-    gsum = grads[0].copy()
-    for g in grads[1:]:
-        gsum += g
-    return gsum / len(grads), res.inner_final, evals
+    row = _split_evals(problem, lams, res.inner_final, res.grad, train, val, test_view, step)
+    return ordered_mean(res.grad), res.inner_final, row
 
 
 def run_ehg(
@@ -215,13 +199,12 @@ def run_ehg(
     state = None
     trace = HPOTrace(lambdas=[lam.copy()])
     for t in range(T):
-        gmean, finals, evals = _ensemble_grad(problem, lam, starts, train, val, method, t,
-                                              test_views)
+        gmean, finals, row = _ensemble_grad(problem, lam, starts, train, val, method, t,
+                                            test_views)
         if warm_start:
             starts = finals
-        trace.records.append(StepRecord(step=t, lam=lam.copy(), per_split=tuple(evals)))
         lam, state = optimizer_step(opt, lam, gmean, state)
-        trace.lambdas.append(lam.copy())
+        trace.add_step(row, lam)
 
     final = inner_solve(problem, lam, starts, train, method.K, method.alpha_in).final
     trace.final_thetas = tuple(final)
@@ -260,27 +243,19 @@ def run_oehg(
     state = None
     trace = HPOTrace(lambdas=[lam.copy()])
     for t in range(T):
-        gmean, shadows, evals = _ensemble_grad(problem, lam, shadows, train, val, one_step, t,
-                                               None)
-        new_lam, state = optimizer_step(opt, lam, gmean, state)
-        deployed = deployed - alpha_deploy * problem.inner_grad_theta(
-            new_lam, deployed, deploy_view
-        )
+        gmean, shadows, row = _ensemble_grad(problem, lam, shadows, train, val, one_step, t,
+                                             None)
+        lam, state = optimizer_step(opt, lam, gmean, state)
+        deployed = deployed - alpha_deploy * problem.inner_grad_theta(lam, deployed, deploy_view)
         if not np.all(np.isfinite(deployed)):
             raise NumericalError(
                 f"deployed model became non-finite at outer step {t}", step_index=t
             )
         if test_view is not None:
-            test_loss = float(_finite_or_abort(
-                problem.outer_loss(new_lam, deployed, test_view), "test loss", t
-            ))
-            evals = [
-                SplitEval(e.split_id, e.hypergrad_norm, e.train_loss, e.val_loss, test_loss)
-                for e in evals
-            ]
-        trace.records.append(StepRecord(step=t, lam=lam.copy(), per_split=tuple(evals)))
-        lam = new_lam
-        trace.lambdas.append(lam.copy())
+            test_loss = _finite_or_abort(problem.outer_loss(lam, deployed, test_view),
+                                         "test loss", t)
+            row["test_loss"] = np.full(len(splits), test_loss)
+        trace.add_step(row, lam)
 
     trace.final_thetas = tuple(shadows.copy())
     trace.deployed_theta = deployed.copy()

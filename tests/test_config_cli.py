@@ -406,6 +406,19 @@ def test_clean_without_corruption_flags_f1_not_applicable(tmp_path, capsys):
     assert "not applicable" in capsys.readouterr().err
 
 
+def test_clean_honours_warm_start(tmp_path):
+    # with K >= 2 a warm start changes every inner solve after the first
+    weights = {}
+    for warm in (False, True):
+        cfg = write_cfg(tmp_path, clean_dict(method={"K": 3}, strategy={
+            "kind": "ehg", "T": 5, "warm_start": warm}), f"warm_{warm}.yaml")
+        out = tmp_path / f"warm_{warm}"
+        assert main(["clean", "--config", str(cfg), "--out", str(out)]) == 0
+        weights[warm] = [r["raw_weight"] for r in read_rows(out / "weights.csv")]
+    assert len(weights[True]) == len(weights[False])
+    assert weights[True] != weights[False]
+
+
 # ---------------------------------------------------------------------------
 # fpc command
 

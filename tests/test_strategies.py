@@ -122,8 +122,8 @@ def test_run_single_two_steps_match_hand_replication():
         g = estimate_hypergrad(prob, lam, th0, tr, va, method).grad
         lam = lam - 0.4 * g
     assert_array_equal(trace.final_lambda, lam)
-    assert len(trace.records) == 2
-    assert trace.records[1].step == 1
+    assert sorted(trace.columns) == ["hypergrad_norm", "train_loss", "val_loss"]
+    assert all(len(rows) == 2 for rows in trace.columns.values())
 
 
 def test_run_rejects_bad_plan():
@@ -217,8 +217,9 @@ def test_ehg_is_deterministic():
                     np.array([0.3]), np.zeros(3)) for _ in range(2)]
     for x, y in zip(runs[0].lambdas, runs[1].lambdas):
         assert_array_equal(x, y)
-    for rx, ry in zip(runs[0].records, runs[1].records):
-        assert rx.per_split == ry.per_split
+    assert runs[0].columns.keys() == runs[1].columns.keys()
+    for name, rows in runs[0].columns.items():
+        assert_array_equal(np.stack(rows), np.stack(runs[1].columns[name]))
 
 
 def test_ehg_final_thetas_solved_at_final_lambda():
@@ -243,8 +244,9 @@ def test_ehg_test_view_populates_trace():
     without = run_ehg(prob, ds, splits, ITD25,
                       OuterOptimizer(kind="gd", alpha_out=0.4), 2,
                       np.array([0.3]), np.zeros(3))
-    assert all(np.isfinite(e.test_loss) for r in with_t.records for e in r.per_split)
-    assert all(e.test_loss is None for r in without.records for e in r.per_split)
+    assert np.stack(with_t.columns["test_loss"]).shape == (2, 1)
+    assert np.all(np.isfinite(with_t.columns["test_loss"]))
+    assert "test_loss" not in without.columns
 
 
 def test_warm_start_changes_later_iterates_but_stays_finite():
@@ -314,7 +316,7 @@ def test_oehg_long_run_beats_the_starting_lambda():
                      opt=OuterOptimizer(kind="adam", alpha_out=0.05),
                      alpha_deploy=0.05, lam0=np.array([2.0]), theta0=np.zeros(3))
     assert len(trace.lambdas) == 401
-    final_val = np.mean([e.val_loss for e in trace.records[-1].per_split])
+    final_val = np.mean(trace.columns["val_loss"][-1])
     # fully converged ridge solutions at the starting hyperparameter
     at_start = np.mean([RidgeOracle(s.train_view(ds), s.val_view(ds))
                         .val_loss(np.exp(2.0)) for s in splits])
@@ -365,8 +367,9 @@ def assert_close(actual, expected):
 
 
 def trace_scalars(trace):
-    return [(r.step, e.split_id, e.hypergrad_norm, e.train_loss, e.val_loss, e.test_loss)
-            for r in trace.records for e in r.per_split]
+    names = ("hypergrad_norm", "train_loss", "val_loss", "test_loss")
+    steps = zip(*(trace.columns[name] for name in names))
+    return [(t, i, *values) for t, rows in enumerate(steps) for i, values in enumerate(zip(*rows))]
 
 
 def assert_trace_matches(trace, lambdas, rows, final_thetas):
