@@ -44,13 +44,7 @@ from .data import (
 )
 from .diagnostics import RidgeOracle, SweepDesign, bias_variance_sweep, fpc_verify
 from .errors import ConfigError, ContractViolationError, NumericalError, ParseError
-from .hypergrad import (
-    HypergradMethod,
-    aid_hypergrad,
-    finite_diff_hypergrad,
-    inner_solve,
-    itd_hypergrad,
-)
+from .hypergrad import HypergradMethod, estimate_hypergrad, finite_diff_hypergrad, inner_solve
 from .output import ensure_dir, write_csv, write_json
 from .problems import (
     TASK_OF_KIND,
@@ -69,9 +63,12 @@ def _pm1_labels(raw: Dataset) -> Dataset:
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
-    """Materialize the configured data source, matched to the model's task."""
+    """Materialize the configured data source, matched to the model's task.
+
+    A multiclass model must be configured with the data's class count.
+    """
     task = TASK_OF_KIND[cfg.problem.kind]
-    d = cfg.data
+    d, s = cfg.data, cfg.data.synthetic
     if d.source != "synthetic":
         ds = read_libsvm(d.source, task=d.task or task)
         if ds.task != task:
@@ -79,22 +76,26 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
                 f"model {cfg.problem.kind!r} needs a {task} dataset, file gives {ds.task}",
                 field_path="data.source",
             )
-        return ds
-    s = d.synthetic
-    if task == "regression":
-        return gen_linear(s.n, s.d, s.noise_sigma, seed=s.seed, beta_seed=s.beta_seed)[0]
-    classes = s.classes
-    if task == "binary":
-        classes = classes or 2
-        if classes != 2:
+    elif task == "regression":
+        ds = gen_linear(s.n, s.d, s.noise_sigma, seed=s.seed, beta_seed=s.beta_seed)[0]
+    elif task == "binary":
+        if (s.classes or 2) != 2:
             raise ConfigError("binary models need classes = 2", field_path="data.synthetic.classes")
-        return _pm1_labels(gen_multiclass(s.n, s.d, 2, s.noise_sigma, seed=s.seed,
-                                          beta_seed=s.beta_seed)[0])
-    if classes < 2:
+        ds = _pm1_labels(gen_multiclass(s.n, s.d, 2, s.noise_sigma, seed=s.seed,
+                                        beta_seed=s.beta_seed)[0])
+    elif s.classes < 2:
         raise ConfigError(
             "multiclass models need synthetic.classes >= 2", field_path="data.synthetic.classes"
         )
-    return gen_multiclass(s.n, s.d, classes, s.noise_sigma, seed=s.seed, beta_seed=s.beta_seed)[0]
+    else:
+        ds = gen_multiclass(s.n, s.d, s.classes, s.noise_sigma, seed=s.seed,
+                            beta_seed=s.beta_seed)[0]
+    if task == "multiclass" and ds.num_classes != cfg.problem.num_classes:
+        raise ConfigError(
+            f"num_classes is {cfg.problem.num_classes} but the data has {ds.num_classes} classes",
+            field_path="problem.num_classes",
+        )
+    return ds
 
 
 def _resolve_vec(value, dim: int, default: float, path: str) -> np.ndarray:
@@ -108,19 +109,11 @@ def _resolve_vec(value, dim: int, default: float, path: str) -> np.ndarray:
     return arr
 
 
-def _method_from_config(cfg: ExperimentConfig) -> HypergradMethod:
-    m = cfg.method
-    return HypergradMethod(
-        kind=m.kind, K=int(m.K), alpha_in=float(m.alpha_in),
-        Z=int(m.Z), h=int(m.h), fp_step=float(m.fp_step),
-    )
-
-
 def _model_spec(cfg: ExperimentConfig, n_weights: int = 0) -> ModelSpec:
     return ModelSpec(
         kind=cfg.problem.kind,
         smoothing_delta=float(cfg.problem.smoothing_delta),
-        num_classes=int(cfg.problem.num_classes or cfg.data.synthetic.classes),
+        num_classes=int(cfg.problem.num_classes),
         n_weights=n_weights,
     )
 
@@ -202,12 +195,9 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
             raise ConfigError("corruption applies to classification labels", field_path="data.corrupt")
         pool, _ = corrupt_labels(pool, cfg.data.corrupt.p, cfg.data.corrupt.seed)
 
-    plan = SplitPlan(U=cfg.split.U, gamma=cfg.split.gamma, mode=cfg.split.mode,
-                     master_seed=cfg.split.master_seed)
-    splits = make_splits(pool.n, plan)
+    splits = make_splits(pool.n, cfg.split)
     n_weights = len(splits[0].train_idx) if cfg.problem.kind == "hyperclean_softmax" else 0
     problem = build_problem(_model_spec(cfg, n_weights), pool.d)
-    method = _method_from_config(cfg)
     lam0 = _resolve_vec(cfg.strategy.lambda0, problem.hyper_dim, 0.0, "strategy.lambda0")
     theta0 = _resolve_vec(cfg.strategy.theta0, problem.param_dim, 0.0, "strategy.theta0")
     opt = OuterOptimizer(kind=cfg.strategy.outer.kind, alpha_out=cfg.strategy.outer.alpha_out)
@@ -220,12 +210,12 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
         if cfg.strategy.kind == "oehg":
             deploy_view = (splits[0].train_view(pool)
                            if cfg.problem.kind == "hyperclean_softmax" else full_view(pool))
-            trace = run_oehg(problem, pool, splits, cfg.strategy.T, method.alpha_in, opt,
+            trace = run_oehg(problem, pool, splits, cfg.strategy.T, cfg.method.alpha_in, opt,
                              cfg.strategy.alpha_deploy, lam0, theta0,
                              deploy_view=deploy_view, test_view=test_view)
         else:  # single is the ehg loop on the first split alone
             run_splits = splits[:1] if cfg.strategy.kind == "single" else splits
-            trace = run_ehg(problem, pool, run_splits, method, opt, cfg.strategy.T,
+            trace = run_ehg(problem, pool, run_splits, cfg.method, opt, cfg.strategy.T,
                             lam0, theta0, test_view=test_view,
                             warm_start=cfg.strategy.warm_start)
 
@@ -257,7 +247,7 @@ def cmd_biasvar(cfg: ExperimentConfig, out_dir: Path) -> int:
     design = SweepDesign(n=s.n, d=s.d, noise_sigma=s.noise_sigma, gamma=cfg.split.gamma,
                          beta_seed=s.beta_seed, mode=cfg.split.mode)
     bv = cfg.biasvar
-    method = "oracle" if bv.estimator == "oracle" else _method_from_config(cfg)
+    method = "oracle" if bv.estimator == "oracle" else cfg.method
     grid = parse_grid(bv.grid)
     with _Manifest(
         out_dir, "biasvar", config_to_dict(cfg),
@@ -307,9 +297,7 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
     else:
         pool_idx = np.arange(ds_full.n)
 
-    plan = SplitPlan(U=1, gamma=cfg.split.gamma, mode=cfg.split.mode,
-                     master_seed=cfg.split.master_seed)
-    split = make_splits(pool.n, plan)[0]
+    split = make_splits(pool.n, cfg.split)[0]  # validate_config holds clean to U = 1
 
     # corrupt training rows only; validation supervision stays clean
     p_corrupt = cfg.data.corrupt.p if cfg.data.corrupt is not None else 0.0
@@ -325,7 +313,6 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     spec = _model_spec(cfg, n_weights=len(split.train_idx))
     problem = build_problem(spec, pool.d)
-    method = _method_from_config(cfg)
     lam0 = _resolve_vec(cfg.strategy.lambda0, problem.hyper_dim, 0.0, "strategy.lambda0")
     theta0 = _resolve_vec(cfg.strategy.theta0, problem.param_dim, 0.0, "strategy.theta0")
     opt = OuterOptimizer(kind=cfg.strategy.outer.kind, alpha_out=cfg.strategy.outer.alpha_out)
@@ -336,12 +323,12 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
          "master_seed": cfg.split.master_seed, "test_seed": cfg.data.test_seed},
     ) as manifest:
         if cfg.strategy.kind == "oehg":
-            trace = run_oehg(problem, dirty, [split], cfg.strategy.T, method.alpha_in, opt,
+            trace = run_oehg(problem, dirty, [split], cfg.strategy.T, cfg.method.alpha_in, opt,
                              cfg.strategy.alpha_deploy, lam0, theta0,
                              deploy_view=split.train_view(dirty), test_view=None)
         else:  # single and ehg coincide on the one split
-            trace = run_ehg(problem, dirty, [split], method, opt, cfg.strategy.T, lam0, theta0,
-                            warm_start=cfg.strategy.warm_start)
+            trace = run_ehg(problem, dirty, [split], cfg.method, opt, cfg.strategy.T, lam0,
+                            theta0, warm_start=cfg.strategy.warm_start)
 
         u = trace.final_lambda
         sig = sigmoid(u)
@@ -479,8 +466,12 @@ def check_model(kind: str, problem: BilevelProblem, train: DataView, val: DataVi
     theta0 = 0.5 * rng.standard_normal(problem.param_dim)
     alpha = 0.05
 
-    traj = inner_solve(problem, lam, theta0, train, 5, alpha)
-    g_itd = itd_hypergrad(problem, lam, traj, train, val).grad
+    def estimate(kind: str, K: int, start=theta0, Z: int = 0) -> np.ndarray:
+        """The estimator's hypergradient after K inner steps at alpha from start."""
+        method = HypergradMethod(kind=kind, K=K, alpha_in=alpha, Z=Z)
+        return estimate_hypergrad(problem, lam, start, train, val, method).grad
+
+    g_itd = estimate("ITD", 5)
     g_fd = finite_diff_hypergrad(problem, lam, theta0, train, val, 5, alpha)
     err = float(np.linalg.norm(g_itd - g_fd) / max(1.0, np.linalg.norm(g_fd)))
     rows.append({"name": f"{kind}/itd_vs_fd", "max_err": err, "tol": 1e-4,
@@ -491,8 +482,7 @@ def check_model(kind: str, problem: BilevelProblem, train: DataView, val: DataVi
     lam_oe = run_oehg(problem, train.dataset, [split], 1, alpha,
                       OuterOptimizer(kind="gd", alpha_out=1.0), alpha, lam, theta0,
                       deploy_view=train).lambdas[1]
-    traj1 = inner_solve(problem, lam, theta0, train, 1, alpha)
-    g_one = itd_hypergrad(problem, lam, traj1, train, val).grad
+    g_one = estimate("ITD", 1)
     err = float(np.linalg.norm(lam_oe - (lam - g_one)) / max(1.0, np.linalg.norm(g_one)))
     rows.append({"name": f"{kind}/oehg_one_step", "max_err": err, "tol": 1e-10,
                  "passed": err < 1e-10})
@@ -501,10 +491,8 @@ def check_model(kind: str, problem: BilevelProblem, train: DataView, val: DataVi
     # hyperclean inner loss is unregularized (PSD only), so FP has no
     # contraction guarantee there and the check is skipped
     if problem.supports_aid and kind != "hyperclean_softmax":
-        traj50 = inner_solve(problem, lam, theta0, train, 50, alpha)
-        g_cg = aid_hypergrad(problem, lam, traj50.final, train, val, solver="cg", Z=200).grad
-        g_fp = aid_hypergrad(problem, lam, traj50.final, train, val, solver="fp",
-                             Z=4000, fp_step=alpha).grad
+        g_cg = estimate("AID_CG", 50, Z=200)
+        g_fp = estimate("AID_FP", 50, Z=4000)  # fixed-point step = alpha
         err = float(np.linalg.norm(g_cg - g_fp) / max(1.0, np.linalg.norm(g_cg)))
         rows.append({"name": f"{kind}/aid_fp_vs_cg", "max_err": err, "tol": 1e-6,
                      "passed": err < 1e-6})
@@ -513,14 +501,12 @@ def check_model(kind: str, problem: BilevelProblem, train: DataView, val: DataVi
         oracle = RidgeOracle(train, val)
         lam_eff = float(np.exp(lam[0]))
         theta_hat = oracle.theta_hat(lam_eff)
-        g_aid = aid_hypergrad(problem, lam, theta_hat, train, val, solver="cg",
-                              Z=problem.param_dim + 2).grad
+        g_aid = estimate("AID_CG", 0, start=theta_hat, Z=problem.param_dim + 2)
         exact = oracle.hypergrad_raw(float(lam[0]))
         err = float(abs(g_aid[0] - exact) / max(1.0, abs(exact)))
         rows.append({"name": "ridge/aid_vs_oracle", "max_err": err, "tol": 1e-6,
                      "passed": err < 1e-6})
-        traj500 = inner_solve(problem, lam, np.zeros(problem.param_dim), train, 500, alpha)
-        g500 = itd_hypergrad(problem, lam, traj500, train, val).grad
+        g500 = estimate("ITD", 500, start=np.zeros(problem.param_dim))
         err = float(abs(g500[0] - exact) / max(1.0, abs(exact)))
         rows.append({"name": "ridge/itd_bias_k500", "max_err": err, "tol": 1e-4,
                      "passed": err < 1e-4})

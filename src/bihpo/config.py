@@ -3,7 +3,8 @@
 The file format is YAML restricted to scalars, flat arrays, and one level of
 nested sections per the grammar documented in the README. Unknown keys are
 rejected so typos fail loudly; every validation error carries the dotted path
-of the offending field.
+of the offending field. The `split` and `method` sections are the library's
+SplitPlan and HypergradMethod, which check their own rules when built.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .data import SPLIT_MODES, TASKS
-from .errors import ConfigError, ParseError
-from .problems import MODEL_KINDS, REGRESSION_KINDS
-from .hypergrad import METHOD_KINDS
+from .data import TASKS, SplitPlan
+from .errors import ConfigError, ContractViolationError, ParseError
+from .hypergrad import AID_KINDS, HypergradMethod
+from .problems import MODEL_KINDS, NONSMOOTH_KINDS, REGRESSION_KINDS
 from .strategies import OPTIMIZER_KINDS, STRATEGY_KINDS
 
 
@@ -49,28 +50,10 @@ class DataSection:
 
 
 @dataclass(frozen=True)
-class SplitSection:
-    U: int = 5
-    gamma: float = 0.25
-    mode: str = "without_replacement"
-    master_seed: int = 0
-
-
-@dataclass(frozen=True)
 class ProblemSection:
     kind: str = "ridge"
     smoothing_delta: float = 1e-6
     num_classes: int = 0
-
-
-@dataclass(frozen=True)
-class MethodSection:
-    kind: str = "ITD"
-    K: int = 50
-    alpha_in: float = 0.1
-    Z: int = 0
-    h: int = 0
-    fp_step: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -116,9 +99,9 @@ class CleanSection:
 @dataclass(frozen=True)
 class ExperimentConfig:
     data: DataSection = field(default_factory=DataSection)
-    split: SplitSection = field(default_factory=SplitSection)
+    split: SplitPlan = field(default_factory=SplitPlan)
     problem: ProblemSection = field(default_factory=ProblemSection)
-    method: MethodSection = field(default_factory=MethodSection)
+    method: HypergradMethod = field(default_factory=HypergradMethod)
     strategy: StrategySection = field(default_factory=StrategySection)
     output: OutputSection = field(default_factory=OutputSection)
     biasvar: BiasvarSection = field(default_factory=BiasvarSection)
@@ -129,9 +112,9 @@ _SECTION_TYPES = {
     "synthetic": SyntheticSection,
     "corrupt": CorruptSection,
     "data": DataSection,
-    "split": SplitSection,
+    "split": SplitPlan,
     "problem": ProblemSection,
-    "method": MethodSection,
+    "method": HypergradMethod,
     "outer": OuterSection,
     "strategy": StrategySection,
     "output": OutputSection,
@@ -145,17 +128,15 @@ def _coerce(cls, raw: dict, path: str):
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"section must be a mapping, got {type(raw).__name__}", field_path=path)
-    known = {f.name: f for f in fields(cls)}
+    known = {f.name for f in fields(cls)}
     kwargs = {}
     for key, value in raw.items():
         if key not in known:
             raise ConfigError(f"unknown key {key!r}", field_path=f"{path}.{key}" if path else key)
         sub = f"{path}.{key}" if path else key
-        target = known[key].type
-        if key in _SECTION_TYPES and isinstance(value, dict):
-            kwargs[key] = _coerce(_SECTION_TYPES[key], value, sub)
-        elif key in _SECTION_TYPES and value is None:
-            kwargs[key] = None
+        if key in _SECTION_TYPES:
+            if value is not None:  # a null section keeps its default
+                kwargs[key] = _coerce(_SECTION_TYPES[key], value, sub)
         elif isinstance(value, list):
             kwargs[key] = tuple(value) if key == "formats" else list(value)
         else:
@@ -164,6 +145,9 @@ def _coerce(cls, raw: dict, path: str):
         return cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc), field_path=path) from exc
+    except ContractViolationError as exc:  # a library type's own rule, at its field
+        field_path = f"{path}.{exc.field}" if exc.field else path
+        raise ConfigError(str(exc), field_path=field_path) from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -251,12 +235,6 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
         _require(0.0 <= float(d.corrupt.p) <= 1.0, "corrupt.p must be in [0, 1]", "data.corrupt.p")
     _require(0.0 <= float(d.test_fraction) < 1.0, "test_fraction must be in [0, 1)", "data.test_fraction")
 
-    sp = cfg.split
-    _require(int(sp.U) >= 1, "U must be >= 1", "split.U")
-    _require(float(sp.gamma) > 0, "gamma must be > 0", "split.gamma")
-    _require(sp.mode in SPLIT_MODES, f"mode must be one of {SPLIT_MODES}", "split.mode")
-    _require(int(sp.master_seed) >= 0, "master_seed must be a u64", "split.master_seed")
-
     pr = cfg.problem
     _require(pr.kind in MODEL_KINDS, f"kind must be one of {MODEL_KINDS}", "problem.kind")
     if pr.kind in ("lasso_smooth", "elastic_net"):
@@ -264,21 +242,12 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
     if pr.kind in ("softmax_l2", "hyperclean_softmax"):
         _require(int(pr.num_classes) >= 2, "num_classes must be >= 2", "problem.num_classes")
 
-    me = cfg.method
-    _require(me.kind in METHOD_KINDS, f"kind must be one of {METHOD_KINDS}", "method.kind")
-    _require(int(me.K) >= 0, "K must be >= 0", "method.K")
-    _require(float(me.alpha_in) > 0, "alpha_in must be > 0", "method.alpha_in")
-    if me.kind == "TRHG":
-        _require(1 <= int(me.h) <= int(me.K), "TRHG requires 1 <= h <= K", "method.h")
-    if me.kind in ("AID_FP", "AID_CG"):
-        _require(int(me.Z) >= 1, "AID requires Z >= 1", "method.Z")
+    if cfg.method.kind in AID_KINDS:
         _require(
-            pr.kind != "svm_sqhinge",
-            "AID is not offered for svm_sqhinge (discontinuous Hessian)",
+            pr.kind not in NONSMOOTH_KINDS,
+            f"AID is not offered for {pr.kind} (discontinuous Hessian)",
             "method.kind",
         )
-    if me.kind == "AID_FP" and me.fp_step:
-        _require(float(me.fp_step) > 0, "fp_step must be > 0 when set", "method.fp_step")
 
     st = cfg.strategy
     _require(st.kind in STRATEGY_KINDS, f"kind must be one of {STRATEGY_KINDS}", "strategy.kind")
@@ -316,7 +285,7 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
         )
     if command == "clean":
         _require(pr.kind == "hyperclean_softmax", "clean requires problem.kind = hyperclean_softmax", "problem.kind")
-        _require(int(sp.U) == 1, "clean uses a single fixed split (U = 1)", "split.U")
+        _require(cfg.split.U == 1, "clean uses a single fixed split (U = 1)", "split.U")
         cl = cfg.clean
         _require(0.0 < float(cl.threshold) < 1.0, "threshold must be in (0, 1)", "clean.threshold")
         _require(int(cl.retrain_K) >= 1, "retrain_K must be >= 1", "clean.retrain_K")

@@ -15,7 +15,13 @@ from itertools import combinations
 import numpy as np
 from numpy.random import PCG64, Generator
 
-from .errors import ContractViolationError, InfeasiblePlanError, ParseError
+from .errors import (
+    ContractViolationError,
+    InfeasiblePlanError,
+    ParseError,
+    require_count,
+    require_real,
+)
 
 TASKS = ("regression", "binary", "multiclass")
 SPLIT_MODES = ("with_replacement", "without_replacement")
@@ -215,21 +221,23 @@ class SplitPlan:
 
     with_replacement draws each split independently (duplicates possible);
     without_replacement redraws duplicates so all U validation sets are
-    pairwise distinct, which requires U <= C(n, m_val).
+    pairwise distinct, which requires U <= C(n, m_val). This is also the
+    config's `split` section, with these defaults.
     """
 
-    U: int
-    gamma: float
+    U: int = 5
+    gamma: float = 0.25
     mode: str = "without_replacement"
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.U < 1:
-            raise ContractViolationError("U must be >= 1")
+        require_count(self.U, "U", minimum=1)
+        require_real(self.gamma, "gamma")
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ContractViolationError("gamma must be positive and finite")
+            raise ContractViolationError("gamma must be positive and finite", field="gamma")
         if self.mode not in SPLIT_MODES:
-            raise ContractViolationError(f"unknown split mode {self.mode!r}")
+            raise ContractViolationError(f"mode must be one of {SPLIT_MODES}", field="mode")
+        require_count(self.master_seed, "master_seed")
 
 
 def _round_half_up(x: float) -> int:

@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the count and real-number argument checks.
 
 Every failure mode the library reports deliberately (as opposed to plain bugs)
 derives from BilevelError so callers can catch one base class. The CLI maps
@@ -8,13 +8,24 @@ ConfigError/ParseError/InfeasiblePlanError to exit code 2 and NumericalError
 
 from __future__ import annotations
 
+import numbers
+import operator
+
 
 class BilevelError(Exception):
     """Base class for all deliberate library errors."""
 
 
 class ContractViolationError(BilevelError):
-    """An argument violated a documented precondition (shape, dtype, range)."""
+    """An argument violated a documented precondition (shape, dtype, range).
+
+    field, when set, names the argument at fault; the config loader appends
+    it to the section path.
+    """
+
+    def __init__(self, message: str, field: str = ""):
+        super().__init__(message)
+        self.field = field
 
 
 class NumericalError(BilevelError):
@@ -57,3 +68,24 @@ class ParseError(ConfigError):
 
 class InfeasiblePlanError(ConfigError):
     """A split plan asks for more than the data admits (e.g. U > C(n, m_val))."""
+
+
+def require_count(value, name: str, minimum: int = 0) -> None:
+    """Refuse a count that is not an integer (2.7, "7", True) or is below minimum.
+
+    Python and numpy integers pass, through operator.index.
+    """
+    try:
+        ok = not isinstance(value, bool) and operator.index(value) >= minimum
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ContractViolationError(f"{name} must be an integer >= {minimum}, got {value!r}",
+                                     field=name)
+
+
+def require_real(value, name: str) -> None:
+    """Refuse a value that is not a real number ("0.1", True, None)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContractViolationError(f"{name} must be a real number, got {value!r}",
+                                     field=name)

@@ -3,9 +3,9 @@
 inner_solve runs K full-batch gradient steps and records the trajectory.
 itd_hypergrad differentiates through the unrolled trajectory by reverse
 accumulation with Hessian- and mixed-vector products (no matrices are ever
-materialized); trhg_hypergrad truncates the accumulation window;
-aid_hypergrad solves the inner-Hessian linear system approximately and
-applies the implicit-function-theorem formula. All hypergradients are in raw
+materialized), over all K steps or, for TRHG, the last h; aid_hypergrad
+solves the inner-Hessian linear system approximately and applies the
+implicit-function-theorem formula. All hypergradients are in raw
 hyper coordinates because the problem callbacks already are.
 
 Every entry point also takes StackedView train/val views of B members, for
@@ -13,7 +13,8 @@ every model kind, with lam (p,) or (B, p) and theta (r,) or (B, r): the same
 code then runs all B estimates at once, one numpy op per inner step, and
 returns one row per member. The ensemble strategies and both diagnostics
 estimate only this way. Shapes are validated once per entry point, not in
-the callbacks.
+the callbacks; the budget's rules are HypergradMethod's, checked once when
+it is built.
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataView, StackedView
-from .errors import ContractViolationError, NumericalError
+from .errors import ContractViolationError, NumericalError, require_count, require_real
 from .linalg import LinearOperator, Vec, cg_solve, fixed_point_solve, row_norm
 from .problems import BilevelProblem, check_args
 
 METHOD_KINDS = ("ITD", "TRHG", "AID_FP", "AID_CG")
+AID_KINDS = ("AID_FP", "AID_CG")
+# residual tolerance of the AID linear solves, relative to max(1, ||b||)
+AID_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,31 +52,36 @@ class InnerTrajectory:
 
 @dataclass(frozen=True)
 class HypergradMethod:
-    """Which estimator to run and its budget.
+    """Which estimator to run and its budget; also the config's `method` section.
 
     K: inner gradient steps. Z: linear-solver iterations (AID only).
     h: truncation window, 1 <= h <= K (TRHG only). fp_step: step size of the
-    AID fixed-point solver; 0 means reuse alpha_in.
+    AID fixed-point solver; 0 means reuse alpha_in. Counts must be integers
+    and step sizes real numbers; each rule is checked here only.
     """
 
-    kind: str
-    K: int
-    alpha_in: float
+    kind: str = "ITD"
+    K: int = 50
+    alpha_in: float = 0.1
     Z: int = 0
     h: int = 0
     fp_step: float = 0.0
 
     def __post_init__(self):
         if self.kind not in METHOD_KINDS:
-            raise ContractViolationError(f"unknown method kind {self.kind!r}")
-        if self.K < 0:
-            raise ContractViolationError("K must be >= 0")
-        if self.alpha_in <= 0:
-            raise ContractViolationError("alpha_in must be > 0")
+            raise ContractViolationError(f"kind must be one of {METHOD_KINDS}", field="kind")
+        for name in ("K", "Z", "h"):
+            require_count(getattr(self, name), name)
+        require_real(self.alpha_in, "alpha_in")
+        if not self.alpha_in > 0:
+            raise ContractViolationError("alpha_in must be > 0", field="alpha_in")
+        require_real(self.fp_step, "fp_step")
+        if not self.fp_step >= 0:
+            raise ContractViolationError("fp_step must be >= 0", field="fp_step")
         if self.kind == "TRHG" and not (1 <= self.h <= self.K):
-            raise ContractViolationError("TRHG requires 1 <= h <= K")
-        if self.kind in ("AID_FP", "AID_CG") and self.Z < 1:
-            raise ContractViolationError("AID requires Z >= 1")
+            raise ContractViolationError("TRHG requires 1 <= h <= K", field="h")
+        if self.kind in AID_KINDS and self.Z < 1:
+            raise ContractViolationError("AID requires Z >= 1", field="Z")
 
 
 @dataclass(frozen=True)
@@ -151,47 +160,23 @@ def itd_hypergrad(
     traj: InnerTrajectory,
     train: DataView | StackedView,
     val: DataView | StackedView,
+    h: int | None = None,
 ) -> HypergradResult:
     """Exact derivative of lam -> outer(lam, theta_K(lam)) by reverse accumulation.
 
     g = grad_lam outer(theta_K); a = grad_theta outer(theta_K);
     for k = K-1 .. 0: g -= alpha_in * mixed_vp(theta_k, a); a -= alpha_in * hvp(theta_k, a).
+    With a window h (TRHG, 1 <= h <= K) the mixed-product terms stop after
+    the h most recent steps (k = K-1 .. K-h); h = K is the full pass.
     """
-    return _reverse_accumulate(problem, lam, traj, train, val, window=traj.K)
-
-
-def trhg_hypergrad(
-    problem: BilevelProblem,
-    lam: Vec,
-    traj: InnerTrajectory,
-    train: DataView | StackedView,
-    val: DataView | StackedView,
-    h: int,
-) -> HypergradResult:
-    """Truncated reverse accumulation: mixed-product terms only for the h
-    most recent inner steps (k = K-1 .. K-h); older contributions dropped.
-    With h = K this is exactly itd_hypergrad."""
-    if not (1 <= h <= traj.K):
-        raise ContractViolationError(f"need 1 <= h <= K = {traj.K}, got h = {h}")
-    return _reverse_accumulate(problem, lam, traj, train, val, window=h)
-
-
-def _reverse_accumulate(
-    problem: BilevelProblem,
-    lam: Vec,
-    traj: InnerTrajectory,
-    train: DataView | StackedView,
-    val: DataView | StackedView,
-    window: int,
-) -> HypergradResult:
     lam, theta_K = check_args(problem, lam, traj.final, train, val)
     alpha = traj.alpha_in
     g = problem.outer_grad_lambda(lam, theta_K, val).astype(np.float64, copy=True)
     a = problem.outer_grad_theta(lam, theta_K, val)
-    # Adjoint propagation below K - window contributes nothing once the mixed
-    # accumulation stops, so the loop covers only the active window, and the
+    # Adjoint propagation below K - h contributes nothing once the mixed
+    # accumulation stops, so the loop covers only the window, and the
     # adjoint of its oldest step, which nothing reads, is not computed.
-    steps = range(traj.K - 1, traj.K - 1 - window, -1)
+    steps = range(traj.K - 1, traj.K - 1 - (traj.K if h is None else h), -1)
     for k in steps:
         theta_k = traj.thetas[k]
         g = g - alpha * problem.inner_mixed_vp(lam, theta_k, train, a)
@@ -208,15 +193,13 @@ def aid_hypergrad(
     theta_K: Vec,
     train: DataView | StackedView,
     val: DataView | StackedView,
-    solver: str = "cg",
-    Z: int = 10,
-    fp_step: float | None = None,
-    tol: float = 1e-12,
+    method: HypergradMethod,
 ) -> HypergradResult:
     """Implicit-function-theorem hypergradient at an approximate inner optimum.
 
-    Solves hvp(v) = grad_theta outer(theta_K) with Z iterations of CG or the
-    fixed-point scheme, then grad = grad_lam outer - mixed_vp(theta_K, v).
+    Solves hvp(v) = grad_theta outer(theta_K) with method.Z iterations of CG
+    (AID_CG) or of the fixed-point scheme at step fp_step, or alpha_in when
+    fp_step is 0 (AID_FP), then grad = grad_lam outer - mixed_vp(theta_K, v).
     Diagnostics carry the achieved linear-system residual norm and the
     solver iterations used (per member when stacked; each member's solve
     stops on its own).
@@ -226,10 +209,8 @@ def aid_hypergrad(
             f"AID is not offered for model kind {problem.kind!r} "
             "(inner Hessian is discontinuous)"
         )
-    if solver not in ("cg", "fp"):
-        raise ContractViolationError(f"unknown solver {solver!r}, want 'cg' or 'fp'")
-    if Z < 1:
-        raise ContractViolationError("Z must be >= 1")
+    if method.kind not in AID_KINDS:
+        raise ContractViolationError(f"aid_hypergrad needs an AID method, got {method.kind!r}")
     lam, theta_K = check_args(problem, lam, theta_K, train, val)
     b = problem.outer_grad_theta(lam, theta_K, val)
     op = LinearOperator(
@@ -237,13 +218,11 @@ def aid_hypergrad(
         apply=lambda x: problem.inner_hvp(lam, theta_K, train, x),
     )
     counts = np.zeros(b.shape[:-1], dtype=np.int64)  # iterations of each member
-    if solver == "cg":
-        v, _ = cg_solve(op, b, max_iters=Z, tol=tol, counts=counts)
+    if method.kind == "AID_CG":
+        v, _ = cg_solve(op, b, max_iters=method.Z, tol=AID_TOL, counts=counts)
     else:
-        step = fp_step if fp_step is not None and fp_step > 0 else None
-        if step is None:
-            raise ContractViolationError("fp solver requires fp_step > 0")
-        v, _ = fixed_point_solve(op, b, step=step, max_iters=Z, tol=tol, counts=counts)
+        v, _ = fixed_point_solve(op, b, step=method.fp_step or method.alpha_in,
+                                 max_iters=method.Z, tol=AID_TOL, counts=counts)
     residual = row_norm(op(v) - b)
     g = problem.outer_grad_lambda(lam, theta_K, val) - problem.inner_mixed_vp(
         lam, theta_K, train, v
@@ -328,12 +307,7 @@ def estimate_hypergrad(
     one stacked pass and returns grad (B, p) and inner_final (B, r).
     """
     traj = inner_solve(problem, lam, theta0, train, method.K, method.alpha_in)
-    if method.kind == "ITD":
-        return itd_hypergrad(problem, lam, traj, train, val)
-    if method.kind == "TRHG":
-        return trhg_hypergrad(problem, lam, traj, train, val, method.h)
-    solver = "cg" if method.kind == "AID_CG" else "fp"
-    fp_step = method.fp_step if method.fp_step > 0 else method.alpha_in
-    return aid_hypergrad(
-        problem, lam, traj.final, train, val, solver=solver, Z=method.Z, fp_step=fp_step
-    )
+    if method.kind in AID_KINDS:
+        return aid_hypergrad(problem, lam, traj.final, train, val, method)
+    return itd_hypergrad(problem, lam, traj, train, val,
+                         h=method.h if method.kind == "TRHG" else None)

@@ -39,6 +39,8 @@ MODEL_KINDS = tuple(TASK_OF_KIND)
 # the squared-loss models, the only ones that fit the synthetic regression
 # data of the diagnostics and of `bihpo biasvar`
 REGRESSION_KINDS = tuple(k for k, task in TASK_OF_KIND.items() if task == "regression")
+# the kinds whose inner Hessian is discontinuous, which rules out AID
+NONSMOOTH_KINDS = ("svm_sqhinge",)
 
 
 def sigmoid(x):
@@ -171,8 +173,7 @@ class _Term:
 
     mixed is d/d_lam of grad contracted with v, for the term that reads lam;
     hyper_dim is how many raw lam coordinates it reads and effective maps
-    them to their effective scale. smooth=False marks a discontinuous
-    Hessian, which rules out AID.
+    them to their effective scale.
     """
 
     value: Callable
@@ -181,7 +182,6 @@ class _Term:
     mixed: Callable | None = None
     hyper_dim: int = 0
     effective: Callable[[Vec], Vec] = np.exp
-    smooth: bool = True
 
 
 def _matvec(A: np.ndarray, x: Vec) -> Vec:
@@ -209,7 +209,7 @@ def _quad_hvp(lam, theta, view, v):
 _SQUARED = _Term(value=_quad_value, grad=_quad_grad, hvp=_quad_hvp)
 
 
-def _margin_loss(phi, dphi, d2phi, smooth: bool = True) -> _Term:
+def _margin_loss(phi, dphi, d2phi) -> _Term:
     """Mean of phi(y x^T theta) over the rows of a binary view (labels +-1)."""
 
     def margins(theta, view):
@@ -224,7 +224,6 @@ def _margin_loss(phi, dphi, d2phi, smooth: bool = True) -> _Term:
         grad=lambda lam, theta, view: back(view, view.y * dphi(margins(theta, view))),
         hvp=lambda lam, theta, view, v: back(
             view, d2phi(margins(theta, view)) * _matvec(view.X, v)),
-        smooth=smooth,
     )
 
 
@@ -233,12 +232,12 @@ _LOGISTIC = _margin_loss(
     lambda t: -sigmoid(-t),
     lambda t: sigmoid(t) * sigmoid(-t),
 )
-# the squared hinge has a piecewise-linear gradient: its Hessian jumps at the margin
+# the squared hinge has a piecewise-linear gradient: its Hessian jumps at the
+# margin, so svm_sqhinge is in NONSMOOTH_KINDS
 _SQ_HINGE = _margin_loss(
     lambda t: np.maximum(0.0, 1.0 - t) ** 2,
     lambda t: -2.0 * np.maximum(0.0, 1.0 - t),
     lambda t: 2.0 * ((1.0 - t) > 0.0),
-    smooth=False,
 )
 
 
@@ -444,7 +443,7 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term) -> BilevelP
         outer_grad_lambda=outer_grad_lambda,
         effective=reader.effective,
         kind=kind,
-        supports_aid=loss.smooth,
+        supports_aid=kind not in NONSMOOTH_KINDS,
     )
 
 

@@ -232,12 +232,12 @@ def run_oehg(
     (default: the full dataset) at the new lambda with step alpha_deploy.
     Trace test losses are evaluated on the deployed model.
     """
-    if alpha_in <= 0 or alpha_deploy <= 0:
-        raise ContractViolationError("alpha_in and alpha_deploy must be > 0")
+    if not alpha_deploy > 0:
+        raise ContractViolationError("alpha_deploy must be > 0")
+    one_step = HypergradMethod(kind="ITD", K=1, alpha_in=alpha_in)  # refuses alpha_in <= 0
     lam, theta_start, train, val = _prepare(problem, ds, splits, T, lam0, theta0)
     if deploy_view is None:
         deploy_view = full_view(ds)
-    one_step = HypergradMethod(kind="ITD", K=1, alpha_in=alpha_in)
     shadows = theta_start
     deployed = theta_start
     state = None

@@ -5,7 +5,6 @@ under plain pytest -v the per-test PASSED/FAILED line carries the same verdict)
 and enforces the criterion's runtime budget on top of its tolerance.
 """
 
-import json
 import math
 import time
 
@@ -84,10 +83,10 @@ def test_criterion_02_implicit_gradient_exactness():
         tr, va = split.train_view(ds), split.val_view(ds)
         prob = build_problem(ModelSpec(kind="ridge"), d)
         oracle = RidgeOracle(tr, va)
+        method = HypergradMethod(kind="AID_CG", K=0, alpha_in=0.1, Z=d)
         for u in (-0.5, 0.0, 0.8):
             theta = oracle.theta_hat(math.exp(u))
-            g = aid_hypergrad(prob, np.array([u]), theta, tr, va,
-                              solver="cg", Z=d).grad
+            g = aid_hypergrad(prob, np.array([u]), theta, tr, va, method).grad
             exact = oracle.hypergrad_raw(u)
             worst = max(worst, abs(g[0] - exact) / max(abs(exact), 1e-12))
     elapsed = time.monotonic() - t0

@@ -116,6 +116,27 @@ def test_empty_config_gets_defaults_and_round_trips():
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+def test_default_config_echo_is_pinned():
+    # the echo written into every manifest; split and method are library types
+    assert config_to_dict(config_from_dict({})) == {
+        "data": {"source": "synthetic",
+                 "synthetic": {"n": 100, "d": 5, "noise_sigma": 0.1, "beta_seed": 0,
+                               "seed": 0, "classes": 0},
+                 "task": None, "corrupt": None, "test_fraction": 0.0, "test_seed": 0},
+        "split": {"U": 5, "gamma": 0.25, "mode": "without_replacement", "master_seed": 0},
+        "problem": {"kind": "ridge", "smoothing_delta": 1e-06, "num_classes": 0},
+        "method": {"kind": "ITD", "K": 50, "alpha_in": 0.1, "Z": 0, "h": 0, "fp_step": 0.0},
+        "strategy": {"kind": "single", "T": 50, "outer": {"kind": "gd", "alpha_out": 0.1},
+                     "alpha_deploy": 0.0, "lambda0": None, "theta0": 0.0,
+                     "warm_start": False},
+        "output": {"dir": "out", "formats": ["csv", "json"]},
+        "biasvar": {"grid": "0.3:3:50", "R": 100, "U": 1, "ref_K": 2000,
+                    "estimator": "method"},
+        "clean": {"threshold": 0.5, "retrain_K": 500, "retrain_alpha": 0.5,
+                  "baseline_raw_lambda": -12.0},
+    }
+
+
 def test_loaded_config_round_trips_through_dict():
     cfg = config_from_dict(tune_dict())
     assert config_from_dict(config_to_dict(cfg)) == cfg
@@ -167,10 +188,30 @@ def test_missing_config_file_is_a_config_error(tmp_path):
     ({"output": {"formats": ["xml"]}}, "tune", "output.formats"),
 ])
 def test_validate_tune_rules_name_offending_field(over, command, path):
-    cfg = config_from_dict(tune_dict(**over))
+    # split and method rules are checked when the config is loaded
     with pytest.raises(ConfigError) as err:
-        validate_config(cfg, command)
+        validate_config(config_from_dict(tune_dict(**over)), command)
     assert err.value.field_path == path
+
+
+@pytest.mark.parametrize("command,raw,path", [
+    ("tune", tune_dict(method={"K": 2.7}), "method.K"),
+    ("tune", tune_dict(method={"K": "7"}), "method.K"),
+    ("tune", tune_dict(method={"kind": "TRHG", "h": 2.5}), "method.h"),
+    ("tune", tune_dict(method={"kind": "AID_CG", "Z": 5, "fp_step": -1.0}), "method.fp_step"),
+    ("tune", tune_dict(split={"U": "5"}), "split.U"),
+    ("tune", tune_dict(split={"U": 2.0}), "split.U"),
+    ("tune", tune_dict(split=5), "split"),
+    ("tune", tune_dict(data={"synthetic": {"classes": 4}},
+                       problem={"kind": "softmax_l2", "num_classes": 3}), "problem.num_classes"),
+    ("clean", clean_dict(problem={"num_classes": 3}), "problem.num_classes"),
+], ids=["K-float", "K-str", "h-float", "fp_step-negative", "U-str", "U-float",
+        "split-scalar", "tune-classes", "clean-classes"])
+def test_bad_input_exits_2_with_its_field_path(tmp_path, capsys, command, raw, path):
+    out = tmp_path / "o"
+    assert main([command, "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 2
+    assert f"[{path}]" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("over,path", [

@@ -1,7 +1,5 @@
 """Datasets, seeded splits, generators, corruption, libsvm ingestion."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from bihpo.data import (
     DataView,
     Dataset,
-    Split,
     SplitPlan,
     carve_holdout,
     corrupt_labels,
@@ -125,6 +122,17 @@ def test_make_splits_infeasible():
     with pytest.raises(InfeasiblePlanError):
         make_splits(6, SplitPlan(U=16, gamma=0.5, mode="without_replacement",
                                  master_seed=3))
+
+
+@pytest.mark.parametrize("over,field", [
+    ({"U": 0}, "U"), ({"U": 2.0}, "U"), ({"U": "5"}, "U"),
+    ({"gamma": 0.0}, "gamma"), ({"gamma": float("inf")}, "gamma"), ({"gamma": "0.3"}, "gamma"),
+    ({"mode": "bootstrap"}, "mode"), ({"master_seed": -1}, "master_seed"),
+])
+def test_split_plan_names_the_field_it_refuses(over, field):
+    with pytest.raises(ContractViolationError) as err:
+        SplitPlan(**over)
+    assert err.value.field == field
 
 
 def test_make_splits_with_replacement_allows_duplicates():

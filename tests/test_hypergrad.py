@@ -20,12 +20,16 @@ from bihpo.hypergrad import (
     finite_diff_hypergrad,
     inner_solve,
     itd_hypergrad,
-    trhg_hypergrad,
 )
 from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem
 from helpers import zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
 
 RIDGE1 = build_problem(ModelSpec(kind="ridge"), 1)
+
+
+def aid_method(kind="AID_CG", Z=10, fp_step=0.0):
+    """An AID method for aid_hypergrad, which reads only kind, Z and the step."""
+    return HypergradMethod(kind=kind, K=0, alpha_in=0.1, Z=Z, fp_step=fp_step)
 
 
 def ridge_setup(n=40, d=3, seed=17, u=-0.2):
@@ -139,7 +143,7 @@ def test_itd_matches_forward_mode_recurrence_1d(seed, K, u):
 def test_trhg_full_window_equals_itd_bitwise():
     prob, tr, va, lam = ridge_setup()
     traj = inner_solve(prob, lam, np.zeros(3), tr, K=60, alpha_in=0.08)
-    assert_array_equal(trhg_hypergrad(prob, lam, traj, tr, va, h=60).grad,
+    assert_array_equal(itd_hypergrad(prob, lam, traj, tr, va, h=60).grad,
                        itd_hypergrad(prob, lam, traj, tr, va).grad)
 
 
@@ -148,25 +152,24 @@ def test_trhg_window_one_matches_hand_formula():
     traj = inner_solve(prob, lam, np.zeros(3), tr, K=20, alpha_in=0.08)
     a = prob.outer_grad_theta(lam, traj.final, va)
     want = -traj.alpha_in * prob.inner_mixed_vp(lam, traj.thetas[19], tr, a)
-    assert_allclose(trhg_hypergrad(prob, lam, traj, tr, va, h=1).grad, want)
+    assert_allclose(itd_hypergrad(prob, lam, traj, tr, va, h=1).grad, want)
 
 
 def test_trhg_error_shrinks_with_window():
     prob, tr, va, lam = ridge_setup(seed=17)
     traj = inner_solve(prob, lam, np.zeros(3), tr, K=80, alpha_in=0.08)
     full = itd_hypergrad(prob, lam, traj, tr, va).grad
-    errs = [np.linalg.norm(trhg_hypergrad(prob, lam, traj, tr, va, h).grad - full)
+    errs = [np.linalg.norm(itd_hypergrad(prob, lam, traj, tr, va, h).grad - full)
             for h in (1, 2, 5, 10, 20, 40, 80)]
     assert all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
     assert errs[-1] == 0.0
 
 
 def test_trhg_rejects_bad_window():
-    prob, tr, va, lam = ridge_setup()
-    traj = inner_solve(prob, lam, np.zeros(3), tr, K=5, alpha_in=0.08)
-    for h in (0, 6):
-        with pytest.raises(ContractViolationError):
-            trhg_hypergrad(prob, lam, traj, tr, va, h=h)
+    for h in (0, 6, 2.5):
+        with pytest.raises(ContractViolationError) as err:
+            HypergradMethod(kind="TRHG", K=5, alpha_in=0.08, h=h)
+        assert err.value.field == "h"
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +181,7 @@ def test_aid_zero_outer_gradient_gives_zero_hypergrad():
     split = make_splits(20, SplitPlan(U=1, gamma=0.25, master_seed=2))[0]
     prob = build_problem(ModelSpec(kind="ridge"), 3)
     res = aid_hypergrad(prob, np.array([0.0]), beta, split.train_view(ds),
-                        split.val_view(ds), solver="cg", Z=10)
+                        split.val_view(ds), aid_method(Z=10))
     assert_array_equal(res.grad, np.zeros(1))
 
 
@@ -189,19 +192,18 @@ def test_aid_cg_matches_dense_implicit_solve():
     H = 2.0 * (A + math.exp(lam[0]) * np.eye(3))
     v = np.linalg.solve(H, prob.outer_grad_theta(lam, theta, va))
     want = -prob.inner_mixed_vp(lam, theta, tr, v)
-    got = aid_hypergrad(prob, lam, theta, tr, va, solver="cg", Z=3).grad
+    got = aid_hypergrad(prob, lam, theta, tr, va, aid_method(Z=3)).grad
     assert_allclose(got, want, rtol=1e-8)
 
 
-@pytest.mark.parametrize("solver", ["cg", "fp"])
-def test_aid_at_closed_form_matches_oracle(solver):
+@pytest.mark.parametrize("kind", ["AID_CG", "AID_FP"], ids=["cg", "fp"])
+def test_aid_at_closed_form_matches_oracle(kind):
     prob, tr, va, lam = ridge_setup()
     le = math.exp(lam[0])
     oracle = RidgeOracle(tr, va)
     theta = oracle.theta_hat(le)
     L, _ = oracle.curvature(le)
-    res = aid_hypergrad(prob, lam, theta, tr, va, solver=solver,
-                        Z=4000, fp_step=1.0 / L)
+    res = aid_hypergrad(prob, lam, theta, tr, va, aid_method(kind, Z=4000, fp_step=1.0 / L))
     want = oracle.hypergrad_raw(float(lam[0]))
     assert_allclose(res.grad, [want], atol=1e-6)
     assert res.diagnostics["aid_residual"] < 1e-8
@@ -211,18 +213,19 @@ def test_aid_refused_for_nonsmooth_hessian():
     prob, tr, va = zoo_instance("svm_sqhinge")
     assert not prob.supports_aid
     with pytest.raises(ContractViolationError):
-        aid_hypergrad(prob, np.array([0.0]), np.zeros(prob.param_dim), tr, va)
+        aid_hypergrad(prob, np.array([0.0]), np.zeros(prob.param_dim), tr, va, aid_method())
 
 
 def test_aid_validation():
     prob, tr, va, lam = ridge_setup()
-    theta = np.zeros(3)
     with pytest.raises(ContractViolationError):
-        aid_hypergrad(prob, lam, theta, tr, va, solver="qr")
-    with pytest.raises(ContractViolationError):
-        aid_hypergrad(prob, lam, theta, tr, va, solver="cg", Z=0)
-    with pytest.raises(ContractViolationError):
-        aid_hypergrad(prob, lam, theta, tr, va, solver="fp", Z=5, fp_step=None)
+        aid_hypergrad(prob, lam, np.zeros(3), tr, va, HypergradMethod(kind="ITD", K=5))
+    for kind, over, field in [("AID_CG", {"Z": 0}, "Z"), ("AID_FP", {"Z": 2.0}, "Z"),
+                              ("AID_FP", {"fp_step": -1.0}, "fp_step"),
+                              ("AID_CG", {"fp_step": "0.1"}, "fp_step")]:
+        with pytest.raises(ContractViolationError) as err:
+            aid_method(kind, **{"Z": 5, **over})
+        assert err.value.field == field
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +273,13 @@ def test_method_config_validation():
         HypergradMethod(kind="TRHG", K=5, alpha_in=0.1, h=6)
     with pytest.raises(ContractViolationError):
         HypergradMethod(kind="AID_CG", K=5, alpha_in=0.1, Z=0)
+    # counts are integers (numpy ints too) and step sizes real numbers
+    for bad in ({"K": 2.7}, {"K": "7"}, {"K": True}, {"alpha_in": "0.1"},
+                {"alpha_in": float("nan")}):
+        with pytest.raises(ContractViolationError) as err:
+            HypergradMethod(**{"kind": "ITD", "K": 5, "alpha_in": 0.1, **bad})
+        assert err.value.field == next(iter(bad))
+    assert HypergradMethod(kind="ITD", K=np.int64(5), alpha_in=np.float32(0.1)).K == 5
 
 
 def test_estimate_hypergrad_dispatch_consistency():
@@ -283,7 +293,7 @@ def test_estimate_hypergrad_dispatch_consistency():
     traj = inner_solve(prob, lam, th0, tr, 40, 0.08)
     aid = estimate_hypergrad(prob, lam, th0, tr, va,
                              HypergradMethod(kind="AID_CG", K=40, alpha_in=0.08, Z=8))
-    same = aid_hypergrad(prob, lam, traj.final, tr, va, solver="cg", Z=8)
+    same = aid_hypergrad(prob, lam, traj.final, tr, va, aid_method(Z=8))
     assert_array_equal(aid.grad, same.grad)
 
 
