@@ -112,8 +112,8 @@ def _resolve_vec(value, dim: int, default: float, path: str) -> np.ndarray:
 def _model_spec(cfg: ExperimentConfig, n_weights: int = 0) -> ModelSpec:
     return ModelSpec(
         kind=cfg.problem.kind,
-        smoothing_delta=float(cfg.problem.smoothing_delta),
-        num_classes=int(cfg.problem.num_classes),
+        smoothing_delta=cfg.problem.smoothing_delta,
+        num_classes=cfg.problem.num_classes,
         n_weights=n_weights,
     )
 
@@ -179,10 +179,6 @@ def _trace_rows(trace: HPOTrace) -> tuple[list[str], list[list]]:
 
 def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
     validate_config(cfg, "tune")
-    if cfg.problem.kind == "hyperclean_softmax" and cfg.split.U != 1:
-        raise ConfigError(
-            "hyperclean weights align with one fixed split; use U = 1", field_path="split.U"
-        )
     ds_full = build_dataset(cfg)
     test_view = None
     pool = ds_full
@@ -249,13 +245,14 @@ def cmd_biasvar(cfg: ExperimentConfig, out_dir: Path) -> int:
     bv = cfg.biasvar
     method = "oracle" if bv.estimator == "oracle" else cfg.method
     grid = parse_grid(bv.grid)
+    spec = _model_spec(cfg)
     with _Manifest(
         out_dir, "biasvar", config_to_dict(cfg),
         {"sweep_seed": cfg.split.master_seed, "beta_seed": s.beta_seed},
     ) as manifest:
         report = bias_variance_sweep(
             design, method, grid, R=bv.R, U=bv.U, seed=cfg.split.master_seed,
-            spec=_model_spec(cfg), ref_K=bv.ref_K,
+            spec=spec, ref_K=bv.ref_K,
         )
         rows = [
             [r.lambda_eff, r.error, r.variance, r.bias_sq, r.identity_residual,
@@ -584,9 +581,10 @@ def main(argv=None) -> int:
         if args.command in config_commands:
             return config_commands[args.command](*_load_with_overrides(args))
         if args.command == "fpc":
-            U_values = [int(x) for x in args.U.split(",") if x.strip()]
-            if not U_values:
-                raise ConfigError("--U must list at least one ensemble size", field_path="U")
+            sizes = [x for x in args.U.split(",") if x.strip()]
+            if not sizes or not all(x.strip().isdecimal() for x in sizes):
+                raise ConfigError(f"--U must list ensemble sizes, got {args.U!r}", field_path="U")
+            U_values = [int(x) for x in sizes]
             out = ensure_dir(args.out) if args.out else None
             return cmd_fpc(args.n, args.gamma, U_values, args.samples, args.seed, out,
                            d=args.d, noise_sigma=args.noise_sigma,

@@ -3,8 +3,10 @@
 The file format is YAML restricted to scalars, flat arrays, and one level of
 nested sections per the grammar documented in the README. Unknown keys are
 rejected so typos fail loudly; every validation error carries the dotted path
-of the offending field. The `split` and `method` sections are the library's
-SplitPlan and HypergradMethod, which check their own rules when built.
+of the offending field. Each section's int, float and bool fields are checked
+against their annotations when it is built (errors.require_fields); the `split`
+and `method` sections are the library's SplitPlan and HypergradMethod, which
+also check their own rules. validate_config adds range and cross-section rules.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 import yaml
 
 from .data import TASKS, SplitPlan
-from .errors import ConfigError, ContractViolationError, ParseError
+from .errors import ConfigError, ContractViolationError, ParseError, require_fields, require_real
 from .hypergrad import AID_KINDS, HypergradMethod
 from .problems import MODEL_KINDS, NONSMOOTH_KINDS, REGRESSION_KINDS
 from .strategies import OPTIMIZER_KINDS, STRATEGY_KINDS
@@ -142,10 +144,12 @@ def _coerce(cls, raw: dict, path: str):
         else:
             kwargs[key] = value
     try:
-        return cls(**kwargs)
+        section = cls(**kwargs)
+        require_fields(section)
+        return section
     except TypeError as exc:
         raise ConfigError(str(exc), field_path=path) from exc
-    except ContractViolationError as exc:  # a library type's own rule, at its field
+    except ContractViolationError as exc:  # a type or library rule, at its field
         field_path = f"{path}.{exc.field}" if exc.field else path
         raise ConfigError(str(exc), field_path=field_path) from exc
 
@@ -192,21 +196,18 @@ def config_to_dict(cfg) -> dict:
 def parse_grid(spec: Any) -> list[float]:
     """Either an explicit list or 'lo:hi:count' (inclusive linear spacing)."""
     if isinstance(spec, (list, tuple)):
-        grid = [float(x) for x in spec]
+        _require_reals(spec, "biasvar.grid")
+        grid = np.asarray(spec, dtype=np.float64).tolist()
     elif isinstance(spec, str):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"grid must be 'lo:hi:count' or a list, got {spec!r}",
-                field_path="biasvar.grid",
-            )
         try:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+            lo, hi, count = spec.split(":")
+            lo, hi, count = float(lo), float(hi), int(count)
         except ValueError as exc:
-            raise ConfigError(f"bad grid spec {spec!r}", field_path="biasvar.grid") from exc
+            raise ConfigError(f"grid must be 'lo:hi:count' or a list, got {spec!r}",
+                              field_path="biasvar.grid") from exc
         if count < 1 or hi < lo:
             raise ConfigError(f"bad grid range {spec!r}", field_path="biasvar.grid")
-        grid = [float(x) for x in np.linspace(lo, hi, count)]
+        grid = np.linspace(lo, hi, count).tolist()
     else:
         raise ConfigError("grid must be a string or list", field_path="biasvar.grid")
     if not grid:
@@ -219,28 +220,34 @@ def _require(cond: bool, message: str, path: str) -> None:
         raise ConfigError(message, field_path=path)
 
 
+def _require_reals(value, path: str) -> None:
+    """Refuse a value that is not a real number or a list of real numbers."""
+    try:
+        for x in value if isinstance(value, (list, tuple)) else [value]:
+            require_real(x, path.rsplit(".", 1)[-1])
+    except ContractViolationError as exc:
+        raise ConfigError(str(exc), field_path=path) from exc
+
+
 def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
     """Range/consistency validation; raises ConfigError naming the field path."""
     d = cfg.data
     _require(isinstance(d.source, str) and d.source != "", "source must be a non-empty string", "data.source")
     if d.source == "synthetic":
         s = d.synthetic
-        _require(int(s.n) >= 2, "synthetic.n must be >= 2", "data.synthetic.n")
-        _require(int(s.d) >= 1, "synthetic.d must be >= 1", "data.synthetic.d")
-        _require(float(s.noise_sigma) >= 0, "noise_sigma must be >= 0", "data.synthetic.noise_sigma")
-        _require(int(s.classes) >= 0, "classes must be >= 0", "data.synthetic.classes")
+        _require(s.n >= 2, "synthetic.n must be >= 2", "data.synthetic.n")
+        _require(s.d >= 1, "synthetic.d must be >= 1", "data.synthetic.d")
+        _require(s.noise_sigma >= 0, "noise_sigma must be >= 0", "data.synthetic.noise_sigma")
     if d.task is not None:
         _require(d.task in TASKS, f"task must be one of {TASKS}", "data.task")
     if d.corrupt is not None:
-        _require(0.0 <= float(d.corrupt.p) <= 1.0, "corrupt.p must be in [0, 1]", "data.corrupt.p")
-    _require(0.0 <= float(d.test_fraction) < 1.0, "test_fraction must be in [0, 1)", "data.test_fraction")
+        _require(0.0 <= d.corrupt.p <= 1.0, "corrupt.p must be in [0, 1]", "data.corrupt.p")
+    _require(0.0 <= d.test_fraction < 1.0, "test_fraction must be in [0, 1)", "data.test_fraction")
 
     pr = cfg.problem
     _require(pr.kind in MODEL_KINDS, f"kind must be one of {MODEL_KINDS}", "problem.kind")
-    if pr.kind in ("lasso_smooth", "elastic_net"):
-        _require(float(pr.smoothing_delta) > 0, "smoothing_delta must be > 0", "problem.smoothing_delta")
-    if pr.kind in ("softmax_l2", "hyperclean_softmax"):
-        _require(int(pr.num_classes) >= 2, "num_classes must be >= 2", "problem.num_classes")
+    if pr.kind == "hyperclean_softmax":
+        _require(cfg.split.U == 1, "hyperclean weights align with one fixed split; use U = 1", "split.U")
 
     if cfg.method.kind in AID_KINDS:
         _require(
@@ -251,15 +258,14 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
 
     st = cfg.strategy
     _require(st.kind in STRATEGY_KINDS, f"kind must be one of {STRATEGY_KINDS}", "strategy.kind")
-    _require(int(st.T) >= 1, "T must be >= 1", "strategy.T")
+    _require(st.T >= 1, "T must be >= 1", "strategy.T")
     _require(st.outer.kind in OPTIMIZER_KINDS, f"kind must be one of {OPTIMIZER_KINDS}", "strategy.outer.kind")
-    _require(float(st.outer.alpha_out) > 0, "alpha_out must be > 0", "strategy.outer.alpha_out")
+    _require(st.outer.alpha_out > 0, "alpha_out must be > 0", "strategy.outer.alpha_out")
     if st.kind == "oehg":
-        _require(float(st.alpha_deploy) > 0, "oehg requires alpha_deploy > 0", "strategy.alpha_deploy")
-    if st.lambda0 is not None and not isinstance(st.lambda0, (int, float, list)):
-        raise ConfigError("lambda0 must be a number or list", field_path="strategy.lambda0")
-    if not isinstance(st.theta0, (int, float, list)):
-        raise ConfigError("theta0 must be a number or list", field_path="strategy.theta0")
+        _require(st.alpha_deploy > 0, "oehg requires alpha_deploy > 0", "strategy.alpha_deploy")
+    if st.lambda0 is not None:
+        _require_reals(st.lambda0, "strategy.lambda0")
+    _require_reals(st.theta0, "strategy.theta0")
 
     ou = cfg.output
     _require(isinstance(ou.dir, str) and ou.dir != "", "dir must be a non-empty string", "output.dir")
@@ -268,9 +274,9 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
 
     if command == "biasvar":
         bv = cfg.biasvar
-        _require(int(bv.R) >= 2, "R must be >= 2", "biasvar.R")
-        _require(int(bv.U) >= 1, "U must be >= 1", "biasvar.U")
-        _require(int(bv.ref_K) >= 1, "ref_K must be >= 1", "biasvar.ref_K")
+        _require(bv.R >= 2, "R must be >= 2", "biasvar.R")
+        _require(bv.U >= 1, "U must be >= 1", "biasvar.U")
+        _require(bv.ref_K >= 1, "ref_K must be >= 1", "biasvar.ref_K")
         _require(bv.estimator in ("method", "oracle"), "estimator must be 'method' or 'oracle'", "biasvar.estimator")
         parse_grid(bv.grid)
         _require(
@@ -285,10 +291,7 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
         )
     if command == "clean":
         _require(pr.kind == "hyperclean_softmax", "clean requires problem.kind = hyperclean_softmax", "problem.kind")
-        _require(cfg.split.U == 1, "clean uses a single fixed split (U = 1)", "split.U")
         cl = cfg.clean
-        _require(0.0 < float(cl.threshold) < 1.0, "threshold must be in (0, 1)", "clean.threshold")
-        _require(int(cl.retrain_K) >= 1, "retrain_K must be >= 1", "clean.retrain_K")
-        _require(float(cl.retrain_alpha) > 0, "retrain_alpha must be > 0", "clean.retrain_alpha")
-        if d.source == "synthetic":
-            _require(int(d.synthetic.classes) >= 2, "clean needs synthetic.classes >= 2", "data.synthetic.classes")
+        _require(0.0 < cl.threshold < 1.0, "threshold must be in (0, 1)", "clean.threshold")
+        _require(cl.retrain_K >= 1, "retrain_K must be >= 1", "clean.retrain_K")
+        _require(cl.retrain_alpha > 0, "retrain_alpha must be > 0", "clean.retrain_alpha")

@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the count and real-number argument checks.
+"""Exception hierarchy, and the count, real-number and field type checks.
 
 Every failure mode the library reports deliberately (as opposed to plain bugs)
 derives from BilevelError so callers can catch one base class. The CLI maps
@@ -8,6 +8,7 @@ ConfigError/ParseError/InfeasiblePlanError to exit code 2 and NumericalError
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
 import operator
 
@@ -89,3 +90,16 @@ def require_real(value, name: str) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ContractViolationError(f"{name} must be a real number, got {value!r}",
                                      field=name)
+
+
+def require_fields(obj) -> None:
+    """Check each int, float and bool field of a dataclass against its string annotation."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int":
+            require_count(value, f.name)
+        elif f.type == "float":
+            require_real(value, f.name)
+        elif f.type == "bool" and not isinstance(value, bool):
+            raise ContractViolationError(f"{f.name} must be true or false, got {value!r}",
+                                         field=f.name)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ import yaml
 
 from bihpo.cli import check_model, main
 from bihpo.config import (
+    _SECTION_TYPES,
+    ExperimentConfig,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -205,13 +208,64 @@ def test_validate_tune_rules_name_offending_field(over, command, path):
     ("tune", tune_dict(data={"synthetic": {"classes": 4}},
                        problem={"kind": "softmax_l2", "num_classes": 3}), "problem.num_classes"),
     ("clean", clean_dict(problem={"num_classes": 3}), "problem.num_classes"),
+    ("tune", tune_dict(strategy={"T": 2.5}), "strategy.T"),
+    ("tune", tune_dict(data={"synthetic": {"n": "60"}}), "data.synthetic.n"),
+    ("tune", tune_dict(strategy={"outer": {"alpha_out": "0.5"}}), "strategy.outer.alpha_out"),
+    ("clean", clean_dict(clean={"retrain_K": 2.5}), "clean.retrain_K"),
+    ("tune", tune_dict(strategy={"warm_start": "no"}), "strategy.warm_start"),
+    ("tune", clean_dict(split={"U": 2}), "split.U"),
+    ("biasvar", biasvar_dict(problem={"kind": "lasso_smooth", "smoothing_delta": 0.0}),
+     "problem.smoothing_delta"),
+    ("tune", tune_dict(strategy={"lambda0": ["a"]}), "strategy.lambda0"),
+    ("tune", tune_dict(strategy={"theta0": True}), "strategy.theta0"),
+    ("biasvar", biasvar_dict(biasvar={"grid": ["a", 1.0]}), "biasvar.grid"),
+    ("biasvar", biasvar_dict(biasvar={"grid": ["0.5", 1.0]}), "biasvar.grid"),
+    ("clean", clean_dict(data={"synthetic": {"classes": 1}}), "data.synthetic.classes"),
 ], ids=["K-float", "K-str", "h-float", "fp_step-negative", "U-str", "U-float",
-        "split-scalar", "tune-classes", "clean-classes"])
+        "split-scalar", "tune-classes", "clean-classes", "T-float", "n-str",
+        "alpha_out-str", "retrain_K-float", "warm_start-str", "hyperclean-U",
+        "smoothing_delta-zero", "lambda0-str", "theta0-bool", "grid-str", "grid-numeric-str",
+        "clean-synthetic-classes"])
 def test_bad_input_exits_2_with_its_field_path(tmp_path, capsys, command, raw, path):
     out = tmp_path / "o"
     assert main([command, "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 2
     assert f"[{path}]" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+# values each annotation refuses; every int field is a count, so -1 too
+_REFUSED = {"int": (2.5, "7", True, -1), "float": ("0.5", True), "bool": ("no",)}
+
+
+def _typed_fields(cls=ExperimentConfig, path=""):
+    """(dotted path, annotation) of each int/float/bool field of the config-only sections."""
+    for f in fields(cls):
+        sub = f"{path}.{f.name}" if path else f.name
+        section = _SECTION_TYPES.get(f.name)
+        if section is not None and section.__module__ == "bihpo.config":
+            yield from _typed_fields(section, sub)
+        elif section is None and f.type in _REFUSED:
+            yield sub, f.type
+
+
+_TYPED_CASES = [(path, bad) for path, kind in _typed_fields() for bad in _REFUSED[kind]]
+
+
+def test_typed_field_cases_cover_every_config_only_section():
+    sections = {path.rsplit(".", 1)[0] for path, _ in _TYPED_CASES}
+    assert sections == {"data", "data.synthetic", "data.corrupt", "problem", "strategy",
+                        "strategy.outer", "biasvar", "clean"}
+
+
+@pytest.mark.parametrize("path,bad", _TYPED_CASES,
+                         ids=[f"{path}={bad!r}" for path, bad in _TYPED_CASES])
+def test_typed_fields_refuse_the_wrong_type_at_their_path(path, bad):
+    raw = bad
+    for key in reversed(path.split(".")):
+        raw = {key: raw}
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.field_path == path
 
 
 @pytest.mark.parametrize("over,path", [
@@ -476,6 +530,11 @@ def test_fpc_prints_and_writes_table(tmp_path, capsys):
     full = rows[-1]
     assert float(full["mc_estimate"]) == 0.0
     assert float(full["exact_without"]) == 0.0
+
+
+def test_fpc_refuses_non_integer_ensemble_sizes(capsys):
+    assert main(["fpc", "--n", "6", "--gamma", "0.5", "--U", "a,b"]) == 2
+    assert "[U]" in capsys.readouterr().err
 
 
 def test_fpc_refuses_unenumerable_population(capsys):
