@@ -602,7 +602,8 @@ def main(argv=None) -> int:
         print(f"config error{where}: {exc}", file=sys.stderr)
         return 2
     except ContractViolationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        where = f" [{exc.field}]" if exc.field else ""
+        print(f"config error{where}: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         where = f" (step {exc.step_index})" if exc.step_index is not None else ""

@@ -349,10 +349,11 @@ def gen_linear(
     Returns (dataset, beta). beta is drawn from its own seed so replicate
     datasets (fresh seed) share the same ground-truth coefficient vector.
     """
-    if n < 1 or d < 1:
-        raise ContractViolationError("gen_linear needs n >= 1 and d >= 1")
+    for name, size in (("n", n), ("d", d)):
+        if size < 1:
+            raise ContractViolationError(f"gen_linear needs {name} >= 1, got {size}", field=name)
     if noise_sigma < 0:
-        raise ContractViolationError("noise_sigma must be >= 0")
+        raise ContractViolationError("noise_sigma must be >= 0", field="noise_sigma")
     beta = _shared_beta(beta_seed, d).copy()
     rng = _rng(seed)
     X = rng.standard_normal((n, d))

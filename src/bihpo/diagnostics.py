@@ -134,7 +134,7 @@ class RidgeOracle:
 
 # Bytes of inner trajectory, (K + 1) * B * r * 8, that one stacked estimate of
 # B members may hold. Longer member lists run as several contiguous runs.
-RUN_BYTES = 1 << 20
+RUN_BYTES = 2 << 20
 
 
 def _replicate_views(design: SweepDesign, U: int, seed: int, j: int
@@ -423,7 +423,7 @@ def fpc_verify(
     splits = enumerate_all_splits(ds.n, gamma)
     V = len(splits)
     if not (1 <= U <= V):
-        raise ContractViolationError(f"need 1 <= U <= V = {V}, got U = {U}")
+        raise ContractViolationError(f"need 1 <= U <= V = {V}, got U = {U}", field="U")
 
     trains = [s.train_view(ds) for s in splits]
     vals = [s.val_view(ds) for s in splits]

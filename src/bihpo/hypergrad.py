@@ -6,7 +6,9 @@ accumulation with Hessian- and mixed-vector products (no matrices are ever
 materialized), over all K steps or, for TRHG, the last h; aid_hypergrad
 solves the inner-Hessian linear system approximately and applies the
 implicit-function-theorem formula. All hypergradients are in raw
-hyper coordinates because the problem callbacks already are.
+hyper coordinates because the problem callbacks already are. Each solve
+and each reverse pass binds lam and its train view once
+(BilevelProblem.bind_inner), and its loop calls the bound derivatives.
 
 Every entry point also takes StackedView train/val views of B members, for
 every model kind, with lam (p,) or (B, p) and theta (r,) or (B, r): the same
@@ -20,6 +22,7 @@ it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -120,21 +123,21 @@ def inner_solve(
     if K < 0:
         raise ContractViolationError("K must be >= 0")
     lam, theta = check_args(problem, lam, theta0, train)
+    grad = problem.bind_inner(lam, train).grad
     theta = theta.copy()
     thetas = [theta]
     # overflow surfaces as the explicit non-finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(K):
-            theta = theta - alpha_in * problem.inner_grad_theta(lam, theta, train)
+            theta = theta - alpha_in * grad(theta)
             thetas.append(theta)
         if not np.all(np.isfinite(theta)):
-            _raise_first_nonfinite_gradient(problem, lam, thetas, train)
+            _raise_first_nonfinite_gradient(grad, thetas)
     return InnerTrajectory(thetas=tuple(thetas), alpha_in=alpha_in)
 
 
-def _raise_first_nonfinite_gradient(problem: BilevelProblem, lam: np.ndarray,
-                          thetas: list[np.ndarray], train: DataView | StackedView) -> None:
-    """Raise for the first step whose inner gradient is non-finite, if any.
+def _raise_first_nonfinite_gradient(grad: Callable[[Vec], Vec], thetas: list[Vec]) -> None:
+    """Raise for the first step whose inner gradient grad is non-finite, if any.
 
     theta_j, the first non-finite iterate, came from theta_{j-1} either by a
     non-finite gradient (step j-1) or by an overflow of the update itself,
@@ -145,7 +148,7 @@ def _raise_first_nonfinite_gradient(problem: BilevelProblem, lam: np.ndarray,
     """
     j = next(j for j, theta in enumerate(thetas) if not np.all(np.isfinite(theta)))
     for k in range(max(j - 1, 0), len(thetas) - 1):
-        g = problem.inner_grad_theta(lam, thetas[k], train)
+        g = grad(thetas[k])
         if not np.all(np.isfinite(g)):
             raise _nonfinite(f"inner gradient became non-finite at step {k}", g, step=k)
 
@@ -170,6 +173,7 @@ def itd_hypergrad(
     the h most recent steps (k = K-1 .. K-h); h = K is the full pass.
     """
     lam, theta_K = check_args(problem, lam, traj.final, train, val)
+    inner = problem.bind_inner(lam, train)
     alpha = traj.alpha_in
     g = problem.outer_grad_lambda(lam, theta_K, val).astype(np.float64, copy=True)
     a = problem.outer_grad_theta(lam, theta_K, val)
@@ -179,9 +183,9 @@ def itd_hypergrad(
     steps = range(traj.K - 1, traj.K - 1 - (traj.K if h is None else h), -1)
     for k in steps:
         theta_k = traj.thetas[k]
-        g = g - alpha * problem.inner_mixed_vp(lam, theta_k, train, a)
+        g = g - alpha * inner.mixed(theta_k, a)
         if k != steps[-1]:
-            a = a - alpha * problem.inner_hvp(lam, theta_k, train, a)
+            a = a - alpha * inner.hvp(theta_k, a)
     if not np.all(np.isfinite(g)):
         raise _nonfinite("reverse accumulation produced a non-finite hypergradient", g)
     return HypergradResult(grad=g, inner_final=theta_K, diagnostics=_traj_diagnostics(traj))
@@ -213,10 +217,8 @@ def aid_hypergrad(
         raise ContractViolationError(f"aid_hypergrad needs an AID method, got {method.kind!r}")
     lam, theta_K = check_args(problem, lam, theta_K, train, val)
     b = problem.outer_grad_theta(lam, theta_K, val)
-    op = LinearOperator(
-        dim=problem.param_dim,
-        apply=lambda x: problem.inner_hvp(lam, theta_K, train, x),
-    )
+    inner = problem.bind_inner(lam, train)
+    op = LinearOperator(dim=problem.param_dim, apply=lambda x: inner.hvp(theta_K, x))
     counts = np.zeros(b.shape[:-1], dtype=np.int64)  # iterations of each member
     if method.kind == "AID_CG":
         v, _ = cg_solve(op, b, max_iters=method.Z, tol=AID_TOL, counts=counts)
@@ -224,9 +226,7 @@ def aid_hypergrad(
         v, _ = fixed_point_solve(op, b, step=method.fp_step or method.alpha_in,
                                  max_iters=method.Z, tol=AID_TOL, counts=counts)
     residual = row_norm(op(v) - b)
-    g = problem.outer_grad_lambda(lam, theta_K, val) - problem.inner_mixed_vp(
-        lam, theta_K, train, v
-    )
+    g = problem.outer_grad_lambda(lam, theta_K, val) - inner.mixed(theta_K, v)
     if not np.all(np.isfinite(g)):
         raise _nonfinite("AID produced a non-finite hypergradient", g)
     return HypergradResult(

@@ -16,7 +16,7 @@ reported by the library is with respect to the raw coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,6 +41,8 @@ MODEL_KINDS = tuple(TASK_OF_KIND)
 REGRESSION_KINDS = tuple(k for k, task in TASK_OF_KIND.items() if task == "regression")
 # the kinds whose inner Hessian is discontinuous, which rules out AID
 NONSMOOTH_KINDS = ("svm_sqhinge",)
+# the kinds with a pseudo-Huber (smoothed L1) penalty, which reads smoothing_delta
+SMOOTHED_L1_KINDS = ("lasso_smooth", "elastic_net")
 
 
 def sigmoid(x):
@@ -70,7 +72,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}", field_path="problem.kind")
-        if self.kind in ("lasso_smooth", "elastic_net") and not self.smoothing_delta > 0:
+        if self.kind in SMOOTHED_L1_KINDS and not self.smoothing_delta > 0:
             raise ConfigError(
                 "smoothing_delta must be > 0 for smoothed-L1 models",
                 field_path="problem.smoothing_delta",
@@ -86,6 +88,19 @@ class ModelSpec:
             )
 
 
+class InnerBinding(NamedTuple):
+    """The inner objective's theta derivatives at one (lam, view), over theta only.
+
+    grad(theta), hvp(theta, v) and mixed(theta, v) are the inner_grad_theta,
+    inner_hvp and inner_mixed_vp of BilevelProblem with lam and the view
+    fixed; what depends on those alone is computed once, when bound.
+    """
+
+    grad: Callable[[Vec], Vec]
+    hvp: Callable[[Vec, Vec], Vec]
+    mixed: Callable[[Vec, Vec], Vec]
+
+
 @dataclass(frozen=True)
 class BilevelProblem:
     """Derivative callbacks of the inner/outer objectives, all pure.
@@ -97,10 +112,16 @@ class BilevelProblem:
     a vector of length hyper_dim. Every callback also takes a leading member
     axis, lam (B, hyper_dim), theta and v (B, param_dim), with a StackedView
     of B members, and then returns one value per member.
+
+    bind_inner(lam, view) returns the InnerBinding of the three inner theta
+    derivatives at that lam and view; the inner loop and the reverse pass
+    bind once per solve and call it at every step. inner_grad_theta,
+    inner_hvp and inner_mixed_vp are the same functions, bound per call.
     """
 
     hyper_dim: int
     param_dim: int
+    bind_inner: Callable[[Vec, DataView], InnerBinding]
     inner_loss: Callable[[Vec, Vec, DataView], float]
     inner_grad_theta: Callable[[Vec, Vec, DataView], Vec]
     inner_hvp: Callable[[Vec, Vec, DataView, Vec], Vec]
@@ -160,26 +181,28 @@ def _per_member(x: np.ndarray, B: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # terms of the inner objective: data losses and penalties
 #
-# Every term callable takes (lam, theta, view); hvp and mixed also take the
-# direction v. A data loss given lam=None is its unweighted form, which is
-# the outer objective. Every term broadcasts over a leading member axis:
-# lam (..., p), theta and v (..., r) with a StackedView, whose rows are
-# (B, m, d). Each member then goes through the same numpy kernel call as a
-# DataView would, so its bits do not depend on the stacking.
+# A term's value takes (lam, theta, view) and its theta derivatives come from
+# one bind(lam, view). A data loss given lam=None is its unweighted form,
+# which is the outer objective.
+# Every term broadcasts over a leading member axis: lam (..., p), theta and
+# v (..., r) with a StackedView, whose rows are (B, m, d). Each member then
+# goes through the same numpy kernel call as a DataView would, so its bits do
+# not depend on the stacking. A hoisted factor keeps numpy's left-to-right
+# order: (2.0 * e) * theta is bound as c2 = 2.0 * e, then c2 * theta.
 
 @dataclass(frozen=True)
 class _Term:
-    """One summand of the inner objective and its theta derivatives.
+    """One summand of the inner objective: its value and its bound theta derivatives.
 
-    mixed is d/d_lam of grad contracted with v, for the term that reads lam;
-    hyper_dim is how many raw lam coordinates it reads and effective maps
-    them to their effective scale.
+    bind(lam, view) computes what depends on lam and the view alone, once,
+    and returns (grad, hvp, mixed) over theta; hvp and mixed also take the
+    direction v. mixed is d/d_lam of grad contracted with v, or None for a
+    term that does not read lam; hyper_dim is how many raw lam coordinates
+    it reads and effective maps them to their effective scale.
     """
 
     value: Callable
-    grad: Callable
-    hvp: Callable
-    mixed: Callable | None = None
+    bind: Callable
     hyper_dim: int = 0
     effective: Callable[[Vec], Vec] = np.exp
 
@@ -195,36 +218,37 @@ def _quad_value(lam, theta, view):
     return row_dot(theta, _matvec(A, theta)) - 2.0 * row_dot(b, theta) + c
 
 
-def _quad_grad(lam, theta, view):
+def _quad_bind(lam, view):
     A, b = view.gram
-    return 2.0 * (_matvec(A, theta) - b)
-
-
-def _quad_hvp(lam, theta, view, v):
-    A, _ = view.gram
-    return 2.0 * _matvec(A, v)
+    return (lambda theta: 2.0 * (_matvec(A, theta) - b),
+            lambda theta, v: 2.0 * _matvec(A, v),
+            None)
 
 
 # mean squared error, from the view's Gram pair (X^T X / m, X^T y / m)
-_SQUARED = _Term(value=_quad_value, grad=_quad_grad, hvp=_quad_hvp)
+_SQUARED = _Term(value=_quad_value, bind=_quad_bind)
 
 
 def _margin_loss(phi, dphi, d2phi) -> _Term:
     """Mean of phi(y x^T theta) over the rows of a binary view (labels +-1)."""
 
-    def margins(theta, view):
-        return view.y * _matvec(view.X, theta)
+    def value(lam, theta, view):
+        return np.mean(phi(view.y * _matvec(view.X, theta)), axis=-1)
 
-    def back(view, s):
-        """X^T s / m: per-row weights s (..., m) mapped back to theta."""
-        return _matvec(view.X.swapaxes(-1, -2), s) / view.m
+    def bind(lam, view):
+        X, y, m = view.X, view.y, view.m
+        Xt = X.swapaxes(-1, -2)
 
-    return _Term(
-        value=lambda lam, theta, view: np.mean(phi(margins(theta, view)), axis=-1),
-        grad=lambda lam, theta, view: back(view, view.y * dphi(margins(theta, view))),
-        hvp=lambda lam, theta, view, v: back(
-            view, d2phi(margins(theta, view)) * _matvec(view.X, v)),
-    )
+        def grad(theta):
+            # X^T s / m maps per-row weights s (..., m) back to theta
+            return _matvec(Xt, y * dphi(y * _matvec(X, theta))) / m
+
+        def hvp(theta, v):
+            return _matvec(Xt, d2phi(y * _matvec(X, theta)) * _matvec(X, v)) / m
+
+        return grad, hvp, None
+
+    return _Term(value=value, bind=bind)
 
 
 _LOGISTIC = _margin_loss(
@@ -298,48 +322,49 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
             )
         return sigmoid(lam)
 
-    def logits(x, view):
+    def logits(X, x):
         """X W with W the (..., d, k) reshape of x: (..., m, k)."""
-        return view.X @ x.reshape(x.shape[:-1] + (d, k))
-
-    def back(view, G):
-        """X^T G / m, flattened to theta's layout (..., r)."""
-        out = (view.X.swapaxes(-1, -2) @ G) / view.m
-        return out.reshape(out.shape[:-2] + (r,))
-
-    def probs(theta, view):
-        return _log_softmax(logits(theta, view))[2]
+        return X @ x.reshape(x.shape[:-1] + (d, k))
 
     def value(lam, theta, view):
-        Zs, S, _ = _log_softmax(logits(theta, view))
+        Zs, S, _ = _log_softmax(logits(view.X, theta))
         # the one-hot row picks the label's shifted logit exactly: the others add zeros
         ce = np.log(S[..., 0]) - np.einsum("...k,...k->...", Zs, view.one_hot)
         w = weights(lam, view)
         return np.mean(ce, axis=-1) if w is None else row_dot(w, ce) / view.m
 
-    def grad(lam, theta, view):
-        G = probs(theta, view) - view.one_hot
+    def bind(lam, view):
+        X, one_hot, m = view.X, view.one_hot, view.m
+        Xt = X.swapaxes(-1, -2)
         w = weights(lam, view)
-        if w is not None:
-            G = G * w[..., None]
-        return back(view, G)
+        w_col = None if w is None else w[..., None]
 
-    def hvp(lam, theta, view, v):
-        P = probs(theta, view)
-        PdZ = P * logits(v, view)
-        term = PdZ - P * _row_sum(PdZ)
-        w = weights(lam, view)
-        if w is not None:
-            term = term * w[..., None]
-        return back(view, term)
+        def back(G):
+            """X^T G / m, flattened to theta's layout (..., r)."""
+            out = (Xt @ G) / m
+            return out.reshape(out.shape[:-2] + (r,))
 
-    def mixed(lam, theta, view, v):
-        sig_prime = weights(lam, view) * sigmoid(-lam)  # the weights check the rows too
-        dZ = logits(v, view)
-        return sig_prime * _row_sum((probs(theta, view) - view.one_hot) * dZ)[..., 0] / view.m
+        def probs(theta):
+            return _log_softmax(logits(X, theta))[2]
 
-    return _Term(value=value, grad=grad, hvp=hvp, mixed=mixed,
-                 hyper_dim=n_weights, effective=sigmoid)
+        def grad(theta):
+            G = probs(theta) - one_hot
+            return back(G if w_col is None else G * w_col)
+
+        def hvp(theta, v):
+            P = probs(theta)
+            PdZ = P * logits(X, v)
+            term = PdZ - P * _row_sum(PdZ)
+            return back(term if w_col is None else term * w_col)
+
+        def mixed(theta, v):
+            sig_prime = w * sigmoid(-lam)
+            dZ = logits(X, v)
+            return sig_prime * _row_sum((probs(theta) - one_hot) * dZ)[..., 0] / m
+
+        return grad, hvp, None if w is None else mixed
+
+    return _Term(value=value, bind=bind, hyper_dim=n_weights, effective=sigmoid)
 
 
 def _coef(lam: Vec, j: int) -> Vec:
@@ -349,11 +374,16 @@ def _coef(lam: Vec, j: int) -> Vec:
 
 def _exp_l2(j: int = 0) -> _Term:
     """e^{u_j} ||theta||^2."""
+
+    def bind(lam, view):
+        c2 = 2.0 * _coef(lam, j)
+        return (lambda theta: c2 * theta,
+                lambda theta, v: c2 * v,
+                lambda theta, v: c2 * row_dot(theta, v)[..., None])
+
     return _Term(
         value=lambda lam, theta, view: _coef(lam, j)[..., 0] * row_dot(theta, theta),
-        grad=lambda lam, theta, view: (2.0 * _coef(lam, j)) * theta,
-        hvp=lambda lam, theta, view, v: (2.0 * _coef(lam, j)) * v,
-        mixed=lambda lam, theta, view, v: 2.0 * _coef(lam, j) * row_dot(theta, v)[..., None],
+        bind=bind,
         hyper_dim=1,
     )
 
@@ -366,43 +396,56 @@ def _phuber(theta: Vec, delta: float) -> tuple[Vec, Vec, Vec]:
 
 def _exp_phuber(delta: float, j: int = 0) -> _Term:
     """e^{u_j} times the pseudo-Huber smoothing of ||theta||_1."""
+
+    def bind(lam, view):
+        c = _coef(lam, j)
+        return (lambda theta: c * _phuber(theta, delta)[1],
+                lambda theta, v: c * (_phuber(theta, delta)[2] * v),
+                lambda theta, v: c * row_dot(_phuber(theta, delta)[1], v)[..., None])
+
     return _Term(
         value=lambda lam, theta, view: _coef(lam, j)[..., 0] * _phuber(theta, delta)[0],
-        grad=lambda lam, theta, view: _coef(lam, j) * _phuber(theta, delta)[1],
-        hvp=lambda lam, theta, view, v: _coef(lam, j) * (_phuber(theta, delta)[2] * v),
-        mixed=lambda lam, theta, view, v: (
-            _coef(lam, j) * row_dot(_phuber(theta, delta)[1], v)[..., None]),
+        bind=bind,
         hyper_dim=1,
     )
 
 
 def _sum(a: _Term, b: _Term) -> _Term:
     """a + b over disjoint lam coordinates, a's before b's (as in their mixed products)."""
+
+    def bind(lam, view):
+        (grad_a, hvp_a, mixed_a), (grad_b, hvp_b, mixed_b) = a.bind(lam, view), b.bind(lam, view)
+        return (lambda theta: grad_a(theta) + grad_b(theta),
+                lambda theta, v: hvp_a(theta, v) + hvp_b(theta, v),
+                lambda theta, v: np.concatenate([mixed_a(theta, v), mixed_b(theta, v)], axis=-1))
+
     return _Term(
         value=lambda lam, theta, view: a.value(lam, theta, view) + b.value(lam, theta, view),
-        grad=lambda lam, theta, view: a.grad(lam, theta, view) + b.grad(lam, theta, view),
-        hvp=lambda lam, theta, view, v: a.hvp(lam, theta, view, v) + b.hvp(lam, theta, view, v),
-        mixed=lambda lam, theta, view, v: np.concatenate(
-            [a.mixed(lam, theta, view, v), b.mixed(lam, theta, view, v)], axis=-1),
+        bind=bind,
         hyper_dim=a.hyper_dim + b.hyper_dim,
     )
 
 
 def _exp_l2_per_coord(d: int) -> _Term:
     """sum_j (lambda_j theta_j)^2 with lambda_j = e^{u_j}, one u_j per coordinate."""
+
+    def bind(lam, view):
+        e2 = np.exp(2.0 * lam)
+        c2, c4 = 2.0 * e2, 4.0 * e2
+        return (lambda theta: c2 * theta,
+                lambda theta, v: c2 * v,
+                lambda theta, v: c4 * theta * v)
+
     return _Term(
         value=lambda lam, theta, view: row_dot(np.exp(2.0 * lam), theta * theta),
-        grad=lambda lam, theta, view: 2.0 * np.exp(2.0 * lam) * theta,
-        hvp=lambda lam, theta, view, v: 2.0 * np.exp(2.0 * lam) * v,
-        mixed=lambda lam, theta, view, v: 4.0 * np.exp(2.0 * lam) * theta * v,
+        bind=bind,
         hyper_dim=d,
     )
 
 
 _NO_PENALTY = _Term(
     value=lambda lam, theta, view: 0.0,
-    grad=lambda lam, theta, view: 0.0,
-    hvp=lambda lam, theta, view, v: 0.0,
+    bind=lambda lam, view: (lambda theta: 0.0, lambda theta, v: 0.0, None),
 )
 
 
@@ -410,23 +453,27 @@ _NO_PENALTY = _Term(
 # composition
 
 def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term) -> BilevelProblem:
-    """The seven callbacks of inner = loss + penalty and outer = unweighted loss.
+    """The callbacks of inner = loss + penalty and outer = unweighted loss.
 
     Exactly one of the two terms reads lam (the penalty, or a weighted loss);
     its raw coordinates are the hyperparameters. The outer objective does
-    not read lam, so its lam gradient is zero.
+    not read lam, so its lam gradient is zero. The three inner theta
+    derivatives are bind_inner's, bound for the one call.
     """
     reader = loss if loss.hyper_dim else penalty
     p = reader.hyper_dim
 
+    def bind_inner(lam, view):
+        grad_l, hvp_l, mixed_l = loss.bind(lam, view)
+        grad_p, hvp_p, mixed_p = penalty.bind(lam, view)
+        return InnerBinding(
+            grad=lambda theta: grad_l(theta) + grad_p(theta),
+            hvp=lambda theta, v: hvp_l(theta, v) + hvp_p(theta, v),
+            mixed=mixed_l if reader is loss else mixed_p,
+        )
+
     def inner_loss(lam, theta, view):
         return loss.value(lam, theta, view) + penalty.value(lam, theta, view)
-
-    def inner_grad_theta(lam, theta, view):
-        return loss.grad(lam, theta, view) + penalty.grad(lam, theta, view)
-
-    def inner_hvp(lam, theta, view, v):
-        return loss.hvp(lam, theta, view, v) + penalty.hvp(lam, theta, view, v)
 
     def outer_grad_lambda(lam, theta, view):
         return np.zeros(theta.shape[:-1] + (p,))
@@ -434,12 +481,13 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term) -> BilevelP
     return BilevelProblem(
         hyper_dim=p,
         param_dim=param_dim,
+        bind_inner=bind_inner,
         inner_loss=inner_loss,
-        inner_grad_theta=inner_grad_theta,
-        inner_hvp=inner_hvp,
-        inner_mixed_vp=reader.mixed,
+        inner_grad_theta=lambda lam, theta, view: bind_inner(lam, view).grad(theta),
+        inner_hvp=lambda lam, theta, view, v: bind_inner(lam, view).hvp(theta, v),
+        inner_mixed_vp=lambda lam, theta, view, v: bind_inner(lam, view).mixed(theta, v),
         outer_loss=lambda lam, theta, view: loss.value(None, theta, view),
-        outer_grad_theta=lambda lam, theta, view: loss.grad(None, theta, view),
+        outer_grad_theta=lambda lam, theta, view: loss.bind(None, view)[0](theta),
         outer_grad_lambda=outer_grad_lambda,
         effective=reader.effective,
         kind=kind,

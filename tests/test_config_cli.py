@@ -537,6 +537,17 @@ def test_fpc_refuses_non_integer_ensemble_sizes(capsys):
     assert "[U]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,field", [
+    (["--U", "0"], "U"),
+    (["--U", "1", "--n", "-3"], "n"),
+    (["--U", "1", "--d", "0"], "d"),
+    (["--U", "1", "--noise-sigma", "-1"], "noise_sigma"),
+])
+def test_fpc_names_the_argument_at_fault(args, field, capsys):
+    assert main(["fpc", "--n", "6", "--gamma", "0.5", *args]) == 2
+    assert capsys.readouterr().err.startswith(f"config error [{field}]: ")
+
+
 def test_fpc_refuses_unenumerable_population(capsys):
     assert main(["fpc", "--n", "40", "--gamma", "0.5", "--U", "1",
                  "--samples", "10", "--seed", "0"]) == 2

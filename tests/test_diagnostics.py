@@ -1,6 +1,7 @@
 """Closed-form ridge oracle, bias-variance decomposition, variance scaling, FPC."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,21 @@ def test_variance_curve_matches_per_member_loop_for_any_run_cut(monkeypatch, spe
     for (u, v), (ru, rv) in zip(whole.points, ref):
         assert u == ru
         assert abs(v - rv) <= 1e-12 * rv
+
+
+def test_sweep_memory_stays_within_the_run_budget():
+    # the shape of the benchmark's sweep at R = 12: 600 ITD members of K = 500
+    # on d = 1 run as two stacked runs, and one run's trajectory is what
+    # RUN_BYTES bounds, so the whole sweep's peak stays near one budget
+    design = SweepDesign(n=100, d=1, noise_sigma=0.5, gamma=0.25)
+    method = HypergradMethod(kind="ITD", K=500, alpha_in=0.1)
+    tracemalloc.start()
+    try:
+        bias_variance_sweep(design, method, np.linspace(0.3, 3.0, 50), R=12, U=1, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * diagnostics.RUN_BYTES
 
 
 @pytest.mark.parametrize("runs", [1, 2])

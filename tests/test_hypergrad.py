@@ -418,10 +418,11 @@ def test_stacked_estimate_names_diverging_member():
 def stepwise_failure(prob, lam, theta0, train, K, alpha_in):
     """(step, member) of the first non-finite inner gradient, checking every step."""
     lam = np.broadcast_to(lam, np.shape(theta0)[:-1] + lam.shape[-1:])
+    grad = prob.bind_inner(lam, train).grad
     theta = np.array(theta0, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            g = prob.inner_grad_theta(lam, theta, train)
+            g = grad(theta)
             bad = ~np.isfinite(g).all(axis=-1)
             if bad.any():
                 return k, (int(np.argmax(bad)) if bad.ndim else None)
@@ -455,7 +456,9 @@ def test_overflowing_update_is_named_at_the_next_step():
     # grad = -theta doubles theta each step: from 1e300 the gradient stays
     # finite, and the update theta - (-theta) overflows at step 27
     prob, tr, _, lam = ridge_setup()
-    prob = dataclasses.replace(prob, inner_grad_theta=lambda lam, theta, view: -theta)
+    bind = prob.bind_inner
+    prob = dataclasses.replace(prob, bind_inner=lambda lam, view: bind(lam, view)._replace(
+        grad=lambda theta: -theta))
     theta0 = np.full(3, 1e300)
     with pytest.raises(NumericalError) as err:
         inner_solve(prob, lam, theta0, tr, K=40, alpha_in=1.0)

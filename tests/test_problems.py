@@ -9,7 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bihpo.data import DataView, Dataset, SplitPlan, full_view, gen_linear, gen_multiclass, make_splits
+from bihpo.data import (
+    DataView,
+    Dataset,
+    SplitPlan,
+    StackedView,
+    full_view,
+    gen_linear,
+    gen_multiclass,
+    make_splits,
+)
+from bihpo import problems
 from bihpo.errors import ConfigError, ContractViolationError
 from bihpo.problems import (
     MODEL_KINDS,
@@ -212,6 +222,58 @@ def test_hvp_linearity(kind):
     rhs = (a * prob.inner_hvp(lam, theta, train, u)
            + b * prob.inner_hvp(lam, theta, train, w))
     assert_allclose(lhs, rhs, rtol=1e-8, atol=1e-12)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_one_binding_gives_the_bits_of_the_callbacks(kind):
+    # a solve binds once and reuses the binding at every theta; it must give
+    # what the callbacks, which bind per call, give on a view and on a stack
+    members = [zoo_instance(kind, seed=s) for s in (11, 12, 13)]
+    prob = members[0][0]
+    rng = np.random.Generator(np.random.PCG64(8))
+    p, r = prob.hyper_dim, prob.param_dim
+    stacked = StackedView([train for _, train, _ in members])
+    for lam, view, shape in ((0.3 * rng.standard_normal(p), members[0][1], (r,)),
+                             (0.3 * rng.standard_normal((3, p)), stacked, (3, r))):
+        inner = prob.bind_inner(lam, view)
+        for _ in range(3):
+            theta, v = rng.standard_normal(shape), rng.standard_normal(shape)
+            assert same_bits(inner.grad(theta), prob.inner_grad_theta(lam, theta, view))
+            assert same_bits(inner.hvp(theta, v), prob.inner_hvp(lam, theta, view, v))
+            assert same_bits(inner.mixed(theta, v), prob.inner_mixed_vp(lam, theta, view, v))
+            if view is stacked:  # and each member's row is its own view's
+                for b, (_, train, _) in enumerate(members):
+                    assert same_bits(inner.grad(theta)[b],
+                                     prob.inner_grad_theta(lam[b], theta[b], train))
+                    assert same_bits(inner.hvp(theta, v)[b],
+                                     prob.inner_hvp(lam[b], theta[b], train, v[b]))
+                    assert same_bits(inner.mixed(theta, v)[b],
+                                     prob.inner_mixed_vp(lam[b], theta[b], train, v[b]))
+
+
+@pytest.mark.parametrize("kind, fn, per_bind, per_mixed", [
+    ("ridge", "_coef", 1, 0),
+    ("elastic_net", "_coef", 2, 0),
+    # the weights once; their derivative only where the reverse pass asks for it
+    ("hyperclean_softmax", "sigmoid", 1, 1),
+])
+def test_binding_computes_its_lam_constants_once(monkeypatch, kind, fn, per_bind, per_mixed):
+    prob, train, _ = zoo_instance(kind)
+    calls = []
+    original = getattr(problems, fn)
+    monkeypatch.setattr(problems, fn, lambda *args: calls.append(1) or original(*args))
+    lam = np.zeros(prob.hyper_dim)
+    inner = prob.bind_inner(lam, train)
+    assert len(calls) == per_bind
+    theta = np.ones(prob.param_dim)
+    for _ in range(4):
+        inner.grad(theta), inner.hvp(theta, theta), inner.mixed(theta, theta)
+    assert len(calls) == per_bind + 4 * per_mixed
 
 
 def test_hyperclean_weights_stay_in_unit_interval():
