@@ -8,7 +8,9 @@ solves the inner-Hessian linear system approximately and applies the
 implicit-function-theorem formula. All hypergradients are in raw
 hyper coordinates because the problem callbacks already are. Each solve
 and each reverse pass binds lam and its train view once
-(BilevelProblem.bind_inner), and its loop calls the bound derivatives.
+(BilevelProblem.bind_inner), and its loop calls the bound derivatives. The
+AID operator is the binding's Hessian at theta_K, so all Z iterations reuse
+its curvature factors; the reverse pass binds the Hessian at each theta_k.
 
 Every entry point also takes StackedView train/val views of B members, for
 every model kind, with lam (p,) or (B, p) and theta (r,) or (B, r): the same
@@ -168,7 +170,7 @@ def itd_hypergrad(
     """Exact derivative of lam -> outer(lam, theta_K(lam)) by reverse accumulation.
 
     g = grad_lam outer(theta_K); a = grad_theta outer(theta_K);
-    for k = K-1 .. 0: g -= alpha_in * mixed_vp(theta_k, a); a -= alpha_in * hvp(theta_k, a).
+    for k = K-1 .. 0: g -= alpha_in * mixed_vp(theta_k, a); a -= alpha_in * H(theta_k) a.
     With a window h (TRHG, 1 <= h <= K) the mixed-product terms stop after
     the h most recent steps (k = K-1 .. K-h); h = K is the full pass.
     """
@@ -185,7 +187,7 @@ def itd_hypergrad(
         theta_k = traj.thetas[k]
         g = g - alpha * inner.mixed(theta_k, a)
         if k != steps[-1]:
-            a = a - alpha * inner.hvp(theta_k, a)
+            a = a - alpha * inner.hessian(theta_k)(a)
     if not np.all(np.isfinite(g)):
         raise _nonfinite("reverse accumulation produced a non-finite hypergradient", g)
     return HypergradResult(grad=g, inner_final=theta_K, diagnostics=_traj_diagnostics(traj))
@@ -201,9 +203,11 @@ def aid_hypergrad(
 ) -> HypergradResult:
     """Implicit-function-theorem hypergradient at an approximate inner optimum.
 
-    Solves hvp(v) = grad_theta outer(theta_K) with method.Z iterations of CG
-    (AID_CG) or of the fixed-point scheme at step fp_step, or alpha_in when
-    fp_step is 0 (AID_FP), then grad = grad_lam outer - mixed_vp(theta_K, v).
+    Solves H(theta_K) v = grad_theta outer(theta_K) with method.Z iterations
+    of CG (AID_CG) or of the fixed-point scheme at step fp_step, or alpha_in
+    when fp_step is 0 (AID_FP), then grad = grad_lam outer - mixed_vp(theta_K, v).
+    The Hessian is bound at theta_K once, so every iteration reuses its
+    curvature factors.
     Diagnostics carry the achieved linear-system residual norm and the
     solver iterations used (per member when stacked; each member's solve
     stops on its own).
@@ -218,7 +222,7 @@ def aid_hypergrad(
     lam, theta_K = check_args(problem, lam, theta_K, train, val)
     b = problem.outer_grad_theta(lam, theta_K, val)
     inner = problem.bind_inner(lam, train)
-    op = LinearOperator(dim=problem.param_dim, apply=lambda x: inner.hvp(theta_K, x))
+    op = LinearOperator(dim=problem.param_dim, apply=inner.hessian(theta_K))
     counts = np.zeros(b.shape[:-1], dtype=np.int64)  # iterations of each member
     if method.kind == "AID_CG":
         v, _ = cg_solve(op, b, max_iters=method.Z, tol=AID_TOL, counts=counts)

@@ -24,9 +24,11 @@ _DIVERGENCE_PATIENCE = 10
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product over the last axis, batched over any leading axes.
 
-    Written as a matmul so that 1-D operands get exactly the bits of a @ b.
+    One np.vecdot call, which gives the bits of the matmul
+    (a[..., None, :] @ b[..., :, None])[..., 0, 0], so 1-D operands get
+    exactly the bits of a @ b.
     """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 def row_norm(x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,13 @@ callbacks from that pair. All losses are means (1/m normalization), so
 gradients are comparable across split sizes. Outer objectives are the pure
 (unweighted) data loss on the validation view.
 
+The inner theta derivatives are bound in two stages: bind_inner(lam, view)
+computes what depends on lam and the view once per solve (the Gram pair,
+exp(u), the label-folded rows y x^T), and its hessian(theta) computes the
+curvature factors at one theta (the per-row margin curvature, the softmax
+probabilities, the pseudo-Huber diagonal) once, returning v -> H(theta) v.
+The batched products are single numpy gufunc calls (np.matvec, np.vecdot).
+
 Hyperparameters are optimized in raw unconstrained coordinates: positive
 regularization coefficients are exponentiated (lambda_eff = exp(u)) and
 hypercleaning sample weights pass through a sigmoid, so every hypergradient
@@ -45,14 +52,14 @@ NONSMOOTH_KINDS = ("svm_sqhinge",)
 SMOOTHED_L1_KINDS = ("lasso_smooth", "elastic_net")
 
 
+@np.errstate(over="ignore")
 def sigmoid(x):
     """The logistic function 1 / (1 + e^{-x}), elementwise.
 
     Below x = -709.78, e^{-x} overflows to inf and the result is 0. That
     overflow is expected, so it raises no RuntimeWarning.
     """
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -91,13 +98,15 @@ class ModelSpec:
 class InnerBinding(NamedTuple):
     """The inner objective's theta derivatives at one (lam, view), over theta only.
 
-    grad(theta), hvp(theta, v) and mixed(theta, v) are the inner_grad_theta,
-    inner_hvp and inner_mixed_vp of BilevelProblem with lam and the view
-    fixed; what depends on those alone is computed once, when bound.
+    grad(theta), hessian(theta)(v) and mixed(theta, v) are the
+    inner_grad_theta, inner_hvp and inner_mixed_vp of BilevelProblem with lam
+    and the view fixed; what depends on those alone is computed once, when
+    bound. hessian(theta) likewise computes the factors of H(theta) that do
+    not depend on v once, and returns the map v -> H(theta) v.
     """
 
     grad: Callable[[Vec], Vec]
-    hvp: Callable[[Vec, Vec], Vec]
+    hessian: Callable[[Vec], Callable[[Vec], Vec]]
     mixed: Callable[[Vec, Vec], Vec]
 
 
@@ -115,7 +124,8 @@ class BilevelProblem:
 
     bind_inner(lam, view) returns the InnerBinding of the three inner theta
     derivatives at that lam and view; the inner loop and the reverse pass
-    bind once per solve and call it at every step. inner_grad_theta,
+    bind once per solve and call it at every step, and an AID solve binds
+    the Hessian at theta_K once for all its iterations. inner_grad_theta,
     inner_hvp and inner_mixed_vp are the same functions, bound per call.
     """
 
@@ -195,10 +205,11 @@ class _Term:
     """One summand of the inner objective: its value and its bound theta derivatives.
 
     bind(lam, view) computes what depends on lam and the view alone, once,
-    and returns (grad, hvp, mixed) over theta; hvp and mixed also take the
-    direction v. mixed is d/d_lam of grad contracted with v, or None for a
-    term that does not read lam; hyper_dim is how many raw lam coordinates
-    it reads and effective maps them to their effective scale.
+    and returns (grad, hessian, mixed) over theta; hessian(theta) returns the
+    map v -> H(theta) v, and mixed also takes the direction v. mixed is
+    d/d_lam of grad contracted with v, or None for a term that does not read
+    lam; hyper_dim is how many raw lam coordinates it reads and effective
+    maps them to their effective scale.
     """
 
     value: Callable
@@ -208,8 +219,11 @@ class _Term:
 
 
 def _matvec(A: np.ndarray, x: Vec) -> Vec:
-    """A x over the last axes, batched over any leading member axis (A @ x for 1-D x)."""
-    return (A @ x[..., None])[..., 0]
+    """A x over the last axes, batched over any leading member axis (A @ x for 1-D x).
+
+    One np.matvec call, which gives the bits of (A @ x[..., None])[..., 0].
+    """
+    return np.matvec(A, x)
 
 
 def _quad_value(lam, theta, view):
@@ -221,7 +235,7 @@ def _quad_value(lam, theta, view):
 def _quad_bind(lam, view):
     A, b = view.gram
     return (lambda theta: 2.0 * (_matvec(A, theta) - b),
-            lambda theta, v: 2.0 * _matvec(A, v),
+            lambda theta: lambda v: 2.0 * _matvec(A, v),
             None)
 
 
@@ -230,23 +244,29 @@ _SQUARED = _Term(value=_quad_value, bind=_quad_bind)
 
 
 def _margin_loss(phi, dphi, d2phi) -> _Term:
-    """Mean of phi(y x^T theta) over the rows of a binary view (labels +-1)."""
+    """Mean of phi(y x^T theta) over the rows of a binary view (labels +-1).
+
+    bind folds the labels into the rows once, yX = y x^T: a label flips
+    signs only, which is exact and commutes with the sums of the matrix
+    products, so (yX) theta has the bits of y * (X theta).
+    """
 
     def value(lam, theta, view):
         return np.mean(phi(view.y * _matvec(view.X, theta)), axis=-1)
 
     def bind(lam, view):
-        X, y, m = view.X, view.y, view.m
-        Xt = X.swapaxes(-1, -2)
+        yX, m = view.y[..., None] * view.X, view.m
+        yXt = yX.swapaxes(-1, -2)
 
         def grad(theta):
-            # X^T s / m maps per-row weights s (..., m) back to theta
-            return _matvec(Xt, y * dphi(y * _matvec(X, theta))) / m
+            # (yX)^T s / m maps per-row weights s (..., m) back to theta
+            return _matvec(yXt, dphi(_matvec(yX, theta))) / m
 
-        def hvp(theta, v):
-            return _matvec(Xt, d2phi(y * _matvec(X, theta)) * _matvec(X, v)) / m
+        def hessian(theta):
+            curvature = d2phi(_matvec(yX, theta))
+            return lambda v: _matvec(yXt, curvature * _matvec(yX, v)) / m
 
-        return grad, hvp, None
+        return grad, hessian, None
 
     return _Term(value=value, bind=bind)
 
@@ -351,18 +371,22 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
             G = probs(theta) - one_hot
             return back(G if w_col is None else G * w_col)
 
-        def hvp(theta, v):
+        def hessian(theta):
             P = probs(theta)
-            PdZ = P * logits(X, v)
-            term = PdZ - P * _row_sum(PdZ)
-            return back(term if w_col is None else term * w_col)
+
+            def hvp(v):
+                PdZ = P * logits(X, v)
+                term = PdZ - P * _row_sum(PdZ)
+                return back(term if w_col is None else term * w_col)
+
+            return hvp
 
         def mixed(theta, v):
             sig_prime = w * sigmoid(-lam)
             dZ = logits(X, v)
             return sig_prime * _row_sum((probs(theta) - one_hot) * dZ)[..., 0] / m
 
-        return grad, hvp, None if w is None else mixed
+        return grad, hessian, None if w is None else mixed
 
     return _Term(value=value, bind=bind, hyper_dim=n_weights, effective=sigmoid)
 
@@ -378,7 +402,7 @@ def _exp_l2(j: int = 0) -> _Term:
     def bind(lam, view):
         c2 = 2.0 * _coef(lam, j)
         return (lambda theta: c2 * theta,
-                lambda theta, v: c2 * v,
+                lambda theta: lambda v: c2 * v,
                 lambda theta, v: c2 * row_dot(theta, v)[..., None])
 
     return _Term(
@@ -399,8 +423,13 @@ def _exp_phuber(delta: float, j: int = 0) -> _Term:
 
     def bind(lam, view):
         c = _coef(lam, j)
+
+        def hessian(theta):
+            diag = _phuber(theta, delta)[2]
+            return lambda v: c * (diag * v)
+
         return (lambda theta: c * _phuber(theta, delta)[1],
-                lambda theta, v: c * (_phuber(theta, delta)[2] * v),
+                hessian,
                 lambda theta, v: c * row_dot(_phuber(theta, delta)[1], v)[..., None])
 
     return _Term(
@@ -410,13 +439,18 @@ def _exp_phuber(delta: float, j: int = 0) -> _Term:
     )
 
 
+def _add_maps(f: Callable[[Vec], Vec], g: Callable[[Vec], Vec]) -> Callable[[Vec], Vec]:
+    """v -> f(v) + g(v)."""
+    return lambda v: f(v) + g(v)
+
+
 def _sum(a: _Term, b: _Term) -> _Term:
     """a + b over disjoint lam coordinates, a's before b's (as in their mixed products)."""
 
     def bind(lam, view):
-        (grad_a, hvp_a, mixed_a), (grad_b, hvp_b, mixed_b) = a.bind(lam, view), b.bind(lam, view)
+        (grad_a, hess_a, mixed_a), (grad_b, hess_b, mixed_b) = a.bind(lam, view), b.bind(lam, view)
         return (lambda theta: grad_a(theta) + grad_b(theta),
-                lambda theta, v: hvp_a(theta, v) + hvp_b(theta, v),
+                lambda theta: _add_maps(hess_a(theta), hess_b(theta)),
                 lambda theta, v: np.concatenate([mixed_a(theta, v), mixed_b(theta, v)], axis=-1))
 
     return _Term(
@@ -433,7 +467,7 @@ def _exp_l2_per_coord(d: int) -> _Term:
         e2 = np.exp(2.0 * lam)
         c2, c4 = 2.0 * e2, 4.0 * e2
         return (lambda theta: c2 * theta,
-                lambda theta, v: c2 * v,
+                lambda theta: lambda v: c2 * v,
                 lambda theta, v: c4 * theta * v)
 
     return _Term(
@@ -445,7 +479,7 @@ def _exp_l2_per_coord(d: int) -> _Term:
 
 _NO_PENALTY = _Term(
     value=lambda lam, theta, view: 0.0,
-    bind=lambda lam, view: (lambda theta: 0.0, lambda theta, v: 0.0, None),
+    bind=lambda lam, view: (lambda theta: 0.0, lambda theta: lambda v: 0.0, None),
 )
 
 
@@ -464,11 +498,11 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term) -> BilevelP
     p = reader.hyper_dim
 
     def bind_inner(lam, view):
-        grad_l, hvp_l, mixed_l = loss.bind(lam, view)
-        grad_p, hvp_p, mixed_p = penalty.bind(lam, view)
+        grad_l, hess_l, mixed_l = loss.bind(lam, view)
+        grad_p, hess_p, mixed_p = penalty.bind(lam, view)
         return InnerBinding(
             grad=lambda theta: grad_l(theta) + grad_p(theta),
-            hvp=lambda theta, v: hvp_l(theta, v) + hvp_p(theta, v),
+            hessian=lambda theta: _add_maps(hess_l(theta), hess_p(theta)),
             mixed=mixed_l if reader is loss else mixed_p,
         )
 
@@ -484,7 +518,7 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term) -> BilevelP
         bind_inner=bind_inner,
         inner_loss=inner_loss,
         inner_grad_theta=lambda lam, theta, view: bind_inner(lam, view).grad(theta),
-        inner_hvp=lambda lam, theta, view, v: bind_inner(lam, view).hvp(theta, v),
+        inner_hvp=lambda lam, theta, view, v: bind_inner(lam, view).hessian(theta)(v),
         inner_mixed_vp=lambda lam, theta, view, v: bind_inner(lam, view).mixed(theta, v),
         outer_loss=lambda lam, theta, view: loss.value(None, theta, view),
         outer_grad_theta=lambda lam, theta, view: loss.bind(None, view)[0](theta),

@@ -21,6 +21,7 @@ from bihpo.hypergrad import (
     inner_solve,
     itd_hypergrad,
 )
+from bihpo import problems
 from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem
 from helpers import zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
 
@@ -207,6 +208,35 @@ def test_aid_at_closed_form_matches_oracle(kind):
     want = oracle.hypergrad_raw(float(lam[0]))
     assert_allclose(res.grad, [want], atol=1e-6)
     assert res.diagnostics["aid_residual"] < 1e-8
+
+
+def test_aid_evaluates_the_curvature_once_per_solve(monkeypatch):
+    # the logistic curvature sigmoid(t) sigmoid(-t) is bound at theta_K once,
+    # so a solve's sigmoid count does not grow with its iterations
+    calls = []
+    original = problems.sigmoid
+    monkeypatch.setattr(problems, "sigmoid", lambda x: calls.append(1) or original(x))
+    prob, tr, _ = zoo_instance("logistic_l2")
+    hessian = prob.bind_inner(np.zeros(1), tr).hessian(np.ones(prob.param_dim))
+    assert len(calls) == 2
+    for _ in range(5):
+        hessian(np.ones(prob.param_dim))
+    assert len(calls) == 2
+
+    d = 12
+    ds = zoo_dataset("logistic_l2", 60, d, seed=5)
+    prob = zoo_problem("logistic_l2", ds)
+    splits = make_splits(ds.n, SplitPlan(U=3, gamma=0.25, master_seed=4))
+    tr = StackedView([s.train_view(ds) for s in splits])
+    va = StackedView([s.val_view(ds) for s in splits])
+    theta = 0.3 * np.random.Generator(np.random.PCG64(6)).standard_normal((3, d))
+    per_solve = []
+    for Z in (5, 20):
+        calls.clear()
+        res = aid_hypergrad(prob, np.array([-1.0]), theta, tr, va, aid_method(Z=Z))
+        per_solve.append(len(calls))
+        assert res.diagnostics["solver_iters"].max() > (5 if Z == 20 else 4)
+    assert per_solve[0] == per_solve[1]
 
 
 def test_aid_refused_for_nonsmooth_hessian():

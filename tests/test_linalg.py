@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bihpo.errors import ContractViolationError, NumericalError
-from bihpo.linalg import LinearOperator, cg_solve, fixed_point_solve
+from bihpo.linalg import LinearOperator, cg_solve, fixed_point_solve, row_dot
+from bihpo.problems import _matvec
 from helpers import as_operator
 
 
@@ -151,3 +152,39 @@ def test_batched_cg_breakdown_names_member():
         cg_solve(op, np.array([[1.0, 2.0], [0.0, 1.0], [3.0, 1.0]]), 5)
     assert err.value.member == 1
     assert err.value.step_index == 1
+
+
+# ---------------------------------------------------------------------------
+# batched products: one numpy gufunc call, with matmul's bits
+
+@pytest.mark.parametrize("B", [1, 8, 523])
+@pytest.mark.parametrize("d", [1, 10, 20])
+def test_gufuncs_keep_matmul_bits(B, d):
+    rng = np.random.Generator(np.random.PCG64(1000 * B + d))
+    m = 7
+
+    def same_bits(a, b):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def matvec_ref(A, x):
+        return (A @ x[..., None])[..., 0]
+
+    def dot_ref(a, b):
+        return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+    x1 = rng.standard_normal(d)
+    xB = rng.standard_normal((B, d))
+    xBt = rng.standard_normal((d, B)).swapaxes(0, 1)  # (B, d), strided rows
+    A2 = rng.standard_normal((m, d))
+    A3 = rng.standard_normal((B, m, d))
+    A3t = rng.standard_normal((B, d, m)).swapaxes(-1, -2)  # (B, m, d) view
+    Asq = rng.standard_normal((B, d, d))
+    for A, x in ((A2, x1), (A2.T.copy(), rng.standard_normal(m)), (A2.T, rng.standard_normal(m)),
+                 (A3, xB), (A3, xBt), (A3t, xB), (A3.swapaxes(-1, -2), rng.standard_normal((B, m))),
+                 (Asq, xB), (Asq.swapaxes(-1, -2), xBt)):
+        assert same_bits(_matvec(A, x), matvec_ref(A, x))
+
+    y3 = rng.standard_normal((B, m, d))
+    for a, b in ((x1, rng.standard_normal(d)), (xB, rng.standard_normal((B, d))), (xB, xBt),
+                 (xBt, xBt), (A3, y3), (A3t, y3), (A3t, A3t), (A3.swapaxes(0, 1), y3.swapaxes(0, 1))):
+        assert same_bits(row_dot(a, b), dot_ref(a, b))

@@ -244,13 +244,13 @@ def test_one_binding_gives_the_bits_of_the_callbacks(kind):
         for _ in range(3):
             theta, v = rng.standard_normal(shape), rng.standard_normal(shape)
             assert same_bits(inner.grad(theta), prob.inner_grad_theta(lam, theta, view))
-            assert same_bits(inner.hvp(theta, v), prob.inner_hvp(lam, theta, view, v))
+            assert same_bits(inner.hessian(theta)(v), prob.inner_hvp(lam, theta, view, v))
             assert same_bits(inner.mixed(theta, v), prob.inner_mixed_vp(lam, theta, view, v))
             if view is stacked:  # and each member's row is its own view's
                 for b, (_, train, _) in enumerate(members):
                     assert same_bits(inner.grad(theta)[b],
                                      prob.inner_grad_theta(lam[b], theta[b], train))
-                    assert same_bits(inner.hvp(theta, v)[b],
+                    assert same_bits(inner.hessian(theta)(v)[b],
                                      prob.inner_hvp(lam[b], theta[b], train, v[b]))
                     assert same_bits(inner.mixed(theta, v)[b],
                                      prob.inner_mixed_vp(lam[b], theta[b], train, v[b]))
@@ -272,7 +272,7 @@ def test_binding_computes_its_lam_constants_once(monkeypatch, kind, fn, per_bind
     assert len(calls) == per_bind
     theta = np.ones(prob.param_dim)
     for _ in range(4):
-        inner.grad(theta), inner.hvp(theta, theta), inner.mixed(theta, theta)
+        inner.grad(theta), inner.hessian(theta)(theta), inner.mixed(theta, theta)
     assert len(calls) == per_bind + 4 * per_mixed
 
 
