@@ -196,7 +196,6 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
     problem = build_problem(_model_spec(cfg, n_weights), pool.d)
     lam0 = _resolve_vec(cfg.strategy.lambda0, problem.hyper_dim, 0.0, "strategy.lambda0")
     theta0 = _resolve_vec(cfg.strategy.theta0, problem.param_dim, 0.0, "strategy.theta0")
-    opt = OuterOptimizer(kind=cfg.strategy.outer.kind, alpha_out=cfg.strategy.outer.alpha_out)
 
     with _Manifest(
         out_dir, "tune", config_to_dict(cfg),
@@ -206,13 +205,13 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
         if cfg.strategy.kind == "oehg":
             deploy_view = (splits[0].train_view(pool)
                            if cfg.problem.kind == "hyperclean_softmax" else full_view(pool))
-            trace = run_oehg(problem, pool, splits, cfg.strategy.T, cfg.method.alpha_in, opt,
-                             cfg.strategy.alpha_deploy, lam0, theta0,
+            trace = run_oehg(problem, pool, splits, cfg.strategy.T, cfg.method.alpha_in,
+                             cfg.strategy.outer, cfg.strategy.alpha_deploy, lam0, theta0,
                              deploy_view=deploy_view, test_view=test_view)
         else:  # single is the ehg loop on the first split alone
             run_splits = splits[:1] if cfg.strategy.kind == "single" else splits
-            trace = run_ehg(problem, pool, run_splits, cfg.method, opt, cfg.strategy.T,
-                            lam0, theta0, test_view=test_view,
+            trace = run_ehg(problem, pool, run_splits, cfg.method, cfg.strategy.outer,
+                            cfg.strategy.T, lam0, theta0, test_view=test_view,
                             warm_start=cfg.strategy.warm_start)
 
         outputs = []
@@ -312,7 +311,6 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
     problem = build_problem(spec, pool.d)
     lam0 = _resolve_vec(cfg.strategy.lambda0, problem.hyper_dim, 0.0, "strategy.lambda0")
     theta0 = _resolve_vec(cfg.strategy.theta0, problem.param_dim, 0.0, "strategy.theta0")
-    opt = OuterOptimizer(kind=cfg.strategy.outer.kind, alpha_out=cfg.strategy.outer.alpha_out)
 
     with _Manifest(
         out_dir, "clean", config_to_dict(cfg),
@@ -320,12 +318,12 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
          "master_seed": cfg.split.master_seed, "test_seed": cfg.data.test_seed},
     ) as manifest:
         if cfg.strategy.kind == "oehg":
-            trace = run_oehg(problem, dirty, [split], cfg.strategy.T, cfg.method.alpha_in, opt,
-                             cfg.strategy.alpha_deploy, lam0, theta0,
+            trace = run_oehg(problem, dirty, [split], cfg.strategy.T, cfg.method.alpha_in,
+                             cfg.strategy.outer, cfg.strategy.alpha_deploy, lam0, theta0,
                              deploy_view=split.train_view(dirty), test_view=None)
         else:  # single and ehg coincide on the one split
-            trace = run_ehg(problem, dirty, [split], cfg.method, opt, cfg.strategy.T, lam0,
-                            theta0, warm_start=cfg.strategy.warm_start)
+            trace = run_ehg(problem, dirty, [split], cfg.method, cfg.strategy.outer,
+                            cfg.strategy.T, lam0, theta0, warm_start=cfg.strategy.warm_start)
 
         u = trace.final_lambda
         sig = sigmoid(u)
@@ -389,6 +387,8 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_fpc(n: int, gamma: float, U_values: list[int], samples: int, seed: int,
             out_dir: Path | None, d: int = 1, noise_sigma: float = 0.5,
             lambda_eff: float = 1.0) -> int:
+    if not (lambda_eff > 0 and math.isfinite(lambda_eff)):
+        raise ConfigError("lambda_eff must be positive and finite", field_path="lambda_eff")
     ds, _ = gen_linear(n, d, noise_sigma, seed=derive_seed(seed, 1), beta_seed=derive_seed(seed, 2))
     problem = build_problem(ModelSpec(kind="ridge"), d)
     lam_raw = math.log(lambda_eff)

@@ -4,9 +4,10 @@ The file format is YAML restricted to scalars, flat arrays, and one level of
 nested sections per the grammar documented in the README. Unknown keys are
 rejected so typos fail loudly; every validation error carries the dotted path
 of the offending field. Each section's int, float and bool fields are checked
-against their annotations when it is built (errors.require_fields); the `split`
-and `method` sections are the library's SplitPlan and HypergradMethod, which
-also check their own rules. validate_config adds range and cross-section rules.
+against their annotations when it is built (errors.require_fields); the `split`,
+`method` and `strategy.outer` sections are the library's SplitPlan,
+HypergradMethod and OuterOptimizer, which also check their own rules.
+validate_config adds range and cross-section rules.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .data import TASKS, SplitPlan
 from .errors import ConfigError, ContractViolationError, ParseError, require_fields, require_real
 from .hypergrad import AID_KINDS, HypergradMethod
 from .problems import MODEL_KINDS, NONSMOOTH_KINDS, REGRESSION_KINDS
-from .strategies import OPTIMIZER_KINDS, STRATEGY_KINDS
+from .strategies import STRATEGY_KINDS, OuterOptimizer
 
 
 @dataclass(frozen=True)
@@ -59,16 +60,10 @@ class ProblemSection:
 
 
 @dataclass(frozen=True)
-class OuterSection:
-    kind: str = "gd"
-    alpha_out: float = 0.1
-
-
-@dataclass(frozen=True)
 class StrategySection:
     kind: str = "single"
     T: int = 50
-    outer: OuterSection = field(default_factory=OuterSection)
+    outer: OuterOptimizer = field(default_factory=OuterOptimizer)
     alpha_deploy: float = 0.0
     lambda0: Any = None  # scalar broadcast or list of raw coordinates
     theta0: Any = 0.0
@@ -117,7 +112,7 @@ _SECTION_TYPES = {
     "split": SplitPlan,
     "problem": ProblemSection,
     "method": HypergradMethod,
-    "outer": OuterSection,
+    "outer": OuterOptimizer,
     "strategy": StrategySection,
     "output": OutputSection,
     "biasvar": BiasvarSection,
@@ -259,8 +254,6 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
     st = cfg.strategy
     _require(st.kind in STRATEGY_KINDS, f"kind must be one of {STRATEGY_KINDS}", "strategy.kind")
     _require(st.T >= 1, "T must be >= 1", "strategy.T")
-    _require(st.outer.kind in OPTIMIZER_KINDS, f"kind must be one of {OPTIMIZER_KINDS}", "strategy.outer.kind")
-    _require(st.outer.alpha_out > 0, "alpha_out must be > 0", "strategy.outer.alpha_out")
     if st.kind == "oehg":
         _require(st.alpha_deploy > 0, "oehg requires alpha_deploy > 0", "strategy.alpha_deploy")
     if st.lambda0 is not None:

@@ -232,12 +232,17 @@ class SplitPlan:
 
     def __post_init__(self):
         require_count(self.U, "U", minimum=1)
-        require_real(self.gamma, "gamma")
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ContractViolationError("gamma must be positive and finite", field="gamma")
+        _require_gamma(self.gamma)
         if self.mode not in SPLIT_MODES:
             raise ContractViolationError(f"mode must be one of {SPLIT_MODES}", field="mode")
         require_count(self.master_seed, "master_seed")
+
+
+def _require_gamma(gamma) -> None:
+    """Refuse a validation/train ratio that is not a positive, finite real number."""
+    require_real(gamma, "gamma")
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ContractViolationError("gamma must be positive and finite", field="gamma")
 
 
 def _round_half_up(x: float) -> int:
@@ -289,6 +294,7 @@ def make_splits(n: int, plan: SplitPlan) -> list[Split]:
 
 def enumerate_all_splits(n: int, gamma: float) -> list[Split]:
     """All C(n, m_val) splits, validation sets in lexicographic order."""
+    _require_gamma(gamma)
     m_val = val_size(n, gamma)
     total = math.comb(n, m_val)
     if total > _ENUMERATION_CAP:

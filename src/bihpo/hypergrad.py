@@ -1,24 +1,25 @@
 """Hypergradient estimation engines.
 
-inner_solve runs K full-batch gradient steps and records the trajectory.
+inner_solve runs K full-batch gradient steps and records the trajectory
+with its checked lam, its train view and the InnerBinding it stepped with.
 itd_hypergrad differentiates through the unrolled trajectory by reverse
 accumulation with Hessian- and mixed-vector products (no matrices are ever
 materialized), over all K steps or, for TRHG, the last h; aid_hypergrad
 solves the inner-Hessian linear system approximately and applies the
-implicit-function-theorem formula. All hypergradients are in raw
-hyper coordinates because the problem callbacks already are. Each solve
-and each reverse pass binds lam and its train view once
-(BilevelProblem.bind_inner), and its loop calls the bound derivatives. The
-AID operator is the binding's Hessian at theta_K, so all Z iterations reuse
-its curvature factors; the reverse pass binds the Hessian at each theta_k.
+implicit-function-theorem formula. Both read lam, train and the binding from
+the trajectory, so an estimate binds once and cannot mix two lams or train
+views. All hypergradients are in raw hyper coordinates because the problem
+callbacks already are. The AID operator is the binding's Hessian at theta_K,
+so all Z iterations reuse its curvature factors; the reverse pass binds the
+Hessian at each theta_k.
 
 Every entry point also takes StackedView train/val views of B members, for
 every model kind, with lam (p,) or (B, p) and theta (r,) or (B, r): the same
 code then runs all B estimates at once, one numpy op per inner step, and
 returns one row per member. The ensemble strategies and both diagnostics
-estimate only this way. Shapes are validated once per entry point, not in
-the callbacks; the budget's rules are HypergradMethod's, checked once when
-it is built.
+estimate only this way. Shapes are validated once per estimate, not in the
+callbacks: lam and theta by inner_solve, val by the estimator; the budget's
+rules are HypergradMethod's, checked once when it is built.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .data import DataView, StackedView
 from .errors import ContractViolationError, NumericalError, require_count, require_real
 from .linalg import LinearOperator, Vec, cg_solve, fixed_point_solve, row_norm
-from .problems import BilevelProblem, check_args
+from .problems import BilevelProblem, InnerBinding, check_args, check_views
 
 METHOD_KINDS = ("ITD", "TRHG", "AID_FP", "AID_CG")
 AID_KINDS = ("AID_FP", "AID_CG")
@@ -41,10 +42,18 @@ AID_TOL = 1e-12
 
 @dataclass(frozen=True)
 class InnerTrajectory:
-    """theta_0 ... theta_K from K gradient steps at step size alpha_in."""
+    """theta_0 ... theta_K from K gradient steps at step size alpha_in.
+
+    lam ((p,), or (B, p) for a stacked solve) and train are what the solve
+    checked and stepped on, and inner is their InnerBinding; the estimators
+    read all three from here.
+    """
 
     thetas: tuple[np.ndarray, ...]  # each (r,), or (B, r) for a stacked solve
     alpha_in: float
+    lam: np.ndarray
+    train: DataView | StackedView
+    inner: InnerBinding
 
     @property
     def K(self) -> int:
@@ -125,8 +134,8 @@ def inner_solve(
     if K < 0:
         raise ContractViolationError("K must be >= 0")
     lam, theta = check_args(problem, lam, theta0, train)
-    grad = problem.bind_inner(lam, train).grad
-    theta = theta.copy()
+    inner = problem.bind_inner(lam, train)
+    grad, theta = inner.grad, theta.copy()
     thetas = [theta]
     # overflow surfaces as the explicit non-finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -135,7 +144,8 @@ def inner_solve(
             thetas.append(theta)
         if not np.all(np.isfinite(theta)):
             _raise_first_nonfinite_gradient(grad, thetas)
-    return InnerTrajectory(thetas=tuple(thetas), alpha_in=alpha_in)
+    return InnerTrajectory(thetas=tuple(thetas), alpha_in=alpha_in, lam=lam, train=train,
+                           inner=inner)
 
 
 def _raise_first_nonfinite_gradient(grad: Callable[[Vec], Vec], thetas: list[Vec]) -> None:
@@ -155,15 +165,9 @@ def _raise_first_nonfinite_gradient(grad: Callable[[Vec], Vec], thetas: list[Vec
             raise _nonfinite(f"inner gradient became non-finite at step {k}", g, step=k)
 
 
-def _traj_diagnostics(traj: InnerTrajectory) -> dict:
-    return {"theta_final_norm": row_norm(traj.final)}
-
-
 def itd_hypergrad(
     problem: BilevelProblem,
-    lam: Vec,
     traj: InnerTrajectory,
-    train: DataView | StackedView,
     val: DataView | StackedView,
     h: int | None = None,
 ) -> HypergradResult:
@@ -174,9 +178,8 @@ def itd_hypergrad(
     With a window h (TRHG, 1 <= h <= K) the mixed-product terms stop after
     the h most recent steps (k = K-1 .. K-h); h = K is the full pass.
     """
-    lam, theta_K = check_args(problem, lam, traj.final, train, val)
-    inner = problem.bind_inner(lam, train)
-    alpha = traj.alpha_in
+    check_views(traj.train, val)
+    lam, theta_K, inner, alpha = traj.lam, traj.final, traj.inner, traj.alpha_in
     g = problem.outer_grad_lambda(lam, theta_K, val).astype(np.float64, copy=True)
     a = problem.outer_grad_theta(lam, theta_K, val)
     # Adjoint propagation below K - h contributes nothing once the mixed
@@ -190,18 +193,17 @@ def itd_hypergrad(
             a = a - alpha * inner.hessian(theta_k)(a)
     if not np.all(np.isfinite(g)):
         raise _nonfinite("reverse accumulation produced a non-finite hypergradient", g)
-    return HypergradResult(grad=g, inner_final=theta_K, diagnostics=_traj_diagnostics(traj))
+    return HypergradResult(grad=g, inner_final=theta_K,
+                           diagnostics={"theta_final_norm": row_norm(theta_K)})
 
 
 def aid_hypergrad(
     problem: BilevelProblem,
-    lam: Vec,
-    theta_K: Vec,
-    train: DataView | StackedView,
+    traj: InnerTrajectory,
     val: DataView | StackedView,
     method: HypergradMethod,
 ) -> HypergradResult:
-    """Implicit-function-theorem hypergradient at an approximate inner optimum.
+    """Implicit-function-theorem hypergradient at the trajectory's last iterate theta_K.
 
     Solves H(theta_K) v = grad_theta outer(theta_K) with method.Z iterations
     of CG (AID_CG) or of the fixed-point scheme at step fp_step, or alpha_in
@@ -219,9 +221,9 @@ def aid_hypergrad(
         )
     if method.kind not in AID_KINDS:
         raise ContractViolationError(f"aid_hypergrad needs an AID method, got {method.kind!r}")
-    lam, theta_K = check_args(problem, lam, theta_K, train, val)
+    check_views(traj.train, val)
+    lam, theta_K, inner = traj.lam, traj.final, traj.inner
     b = problem.outer_grad_theta(lam, theta_K, val)
-    inner = problem.bind_inner(lam, train)
     op = LinearOperator(dim=problem.param_dim, apply=inner.hessian(theta_K))
     counts = np.zeros(b.shape[:-1], dtype=np.int64)  # iterations of each member
     if method.kind == "AID_CG":
@@ -312,6 +314,5 @@ def estimate_hypergrad(
     """
     traj = inner_solve(problem, lam, theta0, train, method.K, method.alpha_in)
     if method.kind in AID_KINDS:
-        return aid_hypergrad(problem, lam, traj.final, train, val, method)
-    return itd_hypergrad(problem, lam, traj, train, val,
-                         h=method.h if method.kind == "TRHG" else None)
+        return aid_hypergrad(problem, traj, val, method)
+    return itd_hypergrad(problem, traj, val, h=method.h if method.kind == "TRHG" else None)

@@ -123,9 +123,9 @@ class BilevelProblem:
     of B members, and then returns one value per member.
 
     bind_inner(lam, view) returns the InnerBinding of the three inner theta
-    derivatives at that lam and view; the inner loop and the reverse pass
-    bind once per solve and call it at every step, and an AID solve binds
-    the Hessian at theta_K once for all its iterations. inner_grad_theta,
+    derivatives at that lam and view; an estimate binds once, in its inner
+    solve, and its reverse pass or AID solve reuses that binding; an AID
+    solve binds its Hessian at theta_K once for all its iterations. inner_grad_theta,
     inner_hvp and inner_mixed_vp are the same functions, bound per call.
     """
 
@@ -158,8 +158,8 @@ def check_args(
     lam_name, theta_name = names
     lam = np.asarray(lam, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
-    n_stacked = sum(isinstance(v, StackedView) for v in views)
-    if n_stacked == 0:
+    B = check_views(*views)
+    if B is None:
         if lam.shape != (p,):
             raise ContractViolationError(f"{lam_name} must have shape ({p},), got {lam.shape}")
         if theta.shape != (r,):
@@ -167,11 +167,6 @@ def check_args(
                 f"{theta_name} must have shape ({r},), got {theta.shape}"
             )
         return lam, theta
-    if n_stacked != len(views) or len({len(v) for v in views}) != 1:
-        raise ContractViolationError(
-            "train and val must both be stacked views with the same member count"
-        )
-    B = len(views[0])
     if lam.shape not in ((p,), (B, p)):
         raise ContractViolationError(
             f"{lam_name} must have shape ({p},) or ({B}, {p}), got {lam.shape}"
@@ -181,6 +176,18 @@ def check_args(
             f"{theta_name} must have shape ({r},) or ({B}, {r}), got {theta.shape}"
         )
     return _per_member(lam, B), _per_member(theta, B)
+
+
+def check_views(*views) -> int | None:
+    """B for StackedViews of B members each, None for DataViews; refuses anything else."""
+    n_stacked = sum(isinstance(v, StackedView) for v in views)
+    if n_stacked == 0:
+        return None
+    if n_stacked != len(views) or len({len(v) for v in views}) != 1:
+        raise ContractViolationError(
+            "train and val must both be stacked views with the same member count"
+        )
+    return len(views[0])
 
 
 def _per_member(x: np.ndarray, B: int) -> np.ndarray:
@@ -439,24 +446,26 @@ def _exp_phuber(delta: float, j: int = 0) -> _Term:
     )
 
 
-def _add_maps(f: Callable[[Vec], Vec], g: Callable[[Vec], Vec]) -> Callable[[Vec], Vec]:
-    """v -> f(v) + g(v)."""
-    return lambda v: f(v) + g(v)
-
-
 def _sum(a: _Term, b: _Term) -> _Term:
-    """a + b over disjoint lam coordinates, a's before b's (as in their mixed products)."""
+    """a + b. A term that does not read lam passes the other's mixed product
+    through; two that do read disjoint lam coordinates, a's before b's."""
 
     def bind(lam, view):
         (grad_a, hess_a, mixed_a), (grad_b, hess_b, mixed_b) = a.bind(lam, view), b.bind(lam, view)
-        return (lambda theta: grad_a(theta) + grad_b(theta),
-                lambda theta: _add_maps(hess_a(theta), hess_b(theta)),
-                lambda theta, v: np.concatenate([mixed_a(theta, v), mixed_b(theta, v)], axis=-1))
+
+        def hessian(theta):
+            hvp_a, hvp_b = hess_a(theta), hess_b(theta)
+            return lambda v: hvp_a(v) + hvp_b(v)
+
+        mixed = mixed_b if mixed_a is None else mixed_a if mixed_b is None else (
+            lambda theta, v: np.concatenate([mixed_a(theta, v), mixed_b(theta, v)], axis=-1))
+        return lambda theta: grad_a(theta) + grad_b(theta), hessian, mixed
 
     return _Term(
         value=lambda lam, theta, view: a.value(lam, theta, view) + b.value(lam, theta, view),
         bind=bind,
         hyper_dim=a.hyper_dim + b.hyper_dim,
+        effective=(b if b.hyper_dim else a).effective,
     )
 
 
@@ -477,37 +486,22 @@ def _exp_l2_per_coord(d: int) -> _Term:
     )
 
 
-_NO_PENALTY = _Term(
-    value=lambda lam, theta, view: 0.0,
-    bind=lambda lam, view: (lambda theta: 0.0, lambda theta: lambda v: 0.0, None),
-)
-
-
 # ---------------------------------------------------------------------------
 # composition
 
-def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term) -> BilevelProblem:
+def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term | None) -> BilevelProblem:
     """The callbacks of inner = loss + penalty and outer = unweighted loss.
 
-    Exactly one of the two terms reads lam (the penalty, or a weighted loss);
-    its raw coordinates are the hyperparameters. The outer objective does
-    not read lam, so its lam gradient is zero. The three inner theta
-    derivatives are bind_inner's, bound for the one call.
+    Exactly one of the two terms reads lam (the penalty, or a weighted loss
+    with no penalty); its raw coordinates are the hyperparameters. The outer
+    objective does not read lam, so its lam gradient is zero. The three
+    inner theta derivatives are bind_inner's, bound for the one call.
     """
-    reader = loss if loss.hyper_dim else penalty
-    p = reader.hyper_dim
+    inner = loss if penalty is None else _sum(loss, penalty)
+    p = inner.hyper_dim
 
     def bind_inner(lam, view):
-        grad_l, hess_l, mixed_l = loss.bind(lam, view)
-        grad_p, hess_p, mixed_p = penalty.bind(lam, view)
-        return InnerBinding(
-            grad=lambda theta: grad_l(theta) + grad_p(theta),
-            hessian=lambda theta: _add_maps(hess_l(theta), hess_p(theta)),
-            mixed=mixed_l if reader is loss else mixed_p,
-        )
-
-    def inner_loss(lam, theta, view):
-        return loss.value(lam, theta, view) + penalty.value(lam, theta, view)
+        return InnerBinding(*inner.bind(lam, view))
 
     def outer_grad_lambda(lam, theta, view):
         return np.zeros(theta.shape[:-1] + (p,))
@@ -516,14 +510,14 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term) -> BilevelP
         hyper_dim=p,
         param_dim=param_dim,
         bind_inner=bind_inner,
-        inner_loss=inner_loss,
+        inner_loss=inner.value,
         inner_grad_theta=lambda lam, theta, view: bind_inner(lam, view).grad(theta),
         inner_hvp=lambda lam, theta, view, v: bind_inner(lam, view).hessian(theta)(v),
         inner_mixed_vp=lambda lam, theta, view, v: bind_inner(lam, view).mixed(theta, v),
         outer_loss=lambda lam, theta, view: loss.value(None, theta, view),
         outer_grad_theta=lambda lam, theta, view: loss.bind(None, view)[0](theta),
         outer_grad_lambda=outer_grad_lambda,
-        effective=reader.effective,
+        effective=inner.effective,
         kind=kind,
         supports_aid=kind not in NONSMOOTH_KINDS,
     )
@@ -547,7 +541,7 @@ def build_problem(spec: ModelSpec, feature_dim: int) -> BilevelProblem:
         "logistic_l2": lambda: (_LOGISTIC, _exp_l2(), d),
         "svm_sqhinge": lambda: (_SQ_HINGE, _exp_l2(), d),
         "softmax_l2": lambda: (_softmax_ce(d, k), _exp_l2(), d * k),
-        "hyperclean_softmax": lambda: (_softmax_ce(d, k, spec.n_weights), _NO_PENALTY, d * k),
+        "hyperclean_softmax": lambda: (_softmax_ce(d, k, spec.n_weights), None, d * k),
     }
     loss, penalty, r = zoo[spec.kind]()
     return _compose(spec.kind, r, loss, penalty)

@@ -21,35 +21,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataView, Dataset, Split, StackedView, full_view
-from .errors import ContractViolationError, NumericalError
+from .errors import ContractViolationError, NumericalError, require_real
 from .hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
 from .linalg import Vec, ordered_mean, row_norm
 from .problems import BilevelProblem, check_args
 
 OPTIMIZER_KINDS = ("gd", "adam")
 STRATEGY_KINDS = ("single", "ehg", "oehg")
+# Adam's decay rates of its first and second moments, and its denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class OuterOptimizer:
     """Settings of constant-step GD or Adam on the raw hyperparameters.
 
+    This is also the config's `strategy.outer` section, with these defaults.
     The optimizer holds no state: Adam's moments live in the run that steps
     with it (see optimizer_step), so runs that share one optimizer stay
     independent.
     """
 
-    kind: str
-    alpha_out: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    kind: str = "gd"
+    alpha_out: float = 0.1
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
-            raise ContractViolationError(f"unknown optimizer kind {self.kind!r}")
-        if self.alpha_out <= 0:
-            raise ContractViolationError("alpha_out must be > 0")
+            raise ContractViolationError(f"kind must be one of {OPTIMIZER_KINDS}", field="kind")
+        require_real(self.alpha_out, "alpha_out")
+        if not self.alpha_out > 0:
+            raise ContractViolationError("alpha_out must be > 0", field="alpha_out")
 
 
 def optimizer_step(
@@ -70,11 +71,11 @@ def optimizer_step(
         return lam - opt.alpha_out * g, None
     m, v, t = state if state is not None else (np.zeros_like(lam), np.zeros_like(lam), 0)
     t += 1
-    m = opt.beta1 * m + (1.0 - opt.beta1) * g
-    v = opt.beta2 * v + (1.0 - opt.beta2) * (g * g)
-    m_hat = m / (1.0 - opt.beta1**t)
-    v_hat = v / (1.0 - opt.beta2**t)
-    return lam - opt.alpha_out * m_hat / (np.sqrt(v_hat) + opt.eps), (m, v, t)
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return lam - opt.alpha_out * m_hat / (np.sqrt(v_hat) + ADAM_EPS), (m, v, t)
 
 
 @dataclass
@@ -246,15 +247,15 @@ def run_oehg(
         gmean, shadows, row = _ensemble_grad(problem, lam, shadows, train, val, one_step, t,
                                              None)
         lam, state = optimizer_step(opt, lam, gmean, state)
-        deployed = deployed - alpha_deploy * problem.inner_grad_theta(lam, deployed, deploy_view)
-        if not np.all(np.isfinite(deployed)):
-            raise NumericalError(
-                f"deployed model became non-finite at outer step {t}", step_index=t
-            )
-        if test_view is not None:
-            test_loss = _finite_or_abort(problem.outer_loss(lam, deployed, test_view),
-                                         "test loss", t)
-            row["test_loss"] = np.full(len(splits), test_loss)
+        # overflow surfaces as the explicit non-finite checks, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            deployed = _finite_or_abort(
+                deployed - alpha_deploy * problem.inner_grad_theta(lam, deployed, deploy_view),
+                "deployed model", t)
+            if test_view is not None:
+                test_loss = _finite_or_abort(problem.outer_loss(lam, deployed, test_view),
+                                             "test loss", t)
+                row["test_loss"] = np.full(len(splits), test_loss)
         trace.add_step(row, lam)
 
     trace.final_thetas = tuple(shadows.copy())

@@ -35,7 +35,6 @@ from bihpo.diagnostics import (
 )
 from bihpo.hypergrad import (
     HypergradMethod,
-    aid_hypergrad,
     estimate_hypergrad,
     finite_diff_hypergrad,
     inner_solve,
@@ -86,7 +85,7 @@ def test_criterion_02_implicit_gradient_exactness():
         method = HypergradMethod(kind="AID_CG", K=0, alpha_in=0.1, Z=d)
         for u in (-0.5, 0.0, 0.8):
             theta = oracle.theta_hat(math.exp(u))
-            g = aid_hypergrad(prob, np.array([u]), theta, tr, va, method).grad
+            g = estimate_hypergrad(prob, np.array([u]), theta, tr, va, method).grad
             exact = oracle.hypergrad_raw(u)
             worst = max(worst, abs(g[0] - exact) / max(abs(exact), 1e-12))
     elapsed = time.monotonic() - t0
@@ -108,7 +107,7 @@ def test_criterion_03_itd_bias_decays_geometrically():
     errs = []
     for K in (5, 10, 20, 50, 100, 200):
         traj = inner_solve(prob, lam, np.zeros(1), tr, K, alpha)
-        errs.append(abs(itd_hypergrad(prob, lam, traj, tr, va).grad[0] - exact))
+        errs.append(abs(itd_hypergrad(prob, traj, va).grad[0] - exact))
     monotone = all(a > b for a, b in zip(errs, errs[1:]))
     verdict(3, "ITD bias decays monotonically in K", monotone and errs[-1] < 1e-3,
             "errors " + " > ".join(f"{e:.1e}" for e in errs))
@@ -256,7 +255,7 @@ def test_criterion_09_online_one_step_equivalence():
                         opt=OuterOptimizer(kind="gd", alpha_out=1.0), alpha_deploy=0.05,
                         lam0=lam, theta0=shadow, deploy_view=tr).lambdas[1]
         traj = inner_solve(prob, lam, shadow, tr, 1, 0.05)
-        ref = itd_hypergrad(prob, lam, traj, tr, va).grad
+        ref = itd_hypergrad(prob, traj, va).grad
         worst = max(worst, float(np.linalg.norm(lam1 - (lam - ref))
                                  / max(np.linalg.norm(ref), 1e-12)))
     elapsed = time.monotonic() - t0

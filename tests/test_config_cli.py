@@ -211,6 +211,9 @@ def test_validate_tune_rules_name_offending_field(over, command, path):
     ("tune", tune_dict(strategy={"T": 2.5}), "strategy.T"),
     ("tune", tune_dict(data={"synthetic": {"n": "60"}}), "data.synthetic.n"),
     ("tune", tune_dict(strategy={"outer": {"alpha_out": "0.5"}}), "strategy.outer.alpha_out"),
+    ("tune", tune_dict(strategy={"outer": {"alpha_out": float("nan")}}),
+     "strategy.outer.alpha_out"),
+    ("tune", tune_dict(strategy={"outer": {"kind": "rmsprop"}}), "strategy.outer.kind"),
     ("clean", clean_dict(clean={"retrain_K": 2.5}), "clean.retrain_K"),
     ("tune", tune_dict(strategy={"warm_start": "no"}), "strategy.warm_start"),
     ("tune", clean_dict(split={"U": 2}), "split.U"),
@@ -223,7 +226,8 @@ def test_validate_tune_rules_name_offending_field(over, command, path):
     ("clean", clean_dict(data={"synthetic": {"classes": 1}}), "data.synthetic.classes"),
 ], ids=["K-float", "K-str", "h-float", "fp_step-negative", "U-str", "U-float",
         "split-scalar", "tune-classes", "clean-classes", "T-float", "n-str",
-        "alpha_out-str", "retrain_K-float", "warm_start-str", "hyperclean-U",
+        "alpha_out-str", "alpha_out-nan", "outer-kind", "retrain_K-float", "warm_start-str",
+        "hyperclean-U",
         "smoothing_delta-zero", "lambda0-str", "theta0-bool", "grid-str", "grid-numeric-str",
         "clean-synthetic-classes"])
 def test_bad_input_exits_2_with_its_field_path(tmp_path, capsys, command, raw, path):
@@ -238,11 +242,16 @@ _REFUSED = {"int": (2.5, "7", True, -1), "float": ("0.5", True), "bool": ("no",)
 
 
 def _typed_fields(cls=ExperimentConfig, path=""):
-    """(dotted path, annotation) of each int/float/bool field of the config-only sections."""
+    """(dotted path, annotation) of each int/float/bool field outside split and method.
+
+    Those two sections have their own cases above; strategy.outer is the
+    library's OuterOptimizer, which checks the same types as the config-only
+    sections.
+    """
     for f in fields(cls):
         sub = f"{path}.{f.name}" if path else f.name
         section = _SECTION_TYPES.get(f.name)
-        if section is not None and section.__module__ == "bihpo.config":
+        if section is not None and f.name not in ("split", "method"):
             yield from _typed_fields(section, sub)
         elif section is None and f.type in _REFUSED:
             yield sub, f.type
@@ -420,6 +429,24 @@ def test_failed_run_leaves_a_failed_manifest(tmp_path, capsys):
     assert manifest["wall_clock_seconds"] > 0
 
 
+@pytest.mark.parametrize("test_fraction,what", [(0.0, "deployed model"), (0.2, "test loss")])
+def test_diverging_oehg_exits_3_without_warnings(tmp_path, capsys, recwarn, test_fraction,
+                                                  what):
+    # alpha_deploy = 50 overflows the deployed model, or first the test loss at it
+    cfg = write_cfg(tmp_path, tune_dict(
+        data={"synthetic": {"n": 40}, "test_fraction": test_fraction}, split={"U": 2},
+        method={"kind": "ITD", "K": 1, "alpha_in": 0.1},
+        strategy={"kind": "oehg", "T": 400, "alpha_deploy": 50.0}))
+    out = tmp_path / "o"
+    assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith(f"{what} became non-finite")
+    assert f"at outer step {manifest['failed_step']}" in err
+    assert len(recwarn) == 0
+
+
 # ---------------------------------------------------------------------------
 # biasvar command
 
@@ -542,6 +569,14 @@ def test_fpc_refuses_non_integer_ensemble_sizes(capsys):
     (["--U", "1", "--n", "-3"], "n"),
     (["--U", "1", "--d", "0"], "d"),
     (["--U", "1", "--noise-sigma", "-1"], "noise_sigma"),
+    (["--U", "1", "--gamma", "-1"], "gamma"),
+    (["--U", "1", "--gamma", "0"], "gamma"),
+    (["--U", "1", "--gamma", "-0.5"], "gamma"),
+    (["--U", "1", "--gamma", "nan"], "gamma"),
+    (["--U", "1", "--gamma", "inf"], "gamma"),
+    (["--U", "1", "--lambda-eff", "0"], "lambda_eff"),
+    (["--U", "1", "--lambda-eff", "-1"], "lambda_eff"),
+    (["--U", "1", "--lambda-eff", "nan"], "lambda_eff"),
 ])
 def test_fpc_names_the_argument_at_fault(args, field, capsys):
     assert main(["fpc", "--n", "6", "--gamma", "0.5", *args]) == 2

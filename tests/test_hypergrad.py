@@ -29,7 +29,7 @@ RIDGE1 = build_problem(ModelSpec(kind="ridge"), 1)
 
 
 def aid_method(kind="AID_CG", Z=10, fp_step=0.0):
-    """An AID method for aid_hypergrad, which reads only kind, Z and the step."""
+    """An AID method with K = 0: estimate_hypergrad then runs AID at theta0 itself."""
     return HypergradMethod(kind=kind, K=0, alpha_in=0.1, Z=Z, fp_step=fp_step)
 
 
@@ -90,7 +90,7 @@ def test_itd_zero_steps_is_direct_outer_gradient():
     # outer losses carry no explicit hyper dependence, so K = 0 gives zero
     prob, tr, va, lam = ridge_setup()
     traj = inner_solve(prob, lam, np.array([0.5, 0.5, 0.5]), tr, K=0, alpha_in=0.1)
-    res = itd_hypergrad(prob, lam, traj, tr, va)
+    res = itd_hypergrad(prob, traj, va)
     assert_array_equal(res.grad, np.zeros(1))
 
 
@@ -101,7 +101,7 @@ def test_itd_matches_finite_differences(kind):
     th0 = np.zeros(prob.param_dim)
     K, alpha = 15, 0.05
     traj = inner_solve(prob, lam, th0, tr, K, alpha)
-    got = itd_hypergrad(prob, lam, traj, tr, va).grad
+    got = itd_hypergrad(prob, traj, va).grad
     want = finite_diff_hypergrad(prob, lam, th0, tr, va, K, alpha, eps=1e-6)
     assert_allclose(got, want, rtol=2e-4, atol=1e-7)
 
@@ -109,7 +109,7 @@ def test_itd_matches_finite_differences(kind):
 def test_itd_long_run_matches_ridge_oracle():
     prob, tr, va, lam = ridge_setup()
     traj = inner_solve(prob, lam, np.zeros(3), tr, K=500, alpha_in=0.1)
-    got = itd_hypergrad(prob, lam, traj, tr, va).grad
+    got = itd_hypergrad(prob, traj, va).grad
     want = RidgeOracle(tr, va).hypergrad_raw(float(lam[0]))
     assert_allclose(got, [want], atol=1e-4)
 
@@ -134,7 +134,7 @@ def test_itd_matches_forward_mode_recurrence_1d(seed, K, u):
     want = (2.0 / va.m) * float((xv * theta - yv) @ xv) * s
     lam = np.array([u])
     traj = inner_solve(RIDGE1, lam, np.zeros(1), tr, K, alpha)
-    got = itd_hypergrad(RIDGE1, lam, traj, tr, va).grad
+    got = itd_hypergrad(RIDGE1, traj, va).grad
     assert_allclose(got, [want], rtol=1e-9, atol=1e-12)
 
 
@@ -144,8 +144,8 @@ def test_itd_matches_forward_mode_recurrence_1d(seed, K, u):
 def test_trhg_full_window_equals_itd_bitwise():
     prob, tr, va, lam = ridge_setup()
     traj = inner_solve(prob, lam, np.zeros(3), tr, K=60, alpha_in=0.08)
-    assert_array_equal(itd_hypergrad(prob, lam, traj, tr, va, h=60).grad,
-                       itd_hypergrad(prob, lam, traj, tr, va).grad)
+    assert_array_equal(itd_hypergrad(prob, traj, va, h=60).grad,
+                       itd_hypergrad(prob, traj, va).grad)
 
 
 def test_trhg_window_one_matches_hand_formula():
@@ -153,14 +153,14 @@ def test_trhg_window_one_matches_hand_formula():
     traj = inner_solve(prob, lam, np.zeros(3), tr, K=20, alpha_in=0.08)
     a = prob.outer_grad_theta(lam, traj.final, va)
     want = -traj.alpha_in * prob.inner_mixed_vp(lam, traj.thetas[19], tr, a)
-    assert_allclose(itd_hypergrad(prob, lam, traj, tr, va, h=1).grad, want)
+    assert_allclose(itd_hypergrad(prob, traj, va, h=1).grad, want)
 
 
 def test_trhg_error_shrinks_with_window():
     prob, tr, va, lam = ridge_setup(seed=17)
     traj = inner_solve(prob, lam, np.zeros(3), tr, K=80, alpha_in=0.08)
-    full = itd_hypergrad(prob, lam, traj, tr, va).grad
-    errs = [np.linalg.norm(itd_hypergrad(prob, lam, traj, tr, va, h).grad - full)
+    full = itd_hypergrad(prob, traj, va).grad
+    errs = [np.linalg.norm(itd_hypergrad(prob, traj, va, h).grad - full)
             for h in (1, 2, 5, 10, 20, 40, 80)]
     assert all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
     assert errs[-1] == 0.0
@@ -181,8 +181,8 @@ def test_aid_zero_outer_gradient_gives_zero_hypergrad():
     ds, beta = gen_linear(20, 3, 0.0, seed=9, beta_seed=4)
     split = make_splits(20, SplitPlan(U=1, gamma=0.25, master_seed=2))[0]
     prob = build_problem(ModelSpec(kind="ridge"), 3)
-    res = aid_hypergrad(prob, np.array([0.0]), beta, split.train_view(ds),
-                        split.val_view(ds), aid_method(Z=10))
+    res = estimate_hypergrad(prob, np.array([0.0]), beta, split.train_view(ds),
+                             split.val_view(ds), aid_method(Z=10))
     assert_array_equal(res.grad, np.zeros(1))
 
 
@@ -193,7 +193,7 @@ def test_aid_cg_matches_dense_implicit_solve():
     H = 2.0 * (A + math.exp(lam[0]) * np.eye(3))
     v = np.linalg.solve(H, prob.outer_grad_theta(lam, theta, va))
     want = -prob.inner_mixed_vp(lam, theta, tr, v)
-    got = aid_hypergrad(prob, lam, theta, tr, va, aid_method(Z=3)).grad
+    got = estimate_hypergrad(prob, lam, theta, tr, va, aid_method(Z=3)).grad
     assert_allclose(got, want, rtol=1e-8)
 
 
@@ -204,7 +204,8 @@ def test_aid_at_closed_form_matches_oracle(kind):
     oracle = RidgeOracle(tr, va)
     theta = oracle.theta_hat(le)
     L, _ = oracle.curvature(le)
-    res = aid_hypergrad(prob, lam, theta, tr, va, aid_method(kind, Z=4000, fp_step=1.0 / L))
+    res = estimate_hypergrad(prob, lam, theta, tr, va,
+                             aid_method(kind, Z=4000, fp_step=1.0 / L))
     want = oracle.hypergrad_raw(float(lam[0]))
     assert_allclose(res.grad, [want], atol=1e-6)
     assert res.diagnostics["aid_residual"] < 1e-8
@@ -233,7 +234,7 @@ def test_aid_evaluates_the_curvature_once_per_solve(monkeypatch):
     per_solve = []
     for Z in (5, 20):
         calls.clear()
-        res = aid_hypergrad(prob, np.array([-1.0]), theta, tr, va, aid_method(Z=Z))
+        res = estimate_hypergrad(prob, np.array([-1.0]), theta, tr, va, aid_method(Z=Z))
         per_solve.append(len(calls))
         assert res.diagnostics["solver_iters"].max() > (5 if Z == 20 else 4)
     assert per_solve[0] == per_solve[1]
@@ -243,13 +244,15 @@ def test_aid_refused_for_nonsmooth_hessian():
     prob, tr, va = zoo_instance("svm_sqhinge")
     assert not prob.supports_aid
     with pytest.raises(ContractViolationError):
-        aid_hypergrad(prob, np.array([0.0]), np.zeros(prob.param_dim), tr, va, aid_method())
+        estimate_hypergrad(prob, np.array([0.0]), np.zeros(prob.param_dim), tr, va,
+                           aid_method())
 
 
 def test_aid_validation():
     prob, tr, va, lam = ridge_setup()
     with pytest.raises(ContractViolationError):
-        aid_hypergrad(prob, lam, np.zeros(3), tr, va, HypergradMethod(kind="ITD", K=5))
+        aid_hypergrad(prob, inner_solve(prob, lam, np.zeros(3), tr, 0, 0.1), va,
+                      HypergradMethod(kind="ITD", K=5))
     for kind, over, field in [("AID_CG", {"Z": 0}, "Z"), ("AID_FP", {"Z": 2.0}, "Z"),
                               ("AID_FP", {"fp_step": -1.0}, "fp_step"),
                               ("AID_CG", {"fp_step": "0.1"}, "fp_step")]:
@@ -264,7 +267,7 @@ def test_aid_validation():
 def test_finite_diff_halving_shows_quadratic_order():
     prob, tr, va, lam = ridge_setup()
     traj = inner_solve(prob, lam, np.zeros(3), tr, K=80, alpha_in=0.08)
-    exact = itd_hypergrad(prob, lam, traj, tr, va).grad
+    exact = itd_hypergrad(prob, traj, va).grad
     errs = {eps: np.linalg.norm(
         finite_diff_hypergrad(prob, lam, np.zeros(3), tr, va, 80, 0.08, eps=eps)
         - exact) for eps in (1e-2, 1e-3)}
@@ -323,7 +326,7 @@ def test_estimate_hypergrad_dispatch_consistency():
     traj = inner_solve(prob, lam, th0, tr, 40, 0.08)
     aid = estimate_hypergrad(prob, lam, th0, tr, va,
                              HypergradMethod(kind="AID_CG", K=40, alpha_in=0.08, Z=8))
-    same = aid_hypergrad(prob, lam, traj.final, tr, va, aid_method(Z=8))
+    same = aid_hypergrad(prob, traj, va, aid_method(Z=8))
     assert_array_equal(aid.grad, same.grad)
 
 
@@ -405,6 +408,20 @@ def test_stacked_losses_match_per_member(kind):
     for i, (tr, va) in enumerate(zip(trains, vals)):
         assert abs(inner[i] - prob.inner_loss(lam[i], theta[i], tr)) <= 1e-12 * abs(inner[i])
         assert abs(outer[i] - prob.outer_loss(lam[i], theta[i], va)) <= 1e-12 * abs(outer[i])
+
+
+@pytest.mark.parametrize("method", BATCH_METHODS[:3], ids=lambda m: m.kind)
+@pytest.mark.parametrize("stacked", [False, True], ids=["view", "stacked"])
+def test_estimate_binds_the_inner_objective_once(method, stacked):
+    # the estimator reuses the binding its inner solve stepped with
+    trains, vals = member_views()
+    prob = build_problem(ModelSpec(kind="ridge"), 3)
+    bind, views = prob.bind_inner, []
+    prob = dataclasses.replace(
+        prob, bind_inner=lambda lam, view: views.append(view) or bind(lam, view))
+    train, val = (StackedView(trains), StackedView(vals)) if stacked else (trains[0], vals[0])
+    estimate_hypergrad(prob, np.zeros(1), np.zeros(3), train, val, method)
+    assert len(views) == 1 and views[0] is train
 
 
 def test_stacked_estimate_broadcasts_shared_lambda_and_start():

@@ -86,6 +86,9 @@ def test_optimizer_validation():
         OuterOptimizer(kind="rmsprop", alpha_out=0.1)
     with pytest.raises(ContractViolationError):
         OuterOptimizer(kind="gd", alpha_out=0.0)
+    with pytest.raises(ContractViolationError) as err:
+        OuterOptimizer(kind="gd", alpha_out=float("nan"))
+    assert err.value.field == "alpha_out"
     with pytest.raises(ContractViolationError):
         optimizer_step(OuterOptimizer(kind="gd", alpha_out=0.1),
                        np.zeros(2), np.zeros(3))
