@@ -417,7 +417,7 @@ def fpc_verify(
     U-subsets without replacement.
     """
     if samples < 1:
-        raise ContractViolationError("samples must be >= 1")
+        raise ContractViolationError("samples must be >= 1", field="samples")
     if problem.kind != "ridge" and method is None:
         raise ContractViolationError("non-ridge problems need an explicit estimator method")
     splits = enumerate_all_splits(ds.n, gamma)

@@ -180,21 +180,25 @@ def itd_hypergrad(
     """
     check_views(traj.train, val)
     lam, theta_K, inner, alpha = traj.lam, traj.final, traj.inner, traj.alpha_in
-    g = problem.outer_grad_lambda(lam, theta_K, val).astype(np.float64, copy=True)
-    a = problem.outer_grad_theta(lam, theta_K, val)
     # Adjoint propagation below K - h contributes nothing once the mixed
     # accumulation stops, so the loop covers only the window, and the
     # adjoint of its oldest step, which nothing reads, is not computed.
     steps = range(traj.K - 1, traj.K - 1 - (traj.K if h is None else h), -1)
-    for k in steps:
-        theta_k = traj.thetas[k]
-        g = g - alpha * inner.mixed(theta_k, a)
-        if k != steps[-1]:
-            a = a - alpha * inner.hessian(theta_k)(a)
+    # a diverged but finite trajectory overflows here: that surfaces as the
+    # explicit non-finite check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = problem.outer_grad_lambda(lam, theta_K, val).astype(np.float64, copy=True)
+        a = problem.outer_grad_theta(lam, theta_K, val)
+        for k in steps:
+            theta_k = traj.thetas[k]
+            g = g - alpha * inner.mixed(theta_k, a)
+            if k != steps[-1]:
+                a = a - alpha * inner.hessian(theta_k)(a)
+        theta_norm = row_norm(theta_K)
     if not np.all(np.isfinite(g)):
         raise _nonfinite("reverse accumulation produced a non-finite hypergradient", g)
     return HypergradResult(grad=g, inner_final=theta_K,
-                           diagnostics={"theta_final_norm": row_norm(theta_K)})
+                           diagnostics={"theta_final_norm": theta_norm})
 
 
 def aid_hypergrad(
@@ -223,16 +227,20 @@ def aid_hypergrad(
         raise ContractViolationError(f"aid_hypergrad needs an AID method, got {method.kind!r}")
     check_views(traj.train, val)
     lam, theta_K, inner = traj.lam, traj.final, traj.inner
-    b = problem.outer_grad_theta(lam, theta_K, val)
-    op = LinearOperator(dim=problem.param_dim, apply=inner.hessian(theta_K))
-    counts = np.zeros(b.shape[:-1], dtype=np.int64)  # iterations of each member
-    if method.kind == "AID_CG":
-        v, _ = cg_solve(op, b, max_iters=method.Z, tol=AID_TOL, counts=counts)
-    else:
-        v, _ = fixed_point_solve(op, b, step=method.fp_step or method.alpha_in,
-                                 max_iters=method.Z, tol=AID_TOL, counts=counts)
-    residual = row_norm(op(v) - b)
-    g = problem.outer_grad_lambda(lam, theta_K, val) - inner.mixed(theta_K, v)
+    # as in itd_hypergrad: overflow at a diverged theta_K surfaces as the
+    # solvers' and the explicit non-finite checks, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = problem.outer_grad_theta(lam, theta_K, val)
+        op = LinearOperator(dim=problem.param_dim, apply=inner.hessian(theta_K))
+        counts = np.zeros(b.shape[:-1], dtype=np.int64)  # iterations of each member
+        if method.kind == "AID_CG":
+            v, _ = cg_solve(op, b, max_iters=method.Z, tol=AID_TOL, counts=counts)
+        else:
+            v, _ = fixed_point_solve(op, b, step=method.fp_step or method.alpha_in,
+                                     max_iters=method.Z, tol=AID_TOL, counts=counts)
+        residual = row_norm(op(v) - b)
+        g = problem.outer_grad_lambda(lam, theta_K, val) - inner.mixed(theta_K, v)
+        theta_norm = row_norm(theta_K)
     if not np.all(np.isfinite(g)):
         raise _nonfinite("AID produced a non-finite hypergradient", g)
     return HypergradResult(
@@ -241,7 +249,7 @@ def aid_hypergrad(
         diagnostics={
             "aid_residual": residual,
             "solver_iters": counts if counts.ndim else int(counts),
-            "theta_final_norm": row_norm(theta_K),
+            "theta_final_norm": theta_norm,
         },
     )
 

@@ -9,10 +9,12 @@ gradients are comparable across split sizes. Outer objectives are the pure
 
 The inner theta derivatives are bound in two stages: bind_inner(lam, view)
 computes what depends on lam and the view once per solve (the Gram pair,
-exp(u), the label-folded rows y x^T), and its hessian(theta) computes the
-curvature factors at one theta (the per-row margin curvature, the softmax
-probabilities, the pseudo-Huber diagonal) once, returning v -> H(theta) v.
-The batched products are single numpy gufunc calls (np.matvec, np.vecdot).
+exp(u), the label-folded rows y x^T, stored feature-major), and its
+hessian(theta) computes the curvature factors at one theta (the per-row
+margin curvature, the softmax probabilities, the pseudo-Huber diagonal)
+once, returning v -> H(theta) v. The batched products are single numpy
+gufunc calls (np.matvec, np.vecmat, np.vecdot), so a stacked member gets
+the bits of its own unstacked call.
 
 Hyperparameters are optimized in raw unconstrained coordinates: positive
 regularization coefficients are exponentiated (lambda_eff = exp(u)) and
@@ -253,34 +255,48 @@ _SQUARED = _Term(value=_quad_value, bind=_quad_bind)
 def _margin_loss(phi, dphi, d2phi) -> _Term:
     """Mean of phi(y x^T theta) over the rows of a binary view (labels +-1).
 
-    bind folds the labels into the rows once, yX = y x^T: a label flips
-    signs only, which is exact and commutes with the sums of the matrix
-    products, so (yX) theta has the bits of y * (X theta).
+    bind folds the labels into the rows once, feature-major: yXt is the
+    C-contiguous (..., d, m) array of y_i x_ij (a label flips signs only,
+    which is exact). Both products read it along memory: the margins are
+    np.vecmat(theta, yXt) and the map of per-row weights back to theta is
+    np.matvec(yXt, s). Each member goes through the same gufunc kernel as
+    its DataView would, so its bits do not depend on the stacking; they
+    need not be those of y * (X theta), whose sums run in another order.
     """
 
     def value(lam, theta, view):
         return np.mean(phi(view.y * _matvec(view.X, theta)), axis=-1)
 
     def bind(lam, view):
-        yX, m = view.y[..., None] * view.X, view.m
-        yXt = yX.swapaxes(-1, -2)
+        yXt = np.multiply(view.y[..., None, :], view.X.swapaxes(-1, -2), order="C")
+        m = view.m
 
         def grad(theta):
-            # (yX)^T s / m maps per-row weights s (..., m) back to theta
-            return _matvec(yXt, dphi(_matvec(yX, theta))) / m
+            return np.matvec(yXt, dphi(np.vecmat(theta, yXt))) / m
 
         def hessian(theta):
-            curvature = d2phi(_matvec(yX, theta))
-            return lambda v: _matvec(yXt, curvature * _matvec(yX, v)) / m
+            curvature = d2phi(np.vecmat(theta, yXt))
+            return lambda v: np.matvec(yXt, curvature * np.vecmat(v, yXt)) / m
 
         return grad, hessian, None
 
     return _Term(value=value, bind=bind)
 
 
+@np.errstate(over="ignore")
+def _logistic_dphi(t):
+    """d/dt log(1 + e^{-t}) = -sigmoid(-t), as -1 / (1 + e^t) in one pass.
+
+    It has the bits of -sigmoid(-t) everywhere, +-0 and +-inf included.
+    Above t = 709.78, e^t overflows to inf and the result is -0, which is
+    expected and raises no RuntimeWarning.
+    """
+    return -1.0 / (1.0 + np.exp(t))
+
+
 _LOGISTIC = _margin_loss(
     lambda t: np.logaddexp(0.0, -t),
-    lambda t: -sigmoid(-t),
+    _logistic_dphi,
     lambda t: sigmoid(t) * sigmoid(-t),
 )
 # the squared hinge has a piecewise-linear gradient: its Hessian jumps at the

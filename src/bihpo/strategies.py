@@ -123,13 +123,17 @@ def _split_evals(
     step: int,
 ) -> dict[str, np.ndarray]:
     """Each split's trace values at its final inner iterate, one (U,) row per column."""
-    row = {"train_loss": _finite_or_abort(problem.inner_loss(lams, thetas, train),
-                                          "train loss", step),
-           "val_loss": _finite_or_abort(problem.outer_loss(lams, thetas, val), "val loss", step)}
-    if test_view is not None:
-        row["test_loss"] = _finite_or_abort(problem.outer_loss(lams, thetas, test_view),
-                                            "test loss", step)
-    row["hypergrad_norm"] = _finite_or_abort(row_norm(grads), "hypergradient norm", step)
+    # overflow at a diverged but finite iterate surfaces as the explicit
+    # non-finite checks, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = {"train_loss": _finite_or_abort(problem.inner_loss(lams, thetas, train),
+                                              "train loss", step),
+               "val_loss": _finite_or_abort(problem.outer_loss(lams, thetas, val),
+                                            "val loss", step)}
+        if test_view is not None:
+            row["test_loss"] = _finite_or_abort(problem.outer_loss(lams, thetas, test_view),
+                                                "test loss", step)
+        row["hypergrad_norm"] = _finite_or_abort(row_norm(grads), "hypergradient norm", step)
     return row
 
 

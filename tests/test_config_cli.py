@@ -429,6 +429,21 @@ def test_failed_run_leaves_a_failed_manifest(tmp_path, capsys):
     assert manifest["wall_clock_seconds"] > 0
 
 
+@pytest.mark.parametrize("method", [
+    {"kind": "ITD", "K": 100, "alpha_in": 5.0},
+    {"kind": "AID_CG", "K": 100, "alpha_in": 5.0, "Z": 10},
+], ids=["ITD", "AID_CG"])
+def test_diverged_estimate_exits_3_without_warnings(tmp_path, capsys, recwarn, method):
+    # theta_K diverged but stays finite, so the reverse pass or the AID solve
+    # and the trace losses overflow: that must end in exit 3, not in warnings
+    cfg = write_cfg(tmp_path, tune_dict(method=method, strategy={"T": 1}))
+    out = tmp_path / "o"
+    assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "numerical error (step 0)" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    assert len(recwarn) == 0
+
+
 @pytest.mark.parametrize("test_fraction,what", [(0.0, "deployed model"), (0.2, "test loss")])
 def test_diverging_oehg_exits_3_without_warnings(tmp_path, capsys, recwarn, test_fraction,
                                                   what):
@@ -577,6 +592,7 @@ def test_fpc_refuses_non_integer_ensemble_sizes(capsys):
     (["--U", "1", "--lambda-eff", "0"], "lambda_eff"),
     (["--U", "1", "--lambda-eff", "-1"], "lambda_eff"),
     (["--U", "1", "--lambda-eff", "nan"], "lambda_eff"),
+    (["--U", "1", "--samples", "0"], "samples"),
 ])
 def test_fpc_names_the_argument_at_fault(args, field, capsys):
     assert main(["fpc", "--n", "6", "--gamma", "0.5", *args]) == 2

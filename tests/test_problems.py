@@ -300,6 +300,50 @@ def test_sigmoid_is_exact_at_the_extremes_and_silent():
     assert np.all(np.isfinite(g)) and np.all(np.isfinite(h))
 
 
+def test_fused_logistic_derivative_has_the_bits_of_the_sigmoid_form():
+    rng = np.random.Generator(np.random.PCG64(4))
+    t = np.concatenate([
+        [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 709.78, -709.78, 745.2, -745.2, 1e-300],
+        np.linspace(-60.0, 60.0, 24_001), rng.normal(0.0, 300.0, 10_000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fused = problems._logistic_dphi(t)
+        reference = -sigmoid(-t)
+    assert same_bits(fused, reference)
+    assert np.signbit(fused[:2]).all() and fused[4] == 0.0 and fused[5] == -1.0
+
+
+@pytest.mark.parametrize("d", [1, 10, 20])
+@pytest.mark.parametrize("B", [1, 8, 523])
+@pytest.mark.parametrize("kind", ["logistic_l2", "svm_sqhinge"])
+def test_stacked_margin_products_are_per_member_and_match_matmul(kind, B, d):
+    # the margin losses read their label-folded rows feature-major, so their
+    # sums run in another order than matmul's: each stacked row must keep
+    # its own view's bits, and agree with the matmul form to 1e-13
+    loss, dphi, d2phi = {
+        "logistic_l2": (problems._LOGISTIC, lambda t: -sigmoid(-t),
+                        lambda t: sigmoid(t) * sigmoid(-t)),
+        "svm_sqhinge": (problems._SQ_HINGE, lambda t: -2.0 * np.maximum(0.0, 1.0 - t),
+                        lambda t: 2.0 * (t < 1.0)),
+    }[kind]
+    rng = np.random.Generator(np.random.PCG64(100 * B + d))
+    n, m = 60, 40
+    ds = Dataset(X=rng.standard_normal((n, d)), y=rng.choice([-1.0, 1.0], n), task="binary")
+    views = [DataView(ds, rng.choice(n, m, replace=False)) for _ in range(B)]
+    theta, v = rng.standard_normal((B, d)), rng.standard_normal((B, d))
+    grad, hessian, _ = loss.bind(None, StackedView(views))
+    g, hv = grad(theta), hessian(theta)(v)
+    for b, view in enumerate(views):
+        grad_b, hessian_b, _ = loss.bind(None, view)
+        assert same_bits(g[b], grad_b(theta[b]))
+        assert same_bits(hv[b], hessian_b(theta[b])(v[b]))
+        X, y = view.X, view.y
+        t = y * (X @ theta[b])
+        for got, want in ((g[b], X.T @ (y * dphi(t)) / m),
+                          (hv[b], X.T @ (d2phi(t) * (X @ v[b])) / m)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_sigmoid_matches_the_overflow_free_form():
     x = np.random.Generator(np.random.PCG64(3)).normal(0.0, 20.0, 10_000)
     e = np.exp(-np.abs(x))
