@@ -26,7 +26,7 @@ from .data import (
     make_splits,
 )
 from .errors import ContractViolationError, NumericalError, SingularMatrixError
-from .hypergrad import HypergradMethod, estimate_hypergrad
+from .hypergrad import FORWARD_ARRAYS, HypergradMethod, estimate_hypergrad, forward_mode
 from .linalg import ordered_mean, row_dot
 from .problems import REGRESSION_KINDS, BilevelProblem, ModelSpec, build_problem
 
@@ -132,8 +132,10 @@ class RidgeOracle:
 # ---------------------------------------------------------------------------
 # members of the diagnostics, estimated in stacked runs
 
-# Bytes of inner trajectory, (K + 1) * B * r * 8, that one stacked estimate of
-# B members may hold. Longer member lists run as several contiguous runs.
+# Bytes of inner iterates that one stacked estimate of B members may hold:
+# B * _member_bytes. Reverse mode holds each member's trajectory, (K + 1) * r
+# * 8 bytes, and forward mode a few vectors, FORWARD_ARRAYS * r * 8. Longer
+# member lists run as several contiguous runs.
 RUN_BYTES = 2 << 20
 
 
@@ -147,18 +149,25 @@ def _replicate_views(design: SweepDesign, U: int, seed: int, j: int
     return [(s.train_view(ds), s.val_view(ds)) for s in make_splits(ds.n, plan)]
 
 
+def _member_bytes(problem: BilevelProblem, method: HypergradMethod) -> int:
+    """Bytes of inner iterates that one member of a stacked estimate holds."""
+    arrays = FORWARD_ARRAYS if forward_mode(problem, method) else method.K + 1
+    return arrays * problem.param_dim * 8
+
+
 def _stacked_estimates(problem: BilevelProblem, method: HypergradMethod,
                        members: Iterable[tuple[DataView, DataView, np.ndarray]]) -> np.ndarray:
     """Hypergradients of the members from theta = 0, one row each, in their order.
 
     members yields (train view, val view, raw lam) triples. They are consumed
-    one run at a time: a run is as many contiguous members as keep the
-    trajectory within RUN_BYTES, estimated by one estimate_hypergrad call on
-    StackedViews, and only one run's member data is alive at a time. Each
-    member's row is bitwise the same wherever the runs are cut. A
-    NumericalError names the failing member by its index in the whole list.
+    one run at a time: a run is as many contiguous members as keep their
+    iterates (_member_bytes) within RUN_BYTES, estimated by one
+    estimate_hypergrad call on StackedViews, and only one run's member data
+    is alive at a time. Each member's row is bitwise the same wherever the
+    runs are cut. A NumericalError names the failing member by its index in
+    the whole list.
     """
-    size = max(1, RUN_BYTES // ((method.K + 1) * problem.param_dim * 8))
+    size = max(1, RUN_BYTES // _member_bytes(problem, method))
     members = iter(members)
     rows, first = [], 0
     while run := list(islice(members, size)):

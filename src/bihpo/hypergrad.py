@@ -13,6 +13,14 @@ callbacks already are. The AID operator is the binding's Hessian at theta_K,
 so all Z iterations reuse its curvature factors; the reverse pass binds the
 Hessian at each theta_k.
 
+forward_hypergrad computes the same ITD and TRHG derivatives by forward
+accumulation: it carries the tangent d theta_k / d lam beside theta through
+the inner steps and keeps no trajectory, so its memory does not grow with K.
+It needs the binding's dgrad_dlam, which a problem provides when it has one
+raw hyperparameter (has_dgrad_dlam). estimate_hypergrad runs ITD and TRHG
+forward on such a problem (see forward_mode) and reverse otherwise; the two
+agree up to the order of their sums.
+
 Every entry point also takes StackedView train/val views of B members, for
 every model kind, with lam (p,) or (B, p) and theta (r,) or (B, r): the same
 code then runs all B estimates at once, one numpy op per inner step, and
@@ -31,7 +39,7 @@ import numpy as np
 
 from .data import DataView, StackedView
 from .errors import ContractViolationError, NumericalError, require_count, require_real
-from .linalg import LinearOperator, Vec, cg_solve, fixed_point_solve, row_norm
+from .linalg import LinearOperator, Vec, cg_solve, fixed_point_solve, row_dot, row_norm
 from .problems import BilevelProblem, InnerBinding, check_args, check_views
 
 METHOD_KINDS = ("ITD", "TRHG", "AID_FP", "AID_CG")
@@ -163,6 +171,62 @@ def _raise_first_nonfinite_gradient(grad: Callable[[Vec], Vec], thetas: list[Vec
         g = grad(thetas[k])
         if not np.all(np.isfinite(g)):
             raise _nonfinite(f"inner gradient became non-finite at step {k}", g, step=k)
+
+
+def forward_mode(problem: BilevelProblem, method: HypergradMethod) -> bool:
+    """Whether estimate_hypergrad runs method by forward accumulation (no trajectory)."""
+    return method.kind in ("ITD", "TRHG") and problem.has_dgrad_dlam
+
+
+# (r,) arrays that one member of a forward pass holds at once, temporaries
+# included: theta, the tangent, the inner gradient, H Z, J and their sums
+FORWARD_ARRAYS = 8
+
+
+def forward_hypergrad(
+    problem: BilevelProblem,
+    lam: Vec,
+    theta0: Vec,
+    train: DataView | StackedView,
+    val: DataView | StackedView,
+    method: HypergradMethod,
+) -> HypergradResult:
+    """ITD or TRHG hypergradient of a problem with dgrad_dlam, by forward accumulation.
+
+    Runs the K inner steps of inner_solve, with the same bits, and carries
+    the tangent Z = d theta_k / d lam, of theta's shape since lam has one
+    raw coordinate: at the pre-step theta_k,
+    Z <- Z - alpha_in * (H(theta_k) Z + J(theta_k)), J = dgrad_dlam(theta_k);
+    then g = grad_lam outer(theta_K) + <Z, grad_theta outer(theta_K)>.
+    TRHG's window h starts Z = 0 at step K - h; ITD is h = K.
+    No trajectory is kept, so a non-finite theta_K re-runs the recording
+    inner_solve, which names the failing step and member.
+    """
+    K, alpha = method.K, method.alpha_in
+    first = K - method.h if method.kind == "TRHG" else 0
+    lam, start = check_args(problem, lam, theta0, train, val)
+    inner = problem.bind_inner(lam, train)
+    grad, hessian, dgrad = inner.grad, inner.hessian, inner.dgrad_dlam
+    theta, Z = start, np.zeros_like(start)
+    # as in inner_solve and itd_hypergrad: overflow surfaces as the explicit
+    # non-finite checks below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            if k >= first:
+                Z = Z - alpha * (hessian(theta)(Z) + dgrad(theta))
+            theta = theta - alpha * grad(theta)
+        if not np.all(np.isfinite(theta)):
+            inner_solve(problem, lam, start, train, K, alpha)  # raises, naming the step
+            # it did not: the update itself overflowed on the last step
+            raise _nonfinite("the inner solve ended non-finite", theta,
+                             step=K - 1 if K else None)
+        a = problem.outer_grad_theta(lam, theta, val)
+        g = problem.outer_grad_lambda(lam, theta, val) + row_dot(Z, a)[..., None]
+        theta_norm = row_norm(theta)
+    if not np.all(np.isfinite(g)):
+        raise _nonfinite("forward accumulation produced a non-finite hypergradient", g)
+    return HypergradResult(grad=g, inner_final=theta,
+                           diagnostics={"theta_final_norm": theta_norm})
 
 
 def itd_hypergrad(
@@ -317,9 +381,14 @@ def estimate_hypergrad(
 ) -> HypergradResult:
     """Run the configured estimator end to end (inner solve + hypergradient).
 
-    With StackedView train/val views of B members, runs all B estimates as
-    one stacked pass and returns grad (B, p) and inner_final (B, r).
+    ITD and TRHG run forward (forward_hypergrad) where forward_mode says so,
+    and otherwise as inner_solve plus the reverse pass; AID always solves at
+    the trajectory's theta_K. With StackedView train/val views of B members,
+    runs all B estimates as one stacked pass and returns grad (B, p) and
+    inner_final (B, r).
     """
+    if forward_mode(problem, method):
+        return forward_hypergrad(problem, lam, theta0, train, val, method)
     traj = inner_solve(problem, lam, theta0, train, method.K, method.alpha_in)
     if method.kind in AID_KINDS:
         return aid_hypergrad(problem, traj, val, method)

@@ -105,11 +105,15 @@ class InnerBinding(NamedTuple):
     and the view fixed; what depends on those alone is computed once, when
     bound. hessian(theta) likewise computes the factors of H(theta) that do
     not depend on v once, and returns the map v -> H(theta) v.
+    dgrad_dlam(theta) is J = d/d_lam grad(theta) for the one raw lam
+    coordinate, in theta's shape, which forward mode steps with; it is None
+    where the problem's has_dgrad_dlam is False.
     """
 
     grad: Callable[[Vec], Vec]
     hessian: Callable[[Vec], Callable[[Vec], Vec]]
     mixed: Callable[[Vec, Vec], Vec]
+    dgrad_dlam: Callable[[Vec], Vec] | None
 
 
 @dataclass(frozen=True)
@@ -124,11 +128,13 @@ class BilevelProblem:
     axis, lam (B, hyper_dim), theta and v (B, param_dim), with a StackedView
     of B members, and then returns one value per member.
 
-    bind_inner(lam, view) returns the InnerBinding of the three inner theta
+    bind_inner(lam, view) returns the InnerBinding of the inner theta
     derivatives at that lam and view; an estimate binds once, in its inner
     solve, and its reverse pass or AID solve reuses that binding; an AID
     solve binds its Hessian at theta_K once for all its iterations. inner_grad_theta,
     inner_hvp and inner_mixed_vp are the same functions, bound per call.
+    has_dgrad_dlam says, once per problem, whether the binding's dgrad_dlam
+    is provided, and so whether ITD and TRHG run in forward mode.
     """
 
     hyper_dim: int
@@ -144,6 +150,7 @@ class BilevelProblem:
     effective: Callable[[Vec], Vec]
     kind: str = ""
     supports_aid: bool = True
+    has_dgrad_dlam: bool = False
 
 
 def check_args(
@@ -214,17 +221,20 @@ class _Term:
     """One summand of the inner objective: its value and its bound theta derivatives.
 
     bind(lam, view) computes what depends on lam and the view alone, once,
-    and returns (grad, hessian, mixed) over theta; hessian(theta) returns the
-    map v -> H(theta) v, and mixed also takes the direction v. mixed is
-    d/d_lam of grad contracted with v, or None for a term that does not read
-    lam; hyper_dim is how many raw lam coordinates it reads and effective
-    maps them to their effective scale.
+    and returns (grad, hessian, mixed, dgrad_dlam) over theta; hessian(theta)
+    returns the map v -> H(theta) v, and mixed also takes the direction v.
+    mixed is d/d_lam of grad contracted with v, or None for a term that does
+    not read lam; hyper_dim is how many raw lam coordinates it reads and
+    effective maps them to their effective scale. dgrad_dlam(theta) is
+    d/d_lam of grad itself, in theta's shape, for a term that reads one
+    coordinate and has_dgrad_dlam, and None otherwise.
     """
 
     value: Callable
     bind: Callable
     hyper_dim: int = 0
     effective: Callable[[Vec], Vec] = np.exp
+    has_dgrad_dlam: bool = False
 
 
 def _matvec(A: np.ndarray, x: Vec) -> Vec:
@@ -245,7 +255,7 @@ def _quad_bind(lam, view):
     A, b = view.gram
     return (lambda theta: 2.0 * (_matvec(A, theta) - b),
             lambda theta: lambda v: 2.0 * _matvec(A, v),
-            None)
+            None, None)
 
 
 # mean squared error, from the view's Gram pair (X^T X / m, X^T y / m)
@@ -278,7 +288,7 @@ def _margin_loss(phi, dphi, d2phi) -> _Term:
             curvature = d2phi(np.vecmat(theta, yXt))
             return lambda v: np.matvec(yXt, curvature * np.vecmat(v, yXt)) / m
 
-        return grad, hessian, None
+        return grad, hessian, None, None
 
     return _Term(value=value, bind=bind)
 
@@ -409,7 +419,7 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
             dZ = logits(X, v)
             return sig_prime * _row_sum((probs(theta) - one_hot) * dZ)[..., 0] / m
 
-        return grad, hessian, None if w is None else mixed
+        return grad, hessian, None if w is None else mixed, None
 
     return _Term(value=value, bind=bind, hyper_dim=n_weights, effective=sigmoid)
 
@@ -420,18 +430,25 @@ def _coef(lam: Vec, j: int) -> Vec:
 
 
 def _exp_l2(j: int = 0) -> _Term:
-    """e^{u_j} ||theta||^2."""
+    """e^{u_j} ||theta||^2. Its gradient is linear in e^{u_j}, so d/d_u_j of
+    the gradient is the gradient itself: bind returns it as dgrad_dlam."""
 
     def bind(lam, view):
         c2 = 2.0 * _coef(lam, j)
-        return (lambda theta: c2 * theta,
+
+        def grad(theta):
+            return c2 * theta
+
+        return (grad,
                 lambda theta: lambda v: c2 * v,
-                lambda theta, v: c2 * row_dot(theta, v)[..., None])
+                lambda theta, v: c2 * row_dot(theta, v)[..., None],
+                grad)
 
     return _Term(
         value=lambda lam, theta, view: _coef(lam, j)[..., 0] * row_dot(theta, theta),
         bind=bind,
         hyper_dim=1,
+        has_dgrad_dlam=True,
     )
 
 
@@ -442,46 +459,61 @@ def _phuber(theta: Vec, delta: float) -> tuple[Vec, Vec, Vec]:
 
 
 def _exp_phuber(delta: float, j: int = 0) -> _Term:
-    """e^{u_j} times the pseudo-Huber smoothing of ||theta||_1."""
+    """e^{u_j} times the pseudo-Huber smoothing of ||theta||_1; like _exp_l2,
+    its gradient is its own dgrad_dlam."""
 
     def bind(lam, view):
         c = _coef(lam, j)
+
+        def grad(theta):
+            return c * _phuber(theta, delta)[1]
 
         def hessian(theta):
             diag = _phuber(theta, delta)[2]
             return lambda v: c * (diag * v)
 
-        return (lambda theta: c * _phuber(theta, delta)[1],
+        return (grad,
                 hessian,
-                lambda theta, v: c * row_dot(_phuber(theta, delta)[1], v)[..., None])
+                lambda theta, v: c * row_dot(_phuber(theta, delta)[1], v)[..., None],
+                grad)
 
     return _Term(
         value=lambda lam, theta, view: _coef(lam, j)[..., 0] * _phuber(theta, delta)[0],
         bind=bind,
         hyper_dim=1,
+        has_dgrad_dlam=True,
     )
 
 
 def _sum(a: _Term, b: _Term) -> _Term:
     """a + b. A term that does not read lam passes the other's mixed product
-    through; two that do read disjoint lam coordinates, a's before b's."""
+    and dgrad_dlam through; two that do read disjoint lam coordinates, a's
+    before b's, and have no dgrad_dlam."""
 
     def bind(lam, view):
-        (grad_a, hess_a, mixed_a), (grad_b, hess_b, mixed_b) = a.bind(lam, view), b.bind(lam, view)
+        (grad_a, hess_a, mixed_a, dgrad_a), (grad_b, hess_b, mixed_b, dgrad_b) = (
+            a.bind(lam, view), b.bind(lam, view))
 
         def hessian(theta):
             hvp_a, hvp_b = hess_a(theta), hess_b(theta)
             return lambda v: hvp_a(v) + hvp_b(v)
 
-        mixed = mixed_b if mixed_a is None else mixed_a if mixed_b is None else (
-            lambda theta, v: np.concatenate([mixed_a(theta, v), mixed_b(theta, v)], axis=-1))
-        return lambda theta: grad_a(theta) + grad_b(theta), hessian, mixed
+        if mixed_a is None:
+            mixed, dgrad = mixed_b, dgrad_b
+        elif mixed_b is None:
+            mixed, dgrad = mixed_a, dgrad_a
+        else:
+            mixed, dgrad = (lambda theta, v: np.concatenate(
+                [mixed_a(theta, v), mixed_b(theta, v)], axis=-1)), None
+        return lambda theta: grad_a(theta) + grad_b(theta), hessian, mixed, dgrad
 
+    reader = b if b.hyper_dim else a
     return _Term(
         value=lambda lam, theta, view: a.value(lam, theta, view) + b.value(lam, theta, view),
         bind=bind,
         hyper_dim=a.hyper_dim + b.hyper_dim,
-        effective=(b if b.hyper_dim else a).effective,
+        effective=reader.effective,
+        has_dgrad_dlam=reader.has_dgrad_dlam and not (a.hyper_dim and b.hyper_dim),
     )
 
 
@@ -493,7 +525,8 @@ def _exp_l2_per_coord(d: int) -> _Term:
         c2, c4 = 2.0 * e2, 4.0 * e2
         return (lambda theta: c2 * theta,
                 lambda theta: lambda v: c2 * v,
-                lambda theta, v: c4 * theta * v)
+                lambda theta, v: c4 * theta * v,
+                None)
 
     return _Term(
         value=lambda lam, theta, view: row_dot(np.exp(2.0 * lam), theta * theta),
@@ -536,6 +569,7 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term | None) -> B
         effective=inner.effective,
         kind=kind,
         supports_aid=kind not in NONSMOOTH_KINDS,
+        has_dgrad_dlam=inner.has_dgrad_dlam,
     )
 
 
@@ -626,15 +660,19 @@ def verify_derivatives(
 
     For `trials` random (lam, theta, v) probes, reports the max relative
     error per derivative; the report passes iff all stay below tol. A
-    derivative of the wrong shape raises ContractViolationError.
+    derivative of the wrong shape raises ContractViolationError. A problem
+    that has_dgrad_dlam also gets inner_dgrad_dlam, against central
+    differences of the bound inner gradient in lam.
     """
     if trials < 1:
         raise ContractViolationError("trials must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     p, r = problem.hyper_dim, problem.param_dim
-    worst = dict.fromkeys(
-        ("inner_grad_theta", "outer_grad_theta", "outer_grad_lambda", "inner_hvp",
-         "inner_mixed_vp"), 0.0)
+    names = ["inner_grad_theta", "outer_grad_theta", "outer_grad_lambda", "inner_hvp",
+             "inner_mixed_vp"]
+    if problem.has_dgrad_dlam:
+        names.append("inner_dgrad_dlam")
+    worst = dict.fromkeys(names, 0.0)
 
     def track(name, fd, exact):
         worst[name] = max(worst[name], _rel_err(fd, exact, name))
@@ -662,6 +700,12 @@ def verify_derivatives(
         track("inner_mixed_vp",
               _fd_grad(lambda u: float(problem.inner_grad_theta(u, theta, train) @ v), lam),
               problem.inner_mixed_vp(lam, theta, train, v))
+        if problem.has_dgrad_dlam:
+            h = _fd_step(lam)
+            fd_j = (problem.inner_grad_theta(lam + h, theta, train)
+                    - problem.inner_grad_theta(lam - h, theta, train)) / (2.0 * h)
+            track("inner_dgrad_dlam", fd_j,
+                  problem.bind_inner(lam, train).dgrad_dlam(theta))
 
     checks = tuple(DerivativeCheck(name, err, tol) for name, err in worst.items())
     return DerivativeReport(checks=checks)

@@ -112,6 +112,16 @@ def _finite_or_abort(values: np.ndarray, what: str, step: int) -> np.ndarray:
     return values
 
 
+def _finite_splits_or_abort(values: np.ndarray, what: str, step: int) -> np.ndarray:
+    """values, one per split, or a NumericalError naming the first non-finite split
+    in _ensemble_grad's form."""
+    if not np.all(np.isfinite(values)):
+        split = int(np.argmin(np.isfinite(values)))
+        raise NumericalError(f"split {split} failed at outer step {step}: {what} became "
+                             "non-finite", step_index=step)
+    return values
+
+
 def _split_evals(
     problem: BilevelProblem,
     lams: np.ndarray,
@@ -126,14 +136,15 @@ def _split_evals(
     # overflow at a diverged but finite iterate surfaces as the explicit
     # non-finite checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        row = {"train_loss": _finite_or_abort(problem.inner_loss(lams, thetas, train),
-                                              "train loss", step),
-               "val_loss": _finite_or_abort(problem.outer_loss(lams, thetas, val),
-                                            "val loss", step)}
+        row = {"train_loss": _finite_splits_or_abort(problem.inner_loss(lams, thetas, train),
+                                                     "train loss", step),
+               "val_loss": _finite_splits_or_abort(problem.outer_loss(lams, thetas, val),
+                                                   "val loss", step)}
         if test_view is not None:
-            row["test_loss"] = _finite_or_abort(problem.outer_loss(lams, thetas, test_view),
-                                                "test loss", step)
-        row["hypergrad_norm"] = _finite_or_abort(row_norm(grads), "hypergradient norm", step)
+            row["test_loss"] = _finite_splits_or_abort(
+                problem.outer_loss(lams, thetas, test_view), "test loss", step)
+        row["hypergrad_norm"] = _finite_splits_or_abort(row_norm(grads), "hypergradient norm",
+                                                        step)
     return row
 
 

@@ -444,6 +444,21 @@ def test_diverged_estimate_exits_3_without_warnings(tmp_path, capsys, recwarn, m
     assert len(recwarn) == 0
 
 
+def test_nonfinite_trace_loss_names_its_split(tmp_path, capsys, recwarn):
+    # CG stops at Z = 10 on a theta_K near 1e134 with a finite hypergradient,
+    # so the first overflow is a split's train loss in the trace
+    cfg = write_cfg(tmp_path, tune_dict(
+        method={"kind": "AID_CG", "K": 100, "alpha_in": 5.0, "Z": 10}))
+    out = tmp_path / "o"
+    assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 3
+    message = "split 0 failed at outer step 0: train loss became non-finite"
+    assert message in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["failed_step"] == 0
+    assert manifest["error"] == message
+    assert len(recwarn) == 0
+
+
 @pytest.mark.parametrize("test_fraction,what", [(0.0, "deployed model"), (0.2, "test loss")])
 def test_diverging_oehg_exits_3_without_warnings(tmp_path, capsys, recwarn, test_fraction,
                                                   what):

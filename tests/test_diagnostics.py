@@ -271,9 +271,11 @@ def per_member_curve(design, method, lam_eff, R, U_list, seed, spec):
     return points
 
 
-def cut_runs(monkeypatch, members, K, r):
-    """Make every stacked run hold `members` members of a K-step, r-parameter estimate."""
-    monkeypatch.setattr(diagnostics, "RUN_BYTES", members * (K + 1) * r * 8)
+def cut_runs(monkeypatch, members, spec, method):
+    """Make every stacked run of method on spec (at DESIGN.d features) hold `members` members."""
+    problem = build_problem(spec, DESIGN.d)
+    monkeypatch.setattr(diagnostics, "RUN_BYTES",
+                        members * diagnostics._member_bytes(problem, method))
 
 
 @pytest.mark.parametrize("spec, method", [
@@ -285,7 +287,7 @@ def test_variance_curve_matches_per_member_loop_for_any_run_cut(monkeypatch, spe
     kwargs = dict(R=4, U_list=[1, 2, 3], seed=12, spec=spec)
     whole = ensemble_variance_curve(DESIGN, method, 0.7, **kwargs)
     for size in (1, 5, 7):  # 5 and 7 cut inside an ensemble of U = 2 or 3 members
-        cut_runs(monkeypatch, size, method.K, DESIGN.d)
+        cut_runs(monkeypatch, size, spec, method)
         assert ensemble_variance_curve(DESIGN, method, 0.7, **kwargs) == whole  # bitwise
     ref = per_member_curve(DESIGN, method, 0.7, **kwargs)
     for (u, v), (ru, rv) in zip(whole.points, ref):
@@ -295,8 +297,8 @@ def test_variance_curve_matches_per_member_loop_for_any_run_cut(monkeypatch, spe
 
 def test_sweep_memory_stays_within_the_run_budget():
     # the shape of the benchmark's sweep at R = 12: 600 ITD members of K = 500
-    # on d = 1 run as two stacked runs, and one run's trajectory is what
-    # RUN_BYTES bounds, so the whole sweep's peak stays near one budget
+    # on d = 1. Ridge ITD runs forward and keeps no trajectory, so they run as
+    # one stacked run, and the whole sweep's peak stays near one budget
     design = SweepDesign(n=100, d=1, noise_sigma=0.5, gamma=0.25)
     method = HypergradMethod(kind="ITD", K=500, alpha_in=0.1)
     tracemalloc.start()
@@ -313,7 +315,7 @@ def test_variance_curve_divergence_names_member_and_step(monkeypatch, runs):
     # the 9 members run whole or cut into runs of 5 and 4
     diverging = HypergradMethod(kind="ITD", K=400, alpha_in=5.0)
     if runs == 2:
-        cut_runs(monkeypatch, 5, diverging.K, DESIGN.d)
+        cut_runs(monkeypatch, 5, ModelSpec(kind="ridge"), diverging)
     with pytest.raises(NumericalError) as err:
         ensemble_variance_curve(DESIGN, diverging, 1.0, R=3, U_list=[1, 2], seed=0)
     m, step = err.value.member, err.value.step_index
@@ -332,7 +334,7 @@ def test_member_run_names_members_by_ensemble_index(monkeypatch):
     # runs of 4 members; only member 7, in the second run, has a step size
     # beyond 2/L (at lambda_eff = e^6), so that its inner loop overflows
     method = HypergradMethod(kind="ITD", K=200, alpha_in=0.1)
-    cut_runs(monkeypatch, 4, method.K, DESIGN.d)
+    cut_runs(monkeypatch, 4, ModelSpec(kind="ridge"), method)
     members = [(*_replicate_views(DESIGN, 1, 0, c)[0], np.array([6.0 if c == 7 else 0.0]))
                for c in range(10)]
     with pytest.raises(NumericalError) as err:
@@ -390,7 +392,7 @@ def test_sweep_matches_per_member_loop_for_any_run_cut(monkeypatch, spec, method
     whole = bias_variance_sweep(DESIGN, method, grid, **kwargs)
     if method != "oracle":
         for size in (1, 4):  # a replicate is 3 grid points x 2 splits = 6 members
-            cut_runs(monkeypatch, size, method.K, DESIGN.d)
+            cut_runs(monkeypatch, size, spec, method)
             assert bias_variance_sweep(DESIGN, method, grid, **kwargs) == whole  # bitwise
     ref = per_member_sweep(DESIGN, method, grid, **kwargs)
     for row, (err, var, bias_sq) in zip(whole.rows, ref):

@@ -18,6 +18,8 @@ from bihpo.hypergrad import (
     contraction_params,
     estimate_hypergrad,
     finite_diff_hypergrad,
+    forward_hypergrad,
+    forward_mode,
     inner_solve,
     itd_hypergrad,
 )
@@ -135,6 +137,11 @@ def test_itd_matches_forward_mode_recurrence_1d(seed, K, u):
     lam = np.array([u])
     traj = inner_solve(RIDGE1, lam, np.zeros(1), tr, K, alpha)
     got = itd_hypergrad(RIDGE1, traj, va).grad
+    assert_allclose(got, [want], rtol=1e-9, atol=1e-12)
+    # estimate_hypergrad runs ridge ITD by forward accumulation
+    method = HypergradMethod(kind="ITD", K=K, alpha_in=alpha)
+    assert forward_mode(RIDGE1, method)
+    got = estimate_hypergrad(RIDGE1, lam, np.zeros(1), tr, va, method).grad
     assert_allclose(got, [want], rtol=1e-9, atol=1e-12)
 
 
@@ -515,6 +522,80 @@ def test_overflowing_update_is_named_at_the_next_step():
     traj = inner_solve(prob, lam, theta0, tr, K=28, alpha_in=1.0)
     assert np.all(np.isfinite(traj.thetas[27])) and not np.any(np.isfinite(traj.final))
     assert stepwise_failure(prob, lam, theta0, tr, 28, 1.0) is None
+
+
+# ---------------------------------------------------------------------------
+# forward mode
+
+# the kinds with one raw hyperparameter, whose ITD and TRHG run forward
+FORWARD_KINDS = ("ridge", "lasso_smooth", "logistic_l2", "svm_sqhinge", "softmax_l2")
+FORWARD_METHODS = [HypergradMethod(kind="ITD", K=30, alpha_in=0.05)] + [
+    HypergradMethod(kind="TRHG", K=30, alpha_in=0.05, h=h) for h in (1, 15, 30)]
+
+
+def test_forward_mode_is_itd_and_trhg_on_one_hyperparameter_kinds():
+    for kind in MODEL_KINDS:
+        prob = member_problem(kind, member_views(kind=kind)[0])
+        assert prob.has_dgrad_dlam == (kind in FORWARD_KINDS), kind
+        for method in BATCH_METHODS:
+            assert forward_mode(prob, method) == (
+                kind in FORWARD_KINDS and method.kind in ("ITD", "TRHG"))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["view", "stacked"])
+@pytest.mark.parametrize("method", FORWARD_METHODS,
+                         ids=lambda m: f"{m.kind}-h{m.h}" if m.h else m.kind)
+@pytest.mark.parametrize("kind", FORWARD_KINDS)
+def test_forward_estimate_matches_reverse_pass(kind, method, stacked):
+    trains, vals = member_views(kind=kind)
+    prob = member_problem(kind, trains)
+    rng = np.random.Generator(np.random.PCG64(6))
+    lam = 0.4 * rng.standard_normal((len(trains), 1))
+    theta0 = 0.1 * rng.standard_normal((len(trains), prob.param_dim))
+    if stacked:
+        train, val = StackedView(trains), StackedView(vals)
+    else:
+        train, val, lam, theta0 = trains[0], vals[0], lam[0], theta0[0]
+    got = estimate_hypergrad(prob, lam, theta0, train, val, method)
+    traj = inner_solve(prob, lam, theta0, train, method.K, method.alpha_in)
+    want = itd_hypergrad(prob, traj, val, h=method.h or None)
+    assert got.grad.shape == want.grad.shape
+    assert rel_diff(got.grad, want.grad) <= 1e-12
+    # the forward pass takes the inner steps of inner_solve, with their bits
+    assert_array_equal(got.inner_final, traj.final)
+    assert_array_equal(got.diagnostics["theta_final_norm"],
+                       want.diagnostics["theta_final_norm"])
+
+
+@pytest.mark.parametrize("method", FORWARD_METHODS[:2], ids=lambda m: m.kind)
+@pytest.mark.parametrize("kind", FORWARD_KINDS)
+def test_stacked_forward_member_keeps_the_bits_of_its_own_call(kind, method):
+    trains, vals = member_views(kind=kind)
+    prob = member_problem(kind, trains)
+    rng = np.random.Generator(np.random.PCG64(7))
+    lam = 0.4 * rng.standard_normal((len(trains), 1))
+    theta0 = 0.1 * rng.standard_normal(prob.param_dim)
+    res = forward_hypergrad(prob, lam, theta0, StackedView(trains), StackedView(vals), method)
+    for i, (tr, va) in enumerate(zip(trains, vals)):
+        one = forward_hypergrad(prob, lam[i], theta0, tr, va, method)
+        assert_array_equal(res.grad[i], one.grad)
+        assert_array_equal(res.inner_final[i], one.inner_final)
+
+
+def test_forward_estimate_names_an_overflow_on_the_last_step():
+    # as in test_overflowing_update_is_named_at_the_next_step: the update
+    # overflows at step 27, so the recording re-run names step 28 when there
+    # is one, and the forward pass itself names step 27 when it is the last
+    prob, tr, va, lam = ridge_setup()
+    bind = prob.bind_inner
+    prob = dataclasses.replace(prob, bind_inner=lambda lam, view: bind(lam, view)._replace(
+        grad=lambda theta: -theta))
+    theta0 = np.full(3, 1e300)
+    for K, step in ((40, 28), (28, 27)):
+        with pytest.raises(NumericalError) as err:
+            estimate_hypergrad(prob, lam, theta0, tr, va,
+                               HypergradMethod(kind="ITD", K=K, alpha_in=1.0))
+        assert err.value.step_index == step
 
 
 def test_stacked_views_refused_for_bad_shapes():

@@ -1,5 +1,6 @@
 """Model zoo: losses, gradients, second-order products, derivative checker."""
 
+import dataclasses
 import math
 import warnings
 
@@ -173,6 +174,29 @@ def test_ridge_derivative_report_is_tight():
     assert max(c.max_rel_err for c in report.checks) < 1e-6
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_dgrad_dlam_is_checked_where_the_kind_provides_it(kind):
+    prob, train, val = zoo_instance(kind)
+    names = [c.name for c in verify_derivatives(prob, train, val, trials=2, seed=3).checks]
+    assert ("inner_dgrad_dlam" in names) == prob.has_dgrad_dlam
+    assert (prob.bind_inner(np.zeros(prob.hyper_dim), train).dgrad_dlam is None) == (
+        not prob.has_dgrad_dlam)
+    assert prob.has_dgrad_dlam == (prob.hyper_dim == 1)
+
+
+def test_wrong_dgrad_dlam_fails_its_check():
+    prob, train, val = zoo_instance("logistic_l2")
+    bind = prob.bind_inner
+
+    def doubled(lam, view):
+        inner = bind(lam, view)
+        return inner._replace(dgrad_dlam=lambda theta: 2.0 * inner.dgrad_dlam(theta))
+
+    report = verify_derivatives(dataclasses.replace(prob, bind_inner=doubled), train, val,
+                                trials=2, seed=3)
+    assert [f.split(":")[0] for f in report.failures()] == ["inner_dgrad_dlam"]
+
+
 def test_lasso_smoothing_makes_it_twice_differentiable():
     prob, train, val = zoo_instance("lasso_smooth")
     assert verify_derivatives(prob, train, val, trials=5, seed=2).passed
@@ -331,10 +355,10 @@ def test_stacked_margin_products_are_per_member_and_match_matmul(kind, B, d):
     ds = Dataset(X=rng.standard_normal((n, d)), y=rng.choice([-1.0, 1.0], n), task="binary")
     views = [DataView(ds, rng.choice(n, m, replace=False)) for _ in range(B)]
     theta, v = rng.standard_normal((B, d)), rng.standard_normal((B, d))
-    grad, hessian, _ = loss.bind(None, StackedView(views))
+    grad, hessian, _, _ = loss.bind(None, StackedView(views))
     g, hv = grad(theta), hessian(theta)(v)
     for b, view in enumerate(views):
-        grad_b, hessian_b, _ = loss.bind(None, view)
+        grad_b, hessian_b, _, _ = loss.bind(None, view)
         assert same_bits(g[b], grad_b(theta[b]))
         assert same_bits(hv[b], hessian_b(theta[b])(v[b]))
         X, y = view.X, view.y
