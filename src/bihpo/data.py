@@ -148,52 +148,118 @@ class DataView:
         return A, b
 
 
-@dataclass(eq=False)
 class StackedView:
-    """B equally sized views stacked along a leading member axis.
+    """B equally sized member views stacked along a leading member axis.
 
     Carries what the data losses read, member by member: the row count m,
     the rows X (B, m, d), the targets y (B, m), the one-hot labels (B, m, k)
-    and the Gram pair (B, d, d) / (B, d). Each is stacked from the member
-    views' own values on first use, so a squared loss never stacks the rows
-    and a classification loss never the Gram pairs.
+    and the Gram pair (B, d, d) / (B, d). Each is filled on first use, so a
+    squared loss never stacks the rows and a classification loss never the
+    Gram pairs. There are three ways to build one:
+    - StackedView(views) stacks the member DataViews' own values;
+    - StackedView.from_rows(X, y) holds stacked regression rows and computes
+      the Gram pairs from them, for all members at once (it has no one_hot);
+    - stack.take(index) gathers its members, value by value as each is
+      first read, from stack or, if stack was itself taken, from the stack
+      it was taken from (a slice of a stack not taken gives views of its
+      arrays).
+    Every member's values have the bits of its own DataView's.
     """
 
-    views: tuple[DataView, ...]
+    _taken = None  # (source, index) of a stack made by take
 
-    def __post_init__(self):
-        self.views = tuple(self.views)
-        if not self.views:
+    def __init__(self, views):
+        views = tuple(views)
+        if not views:
             raise ContractViolationError("a stacked view needs at least one member view")
-        shapes = {(v.m, v.dataset.d) for v in self.views}
+        shapes = {(v.m, v.dataset.d) for v in views}
         if len(shapes) != 1:
             raise ContractViolationError(
                 f"stacked member views must share (rows, features), got {sorted(shapes)}"
             )
+        self._size, self.m = len(views), views[0].m
+        self._fill = lambda name: _stack([getattr(v, name) for v in views])
+
+    @classmethod
+    def _filled(cls, size: int, m: int, fill) -> StackedView:
+        """A stack of size members of m rows whose values come from fill(name)."""
+        stack = cls.__new__(cls)
+        stack._size, stack.m, stack._fill = size, m, fill
+        return stack
+
+    @classmethod
+    def from_rows(cls, X, y) -> StackedView:
+        """The members whose rows are X (B, m, d) and targets y (B, m)."""
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if X.ndim != 3 or 0 in X.shape[:2] or y.shape != X.shape[:2]:
+            raise ContractViolationError(
+                f"stacked rows must be (B, m, d) and targets (B, m) with B, m >= 1, "
+                f"got {X.shape} and {y.shape}"
+            )
+        B, m = y.shape
+
+        def fill(name):
+            if name != "gram":
+                raise ContractViolationError(f"a stack built from rows has no {name}")
+            Xt = X.swapaxes(-1, -2)
+            return Xt @ X / m, np.matvec(Xt, y) / m
+
+        stack = cls._filled(B, m, fill)
+        stack.X, stack.y = X, y
+        return stack
+
+    def take(self, index) -> StackedView:
+        """The members at index, a slice or a 1-D integer array, as a stack of their own.
+
+        Nothing is gathered up front: each value is gathered when the new
+        stack first reads it. A take of a taken stack gathers from the stack
+        that was taken from, so it holds its own members only.
+        """
+        members = np.arange(self._size)[index]
+        if members.ndim != 1 or members.size == 0:
+            raise ContractViolationError("take needs a 1-D index of at least one member")
+        source = self
+        if self._taken is not None:
+            source, outer = self._taken
+            index = np.arange(len(source))[outer][index]
+        stack = StackedView._filled(members.size, self.m,
+                                    lambda name: _gather(getattr(source, name), index))
+        stack._taken = (source, index)
+        return stack
 
     def __len__(self) -> int:
-        return len(self.views)
-
-    @property
-    def m(self) -> int:
-        return self.views[0].m
+        return self._size
 
     @cached_property
     def X(self) -> np.ndarray:
-        return np.stack([v.X for v in self.views])
+        return self._fill("X")
 
     @cached_property
     def y(self) -> np.ndarray:
-        return np.stack([v.y for v in self.views])
+        return self._fill("y")
 
     @cached_property
     def one_hot(self) -> np.ndarray:
-        return np.stack([v.one_hot for v in self.views])
+        return self._fill("one_hot")
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray]:
-        grams = [v.gram for v in self.views]
-        return np.stack([A for A, _ in grams]), np.stack([b for _, b in grams])
+        return self._fill("gram")
+
+
+def _stack(values: list):
+    """np.stack of per-member arrays, or of each part of per-member tuples."""
+    if isinstance(values[0], tuple):
+        return tuple(np.stack(parts) for parts in zip(*values))
+    return np.stack(values)
+
+
+def _gather(value, index):
+    """value's members (leading axis) at index, for an array or a tuple of arrays."""
+    if isinstance(value, tuple):
+        return tuple(part[index] for part in value)
+    return value[index]
 
 
 def full_view(dataset: Dataset) -> DataView:
@@ -259,6 +325,17 @@ def val_size(n: int, gamma: float) -> int:
 
 def make_splits(n: int, plan: SplitPlan) -> list[Split]:
     """Draw plan.U train/val splits of range(n) per the plan's mode."""
+    vals = _draw_val_sets(n, plan)
+    return [Split(train_idx=train, val_idx=val, seed=derive_seed(plan.master_seed, i))
+            for i, (train, val) in enumerate(zip(_complements(n, vals), vals))]
+
+
+def _draw_val_sets(n: int, plan: SplitPlan) -> np.ndarray:
+    """The validation index sets of make_splits, ascending, one row per split: (U, m_val).
+
+    Split i draws from derive_seed(plan.master_seed, i); without_replacement
+    redraws a set that an earlier split already has.
+    """
     m_val = val_size(n, plan.gamma)
     if plan.mode == "without_replacement":
         total = math.comb(n, m_val)
@@ -270,10 +347,9 @@ def make_splits(n: int, plan: SplitPlan) -> list[Split]:
             )
     seen: set[bytes] = set()  # each val is a sorted int64 array, so its bytes are exact
     budget = 1000 * plan.U + 1000
-    splits = []
+    vals = np.empty((plan.U, m_val), dtype=np.int64)
     for i in range(plan.U):
-        seed_i = derive_seed(plan.master_seed, i)
-        rng = _rng(seed_i)
+        rng = _rng(derive_seed(plan.master_seed, i))
         while True:
             val = np.sort(rng.choice(n, size=m_val, replace=False))
             key = val.tobytes()
@@ -286,10 +362,17 @@ def make_splits(n: int, plan: SplitPlan) -> list[Split]:
                     field_path="split.U",
                 )
         seen.add(key)
-        mask = np.ones(n, dtype=bool)
-        mask[val] = False
-        splits.append(Split(train_idx=np.nonzero(mask)[0], val_idx=val, seed=seed_i))
-    return splits
+        vals[i] = val
+    return vals
+
+
+def _complements(n: int, vals: np.ndarray) -> np.ndarray:
+    """The train index sets of range(n) left by validation sets vals (..., m_val), ascending."""
+    mask = np.ones(vals.shape[:-1] + (n,), dtype=bool)
+    np.put_along_axis(mask, vals, False, axis=-1)
+    train = np.flatnonzero(mask)  # one index array, not one per axis as np.nonzero gives
+    train %= n
+    return train.reshape(vals.shape[:-1] + (n - vals.shape[-1],))
 
 
 def enumerate_all_splits(n: int, gamma: float) -> list[Split]:
@@ -301,13 +384,9 @@ def enumerate_all_splits(n: int, gamma: float) -> list[Split]:
         raise InfeasiblePlanError(
             f"C({n}, {m_val}) = {total} exceeds the enumeration cap {_ENUMERATION_CAP}"
         )
-    splits = []
-    for i, combo in enumerate(combinations(range(n), m_val)):
-        val = np.asarray(combo, dtype=np.int64)
-        mask = np.ones(n, dtype=bool)
-        mask[val] = False
-        splits.append(Split(train_idx=np.nonzero(mask)[0], val_idx=val, seed=i))
-    return splits
+    vals = np.array(list(combinations(range(n), m_val)), dtype=np.int64)
+    return [Split(train_idx=train, val_idx=val, seed=i)
+            for i, (train, val) in enumerate(zip(_complements(n, vals), vals))]
 
 
 def carve_holdout(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,11 +439,17 @@ def gen_linear(
             raise ContractViolationError(f"gen_linear needs {name} >= 1, got {size}", field=name)
     if noise_sigma < 0:
         raise ContractViolationError("noise_sigma must be >= 0", field="noise_sigma")
-    beta = _shared_beta(beta_seed, d).copy()
+    X, y = _draw_linear(n, d, noise_sigma, seed, beta_seed)
+    return Dataset(X=X, y=y, task="regression"), _shared_beta(beta_seed, d).copy()
+
+
+def _draw_linear(n: int, d: int, noise_sigma: float, seed: int, beta_seed: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows X (n, d) and targets y (n,) of gen_linear, with no checks."""
     rng = _rng(seed)
     X = rng.standard_normal((n, d))
     eps = rng.standard_normal(n) * noise_sigma
-    return Dataset(X=X, y=X @ beta + eps, task="regression"), beta
+    return X, X @ _shared_beta(beta_seed, d) + eps
 
 
 def gen_multiclass(

@@ -9,23 +9,31 @@ d theta / d lambda_eff = -(X^T X / m + lambda_eff I)^{-1} theta.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import islice, repeat
 
 import numpy as np
 
 from .data import (
+    SPLIT_MODES,
     DataView,
     Dataset,
     SplitPlan,
     StackedView,
+    _complements,
+    _draw_linear,
+    _draw_val_sets,
+    _require_gamma,
     derive_seed,
     enumerate_all_splits,
-    gen_linear,
-    make_splits,
+    val_size,
 )
-from .errors import ContractViolationError, NumericalError, SingularMatrixError
+from .errors import (
+    ContractViolationError,
+    NumericalError,
+    SingularMatrixError,
+    require_count,
+    require_real,
+)
 from .hypergrad import FORWARD_ARRAYS, HypergradMethod, estimate_hypergrad, forward_mode
 from .linalg import ordered_mean, row_dot
 from .problems import REGRESSION_KINDS, BilevelProblem, ModelSpec, build_problem
@@ -135,18 +143,37 @@ class RidgeOracle:
 # Bytes of inner iterates that one stacked estimate of B members may hold:
 # B * _member_bytes. Reverse mode holds each member's trajectory, (K + 1) * r
 # * 8 bytes, and forward mode a few vectors, FORWARD_ARRAYS * r * 8. Longer
-# member lists run as several contiguous runs.
+# member stacks run as several contiguous runs. The exact ridge reference
+# solves its systems in blocks of replicates by the same budget.
 RUN_BYTES = 2 << 20
 
 
-def _replicate_views(design: SweepDesign, U: int, seed: int, j: int
-                     ) -> list[tuple[DataView, DataView]]:
-    """Train/val views of the U splits of replicate j, which draws its own dataset."""
-    ds, _ = gen_linear(design.n, design.d, design.noise_sigma, seed=derive_seed(seed, 2 * j),
-                       beta_seed=design.beta_seed)
-    plan = SplitPlan(U=U, gamma=design.gamma, mode=design.mode,
-                     master_seed=derive_seed(seed, 2 * j + 1))
-    return [(s.train_view(ds), s.val_view(ds)) for s in make_splits(ds.n, plan)]
+def _replicate_stacks(design: SweepDesign, U: int, seed: int, count: int
+                      ) -> tuple[StackedView, StackedView]:
+    """Train and val stacks of count replicates of U splits each, replicate-major.
+
+    Replicate j draws gen_linear's rows from derive_seed(seed, 2j) and its U
+    splits, as make_splits does, from the SplitPlan whose master seed is
+    derive_seed(seed, 2j + 1). So member j * U + u holds the rows of split
+    u's train and val views of replicate j's dataset.
+    """
+    n, d = design.n, design.d
+    X, y = np.empty((count, n, d)), np.empty((count, n))
+    vals = np.empty((count, U, val_size(n, design.gamma)), dtype=np.int64)
+    for j in range(count):
+        X[j], y[j] = _draw_linear(n, d, design.noise_sigma, derive_seed(seed, 2 * j),
+                                  design.beta_seed)
+        vals[j] = _draw_val_sets(n, SplitPlan(U=U, gamma=design.gamma, mode=design.mode,
+                                              master_seed=derive_seed(seed, 2 * j + 1)))
+
+    def members(idx):
+        """The stack of the rows idx (count, U, k) of each replicate's U splits."""
+        rows = np.take_along_axis(X[:, None], idx[..., None], axis=2)
+        targets = np.take_along_axis(y[:, None], idx, axis=2)
+        return StackedView.from_rows(rows.reshape(count * U, -1, d),
+                                     targets.reshape(count * U, -1))
+
+    return members(_complements(n, vals)), members(vals)
 
 
 def _member_bytes(problem: BilevelProblem, method: HypergradMethod) -> int:
@@ -156,32 +183,30 @@ def _member_bytes(problem: BilevelProblem, method: HypergradMethod) -> int:
 
 
 def _stacked_estimates(problem: BilevelProblem, method: HypergradMethod,
-                       members: Iterable[tuple[DataView, DataView, np.ndarray]]) -> np.ndarray:
-    """Hypergradients of the members from theta = 0, one row each, in their order.
+                       train: StackedView, val: StackedView, lam: np.ndarray) -> np.ndarray:
+    """Hypergradients of the members of train and val from theta = 0, one row each.
 
-    members yields (train view, val view, raw lam) triples. They are consumed
-    one run at a time: a run is as many contiguous members as keep their
-    iterates (_member_bytes) within RUN_BYTES, estimated by one
-    estimate_hypergrad call on StackedViews, and only one run's member data
-    is alive at a time. Each member's row is bitwise the same wherever the
-    runs are cut. A NumericalError names the failing member by its index in
-    the whole list.
+    lam holds each member's raw hyperparameters, (B, p). The members run as
+    contiguous runs: a run is as many members as keep their iterates
+    (_member_bytes) within RUN_BYTES, estimated by one estimate_hypergrad
+    call on the run's take slices of train and val, which gather the run's
+    members only (a slice of a stack built from rows reads views of its
+    arrays). Each member's row is bitwise the same wherever the runs are
+    cut. A NumericalError names the failing member by its index in the
+    stacks.
     """
     size = max(1, RUN_BYTES // _member_bytes(problem, method))
-    members = iter(members)
-    rows, first = [], 0
-    while run := list(islice(members, size)):
-        trains, vals, lams = zip(*run)
+    rows = []
+    for first in range(0, len(train), size):
+        run = slice(first, first + size)
         try:
-            grad = estimate_hypergrad(problem, np.stack(lams), np.zeros(problem.param_dim),
-                                      StackedView(trains), StackedView(vals), method).grad
+            grad = estimate_hypergrad(problem, lam[run], np.zeros(problem.param_dim),
+                                      train.take(run), val.take(run), method).grad
         except NumericalError as exc:
             if exc.member is None:
                 raise
             raise NumericalError(exc.args[0], exc.step_index, first + exc.member) from None
         rows.append(grad)
-        first += len(run)
-        del run, trains, vals  # before the next run is assembled
     return np.concatenate(rows)
 
 
@@ -207,7 +232,10 @@ def _regression_problem(spec: ModelSpec, d: int, caller: str) -> BilevelProblem:
 
 @dataclass(frozen=True)
 class SweepDesign:
-    """Synthetic linear-Gaussian replicate generator plus the split protocol."""
+    """Synthetic linear-Gaussian replicate generator plus the split protocol.
+
+    Each field is checked once, here, and a refusal names its field.
+    """
 
     n: int
     d: int
@@ -215,6 +243,18 @@ class SweepDesign:
     gamma: float
     beta_seed: int = 0
     mode: str = "without_replacement"
+
+    def __post_init__(self):
+        require_count(self.n, "n", minimum=2)
+        require_count(self.d, "d", minimum=1)
+        require_real(self.noise_sigma, "noise_sigma")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ContractViolationError("noise_sigma must be finite and >= 0",
+                                         field="noise_sigma")
+        _require_gamma(self.gamma)
+        if self.mode not in SPLIT_MODES:
+            raise ContractViolationError(f"mode must be one of {SPLIT_MODES}", field="mode")
+        require_count(self.beta_seed, "beta_seed")
 
 
 @dataclass(frozen=True)
@@ -233,14 +273,24 @@ class BiasVarianceReport:
     U: int
 
 
-def _oracle_mean(views: list[tuple[DataView, DataView]], lam_grid) -> np.ndarray:
-    """U-split mean of the exact raw-coordinate ridge hypergradients on the
-    effective grid, (n_lam, 1)."""
-    trains, vals = zip(*views)
+def _oracle_means(train: StackedView, val: StackedView, lam_grid: list[float], U: int
+                  ) -> np.ndarray:
+    """U-split means of the exact raw-coordinate ridge hypergradients of
+    replicate stacks on the effective grid, (R, n_lam, 1).
+
+    One RidgeOracle solves each block of replicates whose systems,
+    (k * U, n_lam, d, d), fit in RUN_BYTES, and at least one replicate.
+    """
     lam = np.asarray(lam_grid, dtype=np.float64)
-    oracle = RidgeOracle(StackedView(trains), StackedView(vals))
-    grads = lam * oracle.hypergrad_eff(lam)  # (U, n_lam)
-    return _u_means(grads.T.reshape(-1, 1), len(views))
+    R, d = len(train) // U, train.gram[1].shape[-1]
+    block = max(1, RUN_BYTES // (U * lam.size * d * d * 8)) * U
+    grads = []
+    for first in range(0, R * U, block):
+        rows = slice(first, first + block)
+        grads.append(lam * RidgeOracle(train.take(rows), val.take(rows)).hypergrad_eff(lam))
+    grads = np.concatenate(grads)  # (R * U, n_lam)
+    # rows in replicate -> grid point -> split order
+    return _u_means(grads.reshape(R, U, -1).swapaxes(1, 2).reshape(-1, 1), U).reshape(R, -1, 1)
 
 
 def bias_variance_sweep(
@@ -261,44 +311,42 @@ def bias_variance_sweep(
     mean of exact oracle hypergradients (ridge) or of ITD at ref_K inner steps
     (the other regression models). gtilde is the sample mean of the ghat_j,
     which makes the decomposition an algebraic identity. lam_grid is in
-    effective (positive) coordinates. The R * len(lam_grid) * U estimates run
-    in stacked runs (see _stacked_estimates), ordered replicate -> grid point
-    -> split.
+    effective (positive) coordinates. The R replicates are drawn once, as one
+    stack (see _replicate_stacks); the R * len(lam_grid) * U members are one
+    take of it, ordered replicate -> grid point -> split, and run in stacked
+    runs (see _stacked_estimates).
     """
-    if R < 2:
-        raise ContractViolationError("R must be >= 2")
-    if U < 1:
-        raise ContractViolationError("U must be >= 1")
+    require_count(R, "R", minimum=2)
+    require_count(U, "U", minimum=1)
     lam_grid = [float(x) for x in lam_grid]
-    if any(x <= 0 for x in lam_grid):
-        raise ContractViolationError("lam_grid values must be positive (effective scale)")
+    if not lam_grid:
+        raise ContractViolationError("lam_grid needs at least one value", field="lam_grid")
+    if not all(x > 0 and math.isfinite(x) for x in lam_grid):
+        raise ContractViolationError("lam_grid values must be positive and finite "
+                                     "(effective scale)", field="lam_grid")
     problem = _regression_problem(spec, design.d, "bias_variance_sweep")
     exact = spec.kind == "ridge"
     if method == "oracle" and not exact:
         raise ContractViolationError("method='oracle' requires the ridge model")
     n_lam, p = len(lam_grid), problem.hyper_dim
-    lams = [np.full(p, math.log(x)) for x in lam_grid]
-    gref = np.zeros((R, n_lam, p))
-
-    def members():
-        # a ridge replicate's exact reference is recorded as its views are
-        # built, so that every dataset is drawn once
-        for j in range(R):
-            views = _replicate_views(design, U, seed, j)
-            if exact:
-                gref[j] = _oracle_mean(views, lam_grid)
-            for lam in lams:
-                for train, val in views:
-                    yield train, val, lam
-
-    def ensemble_means(est: HypergradMethod) -> np.ndarray:
-        return _u_means(_stacked_estimates(problem, est, members()), U).reshape(R, n_lam, p)
+    train, val = _replicate_stacks(design, U, seed, R)
+    if exact:
+        gref = _oracle_means(train, val, lam_grid, U)
 
     if method == "oracle":
-        for j in range(R):
-            gref[j] = _oracle_mean(_replicate_views(design, U, seed, j), lam_grid)
         ghat = gref
     else:
+        # member (j, l, u) is split u of replicate j at grid point l
+        shape = (R, n_lam, U)
+        index = np.broadcast_to(np.arange(R * U).reshape(R, 1, U), shape).reshape(-1)
+        raw = np.array([math.log(x) for x in lam_grid])  # np.log may differ in the last bit
+        lams = np.broadcast_to(raw[None, :, None, None], (*shape, p)).reshape(-1, p)
+        member_train, member_val = train.take(index), val.take(index)
+
+        def ensemble_means(est: HypergradMethod) -> np.ndarray:
+            grads = _stacked_estimates(problem, est, member_train, member_val, lams)
+            return _u_means(grads, U).reshape(R, n_lam, p)
+
         ghat = ensemble_means(method)
         if not exact:
             gref = ensemble_means(HypergradMethod(kind="ITD", K=ref_K, alpha_in=method.alpha_in))
@@ -349,20 +397,28 @@ def ensemble_variance_curve(
     sum(U_list) * R members run in stacked runs (see _stacked_estimates).
     workers is accepted for callers of the former process pool and must be 1.
     """
-    if R < 2:
-        raise ContractViolationError("R must be >= 2")
+    require_count(R, "R", minimum=2)
     if workers != 1:
         raise ContractViolationError(f"the members run in one process: workers must be 1, "
                                      f"got {workers}")
+    U_list = list(U_list)
+    for u in U_list:
+        require_count(u, "U_list", minimum=1)
     U_list = [int(u) for u in U_list]
-    if any(u < 1 for u in U_list) or len(U_list) < 2:
-        raise ContractViolationError("need at least two U values, all >= 1")
+    if len(set(U_list)) < 2:
+        raise ContractViolationError(f"U_list needs at least two distinct values, got {U_list}",
+                                     field="U_list")
+    require_real(lam_eff, "lam_eff")
+    if not (lam_eff > 0 and math.isfinite(lam_eff)):
+        raise ContractViolationError(f"lam_eff must be positive and finite, got {lam_eff!r}",
+                                     field="lam_eff")
     problem = _regression_problem(spec, design.d, "ensemble_variance_curve")
-    lam = np.full(problem.hyper_dim, math.log(lam_eff))
     # member c draws its dataset and split from the seed pair of replicate c;
     # the members of (U, replicate j) are contiguous, U by U, over U_list
-    members = ((*_replicate_views(design, 1, seed, c)[0], lam) for c in range(sum(U_list) * R))
-    grads = _stacked_estimates(problem, method, members)
+    count = sum(U_list) * R
+    train, val = _replicate_stacks(design, 1, seed, count)
+    lam = np.full((count, problem.hyper_dim), math.log(lam_eff))
+    grads = _stacked_estimates(problem, method, train, val, lam)
 
     points, first = [], 0
     for U in U_list:
@@ -440,8 +496,9 @@ def fpc_verify(
         oracle = RidgeOracle(StackedView(trains), StackedView(vals))
         S = oracle.hypergrad_raw(lam_raw)[:, None]  # (V, 1)
     else:
-        lam = np.full(problem.hyper_dim, lam_raw)
-        S = _stacked_estimates(problem, method, zip(trains, vals, repeat(lam)))  # (V, p)
+        lam = np.full((V, problem.hyper_dim), lam_raw)
+        S = _stacked_estimates(problem, method, StackedView(trains), StackedView(vals),
+                               lam)  # (V, p)
     Xbar = S.mean(axis=0)
     sigma_sq = _mean_sq_dist(S, Xbar)
 

@@ -10,6 +10,7 @@ from bihpo.data import (
     DataView,
     Dataset,
     SplitPlan,
+    StackedView,
     carve_holdout,
     corrupt_labels,
     derive_seed,
@@ -69,6 +70,58 @@ def test_view_sorts_indices_and_caches_gram():
     A, b = v.gram
     assert_allclose(A, v.X.T @ v.X / v.m)
     assert_allclose(b, v.X.T @ v.y / v.m)
+
+
+def member_views(d, k=None):
+    """Five train views of one dataset with d features (k classes when given)."""
+    if k is None:
+        ds, _ = gen_linear(60, d, 0.5, seed=d, beta_seed=1)
+    else:
+        ds, _ = gen_multiclass(60, d, k, 0.3, seed=d, beta_seed=1)
+    splits = make_splits(ds.n, SplitPlan(U=5, gamma=0.25, master_seed=d))
+    return [s.train_view(ds) for s in splits]
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 20])
+def test_rows_stack_has_the_bits_of_its_member_views(d):
+    views = member_views(d)
+    stack = StackedView.from_rows(np.stack([v.X for v in views]), np.stack([v.y for v in views]))
+    assert len(stack) == 5 and stack.m == views[0].m
+    A, b = stack.gram
+    for i, v in enumerate(views):
+        assert A[i].tobytes() == v.gram[0].tobytes()
+        assert b[i].tobytes() == v.gram[1].tobytes()
+
+
+def test_take_gathers_members_as_they_are_read():
+    views = member_views(3)
+    stack = StackedView(views)
+    for index in (np.array([4, 0, 4]), slice(1, 3)):
+        taken = stack.take(index)
+        assert len(taken) == len(np.arange(5)[index])
+        A = taken.gram[0]
+        assert "X" not in vars(taken)  # the Gram pair is gathered, not recomputed
+        for row, i in zip(A, np.arange(5)[index]):
+            assert row.tobytes() == views[i].gram[0].tobytes()
+        assert_array_equal(taken.X, np.stack([views[i].X for i in np.arange(5)[index]]))
+    with pytest.raises(ContractViolationError):
+        stack.take(slice(5, 9))
+    with pytest.raises(ContractViolationError):
+        StackedView.from_rows(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ContractViolationError, match="no one_hot"):
+        StackedView.from_rows(np.ones((2, 3, 1)), np.ones((2, 3))).one_hot
+
+
+def test_take_of_a_take_gathers_only_its_own_members():
+    views = member_views(3)
+    stack = StackedView(views)
+    members = stack.take(np.array([4, 0, 4, 2]))
+    for index, picked in ((slice(1, 3), [0, 4]), (np.array([3, 0]), [2, 4])):
+        run = members.take(index)
+        for row, i in zip(run.gram[0], picked):
+            assert row.tobytes() == views[i].gram[0].tobytes()
+        assert_array_equal(run.y, np.stack([views[i].y for i in picked]))
+    assert "gram" not in vars(members) and "y" not in vars(members)
 
 
 @pytest.mark.parametrize("idx, message", [

@@ -23,7 +23,7 @@ from bihpo.data import (
 from bihpo.diagnostics import (
     RidgeOracle,
     SweepDesign,
-    _replicate_views,
+    _replicate_stacks,
     _stacked_estimates,
     bias_variance_sweep,
     ensemble_variance_curve,
@@ -209,6 +209,13 @@ def test_truncation_bias_grows_as_k_shrinks():
     assert short.rows[0].bias_sq > 10.0 * long.rows[0].bias_sq
 
 
+def refused(field, fn, *args, **kwargs):
+    """Whether fn(*args, **kwargs) raises a ContractViolationError naming field."""
+    with pytest.raises(ContractViolationError) as err:
+        fn(*args, **kwargs)
+    return err.value.field == field
+
+
 def test_bias_variance_sweep_validation():
     with pytest.raises(ContractViolationError):
         bias_variance_sweep(DESIGN, ITD25, [1.0], R=1, U=1, seed=0)
@@ -222,6 +229,24 @@ def test_bias_variance_sweep_validation():
     with pytest.raises(ContractViolationError):
         bias_variance_sweep(DESIGN, "oracle", [1.0], R=2, U=1, seed=0,
                             spec=ModelSpec(kind="elastic_net", smoothing_delta=0.5))
+    assert refused("lam_grid", bias_variance_sweep, DESIGN, ITD25, [], R=2, U=1, seed=0)
+    assert refused("lam_grid", bias_variance_sweep, DESIGN, ITD25, [1.0, math.nan],
+                   R=2, U=1, seed=0)
+    assert refused("R", bias_variance_sweep, DESIGN, ITD25, [1.0], R=2.5, U=1, seed=0)
+    assert refused("U", bias_variance_sweep, DESIGN, ITD25, [1.0], R=2, U=2.5, seed=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 40.0), ("n", 1), ("d", 0), ("d", 2.5),
+    ("noise_sigma", math.nan), ("noise_sigma", math.inf), ("noise_sigma", -0.1),
+    ("noise_sigma", "0.5"),
+    ("gamma", 0.0), ("gamma", math.nan),
+    ("mode", "bogus"),
+    ("beta_seed", -1), ("beta_seed", 1.5),
+])
+def test_sweep_design_names_the_field_it_refuses(field, value):
+    fields = dict(n=60, d=2, noise_sigma=0.5, gamma=0.25)
+    assert refused(field, SweepDesign, **{**fields, field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +270,16 @@ def test_variance_curve_validation():
     with pytest.raises(ContractViolationError):
         ensemble_variance_curve(DESIGN, ITD25, 1.0, R=5, U_list=[1, 2], seed=0,
                                 spec=ModelSpec(kind="logistic_l2"))
+    assert refused("U_list", ensemble_variance_curve, DESIGN, ITD25, 1.0, R=5,
+                   U_list=[1, 2.5], seed=0)
+    assert refused("U_list", ensemble_variance_curve, DESIGN, ITD25, 1.0, R=5,
+                   U_list=[1, 1], seed=0)
+    assert refused("lam_eff", ensemble_variance_curve, DESIGN, ITD25, -1.0, R=5,
+                   U_list=[1, 2], seed=0)
+    assert refused("lam_eff", ensemble_variance_curve, DESIGN, ITD25, math.nan, R=5,
+                   U_list=[1, 2], seed=0)
+    assert refused("R", ensemble_variance_curve, DESIGN, ITD25, 1.0, R=2.5,
+                   U_list=[1, 2], seed=0)
 
 
 def per_member_curve(design, method, lam_eff, R, U_list, seed, spec):
@@ -310,6 +345,26 @@ def test_sweep_memory_stays_within_the_run_budget():
     assert peak <= 1.5 * diagnostics.RUN_BYTES
 
 
+@pytest.mark.parametrize("method", [HypergradMethod(kind="AID_CG", K=100, alpha_in=0.1, Z=10),
+                                    "oracle"], ids=["AID_CG", "oracle"])
+def test_sweep_memory_at_d20_grows_with_a_run_not_the_sweep(method):
+    # 2,000 members at d = 20. AID keeps trajectories, so its members run
+    # 129 at a time, and each run gathers its own members' Gram pairs and
+    # validation rows from the replicate stack; the oracle solves its
+    # systems in blocks of 13 replicates. The replicate stack (about 1.4 MB)
+    # is alive throughout. Peaks: about 3.2 and 0.4 MB when each replicate
+    # was drawn in turn, 4.0 and 3.1 MB now; 16.0 and 7.8 MB if the member
+    # stack or the oracle held the whole sweep at once
+    design = SweepDesign(n=100, d=20, noise_sigma=0.5, gamma=0.25)
+    tracemalloc.start()
+    try:
+        bias_variance_sweep(design, method, np.linspace(0.3, 3.0, 50), R=40, U=1, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * diagnostics.RUN_BYTES
+
+
 @pytest.mark.parametrize("runs", [1, 2])
 def test_variance_curve_divergence_names_member_and_step(monkeypatch, runs):
     # the 9 members run whole or cut into runs of 5 and 4
@@ -335,12 +390,85 @@ def test_member_run_names_members_by_ensemble_index(monkeypatch):
     # beyond 2/L (at lambda_eff = e^6), so that its inner loop overflows
     method = HypergradMethod(kind="ITD", K=200, alpha_in=0.1)
     cut_runs(monkeypatch, 4, ModelSpec(kind="ridge"), method)
-    members = [(*_replicate_views(DESIGN, 1, 0, c)[0], np.array([6.0 if c == 7 else 0.0]))
-               for c in range(10)]
+    train, val = _replicate_stacks(DESIGN, 1, 0, 10)
+    lam = np.array([[6.0 if c == 7 else 0.0] for c in range(10)])
     with pytest.raises(NumericalError) as err:
-        _stacked_estimates(build_problem(ModelSpec(kind="ridge"), DESIGN.d), method, members)
+        _stacked_estimates(build_problem(ModelSpec(kind="ridge"), DESIGN.d), method, train, val,
+                           lam)
     assert err.value.member == 7
     assert "(member 7)" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# replicate stacks
+
+@pytest.mark.parametrize("mode", ["with_replacement", "without_replacement"])
+@pytest.mark.parametrize("U", [1, 3])
+def test_replicate_stacks_hold_the_rows_of_gen_linear_and_make_splits(U, mode):
+    design = SweepDesign(n=12, d=3, noise_sigma=0.5, gamma=0.5, beta_seed=4, mode=mode)
+    train, val = _replicate_stacks(design, U, 21, 4)
+    assert len(train) == len(val) == 4 * U
+    for j in range(4):
+        ds, _ = gen_linear(design.n, design.d, design.noise_sigma, seed=derive_seed(21, 2 * j),
+                           beta_seed=design.beta_seed)
+        plan = SplitPlan(U=U, gamma=design.gamma, mode=mode, master_seed=derive_seed(21, 2 * j + 1))
+        for u, split in enumerate(make_splits(ds.n, plan)):
+            for stack, idx in ((train, split.train_idx), (val, split.val_idx)):
+                assert stack.X[j * U + u].tobytes() == ds.X[idx].tobytes()
+                assert stack.y[j * U + u].tobytes() == ds.y[idx].tobytes()
+
+
+def record_stacks(monkeypatch):
+    """Record the replicate stacks each diagnostic draws and every stack taken from a stack."""
+    drawn, taken = [], []
+    draw, take = diagnostics._replicate_stacks, StackedView.take
+
+    def recording_draw(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    def recording_take(self, index):
+        taken.append((self, take(self, index)))
+        return taken[-1][1]
+
+    monkeypatch.setattr(diagnostics, "_replicate_stacks", recording_draw)
+    monkeypatch.setattr(StackedView, "take", recording_take)
+    return drawn, taken
+
+
+def test_ridge_sweep_members_never_gather_train_rows(monkeypatch):
+    method = HypergradMethod(kind="ITD", K=50, alpha_in=0.1)
+    design = SweepDesign(n=100, d=1, noise_sigma=0.5, gamma=0.25)
+    problem = build_problem(ModelSpec(kind="ridge"), design.d)
+    monkeypatch.setattr(diagnostics, "RUN_BYTES", 20 * diagnostics._member_bytes(problem, method))
+    drawn, taken = record_stacks(monkeypatch)
+    bias_variance_sweep(design, method, np.linspace(0.3, 3.0, 5), R=6, U=2, seed=3)
+    (train, _), = drawn
+    from_train = [(parent, stack) for parent, stack in taken if parent is train]
+    members = {id(stack) for _, stack in from_train if len(stack) == 60}
+    runs = [stack for parent, stack in taken if id(parent) in members]
+    assert len(members) == 1 and len(runs) == 3  # 60 members in runs of 20
+    for _, stack in from_train:
+        assert "X" not in vars(stack)
+    for stack in runs:  # each run gathers its own Gram pairs from train
+        assert "gram" in vars(stack) and "X" not in vars(stack)
+        assert len(stack.gram[0]) == 20
+    member_stack, = (stack for _, stack in from_train if id(stack) in members)
+    assert "gram" not in vars(member_stack)  # the whole sweep's pairs are never gathered
+
+
+def test_non_ridge_sweep_draws_each_replicate_once(monkeypatch):
+    draws = []
+    draw = diagnostics._draw_linear
+
+    def counting_draw(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(diagnostics, "_draw_linear", counting_draw)
+    bias_variance_sweep(DESIGN, ITD25, [0.5, 1.0], R=3, U=2, seed=7,
+                        spec=ModelSpec(kind="lasso_smooth", smoothing_delta=0.5), ref_K=40)
+    assert len(draws) == 3  # the method's run and the ref_K run read the same stack
 
 
 # ---------------------------------------------------------------------------
