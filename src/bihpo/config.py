@@ -232,7 +232,8 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
         s = d.synthetic
         _require(s.n >= 2, "synthetic.n must be >= 2", "data.synthetic.n")
         _require(s.d >= 1, "synthetic.d must be >= 1", "data.synthetic.d")
-        _require(s.noise_sigma >= 0, "noise_sigma must be >= 0", "data.synthetic.noise_sigma")
+        _require(s.noise_sigma >= 0 and np.isfinite(s.noise_sigma),
+                 "noise_sigma must be finite and >= 0", "data.synthetic.noise_sigma")
     if d.task is not None:
         _require(d.task in TASKS, f"task must be one of {TASKS}", "data.task")
     if d.corrupt is not None:

@@ -99,9 +99,10 @@ class Dataset:
 class DataView:
     """Read-only row view of a dataset, canonicalized to ascending indices.
 
-    Caches the materialized rows and, for quadratic losses, the Gram pair
-    (X^T X / m, X^T y / m), so repeated gradient calls on the same view cost
-    O(d^2) instead of O(m d^2).
+    Caches the materialized rows, their feature-major copy and class-major
+    one-hot labels for the softmax loss, and, for quadratic losses, the Gram
+    pair (X^T X / m, X^T y / m), so repeated gradient calls on the same view
+    cost O(d^2) instead of O(m d^2).
     """
 
     dataset: Dataset
@@ -135,10 +136,15 @@ class DataView:
         return self.y.astype(np.int64)
 
     @cached_property
+    def Xt(self) -> np.ndarray:
+        """The rows feature-major, C-contiguous: (d, m)."""
+        return np.ascontiguousarray(self.X.T)
+
+    @cached_property
     def one_hot(self) -> np.ndarray:
-        k = self.dataset.num_classes
-        out = np.zeros((self.m, k))
-        out[np.arange(self.m), self.labels] = 1.0
+        """The labels one-hot and class-major: (k, m)."""
+        out = np.zeros((self.dataset.num_classes, self.m))
+        out[self.labels, np.arange(self.m)] = 1.0
         return out
 
     @cached_property
@@ -152,13 +158,15 @@ class StackedView:
     """B equally sized member views stacked along a leading member axis.
 
     Carries what the data losses read, member by member: the row count m,
-    the rows X (B, m, d), the targets y (B, m), the one-hot labels (B, m, k)
-    and the Gram pair (B, d, d) / (B, d). Each is filled on first use, so a
-    squared loss never stacks the rows and a classification loss never the
-    Gram pairs. There are three ways to build one:
+    the rows X (B, m, d) and feature-major Xt (B, d, m), the targets y
+    (B, m), the class-major one-hot labels (B, k, m) and the Gram pair
+    (B, d, d) / (B, d). Each is filled on first use, so a squared loss never
+    stacks the rows and a classification loss never the Gram pairs. There
+    are three ways to build one:
     - StackedView(views) stacks the member DataViews' own values;
     - StackedView.from_rows(X, y) holds stacked regression rows and computes
-      the Gram pairs from them, for all members at once (it has no one_hot);
+      the Gram pairs from them, for all members at once (it has no Xt and
+      no one_hot);
     - stack.take(index) gathers its members, value by value as each is
       first read, from stack or, if stack was itself taken, from the stack
       it was taken from (a slice of a stack not taken gives views of its
@@ -238,6 +246,10 @@ class StackedView:
     @cached_property
     def y(self) -> np.ndarray:
         return self._fill("y")
+
+    @cached_property
+    def Xt(self) -> np.ndarray:
+        return self._fill("Xt")
 
     @cached_property
     def one_hot(self) -> np.ndarray:

@@ -318,47 +318,24 @@ _SQ_HINGE = _margin_loss(
 )
 
 
-def _row_max(Z: np.ndarray) -> np.ndarray:
-    """Z.max(axis=-1, keepdims=True), folded over the columns with np.maximum.
-
-    numpy restarts its reduce loop for every row, which dominates on the
-    short class axis: at (560, 4) the reduction takes about 39 us and the
-    np.exp of the same array 3.6 us. The fold makes k - 1 elementwise passes
-    instead and is faster up to about 12-15 classes at 560 rows (k = 10:
-    about 30 vs 45 us; k = 20: about 75 vs 50 us). The max does not depend
-    on the order, so the bits are numpy's for every k.
-    """
-    M = Z[..., 0:1]
-    for j in range(1, Z.shape[-1]):
-        M = np.maximum(M, Z[..., j:j + 1])
-    return M
-
-
-def _row_sum(Z: np.ndarray) -> np.ndarray:
-    """Z.sum(axis=-1, keepdims=True), folded over the columns left to right.
-
-    Below 8 items numpy adds in index order, so for k < 8 these are the same
-    additions and the same bits, except that numpy starts from +0.0: a row
-    of negative zeros sums to +0 there and to -0 here. From k = 8 numpy sums
-    pairwise and the two may differ in the last ulp. Speed as for _row_max.
-    """
-    S = Z[..., 0:1]
-    for j in range(1, Z.shape[-1]):
-        S = S + Z[..., j:j + 1]
-    return S
-
-
 def _log_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise shifted logits Z - max, their sum of exponentials S, and the
-    probabilities E / S; the log-probabilities are Z - max - log S."""
-    Zs = Z - _row_max(Z)
+    """Class-major logits Z (..., k, m): the shifted logits Z - max, their sum
+    of exponentials S (..., 1, m), and the probabilities E / S, each over the
+    class axis -2; the log-probabilities are Z - max - log S."""
+    Zs = Z - Z.max(axis=-2, keepdims=True)
     E = np.exp(Zs)
-    S = _row_sum(E)
+    S = E.sum(axis=-2, keepdims=True)
     return Zs, S, E / S
 
 
 def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
     """Mean multiclass cross-entropy; theta = W (d x k) flattened row-major.
+
+    The logits are class-major, W^T X^T (..., k, m), read from the view's
+    feature-major rows Xt against its class-major one-hot labels (..., k, m):
+    every reduction over the k classes then adds or compares k contiguous
+    rows of m values, in class order, with elementwise passes. The gradient
+    maps back through the rows X as (G X)^T / m.
 
     With n_weights, the inner loss weighs row i by sigmoid(u_i): the i-th raw
     weight belongs to the i-th row of the (ascending-index) train view, so
@@ -375,49 +352,48 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
             )
         return sigmoid(lam)
 
-    def logits(X, x):
-        """X W with W the (..., d, k) reshape of x: (..., m, k)."""
-        return X @ x.reshape(x.shape[:-1] + (d, k))
+    def logits(Xt, x):
+        """W^T X^T with W the (..., d, k) reshape of x: (..., k, m)."""
+        return x.reshape(x.shape[:-1] + (d, k)).swapaxes(-1, -2) @ Xt
 
     def value(lam, theta, view):
-        Zs, S, _ = _log_softmax(logits(view.X, theta))
-        # the one-hot row picks the label's shifted logit exactly: the others add zeros
-        ce = np.log(S[..., 0]) - np.einsum("...k,...k->...", Zs, view.one_hot)
+        Zs, S, _ = _log_softmax(logits(view.Xt, theta))
+        # the one-hot column picks the label's shifted logit exactly: the others add zeros
+        ce = np.log(S[..., 0, :]) - (Zs * view.one_hot).sum(axis=-2)
         w = weights(lam, view)
         return np.mean(ce, axis=-1) if w is None else row_dot(w, ce) / view.m
 
     def bind(lam, view):
-        X, one_hot, m = view.X, view.one_hot, view.m
-        Xt = X.swapaxes(-1, -2)
+        X, Xt, one_hot, m = view.X, view.Xt, view.one_hot, view.m
         w = weights(lam, view)
-        w_col = None if w is None else w[..., None]
+        w_row = None if w is None else w[..., None, :]
 
         def back(G):
-            """X^T G / m, flattened to theta's layout (..., r)."""
-            out = (Xt @ G) / m
-            return out.reshape(out.shape[:-2] + (r,))
+            """(G X)^T / m for G (..., k, m), flattened to theta's layout (..., r)."""
+            out = (G @ X) / m
+            return out.swapaxes(-1, -2).reshape(out.shape[:-2] + (r,))
 
         def probs(theta):
-            return _log_softmax(logits(X, theta))[2]
+            return _log_softmax(logits(Xt, theta))[2]
 
         def grad(theta):
             G = probs(theta) - one_hot
-            return back(G if w_col is None else G * w_col)
+            return back(G if w_row is None else G * w_row)
 
         def hessian(theta):
             P = probs(theta)
 
             def hvp(v):
-                PdZ = P * logits(X, v)
-                term = PdZ - P * _row_sum(PdZ)
-                return back(term if w_col is None else term * w_col)
+                PdZ = P * logits(Xt, v)
+                term = PdZ - P * PdZ.sum(axis=-2, keepdims=True)
+                return back(term if w_row is None else term * w_row)
 
             return hvp
 
         def mixed(theta, v):
             sig_prime = w * sigmoid(-lam)
-            dZ = logits(X, v)
-            return sig_prime * _row_sum((probs(theta) - one_hot) * dZ)[..., 0] / m
+            dZ = logits(Xt, v)
+            return sig_prime * ((probs(theta) - one_hot) * dZ).sum(axis=-2) / m
 
         return grad, hessian, None if w is None else mixed, None
 

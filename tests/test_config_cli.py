@@ -224,12 +224,16 @@ def test_validate_tune_rules_name_offending_field(over, command, path):
     ("biasvar", biasvar_dict(biasvar={"grid": ["a", 1.0]}), "biasvar.grid"),
     ("biasvar", biasvar_dict(biasvar={"grid": ["0.5", 1.0]}), "biasvar.grid"),
     ("clean", clean_dict(data={"synthetic": {"classes": 1}}), "data.synthetic.classes"),
+    ("tune", tune_dict(data={"synthetic": {"noise_sigma": float("inf")}}),
+     "data.synthetic.noise_sigma"),
+    ("biasvar", biasvar_dict(data={"synthetic": {"noise_sigma": float("inf")}}),
+     "data.synthetic.noise_sigma"),
 ], ids=["K-float", "K-str", "h-float", "fp_step-negative", "U-str", "U-float",
         "split-scalar", "tune-classes", "clean-classes", "T-float", "n-str",
         "alpha_out-str", "alpha_out-nan", "outer-kind", "retrain_K-float", "warm_start-str",
         "hyperclean-U",
         "smoothing_delta-zero", "lambda0-str", "theta0-bool", "grid-str", "grid-numeric-str",
-        "clean-synthetic-classes"])
+        "clean-synthetic-classes", "tune-noise_sigma-inf", "biasvar-noise_sigma-inf"])
 def test_bad_input_exits_2_with_its_field_path(tmp_path, capsys, command, raw, path):
     out = tmp_path / "o"
     assert main([command, "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 2

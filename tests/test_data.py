@@ -110,6 +110,26 @@ def test_take_gathers_members_as_they_are_read():
         StackedView.from_rows(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ContractViolationError, match="no one_hot"):
         StackedView.from_rows(np.ones((2, 3, 1)), np.ones((2, 3))).one_hot
+    with pytest.raises(ContractViolationError, match="no Xt"):
+        StackedView.from_rows(np.ones((2, 3, 1)), np.ones((2, 3))).Xt
+
+
+def test_softmax_caches_are_feature_and_class_major():
+    views = member_views(3, k=4)
+    for v in views:
+        assert v.Xt.flags.c_contiguous and v.Xt.shape == (3, v.m)
+        assert_array_equal(v.Xt, v.X.T)
+        assert v.one_hot.shape == (4, v.m)
+        assert_array_equal(v.one_hot.argmax(axis=0), v.labels)
+        assert_array_equal(v.one_hot.sum(axis=0), 1.0)
+    stack = StackedView(views)
+    index = np.array([4, 0, 4])
+    taken = stack.take(index)
+    for name in ("Xt", "one_hot"):
+        assert getattr(stack, name).flags.c_contiguous
+        for got, i in [*zip(getattr(stack, name), range(5)),
+                       *zip(getattr(taken, name), index)]:
+            assert got.tobytes() == getattr(views[i], name).tobytes()
 
 
 def test_take_of_a_take_gathers_only_its_own_members():

@@ -1,6 +1,7 @@
 """Model zoo: losses, gradients, second-order products, derivative checker."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -26,8 +27,6 @@ from bihpo.problems import (
     MODEL_KINDS,
     ModelSpec,
     _log_softmax,
-    _row_max,
-    _row_sum,
     build_problem,
     sigmoid,
     verify_derivatives,
@@ -378,30 +377,77 @@ def test_sigmoid_matches_the_overflow_free_form():
 @pytest.mark.parametrize("k", range(2, 13))
 @pytest.mark.parametrize("rows", [(57,), (3, 57)], ids=["single", "stacked"])
 def test_class_axis_folds_match_numpy_reductions(rows, k):
+    # class-major logits (..., k, m): numpy reduces the class axis by folding
+    # the k contiguous rows left to right, with no pairwise sum at any k, so
+    # a member's bits do not depend on the stacking or on k
     rng = np.random.Generator(np.random.PCG64(k))
-    Z = rng.normal(0.0, 5.0, rows + (k,))
-    E = np.exp(Z - Z.max(axis=-1, keepdims=True))
+    Z = np.moveaxis(rng.normal(0.0, 5.0, rows + (k,)), -1, -2).copy()
+
+    def rows_of(A):
+        return [A[..., j:j + 1, :] for j in range(k)]
+
+    Zs, S, P = _log_softmax(Z)
+    M = functools.reduce(np.maximum, rows_of(Z))
+    assert Zs.tobytes() == (Z - M).tobytes()
+    E = np.exp(Zs)
+    assert S.tobytes() == functools.reduce(np.add, rows_of(E)).tobytes()
+    assert P.tobytes() == (E / S).tobytes()
     # the hvp and mixed sums: products of probabilities and directions of either sign
-    PdZ = E * rng.standard_normal(Z.shape)
-    assert _row_max(Z).tobytes() == Z.max(axis=-1, keepdims=True).tobytes()
-    if k < 8:  # numpy adds in index order: the same bits
-        for A in (E, PdZ):
-            assert _row_sum(A).tobytes() == A.sum(axis=-1, keepdims=True).tobytes()
-    else:  # numpy sums pairwise: the last ulp may differ
-        assert_allclose(_row_sum(E), E.sum(axis=-1, keepdims=True), rtol=1e-15, atol=0.0)
+    PdZ = P * rng.standard_normal(Z.shape)
+    assert (PdZ.sum(axis=-2, keepdims=True).tobytes()
+            == functools.reduce(np.add, rows_of(PdZ)).tobytes())
+
+
+@pytest.mark.parametrize("kind", ["softmax_l2", "hyperclean_softmax"])
+@pytest.mark.parametrize("k", range(2, 13))
+@pytest.mark.parametrize("B", [1, 3], ids=["single", "stacked"])
+def test_stacked_softmax_members_have_the_bits_of_their_own_views(B, k, kind):
+    # the class reductions run over the k rows of each member's own (k, m)
+    # block, so a member's numbers may not depend on the stacking at any k
+    ds, _ = gen_multiclass(76, 3, k, 0.5, seed=k, beta_seed=2)
+    splits = make_splits(ds.n, SplitPlan(U=B, gamma=1.0 / 3.0, master_seed=k))
+    trains, vals = [s.train_view(ds) for s in splits], [s.val_view(ds) for s in splits]
+    m = trains[0].m
+    assert m == 57
+    prob = build_problem(ModelSpec(kind=kind, num_classes=k, n_weights=m), 3)
+    rng = np.random.Generator(np.random.PCG64(k))
+    lam = 0.5 * rng.standard_normal((B, prob.hyper_dim))
+    theta, v = rng.standard_normal((2, B, prob.param_dim))
+    train, val = StackedView(trains), StackedView(vals)
+    inner = prob.bind_inner(lam, train)
+    got = (inner.grad(theta), inner.hessian(theta)(v), inner.mixed(theta, v),
+           prob.inner_loss(lam, theta, train), prob.outer_loss(lam, theta, val))
+    for b in range(B):
+        own = prob.bind_inner(lam[b], trains[b])
+        want = (own.grad(theta[b]), own.hessian(theta[b])(v[b]), own.mixed(theta[b], v[b]),
+                prob.inner_loss(lam[b], theta[b], trains[b]),
+                prob.outer_loss(lam[b], theta[b], vals[b]))
+        for stacked, single in zip(got, want):
+            assert same_bits(stacked[b], single)
+        # and the row-major softmax of X W, to rounding
+        X, Y = trains[b].X, np.eye(k)[trains[b].labels]
+        Z = X @ theta[b].reshape(3, k)
+        P = np.exp(Z - Z.max(axis=1, keepdims=True))
+        P /= P.sum(axis=1, keepdims=True)
+        w = sigmoid(lam[b])[:, None] if kind == "hyperclean_softmax" else 1.0
+        data_grad = (X.T @ ((P - Y) * w) / m).ravel()
+        if kind == "softmax_l2":
+            data_grad = data_grad + 2.0 * np.exp(lam[b, 0]) * theta[b]
+        assert np.linalg.norm(got[0][b] - data_grad) <= 1e-13 * np.linalg.norm(data_grad)
 
 
 def test_log_softmax_is_finite_and_silent_at_huge_logits():
+    # class-major logits: one column per row of data, one row per class
     Z = np.array([[800.0, -800.0, 0.0, 799.0],
                   [-800.0, -800.0, -800.0, -800.0],
-                  [800.0, 800.0, -800.0, 800.0]])
+                  [800.0, 800.0, -800.0, 800.0]]).T.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         Zs, S, P = _log_softmax(Z)
         P_stacked = _log_softmax(np.stack([Z, -Z]))[2]
     for probs in (P, P_stacked[0], P_stacked[1]):
         assert np.all(np.isfinite(probs))
-        assert_allclose(probs.sum(axis=-1), 1.0, rtol=0.0, atol=1e-15)
+        assert_allclose(probs.sum(axis=-2), 1.0, rtol=0.0, atol=1e-15)
     assert_array_equal(P_stacked[0], P)
     assert np.all(np.isfinite(Zs)) and np.all(S >= 1.0)
 
