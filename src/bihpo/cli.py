@@ -28,6 +28,7 @@ from .config import (
     validate_config,
 )
 from .data import (
+    TASKS,
     DataView,
     Dataset,
     Split,
@@ -57,9 +58,14 @@ from .problems import (
 from .strategies import HPOTrace, OuterOptimizer, run_ehg, run_oehg
 
 
-def _pm1_labels(raw: Dataset) -> Dataset:
-    """A two-class dataset with its 0/1 labels mapped to -1/+1."""
-    return Dataset(X=raw.X, y=2.0 * raw.y - 1.0, task="binary")
+def _synthetic(task: str, n: int, d: int, classes: int, noise_sigma: float, seed: int,
+               beta_seed: int) -> Dataset:
+    """Seeded data of a task: linear regression targets, or classes argmax labels
+    (classes = 2 for binary, mapped from 0/1 to -1/+1)."""
+    if task == "regression":
+        return gen_linear(n, d, noise_sigma, seed=seed, beta_seed=beta_seed)[0]
+    ds = gen_multiclass(n, d, classes, noise_sigma, seed=seed, beta_seed=beta_seed)[0]
+    return Dataset(X=ds.X, y=2.0 * ds.y - 1.0, task="binary") if task == "binary" else ds
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -76,20 +82,14 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
                 f"model {cfg.problem.kind!r} needs a {task} dataset, file gives {ds.task}",
                 field_path="data.source",
             )
-    elif task == "regression":
-        ds = gen_linear(s.n, s.d, s.noise_sigma, seed=s.seed, beta_seed=s.beta_seed)[0]
-    elif task == "binary":
-        if (s.classes or 2) != 2:
-            raise ConfigError("binary models need classes = 2", field_path="data.synthetic.classes")
-        ds = _pm1_labels(gen_multiclass(s.n, s.d, 2, s.noise_sigma, seed=s.seed,
-                                        beta_seed=s.beta_seed)[0])
-    elif s.classes < 2:
+    elif task == "binary" and (s.classes or 2) != 2:
+        raise ConfigError("binary models need classes = 2", field_path="data.synthetic.classes")
+    elif task == "multiclass" and s.classes < 2:
         raise ConfigError(
             "multiclass models need synthetic.classes >= 2", field_path="data.synthetic.classes"
         )
     else:
-        ds = gen_multiclass(s.n, s.d, s.classes, s.noise_sigma, seed=s.seed,
-                            beta_seed=s.beta_seed)[0]
+        ds = _synthetic(task, s.n, s.d, s.classes or 2, s.noise_sigma, s.seed, s.beta_seed)
     if task == "multiclass" and ds.num_classes != cfg.problem.num_classes:
         raise ConfigError(
             f"num_classes is {cfg.problem.num_classes} but the data has {ds.num_classes} classes",
@@ -98,11 +98,19 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     return ds
 
 
-def _resolve_vec(value, dim: int, default: float, path: str) -> np.ndarray:
-    if value is None:
-        return np.full(dim, default)
-    if isinstance(value, (int, float)):
-        return np.full(dim, float(value))
+def _holdout(cfg: ExperimentConfig, ds: Dataset) -> tuple[Dataset, np.ndarray, DataView | None]:
+    """(pool, pool_idx, test_view): the rows of ds the splits draw from, their
+    indices in ds, and the held-out test rows (None when test_fraction is 0)."""
+    if cfg.data.test_fraction == 0:
+        return ds, np.arange(ds.n), None
+    pool_idx, test_idx = carve_holdout(ds.n, cfg.data.test_fraction, cfg.data.test_seed)
+    return subset(ds, pool_idx), pool_idx, DataView(ds, test_idx)
+
+
+def _resolve_vec(value, dim: int, path: str) -> np.ndarray:
+    """A start point of dim entries: a scalar broadcast (None is 0) or a list of dim."""
+    if value is None or isinstance(value, (int, float)):
+        return np.full(dim, float(value or 0.0))
     arr = np.asarray(value, dtype=np.float64)
     if arr.shape != (dim,):
         raise ConfigError(f"expected {dim} entries, got shape {arr.shape}", field_path=path)
@@ -116,6 +124,35 @@ def _model_spec(cfg: ExperimentConfig, n_weights: int = 0) -> ModelSpec:
         num_classes=cfg.problem.num_classes,
         n_weights=n_weights,
     )
+
+
+def _problem(cfg: ExperimentConfig, d: int, n_weights: int = 0
+             ) -> tuple[BilevelProblem, np.ndarray, np.ndarray]:
+    """(problem, lam0, theta0): the configured model on d features and its start point."""
+    problem = build_problem(_model_spec(cfg, n_weights), d)
+    return (problem,
+            _resolve_vec(cfg.strategy.lambda0, problem.hyper_dim, "strategy.lambda0"),
+            _resolve_vec(cfg.strategy.theta0, problem.param_dim, "strategy.theta0"))
+
+
+def _run_strategy(cfg: ExperimentConfig, problem: BilevelProblem, data: Dataset,
+                  splits: list[Split], lam0: np.ndarray, theta0: np.ndarray,
+                  test_view: DataView | None) -> HPOTrace:
+    """The configured strategy on data's splits; single is the ehg loop on the first alone.
+
+    oehg deploys on the first split's train rows for hyperclean_softmax, whose
+    weights are those rows', and on all of data otherwise.
+    """
+    st = cfg.strategy
+    if st.kind == "oehg":
+        deploy_view = (splits[0].train_view(data)
+                       if cfg.problem.kind == "hyperclean_softmax" else full_view(data))
+        return run_oehg(problem, data, splits, st.T, cfg.method.alpha_in, st.outer,
+                        st.alpha_deploy, lam0, theta0, deploy_view=deploy_view,
+                        test_view=test_view)
+    return run_ehg(problem, data, splits[:1] if st.kind == "single" else splits, cfg.method,
+                   st.outer, st.T, lam0, theta0, test_view=test_view,
+                   warm_start=st.warm_start)
 
 
 class _Manifest:
@@ -179,13 +216,7 @@ def _trace_rows(trace: HPOTrace) -> tuple[list[str], list[list]]:
 
 def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
     validate_config(cfg, "tune")
-    ds_full = build_dataset(cfg)
-    test_view = None
-    pool = ds_full
-    if cfg.data.test_fraction > 0:
-        pool_idx, test_idx = carve_holdout(ds_full.n, cfg.data.test_fraction, cfg.data.test_seed)
-        pool = subset(ds_full, pool_idx)
-        test_view = DataView(ds_full, test_idx)
+    pool, _, test_view = _holdout(cfg, build_dataset(cfg))
     if cfg.data.corrupt is not None and cfg.data.corrupt.p > 0:
         if pool.task == "regression":
             raise ConfigError("corruption applies to classification labels", field_path="data.corrupt")
@@ -193,27 +224,14 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     splits = make_splits(pool.n, cfg.split)
     n_weights = len(splits[0].train_idx) if cfg.problem.kind == "hyperclean_softmax" else 0
-    problem = build_problem(_model_spec(cfg, n_weights), pool.d)
-    lam0 = _resolve_vec(cfg.strategy.lambda0, problem.hyper_dim, 0.0, "strategy.lambda0")
-    theta0 = _resolve_vec(cfg.strategy.theta0, problem.param_dim, 0.0, "strategy.theta0")
+    problem, lam0, theta0 = _problem(cfg, pool.d, n_weights)
 
     with _Manifest(
         out_dir, "tune", config_to_dict(cfg),
         {"data_seed": cfg.data.synthetic.seed, "beta_seed": cfg.data.synthetic.beta_seed,
          "master_seed": cfg.split.master_seed, "test_seed": cfg.data.test_seed},
     ) as manifest:
-        if cfg.strategy.kind == "oehg":
-            deploy_view = (splits[0].train_view(pool)
-                           if cfg.problem.kind == "hyperclean_softmax" else full_view(pool))
-            trace = run_oehg(problem, pool, splits, cfg.strategy.T, cfg.method.alpha_in,
-                             cfg.strategy.outer, cfg.strategy.alpha_deploy, lam0, theta0,
-                             deploy_view=deploy_view, test_view=test_view)
-        else:  # single is the ehg loop on the first split alone
-            run_splits = splits[:1] if cfg.strategy.kind == "single" else splits
-            trace = run_ehg(problem, pool, run_splits, cfg.method, cfg.strategy.outer,
-                            cfg.strategy.T, lam0, theta0, test_view=test_view,
-                            warm_start=cfg.strategy.warm_start)
-
+        trace = _run_strategy(cfg, problem, pool, splits, lam0, theta0, test_view)
         outputs = []
         if "csv" in cfg.output.formats:
             header, rows = _trace_rows(trace)
@@ -282,17 +300,8 @@ def _accuracy(W: np.ndarray, view: DataView) -> float:
 
 def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
     validate_config(cfg, "clean")
-    ds_full = build_dataset(cfg)
-    num_classes = ds_full.num_classes
-    test_view = None
-    pool = ds_full
-    if cfg.data.test_fraction > 0:
-        pool_idx, test_idx = carve_holdout(ds_full.n, cfg.data.test_fraction, cfg.data.test_seed)
-        pool = subset(ds_full, pool_idx)
-        test_view = DataView(ds_full, test_idx)
-    else:
-        pool_idx = np.arange(ds_full.n)
-
+    pool, pool_idx, test_view = _holdout(cfg, build_dataset(cfg))
+    num_classes = pool.num_classes
     split = make_splits(pool.n, cfg.split)[0]  # validate_config holds clean to U = 1
 
     # corrupt training rows only; validation supervision stays clean
@@ -307,24 +316,15 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
         dirty = Dataset(X=pool.X, y=y, task=pool.task, num_classes=num_classes)
         mask_train = ~clean_mask[split.train_idx]
 
-    spec = _model_spec(cfg, n_weights=len(split.train_idx))
-    problem = build_problem(spec, pool.d)
-    lam0 = _resolve_vec(cfg.strategy.lambda0, problem.hyper_dim, 0.0, "strategy.lambda0")
-    theta0 = _resolve_vec(cfg.strategy.theta0, problem.param_dim, 0.0, "strategy.theta0")
+    problem, lam0, theta0 = _problem(cfg, pool.d, n_weights=len(split.train_idx))
 
     with _Manifest(
         out_dir, "clean", config_to_dict(cfg),
         {"data_seed": cfg.data.synthetic.seed, "corrupt_seed": corrupt_seed,
          "master_seed": cfg.split.master_seed, "test_seed": cfg.data.test_seed},
     ) as manifest:
-        if cfg.strategy.kind == "oehg":
-            trace = run_oehg(problem, dirty, [split], cfg.strategy.T, cfg.method.alpha_in,
-                             cfg.strategy.outer, cfg.strategy.alpha_deploy, lam0, theta0,
-                             deploy_view=split.train_view(dirty), test_view=None)
-        else:  # single and ehg coincide on the one split
-            trace = run_ehg(problem, dirty, [split], cfg.method, cfg.strategy.outer,
-                            cfg.strategy.T, lam0, theta0, warm_start=cfg.strategy.warm_start)
-
+        # the test rows score the retrained fits below, not the trace
+        trace = _run_strategy(cfg, problem, dirty, [split], lam0, theta0, test_view=None)
         u = trace.final_lambda
         sig = sigmoid(u)
         threshold = cfg.clean.threshold
@@ -415,11 +415,8 @@ def cmd_fpc(n: int, gamma: float, U_values: list[int], samples: int, seed: int,
 def _zoo_dataset(kind: str, n: int, d: int, seed: int) -> Dataset:
     """Seeded data of the task a zoo model fits: regression, +-1 labels or 3 classes."""
     task = TASK_OF_KIND[kind]
-    if task == "regression":
-        return gen_linear(n, d, 0.3, seed=seed, beta_seed=1)[0]
-    if task == "binary":
-        return _pm1_labels(gen_multiclass(n, d, 2, 0.4, seed=seed, beta_seed=2)[0])
-    return gen_multiclass(n, d, 3, 0.4, seed=seed, beta_seed=3)[0]
+    return _synthetic(task, n, d, 3 if task == "multiclass" else 2,
+                      0.3 if task == "regression" else 0.4, seed, 1 + TASKS.index(task))
 
 
 def _zoo_problem(kind: str, ds: Dataset, n_weights: int = 0,
@@ -475,7 +472,7 @@ def check_model(kind: str, problem: BilevelProblem, train: DataView, val: DataVi
                  "passed": err < 1e-4})
 
     # run_oehg's first update (one split, gd at unit step) against one-step ITD
-    split = Split(train_idx=train.idx, val_idx=val.idx, seed=0)
+    split = Split(train_idx=train.idx, val_idx=val.idx)
     lam_oe = run_oehg(problem, train.dataset, [split], 1, alpha,
                       OuterOptimizer(kind="gd", alpha_out=1.0), alpha, lam, theta0,
                       deploy_view=train).lambdas[1]

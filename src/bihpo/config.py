@@ -200,6 +200,7 @@ def parse_grid(spec: Any) -> list[float]:
         except ValueError as exc:
             raise ConfigError(f"grid must be 'lo:hi:count' or a list, got {spec!r}",
                               field_path="biasvar.grid") from exc
+        _require_reals([lo, hi], "biasvar.grid")
         if count < 1 or hi < lo:
             raise ConfigError(f"bad grid range {spec!r}", field_path="biasvar.grid")
         grid = np.linspace(lo, hi, count).tolist()
@@ -216,7 +217,7 @@ def _require(cond: bool, message: str, path: str) -> None:
 
 
 def _require_reals(value, path: str) -> None:
-    """Refuse a value that is not a real number or a list of real numbers."""
+    """Refuse a value that is not a finite real number or a list of them."""
     try:
         for x in value if isinstance(value, (list, tuple)) else [value]:
             require_real(x, path.rsplit(".", 1)[-1])
@@ -232,8 +233,7 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
         s = d.synthetic
         _require(s.n >= 2, "synthetic.n must be >= 2", "data.synthetic.n")
         _require(s.d >= 1, "synthetic.d must be >= 1", "data.synthetic.d")
-        _require(s.noise_sigma >= 0 and np.isfinite(s.noise_sigma),
-                 "noise_sigma must be finite and >= 0", "data.synthetic.noise_sigma")
+        _require(s.noise_sigma >= 0, "noise_sigma must be >= 0", "data.synthetic.noise_sigma")
     if d.task is not None:
         _require(d.task in TASKS, f"task must be one of {TASKS}", "data.task")
     if d.corrupt is not None:

@@ -280,11 +280,10 @@ def full_view(dataset: Dataset) -> DataView:
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint train/val index sets covering a pool, plus the seed that drew it."""
+    """Disjoint train/val index sets covering a pool."""
 
     train_idx: np.ndarray
     val_idx: np.ndarray
-    seed: int
 
     def train_view(self, dataset: Dataset) -> DataView:
         return DataView(dataset, self.train_idx)
@@ -319,7 +318,7 @@ class SplitPlan:
 def _require_gamma(gamma) -> None:
     """Refuse a validation/train ratio that is not a positive, finite real number."""
     require_real(gamma, "gamma")
-    if not (gamma > 0.0 and math.isfinite(gamma)):
+    if not gamma > 0.0:
         raise ContractViolationError("gamma must be positive and finite", field="gamma")
 
 
@@ -338,8 +337,7 @@ def val_size(n: int, gamma: float) -> int:
 def make_splits(n: int, plan: SplitPlan) -> list[Split]:
     """Draw plan.U train/val splits of range(n) per the plan's mode."""
     vals = _draw_val_sets(n, plan)
-    return [Split(train_idx=train, val_idx=val, seed=derive_seed(plan.master_seed, i))
-            for i, (train, val) in enumerate(zip(_complements(n, vals), vals))]
+    return [Split(train_idx=train, val_idx=val) for train, val in zip(_complements(n, vals), vals)]
 
 
 def _draw_val_sets(n: int, plan: SplitPlan) -> np.ndarray:
@@ -397,8 +395,7 @@ def enumerate_all_splits(n: int, gamma: float) -> list[Split]:
             f"C({n}, {m_val}) = {total} exceeds the enumeration cap {_ENUMERATION_CAP}"
         )
     vals = np.array(list(combinations(range(n), m_val)), dtype=np.int64)
-    return [Split(train_idx=train, val_idx=val, seed=i)
-            for i, (train, val) in enumerate(zip(_complements(n, vals), vals))]
+    return [Split(train_idx=train, val_idx=val) for train, val in zip(_complements(n, vals), vals)]
 
 
 def carve_holdout(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -449,6 +446,7 @@ def gen_linear(
     for name, size in (("n", n), ("d", d)):
         if size < 1:
             raise ContractViolationError(f"gen_linear needs {name} >= 1, got {size}", field=name)
+    require_real(noise_sigma, "noise_sigma")
     if noise_sigma < 0:
         raise ContractViolationError("noise_sigma must be >= 0", field="noise_sigma")
     X, y = _draw_linear(n, d, noise_sigma, seed, beta_seed)
@@ -470,6 +468,7 @@ def gen_multiclass(
     """Labels = argmax(X W + noise); returns (dataset, W) with W ~ N(0,1) per entry."""
     if n < 1 or d < 1 or num_classes < 2:
         raise ContractViolationError("gen_multiclass needs n,d >= 1 and num_classes >= 2")
+    require_real(noise_sigma, "noise_sigma")
     if noise_sigma < 0:
         raise ContractViolationError("noise_sigma must be >= 0")
     W = _rng(beta_seed).standard_normal((d, num_classes))

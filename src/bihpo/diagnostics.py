@@ -248,7 +248,7 @@ class SweepDesign:
         require_count(self.n, "n", minimum=2)
         require_count(self.d, "d", minimum=1)
         require_real(self.noise_sigma, "noise_sigma")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+        if self.noise_sigma < 0:
             raise ContractViolationError("noise_sigma must be finite and >= 0",
                                          field="noise_sigma")
         _require_gamma(self.gamma)
@@ -409,7 +409,7 @@ def ensemble_variance_curve(
         raise ContractViolationError(f"U_list needs at least two distinct values, got {U_list}",
                                      field="U_list")
     require_real(lam_eff, "lam_eff")
-    if not (lam_eff > 0 and math.isfinite(lam_eff)):
+    if not lam_eff > 0:
         raise ContractViolationError(f"lam_eff must be positive and finite, got {lam_eff!r}",
                                      field="lam_eff")
     problem = _regression_problem(spec, design.d, "ensemble_variance_curve")

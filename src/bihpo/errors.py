@@ -9,6 +9,7 @@ ConfigError/ParseError/InfeasiblePlanError to exit code 2 and NumericalError
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import operator
 
@@ -86,9 +87,9 @@ def require_count(value, name: str, minimum: int = 0) -> None:
 
 
 def require_real(value, name: str) -> None:
-    """Refuse a value that is not a real number ("0.1", True, None)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ContractViolationError(f"{name} must be a real number, got {value!r}",
+    """Refuse a value that is not a finite real number ("0.1", True, None, nan, inf)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ContractViolationError(f"{name} must be a finite real number, got {value!r}",
                                      field=name)
 
 

@@ -79,7 +79,7 @@ class HypergradMethod:
     K: inner gradient steps. Z: linear-solver iterations (AID only).
     h: truncation window, 1 <= h <= K (TRHG only). fp_step: step size of the
     AID fixed-point solver; 0 means reuse alpha_in. Counts must be integers
-    and step sizes real numbers; each rule is checked here only.
+    and step sizes finite real numbers; each rule is checked here only.
     """
 
     kind: str = "ITD"
@@ -222,11 +222,9 @@ def forward_hypergrad(
                              step=K - 1 if K else None)
         a = problem.outer_grad_theta(lam, theta, val)
         g = problem.outer_grad_lambda(lam, theta, val) + row_dot(Z, a)[..., None]
-        theta_norm = row_norm(theta)
     if not np.all(np.isfinite(g)):
         raise _nonfinite("forward accumulation produced a non-finite hypergradient", g)
-    return HypergradResult(grad=g, inner_final=theta,
-                           diagnostics={"theta_final_norm": theta_norm})
+    return HypergradResult(grad=g, inner_final=theta)
 
 
 def itd_hypergrad(
@@ -258,11 +256,9 @@ def itd_hypergrad(
             g = g - alpha * inner.mixed(theta_k, a)
             if k != steps[-1]:
                 a = a - alpha * inner.hessian(theta_k)(a)
-        theta_norm = row_norm(theta_K)
     if not np.all(np.isfinite(g)):
         raise _nonfinite("reverse accumulation produced a non-finite hypergradient", g)
-    return HypergradResult(grad=g, inner_final=theta_K,
-                           diagnostics={"theta_final_norm": theta_norm})
+    return HypergradResult(grad=g, inner_final=theta_K)
 
 
 def aid_hypergrad(
@@ -304,7 +300,6 @@ def aid_hypergrad(
                                      max_iters=method.Z, tol=AID_TOL, counts=counts)
         residual = row_norm(op(v) - b)
         g = problem.outer_grad_lambda(lam, theta_K, val) - inner.mixed(theta_K, v)
-        theta_norm = row_norm(theta_K)
     if not np.all(np.isfinite(g)):
         raise _nonfinite("AID produced a non-finite hypergradient", g)
     return HypergradResult(
@@ -313,7 +308,6 @@ def aid_hypergrad(
         diagnostics={
             "aid_residual": residual,
             "solver_iters": counts if counts.ndim else int(counts),
-            "theta_final_norm": theta_norm,
         },
     )
 

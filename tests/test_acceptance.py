@@ -250,7 +250,7 @@ def test_criterion_09_online_one_step_equivalence():
         lam = 0.3 * rng.standard_normal(prob.hyper_dim)
         shadow = 0.5 * rng.standard_normal(prob.param_dim)
         # run_oehg's first update: one split, gd at unit step, so lam1 = lam - g
-        split = Split(train_idx=tr.idx, val_idx=va.idx, seed=0)
+        split = Split(train_idx=tr.idx, val_idx=va.idx)
         lam1 = run_oehg(prob, tr.dataset, [split], T=1, alpha_in=0.05,
                         opt=OuterOptimizer(kind="gd", alpha_out=1.0), alpha_deploy=0.05,
                         lam0=lam, theta0=shadow, deploy_view=tr).lambdas[1]

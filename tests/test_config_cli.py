@@ -228,12 +228,21 @@ def test_validate_tune_rules_name_offending_field(over, command, path):
      "data.synthetic.noise_sigma"),
     ("biasvar", biasvar_dict(data={"synthetic": {"noise_sigma": float("inf")}}),
      "data.synthetic.noise_sigma"),
+    ("tune", tune_dict(strategy={"lambda0": float("nan")}), "strategy.lambda0"),
+    ("tune", tune_dict(strategy={"lambda0": [float("nan")]}), "strategy.lambda0"),
+    ("tune", tune_dict(strategy={"theta0": float("inf")}), "strategy.theta0"),
+    ("tune", tune_dict(problem={"kind": "lasso_smooth", "smoothing_delta": float("inf")}),
+     "problem.smoothing_delta"),
+    ("tune", tune_dict(method={"alpha_in": float("inf")}), "method.alpha_in"),
+    ("biasvar", biasvar_dict(biasvar={"grid": "nan:1:3"}), "biasvar.grid"),
 ], ids=["K-float", "K-str", "h-float", "fp_step-negative", "U-str", "U-float",
         "split-scalar", "tune-classes", "clean-classes", "T-float", "n-str",
         "alpha_out-str", "alpha_out-nan", "outer-kind", "retrain_K-float", "warm_start-str",
         "hyperclean-U",
         "smoothing_delta-zero", "lambda0-str", "theta0-bool", "grid-str", "grid-numeric-str",
-        "clean-synthetic-classes", "tune-noise_sigma-inf", "biasvar-noise_sigma-inf"])
+        "clean-synthetic-classes", "tune-noise_sigma-inf", "biasvar-noise_sigma-inf",
+        "lambda0-nan", "lambda0-list-nan", "theta0-inf", "smoothing_delta-inf",
+        "alpha_in-inf", "grid-range-nan"])
 def test_bad_input_exits_2_with_its_field_path(tmp_path, capsys, command, raw, path):
     out = tmp_path / "o"
     assert main([command, "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 2
@@ -575,6 +584,19 @@ def test_clean_honours_warm_start(tmp_path):
     assert weights[True] != weights[False]
 
 
+def test_tune_and_clean_learn_the_same_weights(tmp_path):
+    # on a hyperclean_softmax config oehg deploys on the split's train rows in both commands
+    raw = clean_dict(data={"corrupt": {"p": 0.0}})
+    code, out = run_tune(tmp_path, raw, "tune")
+    assert code == 0
+    tuned = json.loads((out / "final.json").read_text())["lambda_raw"]
+    assert main(["clean", "--config", str(write_cfg(tmp_path, raw)),
+                 "--out", str(tmp_path / "clean")]) == 0
+    cleaned = [float(r["raw_weight"]) for r in read_rows(tmp_path / "clean" / "weights.csv")]
+    assert len(cleaned) > 1
+    assert tuned == cleaned
+
+
 # ---------------------------------------------------------------------------
 # fpc command
 
@@ -612,6 +634,8 @@ def test_fpc_refuses_non_integer_ensemble_sizes(capsys):
     (["--U", "1", "--lambda-eff", "-1"], "lambda_eff"),
     (["--U", "1", "--lambda-eff", "nan"], "lambda_eff"),
     (["--U", "1", "--samples", "0"], "samples"),
+    (["--U", "1", "--noise-sigma", "nan"], "noise_sigma"),
+    (["--U", "1", "--noise-sigma", "inf"], "noise_sigma"),
 ])
 def test_fpc_names_the_argument_at_fault(args, field, capsys):
     assert main(["fpc", "--n", "6", "--gamma", "0.5", *args]) == 2

@@ -271,6 +271,16 @@ def test_gen_multiclass_labels_in_range():
     assert W.shape == (4, 3)
 
 
+@pytest.mark.parametrize("noise_sigma", [float("nan"), float("inf")])
+def test_generators_refuse_non_finite_noise(noise_sigma):
+    # a nan noise scale would make every gen_multiclass argmax label 0, silently
+    for draw in (lambda: gen_linear(10, 2, noise_sigma, seed=0),
+                 lambda: gen_multiclass(10, 2, 3, noise_sigma, seed=0)):
+        with pytest.raises(ContractViolationError) as err:
+            draw()
+        assert err.value.field == "noise_sigma"
+
+
 # ---------------------------------------------------------------------------
 # corruption
 

@@ -563,8 +563,6 @@ def test_forward_estimate_matches_reverse_pass(kind, method, stacked):
     assert rel_diff(got.grad, want.grad) <= 1e-12
     # the forward pass takes the inner steps of inner_solve, with their bits
     assert_array_equal(got.inner_final, traj.final)
-    assert_array_equal(got.diagnostics["theta_final_norm"],
-                       want.diagnostics["theta_final_norm"])
 
 
 @pytest.mark.parametrize("method", FORWARD_METHODS[:2], ids=lambda m: m.kind)

@@ -137,7 +137,7 @@ def test_run_rejects_bad_plan():
     with pytest.raises(ContractViolationError):
         run_ehg(prob, ds, [], ITD25, opt, 1, np.array([0.3]), np.zeros(3))
     # the splits stack, so they must share their sizes (every plan's splits do)
-    uneven = [splits[0], Split(train_idx=np.arange(1, 40), val_idx=np.array([0]), seed=0)]
+    uneven = [splits[0], Split(train_idx=np.arange(1, 40), val_idx=np.array([0]))]
     with pytest.raises(ContractViolationError, match="must share"):
         run_ehg(prob, ds, uneven, ITD25, opt, 1, np.array([0.3]), np.zeros(3))
     with pytest.raises(ContractViolationError):
@@ -276,7 +276,7 @@ def test_oehg_split_hypergrad_is_one_step_itd(kind):
     prob, tr, va = zoo_instance(kind)
     lam = zoo_lambda(prob)
     th0 = np.zeros(prob.param_dim)
-    split = Split(train_idx=tr.idx, val_idx=va.idx, seed=0)
+    split = Split(train_idx=tr.idx, val_idx=va.idx)
     trace = run_oehg(prob, tr.dataset, [split], T=1, alpha_in=0.05,
                      opt=OuterOptimizer(kind="gd", alpha_out=0.3),
                      alpha_deploy=0.05, lam0=lam, theta0=th0, deploy_view=tr)
@@ -458,7 +458,7 @@ def test_ehg_names_the_diverging_split():
     X[0] *= 100.0
     ds = Dataset(X=X, y=ds.y, task="regression")
     vals = [[0, *range(1, 8)], [0, *range(8, 15)], list(range(15, 23)), [0, *range(23, 30)]]
-    splits = [Split(train_idx=np.setdiff1d(np.arange(40), v), val_idx=np.array(v), seed=0)
+    splits = [Split(train_idx=np.setdiff1d(np.arange(40), v), val_idx=np.array(v))
               for v in vals]
     prob = build_problem(ModelSpec(kind="ridge"), 3)
     method = HypergradMethod(kind="ITD", K=200, alpha_in=0.1)
