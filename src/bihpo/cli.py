@@ -107,6 +107,23 @@ def _holdout(cfg: ExperimentConfig, ds: Dataset) -> tuple[Dataset, np.ndarray, D
     return subset(ds, pool_idx), pool_idx, DataView(ds, test_idx)
 
 
+def _corrupt(cfg: ExperimentConfig, pool: Dataset, splits: list[Split]
+             ) -> tuple[Dataset, np.ndarray]:
+    """(data, hit): pool with data.corrupt applied to its train labels, and the
+    rows whose label changed. A row that some split validates on keeps its
+    label: validation supervision stays clean."""
+    c = cfg.data.corrupt
+    if c is None or not c.p > 0:
+        return pool, np.zeros(pool.n, dtype=bool)
+    if pool.task == "regression":
+        raise ConfigError("corruption applies to classification labels", field_path="data.corrupt")
+    corrupted, clean_mask = corrupt_labels(pool, c.p, c.seed)
+    hit = ~clean_mask
+    hit[np.concatenate([s.val_idx for s in splits])] = False
+    y = np.where(hit, corrupted.y, pool.y)
+    return Dataset(X=pool.X, y=y, task=pool.task, num_classes=pool.num_classes), hit
+
+
 def _resolve_vec(value, dim: int, path: str) -> np.ndarray:
     """A start point of dim entries: a scalar broadcast (None is 0) or a list of dim."""
     if value is None or isinstance(value, (int, float)):
@@ -217,12 +234,8 @@ def _trace_rows(trace: HPOTrace) -> tuple[list[str], list[list]]:
 def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
     validate_config(cfg, "tune")
     pool, _, test_view = _holdout(cfg, build_dataset(cfg))
-    if cfg.data.corrupt is not None and cfg.data.corrupt.p > 0:
-        if pool.task == "regression":
-            raise ConfigError("corruption applies to classification labels", field_path="data.corrupt")
-        pool, _ = corrupt_labels(pool, cfg.data.corrupt.p, cfg.data.corrupt.seed)
-
     splits = make_splits(pool.n, cfg.split)
+    data, _ = _corrupt(cfg, pool, splits)
     n_weights = len(splits[0].train_idx) if cfg.problem.kind == "hyperclean_softmax" else 0
     problem, lam0, theta0 = _problem(cfg, pool.d, n_weights)
 
@@ -231,7 +244,7 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
         {"data_seed": cfg.data.synthetic.seed, "beta_seed": cfg.data.synthetic.beta_seed,
          "master_seed": cfg.split.master_seed, "test_seed": cfg.data.test_seed},
     ) as manifest:
-        trace = _run_strategy(cfg, problem, pool, splits, lam0, theta0, test_view)
+        trace = _run_strategy(cfg, problem, data, splits, lam0, theta0, test_view)
         outputs = []
         if "csv" in cfg.output.formats:
             header, rows = _trace_rows(trace)
@@ -303,18 +316,9 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
     pool, pool_idx, test_view = _holdout(cfg, build_dataset(cfg))
     num_classes = pool.num_classes
     split = make_splits(pool.n, cfg.split)[0]  # validate_config holds clean to U = 1
-
-    # corrupt training rows only; validation supervision stays clean
-    p_corrupt = cfg.data.corrupt.p if cfg.data.corrupt is not None else 0.0
+    dirty, hit = _corrupt(cfg, pool, [split])
+    mask_train = hit[split.train_idx]
     corrupt_seed = cfg.data.corrupt.seed if cfg.data.corrupt is not None else 0
-    mask_train = np.zeros(len(split.train_idx), dtype=bool)
-    dirty = pool
-    if p_corrupt > 0:
-        corrupted, clean_mask = corrupt_labels(pool, p_corrupt, corrupt_seed)
-        y = pool.y.copy()
-        y[split.train_idx] = corrupted.y[split.train_idx]
-        dirty = Dataset(X=pool.X, y=y, task=pool.task, num_classes=num_classes)
-        mask_train = ~clean_mask[split.train_idx]
 
     problem, lam0, theta0 = _problem(cfg, pool.d, n_weights=len(split.train_idx))
 

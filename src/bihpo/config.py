@@ -257,6 +257,10 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
     _require(st.T >= 1, "T must be >= 1", "strategy.T")
     if st.kind == "oehg":
         _require(st.alpha_deploy > 0, "oehg requires alpha_deploy > 0", "strategy.alpha_deploy")
+        # oehg's estimate is one-step ITD; method supplies only alpha_in
+        _require(cfg.method.kind == "ITD", "oehg uses one-step ITD; set method.kind = ITD",
+                 "method.kind")
+        _require(cfg.method.K == 1, "oehg uses one-step ITD; set method.K = 1", "method.K")
     if st.lambda0 is not None:
         _require_reals(st.lambda0, "strategy.lambda0")
     _require_reals(st.theta0, "strategy.theta0")

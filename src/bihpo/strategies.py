@@ -1,17 +1,20 @@
 """Outer-loop optimizers and the HPO strategies.
 
-run_ehg: each outer step re-solves the inner problem from theta0 on U
-train/val splits and steps lambda on the arithmetic mean of the U per-split
-hypergradients (ordered, index-ascending reduction so results are
-reproducible under any execution order); with one split it is the
-single-split strategy. run_oehg: online variant where U shadow models
-advance one inner step per outer step and lambda is updated by one-step ITD
-through that step; a separately deployed model tracks the current lambda.
+Both strategies run one outer loop. Each outer step takes one stacked
+hypergradient estimate on the U train/val splits and steps lambda on the
+arithmetic mean of the U split hypergradients (an ordered, index-ascending
+reduction, so results are reproducible under any execution order).
+
+run_ehg: every outer step re-solves each split's inner problem from theta0
+(or, with warm_start, from its previous iterate); with one split it is the
+single-split strategy. run_oehg is that loop with warm-started one-step ITD,
+so U shadow models advance one inner step per outer step, plus a deployed
+model that takes one GD step at each new lambda.
 
 Every split of a plan has the same train and validation sizes, so the U
-splits stack: each outer step of either strategy is one estimate_hypergrad
-call on StackedViews of the U splits, whose inner iterates are one (U, r)
-array. Each split's estimate is bitwise the one it would get alone.
+splits stack: each outer step is one estimate_hypergrad call on StackedViews
+of the U splits, whose inner iterates are one (U, r) array. Each split's
+estimate is bitwise the one it would get alone.
 """
 
 from __future__ import annotations
@@ -106,19 +109,12 @@ class HPOTrace:
         self.lambdas.append(lam_after.copy())
 
 
-def _finite_or_abort(values: np.ndarray, what: str, step: int) -> np.ndarray:
+def _finite_or_abort(values: np.ndarray, what: str, per_split: bool = False) -> np.ndarray:
+    """values, or a NumericalError saying what became non-finite; with one value
+    per split it names the first non-finite split as its member."""
     if not np.all(np.isfinite(values)):
-        raise NumericalError(f"{what} became non-finite at outer step {step}", step_index=step)
-    return values
-
-
-def _finite_splits_or_abort(values: np.ndarray, what: str, step: int) -> np.ndarray:
-    """values, one per split, or a NumericalError naming the first non-finite split
-    in _ensemble_grad's form."""
-    if not np.all(np.isfinite(values)):
-        split = int(np.argmin(np.isfinite(values)))
-        raise NumericalError(f"split {split} failed at outer step {step}: {what} became "
-                             "non-finite", step_index=step)
+        member = int(np.argmin(np.isfinite(values))) if per_split else None
+        raise NumericalError(f"{what} became non-finite", member=member)
     return values
 
 
@@ -130,65 +126,88 @@ def _split_evals(
     train: StackedView,
     val: StackedView,
     test_view: StackedView | None,
-    step: int,
 ) -> dict[str, np.ndarray]:
     """Each split's trace values at its final inner iterate, one (U,) row per column."""
     # overflow at a diverged but finite iterate surfaces as the explicit
     # non-finite checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        row = {"train_loss": _finite_splits_or_abort(problem.inner_loss(lams, thetas, train),
-                                                     "train loss", step),
-               "val_loss": _finite_splits_or_abort(problem.outer_loss(lams, thetas, val),
-                                                   "val loss", step)}
+        row = {"train_loss": _finite_or_abort(problem.inner_loss(lams, thetas, train),
+                                              "train loss", per_split=True),
+               "val_loss": _finite_or_abort(problem.outer_loss(lams, thetas, val),
+                                            "val loss", per_split=True)}
         if test_view is not None:
-            row["test_loss"] = _finite_splits_or_abort(
-                problem.outer_loss(lams, thetas, test_view), "test loss", step)
-        row["hypergrad_norm"] = _finite_splits_or_abort(row_norm(grads), "hypergradient norm",
-                                                        step)
+            row["test_loss"] = _finite_or_abort(problem.outer_loss(lams, thetas, test_view),
+                                                "test loss", per_split=True)
+        row["hypergrad_norm"] = _finite_or_abort(row_norm(grads), "hypergradient norm",
+                                                 per_split=True)
     return row
 
 
-def _prepare(problem: BilevelProblem, ds: Dataset, splits: list[Split], T: int,
-             lam0: Vec, theta0: Vec):
-    """Validated copies of lam0 and theta0, and the splits' stacked train and val views.
+def _outer_loop(
+    problem: BilevelProblem,
+    ds: Dataset,
+    splits: list[Split],
+    method: HypergradMethod,
+    opt: OuterOptimizer,
+    T: int,
+    lam0: Vec,
+    theta0: Vec,
+    test_view: DataView | None,
+    warm_start: bool,
+    deploy: tuple[float, DataView] | None = None,
+) -> HPOTrace:
+    """The outer loop of both strategies; the module docstring describes it.
 
-    The splits must share their train and validation sizes, as every plan's do.
+    deploy = (alpha_deploy, deploy_view) adds the deployed model, whose loss is
+    then the test loss; without it each split is evaluated on test_view and
+    solved once more at the final lambda. A NumericalError of an outer step
+    is raised again naming the step and, when it names a member, the split.
     """
     if T < 1:
         raise ContractViolationError("T must be >= 1")
     if not splits:
         raise ContractViolationError("need at least one split")
     lam, theta = check_args(problem, lam0, theta0, names=("lam0", "theta0"))
+    lam, starts = lam.copy(), theta.copy()
     train = StackedView([s.train_view(ds) for s in splits])
     val = StackedView([s.val_view(ds) for s in splits])
-    return lam.copy(), theta.copy(), train, val
+    split_test = (None if test_view is None or deploy is not None
+                  else StackedView([test_view] * len(splits)))
+    deployed = starts
+    state = None
+    trace = HPOTrace(lambdas=[lam.copy()])
+    for t in range(T):
+        try:
+            lams = lam[None].repeat(len(splits), axis=0)  # one row per split
+            res = estimate_hypergrad(problem, lams, starts, train, val, method)
+            row = _split_evals(problem, lams, res.inner_final, res.grad, train, val, split_test)
+            if warm_start:
+                starts = res.inner_final
+            lam, state = optimizer_step(opt, lam, ordered_mean(res.grad), state)
+            if deploy is not None:
+                alpha_deploy, deploy_view = deploy
+                # overflow surfaces as the explicit non-finite checks, not a warning
+                with np.errstate(over="ignore", invalid="ignore"):
+                    update = alpha_deploy * problem.inner_grad_theta(lam, deployed, deploy_view)
+                    deployed = _finite_or_abort(deployed - update, "deployed model")
+                    if test_view is not None:
+                        test_loss = problem.outer_loss(lam, deployed, test_view)
+                        row["test_loss"] = np.full(len(splits),
+                                                   _finite_or_abort(test_loss, "test loss"))
+        except NumericalError as exc:
+            what = exc.args[0]
+            raise NumericalError(f"{what} at outer step {t}" if exc.member is None
+                                 else f"split {exc.member} failed at outer step {t}: {what}",
+                                 step_index=t) from exc
+        trace.add_step(row, lam)
 
-
-def _ensemble_grad(
-    problem: BilevelProblem,
-    lam: np.ndarray,
-    starts: np.ndarray,
-    train: StackedView,
-    val: StackedView,
-    method: HypergradMethod,
-    step: int,
-    test_view: StackedView | None,
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """One stacked estimate of every split from its start point, (r,) or (U, r).
-
-    Returns the mean of the split hypergradients (an index-ascending sum, so
-    it does not depend on execution order), the splits' final inner iterates
-    (U, r) and their row of each trace column.
-    """
-    lams = lam[None].repeat(len(train), axis=0)  # one row per split
-    try:
-        res = estimate_hypergrad(problem, lams, starts, train, val, method)
-    except NumericalError as exc:
-        raise NumericalError(
-            f"split {exc.member} failed at outer step {step}: {exc.args[0]}", step_index=step
-        ) from exc
-    row = _split_evals(problem, lams, res.inner_final, res.grad, train, val, test_view, step)
-    return ordered_mean(res.grad), res.inner_final, row
+    if deploy is None:
+        final = inner_solve(problem, lam, starts, train, method.K, method.alpha_in).final
+        trace.final_thetas = tuple(final)
+    else:
+        trace.final_thetas = tuple(starts.copy())
+        trace.deployed_theta = deployed.copy()
+    return trace
 
 
 def run_ehg(
@@ -210,21 +229,8 @@ def run_ehg(
     split is solved once more at the final lambda so final_thetas matches it.
     With one split this is the single-split strategy.
     """
-    lam, starts, train, val = _prepare(problem, ds, splits, T, lam0, theta0)
-    test_views = None if test_view is None else StackedView([test_view] * len(splits))
-    state = None
-    trace = HPOTrace(lambdas=[lam.copy()])
-    for t in range(T):
-        gmean, finals, row = _ensemble_grad(problem, lam, starts, train, val, method, t,
-                                            test_views)
-        if warm_start:
-            starts = finals
-        lam, state = optimizer_step(opt, lam, gmean, state)
-        trace.add_step(row, lam)
-
-    final = inner_solve(problem, lam, starts, train, method.K, method.alpha_in).final
-    trace.final_thetas = tuple(final)
-    return trace
+    return _outer_loop(problem, ds, splits, method, opt, T, lam0, theta0, test_view,
+                       warm_start)
 
 
 def run_oehg(
@@ -240,39 +246,16 @@ def run_oehg(
     deploy_view: DataView | None = None,
     test_view: DataView | None = None,
 ) -> HPOTrace:
-    """Online ensemble strategy.
+    """Online ensemble strategy: run_ehg's loop with warm-started one-step ITD.
 
-    Per outer step: each shadow takes one inner GD step, and its hypergradient
-    is one-step ITD started from the shadow; lambda steps on the ordered mean
-    of those; the deployed model then takes one GD step on deploy_view
-    (default: the full dataset) at the new lambda with step alpha_deploy.
-    Trace test losses are evaluated on the deployed model.
+    After each lambda update the deployed model takes one GD step of size
+    alpha_deploy on deploy_view (default: the full dataset); trace test losses
+    are its losses, and final_thetas are the shadow iterates.
     """
     if not alpha_deploy > 0:
         raise ContractViolationError("alpha_deploy must be > 0")
     one_step = HypergradMethod(kind="ITD", K=1, alpha_in=alpha_in)  # refuses alpha_in <= 0
-    lam, theta_start, train, val = _prepare(problem, ds, splits, T, lam0, theta0)
     if deploy_view is None:
         deploy_view = full_view(ds)
-    shadows = theta_start
-    deployed = theta_start
-    state = None
-    trace = HPOTrace(lambdas=[lam.copy()])
-    for t in range(T):
-        gmean, shadows, row = _ensemble_grad(problem, lam, shadows, train, val, one_step, t,
-                                             None)
-        lam, state = optimizer_step(opt, lam, gmean, state)
-        # overflow surfaces as the explicit non-finite checks, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            deployed = _finite_or_abort(
-                deployed - alpha_deploy * problem.inner_grad_theta(lam, deployed, deploy_view),
-                "deployed model", t)
-            if test_view is not None:
-                test_loss = _finite_or_abort(problem.outer_loss(lam, deployed, test_view),
-                                             "test loss", t)
-                row["test_loss"] = np.full(len(splits), test_loss)
-        trace.add_step(row, lam)
-
-    trace.final_thetas = tuple(shadows.copy())
-    trace.deployed_theta = deployed.copy()
-    return trace
+    return _outer_loop(problem, ds, splits, one_step, opt, T, lam0, theta0, test_view,
+                       warm_start=True, deploy=(alpha_deploy, deploy_view))

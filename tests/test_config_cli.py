@@ -189,6 +189,9 @@ def test_missing_config_file_is_a_config_error(tmp_path):
     ({"strategy": {"kind": "oehg", "alpha_deploy": 0.0}}, "tune",
      "strategy.alpha_deploy"),
     ({"output": {"formats": ["xml"]}}, "tune", "output.formats"),
+    ({"strategy": {"kind": "oehg", "alpha_deploy": 0.1},
+      "method": {"kind": "AID_CG", "K": 100, "Z": 20}}, "tune", "method.kind"),
+    ({"strategy": {"kind": "oehg", "alpha_deploy": 0.1}}, "tune", "method.K"),
 ])
 def test_validate_tune_rules_name_offending_field(over, command, path):
     # split and method rules are checked when the config is loaded
@@ -235,6 +238,7 @@ def test_validate_tune_rules_name_offending_field(over, command, path):
      "problem.smoothing_delta"),
     ("tune", tune_dict(method={"alpha_in": float("inf")}), "method.alpha_in"),
     ("biasvar", biasvar_dict(biasvar={"grid": "nan:1:3"}), "biasvar.grid"),
+    ("tune", tune_dict(data={"corrupt": {"p": 0.5}}), "data.corrupt"),
 ], ids=["K-float", "K-str", "h-float", "fp_step-negative", "U-str", "U-float",
         "split-scalar", "tune-classes", "clean-classes", "T-float", "n-str",
         "alpha_out-str", "alpha_out-nan", "outer-kind", "retrain_K-float", "warm_start-str",
@@ -242,7 +246,7 @@ def test_validate_tune_rules_name_offending_field(over, command, path):
         "smoothing_delta-zero", "lambda0-str", "theta0-bool", "grid-str", "grid-numeric-str",
         "clean-synthetic-classes", "tune-noise_sigma-inf", "biasvar-noise_sigma-inf",
         "lambda0-nan", "lambda0-list-nan", "theta0-inf", "smoothing_delta-inf",
-        "alpha_in-inf", "grid-range-nan"])
+        "alpha_in-inf", "grid-range-nan", "corrupt-regression"])
 def test_bad_input_exits_2_with_its_field_path(tmp_path, capsys, command, raw, path):
     out = tmp_path / "o"
     assert main([command, "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 2
@@ -585,16 +589,19 @@ def test_clean_honours_warm_start(tmp_path):
 
 
 def test_tune_and_clean_learn_the_same_weights(tmp_path):
-    # on a hyperclean_softmax config oehg deploys on the split's train rows in both commands
-    raw = clean_dict(data={"corrupt": {"p": 0.0}})
-    code, out = run_tune(tmp_path, raw, "tune")
-    assert code == 0
-    tuned = json.loads((out / "final.json").read_text())["lambda_raw"]
-    assert main(["clean", "--config", str(write_cfg(tmp_path, raw)),
-                 "--out", str(tmp_path / "clean")]) == 0
-    cleaned = [float(r["raw_weight"]) for r in read_rows(tmp_path / "clean" / "weights.csv")]
-    assert len(cleaned) > 1
-    assert tuned == cleaned
+    # on a hyperclean_softmax config oehg deploys on the split's train rows in
+    # both commands, and both corrupt the train labels only
+    for p in (0.0, 0.5):
+        raw = clean_dict(data={"corrupt": {"p": p}})
+        code, out = run_tune(tmp_path, raw, f"tune-{p}")
+        assert code == 0
+        tuned = json.loads((out / "final.json").read_text())["lambda_raw"]
+        clean_out = tmp_path / f"clean-{p}"
+        assert main(["clean", "--config", str(write_cfg(tmp_path, raw)),
+                     "--out", str(clean_out)]) == 0
+        cleaned = [float(r["raw_weight"]) for r in read_rows(clean_out / "weights.csv")]
+        assert len(cleaned) > 1
+        assert tuned == cleaned
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,26 @@ def test_oehg_validation():
     with pytest.raises(ContractViolationError):
         run_oehg(prob, ds, splits, T=1, alpha_in=-0.1, opt=opt,
                  alpha_deploy=0.1, lam0=np.array([0.0]), theta0=np.zeros(3))
+    with pytest.raises(ContractViolationError, match="alpha_deploy"):
+        run_oehg(prob, ds, splits, T=1, alpha_in=0.1, opt=opt,
+                 alpha_deploy=0.0, lam0=np.array([0.0]), theta0=np.zeros(3))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_oehg_is_warm_started_one_step_ehg(kind):
+    # the deployed model only adds to the trace: lambda and the shadows follow
+    # ehg with one-step ITD from each split's previous iterate, whose final
+    # re-solve is one more shadow step
+    prob, ds, splits, deploy_view = kind_setup(kind)
+    opt = OuterOptimizer(kind="adam", alpha_out=0.05)
+    lam, th0 = zoo_lambda(prob), np.zeros(prob.param_dim)
+    online = run_oehg(prob, ds, splits, 6, 0.05, opt, 0.05, lam, th0, deploy_view=deploy_view)
+    ehg = run_ehg(prob, ds, splits, HypergradMethod(kind="ITD", K=1, alpha_in=0.05), opt, 5,
+                  lam, th0, warm_start=True)
+    assert len(ehg.lambdas) == 6
+    for got, want in zip(online.lambdas, ehg.lambdas):
+        assert_array_equal(got, want)
+    assert_array_equal(np.stack(online.final_thetas), np.stack(ehg.final_thetas))
 
 
 # ---------------------------------------------------------------------------
