@@ -157,13 +157,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return _coerce(ExperimentConfig, raw, "")
 
 
+# libyaml's parser where PyYAML was built with it: the same safe constructor
+# and resolver, so the same config, in about a fifth of the time
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}", field_path="") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_LOADER)
     except yaml.MarkedYAMLError as exc:
         line = exc.problem_mark.line + 1 if exc.problem_mark else None
         raise ParseError(f"invalid YAML: {exc}", line=line) from exc
@@ -189,7 +194,8 @@ def config_to_dict(cfg) -> dict:
 
 
 def parse_grid(spec: Any) -> list[float]:
-    """Either an explicit list or 'lo:hi:count' (inclusive linear spacing)."""
+    """Either an explicit list or 'lo:hi:count' (inclusive linear spacing) of
+    positive values: the grid is on the effective scale, exp(u)."""
     if isinstance(spec, (list, tuple)):
         _require_reals(spec, "biasvar.grid")
         grid = np.asarray(spec, dtype=np.float64).tolist()
@@ -208,6 +214,9 @@ def parse_grid(spec: Any) -> list[float]:
         raise ConfigError("grid must be a string or list", field_path="biasvar.grid")
     if not grid:
         raise ConfigError("grid is empty", field_path="biasvar.grid")
+    if not all(x > 0 for x in grid):
+        raise ConfigError(f"grid values must be > 0 (effective scale), got {spec!r}",
+                          field_path="biasvar.grid")
     return grid
 
 
@@ -287,6 +296,10 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
             "biasvar supports the regression models (ridge has the exact oracle)",
             "problem.kind",
         )
+        _require(bv.estimator != "oracle" or pr.kind == "ridge",
+                 "the oracle estimator is exact for ridge only", "biasvar.estimator")
+        _require(d.corrupt is None, "biasvar draws regression data, and corruption applies "
+                 "to classification labels", "data.corrupt")
     if command == "clean":
         _require(pr.kind == "hyperclean_softmax", "clean requires problem.kind = hyperclean_softmax", "problem.kind")
         cl = cfg.clean

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+from bihpo import config
 from bihpo.cli import check_model, main
 from bihpo.config import (
     _SECTION_TYPES,
@@ -174,6 +175,48 @@ def test_parse_error_carries_line_number(tmp_path):
     assert str(err.value).startswith("invalid YAML")
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_config(name):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return getattr(workloads, f"{name}_config")(0)
+
+
+@pytest.mark.parametrize("raw", [tune_dict(), clean_dict(), biasvar_dict()]
+                         + [_perfbench_config(name) for name in ("sweep", "tune", "clean")],
+                         ids=["tune", "clean", "biasvar", "perfbench-sweep", "perfbench-tune",
+                              "perfbench-clean"])
+def test_c_and_python_loaders_give_the_same_config(tmp_path, monkeypatch, raw):
+    # load_config parses with libyaml's CSafeLoader where PyYAML has it;
+    # both loaders share the safe constructor and resolver
+    assert config._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    path = write_cfg(tmp_path, raw)
+    loaded = []
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(config, "_LOADER", loader)
+        loaded.append(load_config(path))
+    assert loaded[0] == loaded[1]
+
+
+@pytest.mark.parametrize("text", ["data:\n  n: [1, 2\nsplit: {}\n", "data:\n\tn: 1\n",
+                                  "a: b: c\n"], ids=["unclosed-list", "tab-indent", "a-b-c"])
+def test_c_and_python_loaders_refuse_at_the_same_line(tmp_path, monkeypatch, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    lines = []
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(config, "_LOADER", loader)
+        with pytest.raises(ParseError) as err:
+            load_config(path)
+        lines.append(err.value.line)
+    assert lines[0] is not None and lines[0] == lines[1]
+
+
 def test_missing_config_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.yaml")
@@ -239,6 +282,11 @@ def test_validate_tune_rules_name_offending_field(over, command, path):
     ("tune", tune_dict(method={"alpha_in": float("inf")}), "method.alpha_in"),
     ("biasvar", biasvar_dict(biasvar={"grid": "nan:1:3"}), "biasvar.grid"),
     ("tune", tune_dict(data={"corrupt": {"p": 0.5}}), "data.corrupt"),
+    ("biasvar", biasvar_dict(biasvar={"grid": "0:1:3"}), "biasvar.grid"),
+    ("biasvar", biasvar_dict(biasvar={"grid": [0.5, -1.0]}), "biasvar.grid"),
+    ("biasvar", biasvar_dict(problem={"kind": "lasso_smooth"}, biasvar={"estimator": "oracle"}),
+     "biasvar.estimator"),
+    ("biasvar", biasvar_dict(data={"corrupt": {"p": 0.3}}), "data.corrupt"),
 ], ids=["K-float", "K-str", "h-float", "fp_step-negative", "U-str", "U-float",
         "split-scalar", "tune-classes", "clean-classes", "T-float", "n-str",
         "alpha_out-str", "alpha_out-nan", "outer-kind", "retrain_K-float", "warm_start-str",
@@ -246,7 +294,8 @@ def test_validate_tune_rules_name_offending_field(over, command, path):
         "smoothing_delta-zero", "lambda0-str", "theta0-bool", "grid-str", "grid-numeric-str",
         "clean-synthetic-classes", "tune-noise_sigma-inf", "biasvar-noise_sigma-inf",
         "lambda0-nan", "lambda0-list-nan", "theta0-inf", "smoothing_delta-inf",
-        "alpha_in-inf", "grid-range-nan", "corrupt-regression"])
+        "alpha_in-inf", "grid-range-nan", "corrupt-regression", "grid-range-zero",
+        "grid-negative", "oracle-lasso_smooth", "biasvar-corrupt"])
 def test_bad_input_exits_2_with_its_field_path(tmp_path, capsys, command, raw, path):
     out = tmp_path / "o"
     assert main([command, "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 2

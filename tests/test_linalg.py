@@ -157,14 +157,15 @@ def test_batched_cg_breakdown_names_member():
 # ---------------------------------------------------------------------------
 # batched products: one numpy gufunc call, with matmul's bits
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("B", [1, 8, 523])
 @pytest.mark.parametrize("d", [1, 10, 20])
 def test_gufuncs_keep_matmul_bits(B, d):
     rng = np.random.Generator(np.random.PCG64(1000 * B + d))
     m = 7
-
-    def same_bits(a, b):
-        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def matvec_ref(A, x):
         return (A @ x[..., None])[..., 0]
@@ -188,3 +189,40 @@ def test_gufuncs_keep_matmul_bits(B, d):
     for a, b in ((x1, rng.standard_normal(d)), (xB, rng.standard_normal((B, d))), (xB, xBt),
                  (xBt, xBt), (A3, y3), (A3t, y3), (A3t, A3t), (A3.swapaxes(0, 1), y3.swapaxes(0, 1))):
         assert same_bits(row_dot(a, b), dot_ref(a, b))
+
+
+# signed zeros, infinities, NaN, a subnormal and huge values: every (A, x)
+# pair of them, where np.matvec returns +0.0 for a -0.0 product
+_SPECIAL = (0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, -1e300)
+
+
+def test_d1_matvec_keeps_np_matvec_bits_at_signed_zeros_infs_and_nan():
+    a, x = (v.ravel() for v in np.meshgrid(_SPECIAL, _SPECIAL))
+    cases = [(a[:, None, None], x[:, None])]  # (B, 1, 1) with (B, 1)
+    cases += [(a[:, None], np.array([t])) for t in _SPECIAL]  # (m, 1) rows with a (1,) theta
+    cases += [(np.array([[s]]), np.array([t])) for s, t in zip(a, x)]  # (1, 1) with 1-D x
+    with np.errstate(all="ignore"):
+        for A, v in cases:
+            assert same_bits(_matvec(A, v), np.matvec(A, v))
+    # the cases where a bare product would keep the sign of zero
+    assert same_bits(np.matvec(np.array([[1.5]]), np.array([-0.0])), np.array([0.0]))
+    assert same_bits(np.matvec(np.array([[-2.0]]), np.array([0.0])), np.array([0.0]))
+
+
+@pytest.mark.parametrize("B", [1, 8, 523, 6000])
+def test_d1_matvec_has_np_matvec_bits(B):
+    rng = np.random.Generator(np.random.PCG64(B))
+    m = 7
+
+    def draw(*shape):  # normals with a quarter of the entries special
+        special = rng.choice(np.array(_SPECIAL), shape)
+        return np.where(rng.random(shape) < 0.25, special, rng.standard_normal(shape))
+
+    A = draw(B, 1, 1)
+    cases = [(A, draw(B, 1)), (A, draw(1)),  # each member's x, and one shared x
+             (draw(1, B, 1).swapaxes(0, 1), draw(1, B).swapaxes(0, 1)),  # strided views
+             (draw(B, m, 1), draw(B, 1)),  # stacked (m, 1) rows, the margin losses' value
+             (draw(m, 1), draw(1)), (draw(1, 1), draw(1))]
+    with np.errstate(all="ignore"):
+        for A, x in cases:
+            assert same_bits(_matvec(A, x), np.matvec(A, x))

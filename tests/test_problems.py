@@ -23,6 +23,7 @@ from bihpo.data import (
 )
 from bihpo import problems
 from bihpo.errors import ConfigError, ContractViolationError
+from bihpo.hypergrad import HypergradMethod, estimate_hypergrad
 from bihpo.problems import (
     MODEL_KINDS,
     ModelSpec,
@@ -434,6 +435,40 @@ def test_stacked_softmax_members_have_the_bits_of_their_own_views(B, k, kind):
         if kind == "softmax_l2":
             data_grad = data_grad + 2.0 * np.exp(lam[b, 0]) * theta[b]
         assert np.linalg.norm(got[0][b] - data_grad) <= 1e-13 * np.linalg.norm(data_grad)
+
+
+@pytest.mark.parametrize("method", [HypergradMethod(kind="ITD", K=30, alpha_in=0.2),
+                                    HypergradMethod(kind="TRHG", K=30, alpha_in=0.2, h=10)],
+                         ids=["ITD", "TRHG"])
+@pytest.mark.parametrize("kind", ["ridge", "lasso_smooth", "elastic_net", "ridge_per_param"])
+def test_stacked_d1_members_have_the_bits_of_their_own_views(kind, method):
+    # at d = 1 every Gram product is one multiply (problems._matvec); the
+    # diagnostics run their members stacked, so each member's numbers may
+    # not depend on the stacking, signed zeros included
+    B = 5
+    ds, _ = gen_linear(40, 1, 0.5, seed=3, beta_seed=1)
+    splits = make_splits(ds.n, SplitPlan(U=B, gamma=0.25, master_seed=4))
+    trains, vals = [s.train_view(ds) for s in splits], [s.val_view(ds) for s in splits]
+    prob = build_problem(ModelSpec(kind=kind, smoothing_delta=0.5), 1)
+    rng = np.random.Generator(np.random.PCG64(6))
+    lam = 0.5 * rng.standard_normal((B, prob.hyper_dim))
+    theta, v = rng.standard_normal((2, B, 1))
+    theta[0], v[1] = -0.0, -0.0
+    train, val = StackedView(trains), StackedView(vals)
+    inner = prob.bind_inner(lam, train)
+    assert (inner.dgrad_dlam is None) == (not prob.has_dgrad_dlam)
+    got = (inner.grad(theta), inner.hessian(theta)(v), inner.mixed(theta, v),
+           inner.dgrad_dlam(theta) if prob.has_dgrad_dlam else None)
+    res = estimate_hypergrad(prob, lam, theta, train, val, method)
+    for b in range(B):
+        own = prob.bind_inner(lam[b], trains[b])
+        want = (own.grad(theta[b]), own.hessian(theta[b])(v[b]), own.mixed(theta[b], v[b]),
+                own.dgrad_dlam(theta[b]) if prob.has_dgrad_dlam else None)
+        for stacked, single in zip(got, want):
+            assert single is None or same_bits(stacked[b], single)
+        one = estimate_hypergrad(prob, lam[b], theta[b], trains[b], vals[b], method)
+        assert same_bits(res.grad[b], one.grad)
+        assert same_bits(res.inner_final[b], one.inner_final)
 
 
 def test_log_softmax_is_finite_and_silent_at_huge_logits():
