@@ -76,7 +76,13 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     task = TASK_OF_KIND[cfg.problem.kind]
     d, s = cfg.data, cfg.data.synthetic
     if d.source != "synthetic":
-        ds = read_libsvm(d.source, task=d.task or task)
+        try:
+            ds = read_libsvm(d.source, task=d.task or task)
+        except OSError as exc:
+            raise ConfigError(f"cannot read data file: {exc}", field_path="data.source") from exc
+        if ds.n < 2:
+            raise ConfigError(f"the data file has {ds.n} sample; a train/val split needs 2",
+                              field_path="data.source")
         if ds.task != task:
             raise ConfigError(
                 f"model {cfg.problem.kind!r} needs a {task} dataset, file gives {ds.task}",
@@ -104,6 +110,9 @@ def _holdout(cfg: ExperimentConfig, ds: Dataset) -> tuple[Dataset, np.ndarray, D
     if cfg.data.test_fraction == 0:
         return ds, np.arange(ds.n), None
     pool_idx, test_idx = carve_holdout(ds.n, cfg.data.test_fraction, cfg.data.test_seed)
+    if pool_idx.size < 2:
+        raise ConfigError(f"holding out {test_idx.size} of {ds.n} rows leaves {pool_idx.size} "
+                          f"to split; a train/val split needs 2", field_path="data.test_fraction")
     return subset(ds, pool_idx), pool_idx, DataView(ds, test_idx)
 
 
@@ -308,7 +317,7 @@ def _train_softmax(X: np.ndarray, y: np.ndarray, num_classes: int, K: int,
 
 def _accuracy(W: np.ndarray, view: DataView) -> float:
     pred = np.argmax(view.X @ W, axis=1)
-    return float(np.mean(pred == view.labels))
+    return float(np.mean(pred == view.y))
 
 
 def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:

@@ -300,6 +300,8 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
                  "the oracle estimator is exact for ridge only", "biasvar.estimator")
         _require(d.corrupt is None, "biasvar draws regression data, and corruption applies "
                  "to classification labels", "data.corrupt")
+        _require(d.test_fraction == 0, "biasvar draws its own replicate datasets and holds "
+                 "no test rows out", "data.test_fraction")
     if command == "clean":
         _require(pr.kind == "hyperclean_softmax", "clean requires problem.kind = hyperclean_softmax", "problem.kind")
         cl = cfg.clean

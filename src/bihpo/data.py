@@ -132,46 +132,54 @@ class DataView:
         return self.dataset.y[self.idx]
 
     @cached_property
-    def labels(self) -> np.ndarray:
-        return self.y.astype(np.int64)
-
-    @cached_property
     def Xt(self) -> np.ndarray:
         """The rows feature-major, C-contiguous: (d, m)."""
-        return np.ascontiguousarray(self.X.T)
+        return _feature_major(self.X)
 
     @cached_property
     def one_hot(self) -> np.ndarray:
         """The labels one-hot and class-major: (k, m)."""
-        out = np.zeros((self.dataset.num_classes, self.m))
-        out[self.labels, np.arange(self.m)] = 1.0
-        return out
+        return _one_hot(self.y, self.dataset.num_classes)
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray]:
-        A = self.X.T @ self.X / self.m
-        b = self.X.T @ self.y / self.m
-        return A, b
+        return _gram(self.X, self.y)
+
+
+# The formulas of a view's values; they broadcast over a leading member axis.
+
+def _feature_major(X: np.ndarray) -> np.ndarray:
+    """The rows feature-major, C-contiguous: (..., d, m)."""
+    return np.ascontiguousarray(X.swapaxes(-1, -2))
+
+
+def _one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
+    """The integer labels y one-hot and class-major: (..., k, m)."""
+    if num_classes < 2:
+        raise ContractViolationError("a view with no classes has no one_hot")
+    return (y[..., None, :] == np.arange(num_classes)[:, None]).astype(np.float64)
+
+
+def _gram(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram pair (X^T X / m, X^T y / m): (..., d, d) and (..., d)."""
+    Xt, m = X.swapaxes(-1, -2), X.shape[-2]
+    return Xt @ X / m, np.matvec(Xt, y) / m
 
 
 class StackedView:
     """B equally sized member views stacked along a leading member axis.
 
-    Carries what the data losses read, member by member: the row count m,
-    the rows X (B, m, d) and feature-major Xt (B, d, m), the targets y
-    (B, m), the class-major one-hot labels (B, k, m) and the Gram pair
-    (B, d, d) / (B, d). Each is filled on first use, so a squared loss never
-    stacks the rows and a classification loss never the Gram pairs. There
-    are three ways to build one:
-    - StackedView(views) stacks the member DataViews' own values;
-    - StackedView.from_rows(X, y) holds stacked regression rows and computes
-      the Gram pairs from them, for all members at once (it has no Xt and
-      no one_hot);
-    - stack.take(index) gathers its members, value by value as each is
-      first read, from stack or, if stack was itself taken, from the stack
-      it was taken from (a slice of a stack not taken gives views of its
-      arrays).
-    Every member's values have the bits of its own DataView's.
+    Holds its members' rows X (B, m, d), targets y (B, m) and class count,
+    and derives from them on first read, by the formulas a DataView uses,
+    the feature-major rows Xt (B, d, m), the one-hot labels (B, k, m) and
+    the Gram pair (B, d, d) / (B, d). So every member's values have the bits
+    of its own DataView's. There are three ways to build one:
+    - StackedView(views) stacks the rows of the member DataViews;
+    - StackedView.from_rows(X, y) holds rows with no classes (so no one_hot);
+    - stack.take(index) holds no rows: it gathers each value of its members,
+      as it is first read, from stack or, if stack was itself taken, from
+      the stack it was taken from (a slice of a stack not taken gives views
+      of its arrays). So a take that reads Gram pairs never gathers rows.
     """
 
     _taken = None  # (source, index) of a stack made by take
@@ -180,20 +188,18 @@ class StackedView:
         views = tuple(views)
         if not views:
             raise ContractViolationError("a stacked view needs at least one member view")
-        shapes = {(v.m, v.dataset.d) for v in views}
+        shapes = {(v.m, v.dataset.d, v.dataset.num_classes) for v in views}
         if len(shapes) != 1:
             raise ContractViolationError(
-                f"stacked member views must share (rows, features), got {sorted(shapes)}"
+                f"stacked member views must share (rows, features, classes), "
+                f"got {sorted(shapes)}"
             )
-        self._size, self.m = len(views), views[0].m
-        self._fill = lambda name: _stack([getattr(v, name) for v in views])
+        self._hold(np.stack([v.X for v in views]), np.stack([v.y for v in views]),
+                   views[0].dataset.num_classes)
 
-    @classmethod
-    def _filled(cls, size: int, m: int, fill) -> StackedView:
-        """A stack of size members of m rows whose values come from fill(name)."""
-        stack = cls.__new__(cls)
-        stack._size, stack.m, stack._fill = size, m, fill
-        return stack
+    def _hold(self, X: np.ndarray, y: np.ndarray, num_classes: int) -> None:
+        self.X, self.y, self.num_classes = X, y, num_classes
+        self._size, self.m = y.shape
 
     @classmethod
     def from_rows(cls, X, y) -> StackedView:
@@ -205,16 +211,8 @@ class StackedView:
                 f"stacked rows must be (B, m, d) and targets (B, m) with B, m >= 1, "
                 f"got {X.shape} and {y.shape}"
             )
-        B, m = y.shape
-
-        def fill(name):
-            if name != "gram":
-                raise ContractViolationError(f"a stack built from rows has no {name}")
-            Xt = X.swapaxes(-1, -2)
-            return Xt @ X / m, np.matvec(Xt, y) / m
-
-        stack = cls._filled(B, m, fill)
-        stack.X, stack.y = X, y
+        stack = cls.__new__(cls)
+        stack._hold(X, y, 0)
         return stack
 
     def take(self, index) -> StackedView:
@@ -231,47 +229,35 @@ class StackedView:
         if self._taken is not None:
             source, outer = self._taken
             index = np.arange(len(source))[outer][index]
-        stack = StackedView._filled(members.size, self.m,
-                                    lambda name: _gather(getattr(source, name), index))
+        stack = StackedView.__new__(StackedView)
+        stack._size, stack.m, stack.num_classes = members.size, self.m, self.num_classes
         stack._taken = (source, index)
         return stack
+
+    def _gather(self, name: str):
+        """A taken stack's value name: its source's, at its members."""
+        source, index = self._taken
+        value = getattr(source, name)
+        return tuple(part[index] for part in value) if isinstance(value, tuple) else value[index]
 
     def __len__(self) -> int:
         return self._size
 
-    @cached_property
-    def X(self) -> np.ndarray:
-        return self._fill("X")
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return self._fill("y")
+    # a stack that holds its rows shadows these two with its own attributes
+    X = cached_property(lambda self: self._gather("X"))
+    y = cached_property(lambda self: self._gather("y"))
 
     @cached_property
     def Xt(self) -> np.ndarray:
-        return self._fill("Xt")
+        return self._gather("Xt") if self._taken else _feature_major(self.X)
 
     @cached_property
     def one_hot(self) -> np.ndarray:
-        return self._fill("one_hot")
+        return self._gather("one_hot") if self._taken else _one_hot(self.y, self.num_classes)
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._fill("gram")
-
-
-def _stack(values: list):
-    """np.stack of per-member arrays, or of each part of per-member tuples."""
-    if isinstance(values[0], tuple):
-        return tuple(np.stack(parts) for parts in zip(*values))
-    return np.stack(values)
-
-
-def _gather(value, index):
-    """value's members (leading axis) at index, for an array or a tuple of arrays."""
-    if isinstance(value, tuple):
-        return tuple(part[index] for part in value)
-    return value[index]
+        return self._gather("gram") if self._taken else _gram(self.X, self.y)
 
 
 def full_view(dataset: Dataset) -> DataView:
@@ -385,8 +371,30 @@ def _complements(n: int, vals: np.ndarray) -> np.ndarray:
     return train.reshape(vals.shape[:-1] + (n - vals.shape[-1],))
 
 
+def split_stacks(X: np.ndarray, y: np.ndarray, vals: np.ndarray
+                 ) -> tuple[StackedView, StackedView]:
+    """The train and val stacks of the splits of pools X (..., n, d), y (..., n)
+    whose validation index sets are vals (..., U, m_val), in C order of vals'
+    leading axes (pool-major)."""
+    n, d = X.shape[-2:]
+
+    def members(idx):
+        rows = np.take_along_axis(X[..., None, :, :], idx[..., None], axis=-2)
+        targets = np.take_along_axis(y[..., None, :], idx, axis=-1)
+        return StackedView.from_rows(rows.reshape(-1, idx.shape[-1], d),
+                                     targets.reshape(-1, idx.shape[-1]))
+
+    return members(_complements(n, vals)), members(vals)
+
+
 def enumerate_all_splits(n: int, gamma: float) -> list[Split]:
     """All C(n, m_val) splits, validation sets in lexicographic order."""
+    vals = _all_val_sets(n, gamma)
+    return [Split(train_idx=train, val_idx=val) for train, val in zip(_complements(n, vals), vals)]
+
+
+def _all_val_sets(n: int, gamma: float) -> np.ndarray:
+    """The validation index sets of enumerate_all_splits, one row per split: (V, m_val)."""
     _require_gamma(gamma)
     m_val = val_size(n, gamma)
     total = math.comb(n, m_val)
@@ -394,8 +402,7 @@ def enumerate_all_splits(n: int, gamma: float) -> list[Split]:
         raise InfeasiblePlanError(
             f"C({n}, {m_val}) = {total} exceeds the enumeration cap {_ENUMERATION_CAP}"
         )
-    vals = np.array(list(combinations(range(n), m_val)), dtype=np.int64)
-    return [Split(train_idx=train, val_idx=val) for train, val in zip(_complements(n, vals), vals)]
+    return np.array(list(combinations(range(n), m_val)), dtype=np.int64)
 
 
 def carve_holdout(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,12 +19,12 @@ from .data import (
     Dataset,
     SplitPlan,
     StackedView,
-    _complements,
+    _all_val_sets,
     _draw_linear,
     _draw_val_sets,
     _require_gamma,
     derive_seed,
-    enumerate_all_splits,
+    split_stacks,
     val_size,
 )
 from .errors import (
@@ -166,14 +166,7 @@ def _replicate_stacks(design: SweepDesign, U: int, seed: int, count: int
         vals[j] = _draw_val_sets(n, SplitPlan(U=U, gamma=design.gamma, mode=design.mode,
                                               master_seed=derive_seed(seed, 2 * j + 1)))
 
-    def members(idx):
-        """The stack of the rows idx (count, U, k) of each replicate's U splits."""
-        rows = np.take_along_axis(X[:, None], idx[..., None], axis=2)
-        targets = np.take_along_axis(y[:, None], idx, axis=2)
-        return StackedView.from_rows(rows.reshape(count * U, -1, d),
-                                     targets.reshape(count * U, -1))
-
-    return members(_complements(n, vals)), members(vals)
+    return split_stacks(X, y, vals)
 
 
 def _member_bytes(problem: BilevelProblem, method: HypergradMethod) -> int:
@@ -485,20 +478,17 @@ def fpc_verify(
         raise ContractViolationError("samples must be >= 1", field="samples")
     if problem.kind != "ridge" and method is None:
         raise ContractViolationError("non-ridge problems need an explicit estimator method")
-    splits = enumerate_all_splits(ds.n, gamma)
-    V = len(splits)
+    vals = _all_val_sets(ds.n, gamma)
+    V = len(vals)
     if not (1 <= U <= V):
         raise ContractViolationError(f"need 1 <= U <= V = {V}, got U = {U}", field="U")
 
-    trains = [s.train_view(ds) for s in splits]
-    vals = [s.val_view(ds) for s in splits]
+    train, val = split_stacks(ds.X, ds.y, vals)
     if problem.kind == "ridge":
-        oracle = RidgeOracle(StackedView(trains), StackedView(vals))
-        S = oracle.hypergrad_raw(lam_raw)[:, None]  # (V, 1)
+        S = RidgeOracle(train, val).hypergrad_raw(lam_raw)[:, None]  # (V, 1)
     else:
         lam = np.full((V, problem.hyper_dim), lam_raw)
-        S = _stacked_estimates(problem, method, StackedView(trains), StackedView(vals),
-                               lam)  # (V, p)
+        S = _stacked_estimates(problem, method, train, val, lam)  # (V, p)
     Xbar = S.mean(axis=0)
     sigma_sq = _mean_sq_dist(S, Xbar)
 

@@ -287,6 +287,11 @@ def test_validate_tune_rules_name_offending_field(over, command, path):
     ("biasvar", biasvar_dict(problem={"kind": "lasso_smooth"}, biasvar={"estimator": "oracle"}),
      "biasvar.estimator"),
     ("biasvar", biasvar_dict(data={"corrupt": {"p": 0.3}}), "data.corrupt"),
+    ("tune", tune_dict(data={"source": "/nonexistent/data.svm"}), "data.source"),
+    ("tune", tune_dict(data={"synthetic": {"n": 3}, "test_fraction": 0.5}), "data.test_fraction"),
+    ("clean", clean_dict(data={"synthetic": {"n": 3}, "test_fraction": 0.5}),
+     "data.test_fraction"),
+    ("biasvar", biasvar_dict(data={"test_fraction": 0.3}), "data.test_fraction"),
 ], ids=["K-float", "K-str", "h-float", "fp_step-negative", "U-str", "U-float",
         "split-scalar", "tune-classes", "clean-classes", "T-float", "n-str",
         "alpha_out-str", "alpha_out-nan", "outer-kind", "retrain_K-float", "warm_start-str",
@@ -295,12 +300,23 @@ def test_validate_tune_rules_name_offending_field(over, command, path):
         "clean-synthetic-classes", "tune-noise_sigma-inf", "biasvar-noise_sigma-inf",
         "lambda0-nan", "lambda0-list-nan", "theta0-inf", "smoothing_delta-inf",
         "alpha_in-inf", "grid-range-nan", "corrupt-regression", "grid-range-zero",
-        "grid-negative", "oracle-lasso_smooth", "biasvar-corrupt"])
+        "grid-negative", "oracle-lasso_smooth", "biasvar-corrupt", "missing-data-file",
+         "tune-holdout-empties-pool", "clean-holdout-empties-pool", "biasvar-holdout"])
 def test_bad_input_exits_2_with_its_field_path(tmp_path, capsys, command, raw, path):
     out = tmp_path / "o"
     assert main([command, "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 2
     assert f"[{path}]" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_one_row_data_file_exits_2_naming_data_source(tmp_path, capsys):
+    (tmp_path / "one.svm").write_text("1.0 1:0.5\n", encoding="utf-8")
+    for fraction in (0.0, 0.5):  # the holdout is not at fault: the file is
+        raw = tune_dict(data={"source": str(tmp_path / "one.svm"), "test_fraction": fraction})
+        out = tmp_path / "o"
+        assert main(["tune", "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 2
+        assert "[data.source]" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 # values each annotation refuses; every int field is a count, so -1 too

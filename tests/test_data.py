@@ -110,8 +110,28 @@ def test_take_gathers_members_as_they_are_read():
         StackedView.from_rows(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ContractViolationError, match="no one_hot"):
         StackedView.from_rows(np.ones((2, 3, 1)), np.ones((2, 3))).one_hot
-    with pytest.raises(ContractViolationError, match="no Xt"):
-        StackedView.from_rows(np.ones((2, 3, 1)), np.ones((2, 3))).Xt
+    rows = StackedView.from_rows(np.stack([v.X for v in views]), np.stack([v.y for v in views]))
+    index = np.array([3, 1, 3])
+    for stack, picked in ((rows, range(5)), (rows.take(index), index)):
+        assert stack.Xt.flags.c_contiguous and len(stack.Xt) == len(picked)
+        for got, i in zip(stack.Xt, picked):
+            assert got.tobytes() == views[i].Xt.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 20])
+def test_view_gram_keeps_the_bits_of_the_plain_products(d):
+    for v in member_views(d) + [full_view(gen_linear(m, d, 0.5, seed=m)[0]) for m in (1, 2, 7)]:
+        A, b = v.gram
+        assert A.tobytes() == (v.X.T @ v.X / v.m).tobytes()
+        assert b.tobytes() == (v.X.T @ v.y / v.m).tobytes()
+
+
+def test_stacked_members_must_share_their_class_count():
+    three, four = (gen_multiclass(20, 2, k, 0.3, seed=k)[0] for k in (3, 4))
+    with pytest.raises(ContractViolationError, match="must share"):
+        StackedView([full_view(three), full_view(four)])
+    stack = StackedView([full_view(three), full_view(three)])
+    assert stack.num_classes == 3 and stack.one_hot.shape == (2, 3, 20)
 
 
 def test_softmax_caches_are_feature_and_class_major():
@@ -120,7 +140,7 @@ def test_softmax_caches_are_feature_and_class_major():
         assert v.Xt.flags.c_contiguous and v.Xt.shape == (3, v.m)
         assert_array_equal(v.Xt, v.X.T)
         assert v.one_hot.shape == (4, v.m)
-        assert_array_equal(v.one_hot.argmax(axis=0), v.labels)
+        assert_array_equal(v.one_hot.argmax(axis=0), v.y)
         assert_array_equal(v.one_hot.sum(axis=0), 1.0)
     stack = StackedView(views)
     index = np.array([4, 0, 4])

@@ -619,6 +619,27 @@ def test_fpc_verify_matches_per_split_loop(kind):
     assert abs(rep.mc_estimate - mc) <= 1e-12 * mc
 
 
+@pytest.mark.parametrize("n, d, gamma", [(6, 1, 0.5), (9, 3, 0.25)])
+def test_fpc_population_stack_holds_the_rows_of_every_enumerated_split(monkeypatch, n, d, gamma):
+    ds, _ = gen_linear(n, d, 0.5, seed=n, beta_seed=1)
+    stacks, draw = [], diagnostics.split_stacks
+
+    def recording_draw(*args):
+        stacks.append(draw(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(diagnostics, "split_stacks", recording_draw)
+    fpc_verify(ds, gamma, U=1, lam_raw=0.0, problem=build_problem(ModelSpec(kind="ridge"), d),
+               samples=2, seed=0)
+    (train, val), = stacks
+    splits = enumerate_all_splits(ds.n, gamma)
+    assert len(train) == len(val) == len(splits)
+    for u, split in enumerate(splits):
+        for stack, idx in ((train, split.train_idx), (val, split.val_idx)):
+            assert stack.X[u].tobytes() == ds.X[idx].tobytes()
+            assert stack.y[u].tobytes() == ds.y[idx].tobytes()
+
+
 def test_fpc_verify_needs_method_for_non_ridge():
     ds, _ = fpc_instance()
     prob = build_problem(ModelSpec(kind="lasso_smooth", smoothing_delta=1e-3), 1)

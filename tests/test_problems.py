@@ -426,7 +426,7 @@ def test_stacked_softmax_members_have_the_bits_of_their_own_views(B, k, kind):
         for stacked, single in zip(got, want):
             assert same_bits(stacked[b], single)
         # and the row-major softmax of X W, to rounding
-        X, Y = trains[b].X, np.eye(k)[trains[b].labels]
+        X, Y = trains[b].X, np.eye(k)[trains[b].y.astype(np.int64)]
         Z = X @ theta[b].reshape(3, k)
         P = np.exp(Z - Z.max(axis=1, keepdims=True))
         P /= P.sum(axis=1, keepdims=True)
