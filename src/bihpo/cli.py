@@ -10,6 +10,7 @@ self-verification). Exit codes: 0 success, 1 failed checks, 2 config errors
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -46,12 +47,14 @@ from .data import (
 from .diagnostics import RidgeOracle, SweepDesign, bias_variance_sweep, fpc_verify
 from .errors import ConfigError, ContractViolationError, NumericalError, ParseError
 from .hypergrad import HypergradMethod, estimate_hypergrad, finite_diff_hypergrad, inner_solve
-from .output import ensure_dir, write_csv, write_json
+from .output import write_csv, write_json
 from .problems import (
     TASK_OF_KIND,
     BilevelProblem,
+    Check,
     ModelSpec,
     build_problem,
+    rel_err,
     sigmoid,
     verify_derivatives,
 )
@@ -460,13 +463,10 @@ def _check_instances(seed: int = 20240601):
 
 
 def check_model(kind: str, problem: BilevelProblem, train: DataView, val: DataView,
-                seed: int = 13) -> list[dict]:
-    """Derivative and engine cross-checks for one model; returns check rows."""
-    rows = []
-    report = verify_derivatives(problem, train, val, trials=5, seed=seed)
-    for c in report.checks:
-        rows.append({"name": f"{kind}/deriv/{c.name}", "max_err": c.max_rel_err,
-                     "tol": c.tol, "passed": c.passed})
+                seed: int = 13) -> list[Check]:
+    """Derivative and engine cross-checks for one model, each named kind/..."""
+    checks = [dataclasses.replace(c, name=f"{kind}/deriv/{c.name}")
+              for c in verify_derivatives(problem, train, val, trials=5, seed=seed)]
 
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     lam = 0.3 * rng.standard_normal(problem.hyper_dim)
@@ -478,11 +478,8 @@ def check_model(kind: str, problem: BilevelProblem, train: DataView, val: DataVi
         method = HypergradMethod(kind=kind, K=K, alpha_in=alpha, Z=Z)
         return estimate_hypergrad(problem, lam, start, train, val, method).grad
 
-    g_itd = estimate("ITD", 5)
     g_fd = finite_diff_hypergrad(problem, lam, theta0, train, val, 5, alpha)
-    err = float(np.linalg.norm(g_itd - g_fd) / max(1.0, np.linalg.norm(g_fd)))
-    rows.append({"name": f"{kind}/itd_vs_fd", "max_err": err, "tol": 1e-4,
-                 "passed": err < 1e-4})
+    checks.append(Check(f"{kind}/itd_vs_fd", rel_err(estimate("ITD", 5) - g_fd, g_fd), 1e-4))
 
     # run_oehg's first update (one split, gd at unit step) against one-step ITD
     split = Split(train_idx=train.idx, val_idx=val.idx)
@@ -490,9 +487,7 @@ def check_model(kind: str, problem: BilevelProblem, train: DataView, val: DataVi
                       OuterOptimizer(kind="gd", alpha_out=1.0), alpha, lam, theta0,
                       deploy_view=train).lambdas[1]
     g_one = estimate("ITD", 1)
-    err = float(np.linalg.norm(lam_oe - (lam - g_one)) / max(1.0, np.linalg.norm(g_one)))
-    rows.append({"name": f"{kind}/oehg_one_step", "max_err": err, "tol": 1e-10,
-                 "passed": err < 1e-10})
+    checks.append(Check(f"{kind}/oehg_one_step", rel_err(lam_oe - (lam - g_one), g_one), 1e-10))
 
     # the FP-vs-CG agreement check needs a strictly SPD Hessian; the
     # hyperclean inner loss is unregularized (PSD only), so FP has no
@@ -500,43 +495,38 @@ def check_model(kind: str, problem: BilevelProblem, train: DataView, val: DataVi
     if problem.supports_aid and kind != "hyperclean_softmax":
         g_cg = estimate("AID_CG", 50, Z=200)
         g_fp = estimate("AID_FP", 50, Z=4000)  # fixed-point step = alpha
-        err = float(np.linalg.norm(g_cg - g_fp) / max(1.0, np.linalg.norm(g_cg)))
-        rows.append({"name": f"{kind}/aid_fp_vs_cg", "max_err": err, "tol": 1e-6,
-                     "passed": err < 1e-6})
+        checks.append(Check(f"{kind}/aid_fp_vs_cg", rel_err(g_cg - g_fp, g_cg), 1e-6))
 
     if kind == "ridge":
         oracle = RidgeOracle(train, val)
-        lam_eff = float(np.exp(lam[0]))
-        theta_hat = oracle.theta_hat(lam_eff)
-        g_aid = estimate("AID_CG", 0, start=theta_hat, Z=problem.param_dim + 2)
+        theta_hat = oracle.theta_hat(float(np.exp(lam[0])))
         exact = oracle.hypergrad_raw(float(lam[0]))
-        err = float(abs(g_aid[0] - exact) / max(1.0, abs(exact)))
-        rows.append({"name": "ridge/aid_vs_oracle", "max_err": err, "tol": 1e-6,
-                     "passed": err < 1e-6})
+        g_aid = estimate("AID_CG", 0, start=theta_hat, Z=problem.param_dim + 2)
+        checks.append(Check("ridge/aid_vs_oracle", rel_err(g_aid[0] - exact, exact), 1e-6))
         g500 = estimate("ITD", 500, start=np.zeros(problem.param_dim))
-        err = float(abs(g500[0] - exact) / max(1.0, abs(exact)))
-        rows.append({"name": "ridge/itd_bias_k500", "max_err": err, "tol": 1e-4,
-                     "passed": err < 1e-4})
-    return rows
+        checks.append(Check("ridge/itd_bias_k500", rel_err(g500[0] - exact, exact), 1e-4))
+    return checks
 
 
-def run_zoo_checks(seed: int = 20240601) -> dict:
+def run_zoo_checks(seed: int = 20240601) -> list[Check]:
+    """check_model's checks of every zoo kind, sorted by name."""
     checks = []
     for kind, (problem, train, val) in _check_instances(seed).items():
         checks.extend(check_model(kind, problem, train, val))
-    checks.sort(key=lambda c: c["name"])
-    return {"passed": all(c["passed"] for c in checks), "checks": checks}
+    return sorted(checks, key=lambda c: c.name)
 
 
 def cmd_check(out_dir: Path | None) -> int:
-    report = run_zoo_checks()
-    for c in report["checks"]:
-        status = "ok" if c["passed"] else "FAIL"
-        print(f"[{status}] {c['name']}: max_err={c['max_err']:.3e} tol={c['tol']:.1e}")
-    print(f"check: {'all passed' if report['passed'] else 'FAILURES PRESENT'}")
+    checks = run_zoo_checks()
+    passed = all(c.passed for c in checks)
+    for c in checks:
+        status = "ok" if c.passed else "FAIL"
+        print(f"[{status}] {c.name}: max_err={c.max_err:.3e} tol={c.tol:.1e}")
+    print(f"check: {'all passed' if passed else 'FAILURES PRESENT'}")
     if out_dir is not None:
-        write_json(out_dir / "check_report.json", report)
-    return 0 if report["passed"] else 1
+        rows = [{**dataclasses.asdict(c), "passed": c.passed} for c in checks]
+        write_json(out_dir / "check_report.json", {"passed": passed, "checks": rows})
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +570,7 @@ def _load_with_overrides(args) -> tuple[ExperimentConfig, Path]:
         raw = config_to_dict(cfg)
         raw["split"]["master_seed"] = int(args.seed)
         cfg = config_from_dict(raw)
-    out_dir = ensure_dir(args.out if args.out else cfg.output.dir)
-    return cfg, out_dir
+    return cfg, Path(args.out or cfg.output.dir)
 
 
 def main(argv=None) -> int:
@@ -595,13 +584,12 @@ def main(argv=None) -> int:
             if not sizes or not all(x.strip().isdecimal() for x in sizes):
                 raise ConfigError(f"--U must list ensemble sizes, got {args.U!r}", field_path="U")
             U_values = [int(x) for x in sizes]
-            out = ensure_dir(args.out) if args.out else None
+            out = Path(args.out) if args.out else None
             return cmd_fpc(args.n, args.gamma, U_values, args.samples, args.seed, out,
                            d=args.d, noise_sigma=args.noise_sigma,
                            lambda_eff=args.lambda_eff)
         if args.command == "check":
-            out = ensure_dir(args.out) if args.out else None
-            return cmd_check(out)
+            return cmd_check(Path(args.out) if args.out else None)
         raise ConfigError(f"unknown command {args.command!r}", field_path="")
     except ParseError as exc:
         where = f" (line {exc.line})" if exc.line else ""

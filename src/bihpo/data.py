@@ -175,7 +175,7 @@ class StackedView:
     the Gram pair (B, d, d) / (B, d). So every member's values have the bits
     of its own DataView's. There are three ways to build one:
     - StackedView(views) stacks the rows of the member DataViews;
-    - StackedView.from_rows(X, y) holds rows with no classes (so no one_hot);
+    - StackedView.from_rows(X, y, num_classes) holds the given rows;
     - stack.take(index) holds no rows: it gathers each value of its members,
       as it is first read, from stack or, if stack was itself taken, from
       the stack it was taken from (a slice of a stack not taken gives views
@@ -202,8 +202,9 @@ class StackedView:
         self._size, self.m = y.shape
 
     @classmethod
-    def from_rows(cls, X, y) -> StackedView:
-        """The members whose rows are X (B, m, d) and targets y (B, m)."""
+    def from_rows(cls, X, y, num_classes: int = 0) -> StackedView:
+        """The members whose rows are X (B, m, d) and targets y (B, m), of
+        num_classes classes (0 for no classes, and so no one_hot)."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 3 or 0 in X.shape[:2] or y.shape != X.shape[:2]:
@@ -212,7 +213,7 @@ class StackedView:
                 f"got {X.shape} and {y.shape}"
             )
         stack = cls.__new__(cls)
-        stack._hold(X, y, 0)
+        stack._hold(X, y, num_classes)
         return stack
 
     def take(self, index) -> StackedView:
@@ -371,18 +372,18 @@ def _complements(n: int, vals: np.ndarray) -> np.ndarray:
     return train.reshape(vals.shape[:-1] + (n - vals.shape[-1],))
 
 
-def split_stacks(X: np.ndarray, y: np.ndarray, vals: np.ndarray
+def split_stacks(X: np.ndarray, y: np.ndarray, vals: np.ndarray, num_classes: int = 0
                  ) -> tuple[StackedView, StackedView]:
     """The train and val stacks of the splits of pools X (..., n, d), y (..., n)
-    whose validation index sets are vals (..., U, m_val), in C order of vals'
-    leading axes (pool-major)."""
+    of num_classes classes whose validation index sets are vals (..., U, m_val),
+    in C order of vals' leading axes (pool-major)."""
     n, d = X.shape[-2:]
 
     def members(idx):
         rows = np.take_along_axis(X[..., None, :, :], idx[..., None], axis=-2)
         targets = np.take_along_axis(y[..., None, :], idx, axis=-1)
         return StackedView.from_rows(rows.reshape(-1, idx.shape[-1], d),
-                                     targets.reshape(-1, idx.shape[-1]))
+                                     targets.reshape(-1, idx.shape[-1]), num_classes)
 
     return members(_complements(n, vals)), members(vals)
 

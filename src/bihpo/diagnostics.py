@@ -483,7 +483,7 @@ def fpc_verify(
     if not (1 <= U <= V):
         raise ContractViolationError(f"need 1 <= U <= V = {V}, got U = {U}", field="U")
 
-    train, val = split_stacks(ds.X, ds.y, vals)
+    train, val = split_stacks(ds.X, ds.y, vals, ds.num_classes)
     if problem.kind == "ridge":
         S = RidgeOracle(train, val).hypergrad_raw(lam_raw)[:, None]  # (V, 1)
     else:

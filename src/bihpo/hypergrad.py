@@ -40,7 +40,7 @@ import numpy as np
 from .data import DataView, StackedView
 from .errors import ContractViolationError, NumericalError, require_count, require_real
 from .linalg import LinearOperator, Vec, cg_solve, fixed_point_solve, row_dot, row_norm
-from .problems import BilevelProblem, InnerBinding, check_args, check_views
+from .problems import BilevelProblem, InnerBinding, central_diff, check_args, check_views
 
 METHOD_KINDS = ("ITD", "TRHG", "AID_FP", "AID_CG")
 AID_KINDS = ("AID_FP", "AID_CG")
@@ -335,14 +335,7 @@ def finite_diff_hypergrad(
         traj = inner_solve(problem, u, theta0, train, K, alpha_in)
         return problem.outer_loss(u, traj.final, val)
 
-    g = np.zeros_like(lam)
-    for j in range(lam.shape[0]):
-        up = lam.copy()
-        um = lam.copy()
-        up[j] += eps
-        um[j] -= eps
-        g[j] = (unrolled(up) - unrolled(um)) / (2.0 * eps)
-    return g
+    return np.array([central_diff(unrolled, lam, e, eps) for e in np.eye(lam.shape[0])])
 
 
 def contraction_params(L: float, mu: float, alpha_in: float) -> float:

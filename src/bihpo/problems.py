@@ -586,26 +586,26 @@ def build_problem(spec: ModelSpec, feature_dim: int) -> BilevelProblem:
 # finite-difference verification
 
 @dataclass(frozen=True)
-class DerivativeCheck:
+class Check:
+    """One self-check: the worst error max_err it saw and its bound tol."""
+
     name: str
-    max_rel_err: float
+    max_err: float
     tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err < self.tol
+        return self.max_err < self.tol
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
-    checks: tuple[DerivativeCheck, ...]
+def rel_err(diff, scale) -> float:
+    """||diff|| / max(1, ||scale||): an error relative to its scale, absolute below 1."""
+    return float(np.linalg.norm(diff) / max(1.0, np.linalg.norm(scale)))
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[str]:
-        return [f"{c.name}: {c.max_rel_err:.3e} >= {c.tol:.1e}" for c in self.checks if not c.passed]
+def central_diff(f: Callable, x: np.ndarray, dx, h: float):
+    """(f(x + h dx) - f(x - h dx)) / 2h: the derivative of f at x along dx."""
+    return (f(x + h * dx) - f(x - h * dx)) / (2.0 * h)
 
 
 def _fd_step(x: np.ndarray) -> float:
@@ -614,23 +614,7 @@ def _fd_step(x: np.ndarray) -> float:
 
 def _fd_grad(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     h = _fd_step(x)
-    g = np.zeros_like(x)
-    for j in range(x.shape[0]):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        g[j] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
-
-
-def _rel_err(approx: np.ndarray, exact, name: str) -> float:
-    exact = np.asarray(exact)
-    if exact.shape != approx.shape:
-        raise ContractViolationError(
-            f"{name} returned shape {exact.shape}, expected {approx.shape}"
-        )
-    return float(np.linalg.norm(approx - exact) / max(1.0, np.linalg.norm(exact)))
+    return np.array([central_diff(f, x, e, h) for e in np.eye(x.shape[0])])
 
 
 def verify_derivatives(
@@ -640,13 +624,13 @@ def verify_derivatives(
     trials: int = 10,
     seed: int = 0,
     tol: float = 1e-4,
-) -> DerivativeReport:
+) -> tuple[Check, ...]:
     """Compare every analytic derivative against central finite differences.
 
-    For `trials` random (lam, theta, v) probes, reports the max relative
-    error per derivative; the report passes iff all stay below tol. A
-    derivative of the wrong shape raises ContractViolationError. A problem
-    that has_dgrad_dlam also gets inner_dgrad_dlam, against central
+    For `trials` random (lam, theta, v) probes, returns one Check per
+    derivative with its max relative error; each passes iff that stays below
+    tol. A derivative of the wrong shape raises ContractViolationError. A
+    problem that has_dgrad_dlam also gets inner_dgrad_dlam, against central
     differences of the bound inner gradient in lam.
     """
     if trials < 1:
@@ -660,7 +644,12 @@ def verify_derivatives(
     worst = dict.fromkeys(names, 0.0)
 
     def track(name, fd, exact):
-        worst[name] = max(worst[name], _rel_err(fd, exact, name))
+        exact = np.asarray(exact)
+        if exact.shape != fd.shape:
+            raise ContractViolationError(
+                f"{name} returned shape {exact.shape}, expected {fd.shape}"
+            )
+        worst[name] = max(worst[name], rel_err(fd - exact, exact))
 
     for _ in range(trials):
         lam = 0.5 * rng.standard_normal(p)
@@ -676,21 +665,17 @@ def verify_derivatives(
         track("outer_grad_lambda",
               _fd_grad(lambda u: problem.outer_loss(u, theta, val), lam),
               problem.outer_grad_lambda(lam, theta, val))
-        h = _fd_step(theta) / max(1.0, float(np.linalg.norm(v)))
-        fd_hv = (
-            problem.inner_grad_theta(lam, theta + h * v, train)
-            - problem.inner_grad_theta(lam, theta - h * v, train)
-        ) / (2.0 * h)
-        track("inner_hvp", fd_hv, problem.inner_hvp(lam, theta, train, v))
+        track("inner_hvp",
+              central_diff(lambda t: problem.inner_grad_theta(lam, t, train), theta, v,
+                           _fd_step(theta) / max(1.0, float(np.linalg.norm(v)))),
+              problem.inner_hvp(lam, theta, train, v))
         track("inner_mixed_vp",
               _fd_grad(lambda u: float(problem.inner_grad_theta(u, theta, train) @ v), lam),
               problem.inner_mixed_vp(lam, theta, train, v))
         if problem.has_dgrad_dlam:
-            h = _fd_step(lam)
-            fd_j = (problem.inner_grad_theta(lam + h, theta, train)
-                    - problem.inner_grad_theta(lam - h, theta, train)) / (2.0 * h)
-            track("inner_dgrad_dlam", fd_j,
+            track("inner_dgrad_dlam",
+                  central_diff(lambda u: problem.inner_grad_theta(u, theta, train), lam, 1.0,
+                               _fd_step(lam)),
                   problem.bind_inner(lam, train).dgrad_dlam(theta))
 
-    checks = tuple(DerivativeCheck(name, err, tol) for name, err in worst.items())
-    return DerivativeReport(checks=checks)
+    return tuple(Check(name, err, tol) for name, err in worst.items())

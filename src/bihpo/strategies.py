@@ -125,9 +125,14 @@ def _split_evals(
     grads: np.ndarray,
     train: StackedView,
     val: StackedView,
-    test_view: StackedView | None,
+    test_view: DataView | None,
 ) -> dict[str, np.ndarray]:
-    """Each split's trace values at its final inner iterate, one (U,) row per column."""
+    """Each split's trace values at its final inner iterate, one (U,) row per column.
+
+    The one test view is read against all U thetas at once: a loss on a
+    DataView broadcasts over their leading axis with the bits of U stacked
+    copies.
+    """
     # overflow at a diverged but finite iterate surfaces as the explicit
     # non-finite checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,8 +176,7 @@ def _outer_loop(
     lam, starts = lam.copy(), theta.copy()
     train = StackedView([s.train_view(ds) for s in splits])
     val = StackedView([s.val_view(ds) for s in splits])
-    split_test = (None if test_view is None or deploy is not None
-                  else StackedView([test_view] * len(splits)))
+    split_test = None if deploy is not None else test_view
     deployed = starts
     state = None
     trace = HPOTrace(lambdas=[lam.copy()])

@@ -25,6 +25,7 @@ from bihpo.config import (
     validate_config,
 )
 from bihpo.errors import ConfigError, ParseError
+from bihpo.problems import Check, verify_derivatives
 
 
 def test_cli_import_loads_numpy_random_and_no_scipy():
@@ -306,7 +307,7 @@ def test_bad_input_exits_2_with_its_field_path(tmp_path, capsys, command, raw, p
     out = tmp_path / "o"
     assert main([command, "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 2
     assert f"[{path}]" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_one_row_data_file_exits_2_naming_data_source(tmp_path, capsys):
@@ -316,7 +317,7 @@ def test_one_row_data_file_exits_2_naming_data_source(tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["tune", "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 2
         assert "[data.source]" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
 
 # values each annotation refuses; every int field is a count, so -1 too
@@ -740,8 +741,29 @@ def test_check_model_catches_wrong_gradient():
     from helpers import zoo_instance
     prob, tr, va = zoo_instance("ridge")
     clean_rows = check_model("ridge", prob, tr, va)
-    assert all(r["passed"] for r in clean_rows)
+    assert all(r.passed for r in clean_rows)
     bad_rows = check_model("ridge", _SabotagedGradient(prob), tr, va)
-    failed = [r["name"] for r in bad_rows if not r["passed"]]
+    failed = [r.name for r in bad_rows if not r.passed]
     assert failed, "sabotaged gradient must trip at least one check"
     assert any("deriv" in name for name in failed)
+
+
+def test_check_model_returns_check_records():
+    from helpers import zoo_instance
+    prob, tr, va = zoo_instance("ridge")
+    for p in (prob, _SabotagedGradient(prob)):
+        checks = check_model("ridge", p, tr, va)
+        assert checks and all(isinstance(c, Check) for c in checks)
+        assert all(c.passed == (c.max_err < c.tol) for c in checks)
+    derivs = [c.name for c in checks if "/deriv/" in c.name]
+    assert derivs == [f"ridge/deriv/{c.name}" for c in verify_derivatives(prob, tr, va)]
+
+
+def test_check_report_rows_are_check_records_sorted_by_name(tmp_path):
+    assert main(["check", "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "check_report.json").read_text(encoding="utf-8"))
+    assert report["passed"] is True
+    rows = report["checks"]
+    assert all(set(row) == {"name", "max_err", "tol", "passed"} for row in rows)
+    names = [row["name"] for row in rows]
+    assert names == sorted(set(names))

@@ -18,6 +18,7 @@ from bihpo.data import (
     enumerate_all_splits,
     full_view,
     gen_linear,
+    gen_multiclass,
     make_splits,
 )
 from bihpo.diagnostics import (
@@ -619,9 +620,8 @@ def test_fpc_verify_matches_per_split_loop(kind):
     assert abs(rep.mc_estimate - mc) <= 1e-12 * mc
 
 
-@pytest.mark.parametrize("n, d, gamma", [(6, 1, 0.5), (9, 3, 0.25)])
-def test_fpc_population_stack_holds_the_rows_of_every_enumerated_split(monkeypatch, n, d, gamma):
-    ds, _ = gen_linear(n, d, 0.5, seed=n, beta_seed=1)
+def fpc_population_stacks(monkeypatch, ds, gamma, problem, method=None):
+    """The train and val stacks fpc_verify builds of the split population, and its report."""
     stacks, draw = [], diagnostics.split_stacks
 
     def recording_draw(*args):
@@ -629,15 +629,36 @@ def test_fpc_population_stack_holds_the_rows_of_every_enumerated_split(monkeypat
         return stacks[-1]
 
     monkeypatch.setattr(diagnostics, "split_stacks", recording_draw)
-    fpc_verify(ds, gamma, U=1, lam_raw=0.0, problem=build_problem(ModelSpec(kind="ridge"), d),
-               samples=2, seed=0)
+    rep = fpc_verify(ds, gamma, U=1, lam_raw=0.0, problem=problem, samples=2, seed=0,
+                     method=method)
     (train, val), = stacks
+    return train, val, rep
+
+
+@pytest.mark.parametrize("n, d, gamma", [(6, 1, 0.5), (9, 3, 0.25)])
+def test_fpc_population_stack_holds_the_rows_of_every_enumerated_split(monkeypatch, n, d, gamma):
+    ds, _ = gen_linear(n, d, 0.5, seed=n, beta_seed=1)
+    train, val, _ = fpc_population_stacks(monkeypatch, ds, gamma,
+                                          build_problem(ModelSpec(kind="ridge"), d))
     splits = enumerate_all_splits(ds.n, gamma)
     assert len(train) == len(val) == len(splits)
     for u, split in enumerate(splits):
         for stack, idx in ((train, split.train_idx), (val, split.val_idx)):
             assert stack.X[u].tobytes() == ds.X[idx].tobytes()
             assert stack.y[u].tobytes() == ds.y[idx].tobytes()
+
+
+def test_fpc_verify_takes_a_softmax_problem_with_the_one_hot_of_every_split(monkeypatch):
+    ds, _ = gen_multiclass(10, 2, 3, 0.3, seed=1)
+    train, val, rep = fpc_population_stacks(
+        monkeypatch, ds, 0.25, build_problem(ModelSpec(kind="softmax_l2", num_classes=3), ds.d),
+        HypergradMethod(kind="ITD", K=5, alpha_in=0.1))
+    assert np.isfinite(rep.sigma_sq) and np.isfinite(rep.mc_estimate)
+    splits = enumerate_all_splits(ds.n, 0.25)
+    assert len(train) == len(val) == len(splits) == rep.V
+    for u, split in enumerate(splits):
+        for stack, view in ((train, split.train_view(ds)), (val, split.val_view(ds))):
+            assert stack.one_hot[u].tobytes() == view.one_hot.tobytes()
 
 
 def test_fpc_verify_needs_method_for_non_ridge():

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bihpo.data import Dataset, Split, SplitPlan, full_view, gen_linear, make_splits
+from bihpo.data import (
+    Dataset,
+    Split,
+    SplitPlan,
+    StackedView,
+    full_view,
+    gen_linear,
+    make_splits,
+)
 from bihpo.errors import ContractViolationError, NumericalError
 from bihpo.hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
 from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem
@@ -250,6 +258,20 @@ def test_ehg_test_view_populates_trace():
     assert np.stack(with_t.columns["test_loss"]).shape == (2, 1)
     assert np.all(np.isfinite(with_t.columns["test_loss"]))
     assert "test_loss" not in without.columns
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_test_loss_on_one_view_is_bitwise_that_on_stacked_copies(kind):
+    # the outer loop reads its test view unstacked against all U split thetas
+    prob, _, view = zoo_instance(kind)
+    U = 4
+    rng = np.random.Generator(np.random.PCG64(5))
+    lams = 0.3 * rng.standard_normal((U, prob.hyper_dim))
+    thetas = rng.standard_normal((U, prob.param_dim))
+    on_view = prob.outer_loss(lams, thetas, view)
+    assert on_view.shape == (U,)
+    assert on_view.tobytes() == prob.outer_loss(lams, thetas,
+                                                StackedView([view] * U)).tobytes()
 
 
 def test_warm_start_changes_later_iterates_but_stays_finite():
