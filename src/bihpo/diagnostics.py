@@ -140,12 +140,18 @@ class RidgeOracle:
 # ---------------------------------------------------------------------------
 # members of the diagnostics, estimated in stacked runs
 
-# Bytes of inner iterates that one stacked estimate of B members may hold:
-# B * _member_bytes. Reverse mode holds each member's trajectory, (K + 1) * r
-# * 8 bytes, and forward mode a few vectors, FORWARD_ARRAYS * r * 8. Longer
-# member stacks run as several contiguous runs. The exact ridge reference
-# solves its systems in blocks of replicates by the same budget.
+# Bytes that one stacked estimate of B members may hold: B * _member_bytes.
+# Reverse mode holds each member's trajectory, (K + 1) * r * 8 bytes, and
+# forward mode a few vectors, FORWARD_ARRAYS * r * 8; each member also holds
+# MEMBER_MATRICES r x r matrices. Longer member stacks run as several
+# contiguous runs. The exact ridge reference solves its systems in blocks of
+# replicates by the same budget.
 RUN_BYTES = 2 << 20
+# r x r matrices that a member of a run holds beside its iterates, for the
+# squared-loss kinds these diagnostics take: the train and val Gram matrices
+# that the run gathers, and the inner Hessian H = 2A + c2 I that its binding
+# builds, with the 2A it is built from
+MEMBER_MATRICES = 4
 
 
 def _replicate_stacks(design: SweepDesign, U: int, seed: int, count: int
@@ -170,9 +176,10 @@ def _replicate_stacks(design: SweepDesign, U: int, seed: int, count: int
 
 
 def _member_bytes(problem: BilevelProblem, method: HypergradMethod) -> int:
-    """Bytes of inner iterates that one member of a stacked estimate holds."""
+    """Bytes of inner iterates and matrices that one member of a stacked estimate holds."""
+    r = problem.param_dim
     arrays = FORWARD_ARRAYS if forward_mode(problem, method) else method.K + 1
-    return arrays * problem.param_dim * 8
+    return (arrays + MEMBER_MATRICES * r) * r * 8
 
 
 def _stacked_estimates(problem: BilevelProblem, method: HypergradMethod,
@@ -180,8 +187,8 @@ def _stacked_estimates(problem: BilevelProblem, method: HypergradMethod,
     """Hypergradients of the members of train and val from theta = 0, one row each.
 
     lam holds each member's raw hyperparameters, (B, p). The members run as
-    contiguous runs: a run is as many members as keep their iterates
-    (_member_bytes) within RUN_BYTES, estimated by one estimate_hypergrad
+    contiguous runs: a run is as many members as keep their iterates and
+    matrices (_member_bytes) within RUN_BYTES, estimated by one estimate_hypergrad
     call on the run's take slices of train and val, which gather the run's
     members only (a slice of a stack built from rows reads views of its
     arrays). Each member's row is bitwise the same wherever the runs are

@@ -11,7 +11,9 @@ the trajectory, so an estimate binds once and cannot mix two lams or train
 views. All hypergradients are in raw hyper coordinates because the problem
 callbacks already are. The AID operator is the binding's Hessian at theta_K,
 so all Z iterations reuse its curvature factors; the reverse pass binds the
-Hessian at each theta_k.
+Hessian at each theta_k. A quadratic inner objective (ridge, ridge_per_param)
+binds one matrix H = 2A + c2 I, and its hessian(theta) returns the same map
+for every theta, so those per-step binds build nothing.
 
 forward_hypergrad computes the same ITD and TRHG derivatives by forward
 accumulation: it carries the tangent d theta_k / d lam beside theta through

@@ -17,6 +17,14 @@ gufunc calls (np.matvec, np.vecmat, np.vecdot), so a stacked member gets
 the bits of its own unstacked call. At d = 1, _matvec is one elementwise
 multiply with the bits of np.matvec.
 
+A term whose gradient is affine in theta gives its pair (H, g), with
+grad(theta) = H theta - g: the squared loss (2A, 2b) from the Gram pair, the
+L2 penalties their diagonal. The sum of two such terms is again one, built
+once per bind as H = H_a + H_b, so a quadratic inner objective (ridge,
+ridge_per_param) steps on H = 2A + c2 I, and its hessian(theta) is the same
+prebuilt map v -> H v for every theta. Any other sum adds its terms' own
+derivatives.
+
 Hyperparameters are optimized in raw unconstrained coordinates: positive
 regularization coefficients are exponentiated (lambda_eff = exp(u)) and
 hypercleaning sample weights pass through a sigmoid, so every hypergradient
@@ -222,13 +230,17 @@ class _Term:
     """One summand of the inner objective: its value and its bound theta derivatives.
 
     bind(lam, view) computes what depends on lam and the view alone, once,
-    and returns (grad, hessian, mixed, dgrad_dlam) over theta; hessian(theta)
+    and returns the InnerBinding of the term over theta; hessian(theta)
     returns the map v -> H(theta) v, and mixed also takes the direction v.
     mixed is d/d_lam of grad contracted with v, or None for a term that does
     not read lam; hyper_dim is how many raw lam coordinates it reads and
     effective maps them to their effective scale. dgrad_dlam(theta) is
     d/d_lam of grad itself, in theta's shape, for a term that reads one
     coordinate and has_dgrad_dlam, and None otherwise.
+
+    A term whose gradient is affine in theta also has affine(lam, view),
+    which returns its (_Affine, mixed, dgrad_dlam); its bind steps on that
+    pair (see _affine_term).
     """
 
     value: Callable
@@ -236,6 +248,19 @@ class _Term:
     hyper_dim: int = 0
     effective: Callable[[Vec], Vec] = np.exp
     has_dgrad_dlam: bool = False
+    affine: Callable | None = None
+
+
+class _Affine(NamedTuple):
+    """grad(theta) = H theta - g, for a gradient affine in theta.
+
+    H is a matrix (..., r, r) or, if diagonal, its diagonal: (..., r), or
+    (..., 1) for a multiple of the identity. g is (..., r), or None for 0.
+    """
+
+    H: np.ndarray
+    g: np.ndarray | None = None
+    diagonal: bool = False
 
 
 def _matvec(A: np.ndarray, x: Vec) -> Vec:
@@ -260,15 +285,49 @@ def _quad_value(lam, theta, view):
     return row_dot(theta, _matvec(A, theta)) - 2.0 * row_dot(b, theta) + c
 
 
-def _quad_bind(lam, view):
+def _affine_binding(pair: _Affine, mixed, dgrad_dlam) -> InnerBinding:
+    """The binding of a gradient affine in theta: grad = H theta - g, and
+    hessian(theta) is the one map v -> H v, whatever theta."""
+    H, g, diagonal = pair
+    if diagonal:
+        def product(x):
+            return H * x
+    else:
+        def product(x):
+            return _matvec(H, x)
+
+    grad = product if g is None else lambda theta: product(theta) - g
+    return InnerBinding(grad, lambda theta: product, mixed, dgrad_dlam)
+
+
+def _affine_term(affine: Callable, **kwargs) -> _Term:
+    """The term whose affine(lam, view) returns (_Affine, mixed, dgrad_dlam)."""
+    return _Term(bind=lambda lam, view: _affine_binding(*affine(lam, view)), affine=affine,
+                 **kwargs)
+
+
+def _add_affine(a: _Affine, b: _Affine) -> _Affine:
+    """a + b: two matrices or two diagonals add, and a diagonal adds onto a
+    matrix's diagonal, so each entry of H is one sum."""
+    if a.diagonal == b.diagonal:
+        H = a.H + b.H
+    else:
+        matrix, diag = (b, a) if a.diagonal else (a, b)
+        H, i = matrix.H.copy(), np.arange(matrix.H.shape[-1])
+        H[..., i, i] += diag.H
+    g = b.g if a.g is None else a.g if b.g is None else a.g + b.g
+    return _Affine(H, g, a.diagonal and b.diagonal)
+
+
+def _quad_affine(lam, view):
     A, b = view.gram
-    return (lambda theta: 2.0 * (_matvec(A, theta) - b),
-            lambda theta: lambda v: 2.0 * _matvec(A, v),
-            None, None)
+    # 2 (A theta - b) with the factor 2 in H and g: scaling by 2 is exact, so
+    # both forms give the same bits
+    return _Affine(2.0 * A, 2.0 * b), None, None
 
 
 # mean squared error, from the view's Gram pair (X^T X / m, X^T y / m)
-_SQUARED = _Term(value=_quad_value, bind=_quad_bind)
+_SQUARED = _affine_term(_quad_affine, value=_quad_value)
 
 
 def _margin_loss(phi, dphi, d2phi) -> _Term:
@@ -297,7 +356,7 @@ def _margin_loss(phi, dphi, d2phi) -> _Term:
             curvature = d2phi(np.vecmat(theta, yXt))
             return lambda v: np.matvec(yXt, curvature * np.vecmat(v, yXt)) / m
 
-        return grad, hessian, None, None
+        return InnerBinding(grad, hessian, None, None)
 
     return _Term(value=value, bind=bind)
 
@@ -404,7 +463,7 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
             dZ = logits(Xt, v)
             return sig_prime * ((probs(theta) - one_hot) * dZ).sum(axis=-2) / m
 
-        return grad, hessian, None if w is None else mixed, None
+        return InnerBinding(grad, hessian, None if w is None else mixed, None)
 
     return _Term(value=value, bind=bind, hyper_dim=n_weights, effective=sigmoid)
 
@@ -415,23 +474,19 @@ def _coef(lam: Vec, j: int) -> Vec:
 
 
 def _exp_l2(j: int = 0) -> _Term:
-    """e^{u_j} ||theta||^2. Its gradient is linear in e^{u_j}, so d/d_u_j of
-    the gradient is the gradient itself: bind returns it as dgrad_dlam."""
+    """e^{u_j} ||theta||^2, whose gradient is c2 theta with c2 = 2 e^{u_j}. It
+    is linear in e^{u_j}, so d/d_u_j of the gradient is the gradient itself,
+    which affine also returns as dgrad_dlam."""
 
-    def bind(lam, view):
+    def affine(lam, view):
         c2 = 2.0 * _coef(lam, j)
-
-        def grad(theta):
-            return c2 * theta
-
-        return (grad,
-                lambda theta: lambda v: c2 * v,
+        return (_Affine(c2, diagonal=True),
                 lambda theta, v: c2 * row_dot(theta, v)[..., None],
-                grad)
+                lambda theta: c2 * theta)
 
-    return _Term(
+    return _affine_term(
+        affine,
         value=lambda lam, theta, view: _coef(lam, j)[..., 0] * row_dot(theta, theta),
-        bind=bind,
         hyper_dim=1,
         has_dgrad_dlam=True,
     )
@@ -457,10 +512,10 @@ def _exp_phuber(delta: float, j: int = 0) -> _Term:
             diag = _phuber(theta, delta)[2]
             return lambda v: c * (diag * v)
 
-        return (grad,
-                hessian,
-                lambda theta, v: c * row_dot(_phuber(theta, delta)[1], v)[..., None],
-                grad)
+        return InnerBinding(grad,
+                            hessian,
+                            lambda theta, v: c * row_dot(_phuber(theta, delta)[1], v)[..., None],
+                            grad)
 
     return _Term(
         value=lambda lam, theta, view: _coef(lam, j)[..., 0] * _phuber(theta, delta)[0],
@@ -473,7 +528,22 @@ def _exp_phuber(delta: float, j: int = 0) -> _Term:
 def _sum(a: _Term, b: _Term) -> _Term:
     """a + b. A term that does not read lam passes the other's mixed product
     and dgrad_dlam through; two that do read disjoint lam coordinates, a's
-    before b's, and have no dgrad_dlam."""
+    before b's, and have no dgrad_dlam. If both gradients are affine in
+    theta, so is the sum's, and its binding steps on one H = H_a + H_b,
+    built once per bind; otherwise it adds the two terms' own derivatives."""
+
+    def lam_part(mixed_a, dgrad_a, mixed_b, dgrad_b):
+        if mixed_a is None:
+            return mixed_b, dgrad_b
+        if mixed_b is None:
+            return mixed_a, dgrad_a
+        return (lambda theta, v: np.concatenate(
+            [mixed_a(theta, v), mixed_b(theta, v)], axis=-1)), None
+
+    def affine(lam, view):
+        (pair_a, mixed_a, dgrad_a), (pair_b, mixed_b, dgrad_b) = (
+            a.affine(lam, view), b.affine(lam, view))
+        return _add_affine(pair_a, pair_b), *lam_part(mixed_a, dgrad_a, mixed_b, dgrad_b)
 
     def bind(lam, view):
         (grad_a, hess_a, mixed_a, dgrad_a), (grad_b, hess_b, mixed_b, dgrad_b) = (
@@ -483,39 +553,32 @@ def _sum(a: _Term, b: _Term) -> _Term:
             hvp_a, hvp_b = hess_a(theta), hess_b(theta)
             return lambda v: hvp_a(v) + hvp_b(v)
 
-        if mixed_a is None:
-            mixed, dgrad = mixed_b, dgrad_b
-        elif mixed_b is None:
-            mixed, dgrad = mixed_a, dgrad_a
-        else:
-            mixed, dgrad = (lambda theta, v: np.concatenate(
-                [mixed_a(theta, v), mixed_b(theta, v)], axis=-1)), None
-        return lambda theta: grad_a(theta) + grad_b(theta), hessian, mixed, dgrad
+        return InnerBinding(lambda theta: grad_a(theta) + grad_b(theta), hessian,
+                            *lam_part(mixed_a, dgrad_a, mixed_b, dgrad_b))
 
     reader = b if b.hyper_dim else a
-    return _Term(
+    term = dict(
         value=lambda lam, theta, view: a.value(lam, theta, view) + b.value(lam, theta, view),
-        bind=bind,
         hyper_dim=a.hyper_dim + b.hyper_dim,
         effective=reader.effective,
         has_dgrad_dlam=reader.has_dgrad_dlam and not (a.hyper_dim and b.hyper_dim),
     )
+    if a.affine and b.affine:
+        return _affine_term(affine, **term)
+    return _Term(bind=bind, **term)
 
 
 def _exp_l2_per_coord(d: int) -> _Term:
     """sum_j (lambda_j theta_j)^2 with lambda_j = e^{u_j}, one u_j per coordinate."""
 
-    def bind(lam, view):
+    def affine(lam, view):
         e2 = np.exp(2.0 * lam)
         c2, c4 = 2.0 * e2, 4.0 * e2
-        return (lambda theta: c2 * theta,
-                lambda theta: lambda v: c2 * v,
-                lambda theta, v: c4 * theta * v,
-                None)
+        return _Affine(c2, diagonal=True), lambda theta, v: c4 * theta * v, None
 
-    return _Term(
+    return _affine_term(
+        affine,
         value=lambda lam, theta, view: row_dot(np.exp(2.0 * lam), theta * theta),
-        bind=bind,
         hyper_dim=d,
     )
 
@@ -534,8 +597,7 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term | None) -> B
     inner = loss if penalty is None else _sum(loss, penalty)
     p = inner.hyper_dim
 
-    def bind_inner(lam, view):
-        return InnerBinding(*inner.bind(lam, view))
+    bind_inner = inner.bind
 
     def outer_grad_lambda(lam, theta, view):
         return np.zeros(theta.shape[:-1] + (p,))

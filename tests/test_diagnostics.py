@@ -350,12 +350,12 @@ def test_sweep_memory_stays_within_the_run_budget():
                                     "oracle"], ids=["AID_CG", "oracle"])
 def test_sweep_memory_at_d20_grows_with_a_run_not_the_sweep(method):
     # 2,000 members at d = 20. AID keeps trajectories, so its members run
-    # 129 at a time, and each run gathers its own members' Gram pairs and
-    # validation rows from the replicate stack; the oracle solves its
-    # systems in blocks of 13 replicates. The replicate stack (about 1.4 MB)
-    # is alive throughout. Peaks: about 3.2 and 0.4 MB when each replicate
-    # was drawn in turn, 4.0 and 3.1 MB now; 16.0 and 7.8 MB if the member
-    # stack or the oracle held the whole sweep at once
+    # 72 at a time (129 before the run budget counted their matrices), and
+    # each run gathers its own members' Gram pairs from the replicate
+    # stack; the oracle solves its systems in blocks of 13 replicates. The replicate stack (about 1.4 MB) is alive throughout.
+    # Peaks: about 3.2 and 0.4 MB when each replicate was drawn in turn, 4.0
+    # and 3.1 MB with runs of 129; 16.0 and 7.8 MB if the member stack or
+    # the oracle held the whole sweep at once
     design = SweepDesign(n=100, d=20, noise_sigma=0.5, gamma=0.25)
     tracemalloc.start()
     try:
@@ -364,6 +364,49 @@ def test_sweep_memory_at_d20_grows_with_a_run_not_the_sweep(method):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * diagnostics.RUN_BYTES
+
+
+def test_forward_sweep_memory_at_d20_counts_the_matrices_of_a_run():
+    # 2,000 forward ITD members at d = 20 keep no trajectory, so a run's
+    # memory is the Gram matrices it gathers and the Hessian its binding
+    # builds, each r x r per member. Counting only iterates let 1,638
+    # members run at once, with peaks of 6.4 and 10.8 RUN_BYTES before and
+    # after the binding built one H; counting the matrices gives about 1.5
+    design = SweepDesign(n=100, d=20, noise_sigma=0.5, gamma=0.25)
+    method = HypergradMethod(kind="ITD", K=60, alpha_in=0.1)
+    tracemalloc.start()
+    try:
+        bias_variance_sweep(design, method, np.linspace(0.3, 3.0, 50), R=40, U=1, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * diagnostics.RUN_BYTES
+
+
+def count_runs(monkeypatch):
+    """Record the member count of every stacked estimate the diagnostics run."""
+    runs, estimate = [], diagnostics.estimate_hypergrad
+
+    def counting(problem, lam, theta0, train, val, method):
+        runs.append(len(train))
+        return estimate(problem, lam, theta0, train, val, method)
+
+    monkeypatch.setattr(diagnostics, "estimate_hypergrad", counting)
+    return runs
+
+
+def test_d1_sweep_and_variance_curve_each_run_as_one_stacked_estimate(monkeypatch):
+    # the benchmark's two diagnostic shapes at d = 1: a 50-point sweep of 120
+    # replicates (ITD, K = 500) and a variance curve of 310 members (K = 200)
+    design = SweepDesign(n=100, d=1, noise_sigma=0.5, gamma=0.25)
+    runs = count_runs(monkeypatch)
+    bias_variance_sweep(design, HypergradMethod(kind="ITD", K=500, alpha_in=0.1),
+                        np.linspace(0.3, 3.0, 50), R=120, U=1, seed=3)
+    assert runs == [6000]
+    runs.clear()
+    ensemble_variance_curve(design, HypergradMethod(kind="ITD", K=200, alpha_in=0.1), 1.0,
+                            R=10, U_list=[1, 2, 4, 8, 16], seed=3)
+    assert runs == [310]
 
 
 @pytest.mark.parametrize("runs", [1, 2])

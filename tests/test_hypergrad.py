@@ -580,6 +580,21 @@ def test_stacked_forward_member_keeps_the_bits_of_its_own_call(kind, method):
         assert_array_equal(res.inner_final[i], one.inner_final)
 
 
+@pytest.mark.parametrize("method", FORWARD_METHODS[:2], ids=lambda m: m.kind)
+def test_stacked_d1_ridge_member_keeps_the_bits_of_its_own_call(method):
+    # at d = 1 the bound H = 2A + c2 multiplies elementwise (_matvec's
+    # multiply path, which the benchmark's sweep runs) on a stack as on a view
+    trains, vals = member_views(n_members=7, d=1)
+    prob = member_problem("ridge", trains)
+    rng = np.random.Generator(np.random.PCG64(9))
+    lam = 0.4 * rng.standard_normal((len(trains), 1))
+    res = forward_hypergrad(prob, lam, np.zeros(1), StackedView(trains), StackedView(vals), method)
+    for i, (tr, va) in enumerate(zip(trains, vals)):
+        one = forward_hypergrad(prob, lam[i], np.zeros(1), tr, va, method)
+        assert res.grad[i].tobytes() == one.grad.tobytes()
+        assert res.inner_final[i].tobytes() == one.inner_final.tobytes()
+
+
 def test_forward_estimate_names_an_overflow_on_the_last_step():
     # as in test_overflowing_update_is_named_at_the_next_step: the update
     # overflows at step 27, so the recording re-run names step 28 when there

@@ -300,6 +300,74 @@ def test_binding_computes_its_lam_constants_once(monkeypatch, kind, fn, per_bind
     assert len(calls) == per_bind + 4 * per_mixed
 
 
+def fused_reference(kind, lam, A, b, theta, v):
+    """The two-term form of a quadratic inner objective: 2 (A theta - b) + c2 theta
+    and 2 A v + c2 v, with c2 the L2 term's 2 e^u (ridge) or 2 e^{2 u_j}."""
+    c2 = 2.0 * (np.exp(lam) if kind == "ridge" else np.exp(2.0 * lam))
+    A = np.asarray(A)
+    return (2.0 * ((A @ theta[..., None])[..., 0] - b) + c2 * theta,
+            2.0 * (A @ v[..., None])[..., 0] + c2 * v)
+
+
+def rel_err_at_most(got, want, tol):
+    return np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("d", [1, 5, 20])
+@pytest.mark.parametrize("kind", ["ridge", "ridge_per_param"])
+def test_quadratic_binding_steps_on_one_hessian_matrix(kind, d):
+    # the squared loss plus an L2 penalty binds H = 2A + c2 I once: every
+    # theta gets the same prebuilt map, and grad and H v agree with the
+    # two-term form to 1e-13, on a view and on a stack
+    prob = build_problem(ModelSpec(kind=kind), d)
+    trains = [regression_views(n=40, d=d, seed=s)[1] for s in (3, 4, 5)]
+    rng = np.random.Generator(np.random.PCG64(d))
+    p = prob.hyper_dim
+    for lam, view, shape in ((0.4 * rng.standard_normal(p), trains[0], (d,)),
+                             (0.4 * rng.standard_normal((3, p)), StackedView(trains), (3, d))):
+        inner = prob.bind_inner(lam, view)
+        t1, t2, v = (rng.standard_normal(shape) for _ in range(3))
+        assert inner.hessian(t1) is inner.hessian(t2)
+        A, b = view.gram
+        for theta in (t1, t2):
+            want_grad, want_hv = fused_reference(kind, lam, A, b, theta, v)
+            assert rel_err_at_most(inner.grad(theta), want_grad, 1e-13)
+            assert rel_err_at_most(inner.hessian(theta)(v), want_hv, 1e-13)
+
+
+def test_non_quadratic_binding_still_binds_its_hessian_at_each_theta():
+    prob, train, _ = zoo_instance("logistic_l2")
+    inner = prob.bind_inner(np.zeros(1), train)
+    t1, t2 = np.zeros(prob.param_dim), np.ones(prob.param_dim)
+    v = np.ones(prob.param_dim)
+    assert inner.hessian(t1) is not inner.hessian(t2)
+    assert not np.array_equal(inner.hessian(t1)(v), inner.hessian(t2)(v))
+
+
+L2_PAIR = problems._sum(problems._exp_l2(0), problems._exp_l2(1))
+
+
+@pytest.mark.parametrize("a, b", [
+    (problems._SQUARED, problems._SQUARED),
+    (problems._exp_l2(0), problems._exp_l2(1)),
+    (problems._SQUARED, L2_PAIR),
+], ids=["matrix+matrix", "diagonal+diagonal", "matrix+diagonals"])
+def test_sum_of_affine_terms_is_affine(a, b):
+    # the rule is general: any two terms with affine gradients sum to one,
+    # whose binding agrees with the sum of the two terms' own bindings
+    term = problems._sum(a, b)
+    _, train, _ = regression_views()
+    rng = np.random.Generator(np.random.PCG64(3))
+    lam = rng.standard_normal(term.hyper_dim)
+    theta, v = rng.standard_normal((2, 4))
+    inner = term.bind(lam, train)
+    assert term.affine is not None and inner.hessian(theta) is inner.hessian(v)
+    in_a, in_b = a.bind(lam, train), b.bind(lam, train)
+    assert rel_err_at_most(inner.grad(theta), in_a.grad(theta) + in_b.grad(theta), 1e-13)
+    assert rel_err_at_most(inner.hessian(theta)(v),
+                           in_a.hessian(theta)(v) + in_b.hessian(theta)(v), 1e-13)
+
+
 def test_hyperclean_weights_stay_in_unit_interval():
     prob, train, _ = zoo_instance("hyperclean_softmax")
     for u in (-50.0, -1.0, 0.0, 1.0, 50.0):
