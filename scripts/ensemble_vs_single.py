@@ -71,10 +71,10 @@ def main(argv=None):
 
         single = run_ehg(prob, pool, splits[:1], method,
                          OuterOptimizer(kind="gd", alpha_out=args.alpha_out),
-                         args.T, lam0, th0)
+                         args.T, lam0, th0, columns=False)
         ehg = run_ehg(prob, pool, splits, method,
                       OuterOptimizer(kind="gd", alpha_out=args.alpha_out),
-                      args.T, lam0, th0)
+                      args.T, lam0, th0, columns=False)
 
         loss_single = refit_test_loss(prob, pool, single.final_lambda, test_view,
                                       args.refit_K, args.alpha_in)

@@ -166,11 +166,12 @@ def _problem(cfg: ExperimentConfig, d: int, n_weights: int = 0
 
 def _run_strategy(cfg: ExperimentConfig, problem: BilevelProblem, data: Dataset,
                   splits: list[Split], lam0: np.ndarray, theta0: np.ndarray,
-                  test_view: DataView | None) -> HPOTrace:
+                  test_view: DataView | None, columns: bool = True) -> HPOTrace:
     """The configured strategy on data's splits; single is the ehg loop on the first alone.
 
     oehg deploys on the first split's train rows for hyperclean_softmax, whose
-    weights are those rows', and on all of data otherwise.
+    weights are those rows', and on all of data otherwise. columns=False skips
+    the trace columns, for a command that writes none of them.
     """
     st = cfg.strategy
     if st.kind == "oehg":
@@ -178,10 +179,10 @@ def _run_strategy(cfg: ExperimentConfig, problem: BilevelProblem, data: Dataset,
                        if cfg.problem.kind == "hyperclean_softmax" else full_view(data))
         return run_oehg(problem, data, splits, st.T, cfg.method.alpha_in, st.outer,
                         st.alpha_deploy, lam0, theta0, deploy_view=deploy_view,
-                        test_view=test_view)
+                        test_view=test_view, columns=columns)
     return run_ehg(problem, data, splits[:1] if st.kind == "single" else splits, cfg.method,
                    st.outer, st.T, lam0, theta0, test_view=test_view,
-                   warm_start=st.warm_start)
+                   warm_start=st.warm_start, columns=columns)
 
 
 class _Manifest:
@@ -339,8 +340,10 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
         {"data_seed": cfg.data.synthetic.seed, "corrupt_seed": corrupt_seed,
          "master_seed": cfg.split.master_seed, "test_seed": cfg.data.test_seed},
     ) as manifest:
-        # the test rows score the retrained fits below, not the trace
-        trace = _run_strategy(cfg, problem, dirty, [split], lam0, theta0, test_view=None)
+        # clean writes only the learned weights: its trace keeps no columns, and
+        # the test rows score the retrained fits below
+        trace = _run_strategy(cfg, problem, dirty, [split], lam0, theta0, test_view=None,
+                              columns=False)
         u = trace.final_lambda
         sig = sigmoid(u)
         threshold = cfg.clean.threshold

@@ -88,7 +88,8 @@ class HPOTrace:
     columns holds the per-split trace values by name, each a list with one
     (U,) row per outer step, row t taken at lambdas[t]: hypergrad_norm,
     train_loss, val_loss and, when the run has a test view, test_loss (for
-    oehg the deployed model's loss, the same for every split).
+    oehg the deployed model's loss, the same for every split). A run made
+    with columns=False evaluates none of them and leaves columns empty.
     final_thetas holds the per-split inner solutions at the final lambda
     (ehg) or the shadow iterates (oehg); deployed_theta is oehg-only.
     """
@@ -160,13 +161,16 @@ def _outer_loop(
     test_view: DataView | None,
     warm_start: bool,
     deploy: tuple[float, DataView] | None = None,
+    columns: bool = True,
 ) -> HPOTrace:
     """The outer loop of both strategies; the module docstring describes it.
 
     deploy = (alpha_deploy, deploy_view) adds the deployed model, whose loss is
     then the test loss; without it each split is evaluated on test_view and
-    solved once more at the final lambda. A NumericalError of an outer step
-    is raised again naming the step and, when it names a member, the split.
+    solved once more at the final lambda. columns=False skips every trace
+    column (_split_evals and the deployed test loss); the lambda path and the
+    final models are the same. A NumericalError of an outer step is raised
+    again naming the step and, when it names a member, the split.
     """
     if T < 1:
         raise ContractViolationError("T must be >= 1")
@@ -184,17 +188,24 @@ def _outer_loop(
         try:
             lams = lam[None].repeat(len(splits), axis=0)  # one row per split
             res = estimate_hypergrad(problem, lams, starts, train, val, method)
-            row = _split_evals(problem, lams, res.inner_final, res.grad, train, val, split_test)
+            row = (_split_evals(problem, lams, res.inner_final, res.grad, train, val, split_test)
+                   if columns else {})
             if warm_start:
                 starts = res.inner_final
-            lam, state = optimizer_step(opt, lam, ordered_mean(res.grad), state)
+            # a finite but huge hypergradient can overflow lambda or Adam's
+            # second moment (which would freeze lambda); that surfaces as this
+            # explicit check, not a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                lam, state = optimizer_step(opt, lam, ordered_mean(res.grad), state)
+            if not (np.isfinite(lam).all() and (state is None or np.isfinite(state[1]).all())):
+                raise NumericalError("outer update became non-finite")
             if deploy is not None:
                 alpha_deploy, deploy_view = deploy
                 # overflow surfaces as the explicit non-finite checks, not a warning
                 with np.errstate(over="ignore", invalid="ignore"):
                     update = alpha_deploy * problem.inner_grad_theta(lam, deployed, deploy_view)
                     deployed = _finite_or_abort(deployed - update, "deployed model")
-                    if test_view is not None:
+                    if columns and test_view is not None:
                         test_loss = problem.outer_loss(lam, deployed, test_view)
                         row["test_loss"] = np.full(len(splits),
                                                    _finite_or_abort(test_loss, "test loss"))
@@ -225,16 +236,18 @@ def run_ehg(
     theta0: Vec,
     test_view: DataView | None = None,
     warm_start: bool = False,
+    columns: bool = True,
 ) -> HPOTrace:
     """Ensemble strategy: lambda steps on the mean of U per-split hypergradients.
 
     Every outer step re-solves each split's inner problem from theta0 (or from
     the previous iterate when warm_start). After the last lambda update each
     split is solved once more at the final lambda so final_thetas matches it.
-    With one split this is the single-split strategy.
+    With one split this is the single-split strategy. columns=False skips the
+    trace columns, for callers that read only lambdas and final_thetas.
     """
     return _outer_loop(problem, ds, splits, method, opt, T, lam0, theta0, test_view,
-                       warm_start)
+                       warm_start, columns=columns)
 
 
 def run_oehg(
@@ -249,12 +262,15 @@ def run_oehg(
     theta0: Vec,
     deploy_view: DataView | None = None,
     test_view: DataView | None = None,
+    columns: bool = True,
 ) -> HPOTrace:
     """Online ensemble strategy: run_ehg's loop with warm-started one-step ITD.
 
     After each lambda update the deployed model takes one GD step of size
     alpha_deploy on deploy_view (default: the full dataset); trace test losses
-    are its losses, and final_thetas are the shadow iterates.
+    are its losses, and final_thetas are the shadow iterates. columns=False
+    skips the trace columns, the deployed model's test loss among them; the
+    deployed model itself is still stepped and checked for finiteness.
     """
     if not alpha_deploy > 0:
         raise ContractViolationError("alpha_deploy must be > 0")
@@ -262,4 +278,4 @@ def run_oehg(
     if deploy_view is None:
         deploy_view = full_view(ds)
     return _outer_loop(problem, ds, splits, one_step, opt, T, lam0, theta0, test_view,
-                       warm_start=True, deploy=(alpha_deploy, deploy_view))
+                       warm_start=True, deploy=(alpha_deploy, deploy_view), columns=columns)

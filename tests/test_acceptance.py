@@ -219,7 +219,7 @@ def test_criterion_08_hyper_cleaning_recovers_corrupted_labels():
                          opt=OuterOptimizer(kind="adam", alpha_out=0.05),
                          alpha_deploy=0.5, lam0=np.zeros(n_w),
                          theta0=np.zeros(prob.param_dim),
-                         deploy_view=split.train_view(dirty))
+                         deploy_view=split.train_view(dirty), columns=False)
         flagged = sigmoid(trace.final_lambda) < 0.5
         tp = int(np.sum(flagged & mask_train))
         fp = int(np.sum(flagged & ~mask_train))

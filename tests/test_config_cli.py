@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bihpo import config
+from bihpo import config, strategies
 from bihpo.cli import check_model, main
 from bihpo.config import (
     _SECTION_TYPES,
@@ -652,6 +652,35 @@ def test_clean_honours_warm_start(tmp_path):
         weights[warm] = [r["raw_weight"] for r in read_rows(out / "weights.csv")]
     assert len(weights[True]) == len(weights[False])
     assert weights[True] != weights[False]
+
+
+def test_clean_evaluates_no_trace_column(tmp_path, monkeypatch):
+    # clean writes only the learned weights, so its outer steps compute no
+    # per-split losses or hypergradient norms
+    def refuse(*args, **kwargs):
+        raise AssertionError("clean evaluated a trace column")
+
+    monkeypatch.setattr(strategies, "_split_evals", refuse)
+    cfg = write_cfg(tmp_path, clean_dict())
+    out = tmp_path / "cl"
+    assert main(["clean", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(read_rows(out / "weights.csv")) > 1
+
+
+@pytest.mark.parametrize("outer", [{"kind": "adam", "alpha_out": 0.05},
+                                   {"kind": "gd", "alpha_out": 1e10}])
+def test_overflowing_outer_update_exits_3_without_warnings(tmp_path, capsys, recwarn, outer):
+    # alpha_in = 1e305 gives a finite hypergradient whose square (Adam's second
+    # moment) or whose step (gd) overflows; clean has no trace column that
+    # would overflow first
+    cfg = write_cfg(tmp_path, clean_dict(method={"alpha_in": 1e305},
+                                         strategy={"outer": outer}))
+    out = tmp_path / "cl"
+    assert main(["clean", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "outer update became non-finite at outer step 0" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["failed_step"] == 0
+    assert len(recwarn) == 0
 
 
 def test_tune_and_clean_learn_the_same_weights(tmp_path):

@@ -135,6 +135,42 @@ def test_run_single_two_steps_match_hand_replication():
     assert_array_equal(trace.final_lambda, lam)
     assert sorted(trace.columns) == ["hypergrad_norm", "train_loss", "val_loss"]
     assert all(len(rows) == 2 for rows in trace.columns.values())
+    bare = run_ehg(prob, ds, [split], method, OuterOptimizer(kind="gd", alpha_out=0.4), 2,
+                   lam0, th0, test_view=full_view(ds), columns=False)
+    assert bare.columns == {}
+
+
+def _same_run(a, b):
+    # bitwise the same lambda path, final thetas and deployed model
+    for x, y in [(a.lambdas, b.lambdas), (a.final_thetas, b.final_thetas),
+                 ([a.deployed_theta], [b.deployed_theta])]:
+        assert len(x) == len(y)
+        assert all(u is v is None or u.tobytes() == v.tobytes() for u, v in zip(x, y))
+
+
+@pytest.mark.parametrize("warm_start", [False, True])
+def test_ehg_without_columns_takes_the_same_path(warm_start):
+    prob, ds, splits = ridge_setup(U=3)
+    runs = [run_ehg(prob, ds, splits, ITD25, OuterOptimizer(kind="adam", alpha_out=0.1), 5,
+                    np.array([0.3]), np.zeros(3), test_view=full_view(ds),
+                    warm_start=warm_start, columns=columns)
+            for columns in (True, False)]
+    assert sorted(runs[0].columns) == ["hypergrad_norm", "test_loss", "train_loss", "val_loss"]
+    assert runs[1].columns == {}
+    _same_run(*runs)
+
+
+def test_oehg_without_columns_takes_the_same_path():
+    prob, ds, splits = ridge_setup(U=3)
+    runs = [run_oehg(prob, ds, splits, T=5, alpha_in=0.08,
+                     opt=OuterOptimizer(kind="adam", alpha_out=0.1), alpha_deploy=0.05,
+                     lam0=np.array([0.3]), theta0=np.zeros(3), test_view=full_view(ds),
+                     columns=columns)
+            for columns in (True, False)]
+    assert "test_loss" in runs[0].columns
+    assert runs[1].columns == {}
+    assert runs[1].deployed_theta is not None
+    _same_run(*runs)
 
 
 def test_run_rejects_bad_plan():
