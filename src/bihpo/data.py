@@ -328,11 +328,15 @@ def make_splits(n: int, plan: SplitPlan) -> list[Split]:
 
 
 def _draw_val_sets(n: int, plan: SplitPlan) -> np.ndarray:
-    """The validation index sets of make_splits, ascending, one row per split: (U, m_val).
+    """The validation index sets of make_splits, ascending, one row per split: (U, m_val)."""
+    vals = np.empty((plan.U, _plan_val_size(n, plan)), dtype=np.int64)
+    _fill_val_sets(vals, n, plan.mode, plan.master_seed)
+    return vals
 
-    Split i draws from derive_seed(plan.master_seed, i); without_replacement
-    redraws a set that an earlier split already has.
-    """
+
+def _plan_val_size(n: int, plan: SplitPlan) -> int:
+    """m_val of plan's splits of range(n), once the plan is feasible there:
+    without_replacement refuses U > C(n, m_val), naming split.U."""
     m_val = val_size(n, plan.gamma)
     if plan.mode == "without_replacement":
         total = math.comb(n, m_val)
@@ -342,15 +346,25 @@ def _draw_val_sets(n: int, plan: SplitPlan) -> np.ndarray:
                 f"C({n}, {m_val}) = {total} exist",
                 field_path="split.U",
             )
+    return m_val
+
+
+def _fill_val_sets(vals: np.ndarray, n: int, mode: str, master_seed: int) -> None:
+    """Fill vals (U, m_val) with the validation sets of a feasible plan of
+    range(n) in mode, drawn from master_seed, one ascending row per split.
+
+    Split i draws from derive_seed(master_seed, i); without_replacement
+    redraws a set that an earlier split already has.
+    """
+    U, m_val = vals.shape
     seen: set[bytes] = set()  # each val is a sorted int64 array, so its bytes are exact
-    budget = 1000 * plan.U + 1000
-    vals = np.empty((plan.U, m_val), dtype=np.int64)
-    for i in range(plan.U):
-        rng = _rng(derive_seed(plan.master_seed, i))
+    budget = 1000 * U + 1000
+    for i in range(U):
+        rng = _rng(derive_seed(master_seed, i))
         while True:
             val = np.sort(rng.choice(n, size=m_val, replace=False))
             key = val.tobytes()
-            if plan.mode == "with_replacement" or key not in seen:
+            if mode == "with_replacement" or key not in seen:
                 break
             budget -= 1
             if budget <= 0:
@@ -360,7 +374,6 @@ def _draw_val_sets(n: int, plan: SplitPlan) -> np.ndarray:
                 )
         seen.add(key)
         vals[i] = val
-    return vals
 
 
 def _complements(n: int, vals: np.ndarray) -> np.ndarray:

@@ -21,11 +21,11 @@ from .data import (
     StackedView,
     _all_val_sets,
     _draw_linear,
-    _draw_val_sets,
+    _fill_val_sets,
+    _plan_val_size,
     _require_gamma,
     derive_seed,
     split_stacks,
-    val_size,
 )
 from .errors import (
     ContractViolationError,
@@ -161,16 +161,18 @@ def _replicate_stacks(design: SweepDesign, U: int, seed: int, count: int
     Replicate j draws gen_linear's rows from derive_seed(seed, 2j) and its U
     splits, as make_splits does, from the SplitPlan whose master seed is
     derive_seed(seed, 2j + 1). So member j * U + u holds the rows of split
-    u's train and val views of replicate j's dataset.
+    u's train and val views of replicate j's dataset. The plan differs
+    between replicates only in its master seed, so it is built and checked
+    once, before any replicate is drawn.
     """
     n, d = design.n, design.d
+    plan = SplitPlan(U=U, gamma=design.gamma, mode=design.mode)
     X, y = np.empty((count, n, d)), np.empty((count, n))
-    vals = np.empty((count, U, val_size(n, design.gamma)), dtype=np.int64)
+    vals = np.empty((count, U, _plan_val_size(n, plan)), dtype=np.int64)
     for j in range(count):
         X[j], y[j] = _draw_linear(n, d, design.noise_sigma, derive_seed(seed, 2 * j),
                                   design.beta_seed)
-        vals[j] = _draw_val_sets(n, SplitPlan(U=U, gamma=design.gamma, mode=design.mode,
-                                              master_seed=derive_seed(seed, 2 * j + 1)))
+        _fill_val_sets(vals[j], n, plan.mode, derive_seed(seed, 2 * j + 1))
 
     return split_stacks(X, y, vals)
 

@@ -117,6 +117,13 @@ class InnerBinding(NamedTuple):
     dgrad_dlam(theta) is J = d/d_lam grad(theta) for the one raw lam
     coordinate, in theta's shape, which forward mode steps with; it is None
     where the problem's has_dgrad_dlam is False.
+
+    Every bound function returns a new array, which shares no memory with
+    its arguments, the view or an earlier result, so its caller may
+    overwrite it: the stepping loops of hypergrad scale and subtract in
+    place on it. A function may leave numpy's overflow warnings to its
+    caller (the logistic gradient does): the loops run under np.errstate,
+    and the per-call callbacks of BilevelProblem enter it themselves.
     """
 
     grad: Callable[[Vec], Vec]
@@ -270,12 +277,15 @@ def _matvec(A: np.ndarray, x: Vec) -> Vec:
     At d = 1 the product is one multiply, A[..., 0] * x, in place of
     np.matvec's one BLAS call per member (a fifth of the time at 6,000
     members). np.matvec accumulates from +0, so where the product is -0.0 it
-    returns +0.0; the + 0.0 turns -0.0 into +0.0 and leaves every other
-    value alone, +-inf and NaN included, so both paths give the same bits.
+    returns +0.0; adding 0.0, in place on the product, turns -0.0 into +0.0
+    and leaves every other value alone, +-inf and NaN included, so both
+    paths give the same bits.
     An x whose last axis is not 1 still goes to np.matvec, which refuses it.
     """
     if A.shape[-1] == 1 == x.shape[-1]:
-        return A[..., 0] * x + 0.0
+        out = A[..., 0] * x
+        out += 0.0
+        return out
     return np.matvec(A, x)
 
 
@@ -296,8 +306,13 @@ def _affine_binding(pair: _Affine, mixed, dgrad_dlam) -> InnerBinding:
         def product(x):
             return _matvec(H, x)
 
-    grad = product if g is None else lambda theta: product(theta) - g
-    return InnerBinding(grad, lambda theta: product, mixed, dgrad_dlam)
+    def grad(theta):
+        out = product(theta)
+        out -= g
+        return out
+
+    return InnerBinding(product if g is None else grad, lambda theta: product, mixed,
+                        dgrad_dlam)
 
 
 def _affine_term(affine: Callable, **kwargs) -> _Term:
@@ -372,9 +387,11 @@ def _logistic_dphi(t):
     return -1.0 / (1.0 + np.exp(t))
 
 
+# the binding steps with the bare function: every caller of a binding runs
+# under np.errstate (see InnerBinding), so the guard of each call is not needed
 _LOGISTIC = _margin_loss(
     lambda t: np.logaddexp(0.0, -t),
-    _logistic_dphi,
+    _logistic_dphi.__wrapped__,
     lambda t: sigmoid(t) * sigmoid(-t),
 )
 # the squared hinge has a piecewise-linear gradient: its Hessian jumps at the
@@ -592,12 +609,22 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term | None) -> B
     Exactly one of the two terms reads lam (the penalty, or a weighted loss
     with no penalty); its raw coordinates are the hyperparameters. The outer
     objective does not read lam, so its lam gradient is zero. The three
-    inner theta derivatives are bind_inner's, bound for the one call.
+    inner theta derivatives are bind_inner's, bound for the one call. The
+    two gradients run under np.errstate(over="ignore"), which the stepping
+    loops enter once and a per-call caller does not (see InnerBinding).
     """
     inner = loss if penalty is None else _sum(loss, penalty)
     p = inner.hyper_dim
 
     bind_inner = inner.bind
+
+    @np.errstate(over="ignore")
+    def inner_grad_theta(lam, theta, view):
+        return bind_inner(lam, view).grad(theta)
+
+    @np.errstate(over="ignore")
+    def outer_grad_theta(lam, theta, view):
+        return loss.bind(None, view).grad(theta)
 
     def outer_grad_lambda(lam, theta, view):
         return np.zeros(theta.shape[:-1] + (p,))
@@ -607,11 +634,11 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term | None) -> B
         param_dim=param_dim,
         bind_inner=bind_inner,
         inner_loss=inner.value,
-        inner_grad_theta=lambda lam, theta, view: bind_inner(lam, view).grad(theta),
+        inner_grad_theta=inner_grad_theta,
         inner_hvp=lambda lam, theta, view, v: bind_inner(lam, view).hessian(theta)(v),
         inner_mixed_vp=lambda lam, theta, view, v: bind_inner(lam, view).mixed(theta, v),
         outer_loss=lambda lam, theta, view: loss.value(None, theta, view),
-        outer_grad_theta=lambda lam, theta, view: loss.bind(None, view)[0](theta),
+        outer_grad_theta=outer_grad_theta,
         outer_grad_lambda=outer_grad_lambda,
         effective=inner.effective,
         kind=kind,

@@ -1,5 +1,6 @@
 """Closed-form ridge oracle, bias-variance decomposition, variance scaling, FPC."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -32,7 +33,12 @@ from bihpo.diagnostics import (
     fpc_with_replacement,
     fpc_without_replacement,
 )
-from bihpo.errors import ContractViolationError, NumericalError, SingularMatrixError
+from bihpo.errors import (
+    ContractViolationError,
+    InfeasiblePlanError,
+    NumericalError,
+    SingularMatrixError,
+)
 from bihpo.hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
 from bihpo.problems import ModelSpec, build_problem
 
@@ -460,6 +466,39 @@ def test_replicate_stacks_hold_the_rows_of_gen_linear_and_make_splits(U, mode):
             for stack, idx in ((train, split.train_idx), (val, split.val_idx)):
                 assert stack.X[j * U + u].tobytes() == ds.X[idx].tobytes()
                 assert stack.y[j * U + u].tobytes() == ds.y[idx].tobytes()
+
+
+def test_replicate_stacks_redraw_duplicate_splits_as_make_splits_does():
+    # n = 4 at gamma = 1 gives m_val = 2, and U = 6 asks for all C(4, 2) = 6
+    # validation sets: every replicate must redraw the sets its earlier
+    # splits already hold
+    design = SweepDesign(n=4, d=2, noise_sigma=0.5, gamma=1.0, beta_seed=4)
+    train, val = _replicate_stacks(design, 6, 21, 3)
+    for j in range(3):
+        ds, _ = gen_linear(design.n, design.d, design.noise_sigma, seed=derive_seed(21, 2 * j),
+                           beta_seed=design.beta_seed)
+        plan = SplitPlan(U=6, gamma=1.0, master_seed=derive_seed(21, 2 * j + 1))
+        splits = make_splits(ds.n, plan)
+        assert len({s.val_idx.tobytes() for s in splits}) == 6
+        for u, split in enumerate(splits):
+            for stack, idx in ((train, split.train_idx), (val, split.val_idx)):
+                assert stack.X[j * 6 + u].tobytes() == ds.X[idx].tobytes()
+                assert stack.y[j * 6 + u].tobytes() == ds.y[idx].tobytes()
+
+
+def test_replicate_stacks_refuse_an_infeasible_plan_before_any_draw(monkeypatch):
+    draws = []
+    monkeypatch.setattr(diagnostics, "_draw_linear", lambda *args: draws.append(args))
+    design = SweepDesign(n=4, d=2, noise_sigma=0.5, gamma=1.0)
+    with pytest.raises(InfeasiblePlanError) as err:
+        _replicate_stacks(design, 7, 21, 3)
+    assert err.value.field_path == "split.U"
+    assert "C(4, 2) = 6" in str(err.value)
+    assert draws == []
+    # with replacement, the same U is a plan like any other
+    monkeypatch.undo()
+    train, _ = _replicate_stacks(dataclasses.replace(design, mode="with_replacement"), 7, 21, 3)
+    assert len(train) == 21
 
 
 def record_stacks(monkeypatch):

@@ -611,6 +611,70 @@ def test_forward_estimate_names_an_overflow_on_the_last_step():
         assert err.value.step_index == step
 
 
+# ---------------------------------------------------------------------------
+# the loops step in place on arrays of their own
+
+IN_PLACE_METHODS = [HypergradMethod(kind="ITD", K=12, alpha_in=0.05),
+                    HypergradMethod(kind="TRHG", K=12, alpha_in=0.05, h=5),
+                    HypergradMethod(kind="AID_CG", K=12, alpha_in=0.05, Z=5)]
+
+
+@pytest.mark.parametrize("start", ["view", "shared", "per_member"])
+@pytest.mark.parametrize("kind", ["ridge", "logistic_l2", "elastic_net"])
+def test_estimates_never_write_into_their_callers_arrays(kind, start):
+    # ridge and logistic_l2 run ITD and TRHG forward, elastic_net by the
+    # reverse pass; a DataView's theta0 and a stack's (B, r) theta0 reach the
+    # loops as the caller's own arrays
+    trains, vals = member_views(kind=kind)
+    prob = member_problem(kind, trains)
+    p, r = prob.hyper_dim, prob.param_dim
+    rng = np.random.Generator(np.random.PCG64(3))
+    if start == "view":
+        train, val, lam = trains[0], vals[0], 0.3 * rng.standard_normal(p)
+    else:
+        train, val = StackedView(trains), StackedView(vals)
+        lam = 0.3 * rng.standard_normal((5, p))
+    theta0 = 0.1 * rng.standard_normal((5, r) if start == "per_member" else r)
+    inputs = [lam, theta0] + [x for view in (train, val) for x in (view.X, view.y, *view.gram)]
+    before = [x.copy() for x in inputs]
+
+    traj = inner_solve(prob, lam, theta0, train, 12, 0.05)
+    thetas = traj.thetas
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(thetas) for b in thetas[i + 1:])
+    assert not any(np.shares_memory(t, theta0) for t in thetas)
+    recorded = [t.copy() for t in thetas]
+    itd_hypergrad(prob, traj, val)
+    itd_hypergrad(prob, traj, val, h=5)
+    aid_hypergrad(prob, traj, val, IN_PLACE_METHODS[2])
+    assert all(t.tobytes() == u.tobytes() for t, u in zip(traj.thetas, recorded))
+    if prob.has_dgrad_dlam:
+        for method in IN_PLACE_METHODS[:2]:
+            forward_hypergrad(prob, lam, theta0, train, val, method)
+    for method in IN_PLACE_METHODS:
+        res = estimate_hypergrad(prob, lam, theta0, train, val, method)
+        assert not np.shares_memory(res.inner_final, theta0)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(inputs, before))
+
+
+def test_diverging_forward_estimate_from_a_callers_stack_names_the_step_and_member():
+    # the recording re-run starts from the caller's (B, r) theta0, which the
+    # forward pass must leave as it was given
+    trains, vals = member_views()
+    trains[2], vals[2] = scaled_member(2, 30.0)
+    prob = build_problem(ModelSpec(kind="ridge"), 3)
+    method = HypergradMethod(kind="ITD", K=400, alpha_in=0.1)
+    assert forward_mode(prob, method)
+    theta0 = np.full((5, 3), 0.01)
+    with pytest.raises(NumericalError) as err:
+        estimate_hypergrad(prob, np.zeros((5, 1)), theta0, StackedView(trains),
+                           StackedView(vals), method)
+    expected = stepwise_failure(prob, np.zeros(1), np.full((5, 3), 0.01), StackedView(trains),
+                                400, 0.1)
+    assert (err.value.step_index, err.value.member) == expected
+    assert expected[0] > 0 and expected[1] == 2
+    assert np.all(theta0 == 0.01)
+
+
 def test_stacked_views_refused_for_bad_shapes():
     trains, vals = member_views()
     ridge = build_problem(ModelSpec(kind="ridge"), 3)

@@ -32,7 +32,7 @@ from bihpo.problems import (
     sigmoid,
     verify_derivatives,
 )
-from helpers import zoo_instance
+from helpers import zoo_dataset, zoo_instance, zoo_problem
 
 RIDGE = build_problem(ModelSpec(kind="ridge"), 1)
 
@@ -278,6 +278,50 @@ def test_one_binding_gives_the_bits_of_the_callbacks(kind):
                                      prob.inner_hvp(lam[b], theta[b], train, v[b]))
                     assert same_bits(inner.mixed(theta, v)[b],
                                      prob.inner_mixed_vp(lam[b], theta[b], train, v[b]))
+
+
+def view_arrays(view):
+    """Every array a view holds or derives (read here, so each is materialized)."""
+    arrays = [view.X, view.y, view.Xt, *view.gram]
+    if isinstance(view, DataView):
+        arrays += [view.dataset.X, view.dataset.y]
+        classes = view.dataset.num_classes
+    else:
+        classes = view.num_classes
+    return arrays + [view.one_hot] if classes else arrays
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_every_bound_function_returns_a_fresh_array(kind, d):
+    # the stepping loops scale and subtract in place on what a binding
+    # returns, so no result may alias its arguments, the view, the binding's
+    # own arrays or an earlier result
+    trains = []
+    for seed in (11, 12, 13):
+        ds = zoo_dataset(kind, 24, d, seed=seed)
+        trains.append(make_splits(ds.n, SplitPlan(U=1, gamma=0.25, master_seed=seed))[0]
+                      .train_view(ds))
+    n_weights = trains[0].m if kind == "hyperclean_softmax" else 0
+    prob = zoo_problem(kind, trains[0].dataset, n_weights, smoothing_delta=0.5)
+    rng = np.random.Generator(np.random.PCG64(8))
+    p, r = prob.hyper_dim, prob.param_dim
+    for lam, view, shape in ((0.3 * rng.standard_normal(p), trains[0], (r,)),
+                             (0.3 * rng.standard_normal((3, p)), StackedView(trains), (3, r))):
+        theta, v = rng.standard_normal(shape), rng.standard_normal(shape)
+        inner = prob.bind_inner(lam, view)
+        calls = [lambda: inner.grad(theta), lambda: inner.hessian(theta)(v),
+                 lambda: inner.mixed(theta, v)]
+        if prob.has_dgrad_dlam:
+            calls.append(lambda: inner.dgrad_dlam(theta))
+        held = [theta, v, lam, *view_arrays(view)]
+        before = [x.copy() for x in held]
+        for call in calls:
+            first, second = call(), call()
+            assert isinstance(first, np.ndarray) and first.flags.writeable
+            assert not np.shares_memory(first, second)
+            assert not any(np.shares_memory(first, x) for x in held)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(held, before))
 
 
 @pytest.mark.parametrize("kind, fn, per_bind, per_mixed", [

@@ -160,6 +160,23 @@ def test_ehg_without_columns_takes_the_same_path(warm_start):
     _same_run(*runs)
 
 
+@pytest.mark.parametrize("method", [ITD25, HypergradMethod(kind="AID_CG", K=25, alpha_in=0.08,
+                                                            Z=5)], ids=["ITD", "AID_CG"])
+def test_warm_started_ehg_never_writes_into_its_callers_arrays(method):
+    # each warm start is the previous estimate's theta_K, which forward mode
+    # stepped in place; the next estimate must step on a copy of it
+    prob, ds, splits = ridge_setup(U=3)
+    lam0, theta0 = np.array([0.3]), np.full(3, 0.1)
+    inputs = [lam0, theta0, ds.X, ds.y]
+    before = [x.copy() for x in inputs]
+    runs = [run_ehg(prob, ds, splits, method, OuterOptimizer(kind="adam", alpha_out=0.1), 5,
+                    lam0, theta0, test_view=full_view(ds), warm_start=True)
+            for _ in range(2)]
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(inputs, before))
+    assert not any(np.shares_memory(t, theta0) for t in runs[0].final_thetas)
+    _same_run(*runs)
+
+
 def test_oehg_without_columns_takes_the_same_path():
     prob, ds, splits = ridge_setup(U=3)
     runs = [run_oehg(prob, ds, splits, T=5, alpha_in=0.08,
