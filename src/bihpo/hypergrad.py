@@ -18,7 +18,8 @@ for every theta, so those per-step binds build nothing.
 The loops step in place: an update scales and subtracts in place on the new
 array that a bound function returns (see InnerBinding), into a running
 theta, tangent or adjoint that is the loop's own. inner_solve copies theta0
-and keeps every theta_k as an array of its own; forward_hypergrad copies its
+and keeps every theta_k as an array of its own (the new array of its step's
+gradient, which the update is written into); forward_hypergrad copies its
 start, which may be the caller's array. Each in-place operation has the
 operands of the expression it replaces, in either order, so it rounds alike.
 
@@ -159,7 +160,7 @@ def inner_solve(
         for _ in range(K):
             g = grad(theta)
             g *= alpha_in
-            theta = theta - g
+            theta = np.subtract(theta, g, out=g)  # theta - g, into the new g
             thetas.append(theta)
         if not np.all(np.isfinite(theta)):
             _raise_first_nonfinite_gradient(grad, thetas)
@@ -192,8 +193,9 @@ def forward_mode(problem: BilevelProblem, method: HypergradMethod) -> bool:
 # (r,) arrays that one member of a forward pass holds at once, temporaries
 # included: the start and theta, the tangent, the update being built, the
 # array a bound call returns into it, and at the end the outer gradient with
-# its temporaries. For ridge, tracemalloc reads 7 at r = 1, where the (p,)
-# rows of the outer step count as whole arrays, and 5 at r = 20.
+# its temporaries. For ridge and lasso_smooth, tracemalloc reads 7 at r = 1,
+# where the (p,) rows of the outer step count as whole arrays, and 5 for
+# ridge at r = 20.
 FORWARD_ARRAYS = 8
 
 

@@ -119,11 +119,15 @@ class InnerBinding(NamedTuple):
     where the problem's has_dgrad_dlam is False.
 
     Every bound function returns a new array, which shares no memory with
-    its arguments, the view or an earlier result, so its caller may
-    overwrite it: the stepping loops of hypergrad scale and subtract in
-    place on it. A function may leave numpy's overflow warnings to its
-    caller (the logistic gradient does): the loops run under np.errstate,
-    and the per-call callbacks of BilevelProblem enter it themselves.
+    its arguments, the view, an earlier result or what the binding keeps,
+    so its caller may overwrite it: the stepping loops of hypergrad scale
+    and subtract in place on it. A binding may keep what it computed at the
+    last theta it saw, keyed by a copy of theta's bits, never by the array's
+    identity: the softmax binding keeps its probabilities there, which its
+    grad, hessian and mixed read at a theta with those bits and never write
+    into. A function may leave numpy's overflow warnings to its caller (the
+    logistic gradient does): the loops run under np.errstate, and the
+    per-call callbacks of BilevelProblem enter it themselves.
     """
 
     grad: Callable[[Vec], Vec]
@@ -403,14 +407,21 @@ _SQ_HINGE = _margin_loss(
 )
 
 
-def _log_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Class-major logits Z (..., k, m): the shifted logits Z - max, their sum
-    of exponentials S (..., 1, m), and the probabilities E / S, each over the
-    class axis -2; the log-probabilities are Z - max - log S."""
+def _log_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class-major logits Z (..., k, m): the shifted logits Z - max and their
+    sum of exponentials S (..., 1, m), each over the class axis -2; the
+    log-probabilities are Z - max - log S."""
     Zs = Z - Z.max(axis=-2, keepdims=True)
-    E = np.exp(Zs)
-    S = E.sum(axis=-2, keepdims=True)
-    return Zs, S, E / S
+    return Zs, np.exp(Zs).sum(axis=-2, keepdims=True)
+
+
+def _softmax(Z: np.ndarray) -> np.ndarray:
+    """The probabilities E / S of class-major logits Z (..., k, m), with E and S
+    those of _log_softmax, computed in place on Z, which the caller hands over."""
+    Z -= Z.max(axis=-2, keepdims=True)
+    np.exp(Z, out=Z)
+    Z /= Z.sum(axis=-2, keepdims=True)
+    return Z
 
 
 def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
@@ -425,6 +436,15 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
     With n_weights, the inner loss weighs row i by sigmoid(u_i): the i-th raw
     weight belongs to the i-th row of the (ascending-index) train view, so
     weighted calls require views with exactly n_weights rows.
+
+    A binding keeps the probabilities P at the last theta it evaluated, in
+    one slot keyed by theta's shape and bytes (a copy, so a theta stepped in
+    place is seen as the new point it is). grad, hessian and mixed read P
+    from the slot at a theta with those bits and compute and store it
+    otherwise: one softmax serves the grad and mixed of an OEHG step, the
+    mixed and hessian of each reverse step, and the hessian and grad of each
+    forward step. None of them writes into P, so every output is still a new
+    array.
     """
     r = d * k
 
@@ -442,7 +462,7 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
         return x.reshape(x.shape[:-1] + (d, k)).swapaxes(-1, -2) @ Xt
 
     def value(lam, theta, view):
-        Zs, S, _ = _log_softmax(logits(view.Xt, theta))
+        Zs, S = _log_softmax(logits(view.Xt, theta))
         # the one-hot column picks the label's shifted logit exactly: the others add zeros
         ce = np.log(S[..., 0, :]) - (Zs * view.one_hot).sum(axis=-2)
         w = weights(lam, view)
@@ -453,32 +473,45 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
         w = weights(lam, view)
         w_row = None if w is None else w[..., None, :]
 
+        last = [None, None]  # the key of the last theta evaluated, and its P
+
         def back(G):
             """(G X)^T / m for G (..., k, m), flattened to theta's layout (..., r)."""
-            out = (G @ X) / m
+            out = G @ X
+            out /= m
             return out.swapaxes(-1, -2).reshape(out.shape[:-2] + (r,))
 
         def probs(theta):
-            return _log_softmax(logits(Xt, theta))[2]
+            key = theta.shape, theta.tobytes()
+            if key != last[0]:
+                last[:] = key, _softmax(logits(Xt, theta))
+            return last[1]
+
+        def weighted(G):
+            if w_row is not None:
+                G *= w_row
+            return G
 
         def grad(theta):
-            G = probs(theta) - one_hot
-            return back(G if w_row is None else G * w_row)
+            return back(weighted(probs(theta) - one_hot))
 
         def hessian(theta):
             P = probs(theta)
 
             def hvp(v):
                 PdZ = P * logits(Xt, v)
-                term = PdZ - P * PdZ.sum(axis=-2, keepdims=True)
-                return back(term if w_row is None else term * w_row)
+                return back(weighted(PdZ - P * PdZ.sum(axis=-2, keepdims=True)))
 
             return hvp
 
         def mixed(theta, v):
             sig_prime = w * sigmoid(-lam)
-            dZ = logits(Xt, v)
-            return sig_prime * ((probs(theta) - one_hot) * dZ).sum(axis=-2) / m
+            G = probs(theta) - one_hot
+            G *= logits(Xt, v)
+            out = G.sum(axis=-2)
+            out *= sig_prime
+            out /= m
+            return out
 
         return InnerBinding(grad, hessian, None if w is None else mixed, None)
 
@@ -509,10 +542,28 @@ def _exp_l2(j: int = 0) -> _Term:
     )
 
 
-def _phuber(theta: Vec, delta: float) -> tuple[Vec, Vec, Vec]:
-    """Pseudo-Huber sum_j (sqrt(theta_j^2 + delta^2) - delta): value, grad, diag Hessian."""
-    s = np.sqrt(theta * theta + delta * delta)
-    return np.sum(s - delta, axis=-1), theta / s, (delta * delta) / (s * s * s)
+# The pseudo-Huber sum_j (sqrt(theta_j^2 + delta^2) - delta) and its theta
+# derivatives each read the root s = sqrt(theta^2 + delta^2) alone, and each
+# caller computes only the one it reads, in place on its own fresh root.
+
+def _phuber_root(theta: Vec, delta: float) -> Vec:
+    s = theta * theta
+    s += delta * delta
+    return np.sqrt(s, out=s)
+
+
+def _phuber_grad(theta: Vec, delta: float) -> Vec:
+    """theta / s, the pseudo-Huber gradient."""
+    s = _phuber_root(theta, delta)
+    return np.divide(theta, s, out=s)
+
+
+def _phuber_diag(theta: Vec, delta: float) -> Vec:
+    """delta^2 / s^3, the diagonal of the pseudo-Huber Hessian."""
+    s = _phuber_root(theta, delta)
+    cube = s * s
+    cube *= s
+    return np.divide(delta * delta, cube, out=cube)
 
 
 def _exp_phuber(delta: float, j: int = 0) -> _Term:
@@ -523,19 +574,32 @@ def _exp_phuber(delta: float, j: int = 0) -> _Term:
         c = _coef(lam, j)
 
         def grad(theta):
-            return c * _phuber(theta, delta)[1]
+            g = _phuber_grad(theta, delta)
+            g *= c
+            return g
 
         def hessian(theta):
-            diag = _phuber(theta, delta)[2]
-            return lambda v: c * (diag * v)
+            diag = _phuber_diag(theta, delta)
+
+            def hvp(v):
+                out = diag * v
+                out *= c
+                return out
+
+            return hvp
 
         return InnerBinding(grad,
                             hessian,
-                            lambda theta, v: c * row_dot(_phuber(theta, delta)[1], v)[..., None],
+                            lambda theta, v: c * row_dot(_phuber_grad(theta, delta), v)[..., None],
                             grad)
 
+    def value(lam, theta, view):
+        s = _phuber_root(theta, delta)
+        s -= delta
+        return _coef(lam, j)[..., 0] * np.sum(s, axis=-1)
+
     return _Term(
-        value=lambda lam, theta, view: _coef(lam, j)[..., 0] * _phuber(theta, delta)[0],
+        value=value,
         bind=bind,
         hyper_dim=1,
         has_dgrad_dlam=True,
@@ -566,12 +630,23 @@ def _sum(a: _Term, b: _Term) -> _Term:
         (grad_a, hess_a, mixed_a, dgrad_a), (grad_b, hess_b, mixed_b, dgrad_b) = (
             a.bind(lam, view), b.bind(lam, view))
 
+        # each bound function returns a new array, so the sum adds in place on a's
+        def grad(theta):
+            out = grad_a(theta)
+            out += grad_b(theta)
+            return out
+
         def hessian(theta):
             hvp_a, hvp_b = hess_a(theta), hess_b(theta)
-            return lambda v: hvp_a(v) + hvp_b(v)
 
-        return InnerBinding(lambda theta: grad_a(theta) + grad_b(theta), hessian,
-                            *lam_part(mixed_a, dgrad_a, mixed_b, dgrad_b))
+            def hvp(v):
+                out = hvp_a(v)
+                out += hvp_b(v)
+                return out
+
+            return hvp
+
+        return InnerBinding(grad, hessian, *lam_part(mixed_a, dgrad_a, mixed_b, dgrad_b))
 
     reader = b if b.hyper_dim else a
     term = dict(

@@ -70,15 +70,26 @@ def optimizer_step(
         raise ContractViolationError(
             f"lam shape {lam.shape} does not match gradient shape {g.shape}"
         )
+    # each update runs in place on an array of its own (the new moments, or a
+    # temporary), with the operands of lam - alpha * m_hat / (sqrt(v_hat) + eps)
     if opt.kind == "gd":
-        return lam - opt.alpha_out * g, None
+        step = opt.alpha_out * g
+        return np.subtract(lam, step, out=step), None
     m, v, t = state if state is not None else (np.zeros_like(lam), np.zeros_like(lam), 0)
     t += 1
-    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    return lam - opt.alpha_out * m_hat / (np.sqrt(v_hat) + ADAM_EPS), (m, v, t)
+    m = ADAM_BETA1 * m
+    m += (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v
+    gg = g * g
+    gg *= 1.0 - ADAM_BETA2
+    v += gg
+    step = m / (1.0 - ADAM_BETA1**t)  # m_hat
+    den = v / (1.0 - ADAM_BETA2**t)  # v_hat
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    step *= opt.alpha_out
+    step /= den
+    return np.subtract(lam, step, out=step), (m, v, t)
 
 
 @dataclass

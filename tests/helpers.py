@@ -6,6 +6,7 @@ draw from their own seeds.
 
 import numpy as np
 
+from bihpo import problems
 from bihpo.cli import _zoo_dataset as zoo_dataset  # noqa: F401
 from bihpo.cli import _zoo_instance
 from bihpo.cli import _zoo_problem as zoo_problem  # noqa: F401
@@ -27,3 +28,10 @@ def zoo_lambda(problem, scale=0.3, seed=21):
     """A mild random raw hyper vector sized for the problem."""
     rng = np.random.Generator(np.random.PCG64(seed))
     return scale * rng.standard_normal(problem.hyper_dim)
+
+
+def count_softmax_rows(monkeypatch):
+    """The row count m of every softmax a binding evaluates, in call order."""
+    rows, original = [], problems._softmax
+    monkeypatch.setattr(problems, "_softmax", lambda Z: rows.append(Z.shape[-1]) or original(Z))
+    return rows

@@ -39,7 +39,13 @@ from bihpo.errors import (
     NumericalError,
     SingularMatrixError,
 )
-from bihpo.hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
+from bihpo.hypergrad import (
+    FORWARD_ARRAYS,
+    HypergradMethod,
+    estimate_hypergrad,
+    forward_hypergrad,
+    inner_solve,
+)
 from bihpo.problems import ModelSpec, build_problem
 
 DESIGN = SweepDesign(n=60, d=2, noise_sigma=0.5, gamma=0.25)
@@ -387,6 +393,34 @@ def test_forward_sweep_memory_at_d20_counts_the_matrices_of_a_run():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * diagnostics.RUN_BYTES
+
+
+@pytest.mark.parametrize("kind", ["ridge", "lasso_smooth"])
+def test_a_forward_member_holds_at_most_forward_arrays(kind):
+    # the run budget gives a forward member FORWARD_ARRAYS (r,) arrays beside
+    # its MEMBER_MATRICES r x r ones: the two Gram matrices of its views, read
+    # here before tracing starts, and the two its binding builds (2A, and H
+    # for ridge). At r = 1 every array a member holds is one value, so the
+    # peak counts them all; the outer step's (p,) rows count as whole arrays.
+    # Ridge reads 7, and lasso_smooth 7 too (10 when each pseudo-Huber call
+    # computed the value, the gradient and the Hessian diagonal together)
+    B = 6000
+    rng = np.random.Generator(np.random.PCG64(2))
+    train, val = (StackedView.from_rows(rng.standard_normal((B, 20, 1)),
+                                        rng.standard_normal((B, 20))) for _ in range(2))
+    train.gram, val.gram
+    prob = build_problem(ModelSpec(kind=kind, smoothing_delta=0.5), 1)
+    lam, theta0 = np.full((B, 1), -0.5), 0.1 * rng.standard_normal((B, 1))
+    method = HypergradMethod(kind="ITD", K=5, alpha_in=0.05)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        forward_hypergrad(prob, lam, theta0, train, val, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (peak - base) / (B * 8) - (diagnostics.MEMBER_MATRICES - 2)
+    assert round(arrays) <= FORWARD_ARRAYS
 
 
 def count_runs(monkeypatch):

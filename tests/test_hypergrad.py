@@ -25,7 +25,7 @@ from bihpo.hypergrad import (
 )
 from bihpo import problems
 from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem
-from helpers import zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
+from helpers import count_softmax_rows, zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
 
 RIDGE1 = build_problem(ModelSpec(kind="ridge"), 1)
 
@@ -245,6 +245,21 @@ def test_aid_evaluates_the_curvature_once_per_solve(monkeypatch):
         per_solve.append(len(calls))
         assert res.diagnostics["solver_iters"].max() > (5 if Z == 20 else 4)
     assert per_solve[0] == per_solve[1]
+
+
+def test_reverse_pass_evaluates_the_softmax_once_per_point(monkeypatch):
+    # the reverse pass reads the probabilities at theta_k in its mixed and
+    # Hessian products; the binding evaluates them once for both, and the
+    # solve's last gradient, at theta_{K-1}, leaves them in the binding's slot
+    prob, tr, va = zoo_instance("hyperclean_softmax")
+    assert tr.m != va.m
+    rows = count_softmax_rows(monkeypatch)
+    traj = inner_solve(prob, zoo_lambda(prob), np.zeros(prob.param_dim), tr, 3, 0.1)
+    assert rows == [tr.m] * 3
+    rows.clear()
+    itd_hypergrad(prob, traj, va)
+    # the outer gradient at theta_3, then theta_1 and theta_0 (theta_2's is the solve's)
+    assert rows == [va.m, tr.m, tr.m]
 
 
 def test_aid_refused_for_nonsmooth_hessian():

@@ -28,6 +28,7 @@ from bihpo.problems import (
     MODEL_KINDS,
     ModelSpec,
     _log_softmax,
+    _softmax,
     build_problem,
     sigmoid,
     verify_derivatives,
@@ -280,6 +281,33 @@ def test_one_binding_gives_the_bits_of_the_callbacks(kind):
                                      prob.inner_mixed_vp(lam[b], theta[b], train, v[b]))
 
 
+def derivative(inner, name, theta, v):
+    """One bound derivative at theta: grad, the Hessian product with v, or the mixed product."""
+    if name == "grad":
+        return inner.grad(theta)
+    if name == "hessian":
+        return inner.hessian(theta)(v)
+    return inner.mixed(theta, v)
+
+
+def binding_arrays(*functions):
+    """Every array that bound functions reach through their closures: the
+    constants of the bind and what a binding keeps between calls."""
+    arrays, seen, todo = [], set(), list(functions)
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            arrays.append(x)
+        elif isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif callable(x):
+            todo.extend(cell.cell_contents for cell in getattr(x, "__closure__", None) or ())
+    return arrays
+
+
 def view_arrays(view):
     """Every array a view holds or derives (read here, so each is materialized)."""
     arrays = [view.X, view.y, view.Xt, *view.gram]
@@ -296,7 +324,9 @@ def view_arrays(view):
 def test_every_bound_function_returns_a_fresh_array(kind, d):
     # the stepping loops scale and subtract in place on what a binding
     # returns, so no result may alias its arguments, the view, the binding's
-    # own arrays or an earlier result
+    # own arrays (the softmax slot of probabilities among them) or an earlier
+    # result. A second call at the same theta reads the slot where a binding
+    # keeps one
     trains = []
     for seed in (11, 12, 13):
         ds = zoo_dataset(kind, 24, d, seed=seed)
@@ -316,12 +346,47 @@ def test_every_bound_function_returns_a_fresh_array(kind, d):
             calls.append(lambda: inner.dgrad_dlam(theta))
         held = [theta, v, lam, *view_arrays(view)]
         before = [x.copy() for x in held]
+        outputs = []
         for call in calls:
-            first, second = call(), call()
-            assert isinstance(first, np.ndarray) and first.flags.writeable
-            assert not np.shares_memory(first, second)
-            assert not any(np.shares_memory(first, x) for x in held)
+            outputs += [call(), call()]
+            assert all(isinstance(x, np.ndarray) and x.flags.writeable for x in outputs[-2:])
+        kept = binding_arrays(*inner, inner.hessian(theta))
+        assert kept
+        for i, out in enumerate(outputs):
+            assert not any(np.shares_memory(out, x) for x in held + kept + outputs[:i])
         assert all(x.tobytes() == y.tobytes() for x, y in zip(held, before))
+        # nor does overwriting a result reach a later one through the slot
+        fresh = prob.bind_inner(lam, view)
+        inner.grad(theta).fill(np.nan)
+        for name in ("mixed", "hessian", "grad"):
+            assert same_bits(derivative(inner, name, theta, v), derivative(fresh, name, theta, v))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["view", "stacked"])
+@pytest.mark.parametrize("kind", ["softmax_l2", "hyperclean_softmax"])
+def test_softmax_slot_keys_theta_by_its_value(kind, stacked):
+    # the binding keeps the probabilities at the last theta it evaluated; the
+    # loops step theta in place on one array, so a slot keyed by the array's
+    # identity would hand the old point's probabilities to the new point
+    members = [zoo_instance(kind, seed=s) for s in (11, 12, 13)]
+    prob = members[0][0]
+    view = StackedView([train for _, train, _ in members]) if stacked else members[0][1]
+    shape = (3, prob.param_dim) if stacked else (prob.param_dim,)
+    rng = np.random.Generator(np.random.PCG64(4))
+    lam = 0.3 * rng.standard_normal(shape[:-1] + (prob.hyper_dim,))
+    first, second, v = rng.standard_normal((3,) + shape)
+    for before in ("grad", "hessian", "mixed"):
+        for after in ("grad", "hessian", "mixed"):
+            inner, fresh = prob.bind_inner(lam, view), prob.bind_inner(lam, view)
+            theta = first.copy()
+            derivative(inner, before, theta, v)
+            theta[...] = second
+            assert same_bits(derivative(inner, after, theta, v),
+                             derivative(fresh, after, second, v))
+    if not stacked:  # the same bytes in another shape are another point
+        inner = prob.bind_inner(lam, view)
+        inner.grad(first)
+        assert same_bits(inner.grad(first[None]), prob.bind_inner(lam, view).grad(first[None]))
 
 
 @pytest.mark.parametrize("kind, fn, per_bind, per_mixed", [
@@ -499,7 +564,8 @@ def test_class_axis_folds_match_numpy_reductions(rows, k):
     def rows_of(A):
         return [A[..., j:j + 1, :] for j in range(k)]
 
-    Zs, S, P = _log_softmax(Z)
+    Zs, S = _log_softmax(Z)
+    P = _softmax(Z.copy())
     M = functools.reduce(np.maximum, rows_of(Z))
     assert Zs.tobytes() == (Z - M).tobytes()
     E = np.exp(Zs)
@@ -527,16 +593,18 @@ def test_stacked_softmax_members_have_the_bits_of_their_own_views(B, k, kind):
     lam = 0.5 * rng.standard_normal((B, prob.hyper_dim))
     theta, v = rng.standard_normal((2, B, prob.param_dim))
     train, val = StackedView(trains), StackedView(vals)
-    inner = prob.bind_inner(lam, train)
-    got = (inner.grad(theta), inner.hessian(theta)(v), inner.mixed(theta, v),
-           prob.inner_loss(lam, theta, train), prob.outer_loss(lam, theta, val))
+    losses = (prob.inner_loss(lam, theta, train), prob.outer_loss(lam, theta, val))
+    # in either call order at one theta: the later calls read the first's probabilities
+    for order in (("grad", "hessian", "mixed"), ("grad", "mixed", "hessian")):
+        inner = prob.bind_inner(lam, train)
+        got = {name: derivative(inner, name, theta, v) for name in order}
+        for b in range(B):
+            own = prob.bind_inner(lam[b], trains[b])
+            for name in order:
+                assert same_bits(got[name][b], derivative(own, name, theta[b], v[b]))
     for b in range(B):
-        own = prob.bind_inner(lam[b], trains[b])
-        want = (own.grad(theta[b]), own.hessian(theta[b])(v[b]), own.mixed(theta[b], v[b]),
-                prob.inner_loss(lam[b], theta[b], trains[b]),
-                prob.outer_loss(lam[b], theta[b], vals[b]))
-        for stacked, single in zip(got, want):
-            assert same_bits(stacked[b], single)
+        assert same_bits(losses[0][b], prob.inner_loss(lam[b], theta[b], trains[b]))
+        assert same_bits(losses[1][b], prob.outer_loss(lam[b], theta[b], vals[b]))
         # and the row-major softmax of X W, to rounding
         X, Y = trains[b].X, np.eye(k)[trains[b].y.astype(np.int64)]
         Z = X @ theta[b].reshape(3, k)
@@ -546,7 +614,7 @@ def test_stacked_softmax_members_have_the_bits_of_their_own_views(B, k, kind):
         data_grad = (X.T @ ((P - Y) * w) / m).ravel()
         if kind == "softmax_l2":
             data_grad = data_grad + 2.0 * np.exp(lam[b, 0]) * theta[b]
-        assert np.linalg.norm(got[0][b] - data_grad) <= 1e-13 * np.linalg.norm(data_grad)
+        assert np.linalg.norm(got["grad"][b] - data_grad) <= 1e-13 * np.linalg.norm(data_grad)
 
 
 @pytest.mark.parametrize("method", [HypergradMethod(kind="ITD", K=30, alpha_in=0.2),
@@ -590,8 +658,8 @@ def test_log_softmax_is_finite_and_silent_at_huge_logits():
                   [800.0, 800.0, -800.0, 800.0]]).T.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        Zs, S, P = _log_softmax(Z)
-        P_stacked = _log_softmax(np.stack([Z, -Z]))[2]
+        Zs, S = _log_softmax(Z)
+        P, P_stacked = _softmax(Z.copy()), _softmax(np.stack([Z, -Z]))
     for probs in (P, P_stacked[0], P_stacked[1]):
         assert np.all(np.isfinite(probs))
         assert_allclose(probs.sum(axis=-2), 1.0, rtol=0.0, atol=1e-15)

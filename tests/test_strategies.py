@@ -18,8 +18,14 @@ from bihpo.data import (
 from bihpo.errors import ContractViolationError, NumericalError
 from bihpo.hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
 from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem
-from bihpo.strategies import OuterOptimizer, optimizer_step, run_ehg, run_oehg
-from helpers import zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
+from bihpo.strategies import (
+    OPTIMIZER_KINDS,
+    OuterOptimizer,
+    optimizer_step,
+    run_ehg,
+    run_oehg,
+)
+from helpers import count_softmax_rows, zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
 
 ITD25 = HypergradMethod(kind="ITD", K=25, alpha_in=0.08)
 
@@ -78,6 +84,25 @@ def test_adam_state_is_returned_not_kept():
     (first, state), (second, _) = replay(), replay()
     assert_array_equal(first, second)
     assert state[2] == 3
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_optimizer_step_never_writes_into_what_it_is_given(kind):
+    # the update runs in place on arrays of its own: the lam, g and moments
+    # it is given keep their bits, and what it returns shares no memory with them
+    opt = OuterOptimizer(kind=kind, alpha_out=0.05)
+    lam, state = np.array([0.4, -0.7, 1.2]), None
+    for g in (np.array([0.5, -2.0, 0.1]), np.array([-0.3, 0.2, 4.0]), np.zeros(3)):
+        given = [lam, g] + ([] if state is None else list(state[:2]))
+        before = [x.copy() for x in given]
+        new_lam, new_state = optimizer_step(opt, lam, g, state)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(given, before))
+        returned = [new_lam] + ([] if new_state is None else list(new_state[:2]))
+        for i, x in enumerate(returned):
+            assert not any(np.shares_memory(x, y) for y in given + returned[:i])
+        if state is not None:
+            assert new_state[2] == state[2] + 1
+        lam, state = new_lam, new_state
 
 
 def test_runs_sharing_an_adam_optimizer_are_independent():
@@ -414,6 +439,21 @@ def test_oehg_validation():
     with pytest.raises(ContractViolationError, match="alpha_deploy"):
         run_oehg(prob, ds, splits, T=1, alpha_in=0.1, opt=opt,
                  alpha_deploy=0.0, lam0=np.array([0.0]), theta0=np.zeros(3))
+
+
+def test_an_oehg_step_evaluates_one_softmax_on_its_train_binding(monkeypatch):
+    # one-step ITD reads the probabilities at theta_0 in the inner step's
+    # grad and again in the reverse pass's mixed; its binding evaluates them
+    # once. The outer gradient reads the validation rows, and the deployed
+    # model's step binds the train rows again, on its own binding
+    prob, ds, splits, deploy_view = kind_setup("hyperclean_softmax", U=1)
+    m_train, m_val = len(splits[0].train_idx), len(splits[0].val_idx)
+    assert m_train != m_val and deploy_view.m == m_train
+    rows = count_softmax_rows(monkeypatch)
+    run_oehg(prob, ds, splits, 1, 0.05, OuterOptimizer(kind="adam", alpha_out=0.05), 0.05,
+             zoo_lambda(prob), np.zeros(prob.param_dim), deploy_view=deploy_view,
+             columns=False)
+    assert rows == [m_train, m_val, m_train]
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
