@@ -100,9 +100,10 @@ class DataView:
     """Read-only row view of a dataset, canonicalized to ascending indices.
 
     Caches the materialized rows, their feature-major copy and class-major
-    one-hot labels for the softmax loss, and, for quadratic losses, the Gram
-    pair (X^T X / m, X^T y / m), so repeated gradient calls on the same view
-    cost O(d^2) instead of O(m d^2).
+    one-hot labels for the softmax loss, the label-folded feature-major rows
+    for the margin losses, and, for quadratic losses, the Gram pair
+    (X^T X / m, X^T y / m), so repeated gradient calls on the same view
+    cost O(d^2) instead of O(m d^2), and repeated binds fold no rows.
     """
 
     dataset: Dataset
@@ -137,6 +138,11 @@ class DataView:
         return _feature_major(self.X)
 
     @cached_property
+    def yXt(self) -> np.ndarray:
+        """The rows with their labels folded in, feature-major, C-contiguous: (d, m)."""
+        return _folded(self.X, self.y)
+
+    @cached_property
     def one_hot(self) -> np.ndarray:
         """The labels one-hot and class-major: (k, m)."""
         return _one_hot(self.y, self.dataset.num_classes)
@@ -151,6 +157,11 @@ class DataView:
 def _feature_major(X: np.ndarray) -> np.ndarray:
     """The rows feature-major, C-contiguous: (..., d, m)."""
     return np.ascontiguousarray(X.swapaxes(-1, -2))
+
+
+def _folded(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The rows times their labels, y_i x_ij, feature-major, C-contiguous: (..., d, m)."""
+    return np.multiply(y[..., None, :], X.swapaxes(-1, -2), order="C")
 
 
 def _one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
@@ -171,8 +182,9 @@ class StackedView:
 
     Holds its members' rows X (B, m, d), targets y (B, m) and class count,
     and derives from them on first read, by the formulas a DataView uses,
-    the feature-major rows Xt (B, d, m), the one-hot labels (B, k, m) and
-    the Gram pair (B, d, d) / (B, d). So every member's values have the bits
+    the feature-major rows Xt (B, d, m), the label-folded rows yXt
+    (B, d, m), the one-hot labels (B, k, m) and the Gram pair (B, d, d) /
+    (B, d). So every member's values have the bits
     of its own DataView's. There are three ways to build one:
     - StackedView(views) stacks the rows of the member DataViews;
     - StackedView.from_rows(X, y, num_classes) holds the given rows;
@@ -251,6 +263,10 @@ class StackedView:
     @cached_property
     def Xt(self) -> np.ndarray:
         return self._gather("Xt") if self._taken else _feature_major(self.X)
+
+    @cached_property
+    def yXt(self) -> np.ndarray:
+        return self._gather("yXt") if self._taken else _folded(self.X, self.y)
 
     @cached_property
     def one_hot(self) -> np.ndarray:

@@ -69,6 +69,9 @@ class LinearOperator:
     apply must be linear; the iterative solvers additionally assume symmetry
     (and, for convergence guarantees, positive definiteness), which is not
     checked here. Batched solves pass (B, dim) rows, one system per member.
+    A call checks the shapes of its argument and its result; the iterative
+    solvers call the operator once, for their first product, and apply
+    itself for the others.
     """
 
     dim: int
@@ -109,8 +112,12 @@ def cg_solve(
     A (B, dim) right-hand side solves B systems at once: each member stops on
     its own rule and keeps its iterate from then on, and an error also names
     the first failing member. iters_used then counts the iterations until the
-    last member stopped (one op call each); counts, a (B,) int array, if
+    last member stopped (one op product each); counts, a (B,) int array, if
     given receives each member's own count.
+
+    The first product goes through op, which checks its shapes, and the
+    others call op.apply. While every member is live, the steps take no
+    masks; once one has stopped, each step masks the stopped members out.
     """
     b = _as_batch(b, op.dim, "b")
     if max_iters < 0:
@@ -121,35 +128,46 @@ def cg_solve(
     r = b.copy()
     rs = row_dot(r, r)
     live = np.sqrt(rs) > target  # members still iterating
+    every = live.all()  # no member has stopped yet
     iters = np.zeros(live.shape, dtype=np.int64)
     p = r.copy()
+    product = op
     for it in range(1, max_iters + 1):
-        if not live.any():
+        if not (every or live.any()):
             break
-        Ap = op(p)
+        Ap = product(p)
+        product = op.apply
         pAp = row_dot(p, Ap)
-        broken = live & ~(np.isfinite(pAp) & (pAp > 0.0))
-        if broken.any():
-            i = _first_member(broken)
+        ok = (pAp > 0.0) & (pAp < np.inf)  # False at NaN, +-inf and pAp <= 0
+        if not every:
+            ok |= ~live  # a stopped member never breaks down
+        if not ok.all():
+            i = _first_member(~ok)
             raise NumericalError(
                 f"cg breakdown at iteration {it}: p^T A p = {pAp if i is None else pAp[i]}",
                 step_index=it, member=i,
             )
-        # finished members take a zero step, so x and r stay where they stopped
-        alpha = np.where(live, rs, 0.0) / np.where(live, pAp, 1.0)
-        x = x + alpha[..., None] * p
-        r = r - alpha[..., None] * Ap
+        # stopped members take a zero step, so x and r stay where they stopped
+        alpha = rs / pAp if every else np.where(live, rs, 0.0) / np.where(live, pAp, 1.0)
+        x += alpha[..., None] * p
+        r -= alpha[..., None] * Ap
         rs_new = row_dot(r, r)
-        bad = ~np.isfinite(rs_new)
-        if bad.any():
+        finite = np.isfinite(rs_new)
+        if not finite.all():
             raise NumericalError(
                 f"cg produced non-finite residual at iteration {it}",
-                step_index=it, member=_first_member(bad),
+                step_index=it, member=_first_member(~finite),
             )
-        iters = np.where(live, it, iters)
-        live = live & (np.sqrt(rs_new) > target)
-        beta = np.where(live, rs_new, 0.0) / np.where(live, rs, 1.0)
-        p = r + beta[..., None] * p
+        if every:
+            iters[...] = it
+            live = np.sqrt(rs_new) > target
+            every = live.all()
+        else:
+            iters = np.where(live, it, iters)
+            live = live & (np.sqrt(rs_new) > target)
+        beta = rs_new / rs if every else np.where(live, rs_new, 0.0) / np.where(live, rs, 1.0)
+        p *= beta[..., None]
+        p += r
         rs = rs_new
     return x, _iterations_run(iters, counts)
 
@@ -164,7 +182,9 @@ def fixed_point_solve(
     Stops on ||op v - b|| <= tol * max(1, ||b||); raises NumericalError if the
     residual grows for 10 consecutive iterations (divergence) or goes
     non-finite, naming the iteration. A (B, dim) right-hand side solves B
-    systems at once, and iters_used and counts report as in cg_solve.
+    systems at once, and iters_used and counts report as in cg_solve; as
+    there, only the first product checks its shapes, and the steps take
+    masks only once a member has stopped.
     """
     b = _as_batch(b, op.dim, "b")
     if max_iters < 0:
@@ -178,20 +198,31 @@ def fixed_point_solve(
     growth = np.zeros(target.shape, dtype=np.int64)
     iters = np.zeros(target.shape, dtype=np.int64)
     live = np.ones(target.shape, dtype=bool)  # members still iterating
+    every = True  # no member has stopped yet
+    product = op
     for it in range(1, max_iters + 1):
-        res = op(v) - b
+        res = product(v) - b
+        product = op.apply
         rnorm = row_norm(res)
-        bad = live & ~np.isfinite(rnorm)
-        if bad.any():
+        ok = np.isfinite(rnorm)
+        if not every:
+            ok |= ~live
+        if not ok.all():
             raise NumericalError(
                 f"fixed-point iteration produced non-finite residual at iteration {it}",
-                step_index=it, member=_first_member(bad),
+                step_index=it, member=_first_member(~ok),
             )
-        live = live & (rnorm > target)
-        if not live.any():
+        if every:
+            live = rnorm > target
+            every = live.all()
+        else:
+            live = live & (rnorm > target)
+        if not (every or live.any()):
             break
         growth = np.where(rnorm > prev, growth + 1, 0)
-        diverging = live & (growth >= _DIVERGENCE_PATIENCE)
+        diverging = growth >= _DIVERGENCE_PATIENCE
+        if not every:
+            diverging &= live
         if diverging.any():
             i = _first_member(diverging)
             raise NumericalError(
@@ -201,6 +232,10 @@ def fixed_point_solve(
                 step_index=it, member=i,
             )
         prev = rnorm
-        v = v - step * np.where(live[..., None], res, 0.0)
-        iters = np.where(live, it, iters)
+        if every:
+            v -= step * res
+            iters[...] = it
+        else:
+            v -= step * np.where(live[..., None], res, 0.0)
+            iters = np.where(live, it, iters)
     return v, _iterations_run(iters, counts)

@@ -8,8 +8,9 @@ gradients are comparable across split sizes. Outer objectives are the pure
 (unweighted) data loss on the validation view.
 
 The inner theta derivatives are bound in two stages: bind_inner(lam, view)
-computes what depends on lam and the view once per solve (the Gram pair,
-exp(u), the label-folded rows y x^T, stored feature-major), and its
+computes what depends on lam once per solve (exp(u), the hyperclean
+weights) and reads what depends on the view alone from the view's cache
+(the Gram pair, the label-folded rows y x^T stored feature-major), and its
 hessian(theta) computes the curvature factors at one theta (the per-row
 margin curvature, the softmax probabilities, the pseudo-Huber diagonal)
 once, returning v -> H(theta) v. The batched products are single numpy
@@ -73,6 +74,11 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+# the bare function, for the bindings: every caller of a binding runs under
+# np.errstate (see InnerBinding), so the guard of each call is not needed
+_sigmoid = sigmoid.__wrapped__
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Which zoo model to build and its structural knobs.
@@ -126,8 +132,9 @@ class InnerBinding(NamedTuple):
     identity: the softmax binding keeps its probabilities there, which its
     grad, hessian and mixed read at a theta with those bits and never write
     into. A function may leave numpy's overflow warnings to its caller (the
-    logistic gradient does): the loops run under np.errstate, and the
-    per-call callbacks of BilevelProblem enter it themselves.
+    logistic gradient and Hessian and the hyperclean mixed product do): the
+    loops run under np.errstate, and the per-call callbacks of
+    BilevelProblem enter it themselves.
     """
 
     grad: Callable[[Vec], Vec]
@@ -352,9 +359,10 @@ _SQUARED = _affine_term(_quad_affine, value=_quad_value)
 def _margin_loss(phi, dphi, d2phi) -> _Term:
     """Mean of phi(y x^T theta) over the rows of a binary view (labels +-1).
 
-    bind folds the labels into the rows once, feature-major: yXt is the
-    C-contiguous (..., d, m) array of y_i x_ij (a label flips signs only,
-    which is exact). Both products read it along memory: the margins are
+    The view folds the labels into the rows once, feature-major: its yXt is
+    the C-contiguous (..., d, m) array of y_i x_ij (a label flips signs
+    only, which is exact), which every bind reads. Both products read it
+    along memory: the margins are
     np.vecmat(theta, yXt) and the map of per-row weights back to theta is
     np.matvec(yXt, s). Each member goes through the same gufunc kernel as
     its DataView would, so its bits do not depend on the stacking; they
@@ -365,15 +373,24 @@ def _margin_loss(phi, dphi, d2phi) -> _Term:
         return np.mean(phi(view.y * _matvec(view.X, theta)), axis=-1)
 
     def bind(lam, view):
-        yXt = np.multiply(view.y[..., None, :], view.X.swapaxes(-1, -2), order="C")
-        m = view.m
+        yXt, m = view.yXt, view.m
 
         def grad(theta):
-            return np.matvec(yXt, dphi(np.vecmat(theta, yXt))) / m
+            out = np.matvec(yXt, dphi(np.vecmat(theta, yXt)))
+            out /= m
+            return out
 
         def hessian(theta):
             curvature = d2phi(np.vecmat(theta, yXt))
-            return lambda v: np.matvec(yXt, curvature * np.vecmat(v, yXt)) / m
+
+            def hvp(v):
+                s = np.vecmat(v, yXt)
+                s *= curvature
+                out = np.matvec(yXt, s)
+                out /= m
+                return out
+
+            return hvp
 
         return InnerBinding(grad, hessian, None, None)
 
@@ -384,19 +401,21 @@ def _margin_loss(phi, dphi, d2phi) -> _Term:
 def _logistic_dphi(t):
     """d/dt log(1 + e^{-t}) = -sigmoid(-t), as -1 / (1 + e^t) in one pass.
 
-    It has the bits of -sigmoid(-t) everywhere, +-0 and +-inf included.
-    Above t = 709.78, e^t overflows to inf and the result is -0, which is
-    expected and raises no RuntimeWarning.
+    It has the bits of -sigmoid(-t) everywhere, +-0 and +-inf included,
+    and is computed in place on the new e^t. Above t = 709.78, e^t
+    overflows to inf and the result is -0, which is expected and raises no
+    RuntimeWarning.
     """
-    return -1.0 / (1.0 + np.exp(t))
+    e = np.exp(t)
+    e += 1.0
+    return np.divide(-1.0, e, out=e)
 
 
-# the binding steps with the bare function: every caller of a binding runs
-# under np.errstate (see InnerBinding), so the guard of each call is not needed
+# the binding steps with the bare functions, as with _sigmoid
 _LOGISTIC = _margin_loss(
     lambda t: np.logaddexp(0.0, -t),
     _logistic_dphi.__wrapped__,
-    lambda t: sigmoid(t) * sigmoid(-t),
+    lambda t: _sigmoid(t) * _sigmoid(-t),
 )
 # the squared hinge has a piecewise-linear gradient: its Hessian jumps at the
 # margin, so svm_sqhinge is in NONSMOOTH_KINDS
@@ -505,7 +524,7 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
             return hvp
 
         def mixed(theta, v):
-            sig_prime = w * sigmoid(-lam)
+            sig_prime = w * _sigmoid(-lam)
             G = probs(theta) - one_hot
             G *= logits(Xt, v)
             out = G.sum(axis=-2)
@@ -684,9 +703,10 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term | None) -> B
     Exactly one of the two terms reads lam (the penalty, or a weighted loss
     with no penalty); its raw coordinates are the hyperparameters. The outer
     objective does not read lam, so its lam gradient is zero. The three
-    inner theta derivatives are bind_inner's, bound for the one call. The
-    two gradients run under np.errstate(over="ignore"), which the stepping
-    loops enter once and a per-call caller does not (see InnerBinding).
+    inner theta derivatives are bind_inner's, bound for the one call. They
+    and the outer gradient run under np.errstate(over="ignore"), which the
+    stepping loops enter once and a per-call caller does not (see
+    InnerBinding).
     """
     inner = loss if penalty is None else _sum(loss, penalty)
     p = inner.hyper_dim
@@ -696,6 +716,14 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term | None) -> B
     @np.errstate(over="ignore")
     def inner_grad_theta(lam, theta, view):
         return bind_inner(lam, view).grad(theta)
+
+    @np.errstate(over="ignore")
+    def inner_hvp(lam, theta, view, v):
+        return bind_inner(lam, view).hessian(theta)(v)
+
+    @np.errstate(over="ignore")
+    def inner_mixed_vp(lam, theta, view, v):
+        return bind_inner(lam, view).mixed(theta, v)
 
     @np.errstate(over="ignore")
     def outer_grad_theta(lam, theta, view):
@@ -710,8 +738,8 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term | None) -> B
         bind_inner=bind_inner,
         inner_loss=inner.value,
         inner_grad_theta=inner_grad_theta,
-        inner_hvp=lambda lam, theta, view, v: bind_inner(lam, view).hessian(theta)(v),
-        inner_mixed_vp=lambda lam, theta, view, v: bind_inner(lam, view).mixed(theta, v),
+        inner_hvp=inner_hvp,
+        inner_mixed_vp=inner_mixed_vp,
         outer_loss=lambda lam, theta, view: loss.value(None, theta, view),
         outer_grad_theta=outer_grad_theta,
         outer_grad_lambda=outer_grad_lambda,

@@ -220,10 +220,11 @@ def test_aid_at_closed_form_matches_oracle(kind):
 
 def test_aid_evaluates_the_curvature_once_per_solve(monkeypatch):
     # the logistic curvature sigmoid(t) sigmoid(-t) is bound at theta_K once,
-    # so a solve's sigmoid count does not grow with its iterations
+    # so a solve's sigmoid count does not grow with its iterations (the
+    # binding calls the bare _sigmoid, as the loops run under np.errstate)
     calls = []
-    original = problems.sigmoid
-    monkeypatch.setattr(problems, "sigmoid", lambda x: calls.append(1) or original(x))
+    original = problems._sigmoid
+    monkeypatch.setattr(problems, "_sigmoid", lambda x: calls.append(1) or original(x))
     prob, tr, _ = zoo_instance("logistic_l2")
     hessian = prob.bind_inner(np.zeros(1), tr).hessian(np.ones(prob.param_dim))
     assert len(calls) == 2
@@ -245,6 +246,41 @@ def test_aid_evaluates_the_curvature_once_per_solve(monkeypatch):
         per_solve.append(len(calls))
         assert res.diagnostics["solver_iters"].max() > (5 if Z == 20 else 4)
     assert per_solve[0] == per_solve[1]
+
+
+@pytest.mark.parametrize("Z", [3, 40])
+def test_aid_cg_applies_the_hessian_once_per_iteration_and_once_for_its_residual(Z):
+    # AID_CG binds the Hessian at theta_K once; CG applies its map once per
+    # iteration of its longest member and spends none on checking the
+    # operator, and aid_residual applies it once more
+    d = 12
+    ds = zoo_dataset("logistic_l2", 60, d, seed=5)
+    prob = zoo_problem("logistic_l2", ds)
+    splits = make_splits(ds.n, SplitPlan(U=3, gamma=0.25, master_seed=4))
+    tr = StackedView([s.train_view(ds) for s in splits])
+    va = StackedView([s.val_view(ds) for s in splits])
+    binds, products = [], []
+
+    def bind_inner(lam, view):
+        inner = prob.bind_inner(lam, view)
+
+        def hessian(theta):
+            binds.append(1)
+            hvp = inner.hessian(theta)
+            return lambda v: products.append(1) or hvp(v)
+
+        return inner._replace(hessian=hessian)
+
+    counting = dataclasses.replace(prob, bind_inner=bind_inner)
+    theta = 0.3 * np.random.Generator(np.random.PCG64(6)).standard_normal((3, d))
+    method = HypergradMethod(kind="AID_CG", K=5, alpha_in=0.1, Z=Z)
+    res = estimate_hypergrad(counting, np.array([-1.0]), theta, tr, va, method)
+    counts = res.diagnostics["solver_iters"]
+    assert (counts.max() == Z) == (Z == 3)
+    assert len(binds) == 1
+    assert len(products) == counts.max() + 1
+    plain = estimate_hypergrad(prob, np.array([-1.0]), theta, tr, va, method)
+    assert res.grad.tobytes() == plain.grad.tobytes()
 
 
 def test_reverse_pass_evaluates_the_softmax_once_per_point(monkeypatch):

@@ -129,7 +129,7 @@ def test_batched_cg_matches_row_by_row():
     assert ran == 4  # until the last member stopped
     for b, x, it in zip(BATCH_B, X, iters):
         x1, it1 = cg_solve(DIAG_OP, b, max_iters=10, tol=1e-12)
-        assert_allclose(x, x1, rtol=1e-12, atol=0.0)
+        assert same_bits(x, x1)
         assert it == it1
 
 
@@ -141,8 +141,57 @@ def test_batched_fixed_point_matches_row_by_row():
     assert ran == iters.max() < 500
     for b, v, it in zip(BATCH_B, V, iters):
         v1, it1 = fixed_point_solve(DIAG_OP, b, step=0.2, max_iters=500, tol=1e-10)
-        assert_allclose(v, v1, rtol=1e-12, atol=0.0)
+        assert same_bits(v, v1)
         assert it == it1
+
+
+def member_operators(seed, B, d):
+    """B SPD matrices (B, d, d), member 0 with 1 distinct eigenvalue, member i
+    with i + 1 (capped at d), as one batched operator applied with np.matvec
+    and as B unstacked ones."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    A = np.empty((B, d, d))
+    for i in range(B):
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        levels = rng.uniform(0.5, 50.0, min(i + 1, d))
+        A[i] = (Q * levels[rng.permutation(np.arange(d) % len(levels))]) @ Q.T
+    return (LinearOperator(dim=d, apply=lambda x: np.matvec(A, x)),
+            [LinearOperator(dim=d, apply=lambda x, a=a: np.matvec(a, x)) for a in A])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_cg_members_keep_their_own_bits_and_counts(seed):
+    # members stop at different iterations while others go on, one has b = 0
+    # and some run into max_iters: each keeps the bits and count of its own
+    # unstacked solve
+    B, d, max_iters = 9, 12, 6
+    op, ops = member_operators(seed, B, d)
+    b = np.random.Generator(np.random.PCG64(seed + 100)).standard_normal((B, d))
+    b[seed % B] = 0.0
+    counts = np.full(B, -1)
+    X, ran = cg_solve(op, b, max_iters=max_iters, tol=1e-10, counts=counts)
+    assert counts.min() == 0 and counts.max() == ran == max_iters
+    assert len(set(counts.tolist())) >= 4
+    for member, (row, x, it) in enumerate(zip(b, X, counts)):
+        x1, it1 = cg_solve(ops[member], row, max_iters=max_iters, tol=1e-10)
+        assert same_bits(x, x1)
+        assert it == it1
+
+
+def test_solvers_check_the_operator_on_its_first_product_only():
+    products = []
+    misshapen = LinearOperator(dim=4, apply=lambda x: products.append(1) or x[..., :2])
+    for solve in (lambda op: cg_solve(op, BATCH_B, 10),
+                  lambda op: fixed_point_solve(op, BATCH_B, step=0.2, max_iters=10)):
+        products.clear()
+        with pytest.raises(ContractViolationError, match="operator returned shape"):
+            solve(misshapen)
+        assert len(products) == 1
+    # one product per CG iteration, none spent on the check
+    products.clear()
+    op = LinearOperator(dim=4, apply=lambda x: products.append(1) or x * DIAG)
+    _, ran = cg_solve(op, BATCH_B, 10)
+    assert len(products) == ran == 4
 
 
 def test_batched_cg_breakdown_names_member():
