@@ -69,9 +69,9 @@ class LinearOperator:
     apply must be linear; the iterative solvers additionally assume symmetry
     (and, for convergence guarantees, positive definiteness), which is not
     checked here. Batched solves pass (B, dim) rows, one system per member.
-    A call checks the shapes of its argument and its result; the iterative
-    solvers call the operator once, for their first product, and apply
-    itself for the others.
+    A call checks the shapes of its argument and its result; cg_solve calls
+    the operator once, for its first product, and apply itself for the
+    others.
     """
 
     dim: int
@@ -182,9 +182,7 @@ def fixed_point_solve(
     Stops on ||op v - b|| <= tol * max(1, ||b||); raises NumericalError if the
     residual grows for 10 consecutive iterations (divergence) or goes
     non-finite, naming the iteration. A (B, dim) right-hand side solves B
-    systems at once, and iters_used and counts report as in cg_solve; as
-    there, only the first product checks its shapes, and the steps take
-    masks only once a member has stopped.
+    systems at once, and iters_used and counts report as in cg_solve.
     """
     b = _as_batch(b, op.dim, "b")
     if max_iters < 0:
@@ -198,31 +196,20 @@ def fixed_point_solve(
     growth = np.zeros(target.shape, dtype=np.int64)
     iters = np.zeros(target.shape, dtype=np.int64)
     live = np.ones(target.shape, dtype=bool)  # members still iterating
-    every = True  # no member has stopped yet
-    product = op
     for it in range(1, max_iters + 1):
-        res = product(v) - b
-        product = op.apply
+        res = op(v) - b
         rnorm = row_norm(res)
-        ok = np.isfinite(rnorm)
-        if not every:
-            ok |= ~live
-        if not ok.all():
+        bad = live & ~np.isfinite(rnorm)
+        if bad.any():
             raise NumericalError(
                 f"fixed-point iteration produced non-finite residual at iteration {it}",
-                step_index=it, member=_first_member(~ok),
+                step_index=it, member=_first_member(bad),
             )
-        if every:
-            live = rnorm > target
-            every = live.all()
-        else:
-            live = live & (rnorm > target)
-        if not (every or live.any()):
+        live = live & (rnorm > target)
+        if not live.any():
             break
         growth = np.where(rnorm > prev, growth + 1, 0)
-        diverging = growth >= _DIVERGENCE_PATIENCE
-        if not every:
-            diverging &= live
+        diverging = live & (growth >= _DIVERGENCE_PATIENCE)
         if diverging.any():
             i = _first_member(diverging)
             raise NumericalError(
@@ -232,10 +219,6 @@ def fixed_point_solve(
                 step_index=it, member=i,
             )
         prev = rnorm
-        if every:
-            v -= step * res
-            iters[...] = it
-        else:
-            v -= step * np.where(live[..., None], res, 0.0)
-            iters = np.where(live, it, iters)
+        v = v - step * np.where(live[..., None], res, 0.0)
+        iters = np.where(live, it, iters)
     return v, _iterations_run(iters, counts)

@@ -74,11 +74,6 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-# the bare function, for the bindings: every caller of a binding runs under
-# np.errstate (see InnerBinding), so the guard of each call is not needed
-_sigmoid = sigmoid.__wrapped__
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Which zoo model to build and its structural knobs.
@@ -132,9 +127,8 @@ class InnerBinding(NamedTuple):
     identity: the softmax binding keeps its probabilities there, which its
     grad, hessian and mixed read at a theta with those bits and never write
     into. A function may leave numpy's overflow warnings to its caller (the
-    logistic gradient and Hessian and the hyperclean mixed product do): the
-    loops run under np.errstate, and the per-call callbacks of
-    BilevelProblem enter it themselves.
+    logistic gradient does): the loops run under np.errstate, and the
+    per-call callbacks of BilevelProblem enter it themselves.
     """
 
     grad: Callable[[Vec], Vec]
@@ -376,9 +370,7 @@ def _margin_loss(phi, dphi, d2phi) -> _Term:
         yXt, m = view.yXt, view.m
 
         def grad(theta):
-            out = np.matvec(yXt, dphi(np.vecmat(theta, yXt)))
-            out /= m
-            return out
+            return np.matvec(yXt, dphi(np.vecmat(theta, yXt))) / m
 
         def hessian(theta):
             curvature = d2phi(np.vecmat(theta, yXt))
@@ -401,21 +393,19 @@ def _margin_loss(phi, dphi, d2phi) -> _Term:
 def _logistic_dphi(t):
     """d/dt log(1 + e^{-t}) = -sigmoid(-t), as -1 / (1 + e^t) in one pass.
 
-    It has the bits of -sigmoid(-t) everywhere, +-0 and +-inf included,
-    and is computed in place on the new e^t. Above t = 709.78, e^t
-    overflows to inf and the result is -0, which is expected and raises no
-    RuntimeWarning.
+    It has the bits of -sigmoid(-t) everywhere, +-0 and +-inf included.
+    Above t = 709.78, e^t overflows to inf and the result is -0, which is
+    expected and raises no RuntimeWarning.
     """
-    e = np.exp(t)
-    e += 1.0
-    return np.divide(-1.0, e, out=e)
+    return -1.0 / (1.0 + np.exp(t))
 
 
-# the binding steps with the bare functions, as with _sigmoid
+# the binding steps with the bare function: every caller of a binding runs
+# under np.errstate (see InnerBinding), so the guard of each call is not needed
 _LOGISTIC = _margin_loss(
     lambda t: np.logaddexp(0.0, -t),
     _logistic_dphi.__wrapped__,
-    lambda t: _sigmoid(t) * _sigmoid(-t),
+    lambda t: sigmoid(t) * sigmoid(-t),
 )
 # the squared hinge has a piecewise-linear gradient: its Hessian jumps at the
 # margin, so svm_sqhinge is in NONSMOOTH_KINDS
@@ -524,7 +514,7 @@ def _softmax_ce(d: int, k: int, n_weights: int = 0) -> _Term:
             return hvp
 
         def mixed(theta, v):
-            sig_prime = w * _sigmoid(-lam)
+            sig_prime = w * sigmoid(-lam)
             G = probs(theta) - one_hot
             G *= logits(Xt, v)
             out = G.sum(axis=-2)
@@ -703,10 +693,9 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term | None) -> B
     Exactly one of the two terms reads lam (the penalty, or a weighted loss
     with no penalty); its raw coordinates are the hyperparameters. The outer
     objective does not read lam, so its lam gradient is zero. The three
-    inner theta derivatives are bind_inner's, bound for the one call. They
-    and the outer gradient run under np.errstate(over="ignore"), which the
-    stepping loops enter once and a per-call caller does not (see
-    InnerBinding).
+    inner theta derivatives are bind_inner's, bound for the one call. The
+    two gradients run under np.errstate(over="ignore"), which the stepping
+    loops enter once and a per-call caller does not (see InnerBinding).
     """
     inner = loss if penalty is None else _sum(loss, penalty)
     p = inner.hyper_dim
@@ -716,14 +705,6 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term | None) -> B
     @np.errstate(over="ignore")
     def inner_grad_theta(lam, theta, view):
         return bind_inner(lam, view).grad(theta)
-
-    @np.errstate(over="ignore")
-    def inner_hvp(lam, theta, view, v):
-        return bind_inner(lam, view).hessian(theta)(v)
-
-    @np.errstate(over="ignore")
-    def inner_mixed_vp(lam, theta, view, v):
-        return bind_inner(lam, view).mixed(theta, v)
 
     @np.errstate(over="ignore")
     def outer_grad_theta(lam, theta, view):
@@ -738,8 +719,8 @@ def _compose(kind: str, param_dim: int, loss: _Term, penalty: _Term | None) -> B
         bind_inner=bind_inner,
         inner_loss=inner.value,
         inner_grad_theta=inner_grad_theta,
-        inner_hvp=inner_hvp,
-        inner_mixed_vp=inner_mixed_vp,
+        inner_hvp=lambda lam, theta, view, v: bind_inner(lam, view).hessian(theta)(v),
+        inner_mixed_vp=lambda lam, theta, view, v: bind_inner(lam, view).mixed(theta, v),
         outer_loss=lambda lam, theta, view: loss.value(None, theta, view),
         outer_grad_theta=outer_grad_theta,
         outer_grad_lambda=outer_grad_lambda,

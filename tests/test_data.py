@@ -112,10 +112,10 @@ def test_take_gathers_members_as_they_are_read():
         StackedView.from_rows(np.ones((2, 3, 1)), np.ones((2, 3))).one_hot
     rows = StackedView.from_rows(np.stack([v.X for v in views]), np.stack([v.y for v in views]))
     index = np.array([3, 1, 3])
-    for stack, picked in ((rows, range(5)), (rows.take(index), index),
-                          (stack.take(index), index), (rows.take(index).take([2, 0]), [3, 3])):
+    for s, picked in ((rows, range(5)), (rows.take(index), index),
+                      (stack.take(index), index), (rows.take(index).take([2, 0]), [3, 3])):
         for name in ("Xt", "yXt"):
-            got = getattr(stack, name)
+            got = getattr(s, name)
             assert got.flags.c_contiguous and len(got) == len(picked)
             for row, i in zip(got, picked):
                 assert row.tobytes() == getattr(views[i], name).tobytes()

@@ -220,11 +220,10 @@ def test_aid_at_closed_form_matches_oracle(kind):
 
 def test_aid_evaluates_the_curvature_once_per_solve(monkeypatch):
     # the logistic curvature sigmoid(t) sigmoid(-t) is bound at theta_K once,
-    # so a solve's sigmoid count does not grow with its iterations (the
-    # binding calls the bare _sigmoid, as the loops run under np.errstate)
+    # so a solve's sigmoid count does not grow with its iterations
     calls = []
-    original = problems._sigmoid
-    monkeypatch.setattr(problems, "_sigmoid", lambda x: calls.append(1) or original(x))
+    original = problems.sigmoid
+    monkeypatch.setattr(problems, "sigmoid", lambda x: calls.append(1) or original(x))
     prob, tr, _ = zoo_instance("logistic_l2")
     hessian = prob.bind_inner(np.zeros(1), tr).hessian(np.ones(prob.param_dim))
     assert len(calls) == 2

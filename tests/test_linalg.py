@@ -178,15 +178,12 @@ def test_batched_cg_members_keep_their_own_bits_and_counts(seed):
         assert it == it1
 
 
-def test_solvers_check_the_operator_on_its_first_product_only():
+def test_cg_checks_the_operator_on_its_first_product_only():
     products = []
     misshapen = LinearOperator(dim=4, apply=lambda x: products.append(1) or x[..., :2])
-    for solve in (lambda op: cg_solve(op, BATCH_B, 10),
-                  lambda op: fixed_point_solve(op, BATCH_B, step=0.2, max_iters=10)):
-        products.clear()
-        with pytest.raises(ContractViolationError, match="operator returned shape"):
-            solve(misshapen)
-        assert len(products) == 1
+    with pytest.raises(ContractViolationError, match="operator returned shape"):
+        cg_solve(misshapen, BATCH_B, 10)
+    assert len(products) == 1
     # one product per CG iteration, none spent on the check
     products.clear()
     op = LinearOperator(dim=4, apply=lambda x: products.append(1) or x * DIAG)
