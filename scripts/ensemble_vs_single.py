@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from bihpo.data import DataView, SplitPlan, carve_holdout, derive_seed, \
-    full_view, gen_linear, make_splits, subset
+    draw_val_sets, full_view, gen_linear, subset
 from bihpo.hypergrad import HypergradMethod, inner_solve
 from bihpo.problems import ModelSpec, build_problem
 from bihpo.strategies import OuterOptimizer, run_ehg
@@ -65,14 +65,14 @@ def main(argv=None):
                                            derive_seed(3000, s))
         pool = subset(ds, pool_idx)
         test_view = DataView(ds, test_idx)
-        splits = make_splits(pool.n, SplitPlan(U=args.U, gamma=args.gamma,
+        vals = draw_val_sets(pool.n, SplitPlan(U=args.U, gamma=args.gamma,
                                                master_seed=derive_seed(4000, s)))
         lam0, th0 = np.zeros(1), np.zeros(args.d)
 
-        single = run_ehg(prob, pool, splits[:1], method,
+        single = run_ehg(prob, pool, vals[:1], method,
                          OuterOptimizer(kind="gd", alpha_out=args.alpha_out),
                          args.T, lam0, th0, columns=False)
-        ehg = run_ehg(prob, pool, splits, method,
+        ehg = run_ehg(prob, pool, vals, method,
                       OuterOptimizer(kind="gd", alpha_out=args.alpha_out),
                       args.T, lam0, th0, columns=False)
 

@@ -32,15 +32,15 @@ from .data import (
     TASKS,
     DataView,
     Dataset,
-    Split,
     SplitPlan,
     carve_holdout,
+    complements,
     corrupt_labels,
     derive_seed,
+    draw_val_sets,
     full_view,
     gen_linear,
     gen_multiclass,
-    make_splits,
     read_libsvm,
     subset,
 )
@@ -119,11 +119,11 @@ def _holdout(cfg: ExperimentConfig, ds: Dataset) -> tuple[Dataset, np.ndarray, D
     return subset(ds, pool_idx), pool_idx, DataView(ds, test_idx)
 
 
-def _corrupt(cfg: ExperimentConfig, pool: Dataset, splits: list[Split]
+def _corrupt(cfg: ExperimentConfig, pool: Dataset, vals: np.ndarray
              ) -> tuple[Dataset, np.ndarray]:
     """(data, hit): pool with data.corrupt applied to its train labels, and the
-    rows whose label changed. A row that some split validates on keeps its
-    label: validation supervision stays clean."""
+    rows whose label changed. A row that some split of vals validates on keeps
+    its label: validation supervision stays clean."""
     c = cfg.data.corrupt
     if c is None or not c.p > 0:
         return pool, np.zeros(pool.n, dtype=bool)
@@ -131,7 +131,7 @@ def _corrupt(cfg: ExperimentConfig, pool: Dataset, splits: list[Split]
         raise ConfigError("corruption applies to classification labels", field_path="data.corrupt")
     corrupted, clean_mask = corrupt_labels(pool, c.p, c.seed)
     hit = ~clean_mask
-    hit[np.concatenate([s.val_idx for s in splits])] = False
+    hit[vals.ravel()] = False
     y = np.where(hit, corrupted.y, pool.y)
     return Dataset(X=pool.X, y=y, task=pool.task, num_classes=pool.num_classes), hit
 
@@ -165,9 +165,10 @@ def _problem(cfg: ExperimentConfig, d: int, n_weights: int = 0
 
 
 def _run_strategy(cfg: ExperimentConfig, problem: BilevelProblem, data: Dataset,
-                  splits: list[Split], lam0: np.ndarray, theta0: np.ndarray,
+                  vals: np.ndarray, lam0: np.ndarray, theta0: np.ndarray,
                   test_view: DataView | None, columns: bool = True) -> HPOTrace:
-    """The configured strategy on data's splits; single is the ehg loop on the first alone.
+    """The configured strategy on the splits of data whose validation rows are
+    vals; single and ehg both run the ehg loop.
 
     oehg deploys on the first split's train rows for hyperclean_softmax, whose
     weights are those rows', and on all of data otherwise. columns=False skips
@@ -175,14 +176,13 @@ def _run_strategy(cfg: ExperimentConfig, problem: BilevelProblem, data: Dataset,
     """
     st = cfg.strategy
     if st.kind == "oehg":
-        deploy_view = (splits[0].train_view(data)
+        deploy_view = (DataView(data, complements(data.n, vals[0]))
                        if cfg.problem.kind == "hyperclean_softmax" else full_view(data))
-        return run_oehg(problem, data, splits, st.T, cfg.method.alpha_in, st.outer,
+        return run_oehg(problem, data, vals, st.T, cfg.method.alpha_in, st.outer,
                         st.alpha_deploy, lam0, theta0, deploy_view=deploy_view,
                         test_view=test_view, columns=columns)
-    return run_ehg(problem, data, splits[:1] if st.kind == "single" else splits, cfg.method,
-                   st.outer, st.T, lam0, theta0, test_view=test_view,
-                   warm_start=st.warm_start, columns=columns)
+    return run_ehg(problem, data, vals, cfg.method, st.outer, st.T, lam0, theta0,
+                   test_view=test_view, warm_start=st.warm_start, columns=columns)
 
 
 class _Manifest:
@@ -247,9 +247,11 @@ def _trace_rows(trace: HPOTrace) -> tuple[list[str], list[list]]:
 def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
     validate_config(cfg, "tune")
     pool, _, test_view = _holdout(cfg, build_dataset(cfg))
-    splits = make_splits(pool.n, cfg.split)
-    data, _ = _corrupt(cfg, pool, splits)
-    n_weights = len(splits[0].train_idx) if cfg.problem.kind == "hyperclean_softmax" else 0
+    vals = draw_val_sets(pool.n, cfg.split)
+    if cfg.strategy.kind == "single":
+        vals = vals[:1]  # single runs split 0 alone, so only its rows stay clean
+    data, _ = _corrupt(cfg, pool, vals)
+    n_weights = pool.n - vals.shape[1] if cfg.problem.kind == "hyperclean_softmax" else 0
     problem, lam0, theta0 = _problem(cfg, pool.d, n_weights)
 
     with _Manifest(
@@ -257,7 +259,7 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
         {"data_seed": cfg.data.synthetic.seed, "beta_seed": cfg.data.synthetic.beta_seed,
          "master_seed": cfg.split.master_seed, "test_seed": cfg.data.test_seed},
     ) as manifest:
-        trace = _run_strategy(cfg, problem, data, splits, lam0, theta0, test_view)
+        trace = _run_strategy(cfg, problem, data, vals, lam0, theta0, test_view)
         outputs = []
         if "csv" in cfg.output.formats:
             header, rows = _trace_rows(trace)
@@ -328,12 +330,13 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
     validate_config(cfg, "clean")
     pool, pool_idx, test_view = _holdout(cfg, build_dataset(cfg))
     num_classes = pool.num_classes
-    split = make_splits(pool.n, cfg.split)[0]  # validate_config holds clean to U = 1
-    dirty, hit = _corrupt(cfg, pool, [split])
-    mask_train = hit[split.train_idx]
+    vals = draw_val_sets(pool.n, cfg.split)  # validate_config holds clean to U = 1
+    train_idx = complements(pool.n, vals[0])
+    dirty, hit = _corrupt(cfg, pool, vals)
+    mask_train = hit[train_idx]
     corrupt_seed = cfg.data.corrupt.seed if cfg.data.corrupt is not None else 0
 
-    problem, lam0, theta0 = _problem(cfg, pool.d, n_weights=len(split.train_idx))
+    problem, lam0, theta0 = _problem(cfg, pool.d, n_weights=len(train_idx))
 
     with _Manifest(
         out_dir, "clean", config_to_dict(cfg),
@@ -342,7 +345,7 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
     ) as manifest:
         # clean writes only the learned weights: its trace keeps no columns, and
         # the test rows score the retrained fits below
-        trace = _run_strategy(cfg, problem, dirty, [split], lam0, theta0, test_view=None,
+        trace = _run_strategy(cfg, problem, dirty, vals, lam0, theta0, test_view=None,
                               columns=False)
         u = trace.final_lambda
         sig = sigmoid(u)
@@ -360,7 +363,7 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
             fn = int(np.sum(~flagged & mask_train))
             f1 = (2.0 * tp / (2.0 * tp + fp + fn)) if (2 * tp + fp + fn) > 0 else 0.0
 
-        train_view = split.train_view(dirty)
+        train_view = DataView(dirty, train_idx)
         keep = ~flagged
         if not np.any(keep):
             keep = np.ones_like(keep)
@@ -374,7 +377,7 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
             "f1": f1,
             "f1_reason": f1_reason,
             "threshold": threshold,
-            "n_train": int(len(split.train_idx)),
+            "n_train": int(len(train_idx)),
             "n_corrupted_true": n_true,
             "n_flagged": int(flagged.sum()),
             "mean_weight_clean": (float(np.mean(sig[~mask_train]))
@@ -389,10 +392,10 @@ def cmd_clean(cfg: ExperimentConfig, out_dir: Path) -> int:
                 W_dep = trace.deployed_theta.reshape(pool.d, num_classes)
                 report["accuracy_deployed"] = _accuracy(W_dep, test_view)
 
-        sample_ids = pool_idx[split.train_idx]
+        sample_ids = pool_idx[train_idx]
         rows = [
             [int(sample_ids[i]), float(u[i]), float(sig[i]), int(not mask_train[i])]
-            for i in range(len(split.train_idx))
+            for i in range(len(train_idx))
         ]
         write_csv(out_dir / "weights.csv",
                   ["sample_id", "raw_weight", "sigmoid_weight", "is_clean_truth"], rows)
@@ -452,9 +455,10 @@ def _zoo_instance(kind: str, data_seed: int, split_seed: int):
         ds = _zoo_dataset(kind, 16 if kind == "hyperclean_softmax" else 30, 3, data_seed)
     else:
         ds = _zoo_dataset(kind, 24, 4, data_seed)
-    split = make_splits(ds.n, SplitPlan(U=1, gamma=0.25, master_seed=split_seed))[0]
-    n_weights = len(split.train_idx) if kind == "hyperclean_softmax" else 0
-    return _zoo_problem(kind, ds, n_weights), split.train_view(ds), split.val_view(ds)
+    val_idx = draw_val_sets(ds.n, SplitPlan(U=1, gamma=0.25, master_seed=split_seed))[0]
+    train = DataView(ds, complements(ds.n, val_idx))
+    n_weights = train.m if kind == "hyperclean_softmax" else 0
+    return _zoo_problem(kind, ds, n_weights), train, DataView(ds, val_idx)
 
 
 def _check_instances(seed: int = 20240601):
@@ -484,9 +488,9 @@ def check_model(kind: str, problem: BilevelProblem, train: DataView, val: DataVi
     g_fd = finite_diff_hypergrad(problem, lam, theta0, train, val, 5, alpha)
     checks.append(Check(f"{kind}/itd_vs_fd", rel_err(estimate("ITD", 5) - g_fd, g_fd), 1e-4))
 
-    # run_oehg's first update (one split, gd at unit step) against one-step ITD
-    split = Split(train_idx=train.idx, val_idx=val.idx)
-    lam_oe = run_oehg(problem, train.dataset, [split], 1, alpha,
+    # run_oehg's first update (one split, gd at unit step) against one-step ITD;
+    # its split trains on the rows that val leaves, which are train's
+    lam_oe = run_oehg(problem, train.dataset, val.idx[None], 1, alpha,
                       OuterOptimizer(kind="gd", alpha_out=1.0), alpha, lam, theta0,
                       deploy_view=train).lambdas[1]
     g_one = estimate("ITD", 1)

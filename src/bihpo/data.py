@@ -3,6 +3,11 @@
 All randomness flows through numpy PCG64 generators. Per-split seeds are
 derived from a master seed by splitmix64-mixing the split counter, so split i
 is reproducible in isolation (no generator state threads between splits).
+
+A pool's U splits are their validation index sets vals (U, m_val), one
+ascending row per split (draw_val_sets); a split trains on the rest of the
+pool (complements). split_stacks gathers the train and val rows of all U
+splits into two StackedViews, the one way a stack of splits is built.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ TASKS = ("regression", "binary", "multiclass")
 SPLIT_MODES = ("with_replacement", "without_replacement")
 
 _MASK64 = (1 << 64) - 1
-# enumerate_all_splits materializes every partition; refuse combinatorial blowups.
+# _all_val_sets materializes every partition; refuse combinatorial blowups.
 _ENUMERATION_CAP = 1_000_000
 
 
@@ -180,43 +185,22 @@ def _gram(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class StackedView:
     """B equally sized member views stacked along a leading member axis.
 
-    Holds its members' rows X (B, m, d), targets y (B, m) and class count,
+    StackedView(X, y, num_classes) holds the members' rows X (B, m, d),
+    targets y (B, m) and class count (0 for no classes, and so no one_hot),
     and derives from them on first read, by the formulas a DataView uses,
     the feature-major rows Xt (B, d, m), the label-folded rows yXt
     (B, d, m), the one-hot labels (B, k, m) and the Gram pair (B, d, d) /
-    (B, d). So every member's values have the bits
-    of its own DataView's. There are three ways to build one:
-    - StackedView(views) stacks the rows of the member DataViews;
-    - StackedView.from_rows(X, y, num_classes) holds the given rows;
-    - stack.take(index) holds no rows: it gathers each value of its members,
-      as it is first read, from stack or, if stack was itself taken, from
-      the stack it was taken from (a slice of a stack not taken gives views
-      of its arrays). So a take that reads Gram pairs never gathers rows.
+    (B, d). So every member's values have the bits of its own DataView's.
+    split_stacks builds the train and val stacks of a pool's splits this
+    way. stack.take(index) holds no rows: it gathers each value of its
+    members, as it is first read, from stack or, if stack was itself taken,
+    from the stack it was taken from (a slice of a stack not taken gives
+    views of its arrays). So a take that reads Gram pairs never gathers rows.
     """
 
     _taken = None  # (source, index) of a stack made by take
 
-    def __init__(self, views):
-        views = tuple(views)
-        if not views:
-            raise ContractViolationError("a stacked view needs at least one member view")
-        shapes = {(v.m, v.dataset.d, v.dataset.num_classes) for v in views}
-        if len(shapes) != 1:
-            raise ContractViolationError(
-                f"stacked member views must share (rows, features, classes), "
-                f"got {sorted(shapes)}"
-            )
-        self._hold(np.stack([v.X for v in views]), np.stack([v.y for v in views]),
-                   views[0].dataset.num_classes)
-
-    def _hold(self, X: np.ndarray, y: np.ndarray, num_classes: int) -> None:
-        self.X, self.y, self.num_classes = X, y, num_classes
-        self._size, self.m = y.shape
-
-    @classmethod
-    def from_rows(cls, X, y, num_classes: int = 0) -> StackedView:
-        """The members whose rows are X (B, m, d) and targets y (B, m), of
-        num_classes classes (0 for no classes, and so no one_hot)."""
+    def __init__(self, X, y, num_classes: int = 0):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 3 or 0 in X.shape[:2] or y.shape != X.shape[:2]:
@@ -224,9 +208,8 @@ class StackedView:
                 f"stacked rows must be (B, m, d) and targets (B, m) with B, m >= 1, "
                 f"got {X.shape} and {y.shape}"
             )
-        stack = cls.__new__(cls)
-        stack._hold(X, y, num_classes)
-        return stack
+        self.X, self.y, self.num_classes = X, y, num_classes
+        self._size, self.m = y.shape
 
     def take(self, index) -> StackedView:
         """The members at index, a slice or a 1-D integer array, as a stack of their own.
@@ -288,12 +271,6 @@ class Split:
     train_idx: np.ndarray
     val_idx: np.ndarray
 
-    def train_view(self, dataset: Dataset) -> DataView:
-        return DataView(dataset, self.train_idx)
-
-    def val_view(self, dataset: Dataset) -> DataView:
-        return DataView(dataset, self.val_idx)
-
 
 @dataclass(frozen=True)
 class SplitPlan:
@@ -339,12 +316,13 @@ def val_size(n: int, gamma: float) -> int:
 
 def make_splits(n: int, plan: SplitPlan) -> list[Split]:
     """Draw plan.U train/val splits of range(n) per the plan's mode."""
-    vals = _draw_val_sets(n, plan)
-    return [Split(train_idx=train, val_idx=val) for train, val in zip(_complements(n, vals), vals)]
+    vals = draw_val_sets(n, plan)
+    return [Split(train_idx=train, val_idx=val) for train, val in zip(complements(n, vals), vals)]
 
 
-def _draw_val_sets(n: int, plan: SplitPlan) -> np.ndarray:
-    """The validation index sets of make_splits, ascending, one row per split: (U, m_val)."""
+def draw_val_sets(n: int, plan: SplitPlan) -> np.ndarray:
+    """The validation index sets of plan's splits of range(n), ascending, one
+    row per split: (U, m_val). Split u's train rows are complements(n, vals[u])."""
     vals = np.empty((plan.U, _plan_val_size(n, plan)), dtype=np.int64)
     _fill_val_sets(vals, n, plan.mode, plan.master_seed)
     return vals
@@ -392,7 +370,7 @@ def _fill_val_sets(vals: np.ndarray, n: int, mode: str, master_seed: int) -> Non
         vals[i] = val
 
 
-def _complements(n: int, vals: np.ndarray) -> np.ndarray:
+def complements(n: int, vals: np.ndarray) -> np.ndarray:
     """The train index sets of range(n) left by validation sets vals (..., m_val), ascending."""
     mask = np.ones(vals.shape[:-1] + (n,), dtype=bool)
     np.put_along_axis(mask, vals, False, axis=-1)
@@ -401,30 +379,41 @@ def _complements(n: int, vals: np.ndarray) -> np.ndarray:
     return train.reshape(vals.shape[:-1] + (n - vals.shape[-1],))
 
 
-def split_stacks(X: np.ndarray, y: np.ndarray, vals: np.ndarray, num_classes: int = 0
+def split_stacks(X: np.ndarray, y: np.ndarray, vals, num_classes: int = 0
                  ) -> tuple[StackedView, StackedView]:
     """The train and val stacks of the splits of pools X (..., n, d), y (..., n)
     of num_classes classes whose validation index sets are vals (..., U, m_val),
-    in C order of vals' leading axes (pool-major)."""
+    in C order of vals' leading axes (pool-major).
+
+    Each row of vals must be strictly ascending within [0, n), with
+    1 <= m_val < n, so that every member's rows are those of its DataView.
+    """
     n, d = X.shape[-2:]
+    vals = np.asarray(vals)
+    if (not np.issubdtype(vals.dtype, np.integer) or vals.ndim < 2 or vals.shape[-2] < 1
+            or not 1 <= vals.shape[-1] < n):
+        raise ContractViolationError(
+            f"validation index sets must be an integer array (..., U, m_val) with U >= 1 "
+            f"and 1 <= m_val < n = {n}, got {vals.dtype} {vals.shape}"
+        )
+    if not (np.all(vals[..., 0] >= 0) and np.all(vals[..., -1] < n)
+            and np.all(vals[..., 1:] > vals[..., :-1])):
+        raise ContractViolationError(
+            f"each validation index set must be strictly ascending within [0, {n})"
+        )
 
     def members(idx):
         rows = np.take_along_axis(X[..., None, :, :], idx[..., None], axis=-2)
         targets = np.take_along_axis(y[..., None, :], idx, axis=-1)
-        return StackedView.from_rows(rows.reshape(-1, idx.shape[-1], d),
-                                     targets.reshape(-1, idx.shape[-1]), num_classes)
+        return StackedView(rows.reshape(-1, idx.shape[-1], d),
+                           targets.reshape(-1, idx.shape[-1]), num_classes)
 
-    return members(_complements(n, vals)), members(vals)
-
-
-def enumerate_all_splits(n: int, gamma: float) -> list[Split]:
-    """All C(n, m_val) splits, validation sets in lexicographic order."""
-    vals = _all_val_sets(n, gamma)
-    return [Split(train_idx=train, val_idx=val) for train, val in zip(_complements(n, vals), vals)]
+    return members(complements(n, vals)), members(vals)
 
 
 def _all_val_sets(n: int, gamma: float) -> np.ndarray:
-    """The validation index sets of enumerate_all_splits, one row per split: (V, m_val)."""
+    """Every validation index set of range(n) at ratio gamma, in lexicographic
+    order, one ascending row per split: (C(n, m_val), m_val)."""
     _require_gamma(gamma)
     m_val = val_size(n, gamma)
     total = math.comb(n, m_val)

@@ -159,7 +159,7 @@ def _replicate_stacks(design: SweepDesign, U: int, seed: int, count: int
     """Train and val stacks of count replicates of U splits each, replicate-major.
 
     Replicate j draws gen_linear's rows from derive_seed(seed, 2j) and its U
-    splits, as make_splits does, from the SplitPlan whose master seed is
+    splits, as draw_val_sets does, from the SplitPlan whose master seed is
     derive_seed(seed, 2j + 1). So member j * U + u holds the rows of split
     u's train and val views of replicate j's dataset. The plan differs
     between replicates only in its master seed, so it is built and checked

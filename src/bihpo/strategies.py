@@ -11,10 +11,12 @@ single-split strategy. run_oehg is that loop with warm-started one-step ITD,
 so U shadow models advance one inner step per outer step, plus a deployed
 model that takes one GD step at each new lambda.
 
-Every split of a plan has the same train and validation sizes, so the U
-splits stack: each outer step is one estimate_hypergrad call on StackedViews
-of the U splits, whose inner iterates are one (U, r) array. Each split's
-estimate is bitwise the one it would get alone.
+Both take the splits as vals, the (U, m_val) array of the pool's validation
+rows, one ascending row per split; split u trains on the rest of the pool.
+Every split has the same train and validation sizes, so the U splits stack:
+split_stacks gathers them into two StackedViews, and each outer step is one
+estimate_hypergrad call on them, whose inner iterates are one (U, r) array.
+Each split's estimate is bitwise the one it would get alone.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataView, Dataset, Split, StackedView, full_view
+from .data import DataView, Dataset, StackedView, full_view, split_stacks
 from .errors import ContractViolationError, NumericalError, require_real
 from .hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
 from .linalg import Vec, ordered_mean, row_norm
@@ -163,7 +165,7 @@ def _split_evals(
 def _outer_loop(
     problem: BilevelProblem,
     ds: Dataset,
-    splits: list[Split],
+    vals: np.ndarray,
     method: HypergradMethod,
     opt: OuterOptimizer,
     T: int,
@@ -185,19 +187,16 @@ def _outer_loop(
     """
     if T < 1:
         raise ContractViolationError("T must be >= 1")
-    if not splits:
-        raise ContractViolationError("need at least one split")
     lam, theta = check_args(problem, lam0, theta0, names=("lam0", "theta0"))
     lam, starts = lam.copy(), theta.copy()
-    train = StackedView([s.train_view(ds) for s in splits])
-    val = StackedView([s.val_view(ds) for s in splits])
+    train, val = split_stacks(ds.X, ds.y, vals, ds.num_classes)
     split_test = None if deploy is not None else test_view
     deployed = starts
     state = None
     trace = HPOTrace(lambdas=[lam.copy()])
     for t in range(T):
         try:
-            lams = lam[None].repeat(len(splits), axis=0)  # one row per split
+            lams = lam[None].repeat(len(train), axis=0)  # one row per split
             res = estimate_hypergrad(problem, lams, starts, train, val, method)
             row = (_split_evals(problem, lams, res.inner_final, res.grad, train, val, split_test)
                    if columns else {})
@@ -218,7 +217,7 @@ def _outer_loop(
                     deployed = _finite_or_abort(deployed - update, "deployed model")
                     if columns and test_view is not None:
                         test_loss = problem.outer_loss(lam, deployed, test_view)
-                        row["test_loss"] = np.full(len(splits),
+                        row["test_loss"] = np.full(len(train),
                                                    _finite_or_abort(test_loss, "test loss"))
         except NumericalError as exc:
             what = exc.args[0]
@@ -239,7 +238,7 @@ def _outer_loop(
 def run_ehg(
     problem: BilevelProblem,
     ds: Dataset,
-    splits: list[Split],
+    vals: np.ndarray,
     method: HypergradMethod,
     opt: OuterOptimizer,
     T: int,
@@ -251,20 +250,22 @@ def run_ehg(
 ) -> HPOTrace:
     """Ensemble strategy: lambda steps on the mean of U per-split hypergradients.
 
-    Every outer step re-solves each split's inner problem from theta0 (or from
-    the previous iterate when warm_start). After the last lambda update each
-    split is solved once more at the final lambda so final_thetas matches it.
-    With one split this is the single-split strategy. columns=False skips the
-    trace columns, for callers that read only lambdas and final_thetas.
+    vals (U, m_val) holds each split's validation rows of ds, ascending; the
+    split trains on the rest. Every outer step re-solves each split's inner
+    problem from theta0 (or from the previous iterate when warm_start). After
+    the last lambda update each split is solved once more at the final lambda
+    so final_thetas matches it. With one split this is the single-split
+    strategy. columns=False skips the trace columns, for callers that read
+    only lambdas and final_thetas.
     """
-    return _outer_loop(problem, ds, splits, method, opt, T, lam0, theta0, test_view,
+    return _outer_loop(problem, ds, vals, method, opt, T, lam0, theta0, test_view,
                        warm_start, columns=columns)
 
 
 def run_oehg(
     problem: BilevelProblem,
     ds: Dataset,
-    splits: list[Split],
+    vals: np.ndarray,
     T: int,
     alpha_in: float,
     opt: OuterOptimizer,
@@ -288,5 +289,5 @@ def run_oehg(
     one_step = HypergradMethod(kind="ITD", K=1, alpha_in=alpha_in)  # refuses alpha_in <= 0
     if deploy_view is None:
         deploy_view = full_view(ds)
-    return _outer_loop(problem, ds, splits, one_step, opt, T, lam0, theta0, test_view,
+    return _outer_loop(problem, ds, vals, one_step, opt, T, lam0, theta0, test_view,
                        warm_start=True, deploy=(alpha_deploy, deploy_view), columns=columns)

@@ -10,6 +10,7 @@ from bihpo import problems
 from bihpo.cli import _zoo_dataset as zoo_dataset  # noqa: F401
 from bihpo.cli import _zoo_instance
 from bihpo.cli import _zoo_problem as zoo_problem  # noqa: F401
+from bihpo.data import StackedView
 from bihpo.linalg import LinearOperator
 
 
@@ -17,6 +18,12 @@ def as_operator(A):
     """A dense square matrix as a LinearOperator on (dim,) or (B, dim) arrays."""
     A = np.asarray(A, dtype=np.float64)
     return LinearOperator(dim=A.shape[0], apply=lambda x: x @ A.T)
+
+
+def stack(views):
+    """The rows of equally sized DataViews, of one class count, as one StackedView."""
+    return StackedView(np.stack([v.X for v in views]), np.stack([v.y for v in views]),
+                       views[0].dataset.num_classes)
 
 
 def zoo_instance(kind, seed=11):

@@ -15,11 +15,12 @@ from bihpo.cli import _accuracy, _train_softmax, main
 from bihpo.data import (
     DataView,
     Dataset,
-    Split,
     SplitPlan,
     carve_holdout,
+    complements,
     corrupt_labels,
     derive_seed,
+    draw_val_sets,
     full_view,
     gen_linear,
     gen_multiclass,
@@ -79,7 +80,7 @@ def test_criterion_02_implicit_gradient_exactness():
         ds, _ = gen_linear(n, d, 0.3, seed=derive_seed(321, d), beta_seed=d)
         split = make_splits(n, SplitPlan(U=1, gamma=0.25,
                                          master_seed=derive_seed(654, d)))[0]
-        tr, va = split.train_view(ds), split.val_view(ds)
+        tr, va = DataView(ds, split.train_idx), DataView(ds, split.val_idx)
         prob = build_problem(ModelSpec(kind="ridge"), d)
         oracle = RidgeOracle(tr, va)
         method = HypergradMethod(kind="AID_CG", K=0, alpha_in=0.1, Z=d)
@@ -96,7 +97,7 @@ def test_criterion_02_implicit_gradient_exactness():
 def test_criterion_03_itd_bias_decays_geometrically():
     ds, _ = gen_linear(50, 1, 0.3, seed=31, beta_seed=6)
     split = make_splits(50, SplitPlan(U=1, gamma=0.25, master_seed=13))[0]
-    tr, va = split.train_view(ds), split.val_view(ds)
+    tr, va = DataView(ds, split.train_idx), DataView(ds, split.val_idx)
     prob = build_problem(ModelSpec(kind="ridge"), 1)
     exact = RidgeOracle(tr, va).hypergrad_raw(0.0)
     # step chosen for contraction factor q = 0.8: errors stay well above the
@@ -180,12 +181,12 @@ def test_criterion_07_ensemble_beats_single_split():
         pool_idx, test_idx = carve_holdout(100, 0.3, derive_seed(3000, s))
         pool = subset(ds, pool_idx)
         test_view = DataView(ds, test_idx)
-        splits = make_splits(pool.n, SplitPlan(U=5, gamma=0.25,
+        vals = draw_val_sets(pool.n, SplitPlan(U=5, gamma=0.25,
                                                master_seed=derive_seed(4000, s)))
         lam0, th0 = np.array([0.0]), np.zeros(5)
-        single = run_ehg(prob, pool, splits[:1], method,
+        single = run_ehg(prob, pool, vals[:1], method,
                          OuterOptimizer(kind="gd", alpha_out=0.5), 30, lam0, th0)
-        ehg = run_ehg(prob, pool, splits, method,
+        ehg = run_ehg(prob, pool, vals, method,
                       OuterOptimizer(kind="gd", alpha_out=0.5), 30, lam0, th0)
         loss_single = _final_test_loss(prob, pool, single.final_lambda, test_view)
         loss_ehg = _final_test_loss(prob, pool, ehg.final_lambda, test_view)
@@ -204,29 +205,30 @@ def test_criterion_08_hyper_cleaning_recovers_corrupted_labels():
         pool_idx, test_idx = carve_holdout(1000, 0.3, derive_seed(700, s))
         pool = subset(ds, pool_idx)
         test_view = DataView(ds, test_idx)
-        split = make_splits(pool.n, SplitPlan(U=1, gamma=0.25,
-                                              master_seed=derive_seed(800, s)))[0]
+        vals = draw_val_sets(pool.n, SplitPlan(U=1, gamma=0.25,
+                                               master_seed=derive_seed(800, s)))
+        train_idx = complements(pool.n, vals[0])
         corrupted, clean_mask = corrupt_labels(pool, 0.5, derive_seed(900, s))
         y = pool.y.copy()
-        y[split.train_idx] = corrupted.y[split.train_idx]
+        y[train_idx] = corrupted.y[train_idx]
         dirty = Dataset(X=pool.X, y=y, task="multiclass", num_classes=4)
-        mask_train = ~clean_mask[split.train_idx]
+        mask_train = ~clean_mask[train_idx]
 
-        n_w = len(split.train_idx)
+        n_w = len(train_idx)
         prob = build_problem(ModelSpec(kind="hyperclean_softmax", num_classes=4,
                                        n_weights=n_w), pool.d)
-        trace = run_oehg(prob, dirty, [split], T=300, alpha_in=0.5,
+        trace = run_oehg(prob, dirty, vals, T=300, alpha_in=0.5,
                          opt=OuterOptimizer(kind="adam", alpha_out=0.05),
                          alpha_deploy=0.5, lam0=np.zeros(n_w),
                          theta0=np.zeros(prob.param_dim),
-                         deploy_view=split.train_view(dirty), columns=False)
+                         deploy_view=DataView(dirty, train_idx), columns=False)
         flagged = sigmoid(trace.final_lambda) < 0.5
         tp = int(np.sum(flagged & mask_train))
         fp = int(np.sum(flagged & ~mask_train))
         fn = int(np.sum(~flagged & mask_train))
         f1s.append(2.0 * tp / (2.0 * tp + fp + fn))
 
-        train_view = split.train_view(dirty)
+        train_view = DataView(dirty, train_idx)
         keep = ~flagged
         W_clean = _train_softmax(train_view.X[keep], train_view.y[keep], 4,
                                  500, 0.5, -12.0)
@@ -249,9 +251,9 @@ def test_criterion_09_online_one_step_equivalence():
         rng = np.random.Generator(np.random.PCG64(derive_seed(31337, 1)))
         lam = 0.3 * rng.standard_normal(prob.hyper_dim)
         shadow = 0.5 * rng.standard_normal(prob.param_dim)
-        # run_oehg's first update: one split, gd at unit step, so lam1 = lam - g
-        split = Split(train_idx=tr.idx, val_idx=va.idx)
-        lam1 = run_oehg(prob, tr.dataset, [split], T=1, alpha_in=0.05,
+        # run_oehg's first update: one split, gd at unit step, so lam1 = lam - g;
+        # the split validates on va's rows and trains on the rest, tr's
+        lam1 = run_oehg(prob, tr.dataset, va.idx[None], T=1, alpha_in=0.05,
                         opt=OuterOptimizer(kind="gd", alpha_out=1.0), alpha_deploy=0.05,
                         lam0=lam, theta0=shadow, deploy_view=tr).lambdas[1]
         traj = inner_solve(prob, lam, shadow, tr, 1, 0.05)

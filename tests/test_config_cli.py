@@ -474,6 +474,23 @@ def test_tune_seed_override_changes_the_run(tmp_path):
     assert manifest["config"]["split"]["master_seed"] == 99
 
 
+def test_single_corrupts_its_split_alone_whatever_split_u(tmp_path):
+    # single trains on split 0 alone, so only split 0's validation rows keep
+    # their clean labels: the other splits of the plan must not change its data
+    outs = []
+    for U in (1, 3):
+        d = tune_dict(data={"synthetic": {"n": 80, "classes": 2}, "test_fraction": 0.0,
+                            "corrupt": {"p": 0.5, "seed": 4}},
+                      split={"U": U, "master_seed": 5}, problem={"kind": "logistic_l2"},
+                      strategy={"kind": "single", "T": 5, "lambda0": -1.0})
+        code, out = run_tune(tmp_path, d, f"out{U}")
+        assert code == 0
+        outs.append(out)
+    assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
+    lams = [json.loads((out / "final.json").read_text())["lambda_raw"] for out in outs]
+    assert lams[0] == lams[1]
+
+
 def test_tune_json_only_format(tmp_path):
     code, out = run_tune(tmp_path, tune_dict(output={"formats": ["json"]}))
     assert code == 0

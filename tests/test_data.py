@@ -11,15 +11,18 @@ from bihpo.data import (
     Dataset,
     SplitPlan,
     StackedView,
+    _all_val_sets,
     carve_holdout,
+    complements,
     corrupt_labels,
     derive_seed,
-    enumerate_all_splits,
+    draw_val_sets,
     full_view,
     gen_linear,
     gen_multiclass,
     make_splits,
     read_libsvm,
+    split_stacks,
     splitmix64,
     subset,
     val_size,
@@ -73,19 +76,21 @@ def test_view_sorts_indices_and_caches_gram():
 
 
 def member_views(d, k=None):
-    """Five train views of one dataset with d features (k classes when given)."""
+    """Five train views of one dataset with d features (k classes when given),
+    and the train stack of their splits."""
     if k is None:
         ds, _ = gen_linear(60, d, 0.5, seed=d, beta_seed=1)
     else:
         ds, _ = gen_multiclass(60, d, k, 0.3, seed=d, beta_seed=1)
-    splits = make_splits(ds.n, SplitPlan(U=5, gamma=0.25, master_seed=d))
-    return [s.train_view(ds) for s in splits]
+    vals = draw_val_sets(ds.n, SplitPlan(U=5, gamma=0.25, master_seed=d))
+    views = [DataView(ds, train) for train in complements(ds.n, vals)]
+    return views, split_stacks(ds.X, ds.y, vals, ds.num_classes)[0]
 
 
 @pytest.mark.parametrize("d", [1, 3, 10, 20])
 def test_rows_stack_has_the_bits_of_its_member_views(d):
-    views = member_views(d)
-    stack = StackedView.from_rows(np.stack([v.X for v in views]), np.stack([v.y for v in views]))
+    views, _ = member_views(d)
+    stack = StackedView(np.stack([v.X for v in views]), np.stack([v.y for v in views]))
     assert len(stack) == 5 and stack.m == views[0].m
     A, b = stack.gram
     for i, v in enumerate(views):
@@ -94,8 +99,7 @@ def test_rows_stack_has_the_bits_of_its_member_views(d):
 
 
 def test_take_gathers_members_as_they_are_read():
-    views = member_views(3)
-    stack = StackedView(views)
+    views, stack = member_views(3)
     for index in (np.array([4, 0, 4]), slice(1, 3)):
         taken = stack.take(index)
         assert len(taken) == len(np.arange(5)[index])
@@ -107,10 +111,10 @@ def test_take_gathers_members_as_they_are_read():
     with pytest.raises(ContractViolationError):
         stack.take(slice(5, 9))
     with pytest.raises(ContractViolationError):
-        StackedView.from_rows(np.ones((2, 3)), np.ones(2))
+        StackedView(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ContractViolationError, match="no one_hot"):
-        StackedView.from_rows(np.ones((2, 3, 1)), np.ones((2, 3))).one_hot
-    rows = StackedView.from_rows(np.stack([v.X for v in views]), np.stack([v.y for v in views]))
+        StackedView(np.ones((2, 3, 1)), np.ones((2, 3))).one_hot
+    rows = StackedView(np.stack([v.X for v in views]), np.stack([v.y for v in views]))
     index = np.array([3, 1, 3])
     for s, picked in ((rows, range(5)), (rows.take(index), index),
                       (stack.take(index), index), (rows.take(index).take([2, 0]), [3, 3])):
@@ -123,29 +127,20 @@ def test_take_gathers_members_as_they_are_read():
 
 @pytest.mark.parametrize("d", [1, 3, 10, 20])
 def test_view_gram_keeps_the_bits_of_the_plain_products(d):
-    for v in member_views(d) + [full_view(gen_linear(m, d, 0.5, seed=m)[0]) for m in (1, 2, 7)]:
+    for v in member_views(d)[0] + [full_view(gen_linear(m, d, 0.5, seed=m)[0]) for m in (1, 2, 7)]:
         A, b = v.gram
         assert A.tobytes() == (v.X.T @ v.X / v.m).tobytes()
         assert b.tobytes() == (v.X.T @ v.y / v.m).tobytes()
 
 
-def test_stacked_members_must_share_their_class_count():
-    three, four = (gen_multiclass(20, 2, k, 0.3, seed=k)[0] for k in (3, 4))
-    with pytest.raises(ContractViolationError, match="must share"):
-        StackedView([full_view(three), full_view(four)])
-    stack = StackedView([full_view(three), full_view(three)])
-    assert stack.num_classes == 3 and stack.one_hot.shape == (2, 3, 20)
-
-
 def test_softmax_caches_are_feature_and_class_major():
-    views = member_views(3, k=4)
+    views, stack = member_views(3, k=4)
     for v in views:
         assert v.Xt.flags.c_contiguous and v.Xt.shape == (3, v.m)
         assert_array_equal(v.Xt, v.X.T)
         assert v.one_hot.shape == (4, v.m)
         assert_array_equal(v.one_hot.argmax(axis=0), v.y)
         assert_array_equal(v.one_hot.sum(axis=0), 1.0)
-    stack = StackedView(views)
     index = np.array([4, 0, 4])
     taken = stack.take(index)
     for name in ("Xt", "one_hot"):
@@ -156,8 +151,7 @@ def test_softmax_caches_are_feature_and_class_major():
 
 
 def test_take_of_a_take_gathers_only_its_own_members():
-    views = member_views(3)
-    stack = StackedView(views)
+    views, stack = member_views(3)
     members = stack.take(np.array([4, 0, 4, 2]))
     for index, picked in ((slice(1, 3), [0, 4]), (np.array([3, 0]), [2, 4])):
         run = members.take(index)
@@ -165,6 +159,30 @@ def test_take_of_a_take_gathers_only_its_own_members():
             assert row.tobytes() == views[i].gram[0].tobytes()
         assert_array_equal(run.y, np.stack([views[i].y for i in picked]))
     assert "gram" not in vars(members) and "y" not in vars(members)
+
+
+@pytest.mark.parametrize("d", [1, 10])
+@pytest.mark.parametrize("task", ["regression", "binary", "multiclass"])
+def test_split_stacks_hold_the_bits_of_each_splits_views(task, d):
+    # the strategies and the diagnostics stack a plan's splits by split_stacks
+    # alone, so each member must be its split's DataView, value by value
+    if task == "regression":
+        ds, _ = gen_linear(40, d, 0.5, seed=d, beta_seed=1)
+    else:
+        raw, _ = gen_multiclass(40, d, 2 if task == "binary" else 3, 0.3, seed=d, beta_seed=1)
+        ds = (Dataset(X=raw.X, y=2.0 * raw.y - 1.0, task="binary") if task == "binary"
+              else raw)
+    vals = draw_val_sets(ds.n, SplitPlan(U=4, gamma=0.25, master_seed=d))
+    train, val = split_stacks(ds.X, ds.y, vals, ds.num_classes)
+    names = ("X", "y", "Xt", "yXt", "gram") + (("one_hot",) if ds.num_classes else ())
+    for stack, rows in ((train, complements(ds.n, vals)), (val, vals)):
+        assert len(stack) == 4 and stack.num_classes == ds.num_classes
+        for u, idx in enumerate(rows):
+            view = DataView(ds, idx)
+            for name in names:
+                got, want = getattr(stack, name), getattr(view, name)
+                for g, w in zip(got, want) if name == "gram" else [(got, want)]:
+                    assert g[u].shape == w.shape and g[u].tobytes() == w.tobytes(), (name, u)
 
 
 @pytest.mark.parametrize("idx, message", [
@@ -248,18 +266,17 @@ def test_split_partition_property(n, gamma, U, seed):
                            np.arange(n))
 
 
-def test_enumerate_all_splits_counts():
-    assert len(enumerate_all_splits(4, 1.0 / 3.0)) == 4
-    assert len(enumerate_all_splits(6, 0.5)) == 15
-    assert len(enumerate_all_splits(22, 1.0 / 11.0)) == 231
+def test_all_val_sets_counts():
+    assert len(_all_val_sets(4, 1.0 / 3.0)) == 4
+    assert len(_all_val_sets(6, 0.5)) == 15
+    assert len(_all_val_sets(22, 1.0 / 11.0)) == 231
 
 
-def test_enumerate_all_splits_lexicographic_and_guarded():
-    splits = enumerate_all_splits(5, 0.25)
-    vals = [tuple(s.val_idx) for s in splits]
+def test_all_val_sets_lexicographic_and_guarded():
+    vals = [tuple(val) for val in _all_val_sets(5, 0.25)]
     assert vals == sorted(vals)
     with pytest.raises(InfeasiblePlanError):
-        enumerate_all_splits(40, 0.5)
+        _all_val_sets(40, 0.5)
 
 
 def test_carve_holdout():

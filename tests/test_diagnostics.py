@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,15 +13,19 @@ from numpy.testing import assert_allclose
 
 from bihpo import diagnostics
 from bihpo.data import (
+    DataView,
     Dataset,
     SplitPlan,
     StackedView,
+    complements,
     derive_seed,
-    enumerate_all_splits,
+    draw_val_sets,
     full_view,
     gen_linear,
     gen_multiclass,
     make_splits,
+    split_stacks,
+    val_size,
 )
 from bihpo.diagnostics import (
     RidgeOracle,
@@ -64,7 +69,7 @@ def tiny_pair():
 def ridge_views(n=40, d=3, seed=17):
     ds, _ = gen_linear(n, d, 0.3, seed=seed, beta_seed=2)
     split = make_splits(n, SplitPlan(U=1, gamma=0.25, master_seed=3))[0]
-    return split.train_view(ds), split.val_view(ds)
+    return DataView(ds, split.train_idx), DataView(ds, split.val_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +184,9 @@ def test_oracle_grid_fast_path_matches_oracle():
 
 def test_stacked_oracle_matches_per_view_oracles():
     ds, _ = gen_linear(40, 3, 0.3, seed=5, beta_seed=2)
-    splits = make_splits(40, SplitPlan(U=4, gamma=0.25, master_seed=6))
-    views = [(s.train_view(ds), s.val_view(ds)) for s in splits]
-    oracle = RidgeOracle(StackedView([t for t, _ in views]), StackedView([v for _, v in views]))
+    vals = draw_val_sets(40, SplitPlan(U=4, gamma=0.25, master_seed=6))
+    views = [(DataView(ds, tr), DataView(ds, va)) for tr, va in zip(complements(40, vals), vals)]
+    oracle = RidgeOracle(*split_stacks(ds.X, ds.y, vals))
     grid = np.array([0.5, 2.0])
     assert oracle.theta_hat(grid).shape == (4, 2, 3)
     L, mu = oracle.curvature(0.7)
@@ -309,8 +314,9 @@ def per_member_curve(design, method, lam_eff, R, U_list, seed, spec):
                                    seed=derive_seed(seed, 2 * counter), beta_seed=design.beta_seed)
                 plan = SplitPlan(U=1, gamma=design.gamma, master_seed=derive_seed(seed, 2 * counter + 1))
                 split = make_splits(ds.n, plan)[0]
-                g = estimate_hypergrad(problem, lam, np.zeros(problem.param_dim),
-                                       split.train_view(ds), split.val_view(ds), method).grad
+                tr, va = DataView(ds, split.train_idx), DataView(ds, split.val_idx)
+                g = estimate_hypergrad(problem, lam, np.zeros(problem.param_dim), tr, va,
+                                       method).grad
                 acc = g.copy() if acc is None else acc + g
                 counter += 1
             means.append(acc / U)
@@ -406,8 +412,8 @@ def test_a_forward_member_holds_at_most_forward_arrays(kind):
     # computed the value, the gradient and the Hessian diagonal together)
     B = 6000
     rng = np.random.Generator(np.random.PCG64(2))
-    train, val = (StackedView.from_rows(rng.standard_normal((B, 20, 1)),
-                                        rng.standard_normal((B, 20))) for _ in range(2))
+    train, val = (StackedView(rng.standard_normal((B, 20, 1)), rng.standard_normal((B, 20)))
+                  for _ in range(2))
     train.gram, val.gram
     prob = build_problem(ModelSpec(kind=kind, smoothing_delta=0.5), 1)
     lam, theta0 = np.full((B, 1), -0.5), 0.1 * rng.standard_normal((B, 1))
@@ -465,7 +471,7 @@ def test_variance_curve_divergence_names_member_and_step(monkeypatch, runs):
                                         master_seed=derive_seed(0, 2 * m + 1)))[0]
     with pytest.raises(NumericalError) as alone:
         inner_solve(build_problem(ModelSpec(kind="ridge"), DESIGN.d), np.zeros(1),
-                    np.zeros(DESIGN.d), split.train_view(ds), 400, 5.0)
+                    np.zeros(DESIGN.d), DataView(ds, split.train_idx), 400, 5.0)
     assert alone.value.step_index == step
 
 
@@ -606,7 +612,7 @@ def per_member_sweep(design, method, grid, R, U, seed, spec, ref_K):
         for l, le in enumerate(grid):
             lam = np.full(p, math.log(le))
             for s in make_splits(ds.n, plan):
-                tr, va = s.train_view(ds), s.val_view(ds)
+                tr, va = DataView(ds, s.train_idx), DataView(ds, s.val_idx)
                 if spec.kind == "ridge":
                     ref = np.array([RidgeOracle(tr, va).hypergrad_raw(lam[0])])
                 else:
@@ -717,8 +723,8 @@ def test_fpc_verify_matches_per_split_loop(kind):
     method = HypergradMethod(kind="ITD", K=30, alpha_in=0.1)
     rep = fpc_verify(ds, 0.5, U=3, lam_raw=0.4, problem=prob, samples=10, seed=0, method=method)
     stats = []
-    for s in enumerate_all_splits(ds.n, 0.5):
-        tr, va = s.train_view(ds), s.val_view(ds)
+    for train_idx, val_idx in all_splits(ds.n, 0.5):
+        tr, va = DataView(ds, train_idx), DataView(ds, val_idx)
         if kind == "ridge":
             stats.append([RidgeOracle(tr, va).hypergrad_raw(0.4)])
         else:
@@ -734,6 +740,13 @@ def test_fpc_verify_matches_per_split_loop(kind):
     assert rep.V == len(stats) == 15
     assert abs(rep.sigma_sq - sigma_sq) <= 1e-12 * sigma_sq
     assert abs(rep.mc_estimate - mc) <= 1e-12 * mc
+
+
+def all_splits(n, gamma):
+    """Every (train, val) index pair of range(n) at ratio gamma, validation sets
+    in lexicographic order."""
+    return [(np.setdiff1d(np.arange(n), val), np.array(val))
+            for val in combinations(range(n), val_size(n, gamma))]
 
 
 def fpc_population_stacks(monkeypatch, ds, gamma, problem, method=None):
@@ -756,10 +769,10 @@ def test_fpc_population_stack_holds_the_rows_of_every_enumerated_split(monkeypat
     ds, _ = gen_linear(n, d, 0.5, seed=n, beta_seed=1)
     train, val, _ = fpc_population_stacks(monkeypatch, ds, gamma,
                                           build_problem(ModelSpec(kind="ridge"), d))
-    splits = enumerate_all_splits(ds.n, gamma)
+    splits = all_splits(ds.n, gamma)
     assert len(train) == len(val) == len(splits)
-    for u, split in enumerate(splits):
-        for stack, idx in ((train, split.train_idx), (val, split.val_idx)):
+    for u, (train_idx, val_idx) in enumerate(splits):
+        for stack, idx in ((train, train_idx), (val, val_idx)):
             assert stack.X[u].tobytes() == ds.X[idx].tobytes()
             assert stack.y[u].tobytes() == ds.y[idx].tobytes()
 
@@ -770,10 +783,10 @@ def test_fpc_verify_takes_a_softmax_problem_with_the_one_hot_of_every_split(monk
         monkeypatch, ds, 0.25, build_problem(ModelSpec(kind="softmax_l2", num_classes=3), ds.d),
         HypergradMethod(kind="ITD", K=5, alpha_in=0.1))
     assert np.isfinite(rep.sigma_sq) and np.isfinite(rep.mc_estimate)
-    splits = enumerate_all_splits(ds.n, 0.25)
+    splits = all_splits(ds.n, 0.25)
     assert len(train) == len(val) == len(splits) == rep.V
-    for u, split in enumerate(splits):
-        for stack, view in ((train, split.train_view(ds)), (val, split.val_view(ds))):
+    for u, (train_idx, val_idx) in enumerate(splits):
+        for stack, view in ((train, DataView(ds, train_idx)), (val, DataView(ds, val_idx))):
             assert stack.one_hot[u].tobytes() == view.one_hot.tobytes()
 
 

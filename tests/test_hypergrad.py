@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bihpo.data import Dataset, SplitPlan, StackedView, full_view, gen_linear, make_splits
+from bihpo.data import (
+    DataView,
+    Dataset,
+    SplitPlan,
+    draw_val_sets,
+    full_view,
+    gen_linear,
+    make_splits,
+    split_stacks,
+)
 from bihpo.diagnostics import RidgeOracle
 from bihpo.errors import ContractViolationError, NumericalError
 from bihpo.hypergrad import (
@@ -25,7 +34,7 @@ from bihpo.hypergrad import (
 )
 from bihpo import problems
 from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem
-from helpers import count_softmax_rows, zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
+from helpers import count_softmax_rows, stack, zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
 
 RIDGE1 = build_problem(ModelSpec(kind="ridge"), 1)
 
@@ -39,7 +48,7 @@ def ridge_setup(n=40, d=3, seed=17, u=-0.2):
     ds, _ = gen_linear(n, d, 0.3, seed=seed, beta_seed=2)
     split = make_splits(n, SplitPlan(U=1, gamma=0.25, master_seed=3))[0]
     prob = build_problem(ModelSpec(kind="ridge"), d)
-    return prob, split.train_view(ds), split.val_view(ds), np.array([u])
+    return prob, DataView(ds, split.train_idx), DataView(ds, split.val_idx), np.array([u])
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +132,7 @@ def test_itd_matches_forward_mode_recurrence_1d(seed, K, u):
     s_{k+1} = s_k (1 - 2 alpha (A + e^u)) - 2 alpha e^u theta_k."""
     ds, _ = gen_linear(12, 1, 0.4, seed=seed % 997, beta_seed=5)
     split = make_splits(12, SplitPlan(U=1, gamma=0.5, master_seed=1))[0]
-    tr, va = split.train_view(ds), split.val_view(ds)
+    tr, va = DataView(ds, split.train_idx), DataView(ds, split.val_idx)
     A, b = tr.gram
     A, b = float(A[0, 0]), float(b[0])
     alpha, le = 0.05, math.exp(u)
@@ -188,8 +197,8 @@ def test_aid_zero_outer_gradient_gives_zero_hypergrad():
     ds, beta = gen_linear(20, 3, 0.0, seed=9, beta_seed=4)
     split = make_splits(20, SplitPlan(U=1, gamma=0.25, master_seed=2))[0]
     prob = build_problem(ModelSpec(kind="ridge"), 3)
-    res = estimate_hypergrad(prob, np.array([0.0]), beta, split.train_view(ds),
-                             split.val_view(ds), aid_method(Z=10))
+    res = estimate_hypergrad(prob, np.array([0.0]), beta, DataView(ds, split.train_idx),
+                             DataView(ds, split.val_idx), aid_method(Z=10))
     assert_array_equal(res.grad, np.zeros(1))
 
 
@@ -234,9 +243,8 @@ def test_aid_evaluates_the_curvature_once_per_solve(monkeypatch):
     d = 12
     ds = zoo_dataset("logistic_l2", 60, d, seed=5)
     prob = zoo_problem("logistic_l2", ds)
-    splits = make_splits(ds.n, SplitPlan(U=3, gamma=0.25, master_seed=4))
-    tr = StackedView([s.train_view(ds) for s in splits])
-    va = StackedView([s.val_view(ds) for s in splits])
+    vals = draw_val_sets(ds.n, SplitPlan(U=3, gamma=0.25, master_seed=4))
+    tr, va = split_stacks(ds.X, ds.y, vals)
     theta = 0.3 * np.random.Generator(np.random.PCG64(6)).standard_normal((3, d))
     per_solve = []
     for Z in (5, 20):
@@ -255,9 +263,8 @@ def test_aid_cg_applies_the_hessian_once_per_iteration_and_once_for_its_residual
     d = 12
     ds = zoo_dataset("logistic_l2", 60, d, seed=5)
     prob = zoo_problem("logistic_l2", ds)
-    splits = make_splits(ds.n, SplitPlan(U=3, gamma=0.25, master_seed=4))
-    tr = StackedView([s.train_view(ds) for s in splits])
-    va = StackedView([s.val_view(ds) for s in splits])
+    vals = draw_val_sets(ds.n, SplitPlan(U=3, gamma=0.25, master_seed=4))
+    tr, va = split_stacks(ds.X, ds.y, vals)
     binds, products = [], []
 
     def bind_inner(lam, view):
@@ -417,8 +424,8 @@ def member_views(n_members=5, d=3, kind="ridge"):
     for c in range(n_members):
         ds = zoo_dataset(kind, 24, d, seed=40 + c)
         split = make_splits(ds.n, SplitPlan(U=1, gamma=0.25, master_seed=c))[0]
-        trains.append(split.train_view(ds))
-        vals.append(split.val_view(ds))
+        trains.append(DataView(ds, split.train_idx))
+        vals.append(DataView(ds, split.val_idx))
     return trains, vals
 
 
@@ -439,7 +446,7 @@ def test_stacked_estimate_matches_per_member_calls(kind, method):
     rng = np.random.Generator(np.random.PCG64(5))
     lam = 0.4 * rng.standard_normal((len(trains), prob.hyper_dim))
     theta0 = 0.1 * rng.standard_normal(prob.param_dim)
-    res = estimate_hypergrad(prob, lam, theta0, StackedView(trains), StackedView(vals), method)
+    res = estimate_hypergrad(prob, lam, theta0, stack(trains), stack(vals), method)
     assert res.grad.shape == (len(trains), prob.hyper_dim)
     for i, (tr, va) in enumerate(zip(trains, vals)):
         one = estimate_hypergrad(prob, lam[i], theta0, tr, va, method)
@@ -459,8 +466,8 @@ def test_stacked_losses_match_per_member(kind):
     rng = np.random.Generator(np.random.PCG64(8))
     lam = 0.4 * rng.standard_normal((len(trains), prob.hyper_dim))
     theta = rng.standard_normal((len(trains), prob.param_dim))
-    inner = prob.inner_loss(lam, theta, StackedView(trains))
-    outer = prob.outer_loss(lam, theta, StackedView(vals))
+    inner = prob.inner_loss(lam, theta, stack(trains))
+    outer = prob.outer_loss(lam, theta, stack(vals))
     assert inner.shape == outer.shape == (len(trains),)
     for i, (tr, va) in enumerate(zip(trains, vals)):
         assert abs(inner[i] - prob.inner_loss(lam[i], theta[i], tr)) <= 1e-12 * abs(inner[i])
@@ -476,7 +483,7 @@ def test_estimate_binds_the_inner_objective_once(method, stacked):
     bind, views = prob.bind_inner, []
     prob = dataclasses.replace(
         prob, bind_inner=lambda lam, view: views.append(view) or bind(lam, view))
-    train, val = (StackedView(trains), StackedView(vals)) if stacked else (trains[0], vals[0])
+    train, val = (stack(trains), stack(vals)) if stacked else (trains[0], vals[0])
     estimate_hypergrad(prob, np.zeros(1), np.zeros(3), train, val, method)
     assert len(views) == 1 and views[0] is train
 
@@ -486,10 +493,10 @@ def test_stacked_estimate_broadcasts_shared_lambda_and_start():
     prob = build_problem(ModelSpec(kind="ridge"), 3)
     method = BATCH_METHODS[0]
     lam = np.array([0.2])
-    shared = estimate_hypergrad(prob, lam, np.zeros(3), StackedView(trains),
-                                StackedView(vals), method)
+    shared = estimate_hypergrad(prob, lam, np.zeros(3), stack(trains),
+                                stack(vals), method)
     stacked = estimate_hypergrad(prob, np.tile(lam, (5, 1)), np.zeros((5, 3)),
-                                 StackedView(trains), StackedView(vals), method)
+                                 stack(trains), stack(vals), method)
     assert_array_equal(shared.grad, stacked.grad)
 
 
@@ -498,7 +505,7 @@ def scaled_member(c, scale):
     ds, _ = gen_linear(24, 3, 0.3, seed=40 + c, beta_seed=1)
     big = Dataset(X=scale * ds.X, y=ds.y, task="regression")
     split = make_splits(big.n, SplitPlan(U=1, gamma=0.25, master_seed=c))[0]
-    return split.train_view(big), split.val_view(big)
+    return DataView(big, split.train_idx), DataView(big, split.val_idx)
 
 
 def test_stacked_estimate_names_diverging_member():
@@ -508,8 +515,8 @@ def test_stacked_estimate_names_diverging_member():
     prob = build_problem(ModelSpec(kind="ridge"), 3)
     method = HypergradMethod(kind="ITD", K=400, alpha_in=0.1)
     with pytest.raises(NumericalError) as err:
-        estimate_hypergrad(prob, np.zeros(1), np.zeros(3), StackedView(trains),
-                           StackedView(vals), method)
+        estimate_hypergrad(prob, np.zeros(1), np.zeros(3), stack(trains),
+                           stack(vals), method)
     assert err.value.member == 2
     assert f"step {err.value.step_index}" in str(err.value)
     assert "(member 2)" in str(err.value)
@@ -545,13 +552,13 @@ def test_members_diverging_at_different_steps_name_the_first():
     step_3 = stepwise_failure(prob, lam, np.zeros(3), trains[3], K, alpha)[0]
     assert step_1 < step_3
     with pytest.raises(NumericalError) as err:
-        inner_solve(prob, lam, np.zeros(3), StackedView(trains), K, alpha)
-    expected = stepwise_failure(prob, lam, np.zeros((5, 3)), StackedView(trains), K, alpha)
+        inner_solve(prob, lam, np.zeros(3), stack(trains), K, alpha)
+    expected = stepwise_failure(prob, lam, np.zeros((5, 3)), stack(trains), K, alpha)
     assert (err.value.step_index, err.value.member) == expected == (step_1, 1)
     # without member 1, the stack fails where member 3 does, and names it
     rest = [trains[i] for i in (0, 2, 3, 4)]
     with pytest.raises(NumericalError) as err:
-        inner_solve(prob, lam, np.zeros(3), StackedView(rest), K, alpha)
+        inner_solve(prob, lam, np.zeros(3), stack(rest), K, alpha)
     assert (err.value.step_index, err.value.member) == (step_3, 2)
     assert f"step {step_3}" in str(err.value)
 
@@ -603,7 +610,7 @@ def test_forward_estimate_matches_reverse_pass(kind, method, stacked):
     lam = 0.4 * rng.standard_normal((len(trains), 1))
     theta0 = 0.1 * rng.standard_normal((len(trains), prob.param_dim))
     if stacked:
-        train, val = StackedView(trains), StackedView(vals)
+        train, val = stack(trains), stack(vals)
     else:
         train, val, lam, theta0 = trains[0], vals[0], lam[0], theta0[0]
     got = estimate_hypergrad(prob, lam, theta0, train, val, method)
@@ -623,7 +630,7 @@ def test_stacked_forward_member_keeps_the_bits_of_its_own_call(kind, method):
     rng = np.random.Generator(np.random.PCG64(7))
     lam = 0.4 * rng.standard_normal((len(trains), 1))
     theta0 = 0.1 * rng.standard_normal(prob.param_dim)
-    res = forward_hypergrad(prob, lam, theta0, StackedView(trains), StackedView(vals), method)
+    res = forward_hypergrad(prob, lam, theta0, stack(trains), stack(vals), method)
     for i, (tr, va) in enumerate(zip(trains, vals)):
         one = forward_hypergrad(prob, lam[i], theta0, tr, va, method)
         assert_array_equal(res.grad[i], one.grad)
@@ -638,7 +645,7 @@ def test_stacked_d1_ridge_member_keeps_the_bits_of_its_own_call(method):
     prob = member_problem("ridge", trains)
     rng = np.random.Generator(np.random.PCG64(9))
     lam = 0.4 * rng.standard_normal((len(trains), 1))
-    res = forward_hypergrad(prob, lam, np.zeros(1), StackedView(trains), StackedView(vals), method)
+    res = forward_hypergrad(prob, lam, np.zeros(1), stack(trains), stack(vals), method)
     for i, (tr, va) in enumerate(zip(trains, vals)):
         one = forward_hypergrad(prob, lam[i], np.zeros(1), tr, va, method)
         assert res.grad[i].tobytes() == one.grad.tobytes()
@@ -682,7 +689,7 @@ def test_estimates_never_write_into_their_callers_arrays(kind, start):
     if start == "view":
         train, val, lam = trains[0], vals[0], 0.3 * rng.standard_normal(p)
     else:
-        train, val = StackedView(trains), StackedView(vals)
+        train, val = stack(trains), stack(vals)
         lam = 0.3 * rng.standard_normal((5, p))
     theta0 = 0.1 * rng.standard_normal((5, r) if start == "per_member" else r)
     inputs = [lam, theta0] + [x for view in (train, val) for x in (view.X, view.y, *view.gram)]
@@ -716,9 +723,9 @@ def test_diverging_forward_estimate_from_a_callers_stack_names_the_step_and_memb
     assert forward_mode(prob, method)
     theta0 = np.full((5, 3), 0.01)
     with pytest.raises(NumericalError) as err:
-        estimate_hypergrad(prob, np.zeros((5, 1)), theta0, StackedView(trains),
-                           StackedView(vals), method)
-    expected = stepwise_failure(prob, np.zeros(1), np.full((5, 3), 0.01), StackedView(trains),
+        estimate_hypergrad(prob, np.zeros((5, 1)), theta0, stack(trains),
+                           stack(vals), method)
+    expected = stepwise_failure(prob, np.zeros(1), np.full((5, 3), 0.01), stack(trains),
                                 400, 0.1)
     assert (err.value.step_index, err.value.member) == expected
     assert expected[0] > 0 and expected[1] == 2
@@ -729,10 +736,10 @@ def test_stacked_views_refused_for_bad_shapes():
     trains, vals = member_views()
     ridge = build_problem(ModelSpec(kind="ridge"), 3)
     bad_calls = [
-        (np.zeros((4, 1)), np.zeros(3), StackedView(trains), StackedView(vals)),
-        (np.zeros(1), np.zeros((5, 2)), StackedView(trains), StackedView(vals)),
-        (np.zeros(1), np.zeros(3), StackedView(trains), StackedView(vals[:4])),
-        (np.zeros(1), np.zeros(3), StackedView(trains), vals[0]),
+        (np.zeros((4, 1)), np.zeros(3), stack(trains), stack(vals)),
+        (np.zeros(1), np.zeros((5, 2)), stack(trains), stack(vals)),
+        (np.zeros(1), np.zeros(3), stack(trains), stack(vals[:4])),
+        (np.zeros(1), np.zeros(3), stack(trains), vals[0]),
     ]
     for lam, theta0, train, val in bad_calls:
         with pytest.raises(ContractViolationError):

@@ -15,7 +15,6 @@ from bihpo.data import (
     DataView,
     Dataset,
     SplitPlan,
-    StackedView,
     full_view,
     gen_linear,
     gen_multiclass,
@@ -33,7 +32,7 @@ from bihpo.problems import (
     sigmoid,
     verify_derivatives,
 )
-from helpers import zoo_dataset, zoo_instance, zoo_problem
+from helpers import stack, zoo_dataset, zoo_instance, zoo_problem
 
 RIDGE = build_problem(ModelSpec(kind="ridge"), 1)
 
@@ -41,7 +40,7 @@ RIDGE = build_problem(ModelSpec(kind="ridge"), 1)
 def regression_views(n=30, d=4, seed=5):
     ds, _ = gen_linear(n, d, 0.3, seed=seed, beta_seed=1)
     split = make_splits(n, SplitPlan(U=1, gamma=0.25, master_seed=7))[0]
-    return ds, split.train_view(ds), split.val_view(ds)
+    return ds, DataView(ds, split.train_idx), DataView(ds, split.val_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +261,7 @@ def test_one_binding_gives_the_bits_of_the_callbacks(kind):
     prob = members[0][0]
     rng = np.random.Generator(np.random.PCG64(8))
     p, r = prob.hyper_dim, prob.param_dim
-    stacked = StackedView([train for _, train, _ in members])
+    stacked = stack([train for _, train, _ in members])
     for lam, view, shape in ((0.3 * rng.standard_normal(p), members[0][1], (r,)),
                              (0.3 * rng.standard_normal((3, p)), stacked, (3, r))):
         inner = prob.bind_inner(lam, view)
@@ -330,14 +329,14 @@ def test_every_bound_function_returns_a_fresh_array(kind, d):
     trains = []
     for seed in (11, 12, 13):
         ds = zoo_dataset(kind, 24, d, seed=seed)
-        trains.append(make_splits(ds.n, SplitPlan(U=1, gamma=0.25, master_seed=seed))[0]
-                      .train_view(ds))
+        split = make_splits(ds.n, SplitPlan(U=1, gamma=0.25, master_seed=seed))[0]
+        trains.append(DataView(ds, split.train_idx))
     n_weights = trains[0].m if kind == "hyperclean_softmax" else 0
     prob = zoo_problem(kind, trains[0].dataset, n_weights, smoothing_delta=0.5)
     rng = np.random.Generator(np.random.PCG64(8))
     p, r = prob.hyper_dim, prob.param_dim
     for lam, view, shape in ((0.3 * rng.standard_normal(p), trains[0], (r,)),
-                             (0.3 * rng.standard_normal((3, p)), StackedView(trains), (3, r))):
+                             (0.3 * rng.standard_normal((3, p)), stack(trains), (3, r))):
         theta, v = rng.standard_normal(shape), rng.standard_normal(shape)
         inner = prob.bind_inner(lam, view)
         calls = [lambda: inner.grad(theta), lambda: inner.hessian(theta)(v),
@@ -370,7 +369,7 @@ def test_softmax_slot_keys_theta_by_its_value(kind, stacked):
     # identity would hand the old point's probabilities to the new point
     members = [zoo_instance(kind, seed=s) for s in (11, 12, 13)]
     prob = members[0][0]
-    view = StackedView([train for _, train, _ in members]) if stacked else members[0][1]
+    view = stack([train for _, train, _ in members]) if stacked else members[0][1]
     shape = (3, prob.param_dim) if stacked else (prob.param_dim,)
     rng = np.random.Generator(np.random.PCG64(4))
     lam = 0.3 * rng.standard_normal(shape[:-1] + (prob.hyper_dim,))
@@ -433,7 +432,7 @@ def test_quadratic_binding_steps_on_one_hessian_matrix(kind, d):
     rng = np.random.Generator(np.random.PCG64(d))
     p = prob.hyper_dim
     for lam, view, shape in ((0.4 * rng.standard_normal(p), trains[0], (d,)),
-                             (0.4 * rng.standard_normal((3, p)), StackedView(trains), (3, d))):
+                             (0.4 * rng.standard_normal((3, p)), stack(trains), (3, d))):
         inner = prob.bind_inner(lam, view)
         t1, t2, v = (rng.standard_normal(shape) for _ in range(3))
         assert inner.hessian(t1) is inner.hessian(t2)
@@ -532,7 +531,7 @@ def test_stacked_margin_products_are_per_member_and_match_matmul(kind, B, d):
     ds = Dataset(X=rng.standard_normal((n, d)), y=rng.choice([-1.0, 1.0], n), task="binary")
     views = [DataView(ds, rng.choice(n, m, replace=False)) for _ in range(B)]
     theta, v = rng.standard_normal((B, d)), rng.standard_normal((B, d))
-    grad, hessian, _, _ = loss.bind(None, StackedView(views))
+    grad, hessian, _, _ = loss.bind(None, stack(views))
     g, hv = grad(theta), hessian(theta)(v)
     for b, view in enumerate(views):
         grad_b, hessian_b, _, _ = loss.bind(None, view)
@@ -585,14 +584,15 @@ def test_stacked_softmax_members_have_the_bits_of_their_own_views(B, k, kind):
     # block, so a member's numbers may not depend on the stacking at any k
     ds, _ = gen_multiclass(76, 3, k, 0.5, seed=k, beta_seed=2)
     splits = make_splits(ds.n, SplitPlan(U=B, gamma=1.0 / 3.0, master_seed=k))
-    trains, vals = [s.train_view(ds) for s in splits], [s.val_view(ds) for s in splits]
+    trains = [DataView(ds, s.train_idx) for s in splits]
+    vals = [DataView(ds, s.val_idx) for s in splits]
     m = trains[0].m
     assert m == 57
     prob = build_problem(ModelSpec(kind=kind, num_classes=k, n_weights=m), 3)
     rng = np.random.Generator(np.random.PCG64(k))
     lam = 0.5 * rng.standard_normal((B, prob.hyper_dim))
     theta, v = rng.standard_normal((2, B, prob.param_dim))
-    train, val = StackedView(trains), StackedView(vals)
+    train, val = stack(trains), stack(vals)
     losses = (prob.inner_loss(lam, theta, train), prob.outer_loss(lam, theta, val))
     # in either call order at one theta: the later calls read the first's probabilities
     for order in (("grad", "hessian", "mixed"), ("grad", "mixed", "hessian")):
@@ -628,13 +628,14 @@ def test_stacked_d1_members_have_the_bits_of_their_own_views(kind, method):
     B = 5
     ds, _ = gen_linear(40, 1, 0.5, seed=3, beta_seed=1)
     splits = make_splits(ds.n, SplitPlan(U=B, gamma=0.25, master_seed=4))
-    trains, vals = [s.train_view(ds) for s in splits], [s.val_view(ds) for s in splits]
+    trains = [DataView(ds, s.train_idx) for s in splits]
+    vals = [DataView(ds, s.val_idx) for s in splits]
     prob = build_problem(ModelSpec(kind=kind, smoothing_delta=0.5), 1)
     rng = np.random.Generator(np.random.PCG64(6))
     lam = 0.5 * rng.standard_normal((B, prob.hyper_dim))
     theta, v = rng.standard_normal((2, B, 1))
     theta[0], v[1] = -0.0, -0.0
-    train, val = StackedView(trains), StackedView(vals)
+    train, val = stack(trains), stack(vals)
     inner = prob.bind_inner(lam, train)
     assert (inner.dgrad_dlam is None) == (not prob.has_dgrad_dlam)
     got = (inner.grad(theta), inner.hessian(theta)(v), inner.mixed(theta, v),

@@ -1,11 +1,16 @@
-"""The library's source: every module reads each name it imports."""
+"""The library's source: every module reads each name it imports, and
+something reads each public function and class it defines."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bihpo"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bihpo"
+# the code beside the library itself that may read a library name
+READERS = (ROOT / "scripts", ROOT / "tests", ROOT / "perfbench")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +39,36 @@ def test_unused_imports_are_found():
 def test_module_reads_every_name_it_imports(module):
     unused = unused_imports((SRC / module).read_text(encoding="utf-8"))
     assert not unused, f"{module} imports names it never reads: {', '.join(unused)}"
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """How often a tree reads each name, counting attributes by their name too."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """module:name of each public top-level function and class of modules (name to
+    source) that no code reads outside its own definition, the modules included."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = sum(map(names_read, [*trees.values(), *map(ast.parse, readers)]), Counter())
+    return [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and read[node.name] == names_read(node)[node.name]]
+
+
+def test_unread_public_names_are_found():
+    lib = ("def used():\n    return 1\n\ndef unused():\n    return unused()\n\n"
+           "def _private():\n    pass\n\nclass Node:\n    def copy(self):\n"
+           "        return Node()\n\nclass Tree:\n    pass\n")
+    reader = "import lib\nprint(lib.used(), lib.Tree)\n"
+    assert unread_public_names({"lib": lib}, [reader]) == ["lib:unused", "lib:Node"]
+
+
+def test_every_public_name_of_the_library_is_read():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8") for root in READERS
+               for p in sorted(root.rglob("*.py"))]
+    unread = unread_public_names(modules, readers)
+    assert not unread, f"public names that nothing reads: {', '.join(unread)}"

@@ -7,13 +7,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bihpo.data import (
+    DataView,
     Dataset,
-    Split,
     SplitPlan,
-    StackedView,
+    complements,
+    draw_val_sets,
     full_view,
     gen_linear,
-    make_splits,
 )
 from bihpo.errors import ContractViolationError, NumericalError
 from bihpo.hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
@@ -25,15 +25,20 @@ from bihpo.strategies import (
     run_ehg,
     run_oehg,
 )
-from helpers import count_softmax_rows, zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
+from helpers import count_softmax_rows, stack, zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
 
 ITD25 = HypergradMethod(kind="ITD", K=25, alpha_in=0.08)
 
 
 def ridge_setup(n=40, d=3, U=1, seed=17):
     ds, _ = gen_linear(n, d, 0.3, seed=seed, beta_seed=2)
-    splits = make_splits(n, SplitPlan(U=U, gamma=0.25, master_seed=3))
-    return build_problem(ModelSpec(kind="ridge"), d), ds, splits
+    vals = draw_val_sets(n, SplitPlan(U=U, gamma=0.25, master_seed=3))
+    return build_problem(ModelSpec(kind="ridge"), d), ds, vals
+
+
+def split_views(ds, vals):
+    """Each split's (train, val) DataViews, for the per-split references."""
+    return [(DataView(ds, tr), DataView(ds, va)) for tr, va in zip(complements(ds.n, vals), vals)]
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +111,9 @@ def test_optimizer_step_never_writes_into_what_it_is_given(kind):
 
 
 def test_runs_sharing_an_adam_optimizer_are_independent():
-    prob, ds, splits = ridge_setup(U=3)
+    prob, ds, vals = ridge_setup(U=3)
     opt = OuterOptimizer(kind="adam", alpha_out=0.1)
-    runs = [run_ehg(prob, ds, splits, ITD25, opt, 8, np.array([0.3]), np.zeros(3))
+    runs = [run_ehg(prob, ds, vals, ITD25, opt, 8, np.array([0.3]), np.zeros(3))
             for _ in range(2)]
     for x, y in zip(runs[0].lambdas, runs[1].lambdas):
         assert_array_equal(x, y)
@@ -132,10 +137,10 @@ def test_optimizer_validation():
 
 def test_run_single_trivial_composition():
     # K = 0 hypergradients are zero, so lambda never moves
-    prob, ds, splits = ridge_setup()
+    prob, ds, vals = ridge_setup()
     method = HypergradMethod(kind="ITD", K=0, alpha_in=0.1)
     th0 = np.array([0.2, 0.2, 0.2])
-    trace = run_ehg(prob, ds, splits[:1], method,
+    trace = run_ehg(prob, ds, vals[:1], method,
                     OuterOptimizer(kind="gd", alpha_out=0.5), 3,
                     np.array([0.7]), th0)
     assert len(trace.lambdas) == 4
@@ -145,12 +150,11 @@ def test_run_single_trivial_composition():
 
 
 def test_run_single_two_steps_match_hand_replication():
-    prob, ds, splits = ridge_setup()
-    split = splits[0]
-    tr, va = split.train_view(ds), split.val_view(ds)
+    prob, ds, vals = ridge_setup()
+    (tr, va), = split_views(ds, vals)
     method = HypergradMethod(kind="ITD", K=1, alpha_in=0.05)
     lam0, th0 = np.array([0.3]), np.zeros(3)
-    trace = run_ehg(prob, ds, [split], method,
+    trace = run_ehg(prob, ds, vals, method,
                     OuterOptimizer(kind="gd", alpha_out=0.4), 2, lam0, th0)
 
     lam = lam0.copy()
@@ -160,7 +164,7 @@ def test_run_single_two_steps_match_hand_replication():
     assert_array_equal(trace.final_lambda, lam)
     assert sorted(trace.columns) == ["hypergrad_norm", "train_loss", "val_loss"]
     assert all(len(rows) == 2 for rows in trace.columns.values())
-    bare = run_ehg(prob, ds, [split], method, OuterOptimizer(kind="gd", alpha_out=0.4), 2,
+    bare = run_ehg(prob, ds, vals, method, OuterOptimizer(kind="gd", alpha_out=0.4), 2,
                    lam0, th0, test_view=full_view(ds), columns=False)
     assert bare.columns == {}
 
@@ -175,8 +179,8 @@ def _same_run(a, b):
 
 @pytest.mark.parametrize("warm_start", [False, True])
 def test_ehg_without_columns_takes_the_same_path(warm_start):
-    prob, ds, splits = ridge_setup(U=3)
-    runs = [run_ehg(prob, ds, splits, ITD25, OuterOptimizer(kind="adam", alpha_out=0.1), 5,
+    prob, ds, vals = ridge_setup(U=3)
+    runs = [run_ehg(prob, ds, vals, ITD25, OuterOptimizer(kind="adam", alpha_out=0.1), 5,
                     np.array([0.3]), np.zeros(3), test_view=full_view(ds),
                     warm_start=warm_start, columns=columns)
             for columns in (True, False)]
@@ -190,11 +194,11 @@ def test_ehg_without_columns_takes_the_same_path(warm_start):
 def test_warm_started_ehg_never_writes_into_its_callers_arrays(method):
     # each warm start is the previous estimate's theta_K, which forward mode
     # stepped in place; the next estimate must step on a copy of it
-    prob, ds, splits = ridge_setup(U=3)
+    prob, ds, vals = ridge_setup(U=3)
     lam0, theta0 = np.array([0.3]), np.full(3, 0.1)
     inputs = [lam0, theta0, ds.X, ds.y]
     before = [x.copy() for x in inputs]
-    runs = [run_ehg(prob, ds, splits, method, OuterOptimizer(kind="adam", alpha_out=0.1), 5,
+    runs = [run_ehg(prob, ds, vals, method, OuterOptimizer(kind="adam", alpha_out=0.1), 5,
                     lam0, theta0, test_view=full_view(ds), warm_start=True)
             for _ in range(2)]
     assert all(x.tobytes() == y.tobytes() for x, y in zip(inputs, before))
@@ -203,8 +207,8 @@ def test_warm_started_ehg_never_writes_into_its_callers_arrays(method):
 
 
 def test_oehg_without_columns_takes_the_same_path():
-    prob, ds, splits = ridge_setup(U=3)
-    runs = [run_oehg(prob, ds, splits, T=5, alpha_in=0.08,
+    prob, ds, vals = ridge_setup(U=3)
+    runs = [run_oehg(prob, ds, vals, T=5, alpha_in=0.08,
                      opt=OuterOptimizer(kind="adam", alpha_out=0.1), alpha_deploy=0.05,
                      lam0=np.array([0.3]), theta0=np.zeros(3), test_view=full_view(ds),
                      columns=columns)
@@ -216,29 +220,48 @@ def test_oehg_without_columns_takes_the_same_path():
 
 
 def test_run_rejects_bad_plan():
-    prob, ds, splits = ridge_setup()
+    prob, ds, vals = ridge_setup()
     opt = OuterOptimizer(kind="gd", alpha_out=0.4)
     with pytest.raises(ContractViolationError):
-        run_ehg(prob, ds, splits, ITD25, opt, 0, np.array([0.3]), np.zeros(3))
+        run_ehg(prob, ds, vals, ITD25, opt, 0, np.array([0.3]), np.zeros(3))
     with pytest.raises(ContractViolationError):
-        run_ehg(prob, ds, [], ITD25, opt, 1, np.array([0.3]), np.zeros(3))
-    # the splits stack, so they must share their sizes (every plan's splits do)
-    uneven = [splits[0], Split(train_idx=np.arange(1, 40), val_idx=np.array([0]))]
-    with pytest.raises(ContractViolationError, match="must share"):
-        run_ehg(prob, ds, uneven, ITD25, opt, 1, np.array([0.3]), np.zeros(3))
-    with pytest.raises(ContractViolationError):
-        run_ehg(prob, ds, splits, ITD25, opt, 1, np.array([0.3, 0.1]), np.zeros(3))
+        run_ehg(prob, ds, vals, ITD25, opt, 1, np.array([0.3, 0.1]), np.zeros(3))
+
+
+@pytest.mark.parametrize("vals, message", [
+    ([[-1, 0]], "ascending within"),
+    ([[3, 1]], "ascending within"),
+    ([[1, 1]], "ascending within"),
+    ([[0, 5]], "ascending within"),
+    ([[0, 2], [1, 0]], "ascending within"),
+    ([0, 1], "integer array"),
+    ([[0.0, 1.0]], "integer array"),
+    (np.empty((0, 2), dtype=np.int64), "integer array"),
+    (np.empty((1, 0), dtype=np.int64), "integer array"),
+    ([[0, 1, 2, 3, 4]], "integer array"),
+], ids=["negative", "unsorted", "repeated", "past-the-end", "second-row", "1-D", "float",
+        "no-split", "no-val-row", "no-train-row"])
+def test_runs_refuse_bad_validation_sets(vals, message):
+    # each row must be a split's validation rows of the 5-row pool, strictly
+    # ascending, leaving at least one train row
+    prob, ds, _ = ridge_setup(n=5)
+    opt = OuterOptimizer(kind="gd", alpha_out=0.4)
+    with pytest.raises(ContractViolationError, match=message):
+        run_ehg(prob, ds, vals, ITD25, opt, 1, np.array([0.3]), np.zeros(3))
+    with pytest.raises(ContractViolationError, match=message):
+        run_oehg(prob, ds, vals, T=1, alpha_in=0.1, opt=opt,
+                 alpha_deploy=0.1, lam0=np.array([0.3]), theta0=np.zeros(3))
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (1,)])
 def test_runs_refuse_a_misshapen_theta0(shape):
-    prob, ds, splits = ridge_setup()
+    prob, ds, vals = ridge_setup()
     opt = OuterOptimizer(kind="gd", alpha_out=0.3)
     bad = np.zeros(shape)
     with pytest.raises(ContractViolationError, match="theta0"):
-        run_ehg(prob, ds, splits, ITD25, opt, 1, np.array([0.3]), bad)
+        run_ehg(prob, ds, vals, ITD25, opt, 1, np.array([0.3]), bad)
     with pytest.raises(ContractViolationError, match="theta0"):
-        run_oehg(prob, ds, splits, T=1, alpha_in=0.1, opt=opt,
+        run_oehg(prob, ds, vals, T=1, alpha_in=0.1, opt=opt,
                  alpha_deploy=0.1, lam0=np.array([0.3]), theta0=bad)
 
 
@@ -265,8 +288,8 @@ def test_ehg_single_split_equals_run_single(tmp_path):
     final = json.loads((tmp_path / "out" / "final.json").read_text())
 
     ds, _ = gen_linear(60, 3, 0.3, seed=11, beta_seed=2)
-    splits = make_splits(60, SplitPlan(U=3, gamma=0.25, master_seed=5))
-    trace = run_ehg(build_problem(ModelSpec(kind="ridge"), 3), ds, splits[:1],
+    vals = draw_val_sets(60, SplitPlan(U=3, gamma=0.25, master_seed=5))
+    trace = run_ehg(build_problem(ModelSpec(kind="ridge"), 3), ds, vals[:1],
                     HypergradMethod(kind="ITD", K=25, alpha_in=0.1),
                     OuterOptimizer(kind="gd", alpha_out=0.5), 5, np.array([1.0]), np.zeros(3))
     assert final["lambda_raw"] == [float(x) for x in trace.final_lambda]
@@ -277,22 +300,22 @@ def test_ehg_single_split_equals_run_single(tmp_path):
 def test_ehg_duplicated_split_is_bitwise_single(copies):
     # averaging U identical gradients reproduces one gradient exactly for
     # these U (the running sum stays exactly representable)
-    prob, ds, splits = ridge_setup()
+    prob, ds, vals = ridge_setup()
     opt = lambda: OuterOptimizer(kind="gd", alpha_out=0.4)
-    one = run_ehg(prob, ds, splits[:1], ITD25, opt(), 6, np.array([0.3]), np.zeros(3))
-    rep = run_ehg(prob, ds, [splits[0]] * copies, ITD25, opt(), 6,
+    one = run_ehg(prob, ds, vals[:1], ITD25, opt(), 6, np.array([0.3]), np.zeros(3))
+    rep = run_ehg(prob, ds, vals[[0] * copies], ITD25, opt(), 6,
                   np.array([0.3]), np.zeros(3))
     for x, y in zip(one.lambdas, rep.lambdas):
         assert_array_equal(x, y)
 
 
 def test_ehg_first_update_is_mean_of_split_gradients():
-    prob, ds, splits = ridge_setup(U=3)
+    prob, ds, vals = ridge_setup(U=3)
     lam0, th0 = np.array([0.3]), np.zeros(3)
-    trace = run_ehg(prob, ds, splits, ITD25,
+    trace = run_ehg(prob, ds, vals, ITD25,
                     OuterOptimizer(kind="gd", alpha_out=0.4), 1, lam0, th0)
-    grads = [estimate_hypergrad(prob, lam0, th0, s.train_view(ds), s.val_view(ds),
-                                ITD25).grad for s in splits]
+    grads = [estimate_hypergrad(prob, lam0, th0, tr, va, ITD25).grad
+             for tr, va in split_views(ds, vals)]
     gsum = grads[0].copy()
     for g in grads[1:]:
         gsum += g
@@ -300,8 +323,8 @@ def test_ehg_first_update_is_mean_of_split_gradients():
 
 
 def test_ehg_is_deterministic():
-    prob, ds, splits = ridge_setup(U=4)
-    runs = [run_ehg(prob, ds, splits, ITD25,
+    prob, ds, vals = ridge_setup(U=4)
+    runs = [run_ehg(prob, ds, vals, ITD25,
                     OuterOptimizer(kind="adam", alpha_out=0.1), 5,
                     np.array([0.3]), np.zeros(3)) for _ in range(2)]
     for x, y in zip(runs[0].lambdas, runs[1].lambdas):
@@ -312,25 +335,24 @@ def test_ehg_is_deterministic():
 
 
 def test_ehg_final_thetas_solved_at_final_lambda():
-    prob, ds, splits = ridge_setup(U=2)
-    trace = run_ehg(prob, ds, splits, ITD25,
+    prob, ds, vals = ridge_setup(U=2)
+    trace = run_ehg(prob, ds, vals, ITD25,
                     OuterOptimizer(kind="gd", alpha_out=0.4), 4,
                     np.array([0.3]), np.zeros(3))
     assert len(trace.final_thetas) == 2
     from bihpo.hypergrad import inner_solve
-    for s, theta in zip(splits, trace.final_thetas):
-        traj = inner_solve(prob, trace.final_lambda, np.zeros(3),
-                           s.train_view(ds), ITD25.K, ITD25.alpha_in)
+    for (tr, _), theta in zip(split_views(ds, vals), trace.final_thetas):
+        traj = inner_solve(prob, trace.final_lambda, np.zeros(3), tr, ITD25.K, ITD25.alpha_in)
         assert_array_equal(theta, traj.final)
 
 
 def test_ehg_test_view_populates_trace():
-    prob, ds, splits = ridge_setup()
+    prob, ds, vals = ridge_setup()
     tv = full_view(ds)
-    with_t = run_ehg(prob, ds, splits, ITD25,
+    with_t = run_ehg(prob, ds, vals, ITD25,
                      OuterOptimizer(kind="gd", alpha_out=0.4), 2,
                      np.array([0.3]), np.zeros(3), test_view=tv)
-    without = run_ehg(prob, ds, splits, ITD25,
+    without = run_ehg(prob, ds, vals, ITD25,
                       OuterOptimizer(kind="gd", alpha_out=0.4), 2,
                       np.array([0.3]), np.zeros(3))
     assert np.stack(with_t.columns["test_loss"]).shape == (2, 1)
@@ -349,16 +371,16 @@ def test_test_loss_on_one_view_is_bitwise_that_on_stacked_copies(kind):
     on_view = prob.outer_loss(lams, thetas, view)
     assert on_view.shape == (U,)
     assert on_view.tobytes() == prob.outer_loss(lams, thetas,
-                                                StackedView([view] * U)).tobytes()
+                                                stack([view] * U)).tobytes()
 
 
 def test_warm_start_changes_later_iterates_but_stays_finite():
-    prob, ds, splits = ridge_setup()
+    prob, ds, vals = ridge_setup()
     method = HypergradMethod(kind="ITD", K=5, alpha_in=0.08)
-    cold = run_ehg(prob, ds, splits[:1], method,
+    cold = run_ehg(prob, ds, vals[:1], method,
                    OuterOptimizer(kind="gd", alpha_out=0.4), 6,
                    np.array([0.3]), np.zeros(3), warm_start=False)
-    warm = run_ehg(prob, ds, splits[:1], method,
+    warm = run_ehg(prob, ds, vals[:1], method,
                    OuterOptimizer(kind="gd", alpha_out=0.4), 6,
                    np.array([0.3]), np.zeros(3), warm_start=True)
     assert not np.array_equal(cold.final_lambda, warm.final_lambda)
@@ -376,8 +398,7 @@ def test_oehg_split_hypergrad_is_one_step_itd(kind):
     prob, tr, va = zoo_instance(kind)
     lam = zoo_lambda(prob)
     th0 = np.zeros(prob.param_dim)
-    split = Split(train_idx=tr.idx, val_idx=va.idx)
-    trace = run_oehg(prob, tr.dataset, [split], T=1, alpha_in=0.05,
+    trace = run_oehg(prob, tr.dataset, va.idx[None], T=1, alpha_in=0.05,
                      opt=OuterOptimizer(kind="gd", alpha_out=0.3),
                      alpha_deploy=0.05, lam0=lam, theta0=th0, deploy_view=tr)
     ref = estimate_hypergrad(prob, lam, th0, tr, va,
@@ -387,9 +408,9 @@ def test_oehg_split_hypergrad_is_one_step_itd(kind):
 
 
 def test_oehg_trace_shape_and_deployed_update():
-    prob, ds, splits = ridge_setup(U=3)
+    prob, ds, vals = ridge_setup(U=3)
     th0 = np.zeros(3)
-    trace = run_oehg(prob, ds, splits, T=1, alpha_in=0.08,
+    trace = run_oehg(prob, ds, vals, T=1, alpha_in=0.08,
                      opt=OuterOptimizer(kind="gd", alpha_out=0.3),
                      alpha_deploy=0.08, lam0=np.array([0.3]), theta0=th0)
     assert len(trace.lambdas) == 2
@@ -400,44 +421,44 @@ def test_oehg_trace_shape_and_deployed_update():
 
 
 def test_oehg_lambda_update_uses_mean_of_one_step_grads():
-    prob, ds, splits = ridge_setup(U=2)
+    prob, ds, vals = ridge_setup(U=2)
     lam0, th0 = np.array([0.3]), np.zeros(3)
-    trace = run_oehg(prob, ds, splits, T=1, alpha_in=0.08,
+    trace = run_oehg(prob, ds, vals, T=1, alpha_in=0.08,
                      opt=OuterOptimizer(kind="gd", alpha_out=0.3),
                      alpha_deploy=0.08, lam0=lam0, theta0=th0)
     one_step = HypergradMethod(kind="ITD", K=1, alpha_in=0.08)
-    grads = [estimate_hypergrad(prob, lam0, th0, s.train_view(ds), s.val_view(ds),
-                                one_step).grad for s in splits]
+    grads = [estimate_hypergrad(prob, lam0, th0, tr, va, one_step).grad
+             for tr, va in split_views(ds, vals)]
     gsum = grads[0] + grads[1]
     assert_array_equal(trace.lambdas[1], lam0 - 0.3 * (gsum / 2))
 
 
 def test_oehg_long_run_beats_the_starting_lambda():
     from bihpo.diagnostics import RidgeOracle
-    prob, ds, splits = ridge_setup(U=3, n=80)
-    trace = run_oehg(prob, ds, splits, T=400, alpha_in=0.05,
+    prob, ds, vals = ridge_setup(U=3, n=80)
+    trace = run_oehg(prob, ds, vals, T=400, alpha_in=0.05,
                      opt=OuterOptimizer(kind="adam", alpha_out=0.05),
                      alpha_deploy=0.05, lam0=np.array([2.0]), theta0=np.zeros(3))
     assert len(trace.lambdas) == 401
     final_val = np.mean(trace.columns["val_loss"][-1])
     # fully converged ridge solutions at the starting hyperparameter
-    at_start = np.mean([RidgeOracle(s.train_view(ds), s.val_view(ds))
-                        .val_loss(np.exp(2.0)) for s in splits])
+    at_start = np.mean([RidgeOracle(tr, va).val_loss(np.exp(2.0))
+                        for tr, va in split_views(ds, vals)])
     assert final_val < 0.5 * at_start
     assert trace.final_lambda[0] < 0.0  # moved well away from lam0 = 2
 
 
 def test_oehg_validation():
-    prob, ds, splits = ridge_setup()
+    prob, ds, vals = ridge_setup()
     opt = OuterOptimizer(kind="gd", alpha_out=0.3)
     with pytest.raises(ContractViolationError):
-        run_oehg(prob, ds, splits, T=0, alpha_in=0.1, opt=opt,
+        run_oehg(prob, ds, vals, T=0, alpha_in=0.1, opt=opt,
                  alpha_deploy=0.1, lam0=np.array([0.0]), theta0=np.zeros(3))
     with pytest.raises(ContractViolationError):
-        run_oehg(prob, ds, splits, T=1, alpha_in=-0.1, opt=opt,
+        run_oehg(prob, ds, vals, T=1, alpha_in=-0.1, opt=opt,
                  alpha_deploy=0.1, lam0=np.array([0.0]), theta0=np.zeros(3))
     with pytest.raises(ContractViolationError, match="alpha_deploy"):
-        run_oehg(prob, ds, splits, T=1, alpha_in=0.1, opt=opt,
+        run_oehg(prob, ds, vals, T=1, alpha_in=0.1, opt=opt,
                  alpha_deploy=0.0, lam0=np.array([0.0]), theta0=np.zeros(3))
 
 
@@ -446,11 +467,11 @@ def test_an_oehg_step_evaluates_one_softmax_on_its_train_binding(monkeypatch):
     # grad and again in the reverse pass's mixed; its binding evaluates them
     # once. The outer gradient reads the validation rows, and the deployed
     # model's step binds the train rows again, on its own binding
-    prob, ds, splits, deploy_view = kind_setup("hyperclean_softmax", U=1)
-    m_train, m_val = len(splits[0].train_idx), len(splits[0].val_idx)
+    prob, ds, vals, deploy_view = kind_setup("hyperclean_softmax", U=1)
+    m_train, m_val = ds.n - vals.shape[1], vals.shape[1]
     assert m_train != m_val and deploy_view.m == m_train
     rows = count_softmax_rows(monkeypatch)
-    run_oehg(prob, ds, splits, 1, 0.05, OuterOptimizer(kind="adam", alpha_out=0.05), 0.05,
+    run_oehg(prob, ds, vals, 1, 0.05, OuterOptimizer(kind="adam", alpha_out=0.05), 0.05,
              zoo_lambda(prob), np.zeros(prob.param_dim), deploy_view=deploy_view,
              columns=False)
     assert rows == [m_train, m_val, m_train]
@@ -461,11 +482,11 @@ def test_oehg_is_warm_started_one_step_ehg(kind):
     # the deployed model only adds to the trace: lambda and the shadows follow
     # ehg with one-step ITD from each split's previous iterate, whose final
     # re-solve is one more shadow step
-    prob, ds, splits, deploy_view = kind_setup(kind)
+    prob, ds, vals, deploy_view = kind_setup(kind)
     opt = OuterOptimizer(kind="adam", alpha_out=0.05)
     lam, th0 = zoo_lambda(prob), np.zeros(prob.param_dim)
-    online = run_oehg(prob, ds, splits, 6, 0.05, opt, 0.05, lam, th0, deploy_view=deploy_view)
-    ehg = run_ehg(prob, ds, splits, HypergradMethod(kind="ITD", K=1, alpha_in=0.05), opt, 5,
+    online = run_oehg(prob, ds, vals, 6, 0.05, opt, 0.05, lam, th0, deploy_view=deploy_view)
+    ehg = run_ehg(prob, ds, vals, HypergradMethod(kind="ITD", K=1, alpha_in=0.05), opt, 5,
                   lam, th0, warm_start=True)
     assert len(ehg.lambdas) == 6
     for got, want in zip(online.lambdas, ehg.lambdas):
@@ -492,10 +513,11 @@ KIND_METHODS = [
 def kind_setup(kind, U=3):
     """A zoo problem with U splits, and the view the deployed model trains on."""
     ds = zoo_dataset(kind, 40, 3, seed=31)
-    splits = make_splits(ds.n, SplitPlan(U=U, gamma=0.25, master_seed=5))
-    n_weights = len(splits[0].train_idx) if kind == "hyperclean_softmax" else 0
+    vals = draw_val_sets(ds.n, SplitPlan(U=U, gamma=0.25, master_seed=5))
+    deploy_view = DataView(ds, complements(ds.n, vals[0]))
+    n_weights = deploy_view.m if kind == "hyperclean_softmax" else 0
     prob = zoo_problem(kind, ds, n_weights, smoothing_delta=0.5)
-    return prob, ds, splits, splits[0].train_view(ds)
+    return prob, ds, vals, deploy_view
 
 
 def assert_close(actual, expected):
@@ -520,9 +542,9 @@ def assert_trace_matches(trace, lambdas, rows, final_thetas):
     assert_close(np.stack(trace.final_thetas), np.stack(final_thetas))
 
 
-def per_split_ehg(prob, ds, splits, method, opt, T, lam, theta0, test_view, warm_start):
+def per_split_ehg(prob, ds, vals, method, opt, T, lam, theta0, test_view, warm_start):
     """run_ehg written as one estimate_hypergrad call per split and step."""
-    views = [(s.train_view(ds), s.val_view(ds)) for s in splits]
+    views = split_views(ds, vals)
     starts, state, lambdas, rows = [theta0] * len(views), None, [lam], []
     for t in range(T):
         grads, finals = [], []
@@ -546,27 +568,27 @@ def per_split_ehg(prob, ds, splits, method, opt, T, lam, theta0, test_view, warm
 @pytest.mark.parametrize("kind, method", KIND_METHODS,
                          ids=[f"{k}-{m.kind}" for k, m in KIND_METHODS])
 def test_stacked_ehg_matches_per_split_loop(kind, method, warm_start):
-    prob, ds, splits, _ = kind_setup(kind)
+    prob, ds, vals, _ = kind_setup(kind)
     opt = OuterOptimizer(kind="adam", alpha_out=0.05)
     lam0, th0 = zoo_lambda(prob), np.zeros(prob.param_dim)
     test_view = full_view(ds)
-    trace = run_ehg(prob, ds, splits, method, opt, 3, lam0, th0, test_view=test_view,
+    trace = run_ehg(prob, ds, vals, method, opt, 3, lam0, th0, test_view=test_view,
                     warm_start=warm_start)
-    assert_trace_matches(trace, *per_split_ehg(prob, ds, splits, method, opt, 3, lam0, th0,
+    assert_trace_matches(trace, *per_split_ehg(prob, ds, vals, method, opt, 3, lam0, th0,
                                                test_view, warm_start))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_stacked_oehg_matches_per_split_loop(kind):
-    prob, ds, splits, deploy_view = kind_setup(kind)
+    prob, ds, vals, deploy_view = kind_setup(kind)
     opt = OuterOptimizer(kind="adam", alpha_out=0.05)
     lam, th0 = zoo_lambda(prob), np.zeros(prob.param_dim)
     test_view = full_view(ds)
-    trace = run_oehg(prob, ds, splits, 4, 0.05, opt, 0.05, lam, th0,
+    trace = run_oehg(prob, ds, vals, 4, 0.05, opt, 0.05, lam, th0,
                      deploy_view=deploy_view, test_view=test_view)
 
     one_step = HypergradMethod(kind="ITD", K=1, alpha_in=0.05)
-    views = [(s.train_view(ds), s.val_view(ds)) for s in splits]
+    views = split_views(ds, vals)
     shadows, deployed, state, lambdas, rows = [th0] * len(views), th0, None, [lam], []
     for t in range(4):
         results = [estimate_hypergrad(prob, lam, shadow, tr, va, one_step)
@@ -593,13 +615,12 @@ def test_ehg_names_the_diverging_split():
     X[0] *= 100.0
     ds = Dataset(X=X, y=ds.y, task="regression")
     vals = [[0, *range(1, 8)], [0, *range(8, 15)], list(range(15, 23)), [0, *range(23, 30)]]
-    splits = [Split(train_idx=np.setdiff1d(np.arange(40), v), val_idx=np.array(v))
-              for v in vals]
+    vals = np.array(vals)
     prob = build_problem(ModelSpec(kind="ridge"), 3)
     method = HypergradMethod(kind="ITD", K=200, alpha_in=0.1)
     with pytest.raises(NumericalError, match="split 2 failed at outer step 0: inner gradient"
                                              " became non-finite at step") as err:
-        run_ehg(prob, ds, splits, method, OuterOptimizer(kind="gd", alpha_out=0.1), 3,
+        run_ehg(prob, ds, vals, method, OuterOptimizer(kind="gd", alpha_out=0.1), 3,
                 np.zeros(1), np.zeros(3))
     assert err.value.step_index == 0
     assert err.value.__cause__.member == 2
