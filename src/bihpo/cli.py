@@ -39,10 +39,9 @@ from .data import (
     derive_seed,
     draw_val_sets,
     full_view,
-    gen_linear,
-    gen_multiclass,
     read_libsvm,
     subset,
+    synthetic,
 )
 from .diagnostics import RidgeOracle, SweepDesign, bias_variance_sweep, fpc_verify
 from .errors import ConfigError, ContractViolationError, NumericalError, ParseError
@@ -61,44 +60,28 @@ from .problems import (
 from .strategies import HPOTrace, OuterOptimizer, run_ehg, run_oehg
 
 
-def _synthetic(task: str, n: int, d: int, classes: int, noise_sigma: float, seed: int,
-               beta_seed: int) -> Dataset:
-    """Seeded data of a task: linear regression targets, or classes argmax labels
-    (classes = 2 for binary, mapped from 0/1 to -1/+1)."""
-    if task == "regression":
-        return gen_linear(n, d, noise_sigma, seed=seed, beta_seed=beta_seed)[0]
-    ds = gen_multiclass(n, d, classes, noise_sigma, seed=seed, beta_seed=beta_seed)[0]
-    return Dataset(X=ds.X, y=2.0 * ds.y - 1.0, task="binary") if task == "binary" else ds
-
-
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
     """Materialize the configured data source, matched to the model's task.
 
-    A multiclass model must be configured with the data's class count.
+    validate_config holds the synthetic data to the model's task and class
+    count; a data file is held to them here, once read.
     """
     task = TASK_OF_KIND[cfg.problem.kind]
     d, s = cfg.data, cfg.data.synthetic
-    if d.source != "synthetic":
-        try:
-            ds = read_libsvm(d.source, task=d.task or task)
-        except OSError as exc:
-            raise ConfigError(f"cannot read data file: {exc}", field_path="data.source") from exc
-        if ds.n < 2:
-            raise ConfigError(f"the data file has {ds.n} sample; a train/val split needs 2",
-                              field_path="data.source")
-        if ds.task != task:
-            raise ConfigError(
-                f"model {cfg.problem.kind!r} needs a {task} dataset, file gives {ds.task}",
-                field_path="data.source",
-            )
-    elif task == "binary" and (s.classes or 2) != 2:
-        raise ConfigError("binary models need classes = 2", field_path="data.synthetic.classes")
-    elif task == "multiclass" and s.classes < 2:
+    if d.source == "synthetic":
+        return synthetic(task, s.n, s.d, s.classes or 2, s.noise_sigma, s.seed, s.beta_seed)
+    try:
+        ds = read_libsvm(d.source, task=d.task or task)
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file: {exc}", field_path="data.source") from exc
+    if ds.n < 2:
+        raise ConfigError(f"the data file has {ds.n} sample; a train/val split needs 2",
+                          field_path="data.source")
+    if ds.task != task:
         raise ConfigError(
-            "multiclass models need synthetic.classes >= 2", field_path="data.synthetic.classes"
+            f"model {cfg.problem.kind!r} needs a {task} dataset, file gives {ds.task}",
+            field_path="data.source",
         )
-    else:
-        ds = _synthetic(task, s.n, s.d, s.classes or 2, s.noise_sigma, s.seed, s.beta_seed)
     if task == "multiclass" and ds.num_classes != cfg.problem.num_classes:
         raise ConfigError(
             f"num_classes is {cfg.problem.num_classes} but the data has {ds.num_classes} classes",
@@ -411,7 +394,8 @@ def cmd_fpc(n: int, gamma: float, U_values: list[int], samples: int, seed: int,
             lambda_eff: float = 1.0) -> int:
     if not (lambda_eff > 0 and math.isfinite(lambda_eff)):
         raise ConfigError("lambda_eff must be positive and finite", field_path="lambda_eff")
-    ds, _ = gen_linear(n, d, noise_sigma, seed=derive_seed(seed, 1), beta_seed=derive_seed(seed, 2))
+    ds = synthetic("regression", n, d, 0, noise_sigma, seed=derive_seed(seed, 1),
+                   beta_seed=derive_seed(seed, 2))
     problem = build_problem(ModelSpec(kind="ridge"), d)
     lam_raw = math.log(lambda_eff)
     rows = []
@@ -437,8 +421,8 @@ def cmd_fpc(n: int, gamma: float, U_values: list[int], samples: int, seed: int,
 def _zoo_dataset(kind: str, n: int, d: int, seed: int) -> Dataset:
     """Seeded data of the task a zoo model fits: regression, +-1 labels or 3 classes."""
     task = TASK_OF_KIND[kind]
-    return _synthetic(task, n, d, 3 if task == "multiclass" else 2,
-                      0.3 if task == "regression" else 0.4, seed, 1 + TASKS.index(task))
+    return synthetic(task, n, d, 3 if task == "multiclass" else 2,
+                     0.3 if task == "regression" else 0.4, seed, 1 + TASKS.index(task))
 
 
 def _zoo_problem(kind: str, ds: Dataset, n_weights: int = 0,
@@ -463,8 +447,7 @@ def _zoo_instance(kind: str, data_seed: int, split_seed: int):
 
 def _check_instances(seed: int = 20240601):
     """One instance per zoo model; each task draws its data from its own stream."""
-    tasks = ("regression", "binary", "multiclass")
-    return {kind: _zoo_instance(kind, derive_seed(seed, 3 + tasks.index(task)),
+    return {kind: _zoo_instance(kind, derive_seed(seed, 3 + TASKS.index(task)),
                                 derive_seed(seed, 6))
             for kind, task in TASK_OF_KIND.items()}
 

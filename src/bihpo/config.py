@@ -12,6 +12,7 @@ validate_config adds range and cross-section rules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
@@ -19,10 +20,10 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .data import TASKS, SplitPlan
+from .data import TASKS, SplitPlan, val_size
 from .errors import ConfigError, ContractViolationError, ParseError, require_fields, require_real
 from .hypergrad import AID_KINDS, HypergradMethod
-from .problems import MODEL_KINDS, NONSMOOTH_KINDS, REGRESSION_KINDS
+from .problems import MODEL_KINDS, NONSMOOTH_KINDS, TASK_OF_KIND
 from .strategies import STRATEGY_KINDS, OuterOptimizer
 
 
@@ -251,6 +252,13 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
 
     pr = cfg.problem
     _require(pr.kind in MODEL_KINDS, f"kind must be one of {MODEL_KINDS}", "problem.kind")
+    task, classes = TASK_OF_KIND[pr.kind], d.synthetic.classes
+    if d.source == "synthetic" and task == "binary":
+        _require(classes in (0, 2), "binary models need classes = 2", "data.synthetic.classes")
+    if d.source == "synthetic" and task == "multiclass":
+        _require(classes >= 2, "multiclass models need classes >= 2", "data.synthetic.classes")
+        _require(pr.num_classes == classes, f"num_classes is {pr.num_classes} but the data "
+                 f"has {classes} classes", "problem.num_classes")
     if pr.kind == "hyperclean_softmax":
         _require(cfg.split.U == 1, "hyperclean weights align with one fixed split; use U = 1", "split.U")
 
@@ -291,15 +299,17 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
             "biasvar needs the synthetic generator (replicated datasets)",
             "data.source",
         )
-        _require(
-            pr.kind in REGRESSION_KINDS,
-            "biasvar supports the regression models (ridge has the exact oracle)",
-            "problem.kind",
-        )
+        _require(pr.kind != "hyperclean_softmax", "biasvar's grid holds regularization "
+                 "strengths on the exp scale; hyperclean_softmax's sample weights are not "
+                 "one", "problem.kind")
+        if cfg.split.mode == "without_replacement":
+            n, m_val = d.synthetic.n, val_size(d.synthetic.n, cfg.split.gamma)
+            _require(bv.U <= math.comb(n, m_val), f"U={bv.U} asks for more distinct splits than "
+                     f"the C({n}, {m_val}) = {math.comb(n, m_val)} that exist", "biasvar.U")
         _require(bv.estimator != "oracle" or pr.kind == "ridge",
                  "the oracle estimator is exact for ridge only", "biasvar.estimator")
-        _require(d.corrupt is None, "biasvar draws regression data, and corruption applies "
-                 "to classification labels", "data.corrupt")
+        _require(d.corrupt is None, "biasvar draws its own replicate datasets and corrupts "
+                 "no labels", "data.corrupt")
         _require(d.test_fraction == 0, "biasvar draws its own replicate datasets and holds "
                  "no test rows out", "data.test_fraction")
     if command == "clean":

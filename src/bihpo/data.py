@@ -454,55 +454,65 @@ def subset(dataset: Dataset, idx: np.ndarray) -> Dataset:
 
 
 @lru_cache(maxsize=64)
-def _shared_beta(beta_seed: int, d: int) -> np.ndarray:
-    """The ground-truth coefficients of gen_linear, drawn once per (beta_seed, d)."""
-    beta = _rng(beta_seed).standard_normal(d)
+def _shared_beta(beta_seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The ground truth of the synthetic tasks, drawn once per (beta_seed, shape):
+    the coefficients beta (d,) of regression, or W (d, k) of k classes."""
+    beta = _rng(beta_seed).standard_normal(shape)
     beta.flags.writeable = False
     return beta
+
+
+def _draw_rows(task: str, n: int, d: int, classes: int, noise_sigma: float, seed: int,
+               beta_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows X (n, d) and targets y (n,) of synthetic, with no checks."""
+    rng = _rng(seed)
+    X = rng.standard_normal((n, d))
+    if task == "regression":
+        return X, X @ _shared_beta(beta_seed, (d,)) + rng.standard_normal(n) * noise_sigma
+    logits = (X @ _shared_beta(beta_seed, (d, classes))
+              + rng.standard_normal((n, classes)) * noise_sigma)
+    y = np.argmax(logits, axis=1).astype(np.float64)
+    return X, 2.0 * y - 1.0 if task == "binary" else y
+
+
+def synthetic(task: str, n: int, d: int, classes: int, noise_sigma: float, seed: int,
+              beta_seed: int = 0) -> Dataset:
+    """Seeded data of a task, with X_ij ~ N(0, 1) and noise eps ~ N(0, sigma^2).
+
+    regression: y = X beta + eps, beta ~ N(0, I_d); classes is ignored.
+    multiclass: y = argmax(X W + eps) over classes >= 2 classes, W_jc ~ N(0, 1).
+    binary: the same labels of classes = 2, mapped from 0/1 to -1/+1.
+    The ground truth is drawn from beta_seed alone, so replicate datasets
+    (fresh seed) share it.
+    """
+    if task not in TASKS:
+        raise ContractViolationError(f"task must be one of {TASKS}, got {task!r}", field="task")
+    for name, size in (("n", n), ("d", d)):
+        if size < 1:
+            raise ContractViolationError(f"synthetic needs {name} >= 1, got {size}", field=name)
+    if task != "regression" and (classes < 2 or task == "binary" and classes != 2):
+        raise ContractViolationError(f"{task} data cannot have {classes} classes", field="classes")
+    require_real(noise_sigma, "noise_sigma")
+    if noise_sigma < 0:
+        raise ContractViolationError("noise_sigma must be >= 0", field="noise_sigma")
+    X, y = _draw_rows(task, n, d, classes, noise_sigma, seed, beta_seed)
+    return Dataset(X=X, y=y, task=task, num_classes=classes if task == "multiclass" else 0)
 
 
 def gen_linear(
     n: int, d: int, noise_sigma: float, seed: int, beta_seed: int = 0
 ) -> tuple[Dataset, np.ndarray]:
-    """y = X beta + eps with X_ij ~ N(0,1), beta ~ N(0,I_d), eps ~ N(0, sigma^2).
-
-    Returns (dataset, beta). beta is drawn from its own seed so replicate
-    datasets (fresh seed) share the same ground-truth coefficient vector.
-    """
-    for name, size in (("n", n), ("d", d)):
-        if size < 1:
-            raise ContractViolationError(f"gen_linear needs {name} >= 1, got {size}", field=name)
-    require_real(noise_sigma, "noise_sigma")
-    if noise_sigma < 0:
-        raise ContractViolationError("noise_sigma must be >= 0", field="noise_sigma")
-    X, y = _draw_linear(n, d, noise_sigma, seed, beta_seed)
-    return Dataset(X=X, y=y, task="regression"), _shared_beta(beta_seed, d).copy()
-
-
-def _draw_linear(n: int, d: int, noise_sigma: float, seed: int, beta_seed: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rows X (n, d) and targets y (n,) of gen_linear, with no checks."""
-    rng = _rng(seed)
-    X = rng.standard_normal((n, d))
-    eps = rng.standard_normal(n) * noise_sigma
-    return X, X @ _shared_beta(beta_seed, d) + eps
+    """synthetic regression data, y = X beta + eps; returns (dataset, beta)."""
+    ds = synthetic("regression", n, d, 0, noise_sigma, seed, beta_seed)
+    return ds, _shared_beta(beta_seed, (d,)).copy()
 
 
 def gen_multiclass(
     n: int, d: int, num_classes: int, noise_sigma: float, seed: int, beta_seed: int = 0
 ) -> tuple[Dataset, np.ndarray]:
-    """Labels = argmax(X W + noise); returns (dataset, W) with W ~ N(0,1) per entry."""
-    if n < 1 or d < 1 or num_classes < 2:
-        raise ContractViolationError("gen_multiclass needs n,d >= 1 and num_classes >= 2")
-    require_real(noise_sigma, "noise_sigma")
-    if noise_sigma < 0:
-        raise ContractViolationError("noise_sigma must be >= 0")
-    W = _rng(beta_seed).standard_normal((d, num_classes))
-    rng = _rng(seed)
-    X = rng.standard_normal((n, d))
-    logits = X @ W + rng.standard_normal((n, num_classes)) * noise_sigma
-    y = np.argmax(logits, axis=1).astype(np.float64)
-    return Dataset(X=X, y=y, task="multiclass", num_classes=num_classes), W
+    """synthetic multiclass data, labels = argmax(X W + eps); returns (dataset, W)."""
+    ds = synthetic("multiclass", n, d, num_classes, noise_sigma, seed, beta_seed)
+    return ds, _shared_beta(beta_seed, (d, num_classes)).copy()
 
 
 def corrupt_labels(

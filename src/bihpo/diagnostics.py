@@ -20,7 +20,7 @@ from .data import (
     SplitPlan,
     StackedView,
     _all_val_sets,
-    _draw_linear,
+    _draw_rows,
     _fill_val_sets,
     _plan_val_size,
     _require_gamma,
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .hypergrad import FORWARD_ARRAYS, HypergradMethod, estimate_hypergrad, forward_mode
 from .linalg import ordered_mean, row_dot
-from .problems import REGRESSION_KINDS, BilevelProblem, ModelSpec, build_problem
+from .problems import TASK_OF_KIND, BilevelProblem, ModelSpec, build_problem
 
 
 @dataclass(eq=False)
@@ -148,33 +148,35 @@ class RidgeOracle:
 # replicates by the same budget.
 RUN_BYTES = 2 << 20
 # r x r matrices that a member of a run holds beside its iterates, for the
-# squared-loss kinds these diagnostics take: the train and val Gram matrices
-# that the run gathers, and the inner Hessian H = 2A + c2 I that its binding
-# builds, with the 2A it is built from
+# squared-loss kinds: the train and val Gram matrices that the run gathers,
+# and the inner Hessian H = 2A + c2 I that its binding builds, with the 2A it
+# is built from. The other kinds read the rows that the stacks hold already.
 MEMBER_MATRICES = 4
 
 
-def _replicate_stacks(design: SweepDesign, U: int, seed: int, count: int
+def _replicate_stacks(design: SweepDesign, spec: ModelSpec, U: int, seed: int, count: int
                       ) -> tuple[StackedView, StackedView]:
     """Train and val stacks of count replicates of U splits each, replicate-major.
 
-    Replicate j draws gen_linear's rows from derive_seed(seed, 2j) and its U
-    splits, as draw_val_sets does, from the SplitPlan whose master seed is
-    derive_seed(seed, 2j + 1). So member j * U + u holds the rows of split
-    u's train and val views of replicate j's dataset. The plan differs
-    between replicates only in its master seed, so it is built and checked
-    once, before any replicate is drawn.
+    Replicate j draws the rows of data.synthetic for spec's task (with
+    spec.num_classes classes, or 2 for a binary kind) from derive_seed(seed,
+    2j), and its U splits, as draw_val_sets does, from the SplitPlan whose
+    master seed is derive_seed(seed, 2j + 1). So member j * U + u holds the
+    rows of split u's train and val views of replicate j's dataset. The plan
+    differs between replicates only in its master seed, so it is built and
+    checked once, before any replicate is drawn.
     """
-    n, d = design.n, design.d
+    n, d, task = design.n, design.d, TASK_OF_KIND[spec.kind]
+    k = spec.num_classes if task == "multiclass" else 0  # the class count of task's Dataset
     plan = SplitPlan(U=U, gamma=design.gamma, mode=design.mode)
     X, y = np.empty((count, n, d)), np.empty((count, n))
     vals = np.empty((count, U, _plan_val_size(n, plan)), dtype=np.int64)
     for j in range(count):
-        X[j], y[j] = _draw_linear(n, d, design.noise_sigma, derive_seed(seed, 2 * j),
-                                  design.beta_seed)
+        X[j], y[j] = _draw_rows(task, n, d, k or 2, design.noise_sigma,
+                                derive_seed(seed, 2 * j), design.beta_seed)
         _fill_val_sets(vals[j], n, plan.mode, derive_seed(seed, 2 * j + 1))
 
-    return split_stacks(X, y, vals)
+    return split_stacks(X, y, vals, k)
 
 
 def _member_bytes(problem: BilevelProblem, method: HypergradMethod) -> int:
@@ -222,19 +224,13 @@ def _mean_sq_dist(rows: np.ndarray, center: np.ndarray) -> float:
     return float(np.mean(np.sum((rows - center) ** 2, axis=1)))
 
 
-def _regression_problem(spec: ModelSpec, d: int, caller: str) -> BilevelProblem:
-    """The problem of spec, which must be a regression model to fit the synthetic data."""
-    if spec.kind not in REGRESSION_KINDS:
-        raise ContractViolationError(f"{caller} needs a regression model, got {spec.kind!r}")
-    return build_problem(spec, d)
-
-
 # ---------------------------------------------------------------------------
 # bias-variance decomposition over replicated (dataset, split-set) draws
 
 @dataclass(frozen=True)
 class SweepDesign:
-    """Synthetic linear-Gaussian replicate generator plus the split protocol.
+    """The replicate datasets' size, noise and ground-truth seed for
+    data.synthetic, plus the split protocol; the model spec picks their task.
 
     Each field is checked once, here, and a refusal names its field.
     """
@@ -307,12 +303,13 @@ def bias_variance_sweep(
 ) -> BiasVarianceReport:
     """Empirical error = variance + bias^2 decomposition per grid point.
 
-    Draws R replicate (dataset, split-set) pairs; the estimate ghat_j is the
-    U-split ensemble mean of `method` hypergradients (raw coordinates, every
-    coordinate of lam at log lambda_eff); the reference gbar is the replicate
-    mean of exact oracle hypergradients (ridge) or of ITD at ref_K inner steps
-    (the other regression models). gtilde is the sample mean of the ghat_j,
-    which makes the decomposition an algebraic identity. lam_grid is in
+    Draws R replicate (dataset, split-set) pairs of spec's task; the
+    estimate ghat_j is the U-split ensemble mean of `method` hypergradients
+    (raw coordinates, every coordinate of lam at log lambda_eff); the
+    reference gbar is the replicate mean of exact oracle hypergradients
+    (ridge) or of ITD at ref_K inner steps (every other model). gtilde is the
+    sample mean of the ghat_j, which makes the decomposition an algebraic
+    identity. lam_grid is in
     effective (positive) coordinates. The R replicates are drawn once, as one
     stack (see _replicate_stacks); the R * len(lam_grid) * U members are one
     take of it, ordered replicate -> grid point -> split, and run in stacked
@@ -326,12 +323,12 @@ def bias_variance_sweep(
     if not all(x > 0 and math.isfinite(x) for x in lam_grid):
         raise ContractViolationError("lam_grid values must be positive and finite "
                                      "(effective scale)", field="lam_grid")
-    problem = _regression_problem(spec, design.d, "bias_variance_sweep")
+    problem = build_problem(spec, design.d)
     exact = spec.kind == "ridge"
     if method == "oracle" and not exact:
         raise ContractViolationError("method='oracle' requires the ridge model")
     n_lam, p = len(lam_grid), problem.hyper_dim
-    train, val = _replicate_stacks(design, U, seed, R)
+    train, val = _replicate_stacks(design, spec, U, seed, R)
     if exact:
         gref = _oracle_means(train, val, lam_grid, U)
 
@@ -395,8 +392,8 @@ def ensemble_variance_curve(
     independent (dataset, split) resample; slope of log-variance vs log-U.
 
     With independent members Var(mean) = sigma^2 / U exactly, so the fitted
-    slope should sit near -1. spec must be a regression model: the
-    sum(U_list) * R members run in stacked runs (see _stacked_estimates).
+    slope should sit near -1. The members draw the data of spec's task, and
+    the sum(U_list) * R of them run in stacked runs (see _stacked_estimates).
     workers is accepted for callers of the former process pool and must be 1.
     """
     require_count(R, "R", minimum=2)
@@ -414,11 +411,11 @@ def ensemble_variance_curve(
     if not lam_eff > 0:
         raise ContractViolationError(f"lam_eff must be positive and finite, got {lam_eff!r}",
                                      field="lam_eff")
-    problem = _regression_problem(spec, design.d, "ensemble_variance_curve")
+    problem = build_problem(spec, design.d)
     # member c draws its dataset and split from the seed pair of replicate c;
     # the members of (U, replicate j) are contiguous, U by U, over U_list
     count = sum(U_list) * R
-    train, val = _replicate_stacks(design, 1, seed, count)
+    train, val = _replicate_stacks(design, spec, 1, seed, count)
     lam = np.full((count, problem.hyper_dim), math.log(lam_eff))
     grads = _stacked_estimates(problem, method, train, val, lam)
 

@@ -55,9 +55,6 @@ TASK_OF_KIND = {
     "hyperclean_softmax": "multiclass",
 }
 MODEL_KINDS = tuple(TASK_OF_KIND)
-# the squared-loss models, the only ones that fit the synthetic regression
-# data of the diagnostics and of `bihpo biasvar`
-REGRESSION_KINDS = tuple(k for k, task in TASK_OF_KIND.items() if task == "regression")
 # the kinds whose inner Hessian is discontinuous, which rules out AID
 NONSMOOTH_KINDS = ("svm_sqhinge",)
 # the kinds with a pseudo-Huber (smoothed L1) penalty, which reads smoothing_delta

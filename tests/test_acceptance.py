@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 import yaml
 
 from bihpo.cli import _accuracy, _train_softmax, main
@@ -122,6 +123,21 @@ def test_criterion_04_ensemble_variance_slope():
                                     U_list=[1, 2, 4, 8, 16], seed=77)
     elapsed = time.monotonic() - t0
     verdict(4, "ensemble variance scales like 1/U",
+            abs(curve.slope + 1.0) <= 0.25 and elapsed < 120.0,
+            f"log-log slope {curve.slope:+.4f}, {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("spec", [ModelSpec(kind="logistic_l2"),
+                                  ModelSpec(kind="softmax_l2", num_classes=3)],
+                         ids=["logistic_l2", "softmax_l2"])
+def test_criterion_04_ensemble_variance_slope_classification(spec):
+    t0 = time.monotonic()
+    design = SweepDesign(n=100, d=1, noise_sigma=0.5, gamma=0.25)
+    method = HypergradMethod(kind="ITD", K=50, alpha_in=0.1)
+    curve = ensemble_variance_curve(design, method, 1.0, R=200,
+                                    U_list=[1, 2, 4, 8, 16], seed=77, spec=spec)
+    elapsed = time.monotonic() - t0
+    verdict(4, f"ensemble variance scales like 1/U for {spec.kind}",
             abs(curve.slope + 1.0) <= 0.25 and elapsed < 120.0,
             f"log-log slope {curve.slope:+.4f}, {elapsed:.1f}s")
 

@@ -293,6 +293,15 @@ def test_validate_tune_rules_name_offending_field(over, command, path):
     ("clean", clean_dict(data={"synthetic": {"n": 3}, "test_fraction": 0.5}),
      "data.test_fraction"),
     ("biasvar", biasvar_dict(data={"test_fraction": 0.3}), "data.test_fraction"),
+    # n = 4 at gamma = 1 gives m_val = 2, and C(4, 2) = 6 < 7 distinct splits
+    ("biasvar", biasvar_dict(data={"synthetic": {"n": 4}}, split={"gamma": 1.0},
+                             biasvar={"U": 7}), "biasvar.U"),
+    ("biasvar", biasvar_dict(problem={"kind": "hyperclean_softmax", "num_classes": 3},
+                             data={"synthetic": {"classes": 3}}), "problem.kind"),
+    ("biasvar", biasvar_dict(problem={"kind": "logistic_l2"}, data={"synthetic": {"classes": 3}}),
+     "data.synthetic.classes"),
+    ("biasvar", biasvar_dict(problem={"kind": "softmax_l2", "num_classes": 3},
+                             data={"synthetic": {"classes": 4}}), "problem.num_classes"),
 ], ids=["K-float", "K-str", "h-float", "fp_step-negative", "U-str", "U-float",
         "split-scalar", "tune-classes", "clean-classes", "T-float", "n-str",
         "alpha_out-str", "alpha_out-nan", "outer-kind", "retrain_K-float", "warm_start-str",
@@ -302,7 +311,9 @@ def test_validate_tune_rules_name_offending_field(over, command, path):
         "lambda0-nan", "lambda0-list-nan", "theta0-inf", "smoothing_delta-inf",
         "alpha_in-inf", "grid-range-nan", "corrupt-regression", "grid-range-zero",
         "grid-negative", "oracle-lasso_smooth", "biasvar-corrupt", "missing-data-file",
-         "tune-holdout-empties-pool", "clean-holdout-empties-pool", "biasvar-holdout"])
+         "tune-holdout-empties-pool", "clean-holdout-empties-pool", "biasvar-holdout",
+         "biasvar-U-infeasible", "biasvar-hyperclean", "biasvar-binary-classes",
+         "biasvar-softmax-classes"])
 def test_bad_input_exits_2_with_its_field_path(tmp_path, capsys, command, raw, path):
     out = tmp_path / "o"
     assert main([command, "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 2
@@ -363,7 +374,8 @@ def test_typed_fields_refuse_the_wrong_type_at_their_path(path, bad):
 @pytest.mark.parametrize("over,path", [
     ({"biasvar": {"R": 1}}, "biasvar.R"),
     ({"biasvar": {"estimator": "magic"}}, "biasvar.estimator"),
-    ({"problem": {"kind": "logistic_l2"}}, "problem.kind"),
+    ({"problem": {"kind": "hyperclean_softmax", "num_classes": 3},
+      "data": {"synthetic": {"classes": 3}}}, "problem.kind"),
     ({"data": {"source": "some/file.libsvm"}}, "data.source"),
 ])
 def test_validate_biasvar_rules(over, path):
@@ -600,6 +612,22 @@ def test_biasvar_runs_a_two_hyperparameter_model(tmp_path):
     cfg = write_cfg(tmp_path, biasvar_dict(problem={"kind": "elastic_net",
                                                     "smoothing_delta": 0.5},
                                            biasvar={"ref_K": 200}))
+    out = tmp_path / "bv"
+    assert main(["biasvar", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_rows(out / "biasvar.csv")
+    assert len(rows) == 3
+    for r in rows:
+        assert float(r["identity_residual"]) < 1e-10
+        assert float(r["error"]) > 0.0 and math.isfinite(float(r["error"]))
+
+
+@pytest.mark.parametrize("over", [
+    {"problem": {"kind": "logistic_l2"}},
+    {"problem": {"kind": "softmax_l2", "num_classes": 3}, "data": {"synthetic": {"classes": 3}}},
+], ids=["logistic_l2", "softmax_l2"])
+def test_biasvar_runs_a_classification_model(tmp_path, over):
+    # the replicates are drawn for the model's task; the reference is ITD at ref_K
+    cfg = write_cfg(tmp_path, biasvar_dict(biasvar={"ref_K": 200}, **over))
     out = tmp_path / "bv"
     assert main(["biasvar", "--config", str(cfg), "--out", str(out)]) == 0
     rows = read_rows(out / "biasvar.csv")

@@ -1,5 +1,7 @@
 """Datasets, seeded splits, generators, corruption, libsvm ingestion."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from bihpo.data import (
     SplitPlan,
     StackedView,
     _all_val_sets,
+    _draw_rows,
     carve_holdout,
     complements,
     corrupt_labels,
@@ -25,6 +28,7 @@ from bihpo.data import (
     split_stacks,
     splitmix64,
     subset,
+    synthetic,
     val_size,
 )
 from bihpo.errors import ContractViolationError, InfeasiblePlanError, ParseError
@@ -166,12 +170,7 @@ def test_take_of_a_take_gathers_only_its_own_members():
 def test_split_stacks_hold_the_bits_of_each_splits_views(task, d):
     # the strategies and the diagnostics stack a plan's splits by split_stacks
     # alone, so each member must be its split's DataView, value by value
-    if task == "regression":
-        ds, _ = gen_linear(40, d, 0.5, seed=d, beta_seed=1)
-    else:
-        raw, _ = gen_multiclass(40, d, 2 if task == "binary" else 3, 0.3, seed=d, beta_seed=1)
-        ds = (Dataset(X=raw.X, y=2.0 * raw.y - 1.0, task="binary") if task == "binary"
-              else raw)
+    ds = synthetic(task, 40, d, 3 if task == "multiclass" else 2, 0.4, seed=d, beta_seed=1)
     vals = draw_val_sets(ds.n, SplitPlan(U=4, gamma=0.25, master_seed=d))
     train, val = split_stacks(ds.X, ds.y, vals, ds.num_classes)
     names = ("X", "y", "Xt", "yXt", "gram") + (("one_hot",) if ds.num_classes else ())
@@ -309,6 +308,51 @@ def test_gen_multiclass_labels_in_range():
     assert ds.task == "multiclass" and ds.num_classes == 3
     assert set(np.unique(ds.y)).issubset({0.0, 1.0, 2.0})
     assert W.shape == (4, 3)
+
+
+# sha256 of the rows X and targets y that _draw_rows gives for 16 rows at noise
+# 0.4 and beta_seed 7, with 3 classes for multiclass: every synthetic draw of
+# the library (the commands, `bihpo check`, the diagnostics) has these bits
+RECIPE_SHA256 = {
+    ("regression", 0, 1): "35375de5977f7ed62964bc6d606233529f9e34676a72385b311c2187637dcee8",
+    ("regression", 0, 3): "b8a75b3a2d3cadcb3ab8ae31f22aaf39e2e7c6b3998eb8034e9400f386e4a20d",
+    ("regression", 1000, 1): "fb0dd6df7654617a8a151eada3d814c0da3dd9da93970429acbfec522bfe76ff",
+    ("regression", 1000, 3): "730c18aa3b1374332c5ea2391ecec402e8b5629714669856d0f02d72d07d2ca2",
+    ("binary", 0, 1): "35b75e5d6896ce014929bfbea5e944a02db33fd84c62f9a71faef1a06804622c",
+    ("binary", 0, 3): "a2f7050b8ca64378f1419c1ecbab632c7e1f91cbdfff56c042f67af1d5e9a413",
+    ("binary", 1000, 1): "4651d73eb1a289f6012666eb929a471fa480f6b57c7a7571a1f23d9647d39f50",
+    ("binary", 1000, 3): "8a21dde7aba8a7cf42be9f8d69b8081019412da047dc5e7f09627d3fdadf78c1",
+    ("multiclass", 0, 1): "33514eabc434a0ebfb84749ee81acb03bed808396b5d96325e0df2a15d1f93d3",
+    ("multiclass", 0, 3): "2f48152bcbc22be7540d60a06d2bced2ad30dc836a999ab52e2d941184006926",
+    ("multiclass", 1000, 1): "8caf92f553ef16f230279369d71b25b5f0346e3faddb3cd902a519043d80f7c4",
+    ("multiclass", 1000, 3): "703a1360a443957cd5c820cca51effb18421eb09a94e7822f2f532e545cdab46",
+}
+
+
+@pytest.mark.parametrize("task, seed, d", sorted(RECIPE_SHA256))
+def test_synthetic_recipe_keeps_its_bits(task, seed, d):
+    X, y = _draw_rows(task, 16, d, 3 if task == "multiclass" else 2, 0.4, seed, 7)
+    assert hashlib.sha256(X.tobytes() + y.tobytes()).hexdigest() == RECIPE_SHA256[task, seed, d]
+    ds = synthetic(task, 16, d, 3 if task == "multiclass" else 2, 0.4, seed, 7)
+    assert ds.X.tobytes() == X.tobytes() and ds.y.tobytes() == y.tobytes()
+
+
+def test_generators_are_synthetic_with_its_ground_truth():
+    ds, beta = gen_linear(20, 3, 0.3, seed=4, beta_seed=2)
+    assert ds.y.tobytes() == synthetic("regression", 20, 3, 0, 0.3, 4, 2).y.tobytes()
+    ds, W = gen_multiclass(20, 3, 4, 0.3, seed=4, beta_seed=2)
+    assert ds.y.tobytes() == synthetic("multiclass", 20, 3, 4, 0.3, 4, 2).y.tobytes()
+    W[:] = 0.0  # the caller's copy; the next draw keeps its ground truth
+    assert gen_multiclass(20, 3, 4, 0.3, seed=4, beta_seed=2)[1].any()
+
+
+@pytest.mark.parametrize("task, classes, field", [
+    ("binary", 3, "classes"), ("binary", 0, "classes"), ("multiclass", 1, "classes"),
+    ("multiclass", 0, "classes"), ("ranking", 2, "task")])
+def test_synthetic_refuses_a_task_or_class_count_it_cannot_draw(task, classes, field):
+    with pytest.raises(ContractViolationError) as err:
+        synthetic(task, 10, 2, classes, 0.3, seed=0)
+    assert err.value.field == field
 
 
 @pytest.mark.parametrize("noise_sigma", [float("nan"), float("inf")])

@@ -25,6 +25,7 @@ from bihpo.data import (
     gen_multiclass,
     make_splits,
     split_stacks,
+    synthetic,
     val_size,
 )
 from bihpo.diagnostics import (
@@ -54,6 +55,7 @@ from bihpo.hypergrad import (
 from bihpo.problems import ModelSpec, build_problem
 
 DESIGN = SweepDesign(n=60, d=2, noise_sigma=0.5, gamma=0.25)
+RIDGE = ModelSpec(kind="ridge")
 ITD25 = HypergradMethod(kind="ITD", K=25, alpha_in=0.1)
 
 
@@ -242,9 +244,6 @@ def test_bias_variance_sweep_validation():
     with pytest.raises(ContractViolationError):
         bias_variance_sweep(DESIGN, ITD25, [-1.0], R=2, U=1, seed=0)
     with pytest.raises(ContractViolationError):
-        bias_variance_sweep(DESIGN, ITD25, [1.0], R=2, U=1, seed=0,
-                            spec=ModelSpec(kind="logistic_l2"))
-    with pytest.raises(ContractViolationError):
         bias_variance_sweep(DESIGN, "oracle", [1.0], R=2, U=1, seed=0,
                             spec=ModelSpec(kind="elastic_net", smoothing_delta=0.5))
     assert refused("lam_grid", bias_variance_sweep, DESIGN, ITD25, [], R=2, U=1, seed=0)
@@ -252,6 +251,21 @@ def test_bias_variance_sweep_validation():
                    R=2, U=1, seed=0)
     assert refused("R", bias_variance_sweep, DESIGN, ITD25, [1.0], R=2.5, U=1, seed=0)
     assert refused("U", bias_variance_sweep, DESIGN, ITD25, [1.0], R=2, U=2.5, seed=0)
+
+
+def test_bias_variance_sweep_decomposes_a_classification_model():
+    # the replicates are drawn with +-1 labels for logistic_l2; the reference is ITD at ref_K
+    report = bias_variance_sweep(DESIGN, ITD25, [0.5, 1.0], R=4, U=2, seed=5,
+                                 spec=ModelSpec(kind="logistic_l2"), ref_K=100)
+    for row in report.rows:
+        assert row.identity_residual <= 1e-10
+        assert row.error > 0.0 and math.isfinite(row.error)
+
+
+def test_variance_curve_falls_with_U_for_softmax():
+    curve = ensemble_variance_curve(DESIGN, ITD25, 1.0, R=30, U_list=[1, 2, 4, 8], seed=3,
+                                    spec=ModelSpec(kind="softmax_l2", num_classes=3))
+    assert curve.slope < 0.0
 
 
 @pytest.mark.parametrize("field, value", [
@@ -285,9 +299,6 @@ def test_variance_curve_validation():
         ensemble_variance_curve(DESIGN, ITD25, 1.0, R=5, U_list=[2], seed=0)
     with pytest.raises(ContractViolationError):
         ensemble_variance_curve(DESIGN, ITD25, 1.0, R=5, U_list=[1, 2], seed=0, workers=0)
-    with pytest.raises(ContractViolationError):
-        ensemble_variance_curve(DESIGN, ITD25, 1.0, R=5, U_list=[1, 2], seed=0,
-                                spec=ModelSpec(kind="logistic_l2"))
     assert refused("U_list", ensemble_variance_curve, DESIGN, ITD25, 1.0, R=5,
                    U_list=[1, 2.5], seed=0)
     assert refused("U_list", ensemble_variance_curve, DESIGN, ITD25, 1.0, R=5,
@@ -480,7 +491,7 @@ def test_member_run_names_members_by_ensemble_index(monkeypatch):
     # beyond 2/L (at lambda_eff = e^6), so that its inner loop overflows
     method = HypergradMethod(kind="ITD", K=200, alpha_in=0.1)
     cut_runs(monkeypatch, 4, ModelSpec(kind="ridge"), method)
-    train, val = _replicate_stacks(DESIGN, 1, 0, 10)
+    train, val = _replicate_stacks(DESIGN, RIDGE, 1, 0, 10)
     lam = np.array([[6.0 if c == 7 else 0.0] for c in range(10)])
     with pytest.raises(NumericalError) as err:
         _stacked_estimates(build_problem(ModelSpec(kind="ridge"), DESIGN.d), method, train, val,
@@ -492,15 +503,26 @@ def test_member_run_names_members_by_ensemble_index(monkeypatch):
 # ---------------------------------------------------------------------------
 # replicate stacks
 
-@pytest.mark.parametrize("mode", ["with_replacement", "without_replacement"])
-@pytest.mark.parametrize("U", [1, 3])
-def test_replicate_stacks_hold_the_rows_of_gen_linear_and_make_splits(U, mode):
+TASK_SPECS = {"regression": RIDGE, "binary": ModelSpec(kind="logistic_l2"),
+              "multiclass": ModelSpec(kind="softmax_l2", num_classes=3)}
+
+
+# the regression cases are named by U and mode alone, the others by their task too
+@pytest.mark.parametrize("task, U, mode", [
+    pytest.param(task, U, mode, id="-".join([str(U), mode] + [task] * (task != "regression")))
+    for task in TASK_SPECS for U in (1, 3) for mode in ("with_replacement", "without_replacement")
+])
+def test_replicate_stacks_hold_the_rows_of_gen_linear_and_make_splits(task, U, mode):
+    # member j * U + u holds split u of the rows that data.synthetic draws for
+    # the spec's task, with 2 classes for a binary kind
     design = SweepDesign(n=12, d=3, noise_sigma=0.5, gamma=0.5, beta_seed=4, mode=mode)
-    train, val = _replicate_stacks(design, U, 21, 4)
+    spec = TASK_SPECS[task]
+    train, val = _replicate_stacks(design, spec, U, 21, 4)
     assert len(train) == len(val) == 4 * U
+    assert train.num_classes == val.num_classes == spec.num_classes
     for j in range(4):
-        ds, _ = gen_linear(design.n, design.d, design.noise_sigma, seed=derive_seed(21, 2 * j),
-                           beta_seed=design.beta_seed)
+        ds = synthetic(task, design.n, design.d, spec.num_classes or 2, design.noise_sigma,
+                       seed=derive_seed(21, 2 * j), beta_seed=design.beta_seed)
         plan = SplitPlan(U=U, gamma=design.gamma, mode=mode, master_seed=derive_seed(21, 2 * j + 1))
         for u, split in enumerate(make_splits(ds.n, plan)):
             for stack, idx in ((train, split.train_idx), (val, split.val_idx)):
@@ -513,7 +535,7 @@ def test_replicate_stacks_redraw_duplicate_splits_as_make_splits_does():
     # validation sets: every replicate must redraw the sets its earlier
     # splits already hold
     design = SweepDesign(n=4, d=2, noise_sigma=0.5, gamma=1.0, beta_seed=4)
-    train, val = _replicate_stacks(design, 6, 21, 3)
+    train, val = _replicate_stacks(design, RIDGE, 6, 21, 3)
     for j in range(3):
         ds, _ = gen_linear(design.n, design.d, design.noise_sigma, seed=derive_seed(21, 2 * j),
                            beta_seed=design.beta_seed)
@@ -528,16 +550,17 @@ def test_replicate_stacks_redraw_duplicate_splits_as_make_splits_does():
 
 def test_replicate_stacks_refuse_an_infeasible_plan_before_any_draw(monkeypatch):
     draws = []
-    monkeypatch.setattr(diagnostics, "_draw_linear", lambda *args: draws.append(args))
+    monkeypatch.setattr(diagnostics, "_draw_rows", lambda *args: draws.append(args))
     design = SweepDesign(n=4, d=2, noise_sigma=0.5, gamma=1.0)
     with pytest.raises(InfeasiblePlanError) as err:
-        _replicate_stacks(design, 7, 21, 3)
+        _replicate_stacks(design, RIDGE, 7, 21, 3)
     assert err.value.field_path == "split.U"
     assert "C(4, 2) = 6" in str(err.value)
     assert draws == []
     # with replacement, the same U is a plan like any other
     monkeypatch.undo()
-    train, _ = _replicate_stacks(dataclasses.replace(design, mode="with_replacement"), 7, 21, 3)
+    train, _ = _replicate_stacks(dataclasses.replace(design, mode="with_replacement"), RIDGE,
+                                 7, 21, 3)
     assert len(train) == 21
 
 
@@ -582,13 +605,13 @@ def test_ridge_sweep_members_never_gather_train_rows(monkeypatch):
 
 def test_non_ridge_sweep_draws_each_replicate_once(monkeypatch):
     draws = []
-    draw = diagnostics._draw_linear
+    draw = diagnostics._draw_rows
 
     def counting_draw(*args):
         draws.append(args)
         return draw(*args)
 
-    monkeypatch.setattr(diagnostics, "_draw_linear", counting_draw)
+    monkeypatch.setattr(diagnostics, "_draw_rows", counting_draw)
     bias_variance_sweep(DESIGN, ITD25, [0.5, 1.0], R=3, U=2, seed=7,
                         spec=ModelSpec(kind="lasso_smooth", smoothing_delta=0.5), ref_K=40)
     assert len(draws) == 3  # the method's run and the ref_K run read the same stack
