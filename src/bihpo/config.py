@@ -12,15 +12,14 @@ validate_config adds range and cross-section rules.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 import yaml
 
-from .data import TASKS, SplitPlan, val_size
+from .data import TASKS, SplitPlan, _plan_val_size
 from .errors import ConfigError, ContractViolationError, ParseError, require_fields, require_real
 from .hypergrad import AID_KINDS, HypergradMethod
 from .problems import MODEL_KINDS, NONSMOOTH_KINDS, TASK_OF_KIND
@@ -302,10 +301,7 @@ def validate_config(cfg: ExperimentConfig, command: str = "tune") -> None:
         _require(pr.kind != "hyperclean_softmax", "biasvar's grid holds regularization "
                  "strengths on the exp scale; hyperclean_softmax's sample weights are not "
                  "one", "problem.kind")
-        if cfg.split.mode == "without_replacement":
-            n, m_val = d.synthetic.n, val_size(d.synthetic.n, cfg.split.gamma)
-            _require(bv.U <= math.comb(n, m_val), f"U={bv.U} asks for more distinct splits than "
-                     f"the C({n}, {m_val}) = {math.comb(n, m_val)} that exist", "biasvar.U")
+        _plan_val_size(d.synthetic.n, replace(cfg.split, U=bv.U), "biasvar.U")
         _require(bv.estimator != "oracle" or pr.kind == "ridge",
                  "the oracle estimator is exact for ridge only", "biasvar.estimator")
         _require(d.corrupt is None, "biasvar draws its own replicate datasets and corrupts "

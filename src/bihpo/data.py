@@ -328,9 +328,9 @@ def draw_val_sets(n: int, plan: SplitPlan) -> np.ndarray:
     return vals
 
 
-def _plan_val_size(n: int, plan: SplitPlan) -> int:
+def _plan_val_size(n: int, plan: SplitPlan, field_path: str = "split.U") -> int:
     """m_val of plan's splits of range(n), once the plan is feasible there:
-    without_replacement refuses U > C(n, m_val), naming split.U."""
+    without_replacement refuses U > C(n, m_val), naming field_path."""
     m_val = val_size(n, plan.gamma)
     if plan.mode == "without_replacement":
         total = math.comb(n, m_val)
@@ -338,7 +338,7 @@ def _plan_val_size(n: int, plan: SplitPlan) -> int:
             raise InfeasiblePlanError(
                 f"plan asks for U={plan.U} distinct splits but only "
                 f"C({n}, {m_val}) = {total} exist",
-                field_path="split.U",
+                field_path=field_path,
             )
     return m_val
 

@@ -303,7 +303,8 @@ def bias_variance_sweep(
 ) -> BiasVarianceReport:
     """Empirical error = variance + bias^2 decomposition per grid point.
 
-    Draws R replicate (dataset, split-set) pairs of spec's task; the
+    Draws R replicate (dataset, split-set) pairs of spec's task (any kind but
+    hyperclean_softmax, whose lam is per-row weights, not one strength); the
     estimate ghat_j is the U-split ensemble mean of `method` hypergradients
     (raw coordinates, every coordinate of lam at log lambda_eff); the
     reference gbar is the replicate mean of exact oracle hypergradients
@@ -323,6 +324,8 @@ def bias_variance_sweep(
     if not all(x > 0 and math.isfinite(x) for x in lam_grid):
         raise ContractViolationError("lam_grid values must be positive and finite "
                                      "(effective scale)", field="lam_grid")
+    if spec.kind == "hyperclean_softmax":  # its lam is per-row weights, not one strength
+        raise ContractViolationError("lam_grid does not apply to hyperclean_softmax", field="spec")
     problem = build_problem(spec, design.d)
     exact = spec.kind == "ridge"
     if method == "oracle" and not exact:

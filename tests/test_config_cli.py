@@ -385,6 +385,14 @@ def test_validate_biasvar_rules(over, path):
     assert err.value.field_path == path
 
 
+def test_validate_biasvar_accepts_a_feasible_U_of_a_large_pool():
+    # C(20000, 4000) has over 4300 digits, more than str(int) writes: the rule
+    # builds its message only when it fails
+    cfg = config_from_dict(deep_update(biasvar_dict(),
+                                       {"data": {"synthetic": {"n": 20000}}, "biasvar": {"U": 1}}))
+    validate_config(cfg, "biasvar")
+
+
 @pytest.mark.parametrize("over,path", [
     ({"problem": {"kind": "ridge"}}, "problem.kind"),
     ({"split": {"U": 2}}, "split.U"),

@@ -251,6 +251,9 @@ def test_bias_variance_sweep_validation():
                    R=2, U=1, seed=0)
     assert refused("R", bias_variance_sweep, DESIGN, ITD25, [1.0], R=2.5, U=1, seed=0)
     assert refused("U", bias_variance_sweep, DESIGN, ITD25, [1.0], R=2, U=2.5, seed=0)
+    # hyperclean's lam is per-row weights sigmoid(u), not a strength on lam_grid's exp scale
+    assert refused("spec", bias_variance_sweep, DESIGN, ITD25, [1.0], R=2, U=1, seed=0,
+                   spec=ModelSpec(kind="hyperclean_softmax", num_classes=3, n_weights=48))
 
 
 def test_bias_variance_sweep_decomposes_a_classification_model():
