@@ -3,6 +3,8 @@
 All randomness flows through numpy PCG64 generators. Per-split seeds are
 derived from a master seed by splitmix64-mixing the split counter, so split i
 is reproducible in isolation (no generator state threads between splits).
+A draw of many seeds runs one generator, re-seeded by state per seed
+(_generators), with the bits of Generator(PCG64(seed)).
 
 A pool's U splits are their validation index sets vals (U, m_val), one
 ascending row per split (draw_val_sets); a split trains on the rest of the
@@ -31,26 +33,76 @@ from .errors import (
 TASKS = ("regression", "binary", "multiclass")
 SPLIT_MODES = ("with_replacement", "without_replacement")
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # _all_val_sets materializes every partition; refuse combinatorial blowups.
 _ENUMERATION_CAP = 1_000_000
 
 
-def splitmix64(x: int) -> int:
-    """One splitmix64 scramble of a u64 (reference constants)."""
+def splitmix64(x):
+    """One splitmix64 scramble of a u64, or of each of a uint64 array (reference constants)."""
     z = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
 
 
-def derive_seed(master_seed: int, counter: int) -> int:
-    """Stateless per-stream seed: mix the counter into the master seed."""
-    return splitmix64((master_seed ^ splitmix64(counter)) & _MASK64)
+def derive_seed(master_seed, counter):
+    """Stateless per-stream seed: mix the counter into the master seed (taken
+    mod 2^64). Either may be a uint64 array; the seeds then broadcast."""
+    return splitmix64((master_seed & _MASK64) ^ splitmix64(counter))
 
 
 def _rng(seed: int) -> Generator:
     return Generator(PCG64(seed))
+
+
+def _pcg64_states(seeds: np.ndarray) -> tuple[list[int], list[int]]:
+    """The 128-bit (state, inc) that PCG64(seed) starts in, for each seed of
+    the uint64 array seeds: two lists of ints.
+
+    SeedSequence(seed) hashes the seed's two 32-bit words into a pool of 4
+    and draws 8 words from it (NEP 19), in uint32 arithmetic, done here in
+    uint64 masked to 32 bits. PCG64 takes the first two 64-bit words as the
+    128-bit seed s and the last two as the stream i, and steps its LCG twice
+    (pcg64_srandom): inc = 2i + 1, state = (inc + s) M + inc.
+    """
+    def hasher(const: int, mult: int):
+        """SeedSequence's hashmix; its constant steps on each call."""
+        def hashmix(value):
+            nonlocal const
+            value = value ^ const
+            const = const * mult & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+        return hashmix
+
+    hashmix, zero = hasher(0x43B0D7E5, 0x931E8875), np.zeros_like(seeds)
+    pool = [hashmix(word) for word in (seeds & _MASK32, seeds >> 32, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (pool[dst] * 0xCA01F9DD - hashmix(pool[src]) * 0x4973F715) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
+    draw = hasher(0x8B51F9DD, 0x58F38DED)
+    words = [draw(pool[i % 4]) for i in range(8)]
+    s_hi, s_lo, i_hi, i_lo = ((lo | hi << 32).tolist() for lo, hi in zip(words[0::2], words[1::2]))
+    incs = [((hi << 64 | lo) << 1 | 1) & _MASK128 for hi, lo in zip(i_hi, i_lo)]
+    return [((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
+            for inc, hi, lo in zip(incs, s_hi, s_lo)], incs
+
+
+def _generators(seeds: np.ndarray):
+    """Generator(PCG64(seed)) for each seed of the uint64 array seeds in turn,
+    as one generator re-seeded by state: each is spent once the next is drawn."""
+    rng = _rng(0)
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for value, inc in zip(*_pcg64_states(seeds.ravel())):
+        state["state"] = {"state": value, "inc": inc}
+        rng.bit_generator.state = state
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -322,7 +374,8 @@ def make_splits(n: int, plan: SplitPlan) -> list[Split]:
 
 def draw_val_sets(n: int, plan: SplitPlan) -> np.ndarray:
     """The validation index sets of plan's splits of range(n), ascending, one
-    row per split: (U, m_val). Split u's train rows are complements(n, vals[u])."""
+    row per split: (U, m_val). Split u's train rows are complements(n, vals[u]).
+    Split u draws from derive_seed(plan.master_seed, u), by _fill_val_sets."""
     vals = np.empty((plan.U, _plan_val_size(n, plan)), dtype=np.int64)
     _fill_val_sets(vals, n, plan.mode, plan.master_seed)
     return vals
@@ -343,18 +396,22 @@ def _plan_val_size(n: int, plan: SplitPlan, field_path: str = "split.U") -> int:
     return m_val
 
 
-def _fill_val_sets(vals: np.ndarray, n: int, mode: str, master_seed: int) -> None:
-    """Fill vals (U, m_val) with the validation sets of a feasible plan of
-    range(n) in mode, drawn from master_seed, one ascending row per split.
+def _fill_val_sets(vals: np.ndarray, n: int, mode: str, master_seeds) -> None:
+    """Fill vals (..., U, m_val) with the validation sets of feasible plans of
+    range(n) in mode, one ascending row per split: the U splits of pool i
+    draw from master_seeds[i], an int or a uint64 array of vals' leading shape.
 
-    Split i draws from derive_seed(master_seed, i); without_replacement
-    redraws a set that an earlier split already has.
+    Split u of a pool draws from derive_seed(its master seed, u), all of them
+    from one generator re-seeded per split (_generators); without_replacement
+    redraws a set that an earlier split of its pool already has.
     """
-    U, m_val = vals.shape
-    seen: set[bytes] = set()  # each val is a sorted int64 array, so its bytes are exact
-    budget = 1000 * U + 1000
-    for i in range(U):
-        rng = _rng(derive_seed(master_seed, i))
+    U, m_val = vals.shape[-2:]
+    rows = vals.reshape(-1, m_val, copy=False)
+    masters = np.asarray(master_seeds & _MASK64, dtype=np.uint64)[..., None]
+    for i, rng in enumerate(_generators(derive_seed(masters, np.arange(U, dtype=np.uint64)))):
+        if i % U == 0:
+            seen: set[bytes] = set()  # each val is a sorted int64 array, so its bytes are exact
+            budget = 1000 * U + 1000
         while True:
             val = np.sort(rng.choice(n, size=m_val, replace=False))
             key = val.tobytes()
@@ -367,7 +424,7 @@ def _fill_val_sets(vals: np.ndarray, n: int, mode: str, master_seed: int) -> Non
                     field_path="split.U",
                 )
         seen.add(key)
-        vals[i] = val
+        rows[i] = val
 
 
 def complements(n: int, vals: np.ndarray) -> np.ndarray:
@@ -435,11 +492,8 @@ def carve_holdout(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
     if fraction == 0.0:
         return np.arange(n), np.empty(0, dtype=np.int64)
     size = min(max(_round_half_up(n * fraction), 1), n - 1)
-    rng = _rng(seed)
-    test = np.sort(rng.choice(n, size=size, replace=False))
-    mask = np.ones(n, dtype=bool)
-    mask[test] = False
-    return np.nonzero(mask)[0], test
+    test = np.sort(_rng(seed).choice(n, size=size, replace=False))
+    return complements(n, test[None])[0], test
 
 
 def subset(dataset: Dataset, idx: np.ndarray) -> Dataset:
@@ -462,10 +516,10 @@ def _shared_beta(beta_seed: int, shape: tuple[int, ...]) -> np.ndarray:
     return beta
 
 
-def _draw_rows(task: str, n: int, d: int, classes: int, noise_sigma: float, seed: int,
+def _draw_rows(task: str, n: int, d: int, classes: int, noise_sigma: float, rng: Generator,
                beta_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows X (n, d) and targets y (n,) of synthetic, with no checks."""
-    rng = _rng(seed)
+    """The rows X (n, d) and targets y (n,) of synthetic, drawn from rng, with
+    no checks: synthetic's draw at seed when rng is Generator(PCG64(seed))."""
     X = rng.standard_normal((n, d))
     if task == "regression":
         return X, X @ _shared_beta(beta_seed, (d,)) + rng.standard_normal(n) * noise_sigma
@@ -495,7 +549,7 @@ def synthetic(task: str, n: int, d: int, classes: int, noise_sigma: float, seed:
     require_real(noise_sigma, "noise_sigma")
     if noise_sigma < 0:
         raise ContractViolationError("noise_sigma must be >= 0", field="noise_sigma")
-    X, y = _draw_rows(task, n, d, classes, noise_sigma, seed, beta_seed)
+    X, y = _draw_rows(task, n, d, classes, noise_sigma, _rng(seed), beta_seed)
     return Dataset(X=X, y=y, task=task, num_classes=classes if task == "multiclass" else 0)
 
 

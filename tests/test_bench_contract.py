@@ -4,7 +4,7 @@ perfbench/ drives the library through names it imports (data generators,
 `ensemble_variance_curve(..., workers=1)`, the CLI, the `BilevelProblem`
 callback fields its tracer wraps) and compares each result with its own
 numpy reference. Each workload here runs once at seed 0, as a benchmark
-repeat does, and must come back with no failed check.
+repeat does, and must come back with no failed check and its pinned digest.
 """
 
 import dataclasses
@@ -27,6 +27,16 @@ from tracing import CALLBACK_SPANS, ORACLE_METHODS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
+# the artifact digest of each workload at seed 0: a change that keeps the
+# library's results keeps these bytes
+SEED_0_DIGESTS = {
+    "members": "e94b1bb3d89da1316b0cbea0d6c37f10d4a229c5468c740b9963f3ec1b60cdd6",
+    "sweep": "67087ba95205ce5c52e5c92ed5236cec9b4109b632d3bb170f271d589660e712",
+    "tune": "24af6226d87fef088ee30fc844c6b19767a712ad052aba7f2d4d629ba3dcd037",
+    "clean": "0d579e59d394d2c8f39a8ee2050f29ee7465affe8b0ae6784c687766f59e7c8e",
+}
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_passes_its_checks(name, tmp_path):
     workload = WORKLOADS[name]
@@ -34,6 +44,7 @@ def test_workload_passes_its_checks(name, tmp_path):
     run_dir.mkdir()
     result = workload.setup(0, run_dir)()
     assert workload.check(result, run_dir, 0) == []
+    assert workload.digest(result, run_dir) == SEED_0_DIGESTS[name]
 
 
 def test_tracer_finds_what_it_wraps():

@@ -15,6 +15,8 @@ from bihpo.data import (
     StackedView,
     _all_val_sets,
     _draw_rows,
+    _generators,
+    _pcg64_states,
     carve_holdout,
     complements,
     corrupt_labels,
@@ -55,6 +57,41 @@ def test_derive_seed_is_deterministic_and_spread():
     seen = {derive_seed(42, i) for i in range(1000)}
     assert len(seen) == 1000
     assert derive_seed(42, 1) != derive_seed(43, 1)
+
+
+@pytest.mark.parametrize("master", [0, 42, 2**63 + 5, 2**64 - 1, 2**70 + 3])
+def test_derive_seed_of_an_array_is_the_scalar_seed_of_each_counter(master):
+    # a master seed past 2^64 (a config may give one) is taken mod 2^64 on both paths
+    counters = np.array([0, 1, 2, 7, 2**32, 2**64 - 1], dtype=np.uint64)
+    seeds = derive_seed(master, counters)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [derive_seed(master, int(c)) for c in counters]
+    masters = np.array([master & (2**64 - 1)], dtype=np.uint64)[:, None]
+    assert derive_seed(masters, counters).tolist() == [seeds.tolist()]
+
+
+def test_batch_pcg64_states_are_numpys():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    random = np.random.default_rng(31).integers(0, 2**64, 1000, dtype=np.uint64)
+    seeds = np.concatenate([np.array(edges, dtype=np.uint64), random])
+    states, incs = _pcg64_states(seeds)
+    for seed, state, inc in zip(seeds.tolist(), states, incs):
+        assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+
+
+def test_reseeded_generator_draws_as_a_fresh_one():
+    seeds = np.array([5, 2**40 + 1, 5, 0], dtype=np.uint64)
+    for seed, rng in zip(seeds.tolist(), _generators(seeds)):
+        fresh = np.random.Generator(np.random.PCG64(seed))
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        assert rng.choice(100, 25, replace=False).tobytes() == \
+            fresh.choice(100, 25, replace=False).tobytes()
+        assert rng.standard_normal(7).tobytes() == fresh.standard_normal(7).tobytes()
+        # an odd number of 32-bit draws leaves half a 64-bit word buffered,
+        # which the next re-seed must drop
+        rng.integers(0, 2**31, size=3)
+        while not rng.bit_generator.state["has_uint32"]:
+            rng.integers(0, 2**31)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +368,8 @@ RECIPE_SHA256 = {
 
 @pytest.mark.parametrize("task, seed, d", sorted(RECIPE_SHA256))
 def test_synthetic_recipe_keeps_its_bits(task, seed, d):
-    X, y = _draw_rows(task, 16, d, 3 if task == "multiclass" else 2, 0.4, seed, 7)
+    X, y = _draw_rows(task, 16, d, 3 if task == "multiclass" else 2, 0.4,
+                      np.random.Generator(np.random.PCG64(seed)), 7)
     assert hashlib.sha256(X.tobytes() + y.tobytes()).hexdigest() == RECIPE_SHA256[task, seed, d]
     ds = synthetic(task, 16, d, 3 if task == "multiclass" else 2, 0.4, seed, 7)
     assert ds.X.tobytes() == X.tobytes() and ds.y.tobytes() == y.tobytes()
