@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from bihpo.data import DataView, SplitPlan, carve_holdout, derive_seed, \
-    draw_val_sets, full_view, gen_linear, subset
+    draw_val_sets, full_view, subset, synthetic
 from bihpo.hypergrad import HypergradMethod, inner_solve
 from bihpo.problems import ModelSpec, build_problem
 from bihpo.strategies import OuterOptimizer, run_ehg
@@ -59,8 +59,8 @@ def main(argv=None):
     wins = 0
     rows = []
     for s in range(args.seeds):
-        ds, _ = gen_linear(args.n, args.d, args.noise_sigma,
-                           seed=derive_seed(1000, s), beta_seed=derive_seed(2000, s))
+        ds = synthetic("regression", args.n, args.d, 0, args.noise_sigma,
+                       seed=derive_seed(1000, s), beta_seed=derive_seed(2000, s))
         pool_idx, test_idx = carve_holdout(args.n, args.test_fraction,
                                            derive_seed(3000, s))
         pool = subset(ds, pool_idx)

@@ -209,13 +209,9 @@ class _Manifest:
         write_json(self.path, self.body)
 
 
-# the per-split trace columns written to trace.csv, in their order there
-_TRACE_COLUMNS = ("hypergrad_norm", "train_loss", "val_loss", "test_loss")
-
-
 def _trace_rows(trace: HPOTrace) -> tuple[list[str], list[list]]:
     """trace.csv: one row per outer step and split, with the columns the trace holds."""
-    names = [name for name in _TRACE_COLUMNS if name in trace.columns]
+    names = list(trace.columns)
     header = ["step", "split_id", "lambda_norm", "raw_lambda_json", *names]
     rows: list[list] = []
     for t in range(len(trace.lambdas) - 1):

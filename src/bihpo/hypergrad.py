@@ -141,19 +141,18 @@ def inner_solve(
 ) -> InnerTrajectory:
     """K steps of theta <- theta - alpha_in * grad inner, trajectory recorded.
 
-    A non-finite inner gradient raises NumericalError naming its step (and
-    the first failing member of a stack). Finiteness is checked once, on
-    theta_K: a non-finite iterate stays non-finite, since NaN propagates and
-    inf minus anything is inf or NaN. Only a failed solve is scanned for the
-    step to name.
+    Finiteness is checked once, on theta_K: a non-finite iterate stays
+    non-finite, since NaN propagates and inf minus anything is inf or NaN.
+    A non-finite theta_K raises NumericalError by _raise_failed_solve, so
+    no caller is handed one.
     """
     if alpha_in <= 0:
         raise ContractViolationError("alpha_in must be > 0")
     if K < 0:
         raise ContractViolationError("K must be >= 0")
-    lam, theta = check_args(problem, lam, theta0, train)
+    lam, start = check_args(problem, lam, theta0, train)
     inner = problem.bind_inner(lam, train)
-    grad, theta = inner.grad, theta.copy()
+    grad, theta = inner.grad, start.copy()
     thetas = [theta]
     # overflow surfaces as the explicit non-finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -163,26 +162,29 @@ def inner_solve(
             theta = np.subtract(theta, g, out=g)  # theta - g, into the new g
             thetas.append(theta)
         if not np.all(np.isfinite(theta)):
-            _raise_first_nonfinite_gradient(grad, thetas)
+            _raise_failed_solve(grad, start, K, alpha_in)
     return InnerTrajectory(thetas=tuple(thetas), alpha_in=alpha_in, lam=lam, train=train,
                            inner=inner)
 
 
-def _raise_first_nonfinite_gradient(grad: Callable[[Vec], Vec], thetas: list[Vec]) -> None:
-    """Raise for the first step whose inner gradient grad is non-finite, if any.
+def _raise_failed_solve(grad: Callable[[Vec], Vec], start: Vec, K: int, alpha_in: float) -> None:
+    """Raise NumericalError for a solve from start whose theta_K is non-finite.
 
-    theta_j, the first non-finite iterate, came from theta_{j-1} either by a
-    non-finite gradient (step j-1) or by an overflow of the update itself,
-    which the gradient at theta_j then shows (step j). So the gradients are
-    recomputed from theta_{j-1} on, which names the same step and member as
-    checking every gradient during the solve. An update that overflows on
-    the last step leaves no gradient to check, and returns.
+    Takes the K steps again with the solve's bound gradient grad and the
+    same operations, so with the same bits, and names the step (and the
+    first failing member of a stack) of the first non-finite gradient. An
+    update that overflows shows in the gradient of the next step; one that
+    overflows on the last step leaves no gradient to check, so the solve
+    ended non-finite at step K - 1, named by the member of theta_K.
     """
-    j = next(j for j, theta in enumerate(thetas) if not np.all(np.isfinite(theta)))
-    for k in range(max(j - 1, 0), len(thetas) - 1):
-        g = grad(thetas[k])
+    theta = start
+    for k in range(K):
+        g = grad(theta)
         if not np.all(np.isfinite(g)):
             raise _nonfinite(f"inner gradient became non-finite at step {k}", g, step=k)
+        g *= alpha_in
+        theta = np.subtract(theta, g, out=g)
+    raise _nonfinite("the inner solve ended non-finite", theta, step=K - 1 if K else None)
 
 
 def forward_mode(problem: BilevelProblem, method: HypergradMethod) -> bool:
@@ -215,8 +217,7 @@ def forward_hypergrad(
     Z <- Z - alpha_in * (H(theta_k) Z + J(theta_k)), J = dgrad_dlam(theta_k);
     then g = grad_lam outer(theta_K) + <Z, grad_theta outer(theta_K)>.
     TRHG's window h starts Z = 0 at step K - h; ITD is h = K.
-    No trajectory is kept, so a non-finite theta_K re-runs the recording
-    inner_solve, which names the failing step and member.
+    A non-finite theta_K raises as in inner_solve, by _raise_failed_solve.
     """
     K, alpha = method.K, method.alpha_in
     first = K - method.h if method.kind == "TRHG" else 0
@@ -224,7 +225,7 @@ def forward_hypergrad(
     inner = problem.bind_inner(lam, train)
     grad, hessian, dgrad = inner.grad, inner.hessian, inner.dgrad_dlam
     # theta and Z step in place, on arrays of their own: start may be the
-    # caller's, and a failed pass re-runs from it
+    # caller's, and a failed pass re-takes its steps from it
     theta, Z = start.copy(), np.zeros_like(start)
     # as in inner_solve and itd_hypergrad: overflow surfaces as the explicit
     # non-finite checks below, not as a warning
@@ -240,10 +241,7 @@ def forward_hypergrad(
             theta -= step
         step = None  # the last update is not held through the outer gradient
         if not np.all(np.isfinite(theta)):
-            inner_solve(problem, lam, start, train, K, alpha)  # raises, naming the step
-            # it did not: the update itself overflowed on the last step
-            raise _nonfinite("the inner solve ended non-finite", theta,
-                             step=K - 1 if K else None)
+            _raise_failed_solve(grad, start, K, alpha)
         a = problem.outer_grad_theta(lam, theta, val)
         g = problem.outer_grad_lambda(lam, theta, val) + row_dot(Z, a)[..., None]
     if not np.all(np.isfinite(g)):

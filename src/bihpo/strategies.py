@@ -98,11 +98,12 @@ def optimizer_step(
 class HPOTrace:
     """lambdas[t] is the raw lambda BEFORE step t; length T+1 after a run.
 
-    columns holds the per-split trace values by name, each a list with one
-    (U,) row per outer step, row t taken at lambdas[t]: hypergrad_norm,
-    train_loss, val_loss and, when the run has a test view, test_loss (for
-    oehg the deployed model's loss, the same for every split). A run made
-    with columns=False evaluates none of them and leaves columns empty.
+    columns holds the per-split trace values by name, in trace.csv's column
+    order, each a list with one (U,) row per outer step, row t taken at
+    lambdas[t]: hypergrad_norm, train_loss, val_loss and, when the run has a
+    test view, test_loss (for oehg the deployed model's loss, the same for
+    every split). A run made with columns=False evaluates none of them and
+    leaves columns empty.
     final_thetas holds the per-split inner solutions at the final lambda
     (ehg) or the shadow iterates (oehg); deployed_theta is oehg-only.
     """
@@ -143,23 +144,23 @@ def _split_evals(
 ) -> dict[str, np.ndarray]:
     """Each split's trace values at its final inner iterate, one (U,) row per column.
 
-    The one test view is read against all U thetas at once: a loss on a
-    DataView broadcasts over their leading axis with the bits of U stacked
-    copies.
+    The row is in trace.csv's column order; the losses are checked for
+    finiteness before the hypergradient norm. The one test view is read
+    against all U thetas at once: a loss on a DataView broadcasts over their
+    leading axis with the bits of U stacked copies.
     """
     # overflow at a diverged but finite iterate surfaces as the explicit
     # non-finite checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        row = {"train_loss": _finite_or_abort(problem.inner_loss(lams, thetas, train),
-                                              "train loss", per_split=True),
-               "val_loss": _finite_or_abort(problem.outer_loss(lams, thetas, val),
-                                            "val loss", per_split=True)}
+        losses = {"train_loss": _finite_or_abort(problem.inner_loss(lams, thetas, train),
+                                                 "train loss", per_split=True),
+                  "val_loss": _finite_or_abort(problem.outer_loss(lams, thetas, val),
+                                               "val loss", per_split=True)}
         if test_view is not None:
-            row["test_loss"] = _finite_or_abort(problem.outer_loss(lams, thetas, test_view),
-                                                "test loss", per_split=True)
-        row["hypergrad_norm"] = _finite_or_abort(row_norm(grads), "hypergradient norm",
-                                                 per_split=True)
-    return row
+            losses["test_loss"] = _finite_or_abort(problem.outer_loss(lams, thetas, test_view),
+                                                   "test loss", per_split=True)
+        norm = _finite_or_abort(row_norm(grads), "hypergradient norm", per_split=True)
+    return {"hypergrad_norm": norm, **losses}
 
 
 def _outer_loop(

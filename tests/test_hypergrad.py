@@ -13,11 +13,13 @@ from bihpo.data import (
     DataView,
     Dataset,
     SplitPlan,
+    complements,
     draw_val_sets,
     full_view,
     gen_linear,
     make_splits,
     split_stacks,
+    synthetic,
 )
 from bihpo.diagnostics import RidgeOracle
 from bihpo.errors import ContractViolationError, NumericalError
@@ -575,10 +577,61 @@ def test_overflowing_update_is_named_at_the_next_step():
         inner_solve(prob, lam, theta0, tr, K=40, alpha_in=1.0)
     assert err.value.step_index == 28
     assert stepwise_failure(prob, lam, theta0, tr, 40, 1.0) == (28, None)
-    # overflowing on the last step leaves no gradient to check, as before
-    traj = inner_solve(prob, lam, theta0, tr, K=28, alpha_in=1.0)
-    assert np.all(np.isfinite(traj.thetas[27])) and not np.any(np.isfinite(traj.final))
+    # overflowing on the last step leaves no gradient to check: the solve
+    # ended non-finite, at that step
+    with pytest.raises(NumericalError, match="the inner solve ended non-finite") as err:
+        inner_solve(prob, lam, theta0, tr, K=28, alpha_in=1.0)
+    assert err.value.step_index == 27
     assert stepwise_failure(prob, lam, theta0, tr, 28, 1.0) is None
+
+
+def last_step_overflow_views(scale=1.0):
+    """(train, val) of a ridge split whose solve at alpha_in 5 overflows on
+    step 226, with every gradient before it finite; scale < 1 calms it."""
+    ds = synthetic("regression", 40, 1, 0, 0.5, 3, 1)
+    ds = Dataset(X=scale * ds.X, y=ds.y, task="regression")
+    val = draw_val_sets(40, SplitPlan(U=1, gamma=0.25, master_seed=0))[0]
+    return DataView(ds, complements(40, val)), DataView(ds, val)
+
+
+# ITD runs forward on ridge and by the reverse pass on ridge_per_param
+FAILED_SOLVE_CASES = [
+    (kind, HypergradMethod(kind=method, K=227, alpha_in=5.0, Z=10 if method != "ITD" else 0))
+    for kind, method in (("ridge", "ITD"), ("ridge_per_param", "ITD"),
+                         ("ridge", "AID_CG"), ("ridge", "AID_FP"))]
+
+
+@pytest.mark.parametrize("kind, method", FAILED_SOLVE_CASES,
+                         ids=[f"{k}-{m.kind}" for k, m in FAILED_SOLVE_CASES])
+def test_a_solve_that_ends_non_finite_is_named_alike_by_every_estimator(kind, method):
+    tr, va = last_step_overflow_views()
+    prob = build_problem(ModelSpec(kind=kind), 1)
+    lam, theta0 = np.zeros(1), np.zeros(1)
+    assert forward_mode(prob, method) == (kind == "ridge" and method.kind == "ITD")
+    assert stepwise_failure(prob, lam, theta0, tr, 227, 5.0) is None
+    for run in (lambda: inner_solve(prob, lam, theta0, tr, 227, 5.0),
+                lambda: estimate_hypergrad(prob, lam, theta0, tr, va, method)):
+        with pytest.raises(NumericalError, match="^the inner solve ended non-finite$") as err:
+            run()
+        assert (err.value.step_index, err.value.member) == (226, None)
+
+
+@pytest.mark.parametrize("kind, method", FAILED_SOLVE_CASES,
+                         ids=[f"{k}-{m.kind}" for k, m in FAILED_SOLVE_CASES])
+def test_a_stacked_solve_that_ends_non_finite_names_its_first_such_member(kind, method):
+    calm, wild = last_step_overflow_views(0.01), last_step_overflow_views()
+    members = [calm, wild, calm, wild]
+    train, val = stack([m[0] for m in members]), stack([m[1] for m in members])
+    prob = build_problem(ModelSpec(kind=kind), 1)
+    lam, theta0 = np.zeros(1), np.zeros(1)
+    assert stepwise_failure(prob, lam, np.zeros((4, 1)), train, 227, 5.0) is None
+    for run in (lambda: inner_solve(prob, lam, theta0, train, 227, 5.0),
+                lambda: estimate_hypergrad(prob, lam, theta0, train, val, method)):
+        with pytest.raises(NumericalError, match="ended non-finite \\(member 1\\)$") as err:
+            run()
+        assert (err.value.step_index, err.value.member) == (226, 1)
+    # the calm member alone solves to a finite theta_K
+    assert np.all(np.isfinite(inner_solve(prob, lam, theta0, calm[0], 227, 5.0).final))
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +707,8 @@ def test_stacked_d1_ridge_member_keeps_the_bits_of_its_own_call(method):
 
 def test_forward_estimate_names_an_overflow_on_the_last_step():
     # as in test_overflowing_update_is_named_at_the_next_step: the update
-    # overflows at step 27, so the recording re-run names step 28 when there
-    # is one, and the forward pass itself names step 27 when it is the last
+    # overflows at step 27, so the failed solve names step 28 when there is
+    # one, and step 27 when it is the last
     prob, tr, va, lam = ridge_setup()
     bind = prob.bind_inner
     prob = dataclasses.replace(prob, bind_inner=lambda lam, view: bind(lam, view)._replace(
@@ -714,8 +767,8 @@ def test_estimates_never_write_into_their_callers_arrays(kind, start):
 
 
 def test_diverging_forward_estimate_from_a_callers_stack_names_the_step_and_member():
-    # the recording re-run starts from the caller's (B, r) theta0, which the
-    # forward pass must leave as it was given
+    # the failed solve takes its steps again from the caller's (B, r) theta0,
+    # which the forward pass must leave as it was given
     trains, vals = member_views()
     trains[2], vals[2] = scaled_member(2, 30.0)
     prob = build_problem(ModelSpec(kind="ridge"), 3)

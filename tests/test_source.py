@@ -1,5 +1,5 @@
 """The library's source: every module reads each name it imports, and
-something reads each public function and class it defines."""
+something reads each function and class it defines at its top level."""
 
 import ast
 from collections import Counter
@@ -47,28 +47,46 @@ def names_read(tree: ast.AST) -> Counter:
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
-    """module:name of each public top-level function and class of modules (name to
-    source) that no code reads outside its own definition, the modules included."""
+def unread_names(modules: dict[str, str], readers: list[str], private: bool = False
+                 ) -> list[str]:
+    """module:name of each public (or, with private, each _private) top-level
+    function and class of modules (name to source) that no code reads outside
+    its own definition, the modules included."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     read = sum(map(names_read, [*trees.values(), *map(ast.parse, readers)]), Counter())
     return [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
+            and node.name.startswith("_") == private
             and read[node.name] == names_read(node)[node.name]]
 
 
+LIB = ("def used():\n    return 1\n\ndef unused():\n    return unused()\n\n"
+       "def _private():\n    pass\n\ndef _helper():\n    return used()\n\n"
+       "class Node:\n    def copy(self):\n        return Node()\n\nclass Tree:\n"
+       "    def grow(self):\n        return _helper()\n")
+LIB_READER = "import lib\nprint(lib.used(), lib.Tree)\n"
+
+
 def test_unread_public_names_are_found():
-    lib = ("def used():\n    return 1\n\ndef unused():\n    return unused()\n\n"
-           "def _private():\n    pass\n\nclass Node:\n    def copy(self):\n"
-           "        return Node()\n\nclass Tree:\n    pass\n")
-    reader = "import lib\nprint(lib.used(), lib.Tree)\n"
-    assert unread_public_names({"lib": lib}, [reader]) == ["lib:unused", "lib:Node"]
+    assert unread_names({"lib": LIB}, [LIB_READER]) == ["lib:unused", "lib:Node"]
 
 
-def test_every_public_name_of_the_library_is_read():
+def test_unread_private_names_are_found():
+    assert unread_names({"lib": LIB}, [LIB_READER], private=True) == ["lib:_private"]
+
+
+def library_and_readers() -> tuple[dict[str, str], list[str]]:
     modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     readers = [p.read_text(encoding="utf-8") for root in READERS
                for p in sorted(root.rglob("*.py"))]
-    unread = unread_public_names(modules, readers)
+    return modules, readers
+
+
+def test_every_public_name_of_the_library_is_read():
+    unread = unread_names(*library_and_readers())
     assert not unread, f"public names that nothing reads: {', '.join(unread)}"
+
+
+def test_every_private_name_of_the_library_is_read():
+    unread = unread_names(*library_and_readers(), private=True)
+    assert not unread, f"private names that nothing reads: {', '.join(unread)}"
