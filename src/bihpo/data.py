@@ -6,6 +6,14 @@ is reproducible in isolation (no generator state threads between splits).
 A draw of many seeds runs one generator, re-seeded by state per seed
 (_generators), with the bits of Generator(PCG64(seed)).
 
+Splits and holdouts are m-subsets of range(n) that _subsets draws from each
+stream's raw PCG64 words, by Floyd's algorithm over Lemire's bounded
+integers (the two that Generator.choice(n, m, replace=False) runs), in one
+numpy pass over all the streams of a draw. A subset has the bits of
+np.sort(Generator(PCG64(seed)).choice(n, m, replace=False)) except where
+numpy shuffles a tail instead (n > 10000 and m > n // 50), and a split that
+redraws a duplicate takes its stream's next words.
+
 A pool's U splits are their validation index sets vals (U, m_val), one
 ascending row per split (draw_val_sets); a split trains on the rest of the
 pool (complements). split_stacks gathers the train and val rows of all U
@@ -402,29 +410,119 @@ def _fill_val_sets(vals: np.ndarray, n: int, mode: str, master_seeds) -> None:
     draw from master_seeds[i], an int or a uint64 array of vals' leading shape.
 
     Split u of a pool draws from derive_seed(its master seed, u), all of them
-    from one generator re-seeded per split (_generators); without_replacement
-    redraws a set that an earlier split of its pool already has.
+    from one generator re-seeded per split (_generators) by one _subsets
+    draw; without_replacement redraws a set that an earlier split of its pool
+    already has.
     """
     U, m_val = vals.shape[-2:]
-    rows = vals.reshape(-1, m_val, copy=False)
     masters = np.asarray(master_seeds & _MASK64, dtype=np.uint64)[..., None]
-    for i, rng in enumerate(_generators(derive_seed(masters, np.arange(U, dtype=np.uint64)))):
-        if i % U == 0:
-            seen: set[bytes] = set()  # each val is a sorted int64 array, so its bytes are exact
-            budget = 1000 * U + 1000
+    seeds = derive_seed(masters, np.arange(U, dtype=np.uint64)).ravel()
+    distinct = U if mode == "without_replacement" else 1
+    vals[...] = _subsets(n, m_val, seeds, _generators(seeds), distinct).reshape(vals.shape)
+
+
+def _subsets(n: int, m: int, seeds, rngs, distinct: int = 1) -> np.ndarray:
+    """Ascending m-subsets of range(n), 1 <= m < n < 2^31, one row per seed of
+    seeds: (S, m) int64. rngs yields Generator(PCG64(seed)) for each seed in
+    turn; each gives its first ceil(m/2) raw words, and _floyd draws every row
+    from them at once. So row i has the bits of np.sort(Generator(PCG64(
+    seeds[i])).choice(n, m, replace=False)) wherever numpy runs Floyd's
+    algorithm too (n <= 10000 or m <= n // 50).
+
+    distinct > 1 takes the rows as pools of distinct consecutive rows: a row
+    that an earlier row of its pool holds is drawn again, from the words
+    that follow in its stream, until it is new.
+    """
+    width = (m + 1) // 2
+    words = np.array([rng.bit_generator.random_raw(width) for rng in rngs])
+    streams = {}
+
+    def more(i: int, count: int) -> np.ndarray:
+        """The next count words of row i's stream, past those drawn already."""
+        if i not in streams:
+            streams[i] = _rng(int(seeds[i])).bit_generator
+            streams[i].random_raw(width)
+        return streams[i].random_raw(count)
+
+    rows = _floyd(words, n, m, more)
+    if distinct == 1:
+        return rows
+    for pool in range(0, len(rows), distinct):
+        seen: set[bytes] = set()  # each row is a sorted int64 array, so its bytes are exact
+        budget = 1000 * distinct + 1000
+        for i in range(pool, pool + distinct):
+            while (key := rows[i].tobytes()) in seen:
+                budget -= 1
+                if budget <= 0:
+                    raise InfeasiblePlanError(
+                        "resampling budget exhausted while rejecting duplicate splits",
+                        field_path="split.U",
+                    )
+                rows[i] = _floyd(more(i, width)[None], n, m, lambda _, count: more(i, count))[0]
+            seen.add(key)
+    return rows
+
+
+def _floyd(words: np.ndarray, n: int, m: int, more) -> np.ndarray:
+    """Floyd's m-subset of range(n) drawn from each row of words (S, ceil(m/2)),
+    ascending: (S, m) int64. more(row, count) gives the next count words of
+    a row's stream, for the rare row whose own words do not suffice.
+
+    Each uint64 word is two 32-bit draws, its low half first, as numpy's
+    next_uint32 buffers them. Step c draws v_c from [0, j_c], j_c = n - m + c,
+    by Lemire's multiply-shift: v_c = (u_c (j_c + 1)) >> 32, rejected while
+    the low 32 bits of the product fall below (2^32 - j_c - 1) mod (j_c + 1).
+    A row where some low bits fall below j_c + 1, and so may reject, takes
+    its draws from a scalar pass over its stream instead. Floyd then keeps
+    v_c, or j_c if v_c is taken: if it occurred earlier in the row, or if
+    v_c = j_i for an earlier step i that kept j_i. That rule points back
+    only, so it is iterated from the repeats until no step changes.
+    """
+    halves = np.empty((len(words), 2 * words.shape[1]), dtype=np.uint64)
+    halves[:, 0::2] = words & _MASK32
+    halves[:, 1::2] = words >> 32
+    spans = np.arange(n - m + 1, n + 1, dtype=np.uint64)  # j_c + 1
+    scaled = halves[:, :m] * spans
+    v = (scaled >> 32).astype(np.int64)
+    for i in np.flatnonzero(((scaled & _MASK32) < spans).any(axis=1)).tolist():
+        v[i] = _lemire_draws(words[i], n, m, lambda count: more(i, count))
+
+    # each row's (v_c, c) ascending, as v_c << shift | c: a v_c equal to the
+    # one before it repeats an earlier step's
+    shift, starts = m.bit_length(), np.arange(0, v.size, m)[:, None]
+    keys = np.sort(v << shift | np.arange(m), axis=1)
+    ranked = keys >> shift
+    repeat = np.zeros(v.size, dtype=bool)
+    repeat[((keys[:, 1:] & (1 << shift) - 1) + starts)[ranked[:, 1:] == ranked[:, :-1]]] = True
+    repeat = repeat.reshape(v.shape)
+    tops = np.arange(n - m, n)  # j_c
+    chained = (v >= n - m) & (v < tops)  # v_c = j_i of a step i < c
+    earlier = np.where(chained, v - (n - m), 0) + starts  # i, as a flat index
+    taken = repeat
+    while not np.array_equal(step := repeat | chained & taken.ravel()[earlier], taken):
+        taken = step
+    return np.sort(np.where(taken, tops, v), axis=1)
+
+
+def _lemire_draws(words: np.ndarray, n: int, m: int, more) -> list[int]:
+    """Floyd's m draws v_c in [0, n - m + c] from the 32-bit stream of one row's
+    words, then of more(count)'s, by Lemire's method with its rejections."""
+    def stream():
+        chunk = words
         while True:
-            val = np.sort(rng.choice(n, size=m_val, replace=False))
-            key = val.tobytes()
-            if mode == "with_replacement" or key not in seen:
-                break
-            budget -= 1
-            if budget <= 0:
-                raise InfeasiblePlanError(
-                    "resampling budget exhausted while rejecting duplicate splits",
-                    field_path="split.U",
-                )
-        seen.add(key)
-        rows[i] = val
+            for word in chunk.tolist():
+                yield word & _MASK32
+                yield word >> 32
+            chunk = more(1)
+
+    halves, draws = stream(), []
+    for span in range(n - m + 1, n + 1):
+        threshold = ((1 << 32) - span) % span
+        scaled = next(halves) * span
+        while scaled & _MASK32 < threshold:
+            scaled = next(halves) * span
+        draws.append(scaled >> 32)
+    return draws
 
 
 def complements(n: int, vals: np.ndarray) -> np.ndarray:
@@ -492,7 +590,7 @@ def carve_holdout(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
     if fraction == 0.0:
         return np.arange(n), np.empty(0, dtype=np.int64)
     size = min(max(_round_half_up(n * fraction), 1), n - 1)
-    test = np.sort(_rng(seed).choice(n, size=size, replace=False))
+    test = _subsets(n, size, [seed], [_rng(seed)])[0]
     return complements(n, test[None])[0], test
 
 
@@ -519,12 +617,13 @@ def _shared_beta(beta_seed: int, shape: tuple[int, ...]) -> np.ndarray:
 def _draw_rows(task: str, n: int, d: int, classes: int, noise_sigma: float, rng: Generator,
                beta_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows X (n, d) and targets y (n,) of synthetic, drawn from rng, with
-    no checks: synthetic's draw at seed when rng is Generator(PCG64(seed))."""
-    X = rng.standard_normal((n, d))
+    no checks: synthetic's draw at seed when rng is Generator(PCG64(seed)).
+    X and then the noise are one standard_normal draw, sliced."""
+    normals = rng.standard_normal(n * (d + (1 if task == "regression" else classes)))
+    X, noise = normals[:n * d].reshape(n, d), normals[n * d:]
     if task == "regression":
-        return X, X @ _shared_beta(beta_seed, (d,)) + rng.standard_normal(n) * noise_sigma
-    logits = (X @ _shared_beta(beta_seed, (d, classes))
-              + rng.standard_normal((n, classes)) * noise_sigma)
+        return X, X @ _shared_beta(beta_seed, (d,)) + noise * noise_sigma
+    logits = X @ _shared_beta(beta_seed, (d, classes)) + noise.reshape(n, classes) * noise_sigma
     y = np.argmax(logits, axis=1).astype(np.float64)
     return X, 2.0 * y - 1.0 if task == "binary" else y
 

@@ -175,7 +175,9 @@ def _raise_failed_solve(grad: Callable[[Vec], Vec], start: Vec, K: int, alpha_in
     first failing member of a stack) of the first non-finite gradient. An
     update that overflows shows in the gradient of the next step; one that
     overflows on the last step leaves no gradient to check, so the solve
-    ended non-finite at step K - 1, named by the member of theta_K.
+    ended non-finite at step K - 1, named in the message too (so a caller
+    that raises again with its own step keeps it) and by the member of
+    theta_K.
     """
     theta = start
     for k in range(K):
@@ -184,7 +186,9 @@ def _raise_failed_solve(grad: Callable[[Vec], Vec], start: Vec, K: int, alpha_in
             raise _nonfinite(f"inner gradient became non-finite at step {k}", g, step=k)
         g *= alpha_in
         theta = np.subtract(theta, g, out=g)
-    raise _nonfinite("the inner solve ended non-finite", theta, step=K - 1 if K else None)
+    if not K:
+        raise _nonfinite("the inner solve ended non-finite", theta)
+    raise _nonfinite(f"the inner solve ended non-finite at step {K - 1}", theta, step=K - 1)
 
 
 def forward_mode(problem: BilevelProblem, method: HypergradMethod) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bihpo import data
 from bihpo.data import (
     DataView,
     Dataset,
@@ -15,8 +16,11 @@ from bihpo.data import (
     StackedView,
     _all_val_sets,
     _draw_rows,
+    _fill_val_sets,
+    _floyd,
     _generators,
     _pcg64_states,
+    _subsets,
     carve_holdout,
     complements,
     corrupt_labels,
@@ -321,6 +325,139 @@ def test_carve_holdout():
     assert_array_equal(np.sort(np.concatenate([pool, test])), np.arange(10))
     pool0, test0 = carve_holdout(10, 0.0, seed=1)
     assert len(test0) == 0 and len(pool0) == 10
+
+
+def test_carve_holdout_draws_the_set_of_numpys_choice():
+    for seed in (1, 77, 2**40 + 3):
+        pool, test = carve_holdout(300, 0.2, seed)
+        fresh = np.random.Generator(np.random.PCG64(seed))
+        assert test.tobytes() == np.sort(fresh.choice(300, 60, replace=False)).tobytes()
+        assert pool.tobytes() == complements(300, test[None])[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the subset draw: Floyd's algorithm over Lemire's bounded draws
+
+def choice_sets(n, m, seeds):
+    return np.array([np.sort(np.random.Generator(np.random.PCG64(seed)).choice(
+        n, m, replace=False)) for seed in seeds.tolist()])
+
+
+# every m of the small pools; at the large ones the edges, the 1/50 share past
+# which numpy shuffles a tail instead once n > 10000 (so at 20000 only up to
+# it), and the middle
+SUBSET_CASES = ([(n, m) for n in (2, 3, 5, 8, 13, 31) for m in range(1, n)]
+                + [(n, m) for n in (100, 1000, 10000)
+                   for m in (1, 2, n // 50, n // 4, n // 2, n - 1)]
+                + [(20000, 400)])
+
+
+@pytest.mark.parametrize("n, m", SUBSET_CASES)
+def test_subsets_are_the_sets_of_numpys_choice(n, m):
+    seeds = derive_seed(n * 10007 + m, np.arange(24 if n < 10000 else 6, dtype=np.uint64))
+    rows = _subsets(n, m, seeds, _generators(seeds))
+    assert rows.dtype == np.int64 and rows.shape == (seeds.size, m)
+    assert rows.tobytes() == choice_sets(n, m, seeds).tobytes()
+
+
+def test_subsets_of_seeds_whose_choice_rejects_a_draw():
+    # at these seeds numpy's Lemire draw rejects a word: choice spends more
+    # than the ceil(m/2) words of a stream with no rejection
+    n, m, seeds = 10000, 5000, np.array([12433, 12636, 12434], dtype=np.uint64)
+    for seed, rejects in zip(seeds.tolist(), (True, True, False)):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rng.choice(n, m, replace=False, shuffle=False)
+        plain = np.random.PCG64(seed)
+        plain.random_raw(m // 2)
+        assert (rng.bit_generator.state["state"] != plain.state["state"]) == rejects
+    assert _subsets(n, m, seeds, _generators(seeds)).tobytes() == \
+        choice_sets(n, m, seeds).tobytes()
+
+
+def words_of(halves):
+    """uint64 words whose 32-bit halves, low half first, are halves."""
+    halves = np.array(halves, dtype=np.uint64)
+    return halves[0::2] | halves[1::2] << np.uint64(32)
+
+
+def test_floyd_takes_j_for_a_taken_draw_by_both_rules():
+    # n = 5, m = 3 draws v_0 in [0, 2], v_1 in [0, 3], v_2 in [0, 4]: v = 1, 1, 3.
+    # v_1 repeats v_0, so step 1 takes j_1 = 3; v_2 = 3 is then taken, though
+    # no earlier v is 3, so step 2 takes j_2 = 4
+    words = words_of([0x80000000, 0x60000000, 0xB3333333, 0])
+    assert _floyd(words[None], 5, 3, more=None).tolist() == [[1, 3, 4]]
+
+
+def test_floyd_redraws_a_rejected_draw_from_the_rows_stream():
+    # n = 10, m = 3 draws into spans 8, 9 and 10, whose Lemire thresholds are
+    # 0, 4 and 6. Step 0 draws 4 from 2^31 (low bits 0, no rejection); step 1
+    # rejects 0 twice in a row, then draws 4 from 2^31, taken, so it keeps
+    # j_1 = 8; step 2 needs a fifth half, from a word past the row's own two,
+    # and draws 9 from 2^32 - 1
+    asked = []
+
+    def more(row, count):
+        asked.append((row, count))
+        return words_of([0xFFFFFFFF, 5])
+
+    words = np.stack([words_of([0x40000001, 0x80000001, 0x40000001, 0]),
+                      words_of([0x80000000, 0, 0, 0x80000000])])
+    rows = _floyd(words, 10, 3, more)
+    assert asked == [(1, 1)]
+    # row 0 draws 2, 4, 2 with no low bits below their span, in the one pass
+    assert rows.tolist() == [[2, 4, 9], [4, 8, 9]]
+    # given the fifth half in its own words, the row asks for none
+    asked.clear()
+    longer = words_of([0x80000000, 0, 0, 0x80000000, 0xFFFFFFFF, 5])
+    assert _floyd(longer[None], 10, 3, more).tolist() == [[4, 8, 9]] and asked == []
+
+
+def test_a_pool_drawn_in_a_batch_is_the_pool_drawn_alone():
+    masters = np.array([[3, 2**63 + 1], [0, 3]], dtype=np.uint64)
+    for mode in ("with_replacement", "without_replacement"):
+        vals = np.empty((2, 2, 4, val_size(9, 1.0)), dtype=np.int64)
+        _fill_val_sets(vals, 9, mode, masters)
+        for index in np.ndindex(2, 2):
+            plan = SplitPlan(U=4, gamma=1.0, mode=mode, master_seed=int(masters[index]))
+            assert vals[index].tobytes() == draw_val_sets(9, plan).tobytes()
+
+
+def test_a_duplicate_split_is_redrawn_from_its_streams_next_words():
+    # n = 4 at gamma = 1 has C(4, 2) = 6 validation sets; U = 6 asks for all
+    # of them, so most splits redraw, each from the words that follow its own
+    # in its stream, until it holds a set no earlier split holds
+    plan = SplitPlan(U=6, gamma=1.0, master_seed=11)
+    vals = draw_val_sets(4, plan)
+    assert vals.tobytes() == draw_val_sets(4, plan).tobytes()
+    seen = set()
+    for u, val in enumerate(vals):
+        stream = np.random.PCG64(derive_seed(11, u))
+
+        def more(_, count):
+            return stream.random_raw(count)
+
+        expected = _floyd(more(0, 1)[None], 4, 2, more)[0]
+        while tuple(expected) in seen:
+            expected = _floyd(more(0, 1)[None], 4, 2, more)[0]
+        seen.add(tuple(expected))
+        assert val.tolist() == expected.tolist()
+    assert len(seen) == 6
+
+
+def test_duplicate_redraws_keep_their_budget(monkeypatch):
+    # a draw that only ever gives one set exhausts the budget of 1000 U + 1000
+    # redraws of a pool, and is refused as before
+    calls = []
+
+    def floyd(words, n, m, more):
+        calls.append(len(words))
+        return np.tile(np.arange(m), (len(words), 1))
+
+    monkeypatch.setattr(data, "_floyd", floyd)
+    with pytest.raises(InfeasiblePlanError, match="resampling budget exhausted") as err:
+        draw_val_sets(8, SplitPlan(U=3, gamma=1.0, master_seed=0))
+    assert err.value.field_path == "split.U"
+    assert calls == [3] + [1] * 3999
 
 
 # ---------------------------------------------------------------------------

@@ -533,6 +533,17 @@ def test_replicate_stacks_hold_the_rows_of_gen_linear_and_make_splits(task, U, m
                 assert stack.y[j * U + u].tobytes() == ds.y[idx].tobytes()
 
 
+@pytest.mark.parametrize("mode", ["with_replacement", "without_replacement"])
+def test_a_replicate_is_the_same_in_a_draw_of_twice_the_count(mode):
+    # n = 6 at gamma = 0.5 has C(6, 2) = 15 validation sets, so the U = 4
+    # splits of some replicates redraw a duplicate
+    design = SweepDesign(n=6, d=2, noise_sigma=0.5, gamma=0.5, beta_seed=4, mode=mode)
+    small, large = (_replicate_stacks(design, RIDGE, 4, 9, count) for count in (5, 10))
+    for part in ("X", "y"):
+        for one, two in zip(small, large):
+            assert getattr(one, part).tobytes() == getattr(two, part)[:20].tobytes()
+
+
 def test_replicate_stacks_redraw_duplicate_splits_as_make_splits_does():
     # n = 4 at gamma = 1 gives m_val = 2, and U = 6 asks for all C(4, 2) = 6
     # validation sets: every replicate must redraw the sets its earlier

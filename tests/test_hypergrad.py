@@ -611,7 +611,8 @@ def test_a_solve_that_ends_non_finite_is_named_alike_by_every_estimator(kind, me
     assert stepwise_failure(prob, lam, theta0, tr, 227, 5.0) is None
     for run in (lambda: inner_solve(prob, lam, theta0, tr, 227, 5.0),
                 lambda: estimate_hypergrad(prob, lam, theta0, tr, va, method)):
-        with pytest.raises(NumericalError, match="^the inner solve ended non-finite$") as err:
+        with pytest.raises(NumericalError,
+                           match="^the inner solve ended non-finite at step 226$") as err:
             run()
         assert (err.value.step_index, err.value.member) == (226, None)
 
@@ -627,7 +628,8 @@ def test_a_stacked_solve_that_ends_non_finite_names_its_first_such_member(kind, 
     assert stepwise_failure(prob, lam, np.zeros((4, 1)), train, 227, 5.0) is None
     for run in (lambda: inner_solve(prob, lam, theta0, train, 227, 5.0),
                 lambda: estimate_hypergrad(prob, lam, theta0, train, val, method)):
-        with pytest.raises(NumericalError, match="ended non-finite \\(member 1\\)$") as err:
+        with pytest.raises(NumericalError,
+                           match="ended non-finite at step 226 \\(member 1\\)$") as err:
             run()
         assert (err.value.step_index, err.value.member) == (226, 1)
     # the calm member alone solves to a finite theta_K

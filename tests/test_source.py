@@ -1,5 +1,6 @@
-"""The library's source: every module reads each name it imports, and
-something reads each function and class it defines at its top level."""
+"""The library's source: every module reads each name it imports,
+something reads each function and class it defines at its top level, and
+no module draws a subset by a .choice call (data._subsets is the one draw)."""
 
 import ast
 from collections import Counter
@@ -90,3 +91,22 @@ def test_every_public_name_of_the_library_is_read():
 def test_every_private_name_of_the_library_is_read():
     unread = unread_names(*library_and_readers(), private=True)
     assert not unread, f"private names that nothing reads: {', '.join(unread)}"
+
+
+def choice_calls(source: str) -> list[int]:
+    """The line of each call of a .choice attribute in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "choice"]
+
+
+def test_choice_calls_are_found():
+    source = ("rng.choice(5, 2)\nnp.random.default_rng(0).choice(\n    4)\n"
+              "choice(3)\nf = rng.choice\n")
+    assert choice_calls(source) == [1, 2]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_draws_a_subset_by_choice(module):
+    lines = choice_calls((SRC / module).read_text(encoding="utf-8"))
+    assert not lines, f"{module} calls .choice on lines {lines}; draw subsets by data._subsets"

@@ -14,6 +14,7 @@ from bihpo.data import (
     draw_val_sets,
     full_view,
     gen_linear,
+    synthetic,
 )
 from bihpo.errors import ContractViolationError, NumericalError
 from bihpo.hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
@@ -624,3 +625,19 @@ def test_ehg_names_the_diverging_split():
                 np.zeros(1), np.zeros(3))
     assert err.value.step_index == 0
     assert err.value.__cause__.member == 2
+
+
+def test_ehg_keeps_the_inner_step_of_a_solve_that_ends_non_finite():
+    # the ridge split whose solve at alpha_in 5 overflows on its last step,
+    # 226, with every gradient before it finite: the outer step's error
+    # names the outer step, and its message the inner one
+    ds = synthetic("regression", 40, 1, 0, 0.5, 3, 1)
+    vals = draw_val_sets(40, SplitPlan(U=1, gamma=0.25, master_seed=0))
+    prob = build_problem(ModelSpec(kind="ridge"), 1)
+    method = HypergradMethod(kind="ITD", K=227, alpha_in=5.0)
+    with pytest.raises(NumericalError, match="^split 0 failed at outer step 0: the inner solve"
+                                             " ended non-finite at step 226$") as err:
+        run_ehg(prob, ds, vals, method, OuterOptimizer(kind="gd", alpha_out=0.1), 3,
+                np.zeros(1), np.zeros(1))
+    assert err.value.step_index == 0
+    assert (err.value.__cause__.step_index, err.value.__cause__.member) == (226, 0)
