@@ -1,18 +1,23 @@
 """Datasets, views, and seeded train/validation split plans.
 
-All randomness flows through numpy PCG64 generators. Per-split seeds are
+All randomness flows through numpy PCG64 streams. Per-split seeds are
 derived from a master seed by splitmix64-mixing the split counter, so split i
 is reproducible in isolation (no generator state threads between splits).
-A draw of many seeds runs one generator, re-seeded by state per seed
-(_generators), with the bits of Generator(PCG64(seed)).
+Every stream keeps the bits of Generator(PCG64(seed)). The start state of
+many seeds is one vectorized pass (_pcg64_states); rows come from one
+generator, re-seeded by that state per seed (_generators), each filling its
+row of one buffer of normals (_draw_rows), and the rest of the row recipe
+runs once over the whole stack.
 
 Splits and holdouts are m-subsets of range(n) that _subsets draws from each
-stream's raw PCG64 words, by Floyd's algorithm over Lemire's bounded
-integers (the two that Generator.choice(n, m, replace=False) runs), in one
-numpy pass over all the streams of a draw. A subset has the bits of
-np.sort(Generator(PCG64(seed)).choice(n, m, replace=False)) except where
-numpy shuffles a tail instead (n > 10000 and m > n // 50), and a split that
-redraws a duplicate takes its stream's next words.
+stream's leading raw PCG64 words, which one jump-ahead pass computes for all
+the streams of a draw with no generator (_pcg64_words: the k-th word is
+XSL-RR of the LCG state A_k s_0 + C_k inc). It draws by Floyd's algorithm
+over Lemire's bounded integers (the two that Generator.choice(n, m,
+replace=False) runs), in one numpy pass over all the streams. A subset has
+the bits of np.sort(Generator(PCG64(seed)).choice(n, m, replace=False))
+except where numpy shuffles a tail instead (n > 10000 and m > n // 50), and
+a split that redraws a duplicate takes its stream's next words.
 
 A pool's U splits are their validation index sets vals (U, m_val), one
 ascending row per split (draw_val_sets); a split trains on the rest of the
@@ -45,6 +50,8 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# _pcg64_words holds a few temporaries of twice this many uint64 at once
+_WORDS_BLOCK = 1 << 16
 # _all_val_sets materializes every partition; refuse combinatorial blowups.
 _ENUMERATION_CAP = 1_000_000
 
@@ -67,39 +74,160 @@ def _rng(seed: int) -> Generator:
     return Generator(PCG64(seed))
 
 
-def _pcg64_states(seeds: np.ndarray) -> tuple[list[int], list[int]]:
-    """The 128-bit (state, inc) that PCG64(seed) starts in, for each seed of
-    the uint64 array seeds: two lists of ints.
+def _u64(value) -> np.ndarray:
+    """A uint64 array of value. The seeding and jump-ahead passes take their
+    constants as arrays: numpy converts a Python int operand on every call,
+    which costs about as much as an operation on a few words."""
+    return np.array(value, dtype=np.uint64)
 
-    SeedSequence(seed) hashes the seed's two 32-bit words into a pool of 4
-    and draws 8 words from it (NEP 19), in uint32 arithmetic, done here in
-    uint64 masked to 32 bits. PCG64 takes the first two 64-bit words as the
-    128-bit seed s and the last two as the stream i, and steps its LCG twice
-    (pcg64_srandom): inc = 2i + 1, state = (inc + s) M + inc.
-    """
-    def hasher(const: int, mult: int):
-        """SeedSequence's hashmix; its constant steps on each call."""
-        def hashmix(value):
-            nonlocal const
-            value = value ^ const
-            const = const * mult & _MASK32
-            value = value * const & _MASK32
-            return value ^ value >> 16
-        return hashmix
 
-    hashmix, zero = hasher(0x43B0D7E5, 0x931E8875), np.zeros_like(seeds)
-    pool = [hashmix(word) for word in (seeds & _MASK32, seeds >> 32, zero, zero)]
+_LOW32, _BITS = _u64(_MASK32), {k: _u64(k) for k in (1, 16, 32, 58, 63, 64)}
+
+
+def _hash_steps(init: int, mult: int, count: int) -> tuple[list[int], list[int]]:
+    """The constants of count steps of SeedSequence's hashmix: the one each
+    step xors in, and the one it then multiplies by (the next)."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts[:-1], consts[1:]
+
+
+def _seed_hashes() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (xor, mult) constants of SeedSequence's hashmix steps (NEP 19),
+    each (rows, 1) uint64: one per pool word, then, for each source word,
+    one per pool word (its 3 mixes; the source's own row is a 0 placeholder),
+    then one per drawn word."""
+    xor, mult = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+    hashes = [(xor[:4], mult[:4])]
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = (pool[dst] * 0xCA01F9DD - hashmix(pool[src]) * 0x4973F715) & _MASK32
-                pool[dst] = mixed ^ mixed >> 16
-    draw = hasher(0x8B51F9DD, 0x58F38DED)
-    words = [draw(pool[i % 4]) for i in range(8)]
-    s_hi, s_lo, i_hi, i_lo = ((lo | hi << 32).tolist() for lo, hi in zip(words[0::2], words[1::2]))
-    incs = [((hi << 64 | lo) << 1 | 1) & _MASK128 for hi, lo in zip(i_hi, i_lo)]
-    return [((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
-            for inc, hi, lo in zip(incs, s_hi, s_lo)], incs
+        first = 4 + 3 * src
+        hashes.append(tuple(c[first:first + src] + [0] + c[first + src:first + 3]
+                            for c in (xor, mult)))
+    hashes.append(_hash_steps(0x8B51F9DD, 0x58F38DED, 8))
+    return tuple((_u64(x)[:, None], _u64(m)[:, None]) for x, m in hashes)
+
+
+_SEED_HASHES, _MIX_L, _MIX_R = _seed_hashes(), _u64(0xCA01F9DD), _u64(0x4973F715)
+
+
+def _seed_halves(seeds: np.ndarray) -> np.ndarray:
+    """The 128-bit seed s and stream i that PCG64(seed) reads from
+    SeedSequence(seed), for each seed of the uint64 array seeds: (4, S)
+    uint64, the high and low 64-bit halves of s, then of i.
+
+    SeedSequence hashes the seed's two 32-bit words into a pool of 4, mixes
+    each pool word into the other 3, and draws 8 words from the pool, in
+    uint32 arithmetic, done here in uint64 masked to 32 bits; the mixes of
+    one source word are one pass over the pool.
+    """
+    def hashmix(value, xor, mult):
+        value = (value ^ xor) * mult & _LOW32
+        return value ^ value >> _BITS[16]
+
+    (xor, mult), *mixes, draws = _SEED_HASHES
+    pool = np.zeros((4, seeds.size), dtype=np.uint64)
+    np.bitwise_and(seeds, _LOW32, out=pool[0])
+    np.right_shift(seeds, _BITS[32], out=pool[1])
+    pool = hashmix(pool, xor, mult)
+    for src, (xor, mult) in enumerate(mixes):
+        mixed = (pool * _MIX_L - hashmix(pool[src], xor, mult) * _MIX_R) & _LOW32
+        mixed ^= mixed >> _BITS[16]
+        mixed[src] = pool[src]
+        pool = mixed
+    words = hashmix(np.concatenate([pool, pool]), *draws)
+    return words[0::2] | words[1::2] << _BITS[32]
+
+
+@lru_cache(maxsize=16)
+def _jumps(count: int) -> tuple[np.ndarray, ...]:
+    """The LCG jump-ahead constants of steps j = 0..count, as (2, 1, count + 1)
+    uint64 arrays (hi, lo, lo's low 32 bits, lo's high 32 bits): row 0 holds
+    A_{j+1} = M^(j+1) and row 1 C_{j+2} = sum_{i <= j+1} M^i, mod 2^128.
+
+    PCG64(seed) starts at s_0 = M s + (M + 1) inc (pcg64_srandom) from its
+    seed s and increment inc, and steps s_{k+1} = M s_k + inc, so s_k =
+    A_k s_0 + C_k inc = A_{k+1} s + C_{k+2} inc, with A_k = M^k and C_k =
+    sum_{i < k} M^i.
+    """
+    consts, power, total = [], _PCG64_MULT, 1 + _PCG64_MULT
+    for _ in range(count + 1):
+        consts.append((power, total))
+        power = power * _PCG64_MULT & _MASK128
+        total = (total + power) & _MASK128
+    hi, lo = (_u64([[c >> shift & _MASK64 for c in row] for row in zip(*consts)])[:, None]
+              for shift in (64, 0))
+    parts = hi, lo, lo & _LOW32, lo >> _BITS[32]
+    for part in parts:  # every caller shares them
+        part.flags.writeable = False
+    return parts
+
+
+def _lcg_states(seeds: np.ndarray, steps: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The LCG states s_j of PCG64(seed) at steps j (a slice of range(count +
+    1)) for each seed of the uint64 array seeds, as their high and low 64-bit
+    halves, (S, J) each, and the seeds' increments inc, (2, S): high, low.
+
+    s_j = A_{j+1} s + C_{j+2} inc (mod 2^128, _jumps) is two 128-bit products
+    in one pass over both, in 64-bit halves: the low halves' full product
+    from 32-bit limbs, the cross terms wrapping mod 2^64.
+    """
+    halves = _seed_halves(seeds)
+    i_hi, i_lo = halves[2:]
+    i_hi <<= _BITS[1]  # inc = 2i + 1
+    i_hi |= i_lo >> _BITS[63]
+    i_lo <<= _BITS[1]
+    i_lo |= _BITS[1]
+    x_hi, x_lo = halves[0::2, :, None], halves[1::2, :, None]  # (2, S, 1): s, inc
+    x_lo0, x_lo1 = x_lo & _LOW32, x_lo >> _BITS[32]
+    a_hi, a_lo, a_lo0, a_lo1 = (part[..., steps] for part in _jumps(steps.stop - 1))
+    low = a_lo * x_lo
+    t, y, z = a_lo0 * x_lo0, a_lo0 * x_lo1, a_lo1 * x_lo0
+    t >>= _BITS[32]
+    t += y & _LOW32
+    t += z & _LOW32
+    t >>= _BITS[32]  # the carry out of the low halves' low 64 bits
+    t += a_hi * x_lo
+    t += a_lo * x_hi
+    t += a_lo1 * x_lo1
+    t += y >> _BITS[32]
+    t += z >> _BITS[32]
+    (p, q), (hi_p, hi_q) = low, t
+    lo = p + q
+    hi = (p & q | (p | q) & ~lo) >> _BITS[63]  # the carry of lo
+    hi += hi_p
+    hi += hi_q
+    return hi, lo, halves[2:]
+
+
+def _pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit (state, inc) that PCG64(seed) starts in, for each seed of
+    the uint64 array seeds: two (2, S) uint64 arrays, the high and then the
+    low 64-bit halves of each (_lcg_states at step 0)."""
+    hi, lo, inc = _lcg_states(seeds, slice(0, 1))
+    return np.concatenate([hi.T, lo.T]), inc
+
+
+def _pcg64_words(seeds: np.ndarray, count: int) -> np.ndarray:
+    """The first count raw words of PCG64(seed), those of its random_raw(count),
+    for each seed of the uint64 array seeds: (S, count) uint64.
+
+    Word k is XSL-RR of the LCG state s_k, k = 1..count (_lcg_states): the
+    state's high half xor its low half, rotated right by its top 6 bits. The
+    seeds run in blocks of about _WORDS_BLOCK words.
+    """
+    words = np.empty((seeds.size, count), dtype=np.uint64)
+    rows = max(_WORDS_BLOCK // count, 1)
+    for first in range(0, seeds.size, rows):
+        hi, x, _ = _lcg_states(seeds[first:first + rows], slice(1, count + 1))
+        x ^= hi
+        rot = hi >> _BITS[58]
+        out = words[first:first + rows]
+        np.right_shift(x, rot, out=out)
+        rot = _BITS[64] - rot
+        rot &= _BITS[63]
+        out |= x << rot
+    return words
 
 
 def _generators(seeds: np.ndarray):
@@ -107,8 +235,9 @@ def _generators(seeds: np.ndarray):
     as one generator re-seeded by state: each is spent once the next is drawn."""
     rng = _rng(0)
     state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for value, inc in zip(*_pcg64_states(seeds.ravel())):
-        state["state"] = {"state": value, "inc": inc}
+    states, incs = _pcg64_states(seeds.ravel())
+    for s_hi, s_lo, i_hi, i_lo in zip(*states.tolist(), *incs.tolist()):
+        state["state"] = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
         rng.bit_generator.state = state
         yield rng
 
@@ -410,38 +539,37 @@ def _fill_val_sets(vals: np.ndarray, n: int, mode: str, master_seeds) -> None:
     draw from master_seeds[i], an int or a uint64 array of vals' leading shape.
 
     Split u of a pool draws from derive_seed(its master seed, u), all of them
-    from one generator re-seeded per split (_generators) by one _subsets
-    draw; without_replacement redraws a set that an earlier split of its pool
-    already has.
+    by one _subsets draw; without_replacement redraws a set that an earlier
+    split of its pool already has.
     """
     U, m_val = vals.shape[-2:]
     masters = np.asarray(master_seeds & _MASK64, dtype=np.uint64)[..., None]
     seeds = derive_seed(masters, np.arange(U, dtype=np.uint64)).ravel()
     distinct = U if mode == "without_replacement" else 1
-    vals[...] = _subsets(n, m_val, seeds, _generators(seeds), distinct).reshape(vals.shape)
+    vals[...] = _subsets(n, m_val, seeds, distinct).reshape(vals.shape)
 
 
-def _subsets(n: int, m: int, seeds, rngs, distinct: int = 1) -> np.ndarray:
+def _subsets(n: int, m: int, seeds: np.ndarray, distinct: int = 1) -> np.ndarray:
     """Ascending m-subsets of range(n), 1 <= m < n < 2^31, one row per seed of
-    seeds: (S, m) int64. rngs yields Generator(PCG64(seed)) for each seed in
-    turn; each gives its first ceil(m/2) raw words, and _floyd draws every row
-    from them at once. So row i has the bits of np.sort(Generator(PCG64(
-    seeds[i])).choice(n, m, replace=False)) wherever numpy runs Floyd's
-    algorithm too (n <= 10000 or m <= n // 50).
+    the uint64 array seeds: (S, m) int64. Each row takes its stream's first
+    ceil(m/2) raw PCG64 words from one jump-ahead pass (_pcg64_words), and
+    _floyd draws every row from them at once. So row i has the bits of
+    np.sort(Generator(PCG64(seeds[i])).choice(n, m, replace=False)) wherever
+    numpy runs Floyd's algorithm too (n <= 10000 or m <= n // 50).
 
     distinct > 1 takes the rows as pools of distinct consecutive rows: a row
     that an earlier row of its pool holds is drawn again, from the words
     that follow in its stream, until it is new.
     """
     width = (m + 1) // 2
-    words = np.array([rng.bit_generator.random_raw(width) for rng in rngs])
+    words = _pcg64_words(seeds, width)
     streams = {}
 
     def more(i: int, count: int) -> np.ndarray:
         """The next count words of row i's stream, past those drawn already."""
         if i not in streams:
-            streams[i] = _rng(int(seeds[i])).bit_generator
-            streams[i].random_raw(width)
+            streams[i] = PCG64(int(seeds[i]))
+            streams[i].advance(width)
         return streams[i].random_raw(count)
 
     rows = _floyd(words, n, m, more)
@@ -583,14 +711,17 @@ def carve_holdout(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
     """Split range(n) into (pool_idx, test_idx) with |test| = round(n * fraction).
 
     fraction = 0 keeps everything in the pool; otherwise the test size is
-    clamped to [1, n-1]. Both index vectors come back sorted.
+    clamped to [1, n-1]. Both index vectors come back sorted. The test rows
+    are a _subsets draw from seed, an int >= 0 taken mod 2^64 as a master
+    seed is.
     """
+    require_count(seed, "seed")
     if not (0.0 <= fraction < 1.0):
         raise ContractViolationError("holdout fraction must be in [0, 1)")
     if fraction == 0.0:
         return np.arange(n), np.empty(0, dtype=np.int64)
     size = min(max(_round_half_up(n * fraction), 1), n - 1)
-    test = _subsets(n, size, [seed], [_rng(seed)])[0]
+    test = _subsets(n, size, np.array([seed & _MASK64], dtype=np.uint64))[0]
     return complements(n, test[None])[0], test
 
 
@@ -614,17 +745,29 @@ def _shared_beta(beta_seed: int, shape: tuple[int, ...]) -> np.ndarray:
     return beta
 
 
-def _draw_rows(task: str, n: int, d: int, classes: int, noise_sigma: float, rng: Generator,
+def _draw_rows(task: str, n: int, d: int, classes: int, noise_sigma: float, rngs, count: int,
                beta_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows X (n, d) and targets y (n,) of synthetic, drawn from rng, with
-    no checks: synthetic's draw at seed when rng is Generator(PCG64(seed)).
-    X and then the noise are one standard_normal draw, sliced."""
-    normals = rng.standard_normal(n * (d + (1 if task == "regression" else classes)))
-    X, noise = normals[:n * d].reshape(n, d), normals[n * d:]
+    """The rows X (C, n, d) and targets y (C, n) of synthetic for each of the
+    C = count generators that rngs yields, with no checks: row j is
+    synthetic's draw at seed when the j-th is Generator(PCG64(seed)).
+    Each generator fills its row of one (C, n (d + e)) buffer of normals by
+    one standard_normal call, X and then the noise (e = 1 for regression,
+    classes otherwise); the rest runs once over the whole stack.
+    """
+    extra = 1 if task == "regression" else classes
+    normals = np.empty((count, n * (d + extra)))
+    for row, rng in zip(normals, rngs, strict=True):
+        rng.standard_normal(out=row)
+    X, noise = normals[:, :n * d].reshape(count, n, d), normals[:, n * d:]
+    # the logits, or the regression targets, take the scaled noise's place
+    # (a + b is b + a, bit for bit), so the draw holds no second (C, n) array
+    noise *= noise_sigma
     if task == "regression":
-        return X, X @ _shared_beta(beta_seed, (d,)) + noise * noise_sigma
-    logits = X @ _shared_beta(beta_seed, (d, classes)) + noise.reshape(n, classes) * noise_sigma
-    y = np.argmax(logits, axis=1).astype(np.float64)
+        noise += X @ _shared_beta(beta_seed, (d,))
+        return X, noise
+    logits = noise.reshape(count, n, classes)
+    logits += X @ _shared_beta(beta_seed, (d, classes))
+    y = np.argmax(logits, axis=-1).astype(np.float64)
     return X, 2.0 * y - 1.0 if task == "binary" else y
 
 
@@ -648,8 +791,8 @@ def synthetic(task: str, n: int, d: int, classes: int, noise_sigma: float, seed:
     require_real(noise_sigma, "noise_sigma")
     if noise_sigma < 0:
         raise ContractViolationError("noise_sigma must be >= 0", field="noise_sigma")
-    X, y = _draw_rows(task, n, d, classes, noise_sigma, _rng(seed), beta_seed)
-    return Dataset(X=X, y=y, task=task, num_classes=classes if task == "multiclass" else 0)
+    X, y = _draw_rows(task, n, d, classes, noise_sigma, [_rng(seed)], 1, beta_seed)
+    return Dataset(X=X[0], y=y[0], task=task, num_classes=classes if task == "multiclass" else 0)
 
 
 def gen_linear(

@@ -164,19 +164,19 @@ def _replicate_stacks(design: SweepDesign, spec: ModelSpec, U: int, seed: int, c
     2j), and its U splits, as draw_val_sets does, from the SplitPlan whose
     master seed is derive_seed(seed, 2j + 1). So member j * U + u holds the
     rows of split u's train and val views of replicate j's dataset. The seeds
-    of all replicates are derived at once, and the rows and the splits each
-    draw from one generator re-seeded per seed, with the bits of a fresh
+    of all replicates are derived at once; the rows of all replicates are one
+    _draw_rows call, whose generator is re-seeded per replicate, and the
+    splits one _fill_val_sets draw, so each keeps the bits of a fresh
     Generator(PCG64(seed)). The plan differs between replicates only in its
     master seed, so it is built and checked once, before any replicate is drawn.
     """
     n, d, task = design.n, design.d, TASK_OF_KIND[spec.kind]
     k = spec.num_classes if task == "multiclass" else 0  # the class count of task's Dataset
     plan = SplitPlan(U=U, gamma=design.gamma, mode=design.mode)
-    X, y = np.empty((count, n, d)), np.empty((count, n))
     vals = np.empty((count, U, _plan_val_size(n, plan)), dtype=np.int64)
     seeds = derive_seed(seed, np.arange(2 * count, dtype=np.uint64)).reshape(count, 2)
-    for j, rng in enumerate(_generators(seeds[:, 0])):
-        X[j], y[j] = _draw_rows(task, n, d, k or 2, design.noise_sigma, rng, design.beta_seed)
+    X, y = _draw_rows(task, n, d, k or 2, design.noise_sigma, _generators(seeds[:, 0]), count,
+                      design.beta_seed)
     _fill_val_sets(vals, n, plan.mode, seeds[:, 1])
 
     return split_stacks(X, y, vals, k)

@@ -20,6 +20,7 @@ from bihpo.data import (
     _floyd,
     _generators,
     _pcg64_states,
+    _pcg64_words,
     _subsets,
     carve_holdout,
     complements,
@@ -74,13 +75,33 @@ def test_derive_seed_of_an_array_is_the_scalar_seed_of_each_counter(master):
     assert derive_seed(masters, counters).tolist() == [seeds.tolist()]
 
 
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def seeds_and_edges(seed, count):
+    """The edge seeds, then count random uint64 seeds."""
+    random = np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64)
+    return np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), random])
+
+
 def test_batch_pcg64_states_are_numpys():
-    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-    random = np.random.default_rng(31).integers(0, 2**64, 1000, dtype=np.uint64)
-    seeds = np.concatenate([np.array(edges, dtype=np.uint64), random])
+    seeds = seeds_and_edges(31, 1000)
     states, incs = _pcg64_states(seeds)
-    for seed, state, inc in zip(seeds.tolist(), states, incs):
-        assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+    assert states.dtype == incs.dtype == np.uint64
+    assert states.shape == incs.shape == (2, seeds.size)
+    for seed, (s_hi, s_lo), (i_hi, i_lo) in zip(seeds.tolist(), states.T.tolist(),
+                                                 incs.T.tolist()):
+        assert np.random.PCG64(seed).state["state"] == {"state": s_hi << 64 | s_lo,
+                                                        "inc": i_hi << 64 | i_lo}
+
+
+@pytest.mark.parametrize("count", [1, 2, 13, 150, 5000])
+def test_jump_ahead_words_are_numpys_raw_words(count):
+    seeds = seeds_and_edges(34, 300)
+    words = _pcg64_words(seeds, count)
+    assert words.dtype == np.uint64 and words.shape == (seeds.size, count)
+    for seed, row in zip(seeds.tolist(), words):
+        assert row.tobytes() == np.random.PCG64(seed).random_raw(count).tobytes()
 
 
 def test_reseeded_generator_draws_as_a_fresh_one():
@@ -325,6 +346,8 @@ def test_carve_holdout():
     assert_array_equal(np.sort(np.concatenate([pool, test])), np.arange(10))
     pool0, test0 = carve_holdout(10, 0.0, seed=1)
     assert len(test0) == 0 and len(pool0) == 10
+    with pytest.raises(ContractViolationError):
+        carve_holdout(10, 0.3, seed=-1)
 
 
 def test_carve_holdout_draws_the_set_of_numpys_choice():
@@ -333,6 +356,9 @@ def test_carve_holdout_draws_the_set_of_numpys_choice():
         fresh = np.random.Generator(np.random.PCG64(seed))
         assert test.tobytes() == np.sort(fresh.choice(300, 60, replace=False)).tobytes()
         assert pool.tobytes() == complements(300, test[None])[0].tobytes()
+    # a seed of 2^64 or more is taken mod 2^64, as a master seed is
+    assert carve_holdout(300, 0.2, 2**64 + 77)[1].tobytes() == \
+        carve_holdout(300, 0.2, 77)[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +381,7 @@ SUBSET_CASES = ([(n, m) for n in (2, 3, 5, 8, 13, 31) for m in range(1, n)]
 @pytest.mark.parametrize("n, m", SUBSET_CASES)
 def test_subsets_are_the_sets_of_numpys_choice(n, m):
     seeds = derive_seed(n * 10007 + m, np.arange(24 if n < 10000 else 6, dtype=np.uint64))
-    rows = _subsets(n, m, seeds, _generators(seeds))
+    rows = _subsets(n, m, seeds)
     assert rows.dtype == np.int64 and rows.shape == (seeds.size, m)
     assert rows.tobytes() == choice_sets(n, m, seeds).tobytes()
 
@@ -370,7 +396,7 @@ def test_subsets_of_seeds_whose_choice_rejects_a_draw():
         plain = np.random.PCG64(seed)
         plain.random_raw(m // 2)
         assert (rng.bit_generator.state["state"] != plain.state["state"]) == rejects
-    assert _subsets(n, m, seeds, _generators(seeds)).tobytes() == \
+    assert _subsets(n, m, seeds).tobytes() == \
         choice_sets(n, m, seeds).tobytes()
 
 
@@ -506,10 +532,25 @@ RECIPE_SHA256 = {
 @pytest.mark.parametrize("task, seed, d", sorted(RECIPE_SHA256))
 def test_synthetic_recipe_keeps_its_bits(task, seed, d):
     X, y = _draw_rows(task, 16, d, 3 if task == "multiclass" else 2, 0.4,
-                      np.random.Generator(np.random.PCG64(seed)), 7)
-    assert hashlib.sha256(X.tobytes() + y.tobytes()).hexdigest() == RECIPE_SHA256[task, seed, d]
+                      [np.random.Generator(np.random.PCG64(seed))], 1, 7)
+    assert X.shape == (1, 16, d) and y.shape == (1, 16)
+    digest = hashlib.sha256(X[0].tobytes() + y[0].tobytes()).hexdigest()
+    assert digest == RECIPE_SHA256[task, seed, d]
     ds = synthetic(task, 16, d, 3 if task == "multiclass" else 2, 0.4, seed, 7)
-    assert ds.X.tobytes() == X.tobytes() and ds.y.tobytes() == y.tobytes()
+    assert ds.X.tobytes() == X[0].tobytes() and ds.y.tobytes() == y[0].tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 50, 310])
+@pytest.mark.parametrize("d", [1, 3, 20])  # d >= 2 multiplies through BLAS
+@pytest.mark.parametrize("task", ["regression", "binary", "multiclass"])
+def test_a_stack_of_rows_is_synthetics_draw_at_each_seed(task, d, count):
+    classes = 4 if task == "multiclass" else 2
+    seeds = derive_seed(count * 100 + d, np.arange(count, dtype=np.uint64))
+    X, y = _draw_rows(task, 12, d, classes, 0.3, _generators(seeds), count, 5)
+    assert X.shape == (count, 12, d) and y.shape == (count, 12)
+    for j, seed in enumerate(seeds.tolist()):
+        ds = synthetic(task, 12, d, classes, 0.3, seed, 5)
+        assert X[j].tobytes() == ds.X.tobytes() and y[j].tobytes() == ds.y.tobytes()
 
 
 def test_generators_are_synthetic_with_its_ground_truth():

@@ -622,13 +622,15 @@ def test_non_ridge_sweep_draws_each_replicate_once(monkeypatch):
     draw = diagnostics._draw_rows
 
     def counting_draw(*args):
-        draws.append(args)
-        return draw(*args)
+        draws.append(draw(*args))
+        return draws[-1]
 
     monkeypatch.setattr(diagnostics, "_draw_rows", counting_draw)
     bias_variance_sweep(DESIGN, ITD25, [0.5, 1.0], R=3, U=2, seed=7,
                         spec=ModelSpec(kind="lasso_smooth", smoothing_delta=0.5), ref_K=40)
-    assert len(draws) == 3  # the method's run and the ref_K run read the same stack
+    # one draw of all R = 3 replicates: the method's run and the ref_K run read the same stack
+    (X, _), = draws
+    assert len(X) == 3
 
 
 # ---------------------------------------------------------------------------

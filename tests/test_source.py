@@ -1,6 +1,8 @@
 """The library's source: every module reads each name it imports,
-something reads each function and class it defines at its top level, and
-no module draws a subset by a .choice call (data._subsets is the one draw)."""
+something reads each function and class it defines at its top level, no
+module draws a subset by a .choice call (data._subsets is the one draw), and
+no module draws leading raw words by a .random_raw call
+(data._pcg64_words is their one source)."""
 
 import ast
 from collections import Counter
@@ -93,20 +95,46 @@ def test_every_private_name_of_the_library_is_read():
     assert not unread, f"private names that nothing reads: {', '.join(unread)}"
 
 
-def choice_calls(source: str) -> list[int]:
-    """The line of each call of a .choice attribute in source."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "choice"]
+def attribute_calls(source: str, attr: str) -> list[tuple[int, str]]:
+    """(line, scope) of each call of a .attr attribute in source, where scope
+    names the functions and classes that enclose the call, outermost first,
+    joined by dots ("" at module level)."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr):
+            found.append((node.lineno, scope))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
 
 
 def test_choice_calls_are_found():
     source = ("rng.choice(5, 2)\nnp.random.default_rng(0).choice(\n    4)\n"
-              "choice(3)\nf = rng.choice\n")
-    assert choice_calls(source) == [1, 2]
+              "choice(3)\nf = rng.choice\n"
+              "def draw(n):\n    def more():\n        return rng.choice(n)\n    return more\n")
+    assert attribute_calls(source, "choice") == [(1, ""), (2, ""), (8, "draw.more")]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_module_draws_a_subset_by_choice(module):
-    lines = choice_calls((SRC / module).read_text(encoding="utf-8"))
+    lines = [line for line, _ in attribute_calls((SRC / module).read_text(encoding="utf-8"),
+                                                 "choice")]
     assert not lines, f"{module} calls .choice on lines {lines}; draw subsets by data._subsets"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_raw_words_come_from_the_jump_ahead_pass(module):
+    # data._pcg64_words is the one source of a stream's leading raw words; only
+    # the stream that continues a row past them (_subsets' more) draws from a
+    # generator
+    calls = [(line, scope) for line, scope in attribute_calls(
+        (SRC / module).read_text(encoding="utf-8"), "random_raw")
+        if (module, scope) != ("data.py", "_subsets.more")]
+    assert not calls, (f"{module} calls .random_raw at {calls}; take leading words from "
+                       f"data._pcg64_words")
