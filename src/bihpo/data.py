@@ -791,6 +791,8 @@ def synthetic(task: str, n: int, d: int, classes: int, noise_sigma: float, seed:
     require_real(noise_sigma, "noise_sigma")
     if noise_sigma < 0:
         raise ContractViolationError("noise_sigma must be >= 0", field="noise_sigma")
+    require_count(seed, "seed")
+    require_count(beta_seed, "beta_seed")
     X, y = _draw_rows(task, n, d, classes, noise_sigma, [_rng(seed)], 1, beta_seed)
     return Dataset(X=X[0], y=y[0], task=task, num_classes=classes if task == "multiclass" else 0)
 
@@ -820,6 +822,7 @@ def corrupt_labels(
     left untouched. Classification tasks only; p = 0 returns an identical
     copy and an all-True mask.
     """
+    require_count(seed, "seed")
     if dataset.task == "regression":
         raise ContractViolationError("corrupt_labels applies to classification tasks")
     if not (0.0 <= p <= 1.0):

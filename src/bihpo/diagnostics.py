@@ -505,11 +505,16 @@ def fpc_verify(
     sigma_sq = _mean_sq_dist(S, Xbar)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    # vectorized without-replacement draws: top-U of a random permutation per row
-    order = np.argsort(rng.random((samples, V)), axis=1)[:, :U]
-    order = np.sort(order, axis=1)  # ascending so U = V reproduces Xbar bitwise
-    means = S[order].mean(axis=1)  # (samples, p)
-    mc = _mean_sq_dist(means, Xbar)
+    # vectorized without-replacement draws: top-U of a random permutation per
+    # row, in blocks of rows whose uniforms and argsort fit RUN_BYTES; one
+    # generator's consecutive blocks are its single draw, bit for bit
+    block = max(1, RUN_BYTES // (16 * V))
+    means = []
+    for rows in range(0, samples, block):
+        order = np.argsort(rng.random((min(block, samples - rows), V)), axis=1)[:, :U]
+        order = np.sort(order, axis=1)  # ascending so U = V reproduces Xbar bitwise
+        means.append(S[order].mean(axis=1))  # (block rows, p)
+    mc = _mean_sq_dist(np.concatenate(means), Xbar)
 
     return FpcReport(
         n=ds.n,

@@ -15,12 +15,12 @@ Hessian at each theta_k. A quadratic inner objective (ridge, ridge_per_param)
 binds one matrix H = 2A + c2 I, and its hessian(theta) returns the same map
 for every theta, so those per-step binds build nothing.
 
-The loops step in place: an update scales and subtracts in place on the new
-array that a bound function returns (see InnerBinding), into a running
-theta, tangent or adjoint that is the loop's own. inner_solve copies theta0
-and keeps every theta_k as an array of its own (the new array of its step's
-gradient, which the update is written into); forward_hypergrad copies its
-start, which may be the caller's array. Each in-place operation has the
+One generator, _steps, takes every inner step: inner_solve keeps what it
+yields, forward_hypergrad advances its tangent at each iterate, and a failed
+solve is named by replaying it. Each theta_k is an array of its own: the
+step scales the new array that its gradient returns (see InnerBinding) and
+writes theta_k - alpha_in * g into it. The tangent and the adjoint update in
+place on arrays of their loop's own. Each in-place operation has the
 operands of the expression it replaces, in either order, so it rounds alike.
 
 forward_hypergrad computes the same ITD and TRHG derivatives by forward
@@ -43,7 +43,7 @@ rules are HypergradMethod's, checked once when it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -139,53 +139,56 @@ def inner_solve(
     K: int,
     alpha_in: float,
 ) -> InnerTrajectory:
-    """K steps of theta <- theta - alpha_in * grad inner, trajectory recorded.
-
-    Finiteness is checked once, on theta_K: a non-finite iterate stays
-    non-finite, since NaN propagates and inf minus anything is inf or NaN.
-    A non-finite theta_K raises NumericalError by _raise_failed_solve, so
-    no caller is handed one.
-    """
+    """K steps of theta <- theta - alpha_in * grad inner by _steps, trajectory recorded."""
     if alpha_in <= 0:
         raise ContractViolationError("alpha_in must be > 0")
     if K < 0:
         raise ContractViolationError("K must be >= 0")
     lam, start = check_args(problem, lam, theta0, train)
     inner = problem.bind_inner(lam, train)
-    grad, theta = inner.grad, start.copy()
-    thetas = [theta]
     # overflow surfaces as the explicit non-finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(K):
-            g = grad(theta)
-            g *= alpha_in
-            theta = np.subtract(theta, g, out=g)  # theta - g, into the new g
-            thetas.append(theta)
-        if not np.all(np.isfinite(theta)):
-            _raise_failed_solve(grad, start, K, alpha_in)
-    return InnerTrajectory(thetas=tuple(thetas), alpha_in=alpha_in, lam=lam, train=train,
-                           inner=inner)
+        thetas = tuple(_steps(inner.grad, start, K, alpha_in))
+    return InnerTrajectory(thetas=thetas, alpha_in=alpha_in, lam=lam, train=train, inner=inner)
+
+
+def _steps(grad: Callable[[Vec], Vec], start: Vec, K: int, alpha_in: float,
+           replay: bool = False) -> Iterator[np.ndarray]:
+    """Yield theta_0 (a copy of start) ... theta_K of K steps
+    theta <- theta - alpha_in * grad(theta), each an array of its own.
+
+    Finiteness is checked once, on theta_K: a non-finite iterate stays
+    non-finite, since NaN propagates and inf minus anything is inf or NaN.
+    A non-finite theta_K raises NumericalError by _raise_failed_solve, so no
+    caller is handed one. replay, _raise_failed_solve's own switch, checks
+    each gradient instead and skips that check. The caller holds the errstate.
+    """
+    theta = start.copy()
+    for k in range(K):
+        yield theta
+        g = grad(theta)
+        if replay and not np.all(np.isfinite(g)):
+            raise _nonfinite(f"inner gradient became non-finite at step {k}", g, step=k)
+        g *= alpha_in
+        theta = np.subtract(theta, g, out=g)  # theta - g, into the new g
+    if not (replay or np.all(np.isfinite(theta))):
+        _raise_failed_solve(grad, start, K, alpha_in)
+    yield theta
 
 
 def _raise_failed_solve(grad: Callable[[Vec], Vec], start: Vec, K: int, alpha_in: float) -> None:
     """Raise NumericalError for a solve from start whose theta_K is non-finite.
 
-    Takes the K steps again with the solve's bound gradient grad and the
-    same operations, so with the same bits, and names the step (and the
-    first failing member of a stack) of the first non-finite gradient. An
-    update that overflows shows in the gradient of the next step; one that
-    overflows on the last step leaves no gradient to check, so the solve
-    ended non-finite at step K - 1, named in the message too (so a caller
-    that raises again with its own step keeps it) and by the member of
-    theta_K.
+    Replays the K steps through _steps with the solve's bound gradient
+    grad, so with the same bits, and names the step (and the first failing
+    member of a stack) of the first non-finite gradient. An update that
+    overflows shows in the gradient of the next step; one that overflows on
+    the last step leaves no gradient to check, so the solve ended
+    non-finite at step K - 1, named in the message too (so a caller that
+    raises again with its own step keeps it) and by the member of theta_K.
     """
-    theta = start
-    for k in range(K):
-        g = grad(theta)
-        if not np.all(np.isfinite(g)):
-            raise _nonfinite(f"inner gradient became non-finite at step {k}", g, step=k)
-        g *= alpha_in
-        theta = np.subtract(theta, g, out=g)
+    for theta in _steps(grad, start, K, alpha_in, replay=True):
+        pass
     if not K:
         raise _nonfinite("the inner solve ended non-finite", theta)
     raise _nonfinite(f"the inner solve ended non-finite at step {K - 1}", theta, step=K - 1)
@@ -221,31 +224,24 @@ def forward_hypergrad(
     Z <- Z - alpha_in * (H(theta_k) Z + J(theta_k)), J = dgrad_dlam(theta_k);
     then g = grad_lam outer(theta_K) + <Z, grad_theta outer(theta_K)>.
     TRHG's window h starts Z = 0 at step K - h; ITD is h = K.
-    A non-finite theta_K raises as in inner_solve, by _raise_failed_solve.
+    A non-finite theta_K raises as in inner_solve.
     """
     K, alpha = method.K, method.alpha_in
     first = K - method.h if method.kind == "TRHG" else 0
     lam, start = check_args(problem, lam, theta0, train, val)
     inner = problem.bind_inner(lam, train)
-    grad, hessian, dgrad = inner.grad, inner.hessian, inner.dgrad_dlam
-    # theta and Z step in place, on arrays of their own: start may be the
-    # caller's, and a failed pass re-takes its steps from it
-    theta, Z = start.copy(), np.zeros_like(start)
+    hessian, dgrad = inner.hessian, inner.dgrad_dlam
+    Z = np.zeros_like(start)
     # as in inner_solve and itd_hypergrad: overflow surfaces as the explicit
-    # non-finite checks below, not as a warning
+    # non-finite checks, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            if k >= first:
+        for k, theta in enumerate(_steps(inner.grad, start, K, alpha)):
+            if first <= k < K:
                 step = hessian(theta)(Z)
                 step += dgrad(theta)
                 step *= alpha
                 Z -= step
-            step = grad(theta)
-            step *= alpha
-            theta -= step
         step = None  # the last update is not held through the outer gradient
-        if not np.all(np.isfinite(theta)):
-            _raise_failed_solve(grad, start, K, alpha)
         a = problem.outer_grad_theta(lam, theta, val)
         g = problem.outer_grad_lambda(lam, theta, val) + row_dot(Z, a)[..., None]
     if not np.all(np.isfinite(g)):

@@ -564,6 +564,18 @@ def test_diverged_estimate_exits_3_without_warnings(tmp_path, capsys, recwarn, m
     assert len(recwarn) == 0
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_diverging_itd_tune_is_refused(tmp_path, capsys):
+    # alpha_in = 5 is far beyond 2/L, yet theta_K stays finite: today the run
+    # exits 0 with a "complete" manifest and lambda_raw near -3.8e63
+    cfg = write_cfg(tmp_path, tune_dict(method={"kind": "ITD", "K": 20, "alpha_in": 5.0},
+                                        strategy={"T": 30}))
+    out = tmp_path / "o"
+    assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "split" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
 def test_nonfinite_trace_loss_names_its_split(tmp_path, capsys, recwarn):
     # CG stops at Z = 10 on a theta_K near 1e134 with a finite hypergradient,
     # so the first overflow is a split's train loss in the trace

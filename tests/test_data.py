@@ -581,6 +581,20 @@ def test_generators_refuse_non_finite_noise(noise_sigma):
         assert err.value.field == "noise_sigma"
 
 
+@pytest.mark.parametrize("draw, field", [
+    (lambda seed: synthetic("regression", 10, 2, 0, 0.3, seed=seed), "seed"),
+    (lambda seed: synthetic("binary", 10, 2, 2, 0.3, seed=0, beta_seed=seed), "beta_seed"),
+    (lambda seed: corrupt_labels(synthetic("binary", 10, 2, 2, 0.3, seed=0), 0.5, seed=seed),
+     "seed"),
+], ids=["synthetic", "beta_seed", "corrupt_labels"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+def test_data_seeds_are_refused_by_name(draw, field, seed):
+    # numpy's own refusal of a negative seed names no field
+    with pytest.raises(ContractViolationError) as err:
+        draw(seed)
+    assert err.value.field == field
+
+
 # ---------------------------------------------------------------------------
 # corruption
 

@@ -700,6 +700,17 @@ def test_diverging_sweep_names_member_and_step():
     assert f"at step {step}" in str(err.value) and f"(member {m})" in str(err.value)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_diverging_sweep_point_is_refused():
+    # at lambda_eff = 10, L = 2 (eigmax(A) + 10) is near 23 > 2 / alpha_in, so the
+    # inner loop diverges, yet stays finite: today the row reads an error of 6.0e23
+    design = SweepDesign(n=100, d=5, noise_sigma=0.5, gamma=0.25)
+    method = HypergradMethod(kind="ITD", K=50, alpha_in=0.1)
+    with pytest.raises(NumericalError) as err:
+        bias_variance_sweep(design, method, [1.0, 10.0], R=50, U=4, seed=3)
+    assert f"(member {err.value.member})" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # finite-population correction
 
@@ -753,6 +764,14 @@ def test_fpc_verify_monte_carlo_matches_formula():
     rep = fpc_verify(ds, 0.5, U=3, lam_raw=0.0, problem=prob, samples=4000, seed=2)
     assert rep.exact_without > 0
     assert abs(rep.mc_estimate - rep.exact_without) < 0.05 * rep.exact_without
+
+
+def test_fpc_verify_draws_in_blocks_with_every_bit(monkeypatch):
+    # blocks of 7 rows of uniforms (16 bytes per entry of V = 15), 4000 = 571 * 7 + 3
+    ds, prob = fpc_instance()
+    whole = fpc_verify(ds, 0.5, U=3, lam_raw=0.4, problem=prob, samples=4000, seed=2)
+    monkeypatch.setattr(diagnostics, "RUN_BYTES", 7 * 16 * 15)
+    assert fpc_verify(ds, 0.5, U=3, lam_raw=0.4, problem=prob, samples=4000, seed=2) == whole
 
 
 @pytest.mark.parametrize("kind", ["ridge", "lasso_smooth"])

@@ -1,8 +1,9 @@
 """The library's source: every module reads each name it imports,
 something reads each function and class it defines at its top level, no
-module draws a subset by a .choice call (data._subsets is the one draw), and
-no module draws leading raw words by a .random_raw call
-(data._pcg64_words is their one source)."""
+module draws a subset by a .choice call (data._subsets is the one draw), no
+module draws leading raw words by a .random_raw call
+(data._pcg64_words is their one source), and no function of hypergrad.py but
+_steps calls an inner gradient."""
 
 import ast
 from collections import Counter
@@ -95,15 +96,17 @@ def test_every_private_name_of_the_library_is_read():
     assert not unread, f"private names that nothing reads: {', '.join(unread)}"
 
 
-def attribute_calls(source: str, attr: str) -> list[tuple[int, str]]:
-    """(line, scope) of each call of a .attr attribute in source, where scope
-    names the functions and classes that enclose the call, outermost first,
-    joined by dots ("" at module level)."""
+def attribute_calls(source: str, attr: str, bare: bool = False) -> list[tuple[int, str]]:
+    """(line, scope) of each call of a .attr attribute in source (with bare,
+    of a plain name attr too), where scope names the functions and classes
+    that enclose the call, outermost first, joined by dots ("" at module
+    level)."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == attr):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr == attr
+                or bare and isinstance(node.func, ast.Name) and node.func.id == attr):
             found.append((node.lineno, scope))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
@@ -119,6 +122,13 @@ def test_choice_calls_are_found():
               "choice(3)\nf = rng.choice\n"
               "def draw(n):\n    def more():\n        return rng.choice(n)\n    return more\n")
     assert attribute_calls(source, "choice") == [(1, ""), (2, ""), (8, "draw.more")]
+
+
+def test_bare_calls_are_found():
+    source = ("g = inner.grad(theta)\ngrad = inner.grad\ng = grad(theta)\n"
+              "def replay(grad):\n    return [grad(t) for t in grad_steps(grad)]\n")
+    assert attribute_calls(source, "grad") == [(1, "")]
+    assert attribute_calls(source, "grad", bare=True) == [(1, ""), (3, ""), (5, "replay")]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
@@ -138,3 +148,13 @@ def test_raw_words_come_from_the_jump_ahead_pass(module):
         if (module, scope) != ("data.py", "_subsets.more")]
     assert not calls, (f"{module} calls .random_raw at {calls}; take leading words from "
                        f"data._pcg64_words")
+
+
+def test_only_steps_takes_an_inner_step():
+    # hypergrad._steps is the one inner step loop: the solves, the forward pass
+    # and the failed-solve replay all step through it
+    calls = [(line, scope) for line, scope in attribute_calls(
+        (SRC / "hypergrad.py").read_text(encoding="utf-8"), "grad", bare=True)
+        if scope != "_steps"]
+    assert not calls, (f"hypergrad.py calls an inner gradient at {calls}; take inner steps "
+                       f"by hypergrad._steps")
