@@ -15,13 +15,15 @@ Hessian at each theta_k. A quadratic inner objective (ridge, ridge_per_param)
 binds one matrix H = 2A + c2 I, and its hessian(theta) returns the same map
 for every theta, so those per-step binds build nothing.
 
-One generator, _steps, takes every inner step: inner_solve keeps what it
-yields, forward_hypergrad advances its tangent at each iterate, and a failed
-solve is named by replaying it. Each theta_k is an array of its own: the
-step scales the new array that its gradient returns (see InnerBinding) and
-writes theta_k - alpha_in * g into it. The tangent and the adjoint update in
-place on arrays of their loop's own. Each in-place operation has the
-operands of the expression it replaces, in either order, so it rounds alike.
+One loop, _steps, takes every inner step: inner_solve keeps every iterate,
+forward_hypergrad has it carry the tangent beside theta, and a failed solve
+is named by replaying it. Each theta_k is an array of its own: the step
+scales the new array that its gradient returns (see InnerBinding) and
+writes theta_k - alpha_in * g into it; the tangent's step likewise writes
+Z_k - alpha_in * (H Z_k + J) into the new array of its Hessian product. The
+adjoint updates in place on an array of the reverse pass's own. Each
+in-place operation has the operands of the expression it replaces, in
+either order, so it rounds alike.
 
 forward_hypergrad computes the same ITD and TRHG derivatives by forward
 accumulation: it carries the tangent d theta_k / d lam beside theta through
@@ -29,7 +31,16 @@ the inner steps and keeps no trajectory, so its memory does not grow with K.
 It needs the binding's dgrad_dlam, which a problem provides when it has one
 raw hyperparameter (has_dgrad_dlam). estimate_hypergrad runs ITD and TRHG
 forward on such a problem (see forward_mode) and reverse otherwise; the two
-agree up to the order of their sums.
+agree up to the order of their sums. A forward member retires, and takes no
+more steps, once its state (theta, Z) repeats bit for bit two steps later
+(see _steps): a step is a fixed map of the member's own state, so its
+theta_K and Z_K are then known exactly. Gradient descent on a strongly
+convex inner loss contracts, so its iterates reach a floating-point fixed
+point, or a two-point rounding cycle, long before a large K: on the
+benchmark's sweep (ridge, d = 1, K = 500) the median member retires at step
+60. A member in a longer cycle, or still moving at step K, takes all K
+steps, and the reverse pass and AID, which read the trajectory or solve at
+theta_K, take them all.
 
 Every entry point also takes StackedView train/val views of B members, for
 every model kind, with lam (p,) or (B, p) and theta (r,) or (B, r): the same
@@ -43,7 +54,7 @@ rules are HypergradMethod's, checked once when it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -146,49 +157,133 @@ def inner_solve(
         raise ContractViolationError("K must be >= 0")
     lam, start = check_args(problem, lam, theta0, train)
     inner = problem.bind_inner(lam, train)
+    thetas = []
     # overflow surfaces as the explicit non-finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        thetas = tuple(_steps(inner.grad, start, K, alpha_in))
-    return InnerTrajectory(thetas=thetas, alpha_in=alpha_in, lam=lam, train=train, inner=inner)
+        _steps(inner, start, K, alpha_in, thetas)
+    return InnerTrajectory(thetas=tuple(thetas), alpha_in=alpha_in, lam=lam, train=train,
+                           inner=inner)
 
 
-def _steps(grad: Callable[[Vec], Vec], start: Vec, K: int, alpha_in: float,
-           replay: bool = False) -> Iterator[np.ndarray]:
-    """Yield theta_0 (a copy of start) ... theta_K of K steps
-    theta <- theta - alpha_in * grad(theta), each an array of its own.
+# steps from one retirement check of the forward pass to the next (see
+# _steps); even, so that every check falls on a step of K's parity
+RETIRE_EVERY = 8
 
-    Finiteness is checked once, on theta_K: a non-finite iterate stays
-    non-finite, since NaN propagates and inf minus anything is inf or NaN.
-    A non-finite theta_K raises NumericalError by _raise_failed_solve, so no
+
+def _steps(inner: InnerBinding, start: Vec, K: int, alpha_in: float,
+           thetas: list | None = None, replay: bool = False,
+           tangent: tuple[int, Callable[[np.ndarray | None], InnerBinding]] | None = None):
+    """K steps theta <- theta - alpha_in * grad(theta) from start, on inner's
+    gradient; returns (theta_K, Z_K, steps).
+
+    Each theta_k is an array of its own; thetas, if given, receives theta_0
+    (a copy of start) ... theta_K. Finiteness is checked once, on theta_K: a
+    non-finite iterate stays non-finite, since NaN propagates and inf minus
+    anything is inf or NaN. A non-finite theta_K raises NumericalError by
+    _raise_failed_solve, which replays the whole stack's binding, so no
     caller is handed one. replay, _raise_failed_solve's own switch, checks
-    each gradient instead and skips that check. The caller holds the errstate.
+    each gradient instead and skips that check. The caller holds the
+    errstate. Without a tangent, Z_K is None and steps is K.
+
+    tangent = (first, bind) also carries the forward pass's tangent
+    Z = d theta_k / d lam, 0 up to step first: at the pre-step theta_k,
+    Z <- Z - alpha_in * (H(theta_k) Z + J(theta_k)), J = dgrad_dlam(theta_k).
+    bind(live) binds the members at rows live of the stack, and bind(None)
+    the whole stack. A member then retires, and takes no more steps, once
+    its state (theta, Z) is finite and equals, bit for bit, its state two
+    steps earlier, with both states at or after step first. From first on a
+    step is the same map of each member's own state, and a member's bits do
+    not depend on the stack it runs in, so the member's states repeat with
+    period 1 or 2 up to step K, and its state at any later step of K's
+    parity is its theta_K and Z_K. So the check runs every RETIRE_EVERY
+    steps, at steps of K's parity, against the one state saved two steps
+    before: no copy is made, since each step's theta and Z are new arrays.
+    A stack's retired members leave it once they are at least half of its
+    live ones: the first time, the stack's state arrays become the output
+    and its retired rows stay where they are; later, each retired row is
+    written into the output once. The live rows are gathered and bound by
+    bind, and the steps stop when no member is live. steps holds the steps
+    each member took, K for one that never retired: an int for one member
+    on a DataView, (B,) for a stack.
     """
-    theta = start.copy()
+    grad, out = inner.grad, None
+    theta, Z, saved, steps = start.copy(), None, None, K
+    if tangent is not None:
+        first, bind = tangent
+        hessian, dgrad, Z = inner.hessian, inner.dgrad_dlam, np.zeros_like(start)
     for k in range(K):
-        yield theta
+        if thetas is not None:
+            thetas.append(theta)
+        if Z is not None and k >= first:
+            step = hessian(theta)(Z)
+            step += dgrad(theta)
+            step *= alpha_in
+            Z = np.subtract(Z, step, out=step)  # Z - step, into the new step
         g = grad(theta)
         if replay and not np.all(np.isfinite(g)):
             raise _nonfinite(f"inner gradient became non-finite at step {k}", g, step=k)
         g *= alpha_in
         theta = np.subtract(theta, g, out=g)  # theta - g, into the new g
+        if Z is None or k < first:
+            continue
+        left = K - 1 - k  # steps after this one
+        if left % RETIRE_EVERY == 2 and left > RETIRE_EVERY:
+            saved = theta, Z
+            continue
+        if saved is None or left % RETIRE_EVERY:
+            continue
+        same = theta.view(np.int64) == saved[0].view(np.int64)
+        same &= Z.view(np.int64) == saved[1].view(np.int64)
+        saved = None
+        if theta.ndim == 1:
+            if same.all() and np.all(np.isfinite(theta)) and np.all(np.isfinite(Z)):
+                steps = k + 1
+                break
+            continue
+        done, same = same.all(axis=-1), None
+        if 2 * np.count_nonzero(done) < len(done):
+            done = None
+            continue
+        done &= np.isfinite(theta).all(axis=-1)  # a non-finite state never retires
+        done &= np.isfinite(Z).all(axis=-1)
+        if out is None:
+            # the whole stack's state is the output: its retired rows stay put
+            out, live, steps = (theta, Z), np.arange(len(done)), np.full(len(done), K)
+        else:
+            out[0][live[done]], out[1][live[done]] = theta[done], Z[done]
+        steps[live[done]] = k + 1
+        np.logical_not(done, out=done)  # the live rows: no second mask outlives the check
+        live, theta, Z, done = live[done], theta[done], Z[done], None
+        inner = grad = hessian = dgrad = None  # let go before the live members are bound
+        if not len(live):
+            break
+        inner = bind(live)
+        grad, hessian, dgrad = inner.grad, inner.hessian, inner.dgrad_dlam
+    if out is not None:
+        if len(live):
+            out[0][live], out[1][live] = theta, Z
+        theta, Z = out
+    elif Z is not None and theta.ndim == 2:
+        steps = np.full(len(theta), K)
     if not (replay or np.all(np.isfinite(theta))):
-        _raise_failed_solve(grad, start, K, alpha_in)
-    yield theta
+        _raise_failed_solve(inner if out is None else bind(None), start, K, alpha_in)
+    if thetas is not None:
+        thetas.append(theta)
+    return theta, Z, steps
 
 
-def _raise_failed_solve(grad: Callable[[Vec], Vec], start: Vec, K: int, alpha_in: float) -> None:
+def _raise_failed_solve(inner: InnerBinding, start: Vec, K: int, alpha_in: float) -> None:
     """Raise NumericalError for a solve from start whose theta_K is non-finite.
 
-    Replays the K steps through _steps with the solve's bound gradient
-    grad, so with the same bits, and names the step (and the first failing
-    member of a stack) of the first non-finite gradient. An update that
-    overflows shows in the gradient of the next step; one that overflows on
-    the last step leaves no gradient to check, so the solve ended
-    non-finite at step K - 1, named in the message too (so a caller that
-    raises again with its own step keeps it) and by the member of theta_K.
+    Replays the K steps through _steps with the solve's binding inner, so
+    with the same bits, and names the step (and the first failing member of
+    a stack) of the first non-finite gradient. An update that overflows
+    shows in the gradient of the next step; one that overflows on the last
+    step leaves no gradient to check, so the solve ended non-finite at step
+    K - 1, named in the message too (so a caller that raises again with its
+    own step keeps it) and by the member of theta_K.
     """
-    for theta in _steps(grad, start, K, alpha_in, replay=True):
-        pass
+    theta = _steps(inner, start, K, alpha_in, replay=True)[0]
     if not K:
         raise _nonfinite("the inner solve ended non-finite", theta)
     raise _nonfinite(f"the inner solve ended non-finite at step {K - 1}", theta, step=K - 1)
@@ -200,11 +295,16 @@ def forward_mode(problem: BilevelProblem, method: HypergradMethod) -> bool:
 
 
 # (r,) arrays that one member of a forward pass holds at once, temporaries
-# included: the start and theta, the tangent, the update being built, the
-# array a bound call returns into it, and at the end the outer gradient with
-# its temporaries. For ridge and lasso_smooth, tracemalloc reads 7 at r = 1,
-# where the (p,) rows of the outer step count as whole arrays, and 5 for
-# ridge at r = 20.
+# included: theta and the tangent, the state saved two steps before a
+# retirement check, the new arrays of a step (the Hessian product that
+# becomes the next tangent, with the curvature factors it reads, and the
+# gradient that becomes the next theta), and at the end the outer gradient
+# with its temporaries. Retired rows stay in the state arrays the pass
+# started with, and the first binding is let go once the live members have
+# their own. For ridge and lasso_smooth, tracemalloc reads 7 and 8 at r = 1
+# while members retire (5 and 6 over K = 5, which saves no state), where the
+# (p,) rows of the outer step count as whole arrays, and about 2.5 for ridge
+# at r = 20.
 FORWARD_ARRAYS = 8
 
 
@@ -220,33 +320,31 @@ def forward_hypergrad(
 
     Runs the K inner steps of inner_solve, with the same bits, and carries
     the tangent Z = d theta_k / d lam, of theta's shape since lam has one
-    raw coordinate: at the pre-step theta_k,
-    Z <- Z - alpha_in * (H(theta_k) Z + J(theta_k)), J = dgrad_dlam(theta_k);
-    then g = grad_lam outer(theta_K) + <Z, grad_theta outer(theta_K)>.
+    raw coordinate, beside them (see _steps); then
+    g = grad_lam outer(theta_K) + <Z, grad_theta outer(theta_K)>.
     TRHG's window h starts Z = 0 at step K - h; ITD is h = K.
-    A non-finite theta_K raises as in inner_solve.
+    A non-finite theta_K raises as in inner_solve. diagnostics["steps"]
+    holds the steps each member took before it retired (K if it never did).
     """
     K, alpha = method.K, method.alpha_in
     first = K - method.h if method.kind == "TRHG" else 0
     lam, start = check_args(problem, lam, theta0, train, val)
-    inner = problem.bind_inner(lam, train)
-    hessian, dgrad = inner.hessian, inner.dgrad_dlam
-    Z = np.zeros_like(start)
+
+    def bind(live=None):
+        """The binding of the members at live, or of all of them."""
+        if live is None:
+            return problem.bind_inner(lam, train)
+        return problem.bind_inner(lam[live], train.take(live))
+
     # as in inner_solve and itd_hypergrad: overflow surfaces as the explicit
     # non-finite checks, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, theta in enumerate(_steps(inner.grad, start, K, alpha)):
-            if first <= k < K:
-                step = hessian(theta)(Z)
-                step += dgrad(theta)
-                step *= alpha
-                Z -= step
-        step = None  # the last update is not held through the outer gradient
+        theta, Z, steps = _steps(bind(), start, K, alpha, tangent=(first, bind))
         a = problem.outer_grad_theta(lam, theta, val)
         g = problem.outer_grad_lambda(lam, theta, val) + row_dot(Z, a)[..., None]
     if not np.all(np.isfinite(g)):
         raise _nonfinite("forward accumulation produced a non-finite hypergradient", g)
-    return HypergradResult(grad=g, inner_final=theta)
+    return HypergradResult(grad=g, inner_final=theta, diagnostics={"steps": steps})
 
 
 def itd_hypergrad(

@@ -443,6 +443,31 @@ def test_a_forward_member_holds_at_most_forward_arrays(kind):
     assert round(arrays) <= FORWARD_ARRAYS
 
 
+@pytest.mark.parametrize("kind", ["ridge", "lasso_smooth"])
+def test_a_forward_member_holds_at_most_forward_arrays_while_members_retire(kind):
+    # as above, over enough steps that members retire: the state saved for
+    # the comparison, the retired rows and the live members' binding all fit
+    # in the budget. Ridge reads 7 and lasso_smooth 8
+    B = 6000
+    rng = np.random.Generator(np.random.PCG64(2))
+    train, val = (StackedView(rng.standard_normal((B, 20, 1)), rng.standard_normal((B, 20)))
+                  for _ in range(2))
+    train.gram, val.gram
+    prob = build_problem(ModelSpec(kind=kind, smoothing_delta=0.5), 1)
+    lam, theta0 = np.full((B, 1), -0.5), 0.1 * rng.standard_normal((B, 1))
+    method = HypergradMethod(kind="ITD", K=200, alpha_in=0.1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = forward_hypergrad(prob, lam, theta0, train, val, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.median(res.diagnostics["steps"]) < method.K
+    arrays = (peak - base) / (B * 8) - (diagnostics.MEMBER_MATRICES - 2)
+    assert round(arrays) <= FORWARD_ARRAYS
+
+
 def count_runs(monkeypatch):
     """Record the member count of every stacked estimate the diagnostics run."""
     runs, estimate = [], diagnostics.estimate_hypergrad

@@ -21,7 +21,7 @@ from bihpo.data import (
     split_stacks,
     synthetic,
 )
-from bihpo.diagnostics import RidgeOracle
+from bihpo.diagnostics import RidgeOracle, SweepDesign, _replicate_stacks
 from bihpo.errors import ContractViolationError, NumericalError
 from bihpo.hypergrad import (
     HypergradMethod,
@@ -35,6 +35,7 @@ from bihpo.hypergrad import (
     itd_hypergrad,
 )
 from bihpo import problems
+from bihpo.linalg import row_dot
 from bihpo.problems import MODEL_KINDS, ModelSpec, build_problem
 from helpers import count_softmax_rows, stack, zoo_dataset, zoo_instance, zoo_lambda, zoo_problem
 
@@ -721,6 +722,179 @@ def test_forward_estimate_names_an_overflow_on_the_last_step():
             estimate_hypergrad(prob, lam, theta0, tr, va,
                                HypergradMethod(kind="ITD", K=K, alpha_in=1.0))
         assert err.value.step_index == step
+
+
+# ---------------------------------------------------------------------------
+# forward members retire once their state repeats
+
+def plain_forward(prob, lam, theta0, train, val, method):
+    """(grad, theta_K, states) of a forward estimate by all K steps, with the
+    forward pass's operations; states holds (theta_k, Z_k) for k = 1 .. K."""
+    K, alpha = method.K, method.alpha_in
+    first = K - method.h if method.kind == "TRHG" else 0
+    lam = np.broadcast_to(lam, np.shape(theta0)[:-1] + np.shape(lam)[-1:])
+    inner = prob.bind_inner(lam, train)
+    theta = np.array(theta0, dtype=np.float64)
+    Z, states = np.zeros_like(theta), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            if k >= first:
+                step = inner.hessian(theta)(Z)
+                step += inner.dgrad_dlam(theta)
+                step *= alpha
+                Z = Z - step
+            g = inner.grad(theta)
+            g *= alpha
+            theta = theta - g
+            states.append((theta, Z))
+        a = prob.outer_grad_theta(lam, theta, val)
+        grad = prob.outer_grad_lambda(lam, theta, val) + row_dot(Z, a)[..., None]
+    return grad, theta, states
+
+
+def u_at(train, alpha, alpha_L):
+    """Raw lam at which alpha * L(H) = alpha_L for ridge's H = 2A + 2 e^u I:
+    above 1 the iterates oscillate about the fixed point, and above 2 they
+    diverge."""
+    L = np.linalg.eigvalsh(2.0 * train.gram[0]).max()
+    return math.log((alpha_L / alpha - L) / 2.0)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def assert_forward_is_plain(prob, lam, theta0, train, val, method):
+    """The forward estimate has the bits of plain_forward's; returns it and its states."""
+    got = forward_hypergrad(prob, lam, theta0, train, val, method)
+    grad, theta, states = plain_forward(prob, lam, theta0, train, val, method)
+    assert same_bits(got.grad, grad)
+    assert same_bits(got.inner_final, theta)
+    return got, states
+
+
+def member_state(states, k, i=None):
+    """The bits of (theta_k, Z_k) of states, of member i of a stack."""
+    theta, Z = states[k - 1]
+    return (theta, Z) if i is None else (theta[i], Z[i])
+
+
+@pytest.mark.parametrize("K", [200, 201])
+def test_a_forward_view_retires_at_a_fixed_point_or_a_two_cycle(K):
+    trains, vals = member_views(n_members=2, d=1)
+    prob = member_problem("ridge", trains)
+    method = HypergradMethod(kind="ITD", K=K, alpha_in=0.1)
+    cycle_u = u_at(trains[1], 0.1, 1.3)
+    for tr, va, u, period in ((trains[0], vals[0], 0.0, 1), (trains[1], vals[1], cycle_u, 2)):
+        got, states = assert_forward_is_plain(prob, np.array([u]), np.zeros(1), tr, va, method)
+        assert isinstance(got.diagnostics["steps"], int)
+        assert got.diagnostics["steps"] < K
+        last, before = member_state(states, K), member_state(states, K - 1)
+        # the member ends at a fixed point, or in a true two-cycle
+        assert (same_bits(last, before)) == (period == 1)
+        assert same_bits(last, member_state(states, K - 2))
+
+
+@pytest.mark.parametrize("K", [200, 201])
+@pytest.mark.parametrize("d", [1, 5])
+def test_stacked_members_retire_with_the_bits_of_all_k_steps(d, K):
+    # members 1 and 3 oscillate (alpha L just above 1) and the others move to
+    # a fixed point; member 4 starts far out and is still moving at step K
+    trains, vals = member_views(n_members=5, d=d)
+    prob = member_problem("ridge", trains)
+    method = HypergradMethod(kind="ITD", K=K, alpha_in=0.1)
+    lam = np.zeros((5, 1))
+    lam[1, 0], lam[3, 0] = (u_at(trains[i], 0.1, 1.3) for i in (1, 3))
+    lam[4, 0] = -3.0
+    theta0 = np.zeros((5, d))
+    theta0[4] = 1e3
+    got, states = assert_forward_is_plain(prob, lam, theta0, stack(trains), stack(vals), method)
+    steps = got.diagnostics["steps"]
+    assert steps.shape == (5,)
+    assert np.all(steps[:4] < K) and steps[4] == K
+    for i in range(5):
+        last = member_state(states, K, i)
+        assert same_bits(last, member_state(states, K - 2, i)) == (i < 4)
+        assert same_bits(last, member_state(states, K - 1, i)) == (i in (0, 2))
+        one = forward_hypergrad(prob, lam[i], theta0[i], trains[i], vals[i], method)
+        assert same_bits(got.grad[i], one.grad)
+        assert same_bits(got.inner_final[i], one.inner_final)
+
+
+def test_trhg_members_retire_only_once_their_window_is_open():
+    # theta settles long before the window opens (at a fixed point or in a
+    # two-cycle), and Z is 0 until it does, so the state repeats early; a
+    # member may retire at step K - h + 2 at the soonest, with a tangent
+    # stepped twice
+    trains, vals = member_views(n_members=4, d=1)
+    prob = member_problem("ridge", trains)
+    K, h = 200, 40
+    method = HypergradMethod(kind="TRHG", K=K, alpha_in=0.1, h=h)
+    lam = np.array([[u_at(tr, 0.1, c)] for tr, c in zip(trains, (0.7, 1.3, 0.7, 1.3))])
+    got, states = assert_forward_is_plain(prob, lam, np.zeros((4, 1)), stack(trains),
+                                          stack(vals), method)
+    assert all(same_bits(member_state(states, 100, i), member_state(states, 98, i))
+               for i in range(4))
+    steps = got.diagnostics["steps"]
+    assert np.all(steps >= K - h + 2) and np.any(steps < K)
+    for i in range(4):
+        one = forward_hypergrad(prob, lam[i], np.zeros(1), trains[i], vals[i], method)
+        assert same_bits(got.grad[i], one.grad)
+
+
+def test_forward_steps_are_k_for_members_that_never_retire():
+    trains, vals = member_views()
+    prob = member_problem("ridge", trains)
+    method = FORWARD_METHODS[0]
+    got = forward_hypergrad(prob, np.zeros(1), np.zeros(3), stack(trains), stack(vals), method)
+    assert_array_equal(got.diagnostics["steps"], np.full(5, method.K))
+    assert forward_hypergrad(prob, np.zeros(1), np.zeros(3), trains[0], vals[0],
+                             method).diagnostics["steps"] == method.K
+
+
+def test_the_sweeps_forward_members_retire_in_under_a_quarter_of_k():
+    # the benchmark sweep's shape: ridge, d = 1, n = 100, K = 500; nearly all
+    # members reach a fixed point or a two-cycle long before step K
+    design = SweepDesign(n=100, d=1, noise_sigma=0.5, gamma=0.25)
+    train, val = _replicate_stacks(design, ModelSpec(kind="ridge"), 1, 3, 40)
+    lam = np.log(np.linspace(0.3, 3.0, 40))[:, None]
+    method = HypergradMethod(kind="ITD", K=500, alpha_in=0.1)
+    got = estimate_hypergrad(RIDGE1, lam, np.zeros(1), train, val, method)
+    assert np.median(got.diagnostics["steps"]) < method.K / 4
+
+
+def recording_binds(prob):
+    """prob whose bind_inner records the lam of every binding."""
+    lams, bind = [], prob.bind_inner
+    return lams, dataclasses.replace(
+        prob, bind_inner=lambda lam, view: lams.append(lam.copy()) or bind(lam, view))
+
+
+@pytest.mark.parametrize("start", ["diverging", "nan"])
+def test_a_failure_after_members_retired_is_named_in_the_whole_stack(start):
+    # five of six members reach a fixed point and leave the stack; member 3
+    # overflows from a start far out (alpha L = 2.5), or starts at NaN. The
+    # failure names its step and member in the whole stack, as a plain
+    # stepping loop over the whole stack does
+    trains, vals = member_views(n_members=6, d=1)
+    lams, prob = recording_binds(member_problem("ridge", trains))
+    lam = np.zeros((6, 1))
+    lam[3, 0] = u_at(trains[3], 0.1, 2.5)
+    theta0 = np.zeros((6, 1))
+    theta0[3] = 1e250 if start == "diverging" else np.nan
+    method = HypergradMethod(kind="ITD", K=400, alpha_in=0.1)
+    message = r"^inner gradient became non-finite at step \d+ \(member 3\)$"
+    with pytest.raises(NumericalError, match=message) as err:
+        forward_hypergrad(prob, lam, theta0, stack(trains), stack(vals), method)
+    expected = stepwise_failure(prob, lam, theta0, stack(trains), 400, 0.1)
+    assert (err.value.step_index, err.value.member) == expected
+    assert (expected[0] > 0) == (start == "diverging")
+    # members retired (a binding of fewer members) before the whole stack
+    # replayed, and member 3 never did: its state never repeats, or repeats
+    # bit for bit but is not finite
+    counts = [len(x) for x in lams]
+    assert counts[0] == counts[-1] == 6 and min(counts) < 6
+    assert all(lam[3, 0] in x for x in lams)
 
 
 # ---------------------------------------------------------------------------
