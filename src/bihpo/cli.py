@@ -238,11 +238,16 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> int:
         {"data_seed": cfg.data.synthetic.seed, "beta_seed": cfg.data.synthetic.beta_seed,
          "master_seed": cfg.split.master_seed, "test_seed": cfg.data.test_seed},
     ) as manifest:
-        trace = _run_strategy(cfg, problem, data, vals, lam0, theta0, test_view)
+        try:
+            trace = _run_strategy(cfg, problem, data, vals, lam0, theta0, test_view)
+        except NumericalError as exc:
+            # a failed run keeps the rows of the outer steps that finished
+            if "csv" in cfg.output.formats and len(exc.trace.lambdas) > 1:
+                write_csv(out_dir / "trace.csv", *_trace_rows(exc.trace))
+            raise
         outputs = []
         if "csv" in cfg.output.formats:
-            header, rows = _trace_rows(trace)
-            write_csv(out_dir / "trace.csv", header, rows)
+            write_csv(out_dir / "trace.csv", *_trace_rows(trace))
             outputs.append("trace.csv")
         if "json" in cfg.output.formats:
             lam_final = trace.final_lambda

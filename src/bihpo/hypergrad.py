@@ -17,7 +17,9 @@ for every theta, so those per-step binds build nothing.
 
 One loop, _steps, takes every inner step: inner_solve keeps every iterate,
 forward_hypergrad has it carry the tangent beside theta, and a failed solve
-is named by replaying it. Each theta_k is an array of its own: the step
+is named by replaying it. It refuses a solve that ends non-finite and, but
+for the smoothed-L1 kinds, one whose gradient norm grew from step 0 to its
+last step, which a convex L-smooth loss at alpha_in <= 2/L never does. Each theta_k is an array of its own: the step
 scales the new array that its gradient returns (see InnerBinding) and
 writes theta_k - alpha_in * g into it; the tangent's step likewise writes
 Z_k - alpha_in * (H Z_k + J) into the new array of its Hessian product. The
@@ -60,8 +62,23 @@ import numpy as np
 
 from .data import DataView, StackedView
 from .errors import ContractViolationError, NumericalError, require_count, require_real
-from .linalg import LinearOperator, Vec, cg_solve, fixed_point_solve, row_dot, row_norm
-from .problems import BilevelProblem, InnerBinding, central_diff, check_args, check_views
+from .linalg import (
+    LinearOperator,
+    Vec,
+    _first_member,
+    cg_solve,
+    fixed_point_solve,
+    row_dot,
+    row_norm,
+)
+from .problems import (
+    SMOOTHED_L1_KINDS,
+    BilevelProblem,
+    InnerBinding,
+    central_diff,
+    check_args,
+    check_views,
+)
 
 METHOD_KINDS = ("ITD", "TRHG", "AID_FP", "AID_CG")
 AID_KINDS = ("AID_FP", "AID_CG")
@@ -138,7 +155,7 @@ class HypergradResult:
 
 def _nonfinite(what: str, x: np.ndarray, step: int | None = None) -> NumericalError:
     """NumericalError for a non-finite x, naming the first failing member of a batch."""
-    member = None if x.ndim < 2 else int(np.argmin(np.isfinite(x).all(axis=-1)))
+    member = _first_member(~np.isfinite(x).all(axis=-1))
     return NumericalError(what, step_index=step, member=member)
 
 
@@ -156,11 +173,12 @@ def inner_solve(
     if K < 0:
         raise ContractViolationError("K must be >= 0")
     lam, start = check_args(problem, lam, theta0, train)
-    inner = problem.bind_inner(lam, train)
     thetas = []
-    # overflow surfaces as the explicit non-finite check, not a warning
+    # overflow, in the bind at a huge lam too, surfaces as the explicit
+    # non-finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        _steps(inner, start, K, alpha_in, thetas)
+        inner = problem.bind_inner(lam, train)
+        _steps(inner, start, K, alpha_in, thetas, refuse_growth=_refuses_growth(problem))
     return InnerTrajectory(thetas=tuple(thetas), alpha_in=alpha_in, lam=lam, train=train,
                            inner=inner)
 
@@ -170,9 +188,15 @@ def inner_solve(
 RETIRE_EVERY = 8
 
 
+# how far a member's inner gradient norm may rise from step 0 to its last
+# step before _steps refuses the solve as diverging, relative to step 0
+GROWTH_TOL = 1e-9
+
+
 def _steps(inner: InnerBinding, start: Vec, K: int, alpha_in: float,
            thetas: list | None = None, replay: bool = False,
-           tangent: tuple[int, Callable[[np.ndarray | None], InnerBinding]] | None = None):
+           tangent: tuple[int, Callable[[np.ndarray | None], InnerBinding]] | None = None,
+           refuse_growth: bool = False):
     """K steps theta <- theta - alpha_in * grad(theta) from start, on inner's
     gradient; returns (theta_K, Z_K, steps).
 
@@ -185,6 +209,16 @@ def _steps(inner: InnerBinding, start: Vec, K: int, alpha_in: float,
     each gradient instead and skips that check. The caller holds the
     errstate. Without a tangent, Z_K is None and steps is K.
 
+    refuse_growth, for K >= 2, also raises NumericalError, after the
+    finiteness check, for a solve in which some member's gradient norm at
+    its last step exceeds its norm at step 0 by more than a factor
+    1 + GROWTH_TOL, naming the first such member of the stack the caller
+    passed. For a convex, L-smooth inner loss and alpha_in <= 2/L a gradient
+    step never raises the gradient norm (cocoercivity), so such a member
+    diverges, even while its theta_K is still finite. The rule reads the
+    gradients the steps compute, as squared norms: at step 0, at step K - 1
+    and, for the tangent's retirement, at each check.
+
     tangent = (first, bind) also carries the forward pass's tangent
     Z = d theta_k / d lam, 0 up to step first: at the pre-step theta_k,
     Z <- Z - alpha_in * (H(theta_k) Z + J(theta_k)), J = dgrad_dlam(theta_k).
@@ -195,7 +229,8 @@ def _steps(inner: InnerBinding, start: Vec, K: int, alpha_in: float,
     step is the same map of each member's own state, and a member's bits do
     not depend on the stack it runs in, so the member's states repeat with
     period 1 or 2 up to step K, and its state at any later step of K's
-    parity is its theta_K and Z_K. So the check runs every RETIRE_EVERY
+    parity is its theta_K and Z_K, and its gradient at the check's step is
+    its gradient at step K - 1. So the check runs every RETIRE_EVERY
     steps, at steps of K's parity, against the one state saved two steps
     before: no copy is made, since each step's theta and Z are new arrays.
     A stack's retired members leave it once they are at least half of its
@@ -208,6 +243,10 @@ def _steps(inner: InnerBinding, start: Vec, K: int, alpha_in: float,
     """
     grad, out = inner.grad, None
     theta, Z, saved, steps = start.copy(), None, None, K
+    # limit: each live member's largest squared gradient norm that is no
+    # growth; grew: whether each member of the caller's stack grew, as of
+    # the last step at which its norm was read
+    refuse_growth, limit, grew = refuse_growth and K > 1, None, None
     if tangent is not None:
         first, bind = tangent
         hessian, dgrad, Z = inner.hessian, inner.dgrad_dlam, np.zeros_like(start)
@@ -222,6 +261,15 @@ def _steps(inner: InnerBinding, start: Vec, K: int, alpha_in: float,
         g = grad(theta)
         if replay and not np.all(np.isfinite(g)):
             raise _nonfinite(f"inner gradient became non-finite at step {k}", g, step=k)
+        if refuse_growth and (k == 0 or k == K - 1
+                              or saved is not None and not (K - 1 - k) % RETIRE_EVERY):
+            if k == 0:
+                limit = row_dot(g, g)
+                limit *= (1.0 + GROWTH_TOL) ** 2
+            elif out is None:
+                grew = row_dot(g, g) > limit
+            else:
+                grew[live] = row_dot(g, g) > limit
         g *= alpha_in
         theta = np.subtract(theta, g, out=g)  # theta - g, into the new g
         if Z is None or k < first:
@@ -253,7 +301,10 @@ def _steps(inner: InnerBinding, start: Vec, K: int, alpha_in: float,
             out[0][live[done]], out[1][live[done]] = theta[done], Z[done]
         steps[live[done]] = k + 1
         np.logical_not(done, out=done)  # the live rows: no second mask outlives the check
-        live, theta, Z, done = live[done], theta[done], Z[done], None
+        live, theta, Z = live[done], theta[done], Z[done]
+        if limit is not None:
+            limit = limit[done]
+        done = None
         inner = grad = hessian = dgrad = None  # let go before the live members are bound
         if not len(live):
             break
@@ -267,9 +318,24 @@ def _steps(inner: InnerBinding, start: Vec, K: int, alpha_in: float,
         steps = np.full(len(theta), K)
     if not (replay or np.all(np.isfinite(theta))):
         _raise_failed_solve(inner if out is None else bind(None), start, K, alpha_in)
+    if grew is not None and grew.any():
+        raise NumericalError(
+            f"the inner gradient norm at step {K - 1} exceeds its norm at step 0, so the "
+            "inner steps diverge: lower method.alpha_in",
+            step_index=K - 1, member=_first_member(grew))
     if thetas is not None:
         thetas.append(theta)
     return theta, Z, steps
+
+
+def _refuses_growth(problem: BilevelProblem) -> bool:
+    """Whether _steps refuses a solve of problem whose gradient norm grew.
+
+    Not for the smoothed-L1 kinds: the pseudo-Huber curvature e^u/delta puts
+    every practical alpha_in far above 2/L, and their healthy solves raise
+    the gradient norm as theta crosses the kink.
+    """
+    return problem.kind not in SMOOTHED_L1_KINDS
 
 
 def _raise_failed_solve(inner: InnerBinding, start: Vec, K: int, alpha_in: float) -> None:
@@ -299,12 +365,13 @@ def forward_mode(problem: BilevelProblem, method: HypergradMethod) -> bool:
 # retirement check, the new arrays of a step (the Hessian product that
 # becomes the next tangent, with the curvature factors it reads, and the
 # gradient that becomes the next theta), and at the end the outer gradient
-# with its temporaries. Retired rows stay in the state arrays the pass
-# started with, and the first binding is let go once the live members have
-# their own. For ridge and lasso_smooth, tracemalloc reads 7 and 8 at r = 1
-# while members retire (5 and 6 over K = 5, which saves no state), where the
-# (p,) rows of the outer step count as whole arrays, and about 2.5 for ridge
-# at r = 20.
+# with its temporaries; the growth rule's step-0 limit is one (B,) row
+# beside them (none for the smoothed-L1 kinds). Retired rows stay in the
+# state arrays the pass started with, and the first binding is let go once
+# the live members have their own. For ridge and lasso_smooth, tracemalloc
+# reads 8.3 and 8.1 at r = 1 while members retire (6.2 and 6.1 over K = 5,
+# which saves no state), where the (p,) rows of the outer step and the
+# (B,) rows count as whole arrays, and about 2.5 for ridge at r = 20.
 FORWARD_ARRAYS = 8
 
 
@@ -339,9 +406,10 @@ def forward_hypergrad(
     # as in inner_solve and itd_hypergrad: overflow surfaces as the explicit
     # non-finite checks, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        theta, Z, steps = _steps(bind(), start, K, alpha, tangent=(first, bind))
+        theta, Z, steps = _steps(bind(), start, K, alpha, tangent=(first, bind),
+                                 refuse_growth=_refuses_growth(problem))
         a = problem.outer_grad_theta(lam, theta, val)
-        g = problem.outer_grad_lambda(lam, theta, val) + row_dot(Z, a)[..., None]
+        g = row_dot(Z, a)[..., None]
     if not np.all(np.isfinite(g)):
         raise _nonfinite("forward accumulation produced a non-finite hypergradient", g)
     return HypergradResult(grad=g, inner_final=theta, diagnostics={"steps": steps})
@@ -369,7 +437,7 @@ def itd_hypergrad(
     # a diverged but finite trajectory overflows here: that surfaces as the
     # explicit non-finite check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        g = problem.outer_grad_lambda(lam, theta_K, val).astype(np.float64, copy=True)
+        g = np.zeros_like(lam)
         a = problem.outer_grad_theta(lam, theta_K, val)
         for k in steps:
             theta_k = traj.thetas[k]
@@ -423,7 +491,7 @@ def aid_hypergrad(
             v, _ = fixed_point_solve(op, b, step=method.fp_step or method.alpha_in,
                                      max_iters=method.Z, tol=AID_TOL, counts=counts)
         residual = row_norm(op(v) - b)
-        g = problem.outer_grad_lambda(lam, theta_K, val) - inner.mixed(theta_K, v)
+        g = -inner.mixed(theta_K, v)
     if not np.all(np.isfinite(g)):
         raise _nonfinite("AID produced a non-finite hypergradient", g)
     return HypergradResult(

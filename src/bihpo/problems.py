@@ -150,7 +150,9 @@ class BilevelProblem:
     derivatives at that lam and view; an estimate binds once, in its inner
     solve, and its reverse pass or AID solve reuses that binding; an AID
     solve binds its Hessian at theta_K once for all its iterations. inner_grad_theta,
-    inner_hvp and inner_mixed_vp are the same functions, bound per call.
+    inner_hvp and inner_mixed_vp are the same functions, bound per call, and
+    outer_grad_lambda is zero for every kind; in the library only
+    verify_derivatives reads these four, and every estimate binds.
     has_dgrad_dlam says, once per problem, whether the binding's dgrad_dlam
     is provided, and so whether ITD and TRHG run in forward mode.
     """

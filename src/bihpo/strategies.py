@@ -28,7 +28,7 @@ import numpy as np
 from .data import DataView, Dataset, StackedView, full_view, split_stacks
 from .errors import ContractViolationError, NumericalError, require_real
 from .hypergrad import HypergradMethod, estimate_hypergrad, inner_solve
-from .linalg import Vec, ordered_mean, row_norm
+from .linalg import Vec, _first_member, ordered_mean, row_norm
 from .problems import BilevelProblem, check_args
 
 OPTIMIZER_KINDS = ("gd", "adam")
@@ -128,7 +128,7 @@ def _finite_or_abort(values: np.ndarray, what: str, per_split: bool = False) -> 
     """values, or a NumericalError saying what became non-finite; with one value
     per split it names the first non-finite split as its member."""
     if not np.all(np.isfinite(values)):
-        member = int(np.argmin(np.isfinite(values))) if per_split else None
+        member = _first_member(~np.isfinite(values)) if per_split else None
         raise NumericalError(f"{what} became non-finite", member=member)
     return values
 
@@ -183,8 +183,10 @@ def _outer_loop(
     then the test loss; without it each split is evaluated on test_view and
     solved once more at the final lambda. columns=False skips every trace
     column (_split_evals and the deployed test loss); the lambda path and the
-    final models are the same. A NumericalError of an outer step is raised
-    again naming the step and, when it names a member, the split.
+    final models are the same. A NumericalError of an outer step, or of the
+    final solve, which counts as step T, is raised again naming the step
+    and, when it names a member, the split; its trace attribute is the
+    HPOTrace of the outer steps that finished.
     """
     if T < 1:
         raise ContractViolationError("T must be >= 1")
@@ -195,8 +197,8 @@ def _outer_loop(
     deployed = starts
     state = None
     trace = HPOTrace(lambdas=[lam.copy()])
-    for t in range(T):
-        try:
+    try:
+        for t in range(T):
             lams = lam[None].repeat(len(train), axis=0)  # one row per split
             res = estimate_hypergrad(problem, lams, starts, train, val, method)
             row = (_split_evals(problem, lams, res.inner_final, res.grad, train, val, split_test)
@@ -214,23 +216,25 @@ def _outer_loop(
                 alpha_deploy, deploy_view = deploy
                 # overflow surfaces as the explicit non-finite checks, not a warning
                 with np.errstate(over="ignore", invalid="ignore"):
-                    update = alpha_deploy * problem.inner_grad_theta(lam, deployed, deploy_view)
+                    update = alpha_deploy * problem.bind_inner(lam, deploy_view).grad(deployed)
                     deployed = _finite_or_abort(deployed - update, "deployed model")
                     if columns and test_view is not None:
                         test_loss = problem.outer_loss(lam, deployed, test_view)
                         row["test_loss"] = np.full(len(train),
                                                    _finite_or_abort(test_loss, "test loss"))
-        except NumericalError as exc:
-            what = exc.args[0]
-            raise NumericalError(f"{what} at outer step {t}" if exc.member is None
-                                 else f"split {exc.member} failed at outer step {t}: {what}",
-                                 step_index=t) from exc
-        trace.add_step(row, lam)
-
-    if deploy is None:
-        final = inner_solve(problem, lam, starts, train, method.K, method.alpha_in).final
-        trace.final_thetas = tuple(final)
-    else:
+            trace.add_step(row, lam)
+        if deploy is None:
+            t = T  # the final solve, at lambdas[T]
+            trace.final_thetas = tuple(
+                inner_solve(problem, lam, starts, train, method.K, method.alpha_in).final)
+    except NumericalError as exc:
+        what = exc.args[0]
+        failed = NumericalError(f"{what} at outer step {t}" if exc.member is None
+                                else f"split {exc.member} failed at outer step {t}: {what}",
+                                step_index=t)
+        failed.trace = trace  # the outer steps that finished
+        raise failed from exc
+    if deploy is not None:
         trace.final_thetas = tuple(starts.copy())
         trace.deployed_theta = deployed.copy()
     return trace

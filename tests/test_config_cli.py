@@ -564,22 +564,42 @@ def test_diverged_estimate_exits_3_without_warnings(tmp_path, capsys, recwarn, m
     assert len(recwarn) == 0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_diverging_itd_tune_is_refused(tmp_path, capsys):
-    # alpha_in = 5 is far beyond 2/L, yet theta_K stays finite: today the run
-    # exits 0 with a "complete" manifest and lambda_raw near -3.8e63
+    # alpha_in = 5 is far beyond 2/L, yet theta_K stays finite: without the
+    # growth rule the run exits 0 with a "complete" manifest and lambda_raw
+    # near -3.8e63
     cfg = write_cfg(tmp_path, tune_dict(method={"kind": "ITD", "K": 20, "alpha_in": 5.0},
                                         strategy={"T": 30}))
     out = tmp_path / "o"
     assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 3
     assert "split" in capsys.readouterr().err
-    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("split 0 failed at outer step 0: ")
+    assert "lower method.alpha_in" in manifest["error"]
+
+
+def test_diverging_aid_tune_is_refused_for_its_divergence(tmp_path, capsys, recwarn):
+    # CG stops at Z = 10 on a theta_K near 1e134 with a finite hypergradient;
+    # the growth rule refuses the solve before a trace loss overflows
+    cfg = write_cfg(tmp_path, tune_dict(
+        method={"kind": "AID_CG", "K": 100, "alpha_in": 5.0, "Z": 10}))
+    out = tmp_path / "o"
+    assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 3
+    message = ("split 0 failed at outer step 0: the inner gradient norm at step 99 exceeds "
+               "its norm at step 0, so the inner steps diverge: lower method.alpha_in")
+    assert message in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["error"] == message
+    assert len(recwarn) == 0
 
 
 def test_nonfinite_trace_loss_names_its_split(tmp_path, capsys, recwarn):
-    # CG stops at Z = 10 on a theta_K near 1e134 with a finite hypergradient,
-    # so the first overflow is a split's train loss in the trace
+    # elastic_net is exempt from the growth rule (its pseudo-Huber curvature
+    # is far above 2/alpha_in), so CG stops at Z = 10 on a theta_K near
+    # overflow with a finite hypergradient, and the first overflow is a
+    # split's train loss in the trace
     cfg = write_cfg(tmp_path, tune_dict(
+        problem={"kind": "elastic_net"},
         method={"kind": "AID_CG", "K": 100, "alpha_in": 5.0, "Z": 10}))
     out = tmp_path / "o"
     assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 3
@@ -588,6 +608,18 @@ def test_nonfinite_trace_loss_names_its_split(tmp_path, capsys, recwarn):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed" and manifest["failed_step"] == 0
     assert manifest["error"] == message
+    assert len(recwarn) == 0
+
+
+def test_tune_whose_lambda_overflows_the_bind_exits_3_without_warnings(tmp_path, capsys,
+                                                                       recwarn):
+    # lasso_smooth is exempt from the growth rule: its first hypergradient
+    # sends lambda so high that the next inner solve's bind overflows e^lam
+    cfg = write_cfg(tmp_path, tune_dict(
+        problem={"kind": "lasso_smooth"},
+        method={"kind": "AID_CG", "K": 100, "alpha_in": 5.0, "Z": 10}))
+    assert main(["tune", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "split 0 failed at outer step 1: " in capsys.readouterr().err
     assert len(recwarn) == 0
 
 
@@ -607,6 +639,55 @@ def test_diverging_oehg_exits_3_without_warnings(tmp_path, capsys, recwarn, test
     assert manifest["error"].startswith(f"{what} became non-finite")
     assert f"at outer step {manifest['failed_step']}" in err
     assert len(recwarn) == 0
+
+
+def test_failed_tune_keeps_the_trace_of_its_finished_steps(tmp_path, capsys):
+    # the deployed model overflows after some outer steps finished: trace.csv
+    # holds their U rows each, the rows a run of that many steps writes
+    def run(T, name):
+        cfg = write_cfg(tmp_path, tune_dict(
+            data={"synthetic": {"n": 40}, "test_fraction": 0.0}, split={"U": 2},
+            method={"kind": "ITD", "K": 1, "alpha_in": 0.1},
+            strategy={"kind": "oehg", "T": T, "alpha_deploy": 50.0}), f"{name}.yaml")
+        return main(["tune", "--config", str(cfg), "--out", str(tmp_path / name)])
+
+    assert run(400, "failed") == 3
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "failed" / "manifest.json").read_text())
+    step = manifest["failed_step"]
+    assert manifest["status"] == "failed" and manifest["outputs"] == [] and step >= 1
+    rows = read_rows(tmp_path / "failed" / "trace.csv")
+    assert len(rows) == step * 2
+    assert [(int(r["step"]), int(r["split_id"])) for r in rows[-2:]] == [(step - 1, 0),
+                                                                          (step - 1, 1)]
+    assert run(step, "done") == 0
+    assert ((tmp_path / "failed" / "trace.csv").read_bytes()
+            == (tmp_path / "done" / "trace.csv").read_bytes())
+
+
+def test_failed_final_solve_names_its_split_and_keeps_the_trace(tmp_path, capsys):
+    # the one outer step finishes at lambda 1.2, and its update sends lambda
+    # past 2/alpha_in, so ehg's final solve at lambdas[1] diverges: it counts
+    # as outer step 1, after the one finished step's U = 3 rows
+    cfg = write_cfg(tmp_path, tune_dict(
+        method={"kind": "ITD", "K": 25, "alpha_in": 0.2},
+        strategy={"T": 1, "lambda0": 1.2, "outer": {"kind": "gd", "alpha_out": 50.0}}))
+    out = tmp_path / "o"
+    assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 3
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_step"] == 1
+    assert manifest["error"].startswith("split 0 failed at outer step 1: the inner gradient "
+                                        "norm at step 24 exceeds its norm at step 0")
+    rows = read_rows(out / "trace.csv")
+    assert [(int(r["step"]), int(r["split_id"])) for r in rows] == [(0, 0), (0, 1), (0, 2)]
+
+
+def test_tune_failing_at_its_first_step_writes_no_trace(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, tune_dict(method={"kind": "ITD", "K": 20, "alpha_in": 5.0}))
+    assert main(["tune", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["failed_step"] == 0
+    assert not (tmp_path / "o" / "trace.csv").exists()
 
 
 # ---------------------------------------------------------------------------

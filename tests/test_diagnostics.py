@@ -725,10 +725,10 @@ def test_diverging_sweep_names_member_and_step():
     assert f"at step {step}" in str(err.value) and f"(member {m})" in str(err.value)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_diverging_sweep_point_is_refused():
     # at lambda_eff = 10, L = 2 (eigmax(A) + 10) is near 23 > 2 / alpha_in, so the
-    # inner loop diverges, yet stays finite: today the row reads an error of 6.0e23
+    # inner loop diverges, yet stays finite: without the growth rule the row
+    # reads an error of 6.0e23
     design = SweepDesign(n=100, d=5, noise_sigma=0.5, gamma=0.25)
     method = HypergradMethod(kind="ITD", K=50, alpha_in=0.1)
     with pytest.raises(NumericalError) as err:

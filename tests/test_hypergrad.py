@@ -587,12 +587,18 @@ def test_overflowing_update_is_named_at_the_next_step():
 
 
 def last_step_overflow_views(scale=1.0):
-    """(train, val) of a ridge split whose solve at alpha_in 5 overflows on
-    step 226, with every gradient before it finite; scale < 1 calms it."""
+    """(train, val) of a ridge split whose solve at alpha_in 5 and lam 0
+    overflows on step 226, with every gradient before it finite; at scale
+    0.01 and lam CALM_LAM the solve converges."""
     ds = synthetic("regression", 40, 1, 0, 0.5, 3, 1)
     ds = Dataset(X=scale * ds.X, y=ds.y, task="regression")
     val = draw_val_sets(40, SplitPlan(U=1, gamma=0.25, master_seed=0))[0]
     return DataView(ds, complements(40, val)), DataView(ds, val)
+
+
+# a raw lam at which alpha_in 5 is below 2/L for the scaled-down split: at
+# lam 0 the penalty alone puts L at 2 or more for ridge and ridge_per_param
+CALM_LAM = -5.0
 
 
 # ITD runs forward on ridge and by the reverse pass on ridge_per_param
@@ -625,7 +631,7 @@ def test_a_stacked_solve_that_ends_non_finite_names_its_first_such_member(kind, 
     members = [calm, wild, calm, wild]
     train, val = stack([m[0] for m in members]), stack([m[1] for m in members])
     prob = build_problem(ModelSpec(kind=kind), 1)
-    lam, theta0 = np.zeros(1), np.zeros(1)
+    lam, theta0 = np.array([[CALM_LAM], [0.0], [CALM_LAM], [0.0]]), np.zeros(1)
     assert stepwise_failure(prob, lam, np.zeros((4, 1)), train, 227, 5.0) is None
     for run in (lambda: inner_solve(prob, lam, theta0, train, 227, 5.0),
                 lambda: estimate_hypergrad(prob, lam, theta0, train, val, method)):
@@ -634,7 +640,75 @@ def test_a_stacked_solve_that_ends_non_finite_names_its_first_such_member(kind, 
             run()
         assert (err.value.step_index, err.value.member) == (226, 1)
     # the calm member alone solves to a finite theta_K
-    assert np.all(np.isfinite(inner_solve(prob, lam, theta0, calm[0], 227, 5.0).final))
+    assert np.all(np.isfinite(inner_solve(prob, lam[0], theta0, calm[0], 227, 5.0).final))
+
+
+# ---------------------------------------------------------------------------
+# a solve whose gradient norm grows is refused
+
+GROWTH_MESSAGE = ("the inner gradient norm at step 199 exceeds its norm at step 0, so the "
+                  "inner steps diverge: lower method.alpha_in")
+
+
+def test_a_growing_member_is_named_by_its_index_in_the_callers_stack():
+    # at lam 2.5, alpha_in 0.1 is above 2/L for member 3, whose gradient norm
+    # grows about 7e45-fold over 200 steps while theta_K stays finite; the
+    # other four retire from the forward pass at steps 128 and 144, which
+    # compacts the stack to members 2 and 3, then to member 3 alone
+    trains, vals = member_views()
+    prob = build_problem(ModelSpec(kind="ridge"), 3)
+    lam = np.zeros((5, 1))
+    lam[3] = 2.5
+    train, val = stack(trains), stack(vals)
+    method = HypergradMethod(kind="ITD", K=200, alpha_in=0.1)
+    assert forward_mode(prob, method)
+    assert stepwise_failure(prob, lam, np.zeros((5, 3)), train, 200, 0.1) is None
+    calm = forward_hypergrad(prob, np.zeros((5, 1)), np.zeros(3), train, val, method)
+    assert np.all(calm.diagnostics["steps"] < 200)
+    bind, bound = prob.bind_inner, []
+    counting = dataclasses.replace(
+        prob, bind_inner=lambda lam, view: bound.append(len(view)) or bind(lam, view))
+    for run in (lambda: estimate_hypergrad(counting, lam, np.zeros(3), train, val, method),
+                lambda: inner_solve(prob, lam, np.zeros(3), train, 200, 0.1)):
+        with pytest.raises(NumericalError, match=f"^{GROWTH_MESSAGE} \\(member 3\\)$") as err:
+            run()
+        assert (err.value.step_index, err.value.member) == (199, 3)
+    assert bound == [5, 2, 1]
+    with pytest.raises(NumericalError, match=f"^{GROWTH_MESSAGE}$") as err:
+        estimate_hypergrad(prob, lam[3], np.zeros(3), trains[3], vals[3], method)
+    assert (err.value.step_index, err.value.member) == (199, None)
+
+
+def test_a_solve_started_at_its_fixed_point_is_not_refused():
+    # as from a converged warm start: theta repeats from step 0, so the
+    # gradient at the last step has the bits of the one at step 0
+    prob, tr, va, lam = ridge_setup()
+    start = inner_solve(prob, lam, np.zeros(3), tr, K=3000, alpha_in=0.1).final
+    traj = inner_solve(prob, lam, start, tr, K=50, alpha_in=0.1)
+    assert all(t.tobytes() == start.tobytes() for t in traj.thetas)
+    for kind in ("ITD", "AID_CG"):
+        method = HypergradMethod(kind=kind, K=50, alpha_in=0.1, Z=10 * (kind != "ITD"))
+        res = estimate_hypergrad(prob, lam, start, tr, va, method)
+        assert res.inner_final.tobytes() == start.tobytes()
+
+
+def test_a_healthy_lasso_smooth_solve_whose_gradient_norm_rises_still_returns():
+    # at delta = 1e-6 the pseudo-Huber curvature puts alpha_in far above 2/L,
+    # so near its minimizer the solve bounces across the kink: its gradient
+    # norm rises, yet theta stays near the minimizer
+    _, tr, va, _ = ridge_setup()
+    prob = build_problem(ModelSpec(kind="lasso_smooth", smoothing_delta=1e-6), 3)
+    lam = np.zeros(1)
+    start = inner_solve(prob, lam, np.zeros(3), tr, K=3000, alpha_in=0.01).final
+    traj = inner_solve(prob, lam, start, tr, K=20, alpha_in=0.1)
+    grad = prob.bind_inner(lam, tr).grad
+    norms = [np.linalg.norm(grad(traj.thetas[k])) for k in (0, 19)]
+    assert norms[1] > 1.01 * norms[0]
+    assert np.linalg.norm(traj.final - start) < 0.2
+    res = estimate_hypergrad(prob, lam, start, tr, va,
+                             HypergradMethod(kind="ITD", K=20, alpha_in=0.1))
+    assert res.inner_final.tobytes() == traj.final.tobytes()
+    assert np.all(np.isfinite(res.grad))
 
 
 # ---------------------------------------------------------------------------

@@ -617,14 +617,16 @@ def test_stacked_softmax_members_have_the_bits_of_their_own_views(B, k, kind):
         assert np.linalg.norm(got["grad"][b] - data_grad) <= 1e-13 * np.linalg.norm(data_grad)
 
 
-@pytest.mark.parametrize("method", [HypergradMethod(kind="ITD", K=30, alpha_in=0.2),
-                                    HypergradMethod(kind="TRHG", K=30, alpha_in=0.2, h=10)],
+@pytest.mark.parametrize("method", [HypergradMethod(kind="ITD", K=30, alpha_in=0.1),
+                                    HypergradMethod(kind="TRHG", K=30, alpha_in=0.1, h=10)],
                          ids=["ITD", "TRHG"])
 @pytest.mark.parametrize("kind", ["ridge", "lasso_smooth", "elastic_net", "ridge_per_param"])
 def test_stacked_d1_members_have_the_bits_of_their_own_views(kind, method):
     # at d = 1 every Gram product is one multiply (problems._matvec); the
     # diagnostics run their members stacked, so each member's numbers may
-    # not depend on the stacking, signed zeros included
+    # not depend on the stacking, signed zeros included. alpha_in = 0.1 is
+    # below 2/L for every member (ridge_per_param's member 1, at u = 0.89,
+    # diverges at 0.2)
     B = 5
     ds, _ = gen_linear(40, 1, 0.5, seed=3, beta_seed=1)
     splits = make_splits(ds.n, SplitPlan(U=B, gamma=0.25, master_seed=4))

@@ -2,8 +2,11 @@
 something reads each function and class it defines at its top level, no
 module draws a subset by a .choice call (data._subsets is the one draw), no
 module draws leading raw words by a .random_raw call
-(data._pcg64_words is their one source), and no function of hypergrad.py but
-_steps calls an inner gradient."""
+(data._pcg64_words is their one source), no function of hypergrad.py but
+_steps calls an inner gradient, no module but problems reads the per-call
+derivative callbacks (the others bind the inner problem), and no function
+but linalg._first_member finds a failing member by an argmin or argmax of a
+finiteness mask."""
 
 import ast
 from collections import Counter
@@ -96,17 +99,21 @@ def test_every_private_name_of_the_library_is_read():
     assert not unread, f"private names that nothing reads: {', '.join(unread)}"
 
 
-def attribute_calls(source: str, attr: str, bare: bool = False) -> list[tuple[int, str]]:
+def attribute_calls(source: str, attr: str, bare: bool = False,
+                    reading: str | None = None) -> list[tuple[int, str]]:
     """(line, scope) of each call of a .attr attribute in source (with bare,
-    of a plain name attr too), where scope names the functions and classes
-    that enclose the call, outermost first, joined by dots ("" at module
+    of a plain name attr too; with reading, only of a call whose arguments
+    read that name), where scope names the functions and classes that
+    enclose the call, outermost first, joined by dots ("" at module
     level)."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
         if isinstance(node, ast.Call) and (
                 isinstance(node.func, ast.Attribute) and node.func.attr == attr
-                or bare and isinstance(node.func, ast.Name) and node.func.id == attr):
+                or bare and isinstance(node.func, ast.Name) and node.func.id == attr) and (
+                reading is None or any(names_read(arg)[reading]
+                                       for arg in [*node.args, *node.keywords])):
             found.append((node.lineno, scope))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
@@ -129,6 +136,14 @@ def test_bare_calls_are_found():
               "def replay(grad):\n    return [grad(t) for t in grad_steps(grad)]\n")
     assert attribute_calls(source, "grad") == [(1, "")]
     assert attribute_calls(source, "grad", bare=True) == [(1, ""), (3, ""), (5, "replay")]
+
+
+def test_calls_reading_a_name_are_found():
+    source = ("i = np.argmin(np.isfinite(x).all(axis=-1))\nj = argmax(mask)\n"
+              "k = np.argmax(x, axis=isfinite)\nm = argmin(f(isfinite(x)))\n")
+    assert attribute_calls(source, "argmin", bare=True, reading="isfinite") == [(1, ""),
+                                                                                (4, "")]
+    assert attribute_calls(source, "argmax", bare=True, reading="isfinite") == [(3, "")]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
@@ -158,3 +173,30 @@ def test_only_steps_takes_an_inner_step():
         if scope != "_steps"]
     assert not calls, (f"hypergrad.py calls an inner gradient at {calls}; take inner steps "
                        f"by hypergrad._steps")
+
+
+# the per-call derivative callbacks of BilevelProblem
+PER_CALL_CALLBACKS = ("inner_grad_theta", "inner_hvp", "inner_mixed_vp", "outer_grad_lambda")
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "problems.py"))
+def test_only_problems_reads_the_per_call_callbacks(module):
+    # the estimators and strategies reach the inner derivatives through
+    # problem.bind_inner, and no estimate reads the zero lam gradient of the
+    # outer objective; problems defines the callbacks and verify_derivatives
+    # checks them
+    read = names_read(ast.parse((SRC / module).read_text(encoding="utf-8")))
+    found = [name for name in PER_CALL_CALLBACKS if read[name]]
+    assert not found, f"{module} reads {', '.join(found)}; bind the inner problem instead"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_first_member_finds_a_failing_member(module):
+    # linalg._first_member is the one lookup of a batch's first failing member
+    source = (SRC / module).read_text(encoding="utf-8")
+    calls = [(line, scope) for name in ("argmin", "argmax")
+             for line, scope in attribute_calls(source, name, bare=True, reading="isfinite")
+             if (module, scope) != ("linalg.py", "_first_member")]
+    assert not calls, (f"{module} takes an argmin or argmax of a finiteness mask at {calls}; "
+                       f"name the member by linalg._first_member")
