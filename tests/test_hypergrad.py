@@ -679,6 +679,39 @@ def test_a_growing_member_is_named_by_its_index_in_the_callers_stack():
     assert (err.value.step_index, err.value.member) == (199, None)
 
 
+def logistic_d1_views(seed):
+    """(train, val) of a one-feature logistic_l2 split of 40 rows."""
+    ds = synthetic("binary", 40, 1, 2, 0.4, seed, 2)
+    val = draw_val_sets(40, SplitPlan(U=1, gamma=0.25, master_seed=seed))[0]
+    return DataView(ds, complements(40, val)), DataView(ds, val)
+
+
+def test_a_member_that_retires_in_a_two_cycle_is_still_refused():
+    # at alpha_in 2 and lam -1, seed 3's solve settles into a two-cycle
+    # between theta near 0.59 and -1.47, whose gradient norms (about 1.03)
+    # exceed the 0.39 at theta = 0: its state repeats, so the forward pass
+    # retires it, and its gradient at the retirement check has the bits of
+    # its gradient at step K - 1. Members 1 and 2 retire together, which
+    # compacts the stack to member 0 (seed 6, still moving at step K)
+    prob = build_problem(ModelSpec(kind="logistic_l2"), 1)
+    (c_tr, c_va), (s_tr, s_va) = logistic_d1_views(3), logistic_d1_views(6)
+    train, val = stack([s_tr, c_tr, c_tr]), stack([s_va, c_va, c_va])
+    lam = np.full((3, 1), -1.0)
+    method = HypergradMethod(kind="ITD", K=200, alpha_in=2.0)
+    assert forward_mode(prob, method)
+    bind, bound = prob.bind_inner, []
+    counting = dataclasses.replace(
+        prob, bind_inner=lambda lam, view: bound.append(len(view)) or bind(lam, view))
+    message = GROWTH_MESSAGE + " \\(member 1\\)$"
+    with pytest.raises(NumericalError, match=message) as err:
+        estimate_hypergrad(counting, lam, np.zeros(1), train, val, method)
+    assert bound == [3, 1] and err.value.step_index == 199
+    with pytest.raises(NumericalError, match=message):
+        inner_solve(prob, lam, np.zeros(1), train, 200, 2.0)
+    steady = forward_hypergrad(prob, lam[0], np.zeros(1), s_tr, s_va, method)
+    assert steady.diagnostics["steps"] == 200
+
+
 def test_a_solve_started_at_its_fixed_point_is_not_refused():
     # as from a converged warm start: theta repeats from step 0, so the
     # gradient at the last step has the bits of the one at step 0
